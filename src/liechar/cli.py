@@ -100,18 +100,19 @@ def _emit(doc, args, rows=None, header=None):
 
 
 def _cmd_endoscopy(args):
-    series, rank = _parse_type(args.type)
-    datum = build_root_datum(series, rank, args.isogeny)
-    if args.endo_cmd == "enumerate":
-        doc = [t.serialize() for t in enumerate_split_elliptic(datum)]
-        _emit(doc, args)
-        return 0
-    if args.endo_cmd == "from-kappa":
-        kappa = _parse_fraction_list(args.kappa)
-        t = endoscopic_from_kappa(datum, kappa)
-        _emit(t.serialize(), args)
-        return 0
-    doc = estimate_diagram_check(datum)
+    try:
+        series, rank = _parse_type(args.type)
+        datum = build_root_datum(series, rank, args.isogeny)
+        if args.endo_cmd == "enumerate":
+            doc = [t.serialize() for t in enumerate_split_elliptic(datum)]
+        elif args.endo_cmd == "from-kappa":
+            kappa = _parse_fraction_list(args.kappa)
+            doc = endoscopic_from_kappa(datum, kappa).serialize()
+        else:
+            doc = estimate_diagram_check(datum)
+    except ValueError as e:
+        _emit({"error": str(e)}, args)
+        return 1
     _emit(doc, args)
     return 0
 
@@ -126,32 +127,38 @@ def _tn_data(args):
 
 
 def _cmd_tori(args):
+    try:
+        doc = _tori_doc(args)
+    except ValueError as e:
+        _emit({"error": str(e)}, args)
+        return 1
+    _emit(doc, args)
+    return 0
+
+
+def _tori_doc(args):
     if args.tori_cmd == "h1":
         data = _tn_data(args)
-        doc = {
+        return {
             "rank": data.torus.rank,
             "frobenius_order": data.torus.order,
             "h1": data.h1.serialize(),
             "invariant_factors": list(data.invariant_factors),
         }
-        _emit(doc, args)
-        return 0
     if args.tori_cmd == "pair":
         data = _tn_data(args)
         inv = tuple(json.loads(args.inv))
         kappa = tuple(json.loads(args.kappa))
         val = tn_pairing(data, inv, kappa)
-        doc = {
+        return {
             "inv": list(inv),
             "kappa": list(kappa),
             "value": _cyc_str(val),
             "conductor": val.n,
         }
-        _emit(doc, args)
-        return 0
     degrees = tuple(json.loads(args.degrees))
     group, witnesses = sln_kappa_group(args.n, args.m, degrees)
-    doc = {
+    return {
         "n": args.n,
         "m": args.m,
         "degrees": list(degrees),
@@ -160,8 +167,6 @@ def _cmd_tori(args):
             {"twist": list(t), "class": list(c)} for t, c in witnesses
         ],
     }
-    _emit(doc, args)
-    return 0
 
 
 # ---------------------------------------------------------------------------

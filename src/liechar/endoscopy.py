@@ -118,7 +118,15 @@ class CenterDiagramAction:
 def center_alcove_action(g: RootDatum) -> CenterDiagramAction:
     """Action of the center of the simply connected dual group on the
     extended diagram of the dual, by mu: x -> fold(x + mu) over a coweight
-    transversal (the origin and the mark-1 alcove vertices)."""
+    transversal (the origin and the mark-1 alcove vertices). Built once per
+    datum and cached on it."""
+    action = g.derived.get("center_alcove_action")
+    if action is None:
+        action = g.derived["center_alcove_action"] = _build_center_alcove_action(g)
+    return action
+
+
+def _build_center_alcove_action(g: RootDatum) -> CenterDiagramAction:
     _require_simple(g)
     d = dual_datum(g)
     ext = extended_dynkin(d)

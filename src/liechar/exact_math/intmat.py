@@ -184,12 +184,60 @@ def _add_col(a, v, dst, src, q):
         row[dst] += q * row[src]
 
 
+def _xgcd(x, y):
+    """(g, s, t) with s*x + t*y = g = gcd(x, y) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while y:
+        q, r = divmod(x, y)
+        x, y = y, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if x < 0:
+        return -x, -s0, -t0
+    return x, s0, t0
+
+
+def _mix(x, y, s, t, p, q):
+    # (x, y) -> (s*x + t*y, p*x + q*y), elementwise
+    return [s * a + t * b for a, b in zip(x, y)], [p * a + q * b for a, b in zip(x, y)]
+
+
+def _eliminate_row(a, u, t, i):
+    """Zero a[i][t] against the pivot a[t][t] by a unimodular row operation.
+    Unless the pivot divides a[i][t], the pivot becomes a proper divisor."""
+    p, x = a[t][t], a[i][t]
+    if x % p == 0:
+        _add_row(a, u, i, t, -(x // p))
+        return
+    g, s, w = _xgcd(p, x)
+    # [[s, w], [-x/g, p/g]] has determinant (s*p + w*x)/g = 1
+    a[t], a[i] = _mix(a[t], a[i], s, w, -x // g, p // g)
+    u[t], u[i] = _mix(u[t], u[i], s, w, -x // g, p // g)
+
+
+def _eliminate_col(a, v, t, j):
+    """Column counterpart of _eliminate_row for a[t][j]; True when the
+    pivot changed."""
+    p, x = a[t][t], a[t][j]
+    if x % p == 0:
+        _add_col(a, v, j, t, -(x // p))
+        return False
+    g, s, w = _xgcd(p, x)
+    for m in (a, v):
+        for row in m:
+            row[t], row[j] = s * row[t] + w * row[j], (-x // g) * row[t] + (p // g) * row[j]
+    return True
+
+
 def smith_normal_form(m: IntMatrix):
     """Return (U, D, V) with U*m*V = D, U and V unimodular, D diagonal with
     nonnegative entries d_1 | d_2 | ... .
 
-    Pivoting always moves a least-magnitude nonzero entry to the pivot seat,
-    so coefficient growth stays tame for the small matrices used here.
+    A least-magnitude nonzero entry of the trailing block takes the pivot
+    seat. Exact multiples of the pivot are cleared by subtraction, the other
+    entries by a 2x2 extended-gcd transform that replaces the pivot with the
+    gcd, a proper divisor of the pivot. Each stage therefore makes at most
+    log2(|pivot|) gcd transforms and ends.
     """
     r, c = m.shape
     a = [list(row) for row in m.rows]
@@ -213,23 +261,15 @@ def smith_normal_form(m: IntMatrix):
             _swap_cols(a, v, t, pj)
 
         while True:
-            # clear column t below the pivot
-            dirty = False
+            # clear column t below the pivot, then row t right of it; a
+            # column transform that moved the pivot may refill column t
             for i in range(t + 1, r):
                 if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    _add_row(a, u, i, t, -q)
-                    if a[i][t] != 0:
-                        _swap_rows(a, u, t, i)
-                        dirty = True
-            # clear row t right of the pivot
+                    _eliminate_row(a, u, t, i)
+            dirty = False
             for j in range(t + 1, c):
                 if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    _add_col(a, v, j, t, -q)
-                    if a[t][j] != 0:
-                        _swap_cols(a, v, t, j)
-                        dirty = True
+                    dirty |= _eliminate_col(a, v, t, j)
             if dirty:
                 continue
             # pivot must divide the whole trailing block, else absorb a bad row

@@ -17,9 +17,9 @@ Isogeny choices:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
-from .exact_math import IntMatrix, cokernel_group, smith_normal_form
+from .exact_math import IntMatrix, cokernel_group
 
 SERIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -51,12 +51,24 @@ def _dot(x, y):
 
 
 def _rank_of_span(vectors, dim):
-    if not vectors:
-        return 0
-    m = IntMatrix(list(vectors))
-    _, d, _ = smith_normal_form(m)
-    r, c = m.shape
-    return sum(1 for i in range(min(r, c)) if d.at(i, i) != 0)
+    """Rank of the span of integer vectors of length dim, by elimination
+    with cross-multiplied rows cut down to their content."""
+    rows = [list(v) for v in vectors]
+    rank = 0
+    for col in range(dim):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        p = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            x = rows[i][col]
+            if x:
+                row = [p[col] * a - x * b for a, b in zip(rows[i], p)]
+                g = gcd(*row)
+                rows[i] = [a // g for a in row] if g else row
+        rank += 1
+    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +140,15 @@ def _check_series_rank(series, rank):
 
 
 class RootDatum:
-    """Lattice Z^rank with aligned root/coroot tuples."""
+    """Lattice Z^rank with aligned root/coroot tuples.
+
+    A datum is immutable once built. Structures derived from it (its dual,
+    the inverse Cartan matrix, the highest root, semisimplicity, the
+    extended diagram, the center action of endoscopy) are built on first
+    use and cached in `derived`, keyed by name, so they live exactly as
+    long as the datum. Only values that passed every check are cached: a
+    call that raises raises again on the next call.
+    """
 
     def __init__(self, rank, roots, coroots, simple_indices, label=None, validate=True):
         self.rank = int(rank)
@@ -136,6 +156,7 @@ class RootDatum:
         self.coroots = tuple(tuple(v) for v in coroots)
         self.simple_indices = tuple(simple_indices)
         self.label = label  # (series, rank, isogeny) for constructed data
+        self.derived = {}
         if validate:
             self._validate()
 
@@ -172,7 +193,11 @@ class RootDatum:
         return len(self.simple_indices)
 
     def is_semisimple(self):
-        return _rank_of_span(self.roots, self.rank) == self.rank and len(self.roots) > 0
+        ss = self.derived.get("semisimple")
+        if ss is None:
+            ss = _rank_of_span(self.roots, self.rank) == self.rank and len(self.roots) > 0
+            self.derived["semisimple"] = ss
+        return ss
 
     def pairing(self, x, y):
         return _dot(x, y)
@@ -186,13 +211,22 @@ class RootDatum:
 
     # -- expansion in the simple basis
 
+    def _cartan_inverse(self):
+        """Rows of the inverse of the simple Cartan matrix, as Fractions."""
+        inv = self.derived.get("cartan_inverse")
+        if inv is None:
+            c = self.cartan()
+            n = len(c)
+            cols = [solve_rational(c, [int(i == k) for i in range(n)]) for k in range(n)]
+            inv = tuple(tuple(col[i] for col in cols) for i in range(n))
+            self.derived["cartan_inverse"] = inv
+        return inv
+
     def simple_coefficients(self, root):
         """Coefficients of a root over the simple roots, as Fractions."""
-        n = len(self.simple_indices)
-        # solve sum_j c_j <alpha_j, alpha_i^vee> = <root, alpha_i^vee>
-        rows = [[_dot(self.simple_roots[j], self.simple_coroots[i]) for j in range(n)] for i in range(n)]
-        b = [_dot(root, self.simple_coroots[i]) for i in range(n)]
-        return solve_rational(rows, b)
+        # sum_j c_j <alpha_j, alpha_i^vee> = <root, alpha_i^vee>, so c = C^-1 b
+        b = [_dot(root, av) for av in self.simple_coroots]
+        return tuple(sum((x * y for x, y in zip(row, b)), Fraction(0)) for row in self._cartan_inverse())
 
     def positive_roots(self):
         out = []
@@ -204,19 +238,24 @@ class RootDatum:
 
     def highest_root(self):
         """Unique root of maximal height; requires an irreducible system."""
-        best, best_h = None, None
-        for b in self.roots:
-            h = sum(self.simple_coefficients(b))
-            if best_h is None or h > best_h:
-                best, best_h = b, h
-        ties = [
-            b
-            for b in self.roots
-            if sum(self.simple_coefficients(b)) == best_h
-        ]
-        if len(ties) != 1:
-            raise ValueError("highest root not unique: system is reducible")
-        return best
+        theta = self.derived.get("highest_root")
+        if theta is None:
+            # height(b) = sum_i (C^-1 <b, alpha^vee>)_i = <b, h> where h
+            # sums the simple coroots weighted by the column sums of C^-1;
+            # scaled by den, h is integral and each height one dot product
+            sums = [sum(col) for col in zip(*self._cartan_inverse())]
+            den = lcm(1, *(x.denominator for x in sums))
+            h = [
+                int(sum(x * den * av[k] for x, av in zip(sums, self.simple_coroots)))
+                for k in range(self.rank)
+            ]
+            heights = [_dot(b, h) for b in self.roots]
+            best_h = max(heights, default=None)
+            ties = [b for b, height in zip(self.roots, heights) if height == best_h]
+            if len(ties) != 1:
+                raise ValueError("highest root not unique: system is reducible")
+            theta = self.derived["highest_root"] = ties[0]
+        return theta
 
     # -- classification
 
@@ -389,12 +428,18 @@ _DUAL_ISOGENY = {"sc": "ad", "ad": "sc", "gl-special": "gl-special"}
 
 
 def dual_datum(d: RootDatum) -> RootDatum:
-    """Swap (X, roots) with (Y, coroots)."""
-    label = None
-    if d.label:
-        series, rank, isog = d.label
-        label = (_DUAL_SERIES[series], rank, _DUAL_ISOGENY[isog])
-    return RootDatum(d.rank, d.coroots, d.roots, d.simple_indices, label=label, validate=False)
+    """Swap (X, roots) with (Y, coroots). Every call on d returns the same
+    object, whose dual is d itself."""
+    dual = d.derived.get("dual")
+    if dual is None:
+        label = None
+        if d.label:
+            series, rank, isog = d.label
+            label = (_DUAL_SERIES[series], rank, _DUAL_ISOGENY[isog])
+        dual = RootDatum(d.rank, d.coroots, d.roots, d.simple_indices, label=label, validate=False)
+        dual.derived["dual"] = d
+        d.derived["dual"] = dual
+    return dual
 
 
 def sub_datum_from_pairs(rank, pairs, validate=True) -> RootDatum:
@@ -543,7 +588,8 @@ class ExtDynkin:
     nodes 1..n are the simple roots. marks[i] are the coefficients n_i with
     sum_i marks[i] * node_vector[i] = 0 and marks[0] = 1. vertices[i] is the
     alcove vertex attached to node i (origin for i = 0, else
-    omega_i^vee / marks[i]) in Y tensor Q."""
+    omega_i^vee / marks[i]) in Y tensor Q. The diagram is cached on its datum
+    and shared by every caller, so its lists must not be mutated."""
 
     def __init__(self, datum, node_vectors, node_coroots, marks, edges, vertices):
         self.datum = datum
@@ -569,7 +615,15 @@ class ExtDynkin:
 
 
 def extended_dynkin(d: RootDatum) -> ExtDynkin:
-    """Extended diagram of an irreducible semisimple datum."""
+    """Extended diagram of an irreducible semisimple datum, built once per
+    datum."""
+    ext = d.derived.get("extended_dynkin")
+    if ext is None:
+        ext = d.derived["extended_dynkin"] = _build_extended_dynkin(d)
+    return ext
+
+
+def _build_extended_dynkin(d: RootDatum) -> ExtDynkin:
     if not d.is_semisimple():
         raise ValueError("extended diagram needs a semisimple datum")
     if "+" in d.cartan_type():

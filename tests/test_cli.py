@@ -215,6 +215,22 @@ def test_hilbert_zero_exits_1():
     assert "error" in json.loads(out)
 
 
+def test_endoscopy_estimate_type_a_exits_1():
+    code, out, err = run_cli(["endoscopy", "estimate", "--type", "A3"])
+    assert code == 1
+    assert json.loads(out) == {"error": "type A is excluded from the estimate check"}
+    assert err == ""
+
+
+def test_tori_pair_bad_coordinates_exits_1():
+    code, out, err = run_cli(
+        ["tori", "pair", "--frobenius", "[[0,1],[1,0]]", "--inv", "[0]", "--kappa", "[0]"]
+    )
+    assert code == 1
+    assert "error" in json.loads(out)
+    assert err == ""
+
+
 # ---------------------------------------------------------------------------
 # determinism, --out, worker fan-out
 

@@ -175,6 +175,23 @@ def test_enumerate_rejects_gl_special():
         enumerate_split_elliptic(build_root_datum("A", 2, "gl-special"))
 
 
+def test_center_action_is_cached_per_datum():
+    g = _sc("E", 6)
+    act = center_alcove_action(g)
+    assert center_alcove_action(g) is act
+    # a fresh datum of the same type gets its own, equal action
+    other = center_alcove_action(_sc("E", 6))
+    assert other is not act
+    assert other.permutations == act.permutations
+
+
+def test_center_action_error_is_not_cached():
+    gl = build_root_datum("A", 2, "gl-special")
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            center_alcove_action(gl)
+
+
 # ---------------------------------------------------------------------------
 # pseudo-Levi
 

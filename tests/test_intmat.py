@@ -38,6 +38,29 @@ def test_snf_rectangular():
     assert abs(u.det()) == 1 and abs(v.det()) == 1
 
 
+def test_snf_terminates_on_growth_prone_matrix():
+    # floor-division-and-swap elimination doubled entry sizes at each pivot
+    # step on this matrix and never returned
+    m = IntMatrix(
+        [
+            [0, 20, 20, 0, 1, -17],
+            [0, 0, -20, 0, -19, -20],
+            [19, 20, -20, 0, -1, -20],
+            [20, -20, -7, 0, 1, 20],
+            [20, -9, -20, -20, 1, 0],
+        ]
+    )
+    u, d, v = smith_normal_form(m)
+    assert u * m * v == d
+    assert abs(u.det()) == 1 and abs(v.det()) == 1
+    diag = [d.at(i, i) for i in range(5)]
+    assert d == IntMatrix.diagonal(diag, rows=5, cols=6)
+    assert all(x > 0 for x in diag)
+    for a, b in zip(diag, diag[1:]):
+        assert b % a == 0
+    assert diag == [1, 1, 1, 1, 3]
+
+
 @st.composite
 def small_matrices(draw):
     r = draw(st.integers(1, 6))

@@ -1,16 +1,20 @@
 """Root datum construction, duality, Weyl enumeration, extended diagrams."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from liechar.exact_math import IntMatrix, smith_normal_form
 from liechar.root_datum import (
     RootDatum,
+    _rank_of_span,
     build_root_datum,
     cartan_matrix,
     dual_datum,
     extended_dynkin,
     fundamental_group,
+    solve_rational,
     sub_datum_from_pairs,
     weyl_group_enumerate,
 )
@@ -265,3 +269,91 @@ def test_rank_cap_and_bad_input():
         build_root_datum("H", 2)
     with pytest.raises(ValueError):
         build_root_datum("A", 2, "simply")
+
+
+# ---------------------------------------------------------------------------
+# derived structures are built once per datum
+
+
+def test_dual_is_cached_and_involutive_by_identity():
+    for isog in ("sc", "ad"):
+        d = build_root_datum("B", 3, isog)
+        assert dual_datum(d) is dual_datum(d)
+        assert dual_datum(dual_datum(d)) is d
+    gl = build_root_datum("A", 2, "gl-special")
+    assert dual_datum(dual_datum(gl)) is gl
+
+
+def test_extended_dynkin_is_cached():
+    d = build_root_datum("F", 4, "sc")
+    assert extended_dynkin(d) is extended_dynkin(d)
+    assert d.is_semisimple() is d.is_semisimple()
+
+
+def test_reducible_errors_are_not_cached():
+    b2 = build_root_datum("B", 2, "sc")
+    longs = [(r, d) for r, d in zip(b2.roots, b2.coroots) if _is_long_b2(b2, r)]
+    sub = sub_datum_from_pairs(2, longs)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            sub.highest_root()
+        with pytest.raises(ValueError):
+            extended_dynkin(sub)
+
+
+def _all_data():
+    for series, ranks in [
+        ("A", range(1, 9)),
+        ("B", range(2, 9)),
+        ("C", range(2, 9)),
+        ("D", range(3, 9)),
+        ("E", (6, 7, 8)),
+        ("F", (4,)),
+        ("G", (2,)),
+    ]:
+        for rank in ranks:
+            for isog in ("sc", "ad"):
+                yield build_root_datum(series, rank, isog)
+    for rank in range(1, 9):
+        yield build_root_datum("A", rank, "gl-special")
+
+
+def _height_by_solve(d, root):
+    # one rational solve per root, independent of the cached inverse Cartan
+    n = d.semisimple_rank
+    rows = [[sum(x * y for x, y in zip(d.simple_roots[j], d.simple_coroots[i])) for j in range(n)] for i in range(n)]
+    b = [sum(x * y for x, y in zip(root, d.simple_coroots[i])) for i in range(n)]
+    return solve_rational(rows, b)
+
+
+def test_highest_root_and_coefficients_match_per_root_solve():
+    for d in _all_data():
+        best = None
+        for r in d.roots:
+            coeffs = _height_by_solve(d, r)
+            assert d.simple_coefficients(r) == coeffs, (d, r)
+            if best is None or sum(coeffs) > best[1]:
+                best = (r, sum(coeffs))
+        assert d.highest_root() == best[0], d
+        assert d.highest_root() is d.highest_root()
+
+
+def test_rank_of_span_matches_smith_form():
+    rng = random.Random(5)
+    for _ in range(300):
+        r, c = rng.randint(1, 10), rng.randint(1, 6)
+        basis = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(rng.randint(1, c))]
+        rows = [[sum(rng.randint(-2, 2) * b[j] for b in basis) for j in range(c)] for _ in range(r)]
+        _, d, _ = smith_normal_form(IntMatrix(rows))
+        assert _rank_of_span(rows, c) == sum(1 for i in range(min(r, c)) if d.at(i, i))
+    assert _rank_of_span([], 3) == 0
+
+
+def test_levi_subsystem_is_not_semisimple():
+    d = build_root_datum("E", 6, "ad")
+    # roots with no alpha_1 component: a corank-one Levi subsystem
+    pairs = [(r, rv) for r, rv in zip(d.roots, d.coroots) if r[0] == 0]
+    sub = sub_datum_from_pairs(d.rank, pairs)
+    assert sub.cartan_type() == "D5"
+    assert not sub.is_semisimple()
+    assert d.is_semisimple()
