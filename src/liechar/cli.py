@@ -21,6 +21,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .dl_spectra import (
     character_table_dixon,
@@ -35,7 +36,7 @@ from .endoscopy import (
     enumerate_split_elliptic,
     estimate_diagram_check,
 )
-from .exact_math import IntMatrix
+from .exact_math import IntMatrix, smallest_conductor
 from .finite_lie import (
     build_finite_group,
     is_strongly_regular,
@@ -67,12 +68,18 @@ def _parse_fraction_list(s):
     return tuple(Fraction(str(x)) for x in json.loads(s))
 
 
-def _cyc_str(v):
-    """Stable text form of an exact cyclotomic value."""
-    red = list(v.reduced())
-    if not any(red[1:] if red else []):
+@lru_cache(maxsize=None)
+def _cyc_text(n, red):
+    if not any(red[1:]):
         return str(red[0]) if red else "0"
-    return f"cyc{v.n}[" + ",".join(str(c) for c in red) + "]"
+    d, coeffs = smallest_conductor(n, red)
+    return f"cyc{d}[" + ",".join(str(c) for c in coeffs) + "]"
+
+
+def _cyc_str(v):
+    """Stable text form of an exact cyclotomic value: its coefficients at the
+    smallest conductor, so equal values print the same text."""
+    return _cyc_text(v.n, tuple(v.reduced()))
 
 
 def _emit(doc, args, rows=None, header=None):
@@ -174,13 +181,13 @@ def _tori_doc(args):
 
 
 def _springer_theta_case(task):
-    """One (torus, theta) cell of the sweep: every strongly regular point,
-    the chosen unipotent classes.  Module-level so a worker pool can map it."""
-    kind, q, tag, exps, all_u = task
+    """One (torus, theta) cell of the sweep: every strongly regular point
+    sr of the torus, the chosen unipotent classes.  Module-level so a
+    worker pool can map it."""
+    kind, q, tag, exps, sr, all_u = task
     g = build_finite_group(kind, q)
     torus = next(t for t in tori_and_regularity(g) if t.tag == tag)
     theta = next(th for th in nonsingular_characters(torus) if th.exps == exps)
-    sr = [t for t in torus.lie_points() if is_strongly_regular(g, t)]
     classes = set()
     ok = True
     for t in sr:
@@ -196,6 +203,18 @@ def _springer_theta_case(task):
     }
 
 
+def _springer_tasks(kind, q, all_u):
+    """One task per (torus, theta) cell; the strongly regular points of each
+    torus are found once and shared by its cells."""
+    g = build_finite_group(kind, q)
+    tasks = []
+    for torus in tori_and_regularity(g):
+        sr = tuple(t for t in torus.lie_points() if is_strongly_regular(g, t))
+        for theta in nonsingular_characters(torus):
+            tasks.append((kind, q, torus.tag, theta.exps, sr, all_u))
+    return tasks
+
+
 def _worker_count():
     try:
         return max(1, int(os.environ.get("LIECHAR_WORKERS", "1")))
@@ -204,11 +223,7 @@ def _worker_count():
 
 
 def _cmd_springer(args):
-    g = build_finite_group(args.group, args.q)
-    tasks = []
-    for torus in tori_and_regularity(g):
-        for theta in nonsingular_characters(torus):
-            tasks.append((args.group, args.q, torus.tag, theta.exps, args.all))
+    tasks = _springer_tasks(args.group, args.q, args.all)
     workers = _worker_count()
     if workers > 1 and len(tasks) > 1:
         from multiprocessing import Pool
@@ -239,20 +254,14 @@ def _cmd_chartable(args):
     else:
         table = classical_table_oracle(args.group, args.q)
     cd = table.classes
+    texts = [[_cyc_str(v) for v in row.values] for row in table.rows]
     order = sorted(
-        range(len(table.rows)),
-        key=lambda i: (
-            table.degrees[i],
-            tuple(_cyc_str(v) for v in table.rows[i].values),
-        ),
+        range(len(table.rows)), key=lambda i: (table.degrees[i], texts[i])
     )
     header = ["degree"] + [
         f"class{ci}_size{cd.sizes[ci]}" for ci in range(cd.count)
     ]
-    rows = [
-        [str(table.degrees[i])] + [_cyc_str(v) for v in table.rows[i].values]
-        for i in order
-    ]
+    rows = [[str(table.degrees[i])] + texts[i] for i in order]
     doc = {
         "group": args.group,
         "q": args.q,
@@ -260,7 +269,7 @@ def _cmd_chartable(args):
         "order": cd.group_order,
         "class_sizes": list(cd.sizes),
         "rows": [
-            {"degree": table.degrees[i], "values": [_cyc_str(v) for v in table.rows[i].values]}
+            {"degree": table.degrees[i], "values": texts[i]}
             for i in order
         ],
     }
@@ -401,11 +410,7 @@ def _check_dixon_sl2_3():
 
 
 def _check_springer_sl2_3():
-    cells = [
-        _springer_theta_case(("SL2", 3, torus.tag, theta.exps, True))
-        for torus in tori_and_regularity(build_finite_group("SL2", 3))
-        for theta in nonsingular_characters(torus)
-    ]
+    cells = [_springer_theta_case(t) for t in _springer_tasks("SL2", 3, True)]
     return bool(cells) and all(c["pass"] for c in cells)
 
 

@@ -1284,8 +1284,6 @@ def dl_expected_inner(theta1: TorusCharacter, theta2: TorusCharacter) -> int:
 # the adjoint-orbit Fourier identity
 
 _ORBIT_SUM_CACHE: dict = {}
-_ADJ_ORBIT_CACHE: dict = {}
-_SR_CACHE: dict = {}
 _LHS_RAT_CACHE: dict = {}
 
 
@@ -1345,15 +1343,10 @@ def springer_check(
         raise ValueError("torus belongs to a different group")
     if t not in _lie_point_set(torus):
         raise ValueError("t is not a Lie algebra point of this torus")
-    skey = (g.kind, g.q, t)
-    if skey not in _SR_CACHE:
-        _SR_CACHE[skey] = is_strongly_regular(g, t)
-    if not _SR_CACHE[skey]:
+    if not is_strongly_regular(g, t):
         raise ValueError("t is not strongly regular")
     rho = dl_character(torus, theta).genuine()
-    if skey not in _ADJ_ORBIT_CACHE:
-        _ADJ_ORBIT_CACHE[skey] = g.adjoint_orbit_of(t)
-    orbit = _ADJ_ORBIT_CACHE[skey]
+    orbit = g.adjoint_orbit_of(t)
     if len(orbit) * torus.order != g.order:
         raise AssertionError("orbit size does not match the torus order")
     if all_unipotent:

@@ -8,10 +8,16 @@ from .intmat import (
     CokernelPresentation,
     FinAbGroup,
     solve_integer,
+    solve_rational,
     kernel_basis,
     abelian_subgroup_type,
 )
-from .cyclo import Cyclotomic, cyclotomic_reduce, cyclotomic_polynomial
+from .cyclo import (
+    Cyclotomic,
+    cyclotomic_reduce,
+    cyclotomic_polynomial,
+    smallest_conductor,
+)
 from .ffield import FiniteField, finite_field_build
 
 __all__ = [
@@ -21,11 +27,13 @@ __all__ = [
     "CokernelPresentation",
     "FinAbGroup",
     "solve_integer",
+    "solve_rational",
     "kernel_basis",
     "abelian_subgroup_type",
     "Cyclotomic",
     "cyclotomic_reduce",
     "cyclotomic_polynomial",
+    "smallest_conductor",
     "FiniteField",
     "finite_field_build",
 ]

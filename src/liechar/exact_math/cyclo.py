@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .intmat import solve_rational
+
 _PHI_CACHE = {1: (-1, 1)}  # N -> coefficient tuple of Phi_N, low degree first
 
 
@@ -236,6 +238,31 @@ class Cyclotomic:
         for t in terms[1:]:
             out += t if t.startswith("-") else "+" + t
         return out
+
+
+def smallest_conductor(n, red):
+    """The value sum_k red[k] zeta_n^k (red reduced modulo Phi_n) at its
+    smallest conductor: (d, coefficients modulo Phi_d), d the least divisor
+    of n with d != 2 mod 4 and the value in Q(zeta_d).
+
+    Q(zeta_d) is the fixed field of the units k = 1 mod d of Z/n, so
+    membership is invariance under those sigma_k: zeta_n -> zeta_n^k; the
+    coefficients then come from one exact solve in the power basis of
+    zeta_d = zeta_n^(n/d)."""
+    red = list(red)
+    for d in range(1, n + 1):
+        if n % d or d % 4 == 2:
+            continue
+        if all(
+            _reduce_mod_phi({e * k % n: c for e, c in enumerate(red) if c}, n) == red
+            for k in range(1 + d, n, d)
+            if gcd(k, n) == 1
+        ):
+            s = n // d
+            deg = len(cyclotomic_polynomial(d)) - 1
+            cols = [_reduce_mod_phi({s * j: 1}, n) for j in range(deg)]
+            return d, list(solve_rational(list(zip(*cols)), red))
+    raise AssertionError("no conductor found")
 
 
 def cyclotomic_reduce(x: Cyclotomic):

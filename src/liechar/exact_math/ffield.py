@@ -4,6 +4,9 @@ Elements are integers 0 .. q-1 encoding polynomial coordinates base p
 (constant digit least significant). Multiplication goes through exp/log
 tables for a fixed multiplicative generator, chosen as the smallest element
 (in this integer encoding) of full order, so the generator is reproducible.
+For f > 1, addition goes through the same tables by Zech logarithms,
+g^a + g^b = g^(a + Z(b - a)) with 1 + g^n = g^Z(n), and negation through a
+table; both tables are built once from the digit-wise arithmetic.
 """
 
 from __future__ import annotations
@@ -110,6 +113,12 @@ class FiniteField:
         self.log_table = {x: i for i, x in enumerate(self.exp_table)}
         if len(self.log_table) != q - 1:
             raise AssertionError("generator does not have full order")
+        if self.f > 1:
+            self._neg_table = [self._neg_raw(a) for a in range(q)]
+            # Zech logarithms: _zech[n] = log(1 + g^n), None where 1 + g^n = 0
+            self._zech = [
+                self.log_table.get(self._add_raw(1, x)) for x in self.exp_table
+            ]
 
     def _pow_raw(self, a, n):
         r = 1
@@ -120,17 +129,32 @@ class FiniteField:
             n >>= 1
         return r
 
+    def _add_raw(self, a, b):
+        return self._encode([x + y for x, y in zip(self._digits(a), self._digits(b))])
+
+    def _neg_raw(self, a):
+        return self._encode([-x for x in self._digits(a)])
+
     # -- field operations
 
     def add(self, a, b):
         if self.f == 1:
             return (a + b) % self.p
-        return self._encode([x + y for x, y in zip(self._digits(a), self._digits(b))])
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        log = self.log_table
+        la = log[a]
+        z = self._zech[(log[b] - la) % (self.q - 1)]
+        if z is None:
+            return 0
+        return self.exp_table[(la + z) % (self.q - 1)]
 
     def neg(self, a):
         if self.f == 1:
             return (-a) % self.p
-        return self._encode([-x for x in self._digits(a)])
+        return self._neg_table[a]
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))

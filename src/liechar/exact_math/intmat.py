@@ -6,6 +6,7 @@ All matrices are immutable, row-major tuples of tuples of Python ints.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -302,6 +303,28 @@ def kernel_basis(m: IntMatrix):
     _, d, v = smith_normal_form(m)
     rank = sum(1 for i in range(min(r, c)) if d.at(i, i) != 0)
     return [v.column(j) for j in range(rank, c)]
+
+
+def solve_rational(rows, b):
+    """Solve rows * x = b exactly over Q: at least as many rows as unknowns,
+    linearly independent columns (ValueError otherwise), and b in their span
+    (ValueError otherwise)."""
+    n = len(rows[0]) if rows else 0
+    a = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(rows, b)]
+    for col in range(n):
+        piv = next((r for r in range(col, len(a)) if a[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular system")
+        a[col], a[piv] = a[piv], a[col]
+        inv = Fraction(1) / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(len(a)):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    if any(a[r][n] for r in range(n, len(a))):
+        raise ValueError("inconsistent system")
+    return tuple(a[r][n] for r in range(n))
 
 
 def solve_integer(m: IntMatrix, b):

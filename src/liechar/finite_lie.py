@@ -6,6 +6,11 @@ and a dense finite Fourier transform.
 Matrices are packed row-major into ints, digit (i, j) = field code of the
 entry, base q. Over prime fields the compiled kernels do the hot loops; over
 F_9 everything runs through the field tables.
+
+Adjoint orbits and maximal tori are built once per group and kept on the
+group object: an orbit is stored under every one of its points, and only
+after its checks passed; the tori likewise. `build_finite_group` returns one
+object per (kind, q), so a process builds each orbit and torus once.
 """
 
 from __future__ import annotations
@@ -82,6 +87,8 @@ class FiniteLieGroup:
         self._check_generation()
         self.lie_basis = self._lie_basis()
         self._check_gram()
+        self._adjoint_orbits = {}  # Lie point -> its checked orbit
+        self._tori = None  # set by tori_and_regularity once checked
 
     # -- packing and matrix arithmetic over the field codes
 
@@ -303,7 +310,13 @@ class FiniteLieGroup:
     # -- orbits and classes
 
     def adjoint_orbit_of(self, t):
+        """Sorted tuple of the orbit of a Lie point under conjugation. Each
+        orbit is built once and the same tuple is returned for every one of
+        its points."""
         self.lie_coeffs(t)  # membership check
+        orbit = self._adjoint_orbits.get(t)
+        if orbit is not None:
+            return orbit
         if self._prime:
             orbit = _kernels.orbit_of(t, list(self.gens), self.q, self.n)
         else:
@@ -319,6 +332,8 @@ class FiniteLieGroup:
             orbit = tuple(sorted(seen))
         if self.order % len(orbit):
             raise AssertionError("orbit size does not divide the group order")
+        for y in orbit:
+            self._adjoint_orbits[y] = orbit
         return orbit
 
     def conjugation_orbit_of(self, g):
@@ -597,7 +612,10 @@ def _find_weyl_witness(g: FiniteLieGroup, points, lie_points):
 
 def tori_and_regularity(g: FiniteLieGroup):
     """One TorusInG per conjugacy class of maximal tori: split and elliptic
-    for the rank-1 kinds."""
+    for the rank-1 kinds. Built and checked on the first call; later calls
+    return the same objects."""
+    if g._tori is not None:
+        return g._tori
     fld = g.field
     q = g.q
     split_pts = []
@@ -640,7 +658,8 @@ def tori_and_regularity(g: FiniteLieGroup):
     expected = {"GL2": {(q - 1) ** 2, q * q - 1}, "SL2": {q - 1, q + 1}}[g.kind]
     if {t.order for t in tori} != expected:
         raise AssertionError("torus orders do not match the closed forms")
-    return tori
+    g._tori = tuple(tori)
+    return g._tori
 
 
 def torus_orders(g: FiniteLieGroup):

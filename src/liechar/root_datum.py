@@ -19,31 +19,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
-from .exact_math import IntMatrix, cokernel_group
+from .exact_math import IntMatrix, cokernel_group, solve_rational
 
 SERIES = ("A", "B", "C", "D", "E", "F", "G")
 
 
 # ---------------------------------------------------------------------------
 # linear algebra helpers over Q
-
-
-def solve_rational(rows, b):
-    """Solve the square system rows * x = b exactly over Q."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(rows, b)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular system")
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(a[r][n] for r in range(n))
 
 
 def _dot(x, y):

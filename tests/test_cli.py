@@ -161,6 +161,25 @@ def test_chartable_json_matches_methods():
     assert outs[0]["order"] == outs[1]["order"] == 24
 
 
+@pytest.mark.parametrize(
+    "kind,q",
+    [("SL2", 3), ("SL2", 5), ("SL2", 7), ("SL2", 9), ("SL2", 11), ("GL2", 3), ("GL2", 5)],
+)
+def test_chartable_methods_print_the_same_document(kind, q):
+    # each value prints at its smallest conductor, so the two methods agree
+    # as text, row order included
+    docs = []
+    for method in ("dixon", "classical"):
+        code, out, _ = run_cli(
+            ["chartable", "--group", kind, "--q", str(q), "--method", method, "--format", "json"]
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc.pop("method") == method
+        docs.append(doc)
+    assert docs[0] == docs[1]
+
+
 def test_tjd_golden():
     code, out, _ = run_cli(["tjd", "--p", "5", "--k", "2", "--matrix", "[[2]]"])
     assert code == 0

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from liechar.exact_math import Cyclotomic, cyclotomic_polynomial
+from liechar.exact_math import Cyclotomic, cyclotomic_polynomial, smallest_conductor
 
 
 def test_phi_polynomials():
@@ -98,3 +98,30 @@ def test_gauss_sum_square():
             g = g + sign * Cyclotomic.zeta(p, t)
         target = p if p % 4 == 1 else -p
         assert g * g == target
+
+
+def test_smallest_conductor_examples():
+    # zeta_10 = -zeta_5^3
+    z10 = Cyclotomic.zeta(10)
+    assert smallest_conductor(10, tuple(z10.reduced())) == (5, [0, 0, 0, -1])
+    # i written in conductor 24
+    i24 = Cyclotomic.zeta(4).lift(24)
+    assert smallest_conductor(24, tuple(i24.reduced())) == (4, [0, 1])
+    # sqrt(-3) = 2 zeta_3 + 1, written in conductor 12
+    s = (Cyclotomic.zeta(3) * 2 + 1).lift(12)
+    assert smallest_conductor(12, tuple(s.reduced())) == (3, [1, 2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([3, 4, 5, 7, 8, 9, 12]),
+    st.integers(1, 4),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=12),
+)
+def test_smallest_conductor_roundtrip(d, m, coeffs):
+    v = Cyclotomic(d, dict(enumerate(coeffs)))
+    n = d * m
+    e, red = smallest_conductor(n, tuple(v.lift(n).reduced()))
+    assert d % e == 0 and e % 4 != 2
+    assert Cyclotomic(e, dict(enumerate(red))) == v
+    assert red == Cyclotomic(e, dict(enumerate(red))).reduced()

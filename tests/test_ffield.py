@@ -89,3 +89,22 @@ def test_non_residue():
     assert finite_field_build(7).non_residue == 3
     assert finite_field_build(11).non_residue == 2
     assert finite_field_build(13).non_residue == 2
+
+
+def _digitwise(k, a, b, sign):
+    """a + sign*b by base-p digits, the encoding's own definition."""
+    out, w = 0, 1
+    for _ in range(k.f):
+        out += ((a % k.p + sign * (b % k.p)) % k.p) * w
+        a, b, w = a // k.p, b // k.p, w * k.p
+    return out
+
+
+@pytest.mark.parametrize("p,f", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2)])
+def test_zech_addition_matches_digits(p, f):
+    k = finite_field_build(p, f)
+    for a in range(k.q):
+        assert k.neg(a) == _digitwise(k, 0, a, -1)
+        for b in range(k.q):
+            assert k.add(a, b) == _digitwise(k, a, b, 1)
+            assert k.sub(a, b) == _digitwise(k, a, b, -1)

@@ -14,6 +14,7 @@ from liechar.finite_lie import (
     is_strongly_regular,
     quasi_logarithm,
     tori_and_regularity,
+    torus_orders,
 )
 
 
@@ -294,3 +295,67 @@ def test_torus_lie_points_counts():
     gs = build_finite_group("SL2", 3)
     for torus in tori_and_regularity(gs):
         assert len(torus.lie_points()) == 3
+
+
+# --- orbits and tori are built once per group -----------------------------------
+
+
+def test_adjoint_orbit_shared_by_its_points():
+    for kind, q in (("SL2", 9), ("GL2", 5), ("SL2", 7)):
+        g = build_finite_group(kind, q)
+        for t in g.lie_points()[:: q + 2]:
+            orbit = g.adjoint_orbit_of(t)
+            assert t in orbit
+            for y in orbit:
+                assert g.adjoint_orbit_of(y) is orbit
+
+
+def _centralizer_order(elements, t, add, mul):
+    """|C_G(t)| counted over the unpacked group elements with the field
+    addition and multiplication tables."""
+    (a, b), (c, d) = t
+    count = 0
+    for (x, y), (z, w) in elements:
+        # x t == t x, compared entry by entry
+        if add[mul[x][a]][mul[y][c]] != add[mul[a][x]][mul[b][z]]:
+            continue
+        if add[mul[x][b]][mul[y][d]] != add[mul[a][y]][mul[b][w]]:
+            continue
+        if add[mul[z][a]][mul[w][c]] != add[mul[c][x]][mul[d][z]]:
+            continue
+        if add[mul[z][b]][mul[w][d]] != add[mul[c][y]][mul[d][w]]:
+            continue
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("kind,q", [("SL2", 9), ("GL2", 5)])
+def test_strong_regularity_matches_centralizer_count(kind, q):
+    g = build_finite_group(kind, q)
+    fld = g.field
+    add = [[fld.add(i, j) for j in range(q)] for i in range(q)]
+    mul = [[fld.mul(i, j) for j in range(q)] for i in range(q)]
+    elements = [g.unpack(e) for e in g.elements]
+    orders = torus_orders(g)
+    for t in g.lie_points():
+        direct = _centralizer_order(elements, g.unpack(t), add, mul) in orders
+        assert is_strongly_regular(g, t) == direct
+
+
+def test_non_lie_point_raises_on_every_call():
+    g = build_finite_group("SL2", 5)
+    t = g.identity  # trace 2, not in sl2
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            g.adjoint_orbit_of(t)
+        with pytest.raises(ValueError):
+            is_strongly_regular(g, t)
+
+
+def test_tori_built_once():
+    for kind, q in (("SL2", 9), ("GL2", 3)):
+        g = build_finite_group(kind, q)
+        first = tori_and_regularity(g)
+        again = tori_and_regularity(g)
+        assert len(first) == len(again) == 2
+        assert all(a is b for a, b in zip(first, again))

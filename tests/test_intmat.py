@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,7 @@ from liechar.exact_math import (
     cokernel_group,
     FinAbGroup,
     solve_integer,
+    solve_rational,
     kernel_basis,
     abelian_subgroup_type,
 )
@@ -166,3 +169,14 @@ def test_det_bareiss():
     assert IntMatrix([[2, 0], [0, 3]]).det() == 6
     assert IntMatrix([[0, 1], [1, 0]]).det() == -1
     assert IntMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]]).det() == 0
+
+
+def test_solve_rational_overdetermined():
+    rows = [[1, 2], [3, 4], [5, 6]]
+    x = (Fraction(1, 2), Fraction(-1, 3))
+    b = [sum(r * v for r, v in zip(row, x)) for row in rows]
+    assert solve_rational(rows, b) == x
+    with pytest.raises(ValueError, match="inconsistent"):
+        solve_rational(rows, [b[0], b[1], b[2] + 1])
+    with pytest.raises(ValueError, match="singular"):
+        solve_rational([[1, 2], [2, 4], [3, 6]], [1, 2, 3])
