@@ -65,7 +65,34 @@ def _parse_type(s):
 
 
 def _parse_fraction_list(s):
-    return tuple(Fraction(str(x)) for x in json.loads(s))
+    """JSON list of rationals, each a number or a string such as "1/2"."""
+    items = json.loads(s)
+    if not isinstance(items, list):
+        raise ValueError(f"expected a JSON list of rationals, got {s!r}")
+    try:
+        return tuple(Fraction(str(x)) for x in items)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
+
+
+def _is_int_list(items):
+    return isinstance(items, list) and all(type(x) is int for x in items)
+
+
+def _parse_int_list(s):
+    """JSON list of integers."""
+    items = json.loads(s)
+    if not _is_int_list(items):
+        raise ValueError(f"expected a JSON list of integers, got {s!r}")
+    return tuple(items)
+
+
+def _parse_int_matrix(s):
+    """JSON list of integer rows; the consumer checks that they are square."""
+    rows = json.loads(s)
+    if not isinstance(rows, list) or not all(_is_int_list(r) for r in rows):
+        raise ValueError(f"expected a JSON matrix of integers, got {s!r}")
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -129,7 +156,7 @@ def _cmd_endoscopy(args):
 
 
 def _tn_data(args):
-    rows = json.loads(args.frobenius)
+    rows = _parse_int_matrix(args.frobenius)
     return component_group_pi0(TwistedTorus(len(rows), IntMatrix(rows)))
 
 
@@ -154,8 +181,8 @@ def _tori_doc(args):
         }
     if args.tori_cmd == "pair":
         data = _tn_data(args)
-        inv = tuple(json.loads(args.inv))
-        kappa = tuple(json.loads(args.kappa))
+        inv = _parse_int_list(args.inv)
+        kappa = _parse_int_list(args.kappa)
         val = tn_pairing(data, inv, kappa)
         return {
             "inv": list(inv),
@@ -163,7 +190,7 @@ def _tori_doc(args):
             "value": _cyc_str(val),
             "conductor": val.n,
         }
-    degrees = tuple(json.loads(args.degrees))
+    degrees = _parse_int_list(args.degrees)
     group, witnesses = sln_kappa_group(args.n, args.m, degrees)
     return {
         "n": args.n,
@@ -282,8 +309,8 @@ def _cmd_chartable(args):
 
 
 def _cmd_tjd(args):
-    rows = json.loads(args.matrix)
     try:
+        rows = _parse_int_matrix(args.matrix)
         m = TruncatedMatrix(len(rows), args.p, args.k, rows)
         delta, u = topological_jordan(m)
     except (ValueError, ZeroDivisionError) as e:

@@ -5,14 +5,23 @@ center of the simply connected dual acts on alcove vertices by translate-and-
 fold, orbits of that action classify the split elliptic triples, and deleting
 a vertex yields the dual endoscopic root system (Borel-de Siebenthal).
 
-All alcove geometry is exact (Fraction coordinates); folding is plain affine
-reflection with a step budget.
+All alcove geometry is exact. A rational point is scaled by the lcm N of its
+denominators, so root pairings, wall tests and affine reflections are integer
+operations (the affine wall <theta, x> = 1 becomes <theta, N x> = N).
+Folding first translates by the coroot lattice, which bounds its number of
+reflection steps independently of the size of the point; the step budget
+stays as a safety check.
+
+The elliptic triple of each center orbit is built once per datum and shared
+by every caller (`enumerate_split_elliptic`, `endoscopic_from_kappa`), so
+triples must not be mutated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from .exact_math import FinAbGroup, IntMatrix, abelian_subgroup_type, cokernel_group
 from .root_datum import (
@@ -26,7 +35,7 @@ FOLD_BUDGET = 10**4
 
 
 def _dot(x, y):
-    return sum(a * b for a, b in zip(x, y))
+    return sum(map(mul, x, y))
 
 
 def _require_simple(g: RootDatum):
@@ -40,30 +49,56 @@ def _require_simple(g: RootDatum):
 # alcove folding
 
 
+def _coroot_reduction(d: RootDatum):
+    """(den, rows) with rows[i] . (<alpha_j, x>)_j = den * c_i, where c holds
+    the coordinates of x over the simple coroots. Since <alpha_j, x> =
+    sum_i c_i C[i][j], c is the transpose of C^-1 applied to the pairings;
+    the rows of C^-1 give other numbers unless C is symmetric (not for B, C,
+    F4, G2). Built once per datum."""
+    red = d.derived.get("coroot_reduction")
+    if red is None:
+        inv = d._cartan_inverse()
+        den = lcm(1, *(x.denominator for row in inv for x in row))
+        rows = tuple(tuple(int(x * den) for x in col) for col in zip(*inv))
+        red = d.derived["coroot_reduction"] = (den, rows)
+    return red
+
+
 def fold_to_alcove(d: RootDatum, ext, x, budget=FOLD_BUDGET):
     """Affine-Weyl representative of x in the closed fundamental alcove of d.
 
     x lives in Y tensor Q of d. Walls: <alpha_i, x> >= 0 for the simple
-    roots, <theta, x> <= 1 for the highest root.
+    roots, <theta, x> <= 1 for the highest root. The fold runs on y = N x,
+    N the lcm of the denominators of x, and only the result is converted
+    back to Fractions.
     """
     x = tuple(Fraction(v) for v in x)
-    simple = list(zip(d.simple_roots, d.simple_coroots))
-    theta = ext.node_vectors[0]
-    theta = tuple(-t for t in theta)  # node 0 stores -theta
-    theta_cov = tuple(-t for t in ext.node_coroots[0])
+    n = lcm(1, *(v.denominator for v in x))
+    y = [v.numerator * (n // v.denominator) for v in x]
+    simple = list(zip(ext.node_vectors[1:], ext.node_coroots[1:]))
+    # translate by the coroot lattice (part of the affine Weyl group): subtract
+    # floor(c_i) alpha_i^vee, so every coordinate c_i lies in [0, 1)
+    den, rows = _coroot_reduction(d)
+    pairings = [_dot(a, y) for a, _ in simple]
+    for row, (_, av) in zip(rows, simple):
+        k = _dot(row, pairings) // (den * n)
+        if k:
+            y = [yi - k * n * ci for yi, ci in zip(y, av)]
+    # node 0 stores -theta: <theta, y> <= n reads <-theta, y> >= -n
+    low, low_cov = ext.node_vectors[0], ext.node_coroots[0]
     for _ in range(budget):
         moved = False
         for a, av in simple:
-            t = _dot(a, x)
+            t = _dot(a, y)
             if t < 0:
-                x = tuple(xi - t * ci for xi, ci in zip(x, av))
+                y = [yi - t * ci for yi, ci in zip(y, av)]
                 moved = True
-        t = _dot(theta, x)
-        if t > 1:
-            x = tuple(xi - (t - 1) * ci for xi, ci in zip(x, theta_cov))
+        t = _dot(low, y) + n
+        if t < 0:
+            y = [yi - t * ci for yi, ci in zip(y, low_cov)]
             moved = True
         if not moved:
-            return x
+            return tuple(Fraction(v, n) for v in y)
     raise RuntimeError("alcove folding exceeded its step budget")
 
 
@@ -78,15 +113,17 @@ class CenterDiagramAction:
     permutations: element -> tuple p with p[i] = image node of node i.
     transversal: element -> coweight-lattice representative (vector in the
     alcove space of the dual datum).
+    vertex_index: alcove vertex -> its node.
     """
 
-    def __init__(self, ambient, dual, ext, group, permutations, transversal):
+    def __init__(self, ambient, dual, ext, group, permutations, transversal, vertex_index):
         self.ambient = ambient
         self.dual = dual
         self.ext = ext
         self.group = group
         self.permutations = permutations
         self.transversal = transversal
+        self.vertex_index = vertex_index
 
     def orbits(self):
         n = self.ext.n_nodes
@@ -181,7 +218,7 @@ def _build_center_alcove_action(g: RootDatum) -> CenterDiagramAction:
     if ident != tuple(range(ext.n_nodes)):
         raise AssertionError("identity element acts nontrivially")
 
-    return CenterDiagramAction(g, d, ext, group, permutations, transversal)
+    return CenterDiagramAction(g, d, ext, group, permutations, transversal, vert_index)
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +254,11 @@ def _reflection_closure(gens):
         for b in frontier:
             bv = pairs[b]
             for a, av in gen_list:
-                rb = tuple(x - _dot(b, av) * y for x, y in zip(b, a))
+                k = _dot(b, av)
+                rb = tuple(x - k * y for x, y in zip(b, a))
                 if rb not in pairs:
-                    pairs[rb] = tuple(x - _dot(a, bv) * y for x, y in zip(bv, av))
+                    k = _dot(a, bv)
+                    pairs[rb] = tuple(x - k * y for x, y in zip(bv, av))
                     nxt.append(rb)
         frontier = nxt
     return sorted(pairs.items())
@@ -305,6 +344,21 @@ def _triple_from_orbit(action, orbit):
     )
 
 
+def _elliptic_triple(action, node):
+    """The elliptic triple of the center orbit of an extended-diagram node.
+    Built once per datum, after its checks pass, and stored under every node
+    of the orbit in `derived["elliptic_triples"]` (at most one entry per
+    node)."""
+    store = action.ambient.derived.setdefault("elliptic_triples", {})
+    triple = store.get(node)
+    if triple is None:
+        orbit = next(o for o in action.orbits() if node in o)
+        triple = _triple_from_orbit(action, orbit)
+        for i in orbit:
+            store[i] = triple
+    return triple
+
+
 def enumerate_split_elliptic(g: RootDatum) -> list:
     """One elliptic triple per center orbit of extended-diagram vertices."""
     _require_simple(g)
@@ -312,13 +366,27 @@ def enumerate_split_elliptic(g: RootDatum) -> list:
         raise ValueError("sc or ad isogeny required")
     action = center_alcove_action(g)
     orbits = action.orbits()
-    triples = [_triple_from_orbit(action, orbit) for orbit in orbits]
+    triples = [_elliptic_triple(action, min(orbit)) for orbit in orbits]
     triples.sort(key=lambda t: (t.ord_s, min(t.vertex_orbit)))
     if not any(0 in t.vertex_orbit for t in triples):
         raise AssertionError("trivial triple missing")
     if len(triples) != len(orbits):
         raise AssertionError("orbit count mismatch")
     return triples
+
+
+def _kappa_pairings(d: RootDatum, kappa):
+    """(pairs, ord_s) for a Fraction point kappa: the (root, coroot) pairs of
+    d whose root pairs integrally with kappa, and the order of
+    exp(2 pi i kappa) in the adjoint torus, the lcm of the denominators of
+    the root pairings."""
+    # clear denominators once: <r, kappa> = <r, v> / n with v = n kappa, so
+    # r is integral iff n | <r, v>, and the lcm is n / gcd(n, all <r, v>)
+    n = lcm(1, *(k.denominator for k in kappa))
+    v = [k.numerator * (n // k.denominator) for k in kappa]
+    pairings = [_dot(r, v) for r in d.roots]
+    pairs = [(r, rv) for r, rv, p in zip(d.roots, d.coroots, pairings) if p % n == 0]
+    return pairs, n // gcd(n, *pairings)
 
 
 def endoscopic_from_kappa(g: RootDatum, kappa) -> EndoscopicTriple:
@@ -333,19 +401,9 @@ def endoscopic_from_kappa(g: RootDatum, kappa) -> EndoscopicTriple:
     d = dual_datum(g)
     if len(kappa) != d.rank:
         raise ValueError("kappa has the wrong length")
-    pairs = [
-        (r, rv)
-        for r, rv in zip(d.roots, d.coroots)
-        if _dot(r, kappa).denominator == 1
-    ]
+    pairs, ord_s = _kappa_pairings(d, kappa)
     sub = sub_datum_from_pairs(d.rank, pairs)
     elliptic = bool(pairs) and sub.is_semisimple()
-
-    # order of exp(2 pi i kappa) in the adjoint dual torus: lcm of the
-    # denominators of the root pairings
-    ord_s = 1
-    for r in d.roots:
-        ord_s = ord_s * _dot(r, kappa).denominator // gcd(ord_s, _dot(r, kappa).denominator)
 
     if not elliptic:
         return EndoscopicTriple(
@@ -361,18 +419,13 @@ def endoscopic_from_kappa(g: RootDatum, kappa) -> EndoscopicTriple:
         )
 
     action = center_alcove_action(g)
-    folded = fold_to_alcove(d, action.ext, kappa)
-    vert_index = {v: i for i, v in enumerate(action.ext.vertices)}
-    if folded not in vert_index:
+    node = action.vertex_index.get(fold_to_alcove(d, action.ext, kappa))
+    if node is None:
         raise AssertionError("elliptic kappa did not fold onto an alcove vertex")
-    node = vert_index[folded]
-    for orbit in action.orbits():
-        if node in orbit:
-            triple = _triple_from_orbit(action, orbit)
-            if triple.levi_datum.cartan_type() != sub.cartan_type():
-                raise AssertionError("vertex subsystem disagrees with kappa subsystem")
-            return triple
-    raise AssertionError("unreachable: vertex not in any orbit")
+    triple = _elliptic_triple(action, node)
+    if triple.levi_datum.cartan_type() != sub.cartan_type():
+        raise AssertionError("vertex subsystem disagrees with kappa subsystem")
+    return triple
 
 
 def triple_symmetries(e: EndoscopicTriple):

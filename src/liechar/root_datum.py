@@ -125,11 +125,14 @@ class RootDatum:
     """Lattice Z^rank with aligned root/coroot tuples.
 
     A datum is immutable once built. Structures derived from it (its dual,
-    the inverse Cartan matrix, the highest root, semisimplicity, the
-    extended diagram, the center action of endoscopy) are built on first
-    use and cached in `derived`, keyed by name, so they live exactly as
-    long as the datum. Only values that passed every check are cached: a
-    call that raises raises again on the next call.
+    the inverse Cartan matrix, the highest root, semisimplicity, the Cartan
+    type, the extended diagram, and for endoscopy the coroot coordinates
+    used by alcove folding, the center action and the elliptic triple of
+    each center orbit) are built on first use and cached in `derived`,
+    keyed by name, so they live exactly as long as the datum. Each holds a
+    number of entries fixed by the datum, never one per query point. Only
+    values that passed every check are cached: a call that raises raises
+    again on the next call.
     """
 
     def __init__(self, rank, roots, coroots, simple_indices, label=None, validate=True):
@@ -156,7 +159,8 @@ class RootDatum:
         for i in self.simple_indices:
             a, av = self.roots[i], self.coroots[i]
             for b in self.roots:
-                refl = tuple(x - _dot(b, av) * y for x, y in zip(b, a))
+                k = _dot(b, av)
+                refl = tuple(x - k * y for x, y in zip(b, a))
                 if refl not in rootset:
                     raise ValueError("root set not reflection-closed")
 
@@ -263,15 +267,16 @@ class RootDatum:
 
     def cartan_type(self):
         """Canonical type string, e.g. 'B3', 'A1+A1', 'A2+A2+A2', '0'."""
+        ctype = self.derived.get("cartan_type")
+        if ctype is None:
+            ctype = self.derived["cartan_type"] = self._classify()
+        return ctype
+
+    def _classify(self):
         if not self.simple_indices:
             return "0"
         c = self.cartan()
-        names = [
-            _classify_component(
-                comp, c
-            )
-            for comp in self.components()
-        ]
+        names = [_classify_component(comp, c) for comp in self.components()]
         names.sort(key=lambda s: (-int(s[1:]), s[0]))
         return "+".join(names)
 
@@ -365,9 +370,11 @@ def _generate_root_pairs(simple_roots, simple_coroots):
         for b in frontier:
             bv = pairs[b]
             for a, av in zip(simple_roots, simple_coroots):
-                rb = tuple(x - _dot(b, av) * y for x, y in zip(b, a))
+                k = _dot(b, av)
+                rb = tuple(x - k * y for x, y in zip(b, a))
                 if rb not in pairs:
-                    rbv = tuple(x - _dot(a, bv) * y for x, y in zip(bv, av))
+                    k = _dot(a, bv)
+                    rbv = tuple(x - k * y for x, y in zip(bv, av))
                     pairs[rb] = rbv
                     nxt.append(rb)
         frontier = nxt

@@ -250,6 +250,25 @@ def test_tori_pair_bad_coordinates_exits_1():
     assert err == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["endoscopy", "from-kappa", "--type", "C2", "--kappa", '["1/0", 0]'],
+        ["endoscopy", "from-kappa", "--type", "C2", "--kappa", "5"],
+        ["tori", "h1", "--frobenius", "5"],
+        ["tori", "pair", "--frobenius", "[[-1]]", "--inv", "1", "--kappa", "[1]"],
+        ["tori", "sln-group", "--n", "4", "--m", "2", "--degrees", "3"],
+        ["tjd", "--p", "5", "--k", "2", "--matrix", "3"],
+        ["tjd", "--p", "5", "--k", "2", "--matrix", "[[1.5]]"],
+    ],
+)
+def test_malformed_json_argument_exits_1(argv):
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert "error" in json.loads(out)
+    assert err == ""
+
+
 # ---------------------------------------------------------------------------
 # determinism, --out, worker fan-out
 

@@ -1,20 +1,26 @@
 """Center action on extended diagrams, elliptic triple enumeration,
 pseudo-Levi extraction, kappa construction, estimate diagram facts."""
 
+import random
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liechar.endoscopy import (
+    _kappa_pairings,
     center_alcove_action,
     endoscopic_from_kappa,
     enumerate_split_elliptic,
     estimate_diagram_check,
+    fold_to_alcove,
     pseudo_levi,
     triple_symmetries,
 )
 from liechar.exact_math import FinAbGroup
-from liechar.root_datum import build_root_datum
+from liechar.root_datum import build_root_datum, dual_datum, extended_dynkin
 
 
 def _sc(series, rank):
@@ -348,3 +354,142 @@ def test_lambda_is_fin_ab_group():
     for t in enumerate_split_elliptic(_sc("D", 4)):
         assert isinstance(t.lam, FinAbGroup)
         assert t.lam == t.z_of_E
+
+
+# ---------------------------------------------------------------------------
+# alcove folding against a Fraction reference
+
+
+def _qdot(u, w):
+    return sum(a * b for a, b in zip(u, w))
+
+
+def _fraction_fold(d, ext, x, budget=10**4):
+    """Reference fold: Fraction arithmetic, no coroot translation."""
+    x = tuple(Fraction(v) for v in x)
+    simple = list(zip(d.simple_roots, d.simple_coroots))
+    theta = tuple(-t for t in ext.node_vectors[0])
+    theta_cov = tuple(-t for t in ext.node_coroots[0])
+    for _ in range(budget):
+        moved = False
+        for a, av in simple:
+            t = _qdot(a, x)
+            if t < 0:
+                x = tuple(xi - t * ci for xi, ci in zip(x, av))
+                moved = True
+        t = _qdot(theta, x)
+        if t > 1:
+            x = tuple(xi - (t - 1) * ci for xi, ci in zip(x, theta_cov))
+            moved = True
+        if not moved:
+            return x
+    raise RuntimeError("reference fold exceeded its budget")
+
+
+FOLD_TYPES = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4),
+    ("B", 2), ("B", 3), ("B", 4),
+    ("C", 2), ("C", 3), ("C", 4),
+    ("D", 4), ("F", 4), ("G", 2),
+    ("E", 6), ("E", 7), ("E", 8),
+]
+
+
+@lru_cache(maxsize=None)
+def _dual_and_ext(series, rank, isogeny):
+    d = dual_datum(build_root_datum(series, rank, isogeny))
+    return d, extended_dynkin(d)
+
+
+def _random_point(rng, rank, size=2):
+    den = rng.choice([1, 2, 3, 4, 5, 6, 7, 12])
+    return tuple(Fraction(rng.randint(-size * den, size * den), den) for _ in range(rank))
+
+
+def _in_closed_alcove(ext, x):
+    theta = tuple(-t for t in ext.node_vectors[0])
+    return all(_qdot(a, x) >= 0 for a in ext.node_vectors[1:]) and _qdot(theta, x) <= 1
+
+
+@pytest.mark.parametrize("isogeny", ["sc", "ad"])
+@pytest.mark.parametrize("series,rank", FOLD_TYPES)
+def test_fold_matches_fraction_reference(series, rank, isogeny):
+    d, ext = _dual_and_ext(series, rank, isogeny)
+    rng = random.Random(f"{series}{rank}{isogeny}")
+    for _ in range(6):
+        x = _random_point(rng, rank)
+        got = fold_to_alcove(d, ext, x)
+        assert got == _fraction_fold(d, ext, x), x
+        assert all(type(v) is Fraction for v in got)
+        assert _in_closed_alcove(ext, got), x
+
+
+@pytest.mark.parametrize("isogeny", ["sc", "ad"])
+@pytest.mark.parametrize("series,rank", [("A", 2), ("G", 2), ("B", 4), ("C", 3), ("F", 4), ("E", 8)])
+def test_fold_is_invariant_under_large_coroot_translations(series, rank, isogeny):
+    # the coroot lattice lies in the affine Weyl group, so a far translate
+    # folds to the same point, within the step budget
+    d, ext = _dual_and_ext(series, rank, isogeny)
+    rng = random.Random(f"{series}{rank}{isogeny}")
+    for _ in range(4):
+        x = _random_point(rng, rank)
+        coef = [rng.randint(-10**6, 10**6) for _ in d.simple_coroots]
+        shift = [sum(c * av[k] for c, av in zip(coef, d.simple_coroots)) for k in range(rank)]
+        far = tuple(a + b for a, b in zip(x, shift))
+        assert fold_to_alcove(d, ext, far) == fold_to_alcove(d, ext, x)
+
+
+def test_from_kappa_far_translate_matches_vertex():
+    # an E8 vertex moved by a large coroot-lattice vector still folds onto it
+    g = _sc("E", 8)
+    act = center_alcove_action(g)
+    d = act.dual
+    far = tuple(x + 10**6 * c for x, c in zip(act.ext.vertices[4], d.simple_coroots[2]))
+    assert endoscopic_from_kappa(g, far) is endoscopic_from_kappa(g, act.ext.vertices[4])
+
+
+def _fraction_pairings(d, kappa):
+    pairings = [_qdot(r, kappa) for r in d.roots]
+    integral = [r for r, p in zip(d.roots, pairings) if p.denominator == 1]
+    return integral, lcm(1, *(p.denominator for p in pairings))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.sampled_from([(s, r, i) for s, r in FOLD_TYPES for i in ("sc", "ad")]),
+    den=st.integers(min_value=1, max_value=30),
+    nums=st.lists(st.integers(min_value=-100, max_value=100), min_size=8, max_size=8),
+)
+def test_integer_pairings_match_fraction_lcm(data, den, nums):
+    series, rank, isogeny = data
+    d, _ = _dual_and_ext(*data)
+    kappa = tuple(Fraction(a, den) for a in nums[:rank])
+    pairs, ord_s = _kappa_pairings(d, kappa)
+    integral, order = _fraction_pairings(d, kappa)
+    assert [r for r, _ in pairs] == integral
+    assert all(d.coroot_of(r) == rv for r, rv in pairs)
+    assert ord_s == order
+
+
+# ---------------------------------------------------------------------------
+# elliptic triples are built once per datum and orbit
+
+
+def test_kappa_in_one_orbit_share_the_enumerated_triple():
+    for series, rank in (("C", 2), ("E", 6), ("D", 4)):
+        g = _sc(series, rank)
+        act = center_alcove_action(g)
+        for t in enumerate_split_elliptic(g):
+            for node in t.vertex_orbit:
+                assert endoscopic_from_kappa(g, act.ext.vertices[node]) is t
+        assert len(g.derived["elliptic_triples"]) == act.ext.n_nodes
+
+
+def test_non_elliptic_kappa_is_never_stored():
+    g = _sc("C", 3)
+    for kappa in ((Fraction(1, 7), 0, 0), (Fraction(1, 2), Fraction(1, 3), 0)):
+        t = endoscopic_from_kappa(g, kappa)
+        assert not t.elliptic
+    assert "elliptic_triples" not in g.derived or not g.derived["elliptic_triples"]
+    t = endoscopic_from_kappa(g, (0, 0, 0))
+    assert set(g.derived["elliptic_triples"].values()) == {t}

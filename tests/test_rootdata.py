@@ -301,6 +301,22 @@ def test_reducible_errors_are_not_cached():
             extended_dynkin(sub)
 
 
+def test_cartan_type_is_cached_and_errors_are_not():
+    d = build_root_datum("B", 3, "sc")
+    ctype = d.cartan_type()
+    assert ctype == "B3" and d.derived["cartan_type"] is ctype
+    assert d.cartan_type() is ctype
+    # affine A2: a three-cycle of simple roots, no finite type
+    c = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+    roots = [tuple(c[i][j] for i in range(3)) for j in range(3)]
+    coroots = [tuple(int(k == j) for k in range(3)) for j in range(3)]
+    cyc = RootDatum(3, roots, coroots, range(3), validate=False)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            cyc.cartan_type()
+    assert "cartan_type" not in cyc.derived
+
+
 def _all_data():
     for series, ranks in [
         ("A", range(1, 9)),
