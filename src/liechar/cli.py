@@ -3,11 +3,14 @@
 Every subcommand emits a deterministic JSON (or CSV) document: field order
 is fixed by construction, sets are sorted before emission, and nothing
 time- or host-dependent is written.  Exit codes: 0 on success, 1 when a
-verification fails or an input is rejected, 2 for usage errors.
+verification fails or an input is rejected, 2 for usage errors.  `main` is
+the one place that catches a rejected input (a ValueError or
+ZeroDivisionError from any subcommand): it writes `{"error": ...}` as JSON,
+whatever `--format` is, and returns 1.
 
-`springer verify --all` and `selftest` fan out over a process pool when
-LIECHAR_WORKERS is set above 1; results are merged by case key, so the
-document does not depend on the worker count.
+`springer verify` fans out over a process pool when LIECHAR_WORKERS is set
+above 1; results are merged by case key, so the document does not depend on
+the worker count.
 """
 
 from __future__ import annotations
@@ -119,9 +122,12 @@ def _emit(doc, args, rows=None, header=None):
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
-        text = buf.getvalue()
+        _write(buf.getvalue(), args)
     else:
-        text = json.dumps(doc, indent=2) + "\n"
+        _write(json.dumps(doc, indent=2) + "\n", args)
+
+
+def _write(text, args):
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -134,19 +140,15 @@ def _emit(doc, args, rows=None, header=None):
 
 
 def _cmd_endoscopy(args):
-    try:
-        series, rank = _parse_type(args.type)
-        datum = build_root_datum(series, rank, args.isogeny)
-        if args.endo_cmd == "enumerate":
-            doc = [t.serialize() for t in enumerate_split_elliptic(datum)]
-        elif args.endo_cmd == "from-kappa":
-            kappa = _parse_fraction_list(args.kappa)
-            doc = endoscopic_from_kappa(datum, kappa).serialize()
-        else:
-            doc = estimate_diagram_check(datum)
-    except ValueError as e:
-        _emit({"error": str(e)}, args)
-        return 1
+    series, rank = _parse_type(args.type)
+    datum = build_root_datum(series, rank, args.isogeny)
+    if args.endo_cmd == "enumerate":
+        doc = [t.serialize() for t in enumerate_split_elliptic(datum)]
+    elif args.endo_cmd == "from-kappa":
+        kappa = _parse_fraction_list(args.kappa)
+        doc = endoscopic_from_kappa(datum, kappa).serialize()
+    else:
+        doc = estimate_diagram_check(datum)
     _emit(doc, args)
     return 0
 
@@ -161,12 +163,7 @@ def _tn_data(args):
 
 
 def _cmd_tori(args):
-    try:
-        doc = _tori_doc(args)
-    except ValueError as e:
-        _emit({"error": str(e)}, args)
-        return 1
-    _emit(doc, args)
+    _emit(_tori_doc(args), args)
     return 0
 
 
@@ -243,10 +240,10 @@ def _springer_tasks(kind, q, all_u):
 
 
 def _worker_count():
-    try:
-        return max(1, int(os.environ.get("LIECHAR_WORKERS", "1")))
-    except ValueError:
-        return 1
+    text = os.environ.get("LIECHAR_WORKERS", "1")
+    if not re.fullmatch(r"\s*[+-]?\d+\s*", text):
+        raise ValueError(f"LIECHAR_WORKERS must be an integer, got {text!r}")
+    return max(1, int(text))
 
 
 def _cmd_springer(args):
@@ -309,13 +306,9 @@ def _cmd_chartable(args):
 
 
 def _cmd_tjd(args):
-    try:
-        rows = _parse_int_matrix(args.matrix)
-        m = TruncatedMatrix(len(rows), args.p, args.k, rows)
-        delta, u = topological_jordan(m)
-    except (ValueError, ZeroDivisionError) as e:
-        _emit({"error": str(e)}, args)
-        return 1
+    rows = _parse_int_matrix(args.matrix)
+    m = TruncatedMatrix(len(rows), args.p, args.k, rows)
+    delta, u = topological_jordan(m)
     ident = TruncatedMatrix.identity(m.n, m.p, m.k)
     r = 1
     acc = delta
@@ -334,12 +327,12 @@ def _cmd_tjd(args):
 
 
 def _cmd_hilbert(args):
-    place = args.place if args.place == "inf" else int(args.place)
-    try:
-        sym = hilbert_symbol(Fraction(args.a), Fraction(args.b), place)
-    except (ValueError, ZeroDivisionError) as e:
-        _emit({"error": str(e)}, args)
-        return 1
+    place = args.place
+    if place != "inf":
+        if not re.fullmatch(r"\d+", place):
+            raise ValueError(f"--place must be a prime or 'inf', got {place!r}")
+        place = int(place)
+    sym = hilbert_symbol(Fraction(args.a), Fraction(args.b), place)
     doc = {"a": args.a, "b": args.b, "place": args.place, "symbol": sym}
     _emit(doc, args)
     return 0
@@ -569,7 +562,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, ZeroDivisionError) as e:
+        _write(json.dumps({"error": str(e)}, indent=2) + "\n", args)
+        return 1
 
 
 if __name__ == "__main__":

@@ -9,6 +9,13 @@ relating their unipotent values to additive character sums, and the
 reduction of a mixed trace to the semisimple part's centralizer.
 
 Every equality here is decided in exact cyclotomic arithmetic.
+
+This module keeps no state of its own. What it builds for a matrix group
+(conjugacy classes, class shapes, the quadratic extension, the Gauss sum,
+the Borel profile, orbit sums) is cached in the group's `derived` dict,
+and what it builds for a torus character (the torus-series character, the
+rationality of its unipotent values) in the torus's `derived` dict, keyed
+by the character's exponents. Each is stored only after its checks passed.
 """
 
 from __future__ import annotations
@@ -50,8 +57,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # quadratic extension of a coded finite field
-
-_QUAD_CACHE: dict = {}
 
 
 class _QuadExt:
@@ -131,17 +136,12 @@ class _QuadExt:
         return k
 
 
-def _quad_ext(field) -> _QuadExt:
-    key = (field.p, field.f)
-    if key not in _QUAD_CACHE:
-        _QUAD_CACHE[key] = _QuadExt(field)
-    return _QUAD_CACHE[key]
+def _quad_ext(g: FiniteLieGroup) -> _QuadExt:
+    return g.cached("quad_ext", lambda g: _QuadExt(g.field))
 
 
 # ---------------------------------------------------------------------------
 # conjugacy classes
-
-_CLASS_CACHE: dict = {}
 
 
 class ClassData:
@@ -183,17 +183,11 @@ def conjugacy_classes(group) -> ClassData:
     """Conjugacy classes of `group`, as ClassData.
 
     Accepts any object with `elements`, `identity`, `mul`, `inv`.  The
-    matrix groups take a cached fast path through their own labeling; the
-    generic path is quadratic and meant for small test groups.
+    matrix groups take a fast path through their own labeling, cached on the
+    group; the generic path is quadratic and meant for small test groups.
     """
     if isinstance(group, FiniteLieGroup):
-        key = (group.kind, group.q)
-        if key not in _CLASS_CACHE:
-            buckets: dict = {}
-            for x, lab in zip(group.elements, group.conjugacy_labels()):
-                buckets.setdefault(lab, []).append(x)
-            _CLASS_CACHE[key] = ClassData(group, list(buckets.values()))
-        return _CLASS_CACHE[key]
+        return group.cached("classes", _labeled_classes)
     seen = set()
     classes = []
     for x in group.elements:
@@ -203,6 +197,13 @@ def conjugacy_classes(group) -> ClassData:
         seen |= orb
         classes.append(sorted(orb))
     return ClassData(group, classes)
+
+
+def _labeled_classes(g: FiniteLieGroup) -> ClassData:
+    buckets: dict = {}
+    for x, lab in zip(g.elements, g.conjugacy_labels()):
+        buckets.setdefault(lab, []).append(x)
+    return ClassData(g, list(buckets.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +331,6 @@ def tables_match(a: CharacterTable, b: CharacterTable) -> bool:
 # ---------------------------------------------------------------------------
 # class shapes of the rank-1 matrix groups
 
-_SHAPE_CACHE: dict = {}
-
 
 def _class_shapes(g: FiniteLieGroup):
     """Classify each conjugacy class of GL2/SL2 by its eigenvalue pattern.
@@ -343,12 +342,13 @@ def _class_shapes(g: FiniteLieGroup):
     elliptic: eigenvalue z in the quadratic extension, with its discrete
               logarithm and (determinant one only) its norm-one logarithm
     """
-    key = (g.kind, g.q)
-    if key in _SHAPE_CACHE:
-        return _SHAPE_CACHE[key]
+    return g.cached("class_shapes", _build_class_shapes)
+
+
+def _build_class_shapes(g: FiniteLieGroup):
     cd = conjugacy_classes(g)
     fld = g.field
-    ext = _quad_ext(fld)
+    ext = _quad_ext(g)
     q = g.q
     four = 4 % fld.p
     inv2 = fld.inv(2 % fld.p)
@@ -419,8 +419,7 @@ def _class_shapes(g: FiniteLieGroup):
         }
     if counts != want:
         raise AssertionError(f"class family counts {counts} != {want}")
-    _SHAPE_CACHE[key] = tuple(shapes)
-    return _SHAPE_CACHE[key]
+    return tuple(shapes)
 
 
 def _field_sqrt(field, a):
@@ -433,16 +432,11 @@ def _field_sqrt(field, a):
 # ---------------------------------------------------------------------------
 # quadratic Gauss sum
 
-_GAUSS_CACHE: dict = {}
-
 
 def _gauss_sum(field) -> Cyclotomic:
     """Sum of the additive character over all squares, counted with
     multiplicity: sum over x of zeta_p^(trace(x^2)).  Its square is
     chi2(-1) * q, which is asserted."""
-    key = (field.p, field.f)
-    if key in _GAUSS_CACHE:
-        return _GAUSS_CACHE[key]
     p = field.p
     coeffs: dict = {}
     for x in range(field.q):
@@ -452,7 +446,6 @@ def _gauss_sum(field) -> Cyclotomic:
     eps_prime = 1 if field.is_square(field.neg(1)) else -1
     if not tau * tau == eps_prime * field.q:
         raise AssertionError("Gauss sum square identity fails")
-    _GAUSS_CACHE[key] = tau
     return tau
 
 
@@ -465,7 +458,7 @@ def _gauss_sum(field) -> Cyclotomic:
 
 def _gl2_values_linear(g, shapes, i):
     fld = g.field
-    ext = _quad_ext(fld)
+    ext = _quad_ext(g)
     qm1 = g.q - 1
     out = []
     for sh in shapes:
@@ -519,7 +512,7 @@ def _gl2_values_principal(g, shapes, i, j):
 
 
 def _gl2_values_cuspidal(g, shapes, j):
-    ext = _quad_ext(g.field)
+    ext = _quad_ext(g)
     big = g.q * g.q - 1
     out = []
     for sh in shapes:
@@ -599,7 +592,7 @@ def _sl2_values_half(g, shapes, big_degree, pm):
     cuspidal side; elliptic classes do the opposite.
     """
     fld = g.field
-    tau = _gauss_sum(fld)
+    tau = g.cached("gauss_sum", lambda g: _gauss_sum(g.field))
     eps_prime = 1 if fld.is_square(fld.neg(1)) else -1
     lam_minus = eps_prime if big_degree else -eps_prime
     c = 1 if big_degree else -1
@@ -1033,23 +1026,6 @@ def character_table_dixon(group) -> CharacterTable:
 # ---------------------------------------------------------------------------
 # torus characters
 
-_POINT_SET_CACHE: dict = {}
-_LIE_SET_CACHE: dict = {}
-
-
-def _point_set(torus: TorusInG):
-    key = (torus.parent.kind, torus.parent.q, torus.tag)
-    if key not in _POINT_SET_CACHE:
-        _POINT_SET_CACHE[key] = frozenset(torus.points)
-    return _POINT_SET_CACHE[key]
-
-
-def _lie_point_set(torus: TorusInG):
-    key = (torus.parent.kind, torus.parent.q, torus.tag)
-    if key not in _LIE_SET_CACHE:
-        _LIE_SET_CACHE[key] = frozenset(torus.lie_points())
-    return _LIE_SET_CACHE[key]
-
 
 def _char_orders(torus: TorusInG):
     g = torus.parent
@@ -1080,7 +1056,7 @@ class TorusCharacter:
 
     def value_at(self, point) -> Cyclotomic:
         g = self.torus.parent
-        if point not in _point_set(self.torus):
+        if point not in self.torus.point_set:
             raise ValueError("not a point of this torus")
         fld = g.field
         m = g.unpack(point)
@@ -1090,7 +1066,7 @@ class TorusCharacter:
             else:
                 e = self.exps[0] * fld.log(m[0][0])
             return Cyclotomic.zeta(g.q - 1, e)
-        ext = _quad_ext(fld)
+        ext = _quad_ext(g)
         code = m[0][0] + g.q * m[1][0]
         if g.kind == "GL2":
             return Cyclotomic.zeta(ext.order, self.exps[0] * ext.log[code])
@@ -1133,16 +1109,15 @@ def nonsingular_characters(torus: TorusInG):
 # ---------------------------------------------------------------------------
 # torus-series characters
 
-_SPLIT_PROFILE_CACHE: dict = {}
-
 
 def _split_class_profile(g: FiniteLieGroup):
     """Per class: upper-triangular members binned by diagonal, weighted by
     the centralizer order.  One pass over the group; every induced
     character from the Borel is then a q-free sum over these bins."""
-    key = (g.kind, g.q)
-    if key in _SPLIT_PROFILE_CACHE:
-        return _SPLIT_PROFILE_CACHE[key]
+    return g.cached("split_profile", _build_split_profile)
+
+
+def _build_split_profile(g: FiniteLieGroup):
     cd = conjugacy_classes(g)
     out = []
     for mem, size in zip(cd.members, cd.sizes):
@@ -1154,8 +1129,7 @@ def _split_class_profile(g: FiniteLieGroup):
                 key2 = (m[0][0], m[1][1])
                 bins[key2] = bins.get(key2, 0) + cent
         out.append(tuple(bins.items()))
-    _SPLIT_PROFILE_CACHE[key] = tuple(out)
-    return _SPLIT_PROFILE_CACHE[key]
+    return tuple(out)
 
 
 def _induced_from_borel(g: FiniteLieGroup, theta: TorusCharacter):
@@ -1175,9 +1149,6 @@ def _induced_from_borel(g: FiniteLieGroup, theta: TorusCharacter):
             Cyclotomic(q - 1, {e: Fraction(c, borel) for e, c in coeffs.items()})
         )
     return vals
-
-
-_DL_CACHE: dict = {}
 
 
 class DLCharacter:
@@ -1211,17 +1182,21 @@ def dl_character(torus: TorusInG, theta: TorusCharacter) -> DLCharacter:
     whenever theta is nonsingular.  Elliptic torus: minus a cuspidal row
     for nonsingular theta; for the singular ones the virtual character is
     the explicit two-term combination with norm two.  The norm equals the
-    stabilizer order in the relative Weyl group, asserted exactly.
+    stabilizer order in the relative Weyl group, asserted exactly.  The
+    checked parts are cached on the torus, keyed by theta's exponents.
     """
-    g = torus.parent
-    if g.kind not in ("GL2", "SL2"):
-        raise ValueError("torus-series characters cover GL2 and SL2 only")
     if theta.torus is not torus:
         raise ValueError("theta belongs to a different torus")
-    cache_key = (g.kind, g.q, torus.tag, theta.exps)
-    if cache_key in _DL_CACHE:
-        virtual, genuine, w_stab = _DL_CACHE[cache_key]
-        return DLCharacter(torus, theta, virtual, genuine, w_stab)
+    store = torus.derived.setdefault("dl_characters", {})
+    parts = store.get(theta.exps)
+    if parts is None:
+        parts = store[theta.exps] = _dl_parts(torus, theta)
+    return DLCharacter(torus, theta, *parts)
+
+
+def _dl_parts(torus: TorusInG, theta: TorusCharacter):
+    """(virtual, genuine or None, Weyl stabilizer order) for dl_character."""
+    g = torus.parent
     cd = conjugacy_classes(g)
     shapes = _class_shapes(g)
     q = g.q
@@ -1241,7 +1216,7 @@ def dl_character(torus: TorusInG, theta: TorusCharacter) -> DLCharacter:
         if g.kind == "GL2":
             # theta factors through the norm: the virtual character is the
             # difference of a linear character and its Steinberg twist
-            ext = _quad_ext(g.field)
+            ext = _quad_ext(g)
             c = g.field.log(ext.norm(ext.gen))
             i = theta.exps[0] // (q + 1) * pow(c, -1, q - 1) % (q - 1)
             virtual = ClassFunction(
@@ -1262,8 +1237,7 @@ def dl_character(torus: TorusInG, theta: TorusCharacter) -> DLCharacter:
         want_deg = q + 1 if torus.tag == "split" else q - 1
         if not genuine.degree_value == want_deg:
             raise AssertionError("genuine degree is off")
-    _DL_CACHE[cache_key] = (virtual, genuine, w_stab)
-    return DLCharacter(torus, theta, virtual, genuine, w_stab)
+    return virtual, genuine, w_stab
 
 
 def dl_expected_inner(theta1: TorusCharacter, theta2: TorusCharacter) -> int:
@@ -1282,9 +1256,6 @@ def dl_expected_inner(theta1: TorusCharacter, theta2: TorusCharacter) -> int:
 
 # ---------------------------------------------------------------------------
 # the adjoint-orbit Fourier identity
-
-_ORBIT_SUM_CACHE: dict = {}
-_LHS_RAT_CACHE: dict = {}
 
 
 def _rational_or_none(val: Cyclotomic):
@@ -1335,13 +1306,13 @@ def springer_check(
     propagates).  By default only the standard regular unipotent class is
     checked; all_unipotent sweeps every unipotent class including the
     identity.  Returns a report dict; "pass" is the conjunction of the
-    per-class exact equalities.
+    per-class exact equalities.  The scaled orbit sums are cached on the
+    group, keyed by (t, x); whether each character value is rational, on
+    the torus, keyed by (theta's exponents, u).
     """
-    if g.kind not in ("GL2", "SL2"):
-        raise ValueError("the identity is checked for GL2 and SL2 only")
     if torus.parent is not g:
         raise ValueError("torus belongs to a different group")
-    if t not in _lie_point_set(torus):
+    if t not in torus.lie_point_set:
         raise ValueError("t is not a Lie algebra point of this torus")
     if not is_strongly_regular(g, t):
         raise ValueError("t is not strongly regular")
@@ -1354,20 +1325,21 @@ def springer_check(
     else:
         reps = (g.pack([[1, 1], [0, 1]]),)
     cd = conjugacy_classes(g)
+    orbit_sums = g.derived.setdefault("orbit_sums", {})
+    lhs_rational = torus.derived.setdefault("lhs_rational", {})
     cases = []
     ok = True
     for u in reps:
         x = quasi_logarithm(g, u)
-        key = (g.kind, g.q, t, x)
-        if key not in _ORBIT_SUM_CACHE:
+        if (t, x) not in orbit_sums:
             val = _orbit_fourier_sum(g, x, orbit) * Fraction(1, g.q)
-            _ORBIT_SUM_CACHE[key] = (val, _rational_or_none(val))
-        rhs, rhs_rat = _ORBIT_SUM_CACHE[key]
+            orbit_sums[t, x] = (val, _rational_or_none(val))
+        rhs, rhs_rat = orbit_sums[t, x]
         lhs = rho.value_at(u)
-        lkey = (g.kind, g.q, torus.tag, theta.exps, u)
-        if lkey not in _LHS_RAT_CACHE:
-            _LHS_RAT_CACHE[lkey] = _rational_or_none(lhs)
-        eq = _fast_equal(lhs, _LHS_RAT_CACHE[lkey], rhs, rhs_rat)
+        lkey = (theta.exps, u)
+        if lkey not in lhs_rational:
+            lhs_rational[lkey] = _rational_or_none(lhs)
+        eq = _fast_equal(lhs, lhs_rational[lkey], rhs, rhs_rat)
         ok = ok and eq
         cases.append(
             {
@@ -1434,8 +1406,8 @@ def _is_central(g: FiniteLieGroup, code):
 def _conjugate_into(g: FiniteLieGroup, torus: TorusInG, delta):
     """Some torus point conjugate to delta, or None.  Group conjugacy is
     decided by the cached class index, so this is a scan over the torus."""
-    ci = conjugacy_classes(g).class_of(delta)
     cls = conjugacy_classes(g)
+    ci = cls.class_of(delta)
     for p in torus.points:
         if cls.class_of(p) == ci:
             return p
@@ -1455,8 +1427,6 @@ def dl_jordan_reduction_check(
     be nonsingular.  Returns a report dict with both sides and the exact
     verdict.
     """
-    if g.kind not in ("GL2", "SL2"):
-        raise ValueError("the reduction is checked for GL2 and SL2 only")
     if torus.parent is not g:
         raise ValueError("torus belongs to a different group")
     rho = dl_character(torus, theta).genuine()

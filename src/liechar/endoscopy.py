@@ -148,9 +148,6 @@ class CenterDiagramAction:
         fixed = [z for z, p in self.permutations.items() if p[node] == node]
         return abelian_subgroup_type(fixed, self.group.add, self.group.zero())
 
-    def stabilizer_elements(self, node):
-        return [z for z, p in self.permutations.items() if p[node] == node]
-
 
 def center_alcove_action(g: RootDatum) -> CenterDiagramAction:
     """Action of the center of the simply connected dual group on the

@@ -152,9 +152,6 @@ class IntMatrix:
             prev = a[k][k]
         return sign * a[r - 1][r - 1]
 
-    def is_unimodular(self):
-        return abs(self.det()) == 1
-
 
 # ---------------------------------------------------------------------------
 # Smith normal form

@@ -1,16 +1,21 @@
-"""Concrete matrix groups over small finite fields: GL2, SL2 (odd q <= 13,
-prime powers included) and the SL3 plumbing, with Lie algebras, the trace
-pairing, quasi-logarithms, adjoint orbits, maximal tori, regularity tests,
-and a dense finite Fourier transform.
+"""Concrete matrix groups over small finite fields: GL2 and SL2 (odd q <= 13,
+prime powers included), with Lie algebras, the trace pairing,
+quasi-logarithms, adjoint orbits, maximal tori, regularity tests, and a
+dense finite Fourier transform.
 
 Matrices are packed row-major into ints, digit (i, j) = field code of the
 entry, base q. Over prime fields the compiled kernels do the hot loops; over
 F_9 everything runs through the field tables.
 
-Adjoint orbits and maximal tori are built once per group and kept on the
-group object: an orbit is stored under every one of its points, and only
-after its checks passed; the tori likewise. `build_finite_group` returns one
-object per (kind, q), so a process builds each orbit and torus once.
+Every structure derived from a group is cached on the group, in its
+`derived` dict: the adjoint orbits (each stored under every one of its
+points), the maximal tori, and the conjugacy classes, class shapes and other
+tables that `dl_spectra` builds. A structure is stored only after its checks
+passed; a failed check raises again on every call. Structures of one torus
+(its torus-series characters) live on the `TorusInG`. `build_finite_group`
+keeps one object per (kind, q), so a process builds each structure once;
+no other module-level state refers to a group, so a group built directly
+is freed with all it derived.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ _KIND_DATA = {
     # kind: (n, lie_dim, absolute rank, f_q-rank, |Z(G^sc)|, q budget)
     "GL2": (2, 4, 2, 2, 2, 13),
     "SL2": (2, 3, 1, 1, 2, 13),
-    "SL3": (3, 8, 2, 2, 3, 3),
 }
 
 FOURIER_BUDGET = 6561  # largest dense LieFunction domain
@@ -45,7 +49,8 @@ def _field_for(q):
 
 
 class FiniteLieGroup:
-    """One of the supported matrix groups with its Lie algebra data."""
+    """One of the supported matrix groups with its Lie algebra data, and
+    `derived`, the cache of every structure built from it (see `cached`)."""
 
     def __init__(self, kind, field: FiniteField):
         if kind not in _KIND_DATA:
@@ -75,20 +80,23 @@ class FiniteLieGroup:
         self.elements = self._enumerate()
         self.order = len(self.elements)
         self._members = frozenset(self.elements)
-        if kind == "GL2":
-            expected = (q * q - 1) * (q * q - q)
-        elif kind == "SL2":
-            expected = q * (q * q - 1)
-        else:
-            expected = None
-        if expected is not None and self.order != expected:
+        expected = (q * q - 1) * (q * q - q) if kind == "GL2" else q * (q * q - 1)
+        if self.order != expected:
             raise AssertionError("group order does not match the closed form")
         self.gens = self._generators()
         self._check_generation()
         self.lie_basis = self._lie_basis()
         self._check_gram()
-        self._adjoint_orbits = {}  # Lie point -> its checked orbit
-        self._tori = None  # set by tori_and_regularity once checked
+        self.derived = {}
+
+    def cached(self, name, build):
+        """derived[name], made by build(self) on first use. build raises when
+        a check fails, so only checked structures are stored, and the error
+        is raised again on every call."""
+        value = self.derived.get(name)
+        if value is None:
+            value = self.derived[name] = build(self)
+        return value
 
     # -- packing and matrix arithmetic over the field codes
 
@@ -131,8 +139,6 @@ class FiniteLieGroup:
     def inv(self, a):
         if self._prime:
             return _kernels.mat_inv(a, self.q, self.n)
-        if self.n != 2:
-            raise ValueError("field-table inverse implemented for n = 2")
         (x, y), (z, w) = self.unpack(a)
         fld = self.field
         det = fld.sub(fld.mul(x, w), fld.mul(y, z))
@@ -152,18 +158,7 @@ class FiniteLieGroup:
     def det_code(self, a):
         m = self.unpack(a)
         fld = self.field
-        if self.n == 2:
-            return fld.sub(fld.mul(m[0][0], m[1][1]), fld.mul(m[0][1], m[1][0]))
-        if self.n == 3:
-            s = 0
-            for j0, j1, j2, sgn in (
-                (0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
-                (2, 1, 0, -1), (1, 0, 2, -1), (0, 2, 1, -1),
-            ):
-                t = fld.mul(fld.mul(m[0][j0], m[1][j1]), m[2][j2])
-                s = fld.add(s, t if sgn > 0 else fld.neg(t))
-            return s
-        raise ValueError("n must be 2 or 3")
+        return fld.sub(fld.mul(m[0][0], m[1][1]), fld.mul(m[0][1], m[1][0]))
 
     def trace_code(self, a):
         m = self.unpack(a)
@@ -230,13 +225,11 @@ class FiniteLieGroup:
                 self.pack([[0, 0], [1, 0]]),
                 self.pack([[0, 0], [0, 1]]),
             )
-        if self.kind == "SL2":
-            return (
-                self.pack([[1, 0], [0, self.field.neg(1)]]),
-                self.pack([[0, 1], [0, 0]]),
-                self.pack([[0, 0], [1, 0]]),
-            )
-        raise AssertionError("unreachable")
+        return (
+            self.pack([[1, 0], [0, self.field.neg(1)]]),
+            self.pack([[0, 1], [0, 0]]),
+            self.pack([[0, 0], [1, 0]]),
+        )
 
     def _check_gram(self):
         fld = self.field
@@ -271,11 +264,9 @@ class FiniteLieGroup:
         m = self.unpack(t)
         if self.kind == "GL2":
             return (m[0][0], m[0][1], m[1][0], m[1][1])
-        if self.kind == "SL2":
-            if m[1][1] != self.field.neg(m[0][0]):
-                raise ValueError("matrix is not traceless")
-            return (m[0][0], m[0][1], m[1][0])
-        raise AssertionError("unreachable")
+        if m[1][1] != self.field.neg(m[0][0]):
+            raise ValueError("matrix is not traceless")
+        return (m[0][0], m[0][1], m[1][0])
 
     def lie_from_coeffs(self, coeffs):
         if len(coeffs) != self.dim:
@@ -314,7 +305,8 @@ class FiniteLieGroup:
         orbit is built once and the same tuple is returned for every one of
         its points."""
         self.lie_coeffs(t)  # membership check
-        orbit = self._adjoint_orbits.get(t)
+        orbits = self.derived.setdefault("adjoint_orbits", {})
+        orbit = orbits.get(t)
         if orbit is not None:
             return orbit
         if self._prime:
@@ -333,7 +325,7 @@ class FiniteLieGroup:
         if self.order % len(orbit):
             raise AssertionError("orbit size does not divide the group order")
         for y in orbit:
-            self._adjoint_orbits[y] = orbit
+            orbits[y] = orbit
         return orbit
 
     def conjugation_orbit_of(self, g):
@@ -411,14 +403,14 @@ class FiniteLieGroup:
 
 @lru_cache(maxsize=None)
 def build_finite_group(kind, q) -> FiniteLieGroup:
-    """Build one of GL2/SL2 (odd q <= 13) or SL3 (odd q <= 3; always rejected
-    because p = 3 divides the center order)."""
+    """The group GL2 or SL2 over F_q, for an odd prime power q <= 13; one
+    object per (kind, q). Any other kind or q raises ValueError."""
     return FiniteLieGroup(kind, _field_for(q))
 
 
 def quasi_logarithm(g_group: FiniteLieGroup, g):
     """The equivariant group-to-algebra map: g - 1 for GL2, the traceless
-    projection (g - 1) - (Tr(g - 1)/n) Id for SL2/SL3."""
+    projection (g - 1) - (Tr(g - 1)/2) Id for SL2."""
     if g not in g_group._members:
         raise ValueError("not a group element")
     fld = g_group.field
@@ -518,23 +510,30 @@ def finite_fourier(g_group: FiniteLieGroup, f: LieFunction) -> LieFunction:
 
 
 class TorusInG:
-    """A maximal torus point group inside the finite group, with its relative
-    Weyl group action and sign data."""
+    """A maximal torus point group inside the finite group, with its Lie
+    points, relative Weyl group action and sign data. `derived` caches the
+    structures built per torus character (see dl_spectra)."""
 
-    def __init__(self, parent, tag, points, weyl, fq_rank, non_residue, witness):
+    def __init__(
+        self, parent, tag, points, lie_points, weyl, fq_rank, non_residue, witness
+    ):
         self.parent = parent
         self.tag = tag
         self.points = tuple(sorted(points))
+        self.point_set = frozenset(self.points)
+        self._lie_points = lie_points
+        self.lie_point_set = frozenset(lie_points)
         self.order = len(self.points)
         self.weyl = weyl  # the nontrivial involution, as a dict on points
         self.fq_rank = fq_rank
         self.sign = (-1) ** (parent.fq_rank - fq_rank)
         self.non_residue = non_residue
         self.witness = witness
+        self.derived = {}
 
     def lie_points(self):
-        """Packed Lie algebra points of the torus."""
-        return _torus_lie_points(self.parent, self.tag, self.non_residue)
+        """Packed Lie algebra points of the torus, as a sorted tuple."""
+        return self._lie_points
 
     def weyl_on_lie(self, t):
         """The nontrivial Weyl involution on Lie(T)."""
@@ -611,11 +610,13 @@ def _find_weyl_witness(g: FiniteLieGroup, points, lie_points):
 
 
 def tori_and_regularity(g: FiniteLieGroup):
-    """One TorusInG per conjugacy class of maximal tori: split and elliptic
-    for the rank-1 kinds. Built and checked on the first call; later calls
-    return the same objects."""
-    if g._tori is not None:
-        return g._tori
+    """One TorusInG per conjugacy class of maximal tori: split and elliptic.
+    Built and checked on the first call; later calls return the same
+    objects."""
+    return g.cached("tori", _build_tori)
+
+
+def _build_tori(g: FiniteLieGroup):
     fld = g.field
     q = g.q
     split_pts = []
@@ -654,12 +655,10 @@ def tori_and_regularity(g: FiniteLieGroup):
             fq_rank = g.fq_rank
         else:
             fq_rank = g.fq_rank - 1
-        tori.append(TorusInG(g, tag, pts, weyl, fq_rank, nr, witness))
-    expected = {"GL2": {(q - 1) ** 2, q * q - 1}, "SL2": {q - 1, q + 1}}[g.kind]
-    if {t.order for t in tori} != expected:
+        tori.append(TorusInG(g, tag, pts, lie_pts, weyl, fq_rank, nr, witness))
+    if {t.order for t in tori} != torus_orders(g):
         raise AssertionError("torus orders do not match the closed forms")
-    g._tori = tuple(tori)
-    return g._tori
+    return tuple(tori)
 
 
 def torus_orders(g: FiniteLieGroup):

@@ -241,6 +241,33 @@ def test_endoscopy_estimate_type_a_exits_1():
     assert err == ""
 
 
+@pytest.mark.parametrize(
+    "argv,check",
+    [
+        (["springer", "verify", "--group", "SL2", "--q", "15"], "not a prime power"),
+        (["springer", "verify", "--group", "GL2", "--q", "4"], "center"),
+        (["chartable", "--group", "SL2", "--q", "17", "--method", "classical"], "budget"),
+        (["chartable", "--group", "GL2", "--q", "11", "--method", "dixon"], "10^4 budget"),
+        (["hilbert", "--a", "2", "--b", "3", "--place", "x"], "--place"),
+        (["endoscopy", "estimate", "--type", "A3", "--format", "csv"], "type A is excluded"),
+    ],
+    ids=["q-not-prime-power", "q-even", "q-over-budget", "dixon-budget", "place", "csv"],
+)
+def test_rejected_input_prints_json_error_whatever_the_format(argv, check):
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert check in json.loads(out)["error"]
+    assert err == ""
+
+
+def test_bad_worker_count_is_rejected(monkeypatch):
+    monkeypatch.setenv("LIECHAR_WORKERS", "abc")
+    code, out, err = run_cli(["springer", "verify", "--group", "SL2", "--q", "3"])
+    assert code == 1
+    assert "LIECHAR_WORKERS" in json.loads(out)["error"]
+    assert err == ""
+
+
 def test_tori_pair_bad_coordinates_exits_1():
     code, out, err = run_cli(
         ["tori", "pair", "--frobenius", "[[0,1],[1,0]]", "--inv", "[0]", "--kappa", "[0]"]

@@ -1,12 +1,16 @@
 """Character tables, torus-series characters, and the two trace identities."""
 
+import gc
+import weakref
 from collections import Counter
 
 import pytest
 
+import liechar.dl_spectra as dl_spectra
 from liechar.dl_spectra import (
     TorusCharacter,
     _choose_modulus,
+    _class_shapes,
     _gauss_sum,
     _jordan_parts,
     character_table_dixon,
@@ -21,8 +25,9 @@ from liechar.dl_spectra import (
     tables_match,
     torus_characters,
 )
-from liechar.exact_math import Cyclotomic
+from liechar.exact_math import Cyclotomic, FiniteField
 from liechar.finite_lie import (
+    FiniteLieGroup,
     build_finite_group,
     is_strongly_regular,
     tori_and_regularity,
@@ -487,3 +492,43 @@ def test_jordan_reduction_full_sweep_sl2():
             for rep in cd.reps:
                 out = dl_jordan_reduction_check(g, torus, theta, rep)
                 assert out["pass"], out
+
+
+# -- caching contract: every structure lives on its group or torus
+
+
+def test_module_keeps_no_dict():
+    state = [
+        name
+        for name, value in vars(dl_spectra).items()
+        if isinstance(value, dict) and not name.startswith("__")
+    ]
+    assert state == []
+
+
+def test_second_call_returns_the_cached_object():
+    g = build_finite_group("GL2", 3)
+    assert conjugacy_classes(g) is conjugacy_classes(g)
+    assert _class_shapes(g) is _class_shapes(g)
+    for torus in tori_and_regularity(g):
+        for theta in nonsingular_characters(torus):
+            a, b = dl_character(torus, theta), dl_character(torus, theta)
+            assert a.virtual is b.virtual
+            assert a.genuine() is b.genuine()
+
+
+def test_group_is_freed_with_everything_it_derived():
+    g = FiniteLieGroup("SL2", FiniteField(5))
+    classes = conjugacy_classes(g)
+    assert classes.group is g
+    torus = next(t for t in tori_and_regularity(g) if t.tag == "elliptic")
+    theta = nonsingular_characters(torus)[0]
+    chi = dl_character(torus, theta)
+    t = next(t for t in torus.lie_points() if is_strongly_regular(g, t))
+    assert springer_check(g, torus, theta, t, all_unipotent=True)["pass"]
+    for gamma in classes.reps:
+        assert dl_jordan_reduction_check(g, torus, theta, gamma)["pass"]
+    ref = weakref.ref(g)
+    del g, classes, torus, theta, chi
+    gc.collect()
+    assert ref() is None

@@ -33,11 +33,10 @@ def test_sl2_even_q_rejected_for_center():
         build_finite_group("SL2", 2)
 
 
-def test_sl3_rejected_at_its_only_odd_q():
-    with pytest.raises(ValueError, match="center"):
-        build_finite_group("SL3", 3)
-    with pytest.raises(ValueError, match="budget"):
-        build_finite_group("SL3", 5)
+def test_unknown_kind_rejected():
+    for kind in ("SL3", "XX2"):
+        with pytest.raises(ValueError, match="unknown kind"):
+            build_finite_group(kind, 3)
 
 
 def test_budget_and_bad_q():
@@ -359,3 +358,14 @@ def test_tori_built_once():
         again = tori_and_regularity(g)
         assert len(first) == len(again) == 2
         assert all(a is b for a, b in zip(first, again))
+
+
+def test_torus_keeps_its_point_sets():
+    g = build_finite_group("SL2", 5)
+    for torus in tori_and_regularity(g):
+        lie = torus.lie_points()
+        assert lie is torus.lie_points()
+        assert lie == tuple(sorted(set(lie)))
+        assert torus.lie_point_set == frozenset(lie)
+        assert torus.point_set == frozenset(torus.points)
+    assert g.derived["tori"] is tori_and_regularity(g)
