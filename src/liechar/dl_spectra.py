@@ -35,6 +35,7 @@ from .finite_lie import (
     is_strongly_regular,
     quasi_logarithm,
 )
+from .padic import jordan_exponent
 
 __all__ = [
     "ClassData",
@@ -624,11 +625,9 @@ def classical_table_oracle(kind, q) -> CharacterTable:
     """The full character table from the closed forms.
 
     Completely independent of the modular solver; the two are compared row
-    for row in the tests.  q must be an odd prime power within the group's
-    budget.
+    for row in the tests.  kind and q are checked by build_finite_group: GL2
+    or SL2, q an odd prime power within the group's budget.
     """
-    if kind not in ("GL2", "SL2"):
-        raise ValueError("closed-form tables cover GL2 and SL2 only")
     g = build_finite_group(kind, q)
     cd = conjugacy_classes(g)
     shapes = _class_shapes(g)
@@ -1145,9 +1144,7 @@ def _induced_from_borel(g: FiniteLieGroup, theta: TorusCharacter):
             else:
                 e = (theta.exps[0] * fld.log(a)) % (q - 1)
             coeffs[e] = coeffs.get(e, 0) + cnt
-        vals.append(
-            Cyclotomic(q - 1, {e: Fraction(c, borel) for e, c in coeffs.items()})
-        )
+        vals.append(Cyclotomic(q - 1, coeffs, borel))
     return vals
 
 
@@ -1376,21 +1373,16 @@ def springer_fourier_reference(g: FiniteLieGroup, t, u) -> Cyclotomic:
 
 def _jordan_parts(g: FiniteLieGroup, gamma):
     """gamma = delta * u with delta of order prime to p, u of p-power
-    order, both powers of gamma.  Standard CRT split of the cyclic group
-    generated by gamma."""
+    order, both powers of gamma: the CRT split of the cyclic group
+    generated by gamma (`padic.jordan_exponent`)."""
     if gamma not in g._members:
         raise ValueError("not a group element")
-    p = g.field.p
     n_ord = _order_via(g.mul, g.identity, gamma)
-    pa, m = 1, n_ord
-    while m % p == 0:
-        m //= p
-        pa *= p
-    if pa == 1:
+    r, e = jordan_exponent(n_ord, g.field.p)
+    if r == n_ord:
         return gamma, g.identity
-    if m == 1:
+    if r == 1:
         return g.identity, gamma
-    e = pa * pow(pa, -1, m) % n_ord
     delta = _pow_element(g, gamma, e)
     u = _pow_element(g, gamma, (1 - e) % n_ord)
     if g.mul(delta, u) != gamma:

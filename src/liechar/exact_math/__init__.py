@@ -14,7 +14,6 @@ from .intmat import (
 )
 from .cyclo import (
     Cyclotomic,
-    cyclotomic_reduce,
     cyclotomic_polynomial,
     smallest_conductor,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "kernel_basis",
     "abelian_subgroup_type",
     "Cyclotomic",
-    "cyclotomic_reduce",
     "cyclotomic_polynomial",
     "smallest_conductor",
     "FiniteField",

@@ -1,14 +1,19 @@
 """Exact cyclotomic numbers.
 
-A value is stored as a sparse rational polynomial in zeta_N over the full
-power basis 1, zeta, ..., zeta^(N-1) with exponents mod N. Reduction into the
-Phi_N quotient happens only when equality or rationality is decided; sums and
-products stay in the cheap power-basis representation.
+A value is stored as integer numerators over one positive denominator, in
+the full power basis 1, zeta, ..., zeta^(N-1) with exponents mod N; the
+denominator and the numerators share no common factor. Sums and products
+stay in this representation and on plain integers. Reduction into the Phi_N
+quotient happens only when equality or rationality is decided; Phi_N is
+monic, so the reduction stays integral too. A Fraction is made only where a
+caller asks for a rational: `rational_value`, or `reduced` of a value whose
+reduced coefficients are not all integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from .intmat import solve_rational
@@ -57,41 +62,82 @@ def cyclotomic_polynomial(n):
     return result
 
 
-def _reduce_mod_phi(coeffs, n):
-    """Remainder of a sparse {exp: Fraction} polynomial modulo Phi_n.
-    Returns a dense list of Fractions of length deg Phi_n."""
+@lru_cache(maxsize=None)
+def _phi_terms(n):
+    """(deg Phi_n, the nonzero (j - deg, c_j) below its leading term)."""
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
-    dense = [Fraction(0)] * max(n, deg)
+    return deg, tuple((j - deg, c) for j, c in enumerate(phi[:-1]) if c)
+
+
+def _reduce_mod_phi(coeffs, n):
+    """Remainder of a sparse {exp: coefficient} polynomial modulo Phi_n, as
+    a dense list of length deg Phi_n. Phi_n is monic, so integer
+    coefficients give integer remainders."""
+    deg, low = _phi_terms(n)
+    dense = [0] * max(n, deg)
     for e, c in coeffs.items():
         dense[e % n] += c
     for i in range(len(dense) - 1, deg - 1, -1):
         c = dense[i]
         if c:
-            dense[i] = Fraction(0)
-            for j in range(deg):
-                dense[i - deg + j] -= c * phi[j]
+            dense[i] = 0
+            for j, pj in low:
+                dense[i + j] -= c * pj
     return dense[:deg]
 
 
 class Cyclotomic:
     """Element of Q(zeta_n), n the conductor of the representation (not
-    necessarily minimal for the value)."""
+    necessarily minimal for the value).
 
-    __slots__ = ("n", "c")
+    The value is sum(num[e] * zeta_n^e for e in num) / den: integer
+    numerators keyed by exponents mod n, over one positive denominator den
+    that shares no factor with all of them. The constructor takes int or
+    Fraction coefficients keyed by int exponents, all divided by den, and
+    refuses anything else (a float has no exact value here)."""
 
-    def __init__(self, n=1, coeffs=None):
-        self.n = int(n)
-        if self.n < 1:
-            raise ValueError("conductor must be positive")
-        c = {}
+    __slots__ = ("n", "num", "den")
+
+    def __init__(self, n=1, coeffs=None, den=1):
+        if type(n) is not int or n < 1:
+            raise ValueError("conductor must be a positive integer")
+        if type(den) is not int or den < 1:
+            raise ValueError("denominator must be a positive integer")
+        num = {}
         if coeffs:
+            unit = 1  # what an int coefficient is scaled by: den / (den given)
             for e, v in coeffs.items():
-                v = Fraction(v)
+                if type(e) is not int:
+                    raise ValueError(f"exponents must be integers, got {e!r}")
+                if type(v) is not int:
+                    if not isinstance(v, Fraction):
+                        raise ValueError(f"coefficients must be ints or Fractions, got {v!r}")
+                    b = v.denominator
+                    s = b // gcd(unit, b)
+                    if s > 1:
+                        unit *= s
+                        den *= s
+                        for x in num:
+                            num[x] *= s
+                    v = v.numerator * (unit // b)
+                elif unit > 1:
+                    v *= unit
                 if v:
-                    e %= self.n
-                    c[e] = c.get(e, Fraction(0)) + v
-        self.c = {e: v for e, v in c.items() if v}
+                    e %= n
+                    num[e] = num.get(e, 0) + v
+            if not all(num.values()):
+                num = {e: v for e, v in num.items() if v}
+        if not num:
+            den = 1
+        elif den > 1:
+            g = gcd(den, *num.values())
+            if g > 1:
+                den //= g
+                num = {e: v // g for e, v in num.items()}
+        self.n = n
+        self.num = num
+        self.den = den
 
     # -- constructors
 
@@ -101,58 +147,73 @@ class Cyclotomic:
 
     @classmethod
     def rational(cls, v):
-        return cls(1, {0: Fraction(v)})
+        return cls(1, {0: v})
 
     @classmethod
     def zeta(cls, n, k=1):
-        return cls(n, {k % n: Fraction(1)})
+        return cls(n, {k % n: 1})
 
     # -- representation changes
+
+    def _terms_at(self, m):
+        """The numerators rewritten at conductor m, where n | m."""
+        s = m // self.n
+        if s == 1:
+            return self.num
+        return {e * s: v for e, v in self.num.items()}
 
     def lift(self, m):
         """Rewrite in conductor m, where n | m."""
         if m % self.n != 0:
             raise ValueError("conductor must be a multiple")
-        s = m // self.n
-        return Cyclotomic(m, {e * s: v for e, v in self.c.items()})
+        return Cyclotomic(m, self._terms_at(m), self.den)
 
     @staticmethod
-    def _common(a, b):
-        if not isinstance(b, Cyclotomic):
-            b = Cyclotomic.rational(b)
-        m = lcm(a.n, b.n)
-        return a.lift(m), b.lift(m)
+    def _as_cyclotomic(x):
+        return x if isinstance(x, Cyclotomic) else Cyclotomic.rational(x)
 
     # -- arithmetic
 
+    def _add(self, other, sign):
+        """self + sign * other over the common conductor and denominator."""
+        other = Cyclotomic._as_cyclotomic(other)
+        m, den = lcm(self.n, other.n), lcm(self.den, other.den)
+        sa, sb = den // self.den, sign * (den // other.den)
+        out = {e: v * sa for e, v in self._terms_at(m).items()}
+        for e, v in other._terms_at(m).items():
+            out[e] = out.get(e, 0) + v * sb
+        return Cyclotomic(m, out, den)
+
     def __add__(self, other):
-        a, b = Cyclotomic._common(self, other)
-        out = dict(a.c)
-        for e, v in b.c.items():
-            out[e] = out.get(e, Fraction(0)) + v
-        return Cyclotomic(a.n, out)
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.n, {e: -v for e, v in self.c.items()})
+        return Cyclotomic(self.n, {e: -v for e, v in self.num.items()}, self.den)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Cyclotomic) else Cyclotomic.rational(-Fraction(other)))
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.n, {e: v * other for e, v in self.c.items()})
-        a, b = Cyclotomic._common(self, other)
+            a = other.numerator
+            return Cyclotomic(
+                self.n, {e: v * a for e, v in self.num.items()}, self.den * other.denominator
+            )
+        other = Cyclotomic._as_cyclotomic(other)
+        m = lcm(self.n, other.n)
+        b = other._terms_at(m).items()
         out = {}
-        for e1, v1 in a.c.items():
-            for e2, v2 in b.c.items():
-                e = (e1 + e2) % a.n
-                out[e] = out.get(e, Fraction(0)) + v1 * v2
-        return Cyclotomic(a.n, out)
+        # exponents run up to 2m - 2 here; the constructor reduces them mod m
+        for e1, v1 in self._terms_at(m).items():
+            for e2, v2 in b:
+                e = e1 + e2
+                out[e] = out.get(e, 0) + v1 * v2
+        return Cyclotomic(m, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -170,7 +231,7 @@ class Cyclotomic:
 
     def conjugate(self):
         """Complex conjugation, zeta -> zeta^(-1)."""
-        return Cyclotomic(self.n, {(-e) % self.n: v for e, v in self.c.items()})
+        return Cyclotomic(self.n, {-e: v for e, v in self.num.items()}, self.den)
 
     def abs2(self):
         """self * conjugate(self), exact."""
@@ -179,31 +240,42 @@ class Cyclotomic:
     # -- predicates, canonical forms
 
     def reduced(self):
-        """Canonical coefficient list modulo Phi_n (length deg Phi_n)."""
-        return _reduce_mod_phi(self.c, self.n)
+        """Canonical coefficient list modulo Phi_n (length deg Phi_n): ints
+        when every coefficient is an integer, Fractions otherwise."""
+        red = _reduce_mod_phi(self.num, self.n)
+        den = self.den
+        if den == 1:
+            return red
+        if gcd(den, *red) == den:
+            return [c // den for c in red]
+        return [Fraction(c, den) for c in red]
 
     def is_zero(self):
-        return not any(self.reduced())
+        return not any(_reduce_mod_phi(self.num, self.n))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.rational(other)
+            red = _reduce_mod_phi(self.num, self.n)
+            return not any(red[1:]) and red[0] * other.denominator == other.numerator * self.den
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        a, b = Cyclotomic._common(self, other)
-        return a.reduced() == b.reduced()
+        m = lcm(self.n, other.n)
+        a = _reduce_mod_phi(self._terms_at(m), m)
+        b = _reduce_mod_phi(other._terms_at(m), m)
+        if self.den == other.den:
+            return a == b
+        return [x * other.den for x in a] == [y * self.den for y in b]
 
     __hash__ = None  # equality crosses conductors; not hashable
 
     def is_rational(self):
-        red = self.reduced()
-        return not any(red[1:])
+        return not any(_reduce_mod_phi(self.num, self.n)[1:])
 
     def rational_value(self):
-        red = self.reduced()
+        red = _reduce_mod_phi(self.num, self.n)
         if any(red[1:]):
             raise ValueError("not a rational value")
-        return red[0] if red else Fraction(0)
+        return Fraction(red[0], self.den)
 
     def as_root_of_unity(self):
         """Return (m, k) with self == zeta_m^k and gcd(k, m) = 1, or None.
@@ -263,8 +335,3 @@ def smallest_conductor(n, red):
             cols = [_reduce_mod_phi({s * j: 1}, n) for j in range(deg)]
             return d, list(solve_rational(list(zip(*cols)), red))
     raise AssertionError("no conductor found")
-
-
-def cyclotomic_reduce(x: Cyclotomic):
-    """Canonical (conductor, coefficient list mod Phi) pair for x."""
-    return (x.n, x.reduced())

@@ -62,8 +62,6 @@ class FiniteLieGroup:
                 f"p = {field.p} divides the order {zsc} of the simply "
                 f"connected center for {kind}"
             )
-        if q % 2 == 0:
-            raise ValueError("q must be odd")
         if q > budget:
             raise ValueError(f"{kind} budget is q <= {budget}")
         self.kind = kind

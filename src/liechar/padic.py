@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from operator import mul as _mul
 
 __all__ = [
     "TruncatedMatrix",
     "DiagQuadForm",
+    "jordan_exponent",
     "topological_jordan",
     "quasi_log_bijection_check",
     "hilbert_symbol",
@@ -35,23 +37,36 @@ def _is_prime(n):
 
 
 class TruncatedMatrix:
-    """A square matrix with entries in Z/p^k."""
+    """A square matrix with entries in Z/p^k.
+
+    The constructor is the one place that checks its input: p prime, k a
+    positive int, an n x n shape and int entries (bool refused), reduced
+    mod p^k. Arithmetic results are built from rows already reduced mod
+    p^k and skip those checks."""
 
     __slots__ = ("n", "p", "k", "mod", "rows")
 
     def __init__(self, n, p, k, rows):
-        if not _is_prime(p):
+        if type(p) is not int or not _is_prime(p):
             raise ValueError("p must be prime")
-        if k < 1:
-            raise ValueError("precision must be at least 1")
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
-        if len(rows) != n or any(len(r) != n for r in rows):
+        if type(k) is not int or k < 1:
+            raise ValueError("precision must be a positive integer")
+        rows = tuple(tuple(r) for r in rows)
+        if type(n) is not int or len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("rows must form an n x n matrix")
+        if any(type(x) is not int for r in rows for x in r):
+            raise ValueError("entries must be integers")
         self.n = n
         self.p = p
         self.k = k
-        self.mod = p**k
-        self.rows = tuple(tuple(x % self.mod for x in r) for r in rows)
+        self.mod = mod = p**k
+        self.rows = tuple(tuple(x % mod for x in r) for r in rows)
+
+    def _like(self, rows):
+        """A matrix in the same ring from rows already reduced mod p^k."""
+        out = TruncatedMatrix.__new__(TruncatedMatrix)
+        out.n, out.p, out.k, out.mod, out.rows = self.n, self.p, self.k, self.mod, rows
+        return out
 
     @classmethod
     def identity(cls, n, p, k):
@@ -61,8 +76,9 @@ class TruncatedMatrix:
     def zero(cls, n, p, k):
         return cls(n, p, k, [[0] * n for _ in range(n)])
 
-    def _like(self, rows):
-        return TruncatedMatrix(self.n, self.p, self.k, rows)
+    def _identity_like(self):
+        n = self.n
+        return self._like(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     def _check(self, other):
         if (self.n, self.p, self.k) != (other.n, other.p, other.k):
@@ -70,50 +86,48 @@ class TruncatedMatrix:
 
     def add(self, other):
         self._check(other)
+        mod = self.mod
         return self._like(
-            [
-                [a + b for a, b in zip(ra, rb)]
+            tuple(
+                tuple((a + b) % mod for a, b in zip(ra, rb))
                 for ra, rb in zip(self.rows, other.rows)
-            ]
+            )
         )
 
     def sub(self, other):
         self._check(other)
+        mod = self.mod
         return self._like(
-            [
-                [a - b for a, b in zip(ra, rb)]
+            tuple(
+                tuple((a - b) % mod for a, b in zip(ra, rb))
                 for ra, rb in zip(self.rows, other.rows)
-            ]
+            )
         )
 
     def neg(self):
-        return self._like([[-a for a in r] for r in self.rows])
-
-    def scale(self, c):
-        return self._like([[c * a for a in r] for r in self.rows])
+        mod = self.mod
+        return self._like(tuple(tuple(-a % mod for a in r) for r in self.rows))
 
     def mul(self, other):
         self._check(other)
-        n, mod = self.n, self.mod
-        cols = list(zip(*other.rows))
+        mod = self.mod
+        cols = tuple(zip(*other.rows))
         return self._like(
-            [
-                [sum(a * b for a, b in zip(row, col)) % mod for col in cols]
-                for row in self.rows
-            ]
+            tuple([tuple([sum(map(_mul, row, col)) % mod for col in cols]) for row in self.rows])
         )
 
     def pow(self, e):
         if e < 0:
             raise ValueError("nonnegative exponents only; invert first")
-        out = TruncatedMatrix.identity(self.n, self.p, self.k)
+        out = None
         base = self
         while e:
             if e & 1:
-                out = out.mul(base)
-            base = base.mul(base)
+                out = base if out is None else out.mul(base)
             e >>= 1
-        return out
+            if e:
+                base = base.mul(base)
+        return self._identity_like() if out is None else out
 
     def trace(self):
         return sum(self.rows[i][i] for i in range(self.n)) % self.mod
@@ -147,14 +161,14 @@ class TruncatedMatrix:
         step, so a handful of iterations reach p^k."""
         if not self.is_invertible():
             raise ZeroDivisionError("matrix is not invertible modulo p")
-        inv_p = self._inverse_mod_p()
-        x = self._like(inv_p)
-        two_id = TruncatedMatrix.identity(self.n, self.p, self.k).scale(2)
+        x = self._like(self._inverse_mod_p())
+        ident = self._identity_like()
+        two_id = ident.add(ident)
         prec = 1
         while prec < self.k:
             x = x.mul(two_id.sub(self.mul(x)))
             prec *= 2
-        if self.mul(x) != TruncatedMatrix.identity(self.n, self.p, self.k):
+        if self.mul(x) != ident:
             raise AssertionError("lifted inverse fails to verify")
         return x
 
@@ -178,15 +192,12 @@ class TruncatedMatrix:
                     f = a[r][c]
                     a[r] = [(x - f * y) % p for x, y in zip(a[r], a[row])]
             row += 1
-        return [r[n:] for r in a]
+        return tuple(tuple(r[n:]) for r in a)
 
     def reduce(self, k2):
         if k2 > self.k:
             raise ValueError("cannot raise precision")
         return TruncatedMatrix(self.n, self.p, k2, self.rows)
-
-    def reduction_mod_p(self):
-        return self.reduce(1)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedMatrix):
@@ -205,15 +216,30 @@ class TruncatedMatrix:
         return f"TruncatedMatrix({self.n}, {self.p}, {self.k}, {list(map(list, self.rows))})"
 
 
+def jordan_exponent(order, p):
+    """(r, e) for an element x of the given finite order (or any multiple
+    of it): r is the prime-to-p part of order and e = 1 mod r, e = 0 mod
+    order / r, 0 <= e < order. Then x^e has order dividing r and x^(1 - e)
+    has p-power order: the CRT split of the cyclic group generated by x."""
+    r, pa = order, 1
+    while r % p == 0:
+        r //= p
+        pa *= p
+    return r, pa * pow(pa, -1, r) % order
+
+
 def _reduction_order(gamma: TruncatedMatrix):
-    """Multiplicative order of the reduction mod p."""
-    red = gamma.reduction_mod_p()
-    ident = TruncatedMatrix.identity(gamma.n, gamma.p, 1)
+    """Multiplicative order of the reduction mod p, stepped on int tuples;
+    the order of an element of GL_n(F_p) is below p^(n^2)."""
+    p, n = gamma.p, gamma.n
+    red = tuple(tuple(x % p for x in r) for r in gamma.rows)
+    cols = tuple(zip(*red))
+    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     acc = red
     order = 1
-    bound = gamma.p ** (gamma.n * gamma.n)
+    bound = p ** (n * n)
     while acc != ident:
-        acc = acc.mul(red)
+        acc = tuple([tuple([sum(map(_mul, row, col)) % p for col in cols]) for row in acc])
         order += 1
         if order > bound:
             raise AssertionError("order search exceeded the group order")
@@ -225,10 +251,14 @@ def topological_jordan(gamma: TruncatedMatrix, k=None):
     finite order prime to p and u is topologically unipotent; the two parts
     commute and are unique at this precision.
 
-    delta is the limit of gamma^(p^(n*t)) with t the order of p modulo the
-    prime-to-p part r of the reduction's order; the iteration must
-    stabilize within k + 8 steps (a miss is a bug, not an input error).
-    Returns (delta, u).
+    gamma^ord = 1 mod p, ord the order of the reduction, so gamma^ord is
+    1 + pX and its p^(k-1)-th power is 1 mod p^k: N = ord * p^(k-1) is a
+    multiple of the order of gamma. With r the prime-to-p part of N, the
+    CRT split gives delta = gamma^e, e = 1 mod r and e = 0 mod N / r, in
+    one power. The checks delta^r = 1, delta * u = u * delta = gamma with
+    u = delta^(-1) * gamma (a verified Hensel inverse), and u^(p^m) = 1
+    within k + 8 steps guard the result (a miss is a bug, not an input
+    error). Returns (delta, u).
     """
     if k is not None:
         gamma = gamma.reduce(k)
@@ -237,29 +267,9 @@ def topological_jordan(gamma: TruncatedMatrix, k=None):
     if not gamma.is_invertible():
         raise ValueError("gamma is not invertible modulo p")
     p = gamma.p
-    order = _reduction_order(gamma)
-    r = order
-    while r % p == 0:
-        r //= p
-    if r == 1:
-        t = 1
-    else:
-        t = 1
-        acc = p % r
-        while acc != 1:
-            acc = acc * p % r
-            t += 1
-    step = p**t
-    cur = gamma
-    for _ in range(gamma.k + 8):
-        nxt = cur.pow(step)
-        if nxt == cur:
-            break
-        cur = nxt
-    else:
-        raise AssertionError("power iteration did not stabilize")
-    delta = cur
-    ident = TruncatedMatrix.identity(gamma.n, p, gamma.k)
+    r, e = jordan_exponent(_reduction_order(gamma) * p ** (gamma.k - 1), p)
+    delta = gamma.pow(e)
+    ident = gamma._identity_like()
     if delta.pow(r) != ident:
         raise AssertionError("finite-order part has the wrong order")
     u = delta.inverse().mul(gamma)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
+from reference_cyclo import Cyclotomic as RefCyclotomic
 
 from liechar.exact_math import Cyclotomic, cyclotomic_polynomial, smallest_conductor
 
@@ -125,3 +127,82 @@ def test_smallest_conductor_roundtrip(d, m, coeffs):
     assert d % e == 0 and e % 4 != 2
     assert Cyclotomic(e, dict(enumerate(red))) == v
     assert red == Cyclotomic(e, dict(enumerate(red))).reduced()
+
+
+def test_inexact_coefficients_are_refused():
+    with pytest.raises(ValueError):
+        Cyclotomic(1, {0: 0.1})
+    with pytest.raises(ValueError):
+        Cyclotomic(1, {0: True})
+    with pytest.raises(ValueError):
+        Cyclotomic(3, {1.0: 1})
+    with pytest.raises(ValueError):
+        Cyclotomic.rational(0.5)
+    with pytest.raises(ValueError):
+        Cyclotomic.zeta(3) + 0.5
+
+
+def test_denominator_is_reduced_and_kept_through_reduction():
+    # (1 + zeta_3 + zeta_3^2) / 2 = 0, and (3 + zeta_3 + zeta_3^2) / 2 = 1
+    assert Cyclotomic(3, {0: 1, 1: 1, 2: 1}, 2).is_zero()
+    one = Cyclotomic(3, {0: 3, 1: 1, 2: 1}, 2)
+    assert one.reduced() == [1, 0] and all(type(c) is int for c in one.reduced())
+    assert Cyclotomic(4, {0: 2, 1: 4}, 6).den == 3
+    half = Cyclotomic(4, {1: Fraction(1, 2)})
+    assert half.reduced() == [0, Fraction(1, 2)]
+    assert repr(half) == "1/2*z4"
+    assert Cyclotomic(1, {0: 3}, 6).rational_value() == Fraction(1, 2)
+
+
+# -- the integer-numerator class against the dict-of-Fractions oracle
+
+ref_coeffs = st.lists(
+    st.tuples(
+        st.integers(-30, 30),
+        st.fractions(min_value=-4, max_value=4, max_denominator=12),
+    ),
+    max_size=5,
+)
+
+
+@st.composite
+def cyclo_pairs(draw):
+    """The same value built by Cyclotomic and by the oracle."""
+    n = draw(st.integers(1, 24))
+    coeffs = {}
+    for e, c in draw(ref_coeffs):
+        coeffs[e] = coeffs.get(e, 0) + c
+    return Cyclotomic(n, coeffs), RefCyclotomic(n, coeffs)
+
+
+def _same(new, old):
+    assert new.n == old.n
+    assert new.reduced() == old.reduced()
+    assert repr(new) == repr(old)
+    assert new.is_zero() == old.is_zero()
+    assert new.is_rational() == old.is_rational()
+    if old.is_rational():
+        assert new.rational_value() == old.rational_value()
+    else:
+        with pytest.raises(ValueError):
+            new.rational_value()
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclo_pairs(), cyclo_pairs(), st.fractions(min_value=-5, max_value=5, max_denominator=9))
+def test_matches_fraction_oracle(x, y, c):
+    (a, ra), (b, rb) = x, y
+    _same(a, ra)
+    _same(a + b, ra + rb)
+    _same(a - b, ra - rb)
+    _same(a * b, ra * rb)
+    _same(-a, -ra)
+    _same(a.conjugate(), ra.conjugate())
+    _same(a * c, ra * c)
+    _same(c * a, c * ra)
+    _same(a + c, ra + c)
+    _same(c - a, c - ra)
+    _same(a.abs2(), ra.abs2())
+    assert (a == b) == (ra == rb)
+    assert (a == c) == (ra == c)
+    assert (a * b - b * a).is_zero()

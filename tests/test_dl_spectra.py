@@ -164,6 +164,11 @@ def test_gauss_sum_square(q):
     assert tau * tau == eps_prime * q
 
 
+def test_classical_oracle_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown kind"):
+        classical_table_oracle("XX2", 5)
+
+
 @pytest.mark.parametrize("q", [3, 5])
 def test_classical_gl2_row_structure(q):
     table = classical_table_oracle("GL2", q)

@@ -33,6 +33,13 @@ def test_sl2_even_q_rejected_for_center():
         build_finite_group("SL2", 2)
 
 
+def test_gl2_even_q_rejected_for_center():
+    # both kinds have a center of order 2, so the center check refuses
+    # every even q
+    with pytest.raises(ValueError, match="center"):
+        build_finite_group("GL2", 4)
+
+
 def test_unknown_kind_rejected():
     for kind in ("SL3", "XX2"):
         with pytest.raises(ValueError, match="unknown kind"):

@@ -76,6 +76,33 @@ def test_mixed_rings_rejected():
         a.mul(b)
 
 
+@pytest.mark.parametrize(
+    "n,p,k,rows",
+    [
+        (2, 5, 2, [[1.5, True], ["4", 1]]),
+        (2, 5, 2, [[1.0, 0], [0, 1]]),
+        (2, 5, 2, [[True, 0], [0, 1]]),
+        (2, 5, 2, [["4", 0], [0, 1]]),
+        (2, 5, 2, [[1, 0], [0]]),
+        (2, 4, 2, [[1, 0], [0, 1]]),
+        (2, 5.0, 2, [[1, 0], [0, 1]]),
+        (2, 5, 0, [[1, 0], [0, 1]]),
+        (2, 5, 2.0, [[1, 0], [0, 1]]),
+    ],
+)
+def test_constructor_refuses_inexact_or_malformed_input(n, p, k, rows):
+    with pytest.raises(ValueError):
+        TruncatedMatrix(n, p, k, rows)
+
+
+def test_arithmetic_results_stay_reduced():
+    m = TruncatedMatrix(2, 3, 2, [[8, 4], [-1, 5]])
+    assert m.rows == ((8, 4), (8, 5))
+    for r in (m.add(m), m.sub(m.pow(3)), m.neg(), m.mul(m), m.pow(5), m.inverse()):
+        assert all(type(x) is int and 0 <= x < 9 for row in r.rows for x in row)
+        assert r == TruncatedMatrix(2, 3, 2, r.rows)
+
+
 def test_reduce_lowers_precision_only():
     m = TruncatedMatrix(2, 3, 3, [[10, 0], [0, 1]])
     assert m.reduce(1).rows == ((1, 0), (0, 1))
@@ -93,8 +120,9 @@ def test_tjd_identity_trivial():
 
 
 def test_tjd_gl1_mod_25():
-    # 2^5 = 32 = 7 mod 25, and 7^5 = 16807 = 7 mod 25, so the iteration
-    # stabilizes at delta = 7; u = 7^(-1) * 2 = 18 * 2 = 36 = 11 mod 25
+    # 2 has order 4 mod 5, so N = 4 * 5 = 20 and delta = 2^e with e = 1
+    # mod 4 and e = 0 mod 5: delta = 2^5 = 32 = 7 mod 25, and
+    # u = 7^(-1) * 2 = 18 * 2 = 36 = 11 mod 25
     g = TruncatedMatrix(1, 5, 2, [[2]])
     delta, u = topological_jordan(g)
     assert delta.rows == ((7,),)
@@ -160,7 +188,7 @@ def test_tjd_random_posts(p, k):
         assert hits == 1
 
 
-@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_tjd_gl1_uniqueness_exhaustive(p):
     # in (Z/p^4)* every element has a unique split into a part of order
     # prime to p and a part that is 1 mod p; confirm by full enumeration
@@ -184,6 +212,50 @@ def test_tjd_gl1_uniqueness_exhaustive(p):
             if dinv * g % p == 1
         ]
         assert found == [(delta.rows[0][0], u.rows[0][0])]
+
+
+def _power_iteration_jordan(gamma):
+    """The split as the limit of gamma^(p^t), t the order of p modulo the
+    prime-to-p part r of the reduction's order: the construction
+    topological_jordan used before the one CRT power, kept as a reference."""
+    p, n, k = gamma.p, gamma.n, gamma.k
+    red = gamma.reduce(1)
+    ident1 = TruncatedMatrix.identity(n, p, 1)
+    order, acc = 1, red
+    while acc != ident1:
+        acc = acc.mul(red)
+        order += 1
+    r = order
+    while r % p == 0:
+        r //= p
+    t, acc = 1, p % r
+    while r > 1 and acc != 1:
+        acc = acc * p % r
+        t += 1
+    cur = gamma
+    for _ in range(k + 8):
+        nxt = cur.pow(p**t)
+        if nxt == cur:
+            break
+        cur = nxt
+    else:
+        raise AssertionError("power iteration did not stabilize")
+    return cur, cur.inverse().mul(gamma)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_tjd_matches_power_iteration(n, p):
+    rng = random.Random(1000 * n + p)
+    for k in range(1, 5):
+        for _ in range(12 if n < 3 else 3):
+            g = rand_invertible(rng, n, p, k)
+            assert topological_jordan(g) == _power_iteration_jordan(g)
+        # times the scalar 1 + p, of order p^(k-1) mod p^k for odd p, the
+        # unipotent part usually reaches the largest order that N allows
+        scalar = [[1 + p if i == j else 0 for j in range(n)] for i in range(n)]
+        g = rand_invertible(rng, n, p, k).mul(TruncatedMatrix(n, p, k, scalar))
+        assert topological_jordan(g) == _power_iteration_jordan(g)
 
 
 def test_tjd_conjugation_equivariance():
