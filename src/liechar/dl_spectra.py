@@ -1276,16 +1276,13 @@ def _fast_equal(a, a_rat, b, b_rat):
 def _orbit_fourier_sum(g: FiniteLieGroup, x, orbit) -> Cyclotomic:
     """Sum over the orbit of the conjugate additive character applied to
     the trace pairing with x."""
-    p = g.field.p
-    if g.field.f == 1:
-        hist = _kernels.pair_histogram(x, list(orbit), g.q, g.n)
-        coeffs = {(-c) % p: cnt for c, cnt in enumerate(hist) if cnt}
-    else:
-        coeffs = {}
-        for y in orbit:
-            e = (-g.field.trace(g.pairing_code(x, y))) % p
-            coeffs[e] = coeffs.get(e, 0) + 1
-    return Cyclotomic(p, coeffs)
+    fld = g.field
+    coeffs = {}
+    for c, cnt in enumerate(_kernels.pair_histogram(x, orbit, g.tables)):
+        if cnt:
+            e = (-fld.trace(c)) % fld.p
+            coeffs[e] = coeffs.get(e, 0) + cnt
+    return Cyclotomic(fld.p, coeffs)
 
 
 def springer_check(

@@ -233,10 +233,6 @@ class Cyclotomic:
         """Complex conjugation, zeta -> zeta^(-1)."""
         return Cyclotomic(self.n, {-e: v for e, v in self.num.items()}, self.den)
 
-    def abs2(self):
-        """self * conjugate(self), exact."""
-        return self * self.conjugate()
-
     # -- predicates, canonical forms
 
     def reduced(self):
@@ -276,17 +272,6 @@ class Cyclotomic:
         if any(red[1:]):
             raise ValueError("not a rational value")
         return Fraction(red[0], self.den)
-
-    def as_root_of_unity(self):
-        """Return (m, k) with self == zeta_m^k and gcd(k, m) = 1, or None.
-        The roots of unity inside Q(zeta_n) form a group of order lcm(2, n)."""
-        big = lcm(2, self.n)
-        for k in range(big):
-            if self == Cyclotomic.zeta(big, k):
-                g = gcd(k, big)
-                m = big // g
-                return (m, (k // g) % m)
-        return None
 
     def __repr__(self):
         red = self.reduced()

@@ -54,6 +54,9 @@ class FiniteField:
         self.p, self.f, self.q = p, f, q
         self.modulus = self._find_modulus() if f > 1 else None
         self._build_tables()
+        # structures other modules build from the field, e.g. the matrix
+        # tables of liechar._kernels; filled on first use
+        self.derived = {}
 
     # -- element encoding
 

@@ -4,8 +4,10 @@ quasi-logarithms, adjoint orbits, maximal tori, regularity tests, and a
 dense finite Fourier transform.
 
 Matrices are packed row-major into ints, digit (i, j) = field code of the
-entry, base q. Over prime fields the compiled kernels do the hot loops; over
-F_9 everything runs through the field tables.
+entry, base q. All matrix arithmetic (products, inverses, determinants,
+traces, the trace pairing, conjugation orbits and classes) goes through
+`_kernels`, whose lookup tables are built once per field; the same code
+serves prime q and F_9.
 
 Every structure derived from a group is cached on the group, in its
 `derived` dict: the adjoint orbits (each stored under every one of its
@@ -13,9 +15,10 @@ points), the maximal tori, and the conjugacy classes, class shapes and other
 tables that `dl_spectra` builds. A structure is stored only after its checks
 passed; a failed check raises again on every call. Structures of one torus
 (its torus-series characters) live on the `TorusInG`. `build_finite_group`
-keeps one object per (kind, q), so a process builds each structure once;
-no other module-level state refers to a group, so a group built directly
-is freed with all it derived.
+keeps one object per (kind, q) and `_field_for` one field per q, so a
+process builds each structure once and GL2 and SL2 over one q share the
+field and its matrix tables; no other module-level state refers to a group,
+so a group built directly is freed with all it derived.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ _KIND_DATA = {
 FOURIER_BUDGET = 6561  # largest dense LieFunction domain
 
 
+@lru_cache(maxsize=None)
 def _field_for(q):
     for p in range(2, q + 1):
         if q % p == 0:
@@ -71,7 +75,7 @@ class FiniteLieGroup:
         self.dim = dim
         self.rank = rank
         self.fq_rank = fq_rank
-        self._prime = field.f == 1
+        self.tables = _kernels.tables(field)
         self.identity = self.pack(
             [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         )
@@ -119,77 +123,32 @@ class FiniteLieGroup:
         return rows
 
     def mul(self, a, b):
-        if self._prime:
-            return _kernels.mat_mul(a, b, self.q, self.n)
-        fa, fb = self.unpack(a), self.unpack(b)
-        fld, n = self.field, self.n
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                s = 0
-                for k in range(n):
-                    s = fld.add(s, fld.mul(fa[i][k], fb[k][j]))
-                row.append(s)
-            rows.append(row)
-        return self.pack(rows)
+        return _kernels.mat_mul(a, b, self.tables)
 
     def inv(self, a):
-        if self._prime:
-            return _kernels.mat_inv(a, self.q, self.n)
-        (x, y), (z, w) = self.unpack(a)
-        fld = self.field
-        det = fld.sub(fld.mul(x, w), fld.mul(y, z))
-        if det == 0:
-            raise ZeroDivisionError("matrix not invertible")
-        di = fld.inv(det)
-        return self.pack(
-            [
-                [fld.mul(w, di), fld.mul(fld.neg(y), di)],
-                [fld.mul(fld.neg(z), di), fld.mul(x, di)],
-            ]
-        )
+        return _kernels.mat_inv(a, self.tables)
 
     def conj(self, g, x):
         return self.mul(self.mul(g, x), self.inv(g))
 
     def det_code(self, a):
-        m = self.unpack(a)
-        fld = self.field
-        return fld.sub(fld.mul(m[0][0], m[1][1]), fld.mul(m[0][1], m[1][0]))
+        return _kernels.det_code(a, self.tables)
 
     def trace_code(self, a):
-        m = self.unpack(a)
-        fld = self.field
-        t = 0
-        for i in range(self.n):
-            t = fld.add(t, m[i][i])
-        return t
+        return _kernels.trace_code(a, self.tables)
 
     def pairing_code(self, a, b):
         """Trace form <a, b> = Tr(ab) as a field code."""
-        ma, mb = self.unpack(a), self.unpack(b)
-        fld, n = self.field, self.n
-        s = 0
-        for i in range(n):
-            for k in range(n):
-                s = fld.add(s, fld.mul(ma[i][k], mb[k][i]))
-        return s
+        return _kernels.pairing_code(a, b, self.tables)
 
     # -- construction helpers
 
     def _enumerate(self):
-        q, n = self.q, self.n
-        out = []
+        det, t = _kernels.det_code, self.tables
+        codes = range(self.q ** (self.n * self.n))
         if self.kind == "GL2":
-            for a in range(q ** (n * n)):
-                if self.det_code(a) != 0:
-                    out.append(a)
-        else:
-            for a in range(q ** (n * n)):
-                if self.det_code(a) == 1:
-                    out.append(a)
-        return tuple(out)
+            return tuple(a for a in codes if det(a, t) != 0)
+        return tuple(a for a in codes if det(a, t) == 1)
 
     def _generators(self):
         fld = self.field
@@ -307,19 +266,7 @@ class FiniteLieGroup:
         orbit = orbits.get(t)
         if orbit is not None:
             return orbit
-        if self._prime:
-            orbit = _kernels.orbit_of(t, list(self.gens), self.q, self.n)
-        else:
-            seen = {t}
-            stack = [t]
-            while stack:
-                x = stack.pop()
-                for g in self.gens:
-                    y = self.conj(g, x)
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            orbit = tuple(sorted(seen))
+        orbit = _kernels.orbit_of(t, self.gens, self.tables)
         if self.order % len(orbit):
             raise AssertionError("orbit size does not divide the group order")
         for y in orbit:
@@ -329,34 +276,12 @@ class FiniteLieGroup:
     def conjugation_orbit_of(self, g):
         if g not in self._members:
             raise ValueError("not a group element")
-        if self._prime:
-            return _kernels.orbit_of(g, list(self.gens), self.q, self.n)
-        seen = {g}
-        stack = [g]
-        while stack:
-            x = stack.pop()
-            for h in self.gens:
-                y = self.conj(h, x)
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return tuple(sorted(seen))
+        return _kernels.orbit_of(g, self.gens, self.tables)
 
     def conjugacy_labels(self):
-        if self._prime:
-            return _kernels.conjugacy_partition(
-                list(self.elements), list(self.gens), self.q, self.n
-            )
-        labels = [-1] * self.order
-        index = {e: i for i, e in enumerate(self.elements)}
-        nxt = 0
-        for i, e in enumerate(self.elements):
-            if labels[i] >= 0:
-                continue
-            for y in self.conjugation_orbit_of(e):
-                labels[index[y]] = nxt
-            nxt += 1
-        return labels
+        """Class labels aligned with `elements`, counting up in order of the
+        first element of each class."""
+        return _kernels.conjugacy_partition(self.elements, self.gens, self.tables)
 
     # -- distinguished subsets
 

@@ -4,7 +4,7 @@ tests/test_cyclo.py: every coefficient a Fraction, every value reduced
 modulo Phi_n in Fractions."""
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from liechar.exact_math import cyclotomic_polynomial
 
@@ -124,10 +124,6 @@ class Cyclotomic:
         """Complex conjugation, zeta -> zeta^(-1)."""
         return Cyclotomic(self.n, {(-e) % self.n: v for e, v in self.c.items()})
 
-    def abs2(self):
-        """self * conjugate(self), exact."""
-        return self * self.conjugate()
-
     # -- predicates, canonical forms
 
     def reduced(self):
@@ -156,17 +152,6 @@ class Cyclotomic:
         if any(red[1:]):
             raise ValueError("not a rational value")
         return red[0] if red else Fraction(0)
-
-    def as_root_of_unity(self):
-        """Return (m, k) with self == zeta_m^k and gcd(k, m) = 1, or None.
-        The roots of unity inside Q(zeta_n) form a group of order lcm(2, n)."""
-        big = lcm(2, self.n)
-        for k in range(big):
-            if self == Cyclotomic.zeta(big, k):
-                g = gcd(k, big)
-                m = big // g
-                return (m, (k // g) % m)
-        return None
 
     def __repr__(self):
         red = self.reduced()

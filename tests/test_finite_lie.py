@@ -65,6 +65,14 @@ def test_builds_are_cached():
     assert build_finite_group("SL2", 3) is build_finite_group("SL2", 3)
 
 
+def test_one_field_per_q():
+    # GL2 and SL2 over one q share the field, and with it the matrix tables
+    for q in (3, 9):
+        gl, sl = build_finite_group("GL2", q), build_finite_group("SL2", q)
+        assert gl.field is sl.field
+        assert gl.tables is sl.tables
+
+
 # --- quasi-logarithm ----------------------------------------------------------
 
 

@@ -1,113 +1,132 @@
-"""Packed matrix kernels: correctness of both backends and their agreement."""
+"""Packed 2 x 2 matrix kernels over F_q, prime q and F_9 alike, checked
+against the field's digit-wise arithmetic (FiniteField._mul_raw/_add_raw),
+which shares no table with the kernels."""
 
 import random
 
 import pytest
 
-from liechar import _kernels_py
-from liechar._kernels import BACKEND, USING_COMPILED
+from liechar import _kernels
+from liechar.exact_math import FiniteField
 
-try:
-    from liechar import _kernels_c
-except ImportError:
-    _kernels_c = None
+# q -> (p, f)
+FIELDS = {3: (3, 1), 5: (5, 1), 7: (7, 1), 9: (3, 2), 11: (11, 1), 13: (13, 1)}
+QS = list(FIELDS)
 
-BACKENDS = [_kernels_py] + ([_kernels_c] if _kernels_c else [])
+
+def _setup(q):
+    fld = FiniteField(*FIELDS[q])
+    return fld, _kernels.Tables(fld)
 
 
 def _pack(m, q):
     out, w = 0, 1
     for row in m:
         for x in row:
-            out += (x % q) * w
+            out += x * w
             w *= q
     return out
 
 
-def _unpack(a, q, n):
-    d = []
-    for _ in range(n):
-        row = []
-        for _ in range(n):
-            row.append(a % q)
-            a //= q
-        d.append(row)
-    return d
+def _unpack(a, q):
+    d = [a % q, a // q % q, a // q**2 % q, a // q**3]
+    return [d[:2], d[2:]]
 
 
-def _ref_mul(a, b, q):
-    n = len(a)
+def _ref_mul(fld, a, b):
+    add, mul = fld._add_raw, fld._mul_raw
     return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) % q for j in range(n)]
-        for i in range(n)
+        [add(mul(a[i][0], b[0][j]), mul(a[i][1], b[1][j])) for j in range(2)]
+        for i in range(2)
     ]
 
 
-@pytest.mark.parametrize("kern", BACKENDS)
-@pytest.mark.parametrize("q,n", [(5, 2), (3, 3), (13, 2), (2, 3)])
-def test_mat_mul_matches_reference(kern, q, n):
-    rng = random.Random(q * 100 + n)
-    for _ in range(40):
-        a = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
-        b = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
-        got = kern.mat_mul(_pack(a, q), _pack(b, q), q, n)
-        assert _unpack(got, q, n) == _ref_mul(a, b, q)
+def _ref_det(fld, m):
+    return fld._add_raw(
+        fld._mul_raw(m[0][0], m[1][1]), fld._neg_raw(fld._mul_raw(m[0][1], m[1][0]))
+    )
 
 
-@pytest.mark.parametrize("kern", BACKENDS)
-@pytest.mark.parametrize("q,n", [(5, 2), (3, 3), (13, 2), (7, 1)])
-def test_mat_inv_roundtrip(kern, q, n):
-    rng = random.Random(q * 10 + n)
-    ident = _pack([[1 if i == j else 0 for j in range(n)] for i in range(n)], q)
+def _ref_trace(fld, m):
+    return fld._add_raw(m[0][0], m[1][1])
+
+
+def _sl2_elements(fld):
+    q = fld.q
+    return [a for a in range(q**4) if _ref_det(fld, _unpack(a, q)) == 1]
+
+
+def _sl2_gens(fld):
+    q = fld.q
+    gens = set()
+    for c in {1, fld.gen}:
+        gens.add(_pack([[1, c], [0, 1]], q))
+        gens.add(_pack([[1, 0], [c, 1]], q))
+    return sorted(gens)
+
+
+@pytest.mark.parametrize("q", QS)
+def test_mat_mul_matches_reference(q):
+    fld, t = _setup(q)
+    rng = random.Random(q)
+    for _ in range(200):
+        a = [[rng.randrange(q) for _ in range(2)] for _ in range(2)]
+        b = [[rng.randrange(q) for _ in range(2)] for _ in range(2)]
+        got = _kernels.mat_mul(_pack(a, q), _pack(b, q), t)
+        assert _unpack(got, q) == _ref_mul(fld, a, b)
+
+
+@pytest.mark.parametrize("q", QS)
+def test_mat_inv_roundtrip(q):
+    fld, t = _setup(q)
+    rng = random.Random(10 * q)
+    ident = _pack([[1, 0], [0, 1]], q)
     found = 0
-    while found < 25:
-        m = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
-        p = _pack(m, q)
-        try:
-            pi = kern.mat_inv(p, q, n)
-        except ZeroDivisionError:
+    while found < 50:
+        m = rng.randrange(q**4)
+        if _ref_det(fld, _unpack(m, q)) == 0:
+            with pytest.raises(ZeroDivisionError):
+                _kernels.mat_inv(m, t)
             continue
         found += 1
-        assert kern.mat_mul(p, pi, q, n) == ident
-        assert kern.mat_mul(pi, p, q, n) == ident
+        mi = _kernels.mat_inv(m, t)
+        assert _kernels.mat_mul(m, mi, t) == ident
+        assert _kernels.mat_mul(mi, m, t) == ident
 
 
-@pytest.mark.parametrize("kern", BACKENDS)
-def test_mat_inv_singular_raises(kern):
+@pytest.mark.parametrize("q", QS)
+def test_mat_inv_singular_raises(q):
+    _, t = _setup(q)
     with pytest.raises(ZeroDivisionError):
-        kern.mat_inv(_pack([[1, 1], [1, 1]], 5), 5, 2)
+        _kernels.mat_inv(_pack([[1, 1], [1, 1]], q), t)
 
 
-def _sl2_elements(q):
-    els = []
-    for packed in range(q**4):
-        a, r = packed % q, packed // q
-        b, r = r % q, r // q
-        c, d = r % q, r // q
-        if (a * d - b * c) % q == 1:
-            els.append(packed)
-    return els
-
-
-def _sl2_gens(q):
-    return [_pack([[1, 1], [0, 1]], q), _pack([[1, 0], [1, 1]], q)]
-
-
-@pytest.mark.parametrize("kern", BACKENDS)
-def test_sl2_f3_conjugacy_classes(kern):
-    els = _sl2_elements(3)
-    assert len(els) == 24
-    labels = kern.conjugacy_partition(els, _sl2_gens(3), 3, 2)
-    assert len(set(labels)) == 7
+@pytest.mark.parametrize("q", QS)
+def test_sl2_conjugacy_class_sizes(q):
+    # SL2(F_q), q odd: the two central classes, four unipotent classes of
+    # size (q^2 - 1)/2, (q - 3)/2 split classes of size q(q + 1) and
+    # (q - 1)/2 elliptic classes of size q(q - 1); for q = 3 that is
+    # 1, 1, 4, 4, 4, 4, 6
+    fld, t = _setup(q)
+    els = _sl2_elements(fld)
+    assert len(els) == q * (q * q - 1)
+    labels = _kernels.conjugacy_partition(els, _sl2_gens(fld), t)
     sizes = sorted(labels.count(c) for c in set(labels))
-    assert sizes == [1, 1, 4, 4, 4, 4, 6]
+    expected = (
+        [1, 1]
+        + [(q * q - 1) // 2] * 4
+        + [q * (q + 1)] * ((q - 3) // 2)
+        + [q * (q - 1)] * ((q - 1) // 2)
+    )
+    assert sizes == sorted(expected)
 
 
-@pytest.mark.parametrize("kern", BACKENDS)
-def test_partition_labels_deterministic(kern):
-    els = _sl2_elements(5)
-    labels1 = kern.conjugacy_partition(els, _sl2_gens(5), 5, 2)
-    labels2 = kern.conjugacy_partition(els, _sl2_gens(5), 5, 2)
+@pytest.mark.parametrize("q", QS)
+def test_partition_labels_deterministic(q):
+    fld, t = _setup(q)
+    els = _sl2_elements(fld)
+    labels1 = _kernels.conjugacy_partition(els, _sl2_gens(fld), t)
+    labels2 = _kernels.conjugacy_partition(els, _sl2_gens(fld), t)
     assert labels1 == labels2
     # first element of class k appears before first element of class k+1
     firsts = {}
@@ -117,47 +136,72 @@ def test_partition_labels_deterministic(kern):
     assert order == sorted(order)
 
 
-@pytest.mark.parametrize("kern", BACKENDS)
-def test_partition_rejects_unclosed_set(kern):
-    els = _sl2_elements(3)
-    with pytest.raises(ValueError):
-        kern.conjugacy_partition(els[:5], _sl2_gens(3), 3, 2)
+@pytest.mark.parametrize("q", QS)
+def test_partition_rejects_unclosed_set(q):
+    fld, t = _setup(q)
+    els = _sl2_elements(fld)
+    with pytest.raises(ValueError, match="not closed"):
+        _kernels.conjugacy_partition(els[:5], _sl2_gens(fld), t)
 
 
-@pytest.mark.parametrize("kern", BACKENDS)
-def test_orbit_of_identity_is_fixed(kern):
-    q = 5
+@pytest.mark.parametrize("q", QS)
+def test_orbit_of_identity_is_fixed(q):
+    fld, t = _setup(q)
     ident = _pack([[1, 0], [0, 1]], q)
-    assert kern.orbit_of(ident, _sl2_gens(q), q, 2) == (ident,)
+    assert _kernels.orbit_of(ident, _sl2_gens(fld), t) == (ident,)
 
 
-@pytest.mark.parametrize("kern", BACKENDS)
-def test_histogram_total_and_values(kern):
-    q = 5
+@pytest.mark.parametrize("q", QS)
+def test_histogram_total_and_values(q):
+    fld, t = _setup(q)
     fixed = _pack([[0, 1], [0, 0]], q)
-    hist = kern.pair_histogram(fixed, range(q**4), q, 2)
-    assert sum(hist) == q**4
-    # trace(fixed*y) = y[1][0]: uniform over the field
+    hist = _kernels.pair_histogram(fixed, range(q**4), t)
+    # Tr(fixed y) = y[1][0]: uniform over the field
     assert hist == [q**3] * q
+    rng = random.Random(q)
+    fixed = rng.randrange(q**4)
+    space = [rng.randrange(q**4) for _ in range(300)]
+    hist = _kernels.pair_histogram(fixed, space, t)
+    assert sum(hist) == len(space)
+    ref = [0] * q
+    for y in space:
+        ref[_ref_trace(fld, _ref_mul(fld, _unpack(fixed, q), _unpack(y, q)))] += 1
+    assert hist == ref
 
 
-@pytest.mark.skipif(_kernels_c is None, reason="compiled kernels not built")
-def test_backends_agree_on_gl2_f5():
-    q = 5
-    els = [p for p in range(q**4) if _det2(p, q)]
-    gens = [_pack([[1, 1], [0, 1]], q), _pack([[1, 0], [1, 1]], q),
-            _pack([[2, 0], [0, 1]], q)]
-    lp = _kernels_py.conjugacy_partition(els, gens, q, 2)
-    lc = _kernels_c.conjugacy_partition(els, gens, q, 2)
-    assert lp == lc
-    fixed = _pack([[1, 2], [3, 4]], q)
-    assert _kernels_py.pair_histogram(fixed, els, q, 2) == \
-        _kernels_c.pair_histogram(fixed, els, q, 2)
-    assert USING_COMPILED and BACKEND == "compiled"
+@pytest.mark.parametrize("q", [3, 9])
+def test_exhaustive_against_digit_arithmetic(q):
+    # every matrix through det_code and trace_code; every pair of matrices
+    # through mat_mul and pairing_code for F_3, and for F_9 every matrix
+    # once on each side (a bijection pairs them), with every entry of the
+    # dot and transpose tables checked on its own
+    fld, t = _setup(q)
+    n = q**4
+    mats = [_unpack(a, q) for a in range(n)]
+    for a, m in enumerate(mats):
+        assert _kernels.det_code(a, t) == _ref_det(fld, m)
+        assert _kernels.trace_code(a, t) == _ref_trace(fld, m)
+        assert _unpack(t.transpose[a], q) == [list(c) for c in zip(*m)]
+    for r in range(q * q):
+        for c in range(q * q):
+            row = [[r % q, r // q], [0, 0]]
+            col = [[c % q, 0], [c // q, 0]]
+            assert t.dot[r * q * q + c] == _ref_mul(fld, row, col)[0][0]
+    pairs = (
+        [(a, b) for a in range(n) for b in range(n)]
+        if q == 3
+        else [(a, (4093 * a + 17) % n) for a in range(n)]
+    )
+    for a, b in pairs:
+        prod = _ref_mul(fld, mats[a], mats[b])
+        assert _unpack(_kernels.mat_mul(a, b, t), q) == prod
+        assert _kernels.pairing_code(a, b, t) == _ref_trace(fld, prod)
 
 
-def _det2(packed, q):
-    a, r = packed % q, packed // q
-    b, r = r % q, r // q
-    c, d = r % q, r // q
-    return (a * d - b * c) % q
+def test_tables_refuse_large_fields():
+    # a field alone may be large; only matrix groups build the tables
+    fld = FiniteField(17)
+    assert "mat2" not in fld.derived
+    with pytest.raises(ValueError, match="q <= 16"):
+        _kernels.tables(fld)
+    assert "mat2" not in fld.derived
