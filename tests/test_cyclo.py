@@ -61,6 +61,33 @@ def test_rational_detection():
     assert half.rational_value() == Fraction(1, 2)
 
 
+def _order(x, bound):
+    """Multiplicative order of x if it is at most bound, else None."""
+    y = x
+    for m in range(1, bound + 1):
+        if y == 1:
+            return m
+        y = y * x
+    return None
+
+
+def test_as_root_of_unity():
+    # each value is zeta_m^k with gcd(k, m) = 1 at a smaller conductor m,
+    # and has order exactly m
+    assert Cyclotomic.zeta(12, 3) == Cyclotomic.zeta(4, 1)
+    assert _order(Cyclotomic.zeta(12, 3), 12) == 4
+    assert Cyclotomic.rational(1) == Cyclotomic.zeta(1, 0)
+    assert _order(Cyclotomic.rational(1), 2) == 1
+    assert Cyclotomic.rational(-1) == Cyclotomic.zeta(2, 1)
+    assert _order(Cyclotomic.rational(-1), 2) == 2
+    assert Cyclotomic.zeta(3) + 1 == Cyclotomic.zeta(6, 1)
+    assert _order(Cyclotomic.zeta(3) + 1, 6) == 6
+    # 2 is no root of unity: |2|^2 = 4 != 1
+    two = Cyclotomic.rational(2)
+    assert two * two.conjugate() == 4
+    assert _order(two, 12) is None
+
+
 small_cyclo = st.builds(
     lambda n, pairs: Cyclotomic(n, {e: Fraction(c) for e, c in pairs}),
     st.sampled_from([1, 2, 3, 4, 6, 8, 12]),

@@ -13,6 +13,13 @@ from liechar.exact_math import FiniteField
 FIELDS = {3: (3, 1), 5: (5, 1), 7: (7, 1), 9: (3, 2), 11: (11, 1), 13: (13, 1)}
 QS = list(FIELDS)
 
+# The kernel module under test. Case ids keep the form of the earlier
+# two-backend suite, "q-n-backend" with n = 2 the matrix size; the
+# pure-Python backend named there, liechar._kernels_py, is now the one
+# kernel module, liechar._kernels.
+KERNEL = pytest.mark.parametrize("kern", [_kernels], ids=["liechar._kernels_py"])
+Q_CASES = pytest.mark.parametrize("q", QS, ids=lambda q: f"{q}-2")
+
 
 def _setup(q):
     fld = FiniteField(*FIELDS[q])
@@ -65,19 +72,21 @@ def _sl2_gens(fld):
     return sorted(gens)
 
 
-@pytest.mark.parametrize("q", QS)
-def test_mat_mul_matches_reference(q):
+@KERNEL
+@Q_CASES
+def test_mat_mul_matches_reference(kern, q):
     fld, t = _setup(q)
     rng = random.Random(q)
     for _ in range(200):
         a = [[rng.randrange(q) for _ in range(2)] for _ in range(2)]
         b = [[rng.randrange(q) for _ in range(2)] for _ in range(2)]
-        got = _kernels.mat_mul(_pack(a, q), _pack(b, q), t)
+        got = kern.mat_mul(_pack(a, q), _pack(b, q), t)
         assert _unpack(got, q) == _ref_mul(fld, a, b)
 
 
-@pytest.mark.parametrize("q", QS)
-def test_mat_inv_roundtrip(q):
+@KERNEL
+@Q_CASES
+def test_mat_inv_roundtrip(kern, q):
     fld, t = _setup(q)
     rng = random.Random(10 * q)
     ident = _pack([[1, 0], [0, 1]], q)
@@ -86,19 +95,31 @@ def test_mat_inv_roundtrip(q):
         m = rng.randrange(q**4)
         if _ref_det(fld, _unpack(m, q)) == 0:
             with pytest.raises(ZeroDivisionError):
-                _kernels.mat_inv(m, t)
+                kern.mat_inv(m, t)
             continue
         found += 1
-        mi = _kernels.mat_inv(m, t)
-        assert _kernels.mat_mul(m, mi, t) == ident
-        assert _kernels.mat_mul(mi, m, t) == ident
+        mi = kern.mat_inv(m, t)
+        assert kern.mat_mul(m, mi, t) == ident
+        assert kern.mat_mul(mi, m, t) == ident
 
 
-@pytest.mark.parametrize("q", QS)
-def test_mat_inv_singular_raises(q):
-    _, t = _setup(q)
-    with pytest.raises(ZeroDivisionError):
-        _kernels.mat_inv(_pack([[1, 1], [1, 1]], q), t)
+@KERNEL
+def test_mat_inv_singular_raises(kern):
+    for q in QS:
+        _, t = _setup(q)
+        with pytest.raises(ZeroDivisionError):
+            kern.mat_inv(_pack([[1, 1], [1, 1]], q), t)
+
+
+@KERNEL
+def test_sl2_f3_conjugacy_classes(kern):
+    fld, t = _setup(3)
+    els = _sl2_elements(fld)
+    assert len(els) == 24
+    labels = kern.conjugacy_partition(els, _sl2_gens(fld), t)
+    assert len(set(labels)) == 7
+    sizes = sorted(labels.count(c) for c in set(labels))
+    assert sizes == [1, 1, 4, 4, 4, 4, 6]
 
 
 @pytest.mark.parametrize("q", QS)
@@ -121,52 +142,56 @@ def test_sl2_conjugacy_class_sizes(q):
     assert sizes == sorted(expected)
 
 
-@pytest.mark.parametrize("q", QS)
-def test_partition_labels_deterministic(q):
-    fld, t = _setup(q)
-    els = _sl2_elements(fld)
-    labels1 = _kernels.conjugacy_partition(els, _sl2_gens(fld), t)
-    labels2 = _kernels.conjugacy_partition(els, _sl2_gens(fld), t)
-    assert labels1 == labels2
-    # first element of class k appears before first element of class k+1
-    firsts = {}
-    for i, lab in enumerate(labels1):
-        firsts.setdefault(lab, i)
-    order = [firsts[k] for k in sorted(firsts)]
-    assert order == sorted(order)
+@KERNEL
+def test_partition_labels_deterministic(kern):
+    for q in QS:
+        fld, t = _setup(q)
+        els = _sl2_elements(fld)
+        labels1 = kern.conjugacy_partition(els, _sl2_gens(fld), t)
+        labels2 = kern.conjugacy_partition(els, _sl2_gens(fld), t)
+        assert labels1 == labels2
+        # first element of class k appears before first element of class k+1
+        firsts = {}
+        for i, lab in enumerate(labels1):
+            firsts.setdefault(lab, i)
+        order = [firsts[k] for k in sorted(firsts)]
+        assert order == sorted(order)
 
 
-@pytest.mark.parametrize("q", QS)
-def test_partition_rejects_unclosed_set(q):
-    fld, t = _setup(q)
-    els = _sl2_elements(fld)
-    with pytest.raises(ValueError, match="not closed"):
-        _kernels.conjugacy_partition(els[:5], _sl2_gens(fld), t)
+@KERNEL
+def test_partition_rejects_unclosed_set(kern):
+    for q in QS:
+        fld, t = _setup(q)
+        els = _sl2_elements(fld)
+        with pytest.raises(ValueError, match="not closed"):
+            kern.conjugacy_partition(els[:5], _sl2_gens(fld), t)
 
 
-@pytest.mark.parametrize("q", QS)
-def test_orbit_of_identity_is_fixed(q):
-    fld, t = _setup(q)
-    ident = _pack([[1, 0], [0, 1]], q)
-    assert _kernels.orbit_of(ident, _sl2_gens(fld), t) == (ident,)
+@KERNEL
+def test_orbit_of_identity_is_fixed(kern):
+    for q in QS:
+        fld, t = _setup(q)
+        ident = _pack([[1, 0], [0, 1]], q)
+        assert kern.orbit_of(ident, _sl2_gens(fld), t) == (ident,)
 
 
-@pytest.mark.parametrize("q", QS)
-def test_histogram_total_and_values(q):
-    fld, t = _setup(q)
-    fixed = _pack([[0, 1], [0, 0]], q)
-    hist = _kernels.pair_histogram(fixed, range(q**4), t)
-    # Tr(fixed y) = y[1][0]: uniform over the field
-    assert hist == [q**3] * q
-    rng = random.Random(q)
-    fixed = rng.randrange(q**4)
-    space = [rng.randrange(q**4) for _ in range(300)]
-    hist = _kernels.pair_histogram(fixed, space, t)
-    assert sum(hist) == len(space)
-    ref = [0] * q
-    for y in space:
-        ref[_ref_trace(fld, _ref_mul(fld, _unpack(fixed, q), _unpack(y, q)))] += 1
-    assert hist == ref
+@KERNEL
+def test_histogram_total_and_values(kern):
+    for q in QS:
+        fld, t = _setup(q)
+        fixed = _pack([[0, 1], [0, 0]], q)
+        hist = kern.pair_histogram(fixed, range(q**4), t)
+        # Tr(fixed y) = y[1][0]: uniform over the field
+        assert hist == [q**3] * q
+        rng = random.Random(q)
+        fixed = rng.randrange(q**4)
+        space = [rng.randrange(q**4) for _ in range(300)]
+        hist = kern.pair_histogram(fixed, space, t)
+        assert sum(hist) == len(space)
+        ref = [0] * q
+        for y in space:
+            ref[_ref_trace(fld, _ref_mul(fld, _unpack(fixed, q), _unpack(y, q)))] += 1
+        assert hist == ref
 
 
 @pytest.mark.parametrize("q", [3, 9])
