@@ -104,6 +104,15 @@ def pairing_code(a, b, t):
     return t.add[dot[r0 * q2 + c0] * t.q + dot[r1 * q2 + c1]]
 
 
+def sub_scalar(m, c, t):
+    """Packed m - c I, c a field code: only the diagonal digits change."""
+    q, q3 = t.q, t.q3
+    d, rest = divmod(m, q3)
+    a = rest % q
+    nc = t.neg[c]
+    return rest - a + t.add[a * q + nc] + q3 * t.add[d * q + nc]
+
+
 def mat_inv(m, t):
     """Packed inverse, det(m)^-1 times the adjugate [[d, -b], [-c, a]].
     Raises ZeroDivisionError if det m = 0."""

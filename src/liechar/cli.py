@@ -6,11 +6,8 @@ time- or host-dependent is written.  Exit codes: 0 on success, 1 when a
 verification fails or an input is rejected, 2 for usage errors.  `main` is
 the one place that catches a rejected input (a ValueError or
 ZeroDivisionError from any subcommand): it writes `{"error": ...}` as JSON,
-whatever `--format` is, and returns 1.
-
-`springer verify` fans out over a process pool when LIECHAR_WORKERS is set
-above 1; results are merged by case key, so the document does not depend on
-the worker count.
+whatever `--format` is, and returns 1. A rejected argument is named by its
+flag in the message.
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import random
 import re
 import sys
@@ -67,34 +63,46 @@ def _parse_type(s):
     return m.group(1), int(m.group(2))
 
 
-def _parse_fraction_list(s):
-    """JSON list of rationals, each a number or a string such as "1/2"."""
-    items = json.loads(s)
-    if not isinstance(items, list):
-        raise ValueError(f"expected a JSON list of rationals, got {s!r}")
+def _parse_json(s, flag):
     try:
-        return tuple(Fraction(str(x)) for x in items)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {s!r}") from None
+        return json.loads(s)
+    except json.JSONDecodeError:
+        raise ValueError(f"{flag}: not valid JSON: {s!r}") from None
+
+
+def _parse_rational(x, flag):
+    """A number, or a string such as "1/2"."""
+    try:
+        return Fraction(str(x))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag}: expected a rational such as 1/2, got {x!r}") from None
+
+
+def _parse_fraction_list(s, flag):
+    """JSON list of rationals, each a number or a string such as "1/2"."""
+    items = _parse_json(s, flag)
+    if not isinstance(items, list):
+        raise ValueError(f"{flag}: expected a JSON list of rationals, got {s!r}")
+    return tuple(_parse_rational(x, flag) for x in items)
 
 
 def _is_int_list(items):
     return isinstance(items, list) and all(type(x) is int for x in items)
 
 
-def _parse_int_list(s):
+def _parse_int_list(s, flag):
     """JSON list of integers."""
-    items = json.loads(s)
+    items = _parse_json(s, flag)
     if not _is_int_list(items):
-        raise ValueError(f"expected a JSON list of integers, got {s!r}")
+        raise ValueError(f"{flag}: expected a JSON list of integers, got {s!r}")
     return tuple(items)
 
 
-def _parse_int_matrix(s):
+def _parse_int_matrix(s, flag):
     """JSON list of integer rows; the consumer checks that they are square."""
-    rows = json.loads(s)
+    rows = _parse_json(s, flag)
     if not isinstance(rows, list) or not all(_is_int_list(r) for r in rows):
-        raise ValueError(f"expected a JSON matrix of integers, got {s!r}")
+        raise ValueError(f"{flag}: expected a JSON matrix of integers, got {s!r}")
     return rows
 
 
@@ -145,7 +153,7 @@ def _cmd_endoscopy(args):
     if args.endo_cmd == "enumerate":
         doc = [t.serialize() for t in enumerate_split_elliptic(datum)]
     elif args.endo_cmd == "from-kappa":
-        kappa = _parse_fraction_list(args.kappa)
+        kappa = _parse_fraction_list(args.kappa, "--kappa")
         doc = endoscopic_from_kappa(datum, kappa).serialize()
     else:
         doc = estimate_diagram_check(datum)
@@ -158,7 +166,7 @@ def _cmd_endoscopy(args):
 
 
 def _tn_data(args):
-    rows = _parse_int_matrix(args.frobenius)
+    rows = _parse_int_matrix(args.frobenius, "--frobenius")
     return component_group_pi0(TwistedTorus(len(rows), IntMatrix(rows)))
 
 
@@ -178,8 +186,8 @@ def _tori_doc(args):
         }
     if args.tori_cmd == "pair":
         data = _tn_data(args)
-        inv = _parse_int_list(args.inv)
-        kappa = _parse_int_list(args.kappa)
+        inv = _parse_int_list(args.inv, "--inv")
+        kappa = _parse_int_list(args.kappa, "--kappa")
         val = tn_pairing(data, inv, kappa)
         return {
             "inv": list(inv),
@@ -187,7 +195,7 @@ def _tori_doc(args):
             "value": _cyc_str(val),
             "conductor": val.n,
         }
-    degrees = _parse_int_list(args.degrees)
+    degrees = _parse_int_list(args.degrees, "--degrees")
     group, witnesses = sln_kappa_group(args.n, args.m, degrees)
     return {
         "n": args.n,
@@ -204,59 +212,35 @@ def _tori_doc(args):
 # springer verify
 
 
-def _springer_theta_case(task):
-    """One (torus, theta) cell of the sweep: every strongly regular point
-    sr of the torus, the chosen unipotent classes.  Module-level so a
-    worker pool can map it."""
-    kind, q, tag, exps, sr, all_u = task
+def _springer_cells(kind, q, all_u):
+    """One cell per (torus, nonsingular theta): every strongly regular point
+    of the torus, the chosen unipotent classes; sorted by (torus, theta)."""
     g = build_finite_group(kind, q)
-    torus = next(t for t in tori_and_regularity(g) if t.tag == tag)
-    theta = next(th for th in nonsingular_characters(torus) if th.exps == exps)
-    classes = set()
-    ok = True
-    for t in sr:
-        rep = springer_check(g, torus, theta, t, all_unipotent=all_u)
-        ok = ok and rep["pass"]
-        classes.update(c["unipotent_class"] for c in rep["cases"])
-    return {
-        "torus": tag,
-        "theta": list(exps),
-        "strongly_regular_points": len(sr),
-        "unipotent_classes": sorted(classes),
-        "pass": ok,
-    }
-
-
-def _springer_tasks(kind, q, all_u):
-    """One task per (torus, theta) cell; the strongly regular points of each
-    torus are found once and shared by its cells."""
-    g = build_finite_group(kind, q)
-    tasks = []
+    cells = []
     for torus in tori_and_regularity(g):
-        sr = tuple(t for t in torus.lie_points() if is_strongly_regular(g, t))
+        sr = [t for t in torus.lie_points() if is_strongly_regular(g, t)]
         for theta in nonsingular_characters(torus):
-            tasks.append((kind, q, torus.tag, theta.exps, sr, all_u))
-    return tasks
-
-
-def _worker_count():
-    text = os.environ.get("LIECHAR_WORKERS", "1")
-    if not re.fullmatch(r"\s*[+-]?\d+\s*", text):
-        raise ValueError(f"LIECHAR_WORKERS must be an integer, got {text!r}")
-    return max(1, int(text))
+            classes = set()
+            ok = True
+            for t in sr:
+                rep = springer_check(g, torus, theta, t, all_unipotent=all_u)
+                ok = ok and rep["pass"]
+                classes.update(c["unipotent_class"] for c in rep["cases"])
+            cells.append(
+                {
+                    "torus": torus.tag,
+                    "theta": list(theta.exps),
+                    "strongly_regular_points": len(sr),
+                    "unipotent_classes": sorted(classes),
+                    "pass": ok,
+                }
+            )
+    cells.sort(key=lambda c: (c["torus"], c["theta"]))
+    return cells
 
 
 def _cmd_springer(args):
-    tasks = _springer_tasks(args.group, args.q, args.all)
-    workers = _worker_count()
-    if workers > 1 and len(tasks) > 1:
-        from multiprocessing import Pool
-
-        with Pool(workers) as pool:
-            cells = pool.map(_springer_theta_case, tasks)
-    else:
-        cells = [_springer_theta_case(t) for t in tasks]
-    cells.sort(key=lambda c: (c["torus"], c["theta"]))
+    cells = _springer_cells(args.group, args.q, args.all)
     doc = {
         "group": args.group,
         "q": args.q,
@@ -306,7 +290,7 @@ def _cmd_chartable(args):
 
 
 def _cmd_tjd(args):
-    rows = _parse_int_matrix(args.matrix)
+    rows = _parse_int_matrix(args.matrix, "--matrix")
     m = TruncatedMatrix(len(rows), args.p, args.k, rows)
     delta, u = topological_jordan(m)
     ident = TruncatedMatrix.identity(m.n, m.p, m.k)
@@ -332,7 +316,9 @@ def _cmd_hilbert(args):
         if not re.fullmatch(r"\d+", place):
             raise ValueError(f"--place must be a prime or 'inf', got {place!r}")
         place = int(place)
-    sym = hilbert_symbol(Fraction(args.a), Fraction(args.b), place)
+    a = _parse_rational(args.a, "--a")
+    b = _parse_rational(args.b, "--b")
+    sym = hilbert_symbol(a, b, place)
     doc = {"a": args.a, "b": args.b, "place": args.place, "symbol": sym}
     _emit(doc, args)
     return 0
@@ -430,7 +416,7 @@ def _check_dixon_sl2_3():
 
 
 def _check_springer_sl2_3():
-    cells = [_springer_theta_case(t) for t in _springer_tasks("SL2", 3, True)]
+    cells = _springer_cells("SL2", 3, True)
     return bool(cells) and all(c["pass"] for c in cells)
 
 

@@ -11,11 +11,14 @@ reduction of a mixed trace to the semisimple part's centralizer.
 Every equality here is decided in exact cyclotomic arithmetic.
 
 This module keeps no state of its own. What it builds for a matrix group
-(conjugacy classes, class shapes, the quadratic extension, the Gauss sum,
-the Borel profile, orbit sums) is cached in the group's `derived` dict,
-and what it builds for a torus character (the torus-series character, the
-rationality of its unipotent values) in the torus's `derived` dict, keyed
-by the character's exponents. Each is stored only after its checks passed.
+(conjugacy classes, class shapes, the Gauss sum, the Borel profile, orbit
+sums) is cached in the group's `derived` dict, and what it builds for a
+torus character (the torus-series character, the rationality of its
+unipotent values) in the torus's `derived` dict, keyed by the character's
+exponents. The quadratic extension F_q^2, built as the elliptic-torus
+matrices on the packed 2 x 2 tables, lives on the field, in its `derived`
+dict next to the tables, so GL2 and SL2 over one q share it. Each is stored
+only after its checks passed.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from itertools import product
 from math import isqrt, lcm
 
 from . import _kernels
-from .exact_math import Cyclotomic
+from .exact_math import Cyclotomic, is_prime, prime_factors
 from .finite_lie import (
     FiniteLieGroup,
     LieFunction,
@@ -34,6 +37,7 @@ from .finite_lie import (
     finite_fourier,
     is_strongly_regular,
     quasi_logarithm,
+    tori_and_regularity,
 )
 from .padic import jordan_exponent
 
@@ -61,84 +65,63 @@ __all__ = [
 
 
 class _QuadExt:
-    """The quadratic extension F_q(sqrt(eps)), eps the canonical non-residue.
+    """The quadratic extension F_q(sqrt(eps)), eps the canonical non-residue,
+    as the elliptic-torus matrices: x + y sqrt(eps) is the packed matrix
+    [[x, eps y], [y, x]].
 
-    Elements are coded as x + q*y for x + y*sqrt(eps).  The class records
-    discrete logarithms for the full multiplicative group and for its
-    norm-one subgroup; both are cyclic, of orders q^2 - 1 and q + 1.
+    Products are `_kernels.mat_mul` and the norm x^2 - eps y^2 is the
+    determinant. The generator is the first element of full order q^2 - 1
+    in the order of the code x + q y; `log` and `norm_one_log` hold the
+    discrete logarithms in the full multiplicative group and in its norm-one
+    subgroup, cyclic of orders q^2 - 1 and q + 1, keyed by packed point, so
+    the points of the elliptic tori of GL2 and SL2 are keys.
     """
 
     def __init__(self, field):
-        self.field = field
-        self.q = field.q
-        self.eps = field.non_residue
-        self.order = self.q * self.q - 1
-        gen = None
-        for cand in range(2, self.q * self.q):
-            if self._order_of(cand) == self.order:
-                gen = cand
-                break
+        t = _kernels.tables(field)
+        q = field.q
+        eps = field.non_residue
+        one = 1 + t.q3  # the packed identity
+        self.order = order = q * q - 1
+
+        def mul(a, b):
+            return _kernels.mat_mul(a, b, t)
+
+        # dot[eps q^2 + y] is eps y; the codes x + q y from 2 on
+        points = [
+            x + t.dot[eps * t.q2 + y] * q + y * t.q2 + x * t.q3
+            for y in range(q)
+            for x in range(q)
+        ][2:]
+        gen = next((z for z in points if _order_via(mul, one, z, order) == order), None)
         if gen is None:
             raise AssertionError("no generator of the quadratic extension")
         self.gen = gen
         self.log = {}
-        acc = 1
-        for k in range(self.order):
+        acc = one
+        for k in range(order):
             self.log[acc] = k
-            acc = self.mul(acc, gen)
-        if acc != 1 or len(self.log) != self.order:
+            acc = mul(acc, gen)
+        if acc != one or len(self.log) != order:
             raise AssertionError("generator order is wrong")
-        self.norm_one_gen = self.pow(gen, self.q - 1)
+        self.norm_one_gen = _pow_element(mul, one, gen, q - 1)
         self.norm_one_log = {}
-        acc = 1
-        for k in range(self.q + 1):
+        acc = one
+        for k in range(q + 1):
             self.norm_one_log[acc] = k
-            acc = self.mul(acc, self.norm_one_gen)
-        if acc != 1:
+            acc = mul(acc, self.norm_one_gen)
+        if acc != one:
             raise AssertionError("norm-one generator order is wrong")
 
-    def split(self, a):
-        return a % self.q, a // self.q
 
-    def mul(self, a, b):
-        fld = self.field
-        x1, y1 = self.split(a)
-        x2, y2 = self.split(b)
-        x = fld.add(fld.mul(x1, x2), fld.mul(self.eps, fld.mul(y1, y2)))
-        y = fld.add(fld.mul(x1, y2), fld.mul(y1, x2))
-        return x + self.q * y
-
-    def pow(self, a, k):
-        out, base = 1, a
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
-
-    def conjugate(self, a):
-        x, y = self.split(a)
-        return x + self.q * self.field.neg(y)
-
-    def norm(self, a):
-        """x^2 - eps*y^2 as a base field code."""
-        fld = self.field
-        x, y = self.split(a)
-        return fld.sub(fld.mul(x, x), fld.mul(self.eps, fld.mul(y, y)))
-
-    def _order_of(self, a):
-        acc, k = a, 1
-        while acc != 1:
-            acc = self.mul(acc, a)
-            k += 1
-            if k > self.order:
-                raise AssertionError("element order exceeds the group order")
-        return k
-
-
-def _quad_ext(g: FiniteLieGroup) -> _QuadExt:
-    return g.cached("quad_ext", lambda g: _QuadExt(g.field))
+def _quad_ext(field) -> _QuadExt:
+    """The field's quadratic extension, built on first use and kept in
+    field.derived next to the matrix tables, so GL2 and SL2 over one q
+    share it."""
+    ext = field.derived.get("quad_ext")
+    if ext is None:
+        ext = field.derived["quad_ext"] = _QuadExt(field)
+    return ext
 
 
 # ---------------------------------------------------------------------------
@@ -347,59 +330,40 @@ def _class_shapes(g: FiniteLieGroup):
 
 
 def _build_class_shapes(g: FiniteLieGroup):
+    """Shapes read off the tori through the class index: a split point
+    diag(x, y) gives a central (x = y) or split class, a non-central
+    elliptic point z an elliptic class, and x u, x central and u a regular
+    unipotent representative, a jordan class."""
     cd = conjugacy_classes(g)
-    fld = g.field
-    ext = _quad_ext(g)
-    q = g.q
-    four = 4 % fld.p
-    inv2 = fld.inv(2 % fld.p)
-    shapes = []
-    for rep, mem in zip(cd.reps, cd.members):
-        m = g.unpack(rep)
-        tr = fld.add(m[0][0], m[1][1])
-        det = g.det_code(rep)
-        if m[0][1] == 0 and m[1][0] == 0 and m[0][0] == m[1][1]:
-            shapes.append({"family": "central", "x": m[0][0]})
+    ext = _quad_ext(g.field)
+    q, q2, q3 = g.q, g.tables.q2, g.tables.q3
+    tori = {torus.tag: torus for torus in tori_and_regularity(g)}
+    shapes = [None] * cd.count
+    for p in tori["split"].points:
+        x, y = p % q, p // q3
+        if x != y:
+            shapes[cd.index[p]] = {"family": "split", "x": min(x, y), "y": max(x, y)}
             continue
-        disc = fld.sub(fld.mul(tr, tr), fld.mul(four, det))
-        if disc == 0:
-            x = fld.mul(tr, inv2)
-            usq = None
-            if g.kind == "SL2":
-                for y in mem:
-                    my = g.unpack(y)
-                    if my[1][0] == 0 and my[0][1] != 0:
-                        # square class of the unipotent part x^{-1} * b
-                        usq = fld.is_square(fld.mul(fld.inv(x), my[0][1]))
-                        break
-                if usq is None:
-                    raise AssertionError("no triangular member found")
-            shapes.append({"family": "jordan", "x": x, "unit_square": usq})
+        shapes[cd.index[p]] = {"family": "central", "x": x}
+        for u in g.unipotent_class_reps()[1:]:
+            # for SL2 the square class of the unipotent part's corner entry
+            usq = g.field.is_square(u // q % q) if g.kind == "SL2" else None
+            shape = {"family": "jordan", "x": x, "unit_square": usq}
+            shapes[cd.index[g.mul(p, u)]] = shape
+    for z in tori["elliptic"].points:
+        if _is_central(g, z):
             continue
-        root = _field_sqrt(fld, disc)
-        if root is not None:
-            x = fld.mul(fld.add(tr, root), inv2)
-            y = fld.mul(fld.sub(tr, root), inv2)
-            shapes.append({"family": "split", "x": min(x, y), "y": max(x, y)})
-            continue
-        z = None
-        for cand in range(q, q * q):
-            lhs = ext.mul(cand, cand)
-            val_x = fld.add(fld.sub(lhs % q, fld.mul(tr, cand % q)), det)
-            val_y = fld.sub(lhs // q, fld.mul(tr, cand // q))
-            if val_x == 0 and val_y == 0:
-                z = cand
-                break
-        if z is None:
-            raise AssertionError("no eigenvalue in the quadratic extension")
-        shapes.append(
-            {
+        ci = cd.index[z]
+        # of the two eigenvalues x +- y sqrt(eps), the one of smaller code y
+        if shapes[ci] is None or z // q2 % q < shapes[ci]["z"] // q2 % q:
+            shapes[ci] = {
                 "family": "elliptic",
                 "z": z,
                 "log": ext.log[z],
                 "norm_one_log": ext.norm_one_log.get(z),
             }
-        )
+    if None in shapes:
+        raise AssertionError("a class meets no torus point and no jordan point")
     counts = {
         fam: sum(1 for s in shapes if s["family"] == fam)
         for fam in ("central", "jordan", "split", "elliptic")
@@ -421,13 +385,6 @@ def _build_class_shapes(g: FiniteLieGroup):
     if counts != want:
         raise AssertionError(f"class family counts {counts} != {want}")
     return tuple(shapes)
-
-
-def _field_sqrt(field, a):
-    for c in range(field.q):
-        if field.mul(c, c) == a:
-            return c
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +416,6 @@ def _gauss_sum(field) -> Cyclotomic:
 
 def _gl2_values_linear(g, shapes, i):
     fld = g.field
-    ext = _quad_ext(g)
     qm1 = g.q - 1
     out = []
     for sh in shapes:
@@ -471,7 +427,7 @@ def _gl2_values_linear(g, shapes, i):
                 Cyclotomic.zeta(qm1, i * (fld.log(sh["x"]) + fld.log(sh["y"])))
             )
         else:
-            out.append(Cyclotomic.zeta(qm1, i * fld.log(ext.norm(sh["z"]))))
+            out.append(Cyclotomic.zeta(qm1, i * fld.log(g.det_code(sh["z"]))))
     return out
 
 
@@ -513,15 +469,15 @@ def _gl2_values_principal(g, shapes, i, j):
 
 
 def _gl2_values_cuspidal(g, shapes, j):
-    ext = _quad_ext(g)
+    ext = _quad_ext(g.field)
     big = g.q * g.q - 1
     out = []
     for sh in shapes:
         fam = sh["family"]
-        if fam == "central":
-            out.append(Cyclotomic.zeta(big, j * ext.log[sh["x"]]) * (g.q - 1))
-        elif fam == "jordan":
-            out.append(-Cyclotomic.zeta(big, j * ext.log[sh["x"]]))
+        if fam in ("central", "jordan"):
+            # the scalar x is the packed point x (1 + q^3) = x * identity
+            v = Cyclotomic.zeta(big, j * ext.log[sh["x"] * g.identity])
+            out.append(v * (g.q - 1) if fam == "central" else -v)
         elif fam == "split":
             out.append(Cyclotomic.zero())
         else:
@@ -667,32 +623,8 @@ def classical_table_oracle(kind, q) -> CharacterTable:
 # the modular route
 
 
-def _is_prime_int(n):
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
-
-
-def _prime_factors(n):
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
-
-
 def _primitive_root_mod(l):
-    fac = _prime_factors(l - 1)
+    fac = prime_factors(l - 1)
     for g0 in range(2, l):
         if all(pow(g0, (l - 1) // r, l) != 1 for r in fac):
             return g0
@@ -708,26 +640,29 @@ def _choose_modulus(exponent, order, bound=10**6):
     """
     l = exponent + 1
     while l <= bound:
-        if l * l > 4 * order and _is_prime_int(l):
+        if l * l > 4 * order and is_prime(l):
             return l
         l += exponent
     raise ValueError(f"no usable prime below {bound} for exponent {exponent}")
 
 
-def _order_via(mul, identity, x):
+def _order_via(mul, identity, x, limit):
+    """Order of x under mul, stepping its powers; raises past limit."""
     acc, k = x, 1
     while acc != identity:
         acc = mul(acc, x)
         k += 1
+        if k > limit:
+            raise AssertionError("element order exceeds the group order")
     return k
 
 
-def _pow_element(group, x, k):
-    out, base = group.identity, x
+def _pow_element(mul, identity, x, k):
+    out, base = identity, x
     while k:
         if k & 1:
-            out = group.mul(out, base)
-        base = group.mul(base, base)
+            out = mul(out, base)
+        base = mul(base, base)
         k >>= 1
     return out
 
@@ -876,7 +811,7 @@ def character_table_dixon(group) -> CharacterTable:
     mul, inv = group.mul, group.inv
     k = cd.count
     idx = cd.index
-    rep_orders = [_order_via(mul, group.identity, r) for r in cd.reps]
+    rep_orders = [_order_via(mul, group.identity, r, n) for r in cd.reps]
     exponent = lcm(*rep_orders)
     l = _choose_modulus(exponent, n)
     root = pow(_primitive_root_mod(l), (l - 1) // exponent, l)
@@ -1057,19 +992,17 @@ class TorusCharacter:
         g = self.torus.parent
         if point not in self.torus.point_set:
             raise ValueError("not a point of this torus")
-        fld = g.field
-        m = g.unpack(point)
         if self.torus.tag == "split":
+            # diag(a, d) is packed a + d q^3
+            d, a = divmod(point, g.tables.q3)
+            e = self.exps[0] * g.field.log(a)
             if g.kind == "GL2":
-                e = self.exps[0] * fld.log(m[0][0]) + self.exps[1] * fld.log(m[1][1])
-            else:
-                e = self.exps[0] * fld.log(m[0][0])
+                e += self.exps[1] * g.field.log(d)
             return Cyclotomic.zeta(g.q - 1, e)
-        ext = _quad_ext(g)
-        code = m[0][0] + g.q * m[1][0]
+        ext = _quad_ext(g.field)
         if g.kind == "GL2":
-            return Cyclotomic.zeta(ext.order, self.exps[0] * ext.log[code])
-        return Cyclotomic.zeta(g.q + 1, self.exps[0] * ext.norm_one_log[code])
+            return Cyclotomic.zeta(ext.order, self.exps[0] * ext.log[point])
+        return Cyclotomic.zeta(g.q + 1, self.exps[0] * ext.norm_one_log[point])
 
     def w_twist(self) -> "TorusCharacter":
         """The character composed with the nontrivial Weyl involution."""
@@ -1213,8 +1146,7 @@ def _dl_parts(torus: TorusInG, theta: TorusCharacter):
         if g.kind == "GL2":
             # theta factors through the norm: the virtual character is the
             # difference of a linear character and its Steinberg twist
-            ext = _quad_ext(g)
-            c = g.field.log(ext.norm(ext.gen))
+            c = g.field.log(g.det_code(_quad_ext(g.field).gen))
             i = theta.exps[0] // (q + 1) * pow(c, -1, q - 1) % (q - 1)
             virtual = ClassFunction(
                 cd, _gl2_values_linear(g, shapes, i)
@@ -1374,22 +1306,22 @@ def _jordan_parts(g: FiniteLieGroup, gamma):
     generated by gamma (`padic.jordan_exponent`)."""
     if gamma not in g._members:
         raise ValueError("not a group element")
-    n_ord = _order_via(g.mul, g.identity, gamma)
+    n_ord = _order_via(g.mul, g.identity, gamma, g.order)
     r, e = jordan_exponent(n_ord, g.field.p)
     if r == n_ord:
         return gamma, g.identity
     if r == 1:
         return g.identity, gamma
-    delta = _pow_element(g, gamma, e)
-    u = _pow_element(g, gamma, (1 - e) % n_ord)
+    delta = _pow_element(g.mul, g.identity, gamma, e)
+    u = _pow_element(g.mul, g.identity, gamma, (1 - e) % n_ord)
     if g.mul(delta, u) != gamma:
         raise AssertionError("the two parts do not recompose")
     return delta, u
 
 
 def _is_central(g: FiniteLieGroup, code):
-    m = g.unpack(code)
-    return m[0][1] == 0 and m[1][0] == 0 and m[0][0] == m[1][1]
+    """Whether the packed matrix is a scalar x, packed x (1 + q^3)."""
+    return code == code % g.q * g.identity
 
 
 def _conjugate_into(g: FiniteLieGroup, torus: TorusInG, delta):

@@ -1,5 +1,5 @@
 """Exact arithmetic substrate: integer matrices and Smith form, finitely
-generated abelian groups, cyclotomic numbers, small finite fields."""
+generated abelian groups, cyclotomic numbers, small finite fields, primes."""
 
 from .intmat import (
     IntMatrix,
@@ -17,7 +17,8 @@ from .cyclo import (
     cyclotomic_polynomial,
     smallest_conductor,
 )
-from .ffield import FiniteField, finite_field_build
+from .ffield import FiniteField
+from .primes import is_prime, prime_factors
 
 __all__ = [
     "IntMatrix",
@@ -33,5 +34,6 @@ __all__ = [
     "cyclotomic_polynomial",
     "smallest_conductor",
     "FiniteField",
-    "finite_field_build",
+    "is_prime",
+    "prime_factors",
 ]

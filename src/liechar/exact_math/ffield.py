@@ -12,39 +12,15 @@ table; both tables are built once from the digit-wise arithmetic.
 from __future__ import annotations
 
 from .cyclo import Cyclotomic
+from .primes import is_prime, prime_factors
 
 MAX_Q = 2**14
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 class FiniteField:
     def __init__(self, p, f=1):
         p, f = int(p), int(f)
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if not 1 <= f <= 3:
             raise ValueError("extension degree must be 1, 2 or 3")
@@ -101,7 +77,7 @@ class FiniteField:
     def _build_tables(self):
         q = self.q
         # smallest element of multiplicative order q-1
-        factors = _prime_factors(q - 1) if q > 2 else []
+        factors = prime_factors(q - 1)
         gen = None
         for cand in range(2, q):
             if all(self._pow_raw(cand, (q - 1) // ell) != 1 for ell in factors):
@@ -238,6 +214,3 @@ class FiniteField:
     def __hash__(self):
         return hash((self.p, self.f))
 
-
-def finite_field_build(p, f=1) -> FiniteField:
-    return FiniteField(p, f)

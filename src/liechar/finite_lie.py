@@ -5,9 +5,9 @@ dense finite Fourier transform.
 
 Matrices are packed row-major into ints, digit (i, j) = field code of the
 entry, base q. All matrix arithmetic (products, inverses, determinants,
-traces, the trace pairing, conjugation orbits and classes) goes through
-`_kernels`, whose lookup tables are built once per field; the same code
-serves prime q and F_9.
+traces, the trace pairing, the scalar shift of the quasi-logarithm,
+conjugation orbits and classes) goes through `_kernels`, whose lookup tables
+are built once per field; the same code serves prime q and F_9.
 
 Every structure derived from a group is cached on the group, in its
 `derived` dict: the adjoint orbits (each stored under every one of its
@@ -17,8 +17,10 @@ passed; a failed check raises again on every call. Structures of one torus
 (its torus-series characters) live on the `TorusInG`. `build_finite_group`
 keeps one object per (kind, q) and `_field_for` one field per q, so a
 process builds each structure once and GL2 and SL2 over one q share the
-field and its matrix tables; no other module-level state refers to a group,
-so a group built directly is freed with all it derived.
+field and what is kept on it, in `field.derived`: the matrix tables and the
+quadratic extension F_q^2 that `dl_spectra` builds as elliptic-torus
+matrices. No other module-level state refers to a group, so a group built
+directly is freed with all it derived.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import _kernels
-from .exact_math import Cyclotomic, FiniteField
+from .exact_math import Cyclotomic, FiniteField, prime_factors
 
 _KIND_DATA = {
     # kind: (n, lie_dim, absolute rank, f_q-rank, |Z(G^sc)|, q budget)
@@ -39,17 +41,13 @@ FOURIER_BUDGET = 6561  # largest dense LieFunction domain
 
 @lru_cache(maxsize=None)
 def _field_for(q):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            f = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                f += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return FiniteField(p, f)
-    raise ValueError(f"{q} is not a prime power")
+    primes = prime_factors(q)
+    if len(primes) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    p, f = primes[0], 1
+    while p**f < q:
+        f += 1
+    return FiniteField(p, f)
 
 
 class FiniteLieGroup:
@@ -333,24 +331,15 @@ def build_finite_group(kind, q) -> FiniteLieGroup:
 
 def quasi_logarithm(g_group: FiniteLieGroup, g):
     """The equivariant group-to-algebra map: g - 1 for GL2, the traceless
-    projection (g - 1) - (Tr(g - 1)/2) Id for SL2."""
+    projection (g - 1) - (Tr(g - 1)/2) Id = g - (Tr(g)/2) Id for SL2."""
     if g not in g_group._members:
         raise ValueError("not a group element")
-    fld = g_group.field
-    m = g_group.unpack(g)
-    n = g_group.n
-    y = [
-        [fld.sub(m[i][j], 1 if i == j else 0) for j in range(n)] for i in range(n)
-    ]
+    t = g_group.tables
     if g_group.kind == "GL2":
-        return g_group.pack(y)
-    tr = 0
-    for i in range(n):
-        tr = fld.add(tr, y[i][i])
-    c = fld.mul(tr, fld.inv(n % fld.p))
-    for i in range(n):
-        y[i][i] = fld.sub(y[i][i], c)
-    return g_group.pack(y)
+        return _kernels.sub_scalar(g, 1, t)
+    half = t.inv[t.add[t.q + 1]]  # 1/(1 + 1)
+    # dot[x q^2 + y] is the product x y
+    return _kernels.sub_scalar(g, t.dot[half * t.q2 + _kernels.trace_code(g, t)], t)
 
 
 def adjoint_orbit(g_group: FiniteLieGroup, t):

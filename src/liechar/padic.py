@@ -13,6 +13,8 @@ from fractions import Fraction
 from itertools import permutations
 from operator import mul as _mul
 
+from .exact_math import is_prime, prime_factors
+
 __all__ = [
     "TruncatedMatrix",
     "DiagQuadForm",
@@ -23,17 +25,6 @@ __all__ = [
     "hasse_invariant",
     "relevant_places",
 ]
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
 
 
 class TruncatedMatrix:
@@ -47,7 +38,7 @@ class TruncatedMatrix:
     __slots__ = ("n", "p", "k", "mod", "rows")
 
     def __init__(self, n, p, k, rows):
-        if type(p) is not int or not _is_prime(p):
+        if type(p) is not int or not is_prime(p):
             raise ValueError("p must be prime")
         if type(k) is not int or k < 1:
             raise ValueError("precision must be a positive integer")
@@ -376,7 +367,7 @@ def quasi_log_bijection_check(kind, p, k):
     """
     if kind not in _QL_DIMS:
         raise ValueError(f"unsupported kind {kind!r}")
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError("p must be prime")
     if p == 2:
         raise ValueError("p = 2 is excluded")
@@ -466,7 +457,7 @@ def hilbert_symbol(a, b, v):
     if v == "inf":
         return -1 if a < 0 and b < 0 else 1
     v = int(v)
-    if not _is_prime(v):
+    if not is_prime(v):
         raise ValueError("place must be a prime or 'inf'")
     if v == 2:
         alpha, u = _split_valuation(a, 2)
@@ -524,16 +515,5 @@ def relevant_places(*values):
     places = {"inf", 2}
     for x in values:
         x = Fraction(x)
-        for n in (abs(x.numerator), x.denominator):
-            while n % 2 == 0 and n:
-                n //= 2
-            d = 3
-            while d * d <= n:
-                if n % d == 0:
-                    places.add(d)
-                    while n % d == 0:
-                        n //= d
-                d += 2
-            if n > 2:
-                places.add(n)
+        places.update(prime_factors(abs(x.numerator)), prime_factors(x.denominator))
     return places

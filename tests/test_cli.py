@@ -3,7 +3,6 @@
 import csv
 import io
 import json
-import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -23,15 +22,11 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_proc(argv, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_proc(argv):
     return subprocess.run(
         [sys.executable, "-m", "liechar.cli", *argv],
         capture_output=True,
         text=True,
-        env=env,
         timeout=600,
     )
 
@@ -119,6 +114,14 @@ def test_springer_verify_sl2_5_all():
     assert tags.count("split") == 2 and tags.count("elliptic") == 4
     assert all(len(c["unipotent_classes"]) == 3 for c in doc["cells"])
     assert all(c["strongly_regular_points"] == 4 for c in doc["cells"])
+
+
+def test_springer_verify_gl2_3_all():
+    code, out, _ = run_cli(["springer", "verify", "--group", "GL2", "--q", "3", "--all"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["pass"] is True
+    assert len(doc["cells"]) == 8
 
 
 def test_chartable_csv_gl2_3():
@@ -260,14 +263,6 @@ def test_rejected_input_prints_json_error_whatever_the_format(argv, check):
     assert err == ""
 
 
-def test_bad_worker_count_is_rejected(monkeypatch):
-    monkeypatch.setenv("LIECHAR_WORKERS", "abc")
-    code, out, err = run_cli(["springer", "verify", "--group", "SL2", "--q", "3"])
-    assert code == 1
-    assert "LIECHAR_WORKERS" in json.loads(out)["error"]
-    assert err == ""
-
-
 def test_tori_pair_bad_coordinates_exits_1():
     code, out, err = run_cli(
         ["tori", "pair", "--frobenius", "[[0,1],[1,0]]", "--inv", "[0]", "--kappa", "[0]"]
@@ -296,8 +291,26 @@ def test_malformed_json_argument_exits_1(argv):
     assert err == ""
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["tjd", "--p", "5", "--k", "2", "--matrix", "nope"], "--matrix"),
+        (["hilbert", "--a", "x", "--b", "3", "--place", "5"], "--a"),
+        (["hilbert", "--a", "1/0", "--b", "3", "--place", "5"], "--a"),
+        (["hilbert", "--a", "2", "--b", "3/", "--place", "5"], "--b"),
+        (["endoscopy", "from-kappa", "--type", "C2", "--kappa", "[null, 0]"], "--kappa"),
+    ],
+    ids=["matrix-not-json", "a-not-rational", "a-zero-denominator", "b-not-rational", "kappa-null"],
+)
+def test_rejected_argument_is_named(argv, flag):
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert json.loads(out)["error"].startswith(flag + ":")
+    assert err == ""
+
+
 # ---------------------------------------------------------------------------
-# determinism, --out, worker fan-out
+# determinism, --out
 
 
 def test_out_writes_file_and_keeps_stdout_quiet(tmp_path):
@@ -324,15 +337,3 @@ def test_selftest_deterministic_and_green():
     doc = json.loads(r1.stdout)
     assert doc["pass"] is True
     assert len(doc["checks"]) >= 10
-
-
-def test_springer_worker_pool_matches_sequential():
-    argv = ["springer", "verify", "--group", "GL2", "--q", "3", "--all"]
-    seq = run_proc(argv, env_extra={"LIECHAR_WORKERS": "1"})
-    par = run_proc(argv, env_extra={"LIECHAR_WORKERS": "3"})
-    assert seq.returncode == 0, seq.stderr
-    assert par.returncode == 0, par.stderr
-    assert seq.stdout == par.stdout
-    doc = json.loads(seq.stdout)
-    assert doc["pass"] is True
-    assert len(doc["cells"]) == 8

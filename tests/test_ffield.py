@@ -1,20 +1,20 @@
 import pytest
 
-from liechar.exact_math import Cyclotomic, finite_field_build
+from liechar.exact_math import Cyclotomic, FiniteField
 
 
 def test_f3_generator():
-    k = finite_field_build(3)
+    k = FiniteField(3)
     assert k.q == 3 and k.gen == 2
 
 
 def test_f5_generator():
-    k = finite_field_build(5)
+    k = FiniteField(5)
     assert k.gen == 2  # ord(2) = 4 mod 5
 
 
 def test_f9_structure():
-    k = finite_field_build(3, 2)
+    k = FiniteField(3, 2)
     assert k.q == 9
     assert len(k.exp_table) == 8
     assert len({k.mul(k.gen, x) for x in range(1, 9)}) == 8
@@ -24,7 +24,7 @@ def test_f9_structure():
 
 
 def test_field_axioms_f27():
-    k = finite_field_build(3, 3)
+    k = FiniteField(3, 3)
     xs = list(range(k.q))
     for a in xs[:9]:
         for b in xs[:9]:
@@ -37,18 +37,18 @@ def test_field_axioms_f27():
 
 def test_bad_inputs():
     with pytest.raises(ValueError):
-        finite_field_build(4)
+        FiniteField(4)
     with pytest.raises(ValueError):
-        finite_field_build(6)
+        FiniteField(6)
     with pytest.raises(ValueError):
-        finite_field_build(2, 4)
+        FiniteField(2, 4)
     with pytest.raises(ValueError):
-        finite_field_build(127, 3)  # 127^3 > 2^14
+        FiniteField(127, 3)  # 127^3 > 2^14
 
 
 def test_additive_character_sums_to_zero():
     for (p, f) in [(3, 1), (5, 1), (7, 1), (3, 2)]:
-        k = finite_field_build(p, f)
+        k = FiniteField(p, f)
         s = Cyclotomic.zero()
         for x in range(k.q):
             s = s + k.psi(x)
@@ -60,7 +60,7 @@ def test_additive_character_sums_to_zero():
 
 
 def test_multiplicative_character_sums():
-    k = finite_field_build(7)
+    k = FiniteField(7)
     for j in range(1, 6):
         s = Cyclotomic.zero()
         for x in range(1, 7):
@@ -74,7 +74,7 @@ def test_multiplicative_character_sums():
 
 
 def test_trace_additive_and_surjective():
-    k = finite_field_build(3, 2)
+    k = FiniteField(3, 2)
     traces = set()
     for a in range(9):
         for b in range(9):
@@ -84,11 +84,11 @@ def test_trace_additive_and_surjective():
 
 
 def test_non_residue():
-    assert finite_field_build(3).non_residue == 2
-    assert finite_field_build(5).non_residue == 2
-    assert finite_field_build(7).non_residue == 3
-    assert finite_field_build(11).non_residue == 2
-    assert finite_field_build(13).non_residue == 2
+    assert FiniteField(3).non_residue == 2
+    assert FiniteField(5).non_residue == 2
+    assert FiniteField(7).non_residue == 3
+    assert FiniteField(11).non_residue == 2
+    assert FiniteField(13).non_residue == 2
 
 
 def _digitwise(k, a, b, sign):
@@ -102,7 +102,7 @@ def _digitwise(k, a, b, sign):
 
 @pytest.mark.parametrize("p,f", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2)])
 def test_zech_addition_matches_digits(p, f):
-    k = finite_field_build(p, f)
+    k = FiniteField(p, f)
     for a in range(k.q):
         assert k.neg(a) == _digitwise(k, 0, a, -1)
         for b in range(k.q):
