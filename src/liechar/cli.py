@@ -35,7 +35,7 @@ from .endoscopy import (
     enumerate_split_elliptic,
     estimate_diagram_check,
 )
-from .exact_math import IntMatrix, smallest_conductor
+from .exact_math import IntMatrix, element_order, smallest_conductor
 from .finite_lie import (
     build_finite_group,
     is_strongly_regular,
@@ -293,12 +293,9 @@ def _cmd_tjd(args):
     rows = _parse_int_matrix(args.matrix, "--matrix")
     m = TruncatedMatrix(len(rows), args.p, args.k, rows)
     delta, u = topological_jordan(m)
+    # delta's order divides the order of the reduction, at most p^n - 1
     ident = TruncatedMatrix.identity(m.n, m.p, m.k)
-    r = 1
-    acc = delta
-    while acc != ident:
-        acc = acc.mul(delta)
-        r += 1
+    r = element_order(TruncatedMatrix.mul, ident, delta, m.p**m.n - 1)
     doc = {
         "p": args.p,
         "k": args.k,

@@ -13,9 +13,11 @@ Every equality here is decided in exact cyclotomic arithmetic.
 This module keeps no state of its own. What it builds for a matrix group
 (conjugacy classes, class shapes, the Gauss sum, the Borel profile, orbit
 sums) is cached in the group's `derived` dict, and what it builds for a
-torus character (the torus-series character, the rationality of its
-unipotent values) in the torus's `derived` dict, keyed by the character's
-exponents. The quadratic extension F_q^2, built as the elliptic-torus
+torus character (the torus-series character) in the torus's `derived`
+dict, keyed by the character's exponents. There is no cache of which
+values are rational: each cyclotomic value memoises its own reduction,
+and its `==` settles values of coprime conductors without a common
+field. The quadratic extension F_q^2, built as the elliptic-torus
 matrices on the packed 2 x 2 tables, lives on the field, in its `derived`
 dict next to the tables, so GL2 and SL2 over one q share it. Each is stored
 only after its checks passed.
@@ -28,7 +30,7 @@ from itertools import product
 from math import isqrt, lcm
 
 from . import _kernels
-from .exact_math import Cyclotomic, is_prime, prime_factors
+from .exact_math import Cyclotomic, element_order, is_prime, power, prime_factors, rref_mod
 from .finite_lie import (
     FiniteLieGroup,
     LieFunction,
@@ -93,7 +95,7 @@ class _QuadExt:
             for y in range(q)
             for x in range(q)
         ][2:]
-        gen = next((z for z in points if _order_via(mul, one, z, order) == order), None)
+        gen = next((z for z in points if element_order(mul, one, z, order) == order), None)
         if gen is None:
             raise AssertionError("no generator of the quadratic extension")
         self.gen = gen
@@ -104,7 +106,7 @@ class _QuadExt:
             acc = mul(acc, gen)
         if acc != one or len(self.log) != order:
             raise AssertionError("generator order is wrong")
-        self.norm_one_gen = _pow_element(mul, one, gen, q - 1)
+        self.norm_one_gen = power(mul, one, gen, q - 1)
         self.norm_one_log = {}
         acc = one
         for k in range(q + 1):
@@ -240,9 +242,6 @@ class ClassFunction:
 
     def __neg__(self):
         return ClassFunction(self.classes, [-a for a in self.values])
-
-    def scaled(self, c):
-        return ClassFunction(self.classes, [a * c for a in self.values])
 
     def __eq__(self, other):
         if not isinstance(other, ClassFunction):
@@ -646,27 +645,6 @@ def _choose_modulus(exponent, order, bound=10**6):
     raise ValueError(f"no usable prime below {bound} for exponent {exponent}")
 
 
-def _order_via(mul, identity, x, limit):
-    """Order of x under mul, stepping its powers; raises past limit."""
-    acc, k = x, 1
-    while acc != identity:
-        acc = mul(acc, x)
-        k += 1
-        if k > limit:
-            raise AssertionError("element order exceeds the group order")
-    return k
-
-
-def _pow_element(mul, identity, x, k):
-    out, base = identity, x
-    while k:
-        if k & 1:
-            out = mul(out, base)
-        base = mul(base, base)
-        k >>= 1
-    return out
-
-
 def _matvec_mod(mat, v, l):
     return [sum(x * y for x, y in zip(row, v)) % l for row in mat]
 
@@ -729,27 +707,8 @@ def _charpoly_mod(mat, l):
 
 
 def _nullspace_mod(mat, l):
-    n, m = len(mat), len(mat[0])
-    a = [row[:] for row in mat]
-    pivots = []
-    row = 0
-    for c in range(m):
-        pr = None
-        for r in range(row, n):
-            if a[r][c] % l:
-                pr = r
-                break
-        if pr is None:
-            continue
-        a[row], a[pr] = a[pr], a[row]
-        inv = pow(a[row][c], -1, l)
-        a[row] = [x * inv % l for x in a[row]]
-        for r in range(n):
-            if r != row and a[r][c] % l:
-                f = a[r][c]
-                a[r] = [(x - f * y) % l for x, y in zip(a[r], a[row])]
-        pivots.append(c)
-        row += 1
+    m = len(mat[0])
+    a, pivots = rref_mod(mat, l, m)
     piv_set = set(pivots)
     basis = []
     for c in range(m):
@@ -766,29 +725,10 @@ def _nullspace_mod(mat, l):
 def _coords_in_basis(basis, vecs, l):
     """Coordinates of each vec in the span of an independent basis."""
     d = len(basis)
-    k = len(basis[0])
-    a = [
-        [basis[j][r] % l for j in range(d)] + [v[r] % l for v in vecs]
-        for r in range(k)
-    ]
-    row = 0
-    for c in range(d):
-        pr = None
-        for r in range(row, k):
-            if a[r][c]:
-                pr = r
-                break
-        if pr is None:
-            raise AssertionError("basis is dependent")
-        a[row], a[pr] = a[pr], a[row]
-        inv = pow(a[row][c], -1, l)
-        a[row] = [x * inv % l for x in a[row]]
-        for r in range(k):
-            if r != row and a[r][c]:
-                f = a[r][c]
-                a[r] = [(x - f * y) % l for x, y in zip(a[r], a[row])]
-        row += 1
-    for r in range(row, k):
+    a, pivots = rref_mod([list(col) for col in zip(*basis, *vecs)], l, d)
+    if len(pivots) < d:
+        raise AssertionError("basis is dependent")
+    for r in range(d, len(a)):
         if any(a[r][d:]):
             raise AssertionError("vector outside the span")
     return [[a[i][d + j] for i in range(d)] for j in range(len(vecs))]
@@ -811,7 +751,7 @@ def character_table_dixon(group) -> CharacterTable:
     mul, inv = group.mul, group.inv
     k = cd.count
     idx = cd.index
-    rep_orders = [_order_via(mul, group.identity, r, n) for r in cd.reps]
+    rep_orders = [element_order(mul, group.identity, r, n) for r in cd.reps]
     exponent = lcm(*rep_orders)
     l = _choose_modulus(exponent, n)
     root = pow(_primitive_root_mod(l), (l - 1) // exponent, l)
@@ -1187,24 +1127,6 @@ def dl_expected_inner(theta1: TorusCharacter, theta2: TorusCharacter) -> int:
 # the adjoint-orbit Fourier identity
 
 
-def _rational_or_none(val: Cyclotomic):
-    red = val.reduced()
-    if any(red[1:]):
-        return None
-    return red[0] if red else Fraction(0)
-
-
-def _fast_equal(a, a_rat, b, b_rat):
-    """Exact equality that avoids lifting into the compositum when both
-    sides are already known rational (the overwhelmingly common case: the
-    two conductors are coprime here, so any equal pair is rational)."""
-    if a_rat is not None and b_rat is not None:
-        return a_rat == b_rat
-    if (a_rat is None) != (b_rat is None):
-        return False
-    return a == b
-
-
 def _orbit_fourier_sum(g: FiniteLieGroup, x, orbit) -> Cyclotomic:
     """Sum over the orbit of the conjugate additive character applied to
     the trace pairing with x."""
@@ -1233,8 +1155,9 @@ def springer_check(
     checked; all_unipotent sweeps every unipotent class including the
     identity.  Returns a report dict; "pass" is the conjunction of the
     per-class exact equalities.  The scaled orbit sums are cached on the
-    group, keyed by (t, x); whether each character value is rational, on
-    the torus, keyed by (theta's exponents, u).
+    group, keyed by (t, x). There is no rationality cache: the two sides
+    have coprime conductors, which `Cyclotomic.__eq__` settles from each
+    value's memoised reduction.
     """
     if torus.parent is not g:
         raise ValueError("torus belongs to a different group")
@@ -1252,20 +1175,15 @@ def springer_check(
         reps = (g.pack([[1, 1], [0, 1]]),)
     cd = conjugacy_classes(g)
     orbit_sums = g.derived.setdefault("orbit_sums", {})
-    lhs_rational = torus.derived.setdefault("lhs_rational", {})
     cases = []
     ok = True
     for u in reps:
         x = quasi_logarithm(g, u)
-        if (t, x) not in orbit_sums:
-            val = _orbit_fourier_sum(g, x, orbit) * Fraction(1, g.q)
-            orbit_sums[t, x] = (val, _rational_or_none(val))
-        rhs, rhs_rat = orbit_sums[t, x]
+        rhs = orbit_sums.get((t, x))
+        if rhs is None:
+            rhs = orbit_sums[t, x] = _orbit_fourier_sum(g, x, orbit) * Fraction(1, g.q)
         lhs = rho.value_at(u)
-        lkey = (theta.exps, u)
-        if lkey not in lhs_rational:
-            lhs_rational[lkey] = _rational_or_none(lhs)
-        eq = _fast_equal(lhs, lhs_rational[lkey], rhs, rhs_rat)
+        eq = lhs == rhs
         ok = ok and eq
         cases.append(
             {
@@ -1306,14 +1224,14 @@ def _jordan_parts(g: FiniteLieGroup, gamma):
     generated by gamma (`padic.jordan_exponent`)."""
     if gamma not in g._members:
         raise ValueError("not a group element")
-    n_ord = _order_via(g.mul, g.identity, gamma, g.order)
+    n_ord = element_order(g.mul, g.identity, gamma, g.order)
     r, e = jordan_exponent(n_ord, g.field.p)
     if r == n_ord:
         return gamma, g.identity
     if r == 1:
         return g.identity, gamma
-    delta = _pow_element(g.mul, g.identity, gamma, e)
-    u = _pow_element(g.mul, g.identity, gamma, (1 - e) % n_ord)
+    delta = power(g.mul, g.identity, gamma, e)
+    u = power(g.mul, g.identity, gamma, (1 - e) % n_ord)
     if g.mul(delta, u) != gamma:
         raise AssertionError("the two parts do not recompose")
     return delta, u

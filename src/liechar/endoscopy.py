@@ -8,9 +8,10 @@ a vertex yields the dual endoscopic root system (Borel-de Siebenthal).
 All alcove geometry is exact. A rational point is scaled by the lcm N of its
 denominators, so root pairings, wall tests and affine reflections are integer
 operations (the affine wall <theta, x> = 1 becomes <theta, N x> = N).
-Folding first translates by the coroot lattice, which bounds its number of
-reflection steps independently of the size of the point; the step budget
-stays as a safety check.
+Folding first translates by the coroot lattice, reading the coordinates over
+the simple coroots off the datum's cached C^-1 (integer rows over one
+denominator), which bounds its number of reflection steps independently of
+the size of the point; the step budget stays as a safety check.
 
 The elliptic triple of each center orbit is built once per datum and shared
 by every caller (`enumerate_split_elliptic`, `endoscopic_from_kappa`), so
@@ -21,21 +22,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 
 from .exact_math import FinAbGroup, IntMatrix, abelian_subgroup_type, cokernel_group
 from .root_datum import (
     RootDatum,
+    _dot,
     dual_datum,
     extended_dynkin,
+    reflection_closure,
     sub_datum_from_pairs,
 )
 
 FOLD_BUDGET = 10**4
-
-
-def _dot(x, y):
-    return sum(map(mul, x, y))
 
 
 def _require_simple(g: RootDatum):
@@ -47,21 +45,6 @@ def _require_simple(g: RootDatum):
 
 # ---------------------------------------------------------------------------
 # alcove folding
-
-
-def _coroot_reduction(d: RootDatum):
-    """(den, rows) with rows[i] . (<alpha_j, x>)_j = den * c_i, where c holds
-    the coordinates of x over the simple coroots. Since <alpha_j, x> =
-    sum_i c_i C[i][j], c is the transpose of C^-1 applied to the pairings;
-    the rows of C^-1 give other numbers unless C is symmetric (not for B, C,
-    F4, G2). Built once per datum."""
-    red = d.derived.get("coroot_reduction")
-    if red is None:
-        inv = d._cartan_inverse()
-        den = lcm(1, *(x.denominator for row in inv for x in row))
-        rows = tuple(tuple(int(x * den) for x in col) for col in zip(*inv))
-        red = d.derived["coroot_reduction"] = (den, rows)
-    return red
 
 
 def fold_to_alcove(d: RootDatum, ext, x, budget=FOLD_BUDGET):
@@ -77,11 +60,13 @@ def fold_to_alcove(d: RootDatum, ext, x, budget=FOLD_BUDGET):
     y = [v.numerator * (n // v.denominator) for v in x]
     simple = list(zip(ext.node_vectors[1:], ext.node_coroots[1:]))
     # translate by the coroot lattice (part of the affine Weyl group): subtract
-    # floor(c_i) alpha_i^vee, so every coordinate c_i lies in [0, 1)
-    den, rows = _coroot_reduction(d)
+    # floor(c_i) alpha_i^vee, so every coordinate c_i lies in [0, 1). Since
+    # <alpha_j, x> = sum_i c_i C[i][j], c_i is column i of C^-1 applied to
+    # the pairings (rows would give other numbers unless C is symmetric)
+    den, inv = d._cartan_inverse()
     pairings = [_dot(a, y) for a, _ in simple]
-    for row, (_, av) in zip(rows, simple):
-        k = _dot(row, pairings) // (den * n)
+    for col, (_, av) in zip(zip(*inv), simple):
+        k = _dot(col, pairings) // (den * n)
         if k:
             y = [yi - k * n * ci for yi, ci in zip(y, av)]
     # node 0 stores -theta: <theta, y> <= n reads <-theta, y> >= -n
@@ -235,30 +220,10 @@ def pseudo_levi(g: RootDatum, vertex) -> RootDatum:
         for i in range(ext.n_nodes)
         if i != vertex
     ]
-    pairs = _reflection_closure(gens)
-    sub = sub_datum_from_pairs(d.rank, pairs)
+    sub = sub_datum_from_pairs(d.rank, reflection_closure(gens))
     if not sub.is_semisimple():
         raise AssertionError("pseudo-Levi is not full rank")
     return sub
-
-
-def _reflection_closure(gens):
-    pairs = {tuple(a): tuple(av) for a, av in gens}
-    frontier = list(pairs)
-    gen_list = [(tuple(a), tuple(av)) for a, av in gens]
-    while frontier:
-        nxt = []
-        for b in frontier:
-            bv = pairs[b]
-            for a, av in gen_list:
-                k = _dot(b, av)
-                rb = tuple(x - k * y for x, y in zip(b, a))
-                if rb not in pairs:
-                    k = _dot(a, bv)
-                    pairs[rb] = tuple(x - k * y for x, y in zip(bv, av))
-                    nxt.append(rb)
-        frontier = nxt
-    return sorted(pairs.items())
 
 
 # ---------------------------------------------------------------------------

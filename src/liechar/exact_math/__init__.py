@@ -1,5 +1,6 @@
-"""Exact arithmetic substrate: integer matrices and Smith form, finitely
-generated abelian groups, cyclotomic numbers, small finite fields, primes."""
+"""Exact arithmetic substrate: integer matrices and Smith form, row
+reduction over Q and Z/l, finitely generated abelian groups, cyclotomic
+numbers, small finite fields, primes, and element orders."""
 
 from .intmat import (
     IntMatrix,
@@ -9,6 +10,8 @@ from .intmat import (
     FinAbGroup,
     solve_integer,
     solve_rational,
+    inverse_rational,
+    rref_mod,
     kernel_basis,
     abelian_subgroup_type,
 )
@@ -19,6 +22,7 @@ from .cyclo import (
 )
 from .ffield import FiniteField
 from .primes import is_prime, prime_factors
+from .orders import element_order, power
 
 __all__ = [
     "IntMatrix",
@@ -28,6 +32,8 @@ __all__ = [
     "FinAbGroup",
     "solve_integer",
     "solve_rational",
+    "inverse_rational",
+    "rref_mod",
     "kernel_basis",
     "abelian_subgroup_type",
     "Cyclotomic",
@@ -36,4 +42,6 @@ __all__ = [
     "FiniteField",
     "is_prime",
     "prime_factors",
+    "element_order",
+    "power",
 ]

@@ -4,10 +4,16 @@ A value is stored as integer numerators over one positive denominator, in
 the full power basis 1, zeta, ..., zeta^(N-1) with exponents mod N; the
 denominator and the numerators share no common factor. Sums and products
 stay in this representation and on plain integers. Reduction into the Phi_N
-quotient happens only when equality or rationality is decided; Phi_N is
+quotient happens only when equality, rationality or the printed form is
+decided, at most once per value: the value memoises its reduction. Phi_N is
 monic, so the reduction stays integral too. A Fraction is made only where a
 caller asks for a rational: `rational_value`, or `reduced` of a value whose
 reduced coefficients are not all integers.
+
+Equality crosses conductors. Q(zeta_a) and Q(zeta_b) meet in Q(zeta_g), g =
+gcd(a, b), which is Q when g <= 2: two values whose conductors share at
+most 2 are equal only as equal rationals, decided from their memoised
+reductions. Other pairs are compared in Q(zeta_lcm(a, b)).
 """
 
 from __future__ import annotations
@@ -17,8 +23,6 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .intmat import solve_rational
-
-_PHI_CACHE = {1: (-1, 1)}  # N -> coefficient tuple of Phi_N, low degree first
 
 
 def _poly_divide_exact(num, den):
@@ -40,10 +44,15 @@ def _poly_divide_exact(num, den):
 
 
 def cyclotomic_polynomial(n):
-    """Coefficients of Phi_n, constant term first. Computed by exact division
-    of x^n - 1 by the product of Phi_d over proper divisors d."""
-    if n in _PHI_CACHE:
-        return _PHI_CACHE[n]
+    """Coefficients of Phi_n, constant term first."""
+    return _phi_terms(n)[0]
+
+
+@lru_cache(maxsize=None)
+def _phi_terms(n):
+    """(Phi_n, deg Phi_n, the nonzero (j - deg, c_j) below its leading
+    term), built once per n. Phi_n is the exact quotient of x^n - 1 by the
+    product of Phi_d over proper divisors d."""
     num = [0] * (n + 1)
     num[0], num[n] = -1, 1
     den = (1,)
@@ -57,24 +66,16 @@ def cyclotomic_polynomial(n):
                     for j, b in enumerate(phi_d):
                         out[i + j] += a * b
             den = tuple(out)
-    result = _poly_divide_exact(num, den)
-    _PHI_CACHE[n] = result
-    return result
-
-
-@lru_cache(maxsize=None)
-def _phi_terms(n):
-    """(deg Phi_n, the nonzero (j - deg, c_j) below its leading term)."""
-    phi = cyclotomic_polynomial(n)
+    phi = _poly_divide_exact(num, den)
     deg = len(phi) - 1
-    return deg, tuple((j - deg, c) for j, c in enumerate(phi[:-1]) if c)
+    return phi, deg, tuple((j - deg, c) for j, c in enumerate(phi[:-1]) if c)
 
 
 def _reduce_mod_phi(coeffs, n):
     """Remainder of a sparse {exp: coefficient} polynomial modulo Phi_n, as
     a dense list of length deg Phi_n. Phi_n is monic, so integer
     coefficients give integer remainders."""
-    deg, low = _phi_terms(n)
+    _, deg, low = _phi_terms(n)
     dense = [0] * max(n, deg)
     for e, c in coeffs.items():
         dense[e % n] += c
@@ -95,9 +96,10 @@ class Cyclotomic:
     numerators keyed by exponents mod n, over one positive denominator den
     that shares no factor with all of them. The constructor takes int or
     Fraction coefficients keyed by int exponents, all divided by den, and
-    refuses anything else (a float has no exact value here)."""
+    refuses anything else (a float has no exact value here). `_red` memoises
+    the numerators reduced modulo Phi_n, built on first use."""
 
-    __slots__ = ("n", "num", "den")
+    __slots__ = ("n", "num", "den", "_red")
 
     def __init__(self, n=1, coeffs=None, den=1):
         if type(n) is not int or n < 1:
@@ -138,6 +140,7 @@ class Cyclotomic:
         self.n = n
         self.num = num
         self.den = den
+        self._red = None
 
     # -- constructors
 
@@ -235,29 +238,47 @@ class Cyclotomic:
 
     # -- predicates, canonical forms
 
+    def _reduction(self):
+        """The numerators reduced modulo Phi_n, computed once per value;
+        shared, so never handed out."""
+        red = self._red
+        if red is None:
+            red = self._red = _reduce_mod_phi(self.num, self.n)
+        return red
+
     def reduced(self):
         """Canonical coefficient list modulo Phi_n (length deg Phi_n): ints
-        when every coefficient is an integer, Fractions otherwise."""
-        red = _reduce_mod_phi(self.num, self.n)
+        when every coefficient is an integer, Fractions otherwise. A fresh
+        list on every call."""
+        red = self._reduction()
         den = self.den
         if den == 1:
-            return red
+            return list(red)
         if gcd(den, *red) == den:
             return [c // den for c in red]
         return [Fraction(c, den) for c in red]
 
     def is_zero(self):
-        return not any(_reduce_mod_phi(self.num, self.n))
+        return not any(self._reduction())
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            red = _reduce_mod_phi(self.num, self.n)
+            red = self._reduction()
             return not any(red[1:]) and red[0] * other.denominator == other.numerator * self.den
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        m = lcm(self.n, other.n)
-        a = _reduce_mod_phi(self._terms_at(m), m)
-        b = _reduce_mod_phi(other._terms_at(m), m)
+        if self.n == other.n:
+            a, b = self._reduction(), other._reduction()
+        elif gcd(self.n, other.n) <= 2:
+            # the two fields meet in Q: equal only as equal rationals
+            a, b = self._reduction(), other._reduction()
+            if any(a[1:]) or any(b[1:]):
+                return False
+            a, b = a[:1], b[:1]
+        else:
+            m = lcm(self.n, other.n)
+            a = _reduce_mod_phi(self._terms_at(m), m)
+            b = _reduce_mod_phi(other._terms_at(m), m)
         if self.den == other.den:
             return a == b
         return [x * other.den for x in a] == [y * self.den for y in b]
@@ -265,10 +286,10 @@ class Cyclotomic:
     __hash__ = None  # equality crosses conductors; not hashable
 
     def is_rational(self):
-        return not any(_reduce_mod_phi(self.num, self.n)[1:])
+        return not any(self._reduction()[1:])
 
     def rational_value(self):
-        red = _reduce_mod_phi(self.num, self.n)
+        red = self._reduction()
         if any(red[1:]):
             raise ValueError("not a rational value")
         return Fraction(red[0], self.den)

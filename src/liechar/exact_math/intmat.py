@@ -1,5 +1,6 @@
 """Arbitrary-precision integer matrices, Smith normal form with transforms,
-and finitely generated abelian groups presented by invariant factors.
+row reduction over Q and over Z/l (l prime), and finitely generated abelian
+groups presented by invariant factors.
 
 All matrices are immutable, row-major tuples of tuples of Python ints.
 """
@@ -302,12 +303,10 @@ def kernel_basis(m: IntMatrix):
     return [v.column(j) for j in range(rank, c)]
 
 
-def solve_rational(rows, b):
-    """Solve rows * x = b exactly over Q: at least as many rows as unknowns,
-    linearly independent columns (ValueError otherwise), and b in their span
-    (ValueError otherwise)."""
-    n = len(rows[0]) if rows else 0
-    a = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(rows, b)]
+def _gauss_jordan(a, n):
+    """Reduce the Fraction rows a in place until their first n columns are
+    the identity on top of zero rows; ValueError if those columns are
+    linearly dependent."""
     for col in range(n):
         piv = next((r for r in range(col, len(a)) if a[r][col] != 0), None)
         if piv is None:
@@ -319,9 +318,53 @@ def solve_rational(rows, b):
             if r != col and a[r][col]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return a
+
+
+def solve_rational(rows, b):
+    """Solve rows * x = b exactly over Q: at least as many rows as unknowns,
+    linearly independent columns (ValueError otherwise), and b in their span
+    (ValueError otherwise)."""
+    n = len(rows[0]) if rows else 0
+    a = _gauss_jordan([[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(rows, b)], n)
     if any(a[r][n] for r in range(n, len(a))):
         raise ValueError("inconsistent system")
     return tuple(a[r][n] for r in range(n))
+
+
+def inverse_rational(rows):
+    """(den, inv) with rows^-1 = inv / den over Q: inv integer rows, den > 0
+    the least common denominator. One Gauss-Jordan pass on [rows | I];
+    ValueError for a singular matrix."""
+    n = len(rows)
+    a = _gauss_jordan(
+        [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)], n
+    )
+    den = lcm(1, *(x.denominator for row in a for x in row[n:]))
+    return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row[n:]) for row in a)
+
+
+def rref_mod(rows, l, ncols):
+    """Gauss-Jordan over Z/l, l prime, on the first ncols columns of rows.
+    Returns (a, pivots): a is a reduced copy, entries in [0, l), and row i of
+    a has a 1 in column pivots[i], the only nonzero entry of that column; the
+    rows from len(pivots) on vanish in the first ncols columns."""
+    a = [[x % l for x in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        row = len(pivots)
+        pr = next((r for r in range(row, len(a)) if a[r][c]), None)
+        if pr is None:
+            continue
+        a[row], a[pr] = a[pr], a[row]
+        inv = pow(a[row][c], -1, l)
+        prow = a[row] = [x * inv % l for x in a[row]]
+        for r in range(len(a)):
+            f = a[r][c]
+            if f and r != row:
+                a[r] = [(x - f * y) % l for x, y in zip(a[r], prow)]
+        pivots.append(c)
+    return a, pivots
 
 
 def solve_integer(m: IntMatrix, b):

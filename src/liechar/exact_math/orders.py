@@ -1,0 +1,31 @@
+"""Orders and powers of an element of a finite group given by its product."""
+
+from __future__ import annotations
+
+ORDER_BUDGET = 10**6  # most steps an order search may take
+
+
+def element_order(mul, identity, x, limit):
+    """Order of x under mul, stepping its powers. limit bounds the order (a
+    group order, or the largest element order); a limit above ORDER_BUDGET
+    is refused before any step, and an order past limit raises."""
+    if limit > ORDER_BUDGET:
+        raise ValueError(f"order search up to {limit} exceeds the budget ORDER_BUDGET = {ORDER_BUDGET}")
+    acc, k = x, 1
+    while acc != identity:
+        acc = mul(acc, x)
+        k += 1
+        if k > limit:
+            raise AssertionError("element order exceeds the group order")
+    return k
+
+
+def power(mul, identity, x, k):
+    """x^k under mul, k >= 0, by repeated squaring."""
+    out, base = identity, x
+    while k:
+        if k & 1:
+            out = mul(out, base)
+        base = mul(base, base)
+        k >>= 1
+    return out

@@ -15,7 +15,7 @@ points), the maximal tori, and the conjugacy classes, class shapes and other
 tables that `dl_spectra` builds. A structure is stored only after its checks
 passed; a failed check raises again on every call. Structures of one torus
 (its torus-series characters) live on the `TorusInG`. `build_finite_group`
-keeps one object per (kind, q) and `_field_for` one field per q, so a
+keeps one object per (kind, q) and `_field_for` one field per q = p^f, so a
 process builds each structure once and GL2 and SL2 over one q share the
 field and what is kept on it, in `field.derived`: the matrix tables and the
 quadratic extension F_q^2 that `dl_spectra` builds as elliptic-torus
@@ -40,14 +40,26 @@ FOURIER_BUDGET = 6561  # largest dense LieFunction domain
 
 
 @lru_cache(maxsize=None)
-def _field_for(q):
-    primes = prime_factors(q)
-    if len(primes) != 1:
-        raise ValueError(f"{q} is not a prime power")
-    p, f = primes[0], 1
-    while p**f < q:
-        f += 1
+def _field_for(p, f):
     return FiniteField(p, f)
+
+
+def _kind_data(kind, p, q):
+    """The row of _KIND_DATA for kind, once q = p^f passed the kind's
+    checks: the kind, the center, the budget. No field is needed, so a
+    refused q builds none."""
+    if kind not in _KIND_DATA:
+        raise ValueError(f"unknown kind {kind!r}")
+    data = _KIND_DATA[kind]
+    zsc, budget = data[4:]
+    if zsc % p == 0:
+        raise ValueError(
+            f"p = {p} divides the order {zsc} of the simply "
+            f"connected center for {kind}"
+        )
+    if q > budget:
+        raise ValueError(f"{kind} budget is q <= {budget}")
+    return data
 
 
 class FiniteLieGroup:
@@ -55,17 +67,8 @@ class FiniteLieGroup:
     `derived`, the cache of every structure built from it (see `cached`)."""
 
     def __init__(self, kind, field: FiniteField):
-        if kind not in _KIND_DATA:
-            raise ValueError(f"unknown kind {kind!r}")
-        n, dim, rank, fq_rank, zsc, budget = _KIND_DATA[kind]
         q = field.q
-        if zsc % field.p == 0:
-            raise ValueError(
-                f"p = {field.p} divides the order {zsc} of the simply "
-                f"connected center for {kind}"
-            )
-        if q > budget:
-            raise ValueError(f"{kind} budget is q <= {budget}")
+        n, dim, rank, fq_rank, _, _ = _kind_data(kind, field.p, q)
         self.kind = kind
         self.field = field
         self.q = q
@@ -325,8 +328,16 @@ class FiniteLieGroup:
 @lru_cache(maxsize=None)
 def build_finite_group(kind, q) -> FiniteLieGroup:
     """The group GL2 or SL2 over F_q, for an odd prime power q <= 13; one
-    object per (kind, q). Any other kind or q raises ValueError."""
-    return FiniteLieGroup(kind, _field_for(q))
+    object per (kind, q). Any other kind or q raises ValueError, before a
+    field is built."""
+    primes = prime_factors(q)
+    if len(primes) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    p, f = primes[0], 1
+    while p**f < q:
+        f += 1
+    _kind_data(kind, p, q)
+    return FiniteLieGroup(kind, _field_for(p, f))
 
 
 def quasi_logarithm(g_group: FiniteLieGroup, g):
@@ -427,7 +438,7 @@ class TorusInG:
     structures built per torus character (see dl_spectra)."""
 
     def __init__(
-        self, parent, tag, points, lie_points, weyl, fq_rank, non_residue, witness
+        self, parent, tag, points, lie_points, weyl, fq_rank, non_residue
     ):
         self.parent = parent
         self.tag = tag
@@ -440,7 +451,6 @@ class TorusInG:
         self.fq_rank = fq_rank
         self.sign = (-1) ** (parent.fq_rank - fq_rank)
         self.non_residue = non_residue
-        self.witness = witness
         self.derived = {}
 
     def lie_points(self):
@@ -567,7 +577,7 @@ def _build_tori(g: FiniteLieGroup):
             fq_rank = g.fq_rank
         else:
             fq_rank = g.fq_rank - 1
-        tori.append(TorusInG(g, tag, pts, lie_pts, weyl, fq_rank, nr, witness))
+        tori.append(TorusInG(g, tag, pts, lie_pts, weyl, fq_rank, nr))
     if {t.order for t in tori} != torus_orders(g):
         raise AssertionError("torus orders do not match the closed forms")
     return tuple(tori)

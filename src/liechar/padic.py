@@ -10,10 +10,9 @@ invariant.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 from operator import mul as _mul
 
-from .exact_math import is_prime, prime_factors
+from .exact_math import IntMatrix, element_order, is_prime, prime_factors, rref_mod
 
 __all__ = [
     "TruncatedMatrix",
@@ -124,25 +123,7 @@ class TruncatedMatrix:
         return sum(self.rows[i][i] for i in range(self.n)) % self.mod
 
     def det(self):
-        total = 0
-        for perm in permutations(range(self.n)):
-            sgn = 1
-            seen = [False] * self.n
-            for i in range(self.n):
-                if seen[i]:
-                    continue
-                j, ln = i, 0
-                while not seen[j]:
-                    seen[j] = True
-                    j = perm[j]
-                    ln += 1
-                if ln % 2 == 0:
-                    sgn = -sgn
-            term = sgn
-            for i in range(self.n):
-                term *= self.rows[i][perm[i]]
-            total += term
-        return total % self.mod
+        return IntMatrix(self.rows).det() % self.mod
 
     def is_invertible(self):
         return self.det() % self.p != 0
@@ -164,25 +145,12 @@ class TruncatedMatrix:
         return x
 
     def _inverse_mod_p(self):
-        p, n = self.p, self.n
-        a = [
-            [self.rows[i][j] % p for j in range(n)]
-            + [1 if i == j else 0 for j in range(n)]
-            for i in range(n)
-        ]
-        row = 0
-        for c in range(n):
-            pr = next((r for r in range(row, n) if a[r][c] % p), None)
-            if pr is None:
-                raise ZeroDivisionError("matrix is not invertible modulo p")
-            a[row], a[pr] = a[pr], a[row]
-            inv = pow(a[row][c], -1, p)
-            a[row] = [x * inv % p for x in a[row]]
-            for r in range(n):
-                if r != row and a[r][c] % p:
-                    f = a[r][c]
-                    a[r] = [(x - f * y) % p for x, y in zip(a[r], a[row])]
-            row += 1
+        n = self.n
+        a, pivots = rref_mod(
+            [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.rows)], self.p, n
+        )
+        if len(pivots) < n:
+            raise ZeroDivisionError("matrix is not invertible modulo p")
         return tuple(tuple(r[n:]) for r in a)
 
     def reduce(self, k2):
@@ -221,20 +189,18 @@ def jordan_exponent(order, p):
 
 def _reduction_order(gamma: TruncatedMatrix):
     """Multiplicative order of the reduction mod p, stepped on int tuples;
-    the order of an element of GL_n(F_p) is below p^(n^2)."""
+    an element of GL_n(F_p) has order at most p^n - 1, and a larger bound
+    than the order-search budget is refused before any step."""
     p, n = gamma.p, gamma.n
     red = tuple(tuple(x % p for x in r) for r in gamma.rows)
     cols = tuple(zip(*red))
     ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    acc = red
-    order = 1
-    bound = p ** (n * n)
-    while acc != ident:
-        acc = tuple([tuple([sum(map(_mul, row, col)) % p for col in cols]) for row in acc])
-        order += 1
-        if order > bound:
-            raise AssertionError("order search exceeded the group order")
-    return order
+
+    def times_red(acc, _):
+        # every step multiplies by red, whose columns are taken once
+        return tuple([tuple([sum(map(_mul, row, col)) % p for col in cols]) for row in acc])
+
+    return element_order(times_red, ident, red, p**n - 1)
 
 
 def topological_jordan(gamma: TruncatedMatrix, k=None):

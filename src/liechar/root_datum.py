@@ -17,9 +17,10 @@ Isogeny choices:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd
+from operator import mul
 
-from .exact_math import IntMatrix, cokernel_group, solve_rational
+from .exact_math import IntMatrix, cokernel_group, inverse_rational
 
 SERIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -29,7 +30,7 @@ SERIES = ("A", "B", "C", "D", "E", "F", "G")
 
 
 def _dot(x, y):
-    return sum(a * b for a, b in zip(x, y))
+    return sum(map(mul, x, y))
 
 
 def _rank_of_span(vectors, dim):
@@ -125,14 +126,15 @@ class RootDatum:
     """Lattice Z^rank with aligned root/coroot tuples.
 
     A datum is immutable once built. Structures derived from it (its dual,
-    the inverse Cartan matrix, the highest root, semisimplicity, the Cartan
-    type, the extended diagram, and for endoscopy the coroot coordinates
-    used by alcove folding, the center action and the elliptic triple of
-    each center orbit) are built on first use and cached in `derived`,
-    keyed by name, so they live exactly as long as the datum. Each holds a
-    number of entries fixed by the datum, never one per query point. Only
-    values that passed every check are cached: a call that raises raises
-    again on the next call.
+    the inverse Cartan matrix as integer rows over one denominator, which
+    the simple coefficients, the highest root, the alcove vertices and
+    alcove folding all read, the highest root, semisimplicity, the Cartan
+    type, the extended diagram, and for endoscopy the center action and the
+    elliptic triple of each center orbit) are built on first use and cached
+    in `derived`, keyed by name, so they live exactly as long as the datum.
+    Each holds a number of entries fixed by the datum, never one per query
+    point. Only values that passed every check are cached: a call that
+    raises raises again on the next call.
     """
 
     def __init__(self, rank, roots, coroots, simple_indices, label=None, validate=True):
@@ -198,21 +200,22 @@ class RootDatum:
     # -- expansion in the simple basis
 
     def _cartan_inverse(self):
-        """Rows of the inverse of the simple Cartan matrix, as Fractions."""
+        """(den, rows): the inverse of the simple Cartan matrix is rows / den,
+        integer rows over their least common denominator. Row i gives the
+        fundamental coweight omega_i^vee = sum_k rows[i][k] alpha_k^vee / den,
+        column i the coordinate over alpha_i^vee of a point from its
+        pairings with the simple roots."""
         inv = self.derived.get("cartan_inverse")
         if inv is None:
-            c = self.cartan()
-            n = len(c)
-            cols = [solve_rational(c, [int(i == k) for i in range(n)]) for k in range(n)]
-            inv = tuple(tuple(col[i] for col in cols) for i in range(n))
-            self.derived["cartan_inverse"] = inv
+            inv = self.derived["cartan_inverse"] = inverse_rational(self.cartan())
         return inv
 
     def simple_coefficients(self, root):
         """Coefficients of a root over the simple roots, as Fractions."""
         # sum_j c_j <alpha_j, alpha_i^vee> = <root, alpha_i^vee>, so c = C^-1 b
         b = [_dot(root, av) for av in self.simple_coroots]
-        return tuple(sum((x * y for x, y in zip(row, b)), Fraction(0)) for row in self._cartan_inverse())
+        den, rows = self._cartan_inverse()
+        return tuple(Fraction(_dot(row, b), den) for row in rows)
 
     def positive_roots(self):
         out = []
@@ -226,15 +229,11 @@ class RootDatum:
         """Unique root of maximal height; requires an irreducible system."""
         theta = self.derived.get("highest_root")
         if theta is None:
-            # height(b) = sum_i (C^-1 <b, alpha^vee>)_i = <b, h> where h
-            # sums the simple coroots weighted by the column sums of C^-1;
-            # scaled by den, h is integral and each height one dot product
-            sums = [sum(col) for col in zip(*self._cartan_inverse())]
-            den = lcm(1, *(x.denominator for x in sums))
-            h = [
-                int(sum(x * den * av[k] for x, av in zip(sums, self.simple_coroots)))
-                for k in range(self.rank)
-            ]
+            # height(b) = sum_i (C^-1 <b, alpha^vee>)_i = <b, h> / den where
+            # h sums the simple coroots weighted by the column sums of the
+            # integer rows; each height is one integer dot product
+            sums = [sum(col) for col in zip(*self._cartan_inverse()[1])]
+            h = [_dot(sums, col) for col in zip(*self.simple_coroots)]
             heights = [_dot(b, h) for b in self.roots]
             best_h = max(heights, default=None)
             ties = [b for b, height in zip(self.roots, heights) if height == best_h]
@@ -359,27 +358,25 @@ def _leg_lengths(comp, edges, branch):
 # construction
 
 
-def _generate_root_pairs(simple_roots, simple_coroots):
-    """Closure of the simple (root, coroot) pairs under simple reflections."""
-    simple_roots = [tuple(v) for v in simple_roots]
-    simple_coroots = [tuple(v) for v in simple_coroots]
-    pairs = dict(zip(simple_roots, simple_coroots))
-    frontier = list(simple_roots)
+def reflection_closure(gens):
+    """Closure of the (root, coroot) pairs gens under their reflections, as
+    (root, coroot) pairs sorted by root."""
+    gens = [(tuple(a), tuple(av)) for a, av in gens]
+    pairs = dict(gens)
+    frontier = list(pairs)
     while frontier:
         nxt = []
         for b in frontier:
             bv = pairs[b]
-            for a, av in zip(simple_roots, simple_coroots):
+            for a, av in gens:
                 k = _dot(b, av)
                 rb = tuple(x - k * y for x, y in zip(b, a))
                 if rb not in pairs:
                     k = _dot(a, bv)
-                    rbv = tuple(x - k * y for x, y in zip(bv, av))
-                    pairs[rb] = rbv
+                    pairs[rb] = tuple(x - k * y for x, y in zip(bv, av))
                     nxt.append(rb)
         frontier = nxt
-    roots = sorted(pairs)
-    return roots, [pairs[b] for b in roots]
+    return sorted(pairs.items())
 
 
 def build_root_datum(series, rank, isogeny="sc") -> RootDatum:
@@ -393,23 +390,22 @@ def build_root_datum(series, rank, isogeny="sc") -> RootDatum:
             raise ValueError("gl-special is defined for series A only")
         n = rank + 1
         simple = [tuple(1 if k == i else -1 if k == i + 1 else 0 for k in range(n)) for i in range(rank)]
-        roots, coroots = _generate_root_pairs(simple, simple)
-        idx = [roots.index(s) for s in simple]
-        return RootDatum(n, roots, coroots, idx, label=(series, rank, isogeny))
-
-    c = cartan_matrix(series, rank)
-    n = rank
-    if isogeny == "sc":
-        # X = weight basis: alpha_j = column j of C; coroots are unit vectors
-        simple = [tuple(c[i][j] for i in range(n)) for j in range(n)]
-        simple_cov = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
+        simple_cov = simple
     else:
-        # X = root basis: alpha_j = e_j; coroot j = row j of C
-        simple = [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
-        simple_cov = [tuple(c[i][k] for k in range(n)) for i in range(n)]
-    roots, coroots = _generate_root_pairs(simple, simple_cov)
+        c = cartan_matrix(series, rank)
+        n = rank
+        if isogeny == "sc":
+            # X = weight basis: alpha_j = column j of C; coroots are unit vectors
+            simple = [tuple(c[i][j] for i in range(n)) for j in range(n)]
+            simple_cov = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
+        else:
+            # X = root basis: alpha_j = e_j; coroot j = row j of C
+            simple = [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
+            simple_cov = [tuple(c[i][k] for k in range(n)) for i in range(n)]
+    pairs = reflection_closure(zip(simple, simple_cov))
+    roots = [a for a, _ in pairs]
     idx = [roots.index(s) for s in simple]
-    return RootDatum(n, roots, coroots, idx, label=(series, rank, isogeny))
+    return RootDatum(n, roots, [av for _, av in pairs], idx, label=(series, rank, isogeny))
 
 
 _DUAL_SERIES = {"A": "A", "B": "C", "C": "B", "D": "D", "E": "E", "F": "F", "G": "G"}
@@ -650,11 +646,10 @@ def _build_extended_dynkin(d: RootDatum) -> ExtDynkin:
                     arrow = j if _dot(b, av) == -1 else i
                 edges.append((i, j, m, arrow))
 
-    # alcove vertices: 0 and omega_i^vee / n_i, solving <alpha_j, w> = delta_ij
-    rows = [list(s) for s in simple]
+    # alcove vertices: 0 and omega_i^vee / n_i, omega_i^vee from row i of C^-1
+    den, inv = d._cartan_inverse()
+    cov_cols = list(zip(*simple_cov))
     vertices = [tuple(Fraction(0) for _ in range(d.rank))]
-    for i in range(len(simple)):
-        b = [1 if j == i else 0 for j in range(len(simple))]
-        w = solve_rational(rows, b)
-        vertices.append(tuple(x / marks[i + 1] for x in w))
+    for row, m in zip(inv, marks[1:]):
+        vertices.append(tuple(Fraction(_dot(row, col), den * m) for col in cov_cols))
     return ExtDynkin(d, node_vectors, node_coroots, marks, edges, vertices)

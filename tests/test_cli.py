@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -337,3 +338,31 @@ def test_selftest_deterministic_and_green():
     doc = json.loads(r1.stdout)
     assert doc["pass"] is True
     assert len(doc["checks"]) >= 10
+
+
+HUGE_PRIME = "1000000000000000003"
+
+
+@pytest.mark.parametrize(
+    "argv,budget",
+    [
+        (["springer", "verify", "--group", "GL2", "--q", HUGE_PRIME], "GL2 budget is q <= 13"),
+        (["chartable", "--group", "SL2", "--q", HUGE_PRIME, "--method", "classical"], "SL2 budget is q <= 13"),
+        (["tjd", "--p", HUGE_PRIME, "--k", "1", "--matrix", "[[2]]"], "ORDER_BUDGET"),
+        (["hilbert", "--a", "2", "--b", "3", "--place", HUGE_PRIME], None),
+    ],
+    ids=["springer", "chartable", "tjd", "hilbert"],
+)
+def test_huge_prime_input_ends_quickly(argv, budget):
+    # each of these ran until killed while primality was trial division
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "liechar.cli", *argv], capture_output=True, text=True, timeout=10
+    )
+    assert time.perf_counter() - start < 10
+    doc = json.loads(proc.stdout)
+    assert proc.stderr == ""
+    if budget is None:
+        assert proc.returncode == 0 and doc["symbol"] == 1
+    else:
+        assert proc.returncode == 1 and budget in doc["error"]

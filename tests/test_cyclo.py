@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -226,3 +227,38 @@ def test_matches_fraction_oracle(x, y, c):
     assert (a == b) == (ra == rb)
     assert (a == c) == (ra == c)
     assert (a * b - b * a).is_zero()
+
+
+def test_equality_across_conductors_sharing_at_most_two():
+    z3, z4, z5 = Cyclotomic.zeta(3), Cyclotomic.zeta(4), Cyclotomic.zeta(5)
+    assert z3 + Cyclotomic.zeta(3, 2) == Cyclotomic.zeta(4, 2)  # both are -1
+    assert Cyclotomic.zeta(4, 2) == Cyclotomic.zeta(6, 3)  # gcd 2, both -1
+    assert (z5 + z5.conjugate()) * Fraction(1, 2) != z3 * Fraction(1, 2)
+    # no two non-rational values whose conductors share at most 2 are equal
+    values = [z3, -z3, z3 + 2, z4, z4 * 3, z5, z5 + z5.conjugate(), Cyclotomic.zeta(10)]
+    for a in values:
+        for b in values:
+            if gcd(a.n, b.n) <= 2:
+                assert a != b and b != a, (a, b)
+    # rationals at coprime conductors compare by value
+    assert Cyclotomic(3, {0: 3, 1: 1, 2: 1}, 4) == Cyclotomic(5, {0: 2, 1: 1, 2: 1, 3: 1, 4: 1}, 2)
+    assert Cyclotomic(3, {0: 3, 1: 1, 2: 1}, 4) != Cyclotomic(5, {0: 2, 1: 1, 2: 1, 3: 1, 4: 1}, 4)
+
+
+def test_equality_across_conductors_sharing_more():
+    assert Cyclotomic.zeta(3) == Cyclotomic.zeta(6, 2)
+    assert Cyclotomic.zeta(12, 3) == Cyclotomic.zeta(8, 2)  # both are i
+    assert Cyclotomic.zeta(3) != Cyclotomic.zeta(6, 4)
+    assert Cyclotomic.zeta(12, 4) * Fraction(1, 3) == Cyclotomic.zeta(9, 3) * Fraction(1, 3)
+
+
+def test_reduced_hands_out_a_fresh_list():
+    for v in (Cyclotomic.zeta(5) * 2, Cyclotomic(7, {1: 3, 2: 1}, 2), Cyclotomic.rational(4)):
+        text = repr(v)
+        twin = Cyclotomic(v.n, dict(v.num), v.den)
+        red = v.reduced()
+        red[0] += 5
+        red.append(99)
+        assert repr(v) == text
+        assert v == twin and twin == v
+        assert v.reduced() == twin.reduced() != red

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from liechar.exact_math import IntMatrix, smith_normal_form
+from liechar.exact_math import IntMatrix, smith_normal_form, solve_rational
 from liechar.root_datum import (
     RootDatum,
     _rank_of_span,
@@ -14,7 +14,6 @@ from liechar.root_datum import (
     dual_datum,
     extended_dynkin,
     fundamental_group,
-    solve_rational,
     sub_datum_from_pairs,
     weyl_group_enumerate,
 )
@@ -373,3 +372,13 @@ def test_levi_subsystem_is_not_semisimple():
     assert sub.cartan_type() == "D5"
     assert not sub.is_semisimple()
     assert d.is_semisimple()
+
+
+def test_cartan_inverse_matches_per_column_solve():
+    for d in _all_data():
+        c = d.cartan()
+        n = len(c)
+        den, rows = d._cartan_inverse()
+        for k in range(n):
+            col = solve_rational(c, [int(i == k) for i in range(n)])
+            assert [Fraction(row[k], den) for row in rows] == list(col), (d, k)
