@@ -28,6 +28,7 @@ from .dl_spectra import (
     dl_jordan_reduction_check,
     nonsingular_characters,
     springer_check,
+    springer_fourier_reference,
     tables_match,
 )
 from .endoscopy import (
@@ -417,6 +418,18 @@ def _check_springer_sl2_3():
     return bool(cells) and all(c["pass"] for c in cells)
 
 
+def _check_springer_fourier_sl2_3():
+    """The orbit sums of springer_check against the generic Fourier
+    transform, at the identity and the regular unipotent."""
+    g = build_finite_group("SL2", 3)
+    torus = next(t for t in tori_and_regularity(g) if t.tag == "elliptic")
+    theta = nonsingular_characters(torus)[0]
+    t = next(t for t in torus.lie_points() if is_strongly_regular(g, t))
+    cases = springer_check(g, torus, theta, t, all_unipotent=True)["cases"]
+    reps = g.unipotent_class_reps()[:2]
+    return all(c["rhs"] == springer_fourier_reference(g, t, u) for u, c in zip(reps, cases))
+
+
 def _check_dl_jordan_gl2_3():
     g = build_finite_group("GL2", 3)
     ok = True
@@ -442,6 +455,7 @@ def _cmd_selftest(args):
         ("hilbert_reciprocity", lambda: _check_reciprocity(rng)),
         ("dixon_vs_classical_sl2_3", _check_dixon_sl2_3),
         ("springer_sl2_3", _check_springer_sl2_3),
+        ("springer_fourier_sl2_3", _check_springer_fourier_sl2_3),
         ("dl_jordan_gl2_3", _check_dl_jordan_gl2_3),
     ]
     checks = []

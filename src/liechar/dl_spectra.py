@@ -56,7 +56,6 @@ __all__ = [
     "nonsingular_characters",
     "DLCharacter",
     "dl_character",
-    "dl_expected_inner",
     "springer_check",
     "dl_jordan_reduction_check",
 ]
@@ -210,9 +209,6 @@ class ClassFunction:
             raise ValueError("one value per class required")
         self.classes = classes
         self.values = vals
-
-    def value_on(self, class_index):
-        return self.values[class_index]
 
     def value_at(self, element):
         return self.values[self.classes.class_of(element)]
@@ -630,13 +626,15 @@ def _primitive_root_mod(l):
     raise AssertionError("no primitive root found")
 
 
-def _choose_modulus(exponent, order, bound=10**6):
-    """Smallest prime l = 1 (mod exponent) with l^2 > 4*order.
+def _choose_modulus(exponent, order):
+    """Smallest prime l = 1 (mod exponent) with l^2 > 4*order, searched
+    up to 10^6.
 
     The congruence guarantees a full set of exponent-th roots of unity mod l
     and, by Cauchy, that l does not divide the group order.  The size bound
     makes the degree recovery unambiguous.
     """
+    bound = 10**6
     l = exponent + 1
     while l <= bound:
         if l * l > 4 * order and is_prime(l):
@@ -1109,20 +1107,6 @@ def _dl_parts(torus: TorusInG, theta: TorusCharacter):
     return virtual, genuine, w_stab
 
 
-def dl_expected_inner(theta1: TorusCharacter, theta2: TorusCharacter) -> int:
-    """Predicted inner product of two torus-series virtual characters: the
-    number of relative Weyl elements carrying theta1 to theta2.  Distinct
-    tori give zero."""
-    if theta1.torus is not theta2.torus:
-        return 0
-    count = 0
-    if theta1.exps == theta2.exps:
-        count += 1
-    if theta1.w_twist().exps == theta2.exps:
-        count += 1
-    return count
-
-
 # ---------------------------------------------------------------------------
 # the adjoint-orbit Fourier identity
 
@@ -1153,11 +1137,12 @@ def springer_check(
     nonsingular (otherwise there is no genuine character and a ValueError
     propagates).  By default only the standard regular unipotent class is
     checked; all_unipotent sweeps every unipotent class including the
-    identity.  Returns a report dict; "pass" is the conjunction of the
-    per-class exact equalities.  The scaled orbit sums are cached on the
-    group, keyed by (t, x). There is no rationality cache: the two sides
-    have coprime conductors, which `Cyclotomic.__eq__` settles from each
-    value's memoised reduction.
+    identity.  Returns a report dict whose cases hold both sides as exact
+    Cyclotomic values; "pass" is the conjunction of the per-class exact
+    equalities.  The scaled orbit sums are cached on the group, keyed by
+    (t, x). There is no rationality cache: the two sides have coprime
+    conductors, which `Cyclotomic.__eq__` settles from each value's
+    memoised reduction.
     """
     if torus.parent is not g:
         raise ValueError("torus belongs to a different group")
@@ -1188,8 +1173,8 @@ def springer_check(
         cases.append(
             {
                 "unipotent_class": cd.class_of(u),
-                "lhs": repr(lhs),
-                "rhs": repr(rhs),
+                "lhs": lhs,
+                "rhs": rhs,
                 "equal": eq,
             }
         )
@@ -1263,8 +1248,8 @@ def dl_jordan_reduction_check(
     theta(delta).  Regular delta: the trace collapses to the theta-sum over
     the embeddings of delta into the torus (zero when there is none), with
     the sign conventions of the ambient group and of the torus.  theta must
-    be nonsingular.  Returns a report dict with both sides and the exact
-    verdict.
+    be nonsingular.  Returns a report dict with both sides, as exact
+    Cyclotomic values, and the exact verdict.
     """
     if torus.parent is not g:
         raise ValueError("torus belongs to a different group")
@@ -1296,8 +1281,8 @@ def dl_jordan_reduction_check(
         "theta": list(theta.exps),
         "gamma_class": conjugacy_classes(g).class_of(gamma),
         "delta_kind": delta_kind,
-        "lhs": repr(lhs),
-        "rhs": repr(rhs),
+        "lhs": lhs,
+        "rhs": rhs,
         "equal": eq,
         "pass": eq,
     }

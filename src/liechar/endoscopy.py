@@ -47,7 +47,7 @@ def _require_simple(g: RootDatum):
 # alcove folding
 
 
-def fold_to_alcove(d: RootDatum, ext, x, budget=FOLD_BUDGET):
+def fold_to_alcove(d: RootDatum, ext, x):
     """Affine-Weyl representative of x in the closed fundamental alcove of d.
 
     x lives in Y tensor Q of d. Walls: <alpha_i, x> >= 0 for the simple
@@ -71,7 +71,7 @@ def fold_to_alcove(d: RootDatum, ext, x, budget=FOLD_BUDGET):
             y = [yi - k * n * ci for yi, ci in zip(y, av)]
     # node 0 stores -theta: <theta, y> <= n reads <-theta, y> >= -n
     low, low_cov = ext.node_vectors[0], ext.node_coroots[0]
-    for _ in range(budget):
+    for _ in range(FOLD_BUDGET):
         moved = False
         for a, av in simple:
             t = _dot(a, y)
@@ -237,10 +237,13 @@ class EndoscopicTriple:
     torus) and ord_s its order; for the enumerated elliptic triples the point
     is an alcove vertex and ord_s equals the vertex mark. levi_datum is the
     dual-side subsystem (the connected centralizer of s); H_datum is its
-    dual, the endoscopic group itself.
+    dual, the endoscopic group itself. lam is the stabilizer of the vertex
+    under the center action, the symmetry group Lambda of the triple (for a
+    split elliptic triple it is also the group Z); it is trivial for a
+    triple that is not elliptic.
     """
 
-    def __init__(self, ambient, levi_datum, h_datum, s_point, ord_s, vertex_orbit, elliptic, lam, z_of_e):
+    def __init__(self, ambient, levi_datum, h_datum, s_point, ord_s, vertex_orbit, elliptic, lam):
         self.ambient = ambient
         self.levi_datum = levi_datum
         self.H_datum = h_datum
@@ -249,19 +252,10 @@ class EndoscopicTriple:
         self.vertex_orbit = vertex_orbit
         self.elliptic = elliptic
         self.lam = lam
-        self.z_of_E = z_of_e
 
     @property
     def h_type(self):
         return self.H_datum.cartan_type()
-
-    def same_triple(self, other):
-        # diagram-level identification: orbit, type, order of s
-        return (
-            self.vertex_orbit == other.vertex_orbit
-            and self.h_type == other.h_type
-            and self.ord_s == other.ord_s
-        )
 
     def serialize(self):
         return {
@@ -302,7 +296,6 @@ def _triple_from_orbit(action, orbit):
         vertex_orbit=frozenset(orbit),
         elliptic=True,
         lam=lam,
-        z_of_e=lam,
     )
 
 
@@ -377,7 +370,6 @@ def endoscopic_from_kappa(g: RootDatum, kappa) -> EndoscopicTriple:
             vertex_orbit=frozenset(),
             elliptic=False,
             lam=FinAbGroup(),
-            z_of_e=FinAbGroup(),
         )
 
     action = center_alcove_action(g)
@@ -388,13 +380,6 @@ def endoscopic_from_kappa(g: RootDatum, kappa) -> EndoscopicTriple:
     if triple.levi_datum.cartan_type() != sub.cartan_type():
         raise AssertionError("vertex subsystem disagrees with kappa subsystem")
     return triple
-
-
-def triple_symmetries(e: EndoscopicTriple):
-    """(Lambda, Z) of an elliptic split triple; the two groups coincide."""
-    if not e.elliptic:
-        raise ValueError("symmetry groups are defined for elliptic triples")
-    return e.lam, e.z_of_E
 
 
 # ---------------------------------------------------------------------------

@@ -258,9 +258,6 @@ class Cyclotomic:
             return [c // den for c in red]
         return [Fraction(c, den) for c in red]
 
-    def is_zero(self):
-        return not any(self._reduction())
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             red = self._reduction()
@@ -284,9 +281,6 @@ class Cyclotomic:
         return [x * other.den for x in a] == [y * self.den for y in b]
 
     __hash__ = None  # equality crosses conductors; not hashable
-
-    def is_rational(self):
-        return not any(self._reduction()[1:])
 
     def rational_value(self):
         red = self._reduction()

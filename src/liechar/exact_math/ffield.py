@@ -11,7 +11,6 @@ table; both tables are built once from the digit-wise arithmetic.
 
 from __future__ import annotations
 
-from .cyclo import Cyclotomic
 from .primes import is_prime, prime_factors
 
 MAX_Q = 2**14
@@ -190,20 +189,6 @@ class FiniteField:
             if not self.is_square(x):
                 return x
         raise AssertionError("no non-residue found")
-
-    # -- characters
-
-    def psi(self, a):
-        """The fixed nontrivial additive character, zeta_p^trace(a).
-        Its conductor is p."""
-        return Cyclotomic.zeta(self.p, self.trace(a))
-
-    def mult_char_value(self, j, a):
-        """Value at a != 0 of the multiplicative character sending the fixed
-        generator to zeta_(q-1)^j."""
-        if a == 0:
-            raise ValueError("multiplicative character at 0")
-        return Cyclotomic.zeta(self.q - 1, (j * self.log_table[a]) % (self.q - 1))
 
     def __repr__(self):
         return f"F_{self.q}" + (f" (p={self.p}, f={self.f})" if self.f > 1 else "")

@@ -29,22 +29,6 @@ class IntMatrix:
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @classmethod
-    def zero(cls, r, c):
-        return cls(tuple((0,) * c for _ in range(r)))
-
-    @classmethod
-    def diagonal(cls, entries, rows=None, cols=None):
-        entries = list(entries)
-        r = rows if rows is not None else len(entries)
-        c = cols if cols is not None else len(entries)
-        return cls(
-            tuple(
-                tuple(entries[i] if i == j and i < len(entries) else 0 for j in range(c))
-                for i in range(r)
-            )
-        )
-
-    @classmethod
     def from_columns(cls, cols):
         cols = [tuple(c) for c in cols]
         if not cols:
@@ -57,9 +41,6 @@ class IntMatrix:
 
     def at(self, i, j):
         return self.rows[i][j]
-
-    def row(self, i):
-        return self.rows[i]
 
     def column(self, j):
         return tuple(r[j] for r in self.rows)
@@ -421,10 +402,6 @@ class FinAbGroup:
             n *= d
         return n
 
-    @property
-    def is_trivial(self):
-        return self.free_rank == 0 and not self.torsion
-
     def zero(self):
         return (0,) * len(self.torsion)
 
@@ -436,25 +413,6 @@ class FinAbGroup:
 
     def scale(self, k, a):
         return tuple((k * x) % d for x, d in zip(a, self.torsion))
-
-    def element_order(self, a):
-        n = 1
-        for x, d in zip(a, self.torsion):
-            if x:
-                n = lcm(n, d // gcd(x, d))
-        return n
-
-    def elements(self):
-        if self.free_rank:
-            raise ValueError("infinite group")
-        coords = [range(d) for d in self.torsion]
-        out = [()]
-        for rng in coords:
-            out = [t + (x,) for t in out for x in rng]
-        return out
-
-    def is_isomorphic(self, other):
-        return self.free_rank == other.free_rank and self.torsion == other.torsion
 
     def serialize(self):
         return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
@@ -509,7 +467,7 @@ def cokernel_group(m: IntMatrix) -> CokernelPresentation:
     return CokernelPresentation(m)
 
 
-def abelian_subgroup_type(elements, add, zero, neg=None):
+def abelian_subgroup_type(elements, add, zero):
     """Invariant factors of a finite abelian group given as an explicit set of
     elements with an addition law. Works by matching order statistics: for a
     group of type (d_1, ..., d_k) the count of x with m*x = 0 is the product

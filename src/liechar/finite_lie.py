@@ -135,9 +135,6 @@ class FiniteLieGroup:
     def det_code(self, a):
         return _kernels.det_code(a, self.tables)
 
-    def trace_code(self, a):
-        return _kernels.trace_code(a, self.tables)
-
     def pairing_code(self, a, b):
         """Trace form <a, b> = Tr(ab) as a field code."""
         return _kernels.pairing_code(a, b, self.tables)
@@ -274,40 +271,12 @@ class FiniteLieGroup:
             orbits[y] = orbit
         return orbit
 
-    def conjugation_orbit_of(self, g):
-        if g not in self._members:
-            raise ValueError("not a group element")
-        return _kernels.orbit_of(g, self.gens, self.tables)
-
     def conjugacy_labels(self):
         """Class labels aligned with `elements`, counting up in order of the
         first element of each class."""
         return _kernels.conjugacy_partition(self.elements, self.gens, self.tables)
 
-    # -- distinguished subsets
-
-    def unipotents(self):
-        """g with (g - 1) nilpotent: for n = 2, det 1 and trace 2."""
-        two = self.field.add(1, 1)
-        return tuple(
-            g
-            for g in self.elements
-            if self.det_code(g) == 1 and self.trace_code(g) == two
-        )
-
-    def nilpotents(self):
-        """Lie points with zero trace and determinant (n = 2)."""
-        out = []
-        for i in range(self.q**self.dim):
-            coeffs = []
-            r = i
-            for _ in range(self.dim):
-                coeffs.append(r % self.q)
-                r //= self.q
-            t = self.lie_from_coeffs(coeffs)
-            if self.trace_code(t) == 0 and self.det_code(t) == 0:
-                out.append(t)
-        return tuple(out)
+    # -- unipotent classes
 
     def unipotent_class_reps(self):
         """One representative per unipotent conjugacy class: [1, J] for GL2,
@@ -353,11 +322,6 @@ def quasi_logarithm(g_group: FiniteLieGroup, g):
     return _kernels.sub_scalar(g, t.dot[half * t.q2 + _kernels.trace_code(g, t)], t)
 
 
-def adjoint_orbit(g_group: FiniteLieGroup, t):
-    """Full orbit of a Lie algebra point under conjugation by the group."""
-    return set(g_group.adjoint_orbit_of(t))
-
-
 class LieFunction:
     """Dense exact function on the Lie algebra points. values[i] is the value
     at the point with basis coefficients (i mod q, i//q mod q, ...)."""
@@ -374,39 +338,12 @@ class LieFunction:
         self.values = tuple(vals)
 
     @classmethod
-    def delta(cls, group, t):
-        """Indicator of one packed Lie point."""
-        idx = group.lie_index(t)
-        vals = [0] * (group.q**group.dim)
-        vals[idx] = 1
-        return cls(group, vals)
-
-    @classmethod
-    def constant(cls, group, value):
-        return cls(group, [value] * (group.q**group.dim))
-
-    @classmethod
     def indicator(cls, group, point_set):
         idxs = {group.lie_index(t) for t in point_set}
         return cls(group, [1 if i in idxs else 0 for i in range(group.q**group.dim)])
 
     def value_at(self, t):
         return self.values[self.group.lie_index(t)]
-
-    def serialize(self):
-        return {
-            "kind": self.group.kind,
-            "q": self.group.q,
-            "basis_order": "coefficients over lie_basis, index = sum c_k q^k",
-            "values": [repr(v) for v in self.values],
-        }
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LieFunction)
-            and self.group is other.group
-            and all(a == b for a, b in zip(self.values, other.values))
-        )
 
 
 def finite_fourier(g_group: FiniteLieGroup, f: LieFunction) -> LieFunction:
@@ -437,9 +374,7 @@ class TorusInG:
     points, relative Weyl group action and sign data. `derived` caches the
     structures built per torus character (see dl_spectra)."""
 
-    def __init__(
-        self, parent, tag, points, lie_points, weyl, fq_rank, non_residue
-    ):
+    def __init__(self, parent, tag, points, lie_points, weyl, fq_rank):
         self.parent = parent
         self.tag = tag
         self.points = tuple(sorted(points))
@@ -450,39 +385,11 @@ class TorusInG:
         self.weyl = weyl  # the nontrivial involution, as a dict on points
         self.fq_rank = fq_rank
         self.sign = (-1) ** (parent.fq_rank - fq_rank)
-        self.non_residue = non_residue
         self.derived = {}
 
     def lie_points(self):
         """Packed Lie algebra points of the torus, as a sorted tuple."""
         return self._lie_points
-
-    def weyl_on_lie(self, t):
-        """The nontrivial Weyl involution on Lie(T)."""
-        g = self.parent
-        fld = g.field
-        m = g.unpack(t)
-        if self.tag == "split":
-            if m[0][1] != 0 or m[1][0] != 0:
-                raise ValueError("not in the split torus Lie algebra")
-            return g.pack([[m[1][1], 0], [0, m[0][0]]])
-        eps = self.non_residue
-        x, y = m[0][0], m[1][0]
-        if m[1][1] != x or m[0][1] != fld.mul(eps, y):
-            raise ValueError("not in the elliptic torus Lie algebra")
-        ny = fld.neg(y)
-        return g.pack([[x, fld.mul(eps, ny)], [ny, x]])
-
-    def serialize(self):
-        return {
-            "kind": self.parent.kind,
-            "q": self.parent.q,
-            "tag": self.tag,
-            "order": self.order,
-            "fq_rank": self.fq_rank,
-            "sign": self.sign,
-            "non_residue": self.non_residue,
-        }
 
     def __repr__(self):
         return f"{self.tag} torus of {self.parent!r} (order {self.order})"
@@ -577,7 +484,7 @@ def _build_tori(g: FiniteLieGroup):
             fq_rank = g.fq_rank
         else:
             fq_rank = g.fq_rank - 1
-        tori.append(TorusInG(g, tag, pts, lie_pts, weyl, fq_rank, nr))
+        tori.append(TorusInG(g, tag, pts, lie_pts, weyl, fq_rank))
     if {t.order for t in tori} != torus_orders(g):
         raise AssertionError("torus orders do not match the closed forms")
     return tuple(tori)
@@ -595,8 +502,3 @@ def is_strongly_regular(g: FiniteLieGroup, t):
     orbit-stabilizer count."""
     orbit = g.adjoint_orbit_of(t)
     return g.order // len(orbit) in torus_orders(g)
-
-
-def is_a_strongly_regular(torus: TorusInG, t):
-    """No nontrivial relative Weyl element fixes the torus Lie point."""
-    return torus.weyl_on_lie(t) != t

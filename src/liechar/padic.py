@@ -31,8 +31,9 @@ class TruncatedMatrix:
 
     The constructor is the one place that checks its input: p prime, k a
     positive int, an n x n shape and int entries (bool refused), reduced
-    mod p^k. Arithmetic results are built from rows already reduced mod
-    p^k and skip those checks."""
+    mod p^k. The precision is capped at k <= 64, checked before p^k is
+    formed, so a huge k is refused at once. Arithmetic results are built
+    from rows already reduced mod p^k and skip those checks."""
 
     __slots__ = ("n", "p", "k", "mod", "rows")
 
@@ -46,6 +47,8 @@ class TruncatedMatrix:
             raise ValueError("rows must form an n x n matrix")
         if any(type(x) is not int for r in rows for x in r):
             raise ValueError("entries must be integers")
+        if k > 64:
+            raise ValueError("precision capped at 64")
         self.n = n
         self.p = p
         self.k = k
@@ -61,10 +64,6 @@ class TruncatedMatrix:
     @classmethod
     def identity(cls, n, p, k):
         return cls(n, p, k, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, n, p, k):
-        return cls(n, p, k, [[0] * n for _ in range(n)])
 
     def _identity_like(self):
         n = self.n
@@ -94,10 +93,6 @@ class TruncatedMatrix:
             )
         )
 
-    def neg(self):
-        mod = self.mod
-        return self._like(tuple(tuple(-a % mod for a in r) for r in self.rows))
-
     def mul(self, other):
         self._check(other)
         mod = self.mod
@@ -118,9 +113,6 @@ class TruncatedMatrix:
             if e:
                 base = base.mul(base)
         return self._identity_like() if out is None else out
-
-    def trace(self):
-        return sum(self.rows[i][i] for i in range(self.n)) % self.mod
 
     def det(self):
         return IntMatrix(self.rows).det() % self.mod
@@ -152,11 +144,6 @@ class TruncatedMatrix:
         if len(pivots) < n:
             raise ZeroDivisionError("matrix is not invertible modulo p")
         return tuple(tuple(r[n:]) for r in a)
-
-    def reduce(self, k2):
-        if k2 > self.k:
-            raise ValueError("cannot raise precision")
-        return TruncatedMatrix(self.n, self.p, k2, self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedMatrix):
@@ -203,7 +190,7 @@ def _reduction_order(gamma: TruncatedMatrix):
     return element_order(times_red, ident, red, p**n - 1)
 
 
-def topological_jordan(gamma: TruncatedMatrix, k=None):
+def topological_jordan(gamma: TruncatedMatrix):
     """Split an invertible truncated matrix as delta * u where delta has
     finite order prime to p and u is topologically unipotent; the two parts
     commute and are unique at this precision.
@@ -217,10 +204,6 @@ def topological_jordan(gamma: TruncatedMatrix, k=None):
     within k + 8 steps guard the result (a miss is a bug, not an input
     error). Returns (delta, u).
     """
-    if k is not None:
-        gamma = gamma.reduce(k)
-    if gamma.k > 64:
-        raise ValueError("precision capped at 64")
     if not gamma.is_invertible():
         raise ValueError("gamma is not invertible modulo p")
     p = gamma.p
@@ -454,10 +437,6 @@ class DiagQuadForm:
         if any(c == 0 for c in coeffs):
             raise ValueError("coefficients must be nonzero")
         self.coeffs = coeffs
-
-    @property
-    def rank(self):
-        return len(self.coeffs)
 
     def __repr__(self):
         return f"DiagQuadForm({[str(c) for c in self.coeffs]})"

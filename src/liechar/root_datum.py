@@ -1,5 +1,5 @@
-"""Root data for the simple series A-G at chosen isogeny, their duals, Weyl
-groups, and extended Dynkin diagrams with alcove vertex data.
+"""Root data for the simple series A-G at chosen isogeny, their duals, and
+extended Dynkin diagrams with alcove vertex data.
 
 Conventions. A root datum here is a lattice X = Z^rank together with aligned
 tuples of roots (vectors in X) and coroots (vectors in the dual lattice Y),
@@ -17,10 +17,10 @@ Isogeny choices:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import gcd
 from operator import mul
 
-from .exact_math import IntMatrix, cokernel_group, inverse_rational
+from .exact_math import inverse_rational
 
 SERIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -176,19 +176,12 @@ class RootDatum:
     def simple_coroots(self):
         return tuple(self.coroots[i] for i in self.simple_indices)
 
-    @property
-    def semisimple_rank(self):
-        return len(self.simple_indices)
-
     def is_semisimple(self):
         ss = self.derived.get("semisimple")
         if ss is None:
             ss = _rank_of_span(self.roots, self.rank) == self.rank and len(self.roots) > 0
             self.derived["semisimple"] = ss
         return ss
-
-    def pairing(self, x, y):
-        return _dot(x, y)
 
     def coroot_of(self, root):
         return self.coroots[self.roots.index(tuple(root))]
@@ -216,14 +209,6 @@ class RootDatum:
         b = [_dot(root, av) for av in self.simple_coroots]
         den, rows = self._cartan_inverse()
         return tuple(Fraction(_dot(row, b), den) for row in rows)
-
-    def positive_roots(self):
-        out = []
-        for b in self.roots:
-            coeffs = self.simple_coefficients(b)
-            if sum(coeffs) > 0:
-                out.append(b)
-        return tuple(out)
 
     def highest_root(self):
         """Unique root of maximal height; requires an irreducible system."""
@@ -427,7 +412,7 @@ def dual_datum(d: RootDatum) -> RootDatum:
     return dual
 
 
-def sub_datum_from_pairs(rank, pairs, validate=True) -> RootDatum:
+def sub_datum_from_pairs(rank, pairs) -> RootDatum:
     """Datum on the same lattice spanned by a reflection-closed set of
     (root, coroot) pairs. A simple system is extracted with a generic
     big-base linear functional."""
@@ -451,117 +436,7 @@ def sub_datum_from_pairs(rank, pairs, validate=True) -> RootDatum:
     co = dict(pairs)
     coroots = [co[a] for a in roots]
     idx = [roots.index(s) for s in simple]
-    return RootDatum(rank, roots, coroots, idx, validate=validate)
-
-
-# ---------------------------------------------------------------------------
-# fundamental group
-
-
-def fundamental_group(d: RootDatum):
-    """Weight lattice over root lattice of the semisimple type, presented as
-    the cokernel of the Cartan matrix. Errors on non-semisimple data."""
-    if not d.is_semisimple():
-        raise ValueError("fundamental group needs a semisimple datum")
-    c = IntMatrix(d.cartan())
-    return cokernel_group(c)
-
-
-# ---------------------------------------------------------------------------
-# Weyl group
-
-
-_WEYL_ORDER_BY_TYPE = {
-    "E6": 51840,
-    "E7": 2903040,
-    "E8": 696729600,
-    "F4": 1152,
-    "G2": 12,
-}
-
-
-def _component_weyl_order(name):
-    if name in _WEYL_ORDER_BY_TYPE:
-        return _WEYL_ORDER_BY_TYPE[name]
-    letter, rank = name[0], int(name[1:])
-    if letter == "A":
-        return factorial(rank + 1)
-    if letter in ("B", "C"):
-        return 2**rank * factorial(rank)
-    if letter == "D":
-        return 2 ** (rank - 1) * factorial(rank)
-    raise ValueError(f"no order formula for {name}")
-
-
-class WeylGroup:
-    def __init__(self, order, generators, elements=None):
-        self.order = order
-        self.generators = generators  # reflection matrices on X, row-major tuples
-        self.elements = elements  # list of matrices, or None if not enumerated
-
-    def __len__(self):
-        return self.order
-
-
-def _reflection_matrix(rank, root, coroot):
-    # s(e_j) = e_j - <e_j, coroot> root
-    cols = []
-    for j in range(rank):
-        e = tuple(1 if k == j else 0 for k in range(rank))
-        cols.append(tuple(x - coroot[j] * y for x, y in zip(e, root)))
-    # row-major
-    return tuple(tuple(cols[j][i] for j in range(rank)) for i in range(rank))
-
-
-def _mat_apply(m, v):
-    return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    bt = tuple(tuple(b[i][j] for i in range(n)) for j in range(len(b[0])))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
-def weyl_group_enumerate(d: RootDatum, budget=10**6) -> WeylGroup:
-    """Enumerate W by the orbit of a regular vector (2 rho) under the simple
-    reflections, with a hash-set closure. Above the budget only generators
-    and the order are returned."""
-    gens = [
-        _reflection_matrix(d.rank, r, rv)
-        for r, rv in zip(d.simple_roots, d.simple_coroots)
-    ]
-    ctype = d.cartan_type()
-    order = 1
-    for comp in ctype.split("+"):
-        if comp != "0":
-            order *= _component_weyl_order(comp)
-    if order > budget:
-        return WeylGroup(order, gens, elements=None)
-
-    pos = d.positive_roots()
-    v0 = tuple(sum(col) for col in zip(*pos)) if pos else (0,) * d.rank
-    ident = tuple(tuple(1 if i == j else 0 for j in range(d.rank)) for i in range(d.rank))
-    seen = {v0: ident}
-    frontier = [v0]
-    elements = [ident]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            m = seen[v]
-            for g in gens:
-                w = _mat_apply(g, v)
-                if w not in seen:
-                    gm = _mat_mul(g, m)
-                    seen[w] = gm
-                    elements.append(gm)
-                    nxt.append(w)
-        frontier = nxt
-        if len(seen) > budget:
-            raise RuntimeError("Weyl enumeration exceeded budget")
-    if len(elements) != order:
-        raise AssertionError(f"enumerated {len(elements)} elements, formula says {order}")
-    return WeylGroup(order, gens, elements=elements)
+    return RootDatum(rank, roots, coroots, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -587,16 +462,6 @@ class ExtDynkin:
     @property
     def n_nodes(self):
         return len(self.node_vectors)
-
-    def serialize(self):
-        return {
-            "labels": [str(i) for i in range(self.n_nodes)],
-            "marks": list(self.marks),
-            "edges": [
-                {"from": i, "to": j, "mult": m, "arrow_to": arrow}
-                for (i, j, m, arrow) in self.edges
-            ],
-        }
 
 
 def extended_dynkin(d: RootDatum) -> ExtDynkin:

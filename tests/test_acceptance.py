@@ -19,7 +19,7 @@ from liechar.dl_spectra import (
     tables_match,
 )
 from liechar.endoscopy import enumerate_split_elliptic, estimate_diagram_check
-from liechar.exact_math import IntMatrix
+from liechar.exact_math import FinAbGroup, IntMatrix
 from liechar.finite_lie import (
     build_finite_group,
     is_strongly_regular,
@@ -98,7 +98,7 @@ def test_c03_split_elliptic_enumeration_goldens():
         triples = enumerate_split_elliptic(build_root_datum("A", rank, "sc"))
         assert len(triples) == 1
         t = triples[0]
-        assert t.ord_s == 1 and t.h_type == f"A{rank}" and t.lam.is_trivial
+        assert t.ord_s == 1 and t.h_type == f"A{rank}" and t.lam == FinAbGroup()
     assert _golden(enumerate_split_elliptic(build_root_datum("B", 2, "sc"))) == {
         (1, "B2", (), (0, 2)),
         (2, "A1+A1", (2,), (1,)),
@@ -184,7 +184,8 @@ def test_c06_coinvariant_torsion_oracle():
         f = _random_finite_order(rng, n)
         torus = TwistedTorus(n, f)
         data = component_group_pi0(torus)
-        assert data.h1.is_isomorphic(_oracle_group(f, torus.order)), (trial, f.rows)
+        oracle = _oracle_group(f, torus.order)
+        assert data.h1.serialize() == oracle.serialize(), (trial, f.rows)
     norm_one = component_group_pi0(TwistedTorus(1, IntMatrix([[-1]])))
     assert list(norm_one.invariant_factors) == [2]
     print("[C6] PASS - coinvariant torsion: 50 random lattices + norm-one torus")
@@ -236,8 +237,9 @@ def test_c08_topological_jordan_random():
             cand = ident
             hits = []
             for _ in range(r):
-                red = cand.inverse().mul(g).reduce(1)
-                if red.trace() % p == 2 % p and red.det() % p == 1 % p:
+                red = TruncatedMatrix(2, p, 1, cand.inverse().mul(g).rows)
+                trace = red.rows[0][0] + red.rows[1][1]
+                if trace % p == 2 % p and red.det() % p == 1 % p:
                     hits.append(cand)
                 cand = cand.mul(delta)
             assert hits == [delta]

@@ -232,6 +232,12 @@ def test_tjd_failure_exits_1():
     assert "error" in json.loads(out)
 
 
+def test_tjd_huge_precision_is_refused_by_the_cap():
+    code, out, _ = run_cli(["tjd", "--p", "3", "--k", "10000000", "--matrix", "[[2]]"])
+    assert code == 1
+    assert json.loads(out) == {"error": "precision capped at 64"}
+
+
 def test_hilbert_zero_exits_1():
     code, out, _ = run_cli(["hilbert", "--a", "0", "--b", "3", "--place", "5"])
     assert code == 1

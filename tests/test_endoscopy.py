@@ -17,7 +17,6 @@ from liechar.endoscopy import (
     estimate_diagram_check,
     fold_to_alcove,
     pseudo_levi,
-    triple_symmetries,
 )
 from liechar.exact_math import FinAbGroup
 from liechar.root_datum import build_root_datum, dual_datum, extended_dynkin
@@ -67,7 +66,7 @@ def test_action_b2_tilde_from_sp4():
 def test_action_trivial_for_g2_f4():
     for series, rank in (("G", 2), ("F", 4)):
         act = center_alcove_action(_sc(series, rank))
-        assert act.group.is_trivial
+        assert act.group == FinAbGroup()
         assert list(act.permutations.values()) == [tuple(range(act.ext.n_nodes))]
 
 
@@ -95,7 +94,7 @@ def test_enumerate_type_a():
         t = triples[0]
         assert t.ord_s == 1
         assert t.h_type == f"A{rank}"
-        assert t.lam.is_trivial
+        assert t.lam == FinAbGroup()
         assert t.vertex_orbit == frozenset(range(rank + 1))
         assert t.elliptic
 
@@ -131,7 +130,7 @@ def test_enumerate_g2():
         (2, "A1+A1"),
         (3, "A2"),
     }
-    assert all(t.lam.is_trivial for t in triples)
+    assert all(t.lam == FinAbGroup() for t in triples)
 
 
 def test_enumerate_f4():
@@ -143,7 +142,7 @@ def test_enumerate_f4():
         (3, "A2+A2"),
         (4, "A3+A1"),
     }
-    assert all(t.lam.is_trivial for t in triples)
+    assert all(t.lam == FinAbGroup() for t in triples)
     # dual-side subsystems are the Borel-de Siebenthal ones
     assert {(t.ord_s, t.levi_datum.cartan_type()) for t in triples} == {
         (1, "F4"),
@@ -264,8 +263,7 @@ def test_kappa_sl2_midpoint_not_elliptic():
     assert t.ord_s == 2
     assert t.h_type == "0"
     assert t.H_datum.roots == ()
-    with pytest.raises(ValueError):
-        triple_symmetries(t)
+    assert t.lam == FinAbGroup()
 
 
 def test_kappa_rejects_floats():
@@ -292,7 +290,10 @@ def test_kappa_vertex_sweep_small_ranks():
                 by_node[node] = t
         for node, v in enumerate(act.ext.vertices):
             got = endoscopic_from_kappa(g, v)
-            assert got.same_triple(by_node[node]), (series, rank, node)
+            want = by_node[node]
+            assert (got.vertex_orbit, got.h_type, got.ord_s) == (
+                want.vertex_orbit, want.h_type, want.ord_s
+            ), (series, rank, node)
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +301,12 @@ def test_kappa_vertex_sweep_small_ranks():
 
 
 def test_triple_symmetries():
+    # Lambda, the stabilizer of the vertex under the center action
     sp4 = enumerate_split_elliptic(_sc("C", 2))
     so4 = next(t for t in sp4 if t.ord_s == 2)
-    lam, z = triple_symmetries(so4)
-    assert lam.torsion == (2,) and z.torsion == (2,)
+    assert so4.elliptic and so4.lam.torsion == (2,)
     sl2 = enumerate_split_elliptic(_sc("A", 1))[0]
-    lam, z = triple_symmetries(sl2)
-    assert lam.is_trivial and z.is_trivial
+    assert sl2.elliptic and sl2.lam == FinAbGroup()
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +353,6 @@ def test_orbit_count_identity():
 def test_lambda_is_fin_ab_group():
     for t in enumerate_split_elliptic(_sc("D", 4)):
         assert isinstance(t.lam, FinAbGroup)
-        assert t.lam == t.z_of_E
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,12 @@ import random
 
 import pytest
 
+from liechar.dl_spectra import conjugacy_classes
 from liechar.exact_math import Cyclotomic
 from liechar.finite_lie import (
     LieFunction,
-    adjoint_orbit,
     build_finite_group,
     finite_fourier,
-    is_a_strongly_regular,
     is_strongly_regular,
     quasi_logarithm,
     tori_and_regularity,
@@ -141,11 +140,22 @@ def test_qlog_derivative_is_identity_on_dual_numbers():
             assert g.pack(eps_part) == x
 
 
+def _trace(g, x):
+    m = g.unpack(x)
+    return g.field.add(m[0][0], m[1][1])
+
+
+def _unipotents(g):
+    """g with (g - 1) nilpotent: for n = 2, det 1 and trace 2."""
+    two = g.field.add(1, 1)
+    return [x for x in g.elements if g.det_code(x) == 1 and _trace(g, x) == two]
+
+
 def test_qlog_bijects_unipotents_onto_nilpotents():
     for kind, q in (("SL2", 3), ("SL2", 5), ("SL2", 7), ("GL2", 3), ("GL2", 5)):
         g = build_finite_group(kind, q)
-        uni = g.unipotents()
-        nil = set(g.nilpotents())
+        uni = _unipotents(g)
+        nil = {t for t in g.lie_points() if _trace(g, t) == 0 and g.det_code(t) == 0}
         assert len(uni) == q * q
         assert len(nil) == q * q
         image = {quasi_logarithm(g, u) for u in uni}
@@ -171,34 +181,32 @@ def test_pairing_ad_invariant():
 def test_adjoint_orbit_of_zero():
     g = build_finite_group("SL2", 5)
     z = g.lie_from_coeffs((0, 0, 0))
-    assert adjoint_orbit(g, z) == {z}
+    assert g.adjoint_orbit_of(z) == (z,)
 
 
 def test_adjoint_orbit_sizes_regular():
     for q in (3, 5, 7):
         g = build_finite_group("SL2", q)
         split_t = g.pack([[1, 0], [0, g.field.neg(1)]])
-        assert len(adjoint_orbit(g, split_t)) == q * (q + 1)
+        assert len(set(g.adjoint_orbit_of(split_t))) == q * (q + 1)
         eps = g.field.non_residue
         ell_t = g.pack([[0, eps], [1, 0]])
-        assert len(adjoint_orbit(g, ell_t)) == q * (q - 1)
+        assert len(set(g.adjoint_orbit_of(ell_t))) == q * (q - 1)
 
 
 def test_unipotent_class_reps_partition():
     for kind, q in (("GL2", 5), ("SL2", 5), ("SL2", 3)):
         g = build_finite_group(kind, q)
-        reps = g.unipotent_class_reps()
-        orbits = [g.conjugation_orbit_of(r) for r in reps]
-        sizes = sorted(len(o) for o in orbits)
+        cd = conjugacy_classes(g)
+        labels = [cd.class_of(r) for r in g.unipotent_class_reps()]
+        assert len(set(labels)) == len(labels)
+        sizes = sorted(cd.sizes[ci] for ci in labels)
         if kind == "GL2":
             assert sizes == [1, q * q - 1]
         else:
             assert sizes == [1, (q * q - 1) // 2, (q * q - 1) // 2]
-        union = set()
-        for o in orbits:
-            assert union.isdisjoint(o)
-            union.update(o)
-        assert union == set(g.unipotents())
+        union = {x for ci in labels for x in cd.members[ci]}
+        assert union == set(_unipotents(g))
 
 
 # --- finite Fourier transform ----------------------------------------------------
@@ -207,11 +215,10 @@ def test_unipotent_class_reps_partition():
 def test_fourier_delta_and_constant():
     g = build_finite_group("SL2", 3)
     zero = g.lie_from_coeffs((0, 0, 0))
-    delta0 = LieFunction.delta(g, zero)
-    f1 = finite_fourier(g, delta0)
-    assert all(v == Cyclotomic.rational(1) for v in f1.values)
-    f2 = finite_fourier(g, LieFunction.constant(g, 1))
     n = g.q**g.dim
+    f1 = finite_fourier(g, LieFunction.indicator(g, [zero]))
+    assert all(v == Cyclotomic.rational(1) for v in f1.values)
+    f2 = finite_fourier(g, LieFunction(g, [1] * n))
     for i, v in enumerate(f2.values):
         assert v == (n if i == g.lie_index(zero) else 0)
 
@@ -232,7 +239,7 @@ def test_fourier_inversion_random():
 def test_lie_function_budget():
     g = build_finite_group("GL2", 11)
     with pytest.raises(ValueError, match="budget"):
-        LieFunction.constant(g, 1)
+        LieFunction.indicator(g, [])
 
 
 # --- tori and regularity --------------------------------------------------------
@@ -257,8 +264,6 @@ def test_gl2_torus_orders_and_signs():
     assert by_tag["elliptic"].order == 24
     assert by_tag["split"].sign == 1
     assert by_tag["elliptic"].sign == -1
-    assert by_tag["elliptic"].non_residue == g.field.non_residue
-    assert by_tag["elliptic"].serialize()["non_residue"] == g.field.non_residue
 
 
 def test_weyl_action_is_involution_on_points():
@@ -273,14 +278,15 @@ def test_weyl_action_is_involution_on_points():
 
 
 def test_a_strong_regularity_worked_example():
+    # a point of the split torus's Lie algebra, on SL2(F_3)
     g = build_finite_group("SL2", 3)
     split = next(t for t in tori_and_regularity(g) if t.tag == "split")
     t = g.pack([[1, 0], [0, g.field.neg(1)]])
-    assert is_a_strongly_regular(split, t)
+    assert t in split.lie_point_set
+    assert is_strongly_regular(g, t)
     zero = g.lie_from_coeffs((0, 0, 0))
-    assert not is_a_strongly_regular(split, zero)
-    with pytest.raises(ValueError):
-        is_a_strongly_regular(split, g.pack([[0, 1], [0, 0]]))
+    assert not is_strongly_regular(g, zero)
+    assert not is_strongly_regular(g, g.pack([[0, 1], [0, 0]]))
 
 
 def test_a_strong_regularity_elliptic():
@@ -288,7 +294,8 @@ def test_a_strong_regularity_elliptic():
     ell = next(t for t in tori_and_regularity(g) if t.tag == "elliptic")
     eps = g.field.non_residue
     t = g.pack([[0, eps], [1, 0]])
-    assert is_a_strongly_regular(ell, t)
+    assert t in ell.lie_point_set
+    assert is_strongly_regular(g, t)
 
 
 def test_strong_regularity():

@@ -2,6 +2,7 @@
 lattices, and the SL_n kappa subgroup."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -69,13 +70,13 @@ def test_norm_one_torus():
 
 def test_split_torus_trivial():
     data = component_group_pi0(_torus([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
-    assert data.h1.is_trivial
-    assert data.pi0.is_trivial
+    assert data.h1 == FinAbGroup()
+    assert data.pi0 == FinAbGroup()
 
 
 def test_induced_swap_trivial():
     data = component_group_pi0(_torus([[0, 1], [1, 0]]))
-    assert data.h1.is_trivial
+    assert data.h1 == FinAbGroup()
 
 
 def test_rotation_order_four():
@@ -93,10 +94,15 @@ def _klein_data():
     return component_group_pi0(TwistedTorus(3, f))
 
 
+def _elements(grp):
+    """Every element of a finite FinAbGroup, as torsion coordinates."""
+    return list(product(*(range(d) for d in grp.torsion)))
+
+
 def test_pairing_bilinear_and_perfect():
     data = _klein_data()
     assert data.h1.torsion == (2, 2)
-    els = data.h1.elements()
+    els = _elements(data.h1)
     for a in els:
         for b in els:
             for k in els:
@@ -118,7 +124,7 @@ def test_pairing_bilinear_and_perfect():
 def test_pairing_identity_is_one():
     data = _klein_data()
     z = data.h1.zero()
-    for k in data.pi0.elements():
+    for k in _elements(data.pi0):
         assert tn_pairing(data, z, k) == ONE
 
 
@@ -138,7 +144,8 @@ def test_cochar_class_coordinates():
     data = component_group_pi0(TwistedTorus(3, f))
     assert data.h1.torsion == (4,)
     cls = data.cochar_class((1, 0, 0))
-    assert data.h1.element_order(cls) == 4
+    zero = data.h1.zero()
+    assert [m for m in range(1, 5) if data.h1.scale(m, cls) == zero] == [4]
 
 
 # --- independent oracle: ker(norm)/im(F - 1) --------------------------------
@@ -211,7 +218,7 @@ def test_oracle_fifty_random_tori():
         torus = TwistedTorus(n, f)
         data = component_group_pi0(torus)
         oracle = _oracle_group(f, torus.order)
-        assert data.h1.is_isomorphic(oracle), (trial, f.rows)
+        assert data.h1.serialize() == oracle.serialize(), (trial, f.rows)
         # pi0 order equals the torsion determinant of SNF(F - 1)
         prod = 1
         for d in data.invariant_factors:
@@ -234,7 +241,7 @@ def test_sl2_middle_lattice_is_even_sum():
 
 def test_adjoint_middle_lattice_is_everything():
     cq = center_quotient_lattices(build_root_datum("A", 1, "ad"))
-    assert cq.center.is_trivial
+    assert cq.center == FinAbGroup()
     assert cq.middle_contains((1,), (0,))
     assert cq.middle_contains((0,), (1,))
 
@@ -283,7 +290,7 @@ def test_sln_n2_m2_is_z2():
 
 def test_sln_m1_trivial():
     grp, wits = sln_kappa_group(5, 1, (2, 3))
-    assert grp.is_trivial
+    assert grp == FinAbGroup()
     assert wits == [((0, 0), ())]
 
 
@@ -320,7 +327,7 @@ def test_sln_closure_small_sweep():
             for degs in _partitions(n // m):
                 grp, wits = sln_kappa_group(n, m, degs)
                 if m == 1:
-                    assert grp.is_trivial
+                    assert grp == FinAbGroup()
                 else:
                     assert grp.torsion == (m,)
                     assert len({c for _, c in wits}) == m

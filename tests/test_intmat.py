@@ -57,7 +57,7 @@ def test_snf_terminates_on_growth_prone_matrix():
     assert u * m * v == d
     assert abs(u.det()) == 1 and abs(v.det()) == 1
     diag = [d.at(i, i) for i in range(5)]
-    assert d == IntMatrix.diagonal(diag, rows=5, cols=6)
+    assert d == IntMatrix([[diag[i] if i == j else 0 for j in range(6)] for i in range(5)])
     assert all(x > 0 for x in diag)
     for a, b in zip(diag, diag[1:]):
         assert b % a == 0
@@ -99,7 +99,7 @@ def test_cokernel_examples():
     pres = cokernel_group(IntMatrix([[2, 0], [0, 3]]))
     assert pres.group == FinAbGroup(torsion=(6,))
     # Z^2 / im[[1,0],[0,1]] trivial
-    assert cokernel_group(IntMatrix.identity(2)).group.is_trivial
+    assert cokernel_group(IntMatrix.identity(2)).group == FinAbGroup()
     # free part: Z^2 / im of a single column
     pres = cokernel_group(IntMatrix([[1], [0]]))
     assert pres.group == FinAbGroup(free_rank=1)
@@ -120,16 +120,15 @@ def test_cokernel_invariance_under_unimodular_change():
     g = cokernel_group(m).group
     # post-compose with a unimodular map: same cokernel up to isomorphism
     w = IntMatrix([[1, 1], [0, 1]])
-    assert cokernel_group(w * m).group.is_isomorphic(g)
+    assert cokernel_group(w * m).group.serialize() == g.serialize()
 
 
 def test_finab_group_basics():
     g = FinAbGroup(torsion=(2, 4))
     assert g.order == 8
-    assert len(g.elements()) == 8
     assert g.add((1, 3), (1, 2)) == (0, 1)
-    assert g.element_order((1, 2)) == 2
-    assert g.element_order((0, 1)) == 4
+    assert g.scale(2, (1, 2)) == g.zero()
+    assert g.scale(2, (0, 1)) != g.zero() and g.scale(4, (0, 1)) == g.zero()
     assert g.serialize() == {"free_rank": 0, "torsion": [2, 4]}
     with pytest.raises(ValueError):
         FinAbGroup(torsion=(4, 2))
@@ -152,7 +151,7 @@ def test_kernel_basis():
 
 def test_abelian_subgroup_type():
     g = FinAbGroup(torsion=(2, 4))
-    elems = g.elements()
+    elems = [(a, b) for a in range(2) for b in range(4)]
     t = abelian_subgroup_type(elems, g.add, g.zero())
     assert t == g
     # subgroup {0, (0,2), (1,0), (1,2)} of Z/2 x Z/4 is Klein four

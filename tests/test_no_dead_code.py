@@ -1,0 +1,115 @@
+"""Every library name has a caller outside the tests.
+
+Each top-level function or class in `src/liechar/`, and each non-dunder
+method of a top-level class, must be referenced somewhere in `src/` or in
+the non-test files of `perfbench/`, outside its own definition. A top-level
+name counts as referenced on a word match; a method only as `.name` or
+`"name"` (a getattr or a dispatch table). A name that only tests reach is
+deleted, not kept, unless it is listed in `EXEMPT` with its reason.
+"""
+
+import ast
+import io
+import re
+import tokenize
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = ROOT / "src" / "liechar"
+
+EXEMPT = {
+    "center_quotient_lattices": "reserved for ROADMAP direction 3",
+    "CenterQuotientLattices": "reserved for ROADMAP direction 3",
+    "CenterQuotientLattices.middle_contains": "reserved for ROADMAP direction 3",
+    "CenterQuotientLattices.mu_ambient": "reserved for ROADMAP direction 3",
+}
+
+
+def _is_docstring(node):
+    return isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant) and isinstance(
+        node.value.value, str
+    )
+
+
+def _caller_sources():
+    """(path, lines) of every file that counts as a caller. Imports,
+    `__all__` lists, docstrings and comments name a function without
+    calling it, so they are blanked."""
+    paths = sorted((ROOT / "src").rglob("*.py"))
+    paths += sorted(
+        p for p in (ROOT / "perfbench").rglob("*.py")
+        if not p.name.startswith(("test_", "conftest"))
+    )
+    out = []
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.COMMENT:
+                row, col = tok.start
+                lines[row - 1] = lines[row - 1][:col]
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            exports = isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            )
+            if exports or _is_docstring(node) or isinstance(node, (ast.Import, ast.ImportFrom)):
+                for number in range(node.lineno, node.end_lineno + 1):
+                    lines[number - 1] = ""
+        out.append((path, lines))
+    return out
+
+
+def _first_line(node):
+    return min([node.lineno] + [d.lineno for d in node.decorator_list])
+
+
+def _definitions():
+    """(qualified name, path, first line, last line, pattern) for every name
+    the rule covers; lines are 1-based, decorators included."""
+    defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+    out = []
+    for path in sorted(LIBRARY.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if not isinstance(node, defs):
+                continue
+            word = re.compile(rf"\b{re.escape(node.name)}\b")
+            out.append((node.name, path, _first_line(node), node.end_lineno, word))
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if not isinstance(item, defs[:2]):
+                    continue
+                if item.name.startswith("__") and item.name.endswith("__"):
+                    continue
+                name = re.escape(item.name)
+                member = re.compile(rf"\.{name}\b|[\"']{name}[\"']")
+                qualname = f"{node.name}.{item.name}"
+                out.append((qualname, path, _first_line(item), item.end_lineno, member))
+    return out
+
+
+def _unreferenced():
+    """(path, qualified name) of every covered name without a reference."""
+    sources = _caller_sources()
+    return [
+        (def_path.relative_to(ROOT), qualname)
+        for qualname, def_path, first, last, pattern in _definitions()
+        if not any(
+            pattern.search(line)
+            for path, lines in sources
+            for number, line in enumerate(lines, start=1)
+            if not (path == def_path and first <= number <= last)
+        )
+    ]
+
+
+def test_every_library_name_has_a_non_test_caller():
+    missing = [f"{path}: {name}" for path, name in _unreferenced() if name not in EXEMPT]
+    assert not missing, "only tests reach:\n" + "\n".join(missing)
+
+
+def test_every_exemption_names_a_live_definition():
+    names = {qualname for qualname, *_ in _definitions()}
+    assert set(EXEMPT) <= names
+    assert set(EXEMPT.values()) == {"reserved for ROADMAP direction 3"}

@@ -1,10 +1,11 @@
-"""Root datum construction, duality, Weyl enumeration, extended diagrams."""
+"""Root datum construction, duality, extended diagrams."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from liechar.endoscopy import center_alcove_action
 from liechar.exact_math import IntMatrix, smith_normal_form, solve_rational
 from liechar.root_datum import (
     RootDatum,
@@ -13,9 +14,7 @@ from liechar.root_datum import (
     cartan_matrix,
     dual_datum,
     extended_dynkin,
-    fundamental_group,
     sub_datum_from_pairs,
-    weyl_group_enumerate,
 )
 
 ROOT_COUNTS = {
@@ -41,7 +40,7 @@ def test_root_counts_both_isogenies():
         for isog in ("sc", "ad"):
             d = build_root_datum(series, rank, isog)
             assert len(d.roots) == count, (series, rank, isog)
-            assert d.semisimple_rank == rank
+            assert len(d.simple_indices) == rank
             assert d.is_semisimple()
 
 
@@ -63,8 +62,8 @@ def test_gl_special():
     for r, rv in zip(gl3.roots, gl3.coroots):
         assert r == rv
     assert not gl3.is_semisimple()
-    with pytest.raises(ValueError):
-        fundamental_group(gl3)
+    with pytest.raises(ValueError, match="semisimple"):
+        extended_dynkin(gl3)
     with pytest.raises(ValueError):
         build_root_datum("B", 2, "gl-special")
 
@@ -116,57 +115,12 @@ FUNDAMENTAL = {
 
 
 def test_fundamental_groups():
+    # weight lattice over root lattice, the group that acts on the extended
+    # diagram of the dual as the center of the simply connected dual group
     for (series, rank), torsion in FUNDAMENTAL.items():
-        d = build_root_datum(series, rank, "sc")
-        pres = fundamental_group(d)
-        assert pres.group.free_rank == 0
-        assert pres.group.torsion == torsion, (series, rank)
-
-
-WEYL_ORDERS = {
-    ("A", 2): 6,
-    ("A", 3): 24,
-    ("B", 2): 8,
-    ("B", 3): 48,
-    ("C", 3): 48,
-    ("D", 4): 192,
-    ("G", 2): 12,
-    ("F", 4): 1152,
-}
-
-
-def test_weyl_enumeration_matches_formula():
-    # the enumerator itself asserts count == formula; also check distinctness
-    for (series, rank), order in WEYL_ORDERS.items():
-        d = build_root_datum(series, rank, "sc")
-        w = weyl_group_enumerate(d)
-        assert w.order == order
-        assert len(set(w.elements)) == order
-
-
-def test_weyl_e6_enumerates():
-    d = build_root_datum("E", 6, "ad")
-    w = weyl_group_enumerate(d)
-    assert w.order == 51840
-    assert len(w.elements) == 51840
-
-
-def test_weyl_budget_skips_enumeration():
-    d = build_root_datum("E", 8, "sc")
-    w = weyl_group_enumerate(d, budget=10**4)
-    assert w.order == 696729600
-    assert w.elements is None
-    assert len(w.generators) == 8
-
-
-def test_weyl_gl_special_is_symmetric_group():
-    gl4 = build_root_datum("A", 3, "gl-special")
-    w = weyl_group_enumerate(gl4)
-    assert w.order == 24
-    # permutation matrices exactly
-    for m in w.elements:
-        assert sorted(sum(row) for row in m) == [1, 1, 1, 1]
-        assert all(x in (0, 1) for row in m for x in row)
+        group = center_alcove_action(build_root_datum(series, rank, "sc")).group
+        assert group.free_rank == 0
+        assert group.torsion == torsion, (series, rank)
 
 
 def test_extended_marks():
@@ -335,7 +289,7 @@ def _all_data():
 
 def _height_by_solve(d, root):
     # one rational solve per root, independent of the cached inverse Cartan
-    n = d.semisimple_rank
+    n = len(d.simple_indices)
     rows = [[sum(x * y for x, y in zip(d.simple_roots[j], d.simple_coroots[i])) for j in range(n)] for i in range(n)]
     b = [sum(x * y for x, y in zip(root, d.simple_coroots[i])) for i in range(n)]
     return solve_rational(rows, b)
