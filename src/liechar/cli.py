@@ -8,6 +8,10 @@ the one place that catches a rejected input (a ValueError or
 ZeroDivisionError from any subcommand): it writes `{"error": ...}` as JSON,
 whatever `--format` is, and returns 1. A rejected argument is named by its
 flag in the message.
+
+`main(argv)` may be called repeatedly in one process. It builds its parser
+with `build_parser()` on the first call and reuses it afterwards; each call
+parses into a fresh namespace, so no flag carries over from an earlier call.
 """
 
 from __future__ import annotations
@@ -378,8 +382,8 @@ def _check_tn_pairing_roots(rng):
     return acc == 1
 
 
-def _check_qlog():
-    return quasi_log_bijection_check("SL2", 3, 1)["pass"]
+def _check_qlog(kind):
+    return quasi_log_bijection_check(kind, 3, 1)["pass"]
 
 
 def _check_tjd_random(rng):
@@ -409,8 +413,11 @@ def _check_reciprocity(rng):
 
 
 def _check_dixon_sl2_3():
-    g = build_finite_group("SL2", 3)
-    return tables_match(character_table_dixon(g), classical_table_oracle("SL2", 3))
+    """Each table passes its own orthogonality check before the two are
+    compared; `verify` raises on a failure."""
+    dixon = character_table_dixon(build_finite_group("SL2", 3))
+    classical = classical_table_oracle("SL2", 3)
+    return dixon.verify() and classical.verify() and tables_match(dixon, classical)
 
 
 def _check_springer_sl2_3():
@@ -450,7 +457,8 @@ def _cmd_selftest(args):
         ("sln_group_closure", _check_sln_closure),
         ("tn_norm_one_torus", _check_tn_norm_one),
         ("tn_pairing_roots", lambda: _check_tn_pairing_roots(rng)),
-        ("qlog_sl2_3_1", _check_qlog),
+        ("qlog_sl2_3_1", lambda: _check_qlog("SL2")),
+        ("qlog_gl2_3_1", lambda: _check_qlog("GL2")),
         ("tjd_random", lambda: _check_tjd_random(rng)),
         ("hilbert_reciprocity", lambda: _check_reciprocity(rng)),
         ("dixon_vs_classical_sl2_3", _check_dixon_sl2_3),
@@ -557,8 +565,15 @@ def build_parser():
     return ap
 
 
+@lru_cache(maxsize=None)
+def _parser():
+    """The parser of this process, built on the first `main` call, so that
+    importing the module does not pay for it."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, ZeroDivisionError) as e:

@@ -34,24 +34,28 @@ def _dot(x, y):
 
 
 def _rank_of_span(vectors, dim):
-    """Rank of the span of integer vectors of length dim, by elimination
-    with cross-multiplied rows cut down to their content."""
-    rows = [list(v) for v in vectors]
-    rank = 0
-    for col in range(dim):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        p = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            x = rows[i][col]
+    """Rank of the span of integer vectors of length dim. Each vector is
+    reduced against an integer echelon basis, kept sorted by pivot column,
+    by cross-multiplying with the pivot rows and dividing out the content;
+    what is left, if nonzero, joins the basis. The search stops once the
+    rank reaches dim."""
+    basis = []  # (pivot column, row); pivot columns are distinct, rows zero left of them
+    for v in vectors:
+        if len(basis) == dim:
+            break
+        row = list(v)
+        for col, p in basis:
+            x = row[col]
             if x:
-                row = [p[col] * a - x * b for a, b in zip(rows[i], p)]
+                row = [p[col] * a - x * b for a, b in zip(row, p)]
                 g = gcd(*row)
-                rows[i] = [a // g for a in row] if g else row
-        rank += 1
-    return rank
+                if g:
+                    row = [a // g for a in row]
+        col = next((i for i, a in enumerate(row) if a), None)
+        if col is not None:
+            basis.append((col, row))
+            basis.sort()
+    return len(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +432,14 @@ def sub_datum_from_pairs(rank, pairs) -> RootDatum:
 
     positives = [a for a, _ in pairs if phi(a) > 0]
     posset = set(positives)
-    simple = []
-    for b in positives:
-        if not any(tuple(x - y for x, y in zip(b, g)) in posset for g in positives if g != b):
-            simple.append(b)
+    # a positive root b is simple unless b - alpha is a positive root for a
+    # simple alpha; such an alpha has smaller phi than b, so in phi order it
+    # is found before b is reached
+    found = set()
+    for b in sorted(positives, key=phi):
+        if not any(tuple(x - y for x, y in zip(b, a)) in posset for a in found):
+            found.add(b)
+    simple = [b for b in positives if b in found]
     roots = sorted(a for a, _ in pairs)
     co = dict(pairs)
     coroots = [co[a] for a in roots]

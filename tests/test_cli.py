@@ -10,7 +10,9 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import cli_sequence
 from liechar.cli import main
+from liechar.dl_spectra import CharacterTable
 
 
 def run_cli(argv):
@@ -314,6 +316,57 @@ def test_rejected_argument_is_named(argv, flag):
     assert code == 1
     assert json.loads(out)["error"].startswith(flag + ":")
     assert err == ""
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_parser_is_built_on_the_first_call_and_reused():
+    # a fresh interpreter, so that no earlier call has built the parser
+    script = """
+import liechar.cli as cli
+built = []
+real = cli.build_parser
+cli.build_parser = lambda: built.append(1) or real()
+print(len(built))
+for argv in (["hilbert", "--a", "2", "--b", "3", "--place", "5"], ["tori", "h1", "--frobenius", "[[-1]]"],
+             ["hilbert", "--a", "-1", "--b", "-1", "--place", "2"]):
+    cli.main(argv)
+print(len(built))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("0", "1")
+
+
+def test_in_process_sequence_matches_fresh_processes():
+    got, faults = cli_sequence.mismatches()
+    assert [code for code, _, _ in got] == cli_sequence.EXIT_CODES
+    assert not faults
+    # the CSV default came back after the JSON call, and the enumerate call
+    # did not see the --kappa of the call before it
+    assert got[0][1].startswith("{") and got[1][1].startswith("degree,")
+    assert "kappa" in got[2][2] and "kappa" not in got[3][2]
+
+
+def test_selftest_runs_the_table_checks_and_the_gl2_quasi_log(monkeypatch):
+    code, out, _ = run_cli(["selftest"])
+    assert code == 0
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert names.count("qlog_gl2_3_1") == 1
+    assert names.index("qlog_gl2_3_1") == names.index("qlog_sl2_3_1") + 1
+
+    def refuse(table):
+        raise AssertionError("orthogonality fails")
+
+    monkeypatch.setattr(CharacterTable, "verify", refuse)
+    code, out, _ = run_cli(["selftest"])
+    assert code == 1
+    failed = [c for c in json.loads(out)["checks"] if not c["pass"]]
+    assert [c["name"] for c in failed] == ["dixon_vs_classical_sl2_3"]
+    assert "orthogonality" in failed[0]["detail"]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from liechar.endoscopy import center_alcove_action
+from liechar.endoscopy import center_alcove_action, pseudo_levi
 from liechar.exact_math import IntMatrix, smith_normal_form, solve_rational
 from liechar.root_datum import (
     RootDatum,
@@ -14,6 +14,7 @@ from liechar.root_datum import (
     cartan_matrix,
     dual_datum,
     extended_dynkin,
+    reflection_closure,
     sub_datum_from_pairs,
 )
 
@@ -316,6 +317,104 @@ def test_rank_of_span_matches_smith_form():
         _, d, _ = smith_normal_form(IntMatrix(rows))
         assert _rank_of_span(rows, c) == sum(1 for i in range(min(r, c)) if d.at(i, i))
     assert _rank_of_span([], 3) == 0
+
+
+def _rank_by_full_elimination(rows, dim):
+    # Gauss-Jordan over Q on every row, no early stop
+    rows = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(dim):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col] / rows[rank][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_rank_of_span_matches_full_elimination():
+    rng = random.Random(11)
+    for trial in range(600):
+        dim = rng.randint(1, 8)
+        k = rng.randint(0, dim)
+        basis = [[rng.randint(-4, 4) for _ in range(dim)] for _ in range(k)]
+        rows = [[sum(rng.randint(-3, 3) * b[j] for b in basis) for j in range(dim)]
+                for _ in range(rng.randint(0, 12))]
+        if rows and trial % 3 == 0:
+            rows += [list(rng.choice(rows)) for _ in range(rng.randint(1, 4))]
+        if trial % 4 == 0:
+            # the last vector is the one that can complete the rank
+            rows.append([rng.randint(-5, 5) for _ in range(dim)])
+        if trial % 4 == 1:
+            rng.shuffle(rows)
+        assert _rank_of_span(rows, dim) == _rank_by_full_elimination(rows, dim), (rows, dim)
+
+
+def test_rank_of_span_counts_the_last_vector_and_stops_at_full_rank():
+    for dim in range(1, 9):
+        units = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        assert _rank_of_span(units[1:] + [units[0]], dim) == dim
+        assert _rank_of_span(units[1:] * 2, dim) == dim - 1
+        # nothing after full rank is read: list(None) would raise
+        assert _rank_of_span(units + [None], dim) == dim
+
+
+def _simple_by_all_pairs(pairs):
+    # the positive system of sub_datum_from_pairs's big-base functional;
+    # a positive root is simple when it is not a sum of two positive roots,
+    # tested on every pair; indices into the sorted roots, in input order
+    base = max(abs(x) for a, _ in pairs for x in a) + 2
+    positives = [a for a, _ in pairs if sum(x * base**k for k, x in enumerate(a)) > 0]
+    posset = set(positives)
+    simple = [
+        b for b in positives
+        if not any(tuple(x - y for x, y in zip(b, g)) in posset for g in positives if g != b)
+    ]
+    roots = sorted(a for a, _ in pairs)
+    return tuple(roots.index(b) for b in simple)
+
+
+ATLAS_TYPES = (
+    [("A", n) for n in range(1, 5)] + [("B", n) for n in range(2, 5)] + [("C", n) for n in range(2, 5)]
+    + [("D", 4), ("F", 4), ("G", 2), ("E", 6), ("E", 7), ("E", 8)]
+)
+
+
+def _check_simple_search(rank, pairs):
+    sub = sub_datum_from_pairs(rank, pairs)
+    assert sub.simple_indices == _simple_by_all_pairs(pairs), pairs
+    return sub
+
+
+def test_simple_roots_match_all_pairs_search_on_pseudo_levis():
+    for series, rank in ATLAS_TYPES:
+        for isog in ("sc", "ad"):
+            g = build_root_datum(series, rank, isog)
+            d = dual_datum(g)
+            _check_simple_search(d.rank, list(zip(d.roots, d.coroots)))
+            ext = extended_dynkin(d)
+            for vertex in range(ext.n_nodes):
+                gens = [(ext.node_vectors[i], ext.node_coroots[i]) for i in range(ext.n_nodes) if i != vertex]
+                sub = _check_simple_search(d.rank, reflection_closure(gens))
+                assert pseudo_levi(g, vertex).simple_indices == sub.simple_indices
+
+
+def test_simple_roots_match_all_pairs_search_on_kappa_subsystems():
+    rng = random.Random(3)
+    for series, rank in ATLAS_TYPES:
+        for isog in ("sc", "ad"):
+            d = dual_datum(build_root_datum(series, rank, isog))
+            for _ in range(6):
+                den = rng.choice((2, 3, 4, 5, 6))
+                kappa = [Fraction(rng.randint(-den, den), den) for _ in range(d.rank)]
+                pairs = [(r, rv) for r, rv in zip(d.roots, d.coroots)
+                         if sum(x * k for x, k in zip(r, kappa)).denominator == 1]
+                if pairs:
+                    _check_simple_search(d.rank, pairs)
 
 
 def test_levi_subsystem_is_not_semisimple():
