@@ -25,6 +25,9 @@ only after its checks passed.
 
 from __future__ import annotations
 
+import sys
+from array import array
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm
@@ -643,15 +646,41 @@ def _choose_modulus(exponent, order):
     raise ValueError(f"no usable prime below {bound} for exponent {exponent}")
 
 
-def _matvec_mod(mat, v, l):
-    return [sum(x * y for x, y in zip(row, v)) % l for row in mat]
+def _pack_columns(vecs):
+    """Coordinate t of every vector of vecs, entries in [0, l), packed into
+    one integer with a 64-bit field per vector."""
+    return [int.from_bytes(array("Q", col).tobytes(), sys.byteorder) for col in zip(*vecs)]
 
 
-def _poly_eval_mod(p, x, l):
-    acc = 0
-    for cf in reversed(p):
-        acc = (acc * x + cf) % l
-    return acc
+def _apply_packed(rows, packed, count, l):
+    """A sparse matrix, each row a list of (t, c) pairs, applied to `count`
+    vectors at once: out[j][e] is coordinate j of the image of vector e,
+    mod l.
+
+    `packed` comes from _pack_columns, so each pair (t, c) of row j is one
+    integer multiply-add. A field then holds at most (l - 1) times the sum
+    of the row's c. That sum is at most n^2 for a class matrix (the sum over
+    t of |C_t| times its count is |C_i| |C_j|) and at most m (l - 1) for a
+    lift, so with n <= 10^4 and l < 10^6 a field stays below 2^54 and never
+    carries into the next one.
+    """
+    nbytes = 8 * count
+    out = []
+    for row in rows:
+        acc = 0
+        for t, c in row:
+            acc += c * packed[t]
+        out.append([x % l for x in array("Q", acc.to_bytes(nbytes, sys.byteorder))])
+    return out
+
+
+def _roots_mod(poly, l):
+    """The roots in F_l of a polynomial, coefficients low to high, by one
+    Horner pass over the list of its values at all l points."""
+    vals = [poly[-1]] * l
+    for cf in reversed(poly[:-1]):
+        vals = [(v * x + cf) % l for x, v in enumerate(vals)]
+    return [x for x, v in enumerate(vals) if v == 0]
 
 
 def _charpoly_mod(mat, l):
@@ -741,6 +770,22 @@ def character_table_dixon(group) -> CharacterTable:
     discrete Fourier inversion over the cyclic group generated by its class
     representative.  Works for any group with elements/identity/mul/inv of
     order at most 10^4.
+
+    The class matrices are kept sparse, as rows of (t, count) pairs, built
+    without a dense intermediate, and applied to a whole basis at once
+    (_apply_packed); the lift inverts the DFT of every row at once the same
+    way. The class algebra is semisimple mod l, so a block on which a class
+    matrix acts as a scalar is kept without a root search. Every table
+    passes these checks, each raising AssertionError:
+    - each block's basis is independent and each image lies in its span;
+    - the eigenspaces of each split fill the block, and the splitting ends
+      in lines;
+    - every line is an eigenvector of every class matrix, with eigenvalue
+      one for the identity class;
+    - each degree is recovered, and the degree squares sum to the order;
+    - the rows are orthogonal mod l;
+    - each lifted multiplicity is at most the degree, and they sum to it;
+    - each row's degree is a positive integer (CharacterTable).
     """
     n = len(group.elements)
     if n > 10**4:
@@ -755,17 +800,17 @@ def character_table_dixon(group) -> CharacterTable:
     root = pow(_primitive_root_mod(l), (l - 1) // exponent, l)
     inv_class = [idx[inv(r)] for r in cd.reps]
 
-    # structure matrices: mats[i][j][t] counts x in C_i with x^{-1} * rep_t
-    # in C_j; the eigenvalue vectors of all of them give the central
-    # characters
+    # structure matrices, sparse: mats[i][j] lists the pairs (t, c), c > 0
+    # the number of x in C_i with x^{-1} * rep_t in C_j; the eigenvalue
+    # vectors of all of them give the central characters
     mats = []
     for ci in range(k):
-        tm = [[0] * k for _ in range(k)]
-        for x in cd.members[ci]:
-            xi = inv(x)
-            for t, rep in enumerate(cd.reps):
-                tm[idx[mul(xi, rep)]][t] += 1
-        mats.append(tm)
+        xis = [inv(x) for x in cd.members[ci]]
+        rows = [[] for _ in range(k)]
+        for t, rep in enumerate(cd.reps):
+            for j, c in Counter([idx[mul(xi, rep)] for xi in xis]).items():
+                rows[j].append((t, c))
+        mats.append(rows)
 
     spaces = [[[1 if r == c else 0 for r in range(k)] for c in range(k)]]
     id_idx = cd.identity_index
@@ -778,11 +823,14 @@ def character_table_dixon(group) -> CharacterTable:
             if d == 1:
                 nxt.append(basis)
                 continue
-            imgs = [_matvec_mod(mats[ci], b, l) for b in basis]
+            imgs = list(zip(*_apply_packed(mats[ci], _pack_columns(basis), d, l)))
             coords = _coords_in_basis(basis, imgs, l)
             s_mat = [[coords[c][r] for c in range(d)] for r in range(d)]
-            cp = _charpoly_mod(s_mat, l)
-            roots = [x for x in range(l) if _poly_eval_mod(cp, x, l) == 0]
+            lam = s_mat[0][0]
+            if s_mat == [[lam if r == c else 0 for c in range(d)] for r in range(d)]:
+                nxt.append(basis)
+                continue
+            roots = _roots_mod(_charpoly_mod(s_mat, l), l)
             if len(roots) <= 1:
                 nxt.append(basis)
                 continue
@@ -810,20 +858,24 @@ def character_table_dixon(group) -> CharacterTable:
     if any(len(b) != 1 for b in spaces):
         raise AssertionError("the class algebra did not split completely")
 
-    omegas = []
-    for (v,) in spaces:
-        j0 = next(j for j in range(k) if v[j])
-        inv_vj = pow(v[j0], -1, l)
-        om = []
-        for ci in range(k):
-            tv = _matvec_mod(mats[ci], v, l)
-            w = tv[j0] * inv_vj % l
-            if any((w * v[r] - tv[r]) % l for r in range(k)):
+    # every line against every class matrix: omegas[e][ci] is the
+    # eigenvalue of class matrix ci on line e
+    lines = [v for (v,) in spaces]
+    packed = _pack_columns(lines)
+    rows_of_lines = list(zip(*lines))
+    firsts = [next(j for j in range(k) if v[j]) for v in lines]
+    inv_firsts = [pow(v[j0], -1, l) for v, j0 in zip(lines, firsts)]
+    by_class = []
+    for ci in range(k):
+        tv = _apply_packed(mats[ci], packed, k, l)
+        ws = [tv[j0][e] * iv % l for e, (j0, iv) in enumerate(zip(firsts, inv_firsts))]
+        for r in range(k):
+            if tv[r] != [w * x % l for w, x in zip(ws, rows_of_lines[r])]:
                 raise AssertionError("not a common eigenvector")
-            om.append(w)
-        if om[id_idx] != 1:
-            raise AssertionError("identity eigenvalue is not one")
-        omegas.append(om)
+        by_class.append(ws)
+    omegas = [list(om) for om in zip(*by_class)]
+    if any(om[id_idx] != 1 for om in omegas):
+        raise AssertionError("identity eigenvalue is not one")
 
     degrees = []
     chars_mod = []
@@ -854,43 +906,47 @@ def character_table_dixon(group) -> CharacterTable:
             if s != (n % l if i1 == i2 else 0):
                 raise AssertionError("modular orthogonality fails")
 
-    powmaps = []
-    for ci in range(k):
-        pm = [id_idx]
-        acc = group.identity
-        for _ in range(rep_orders[ci] - 1):
-            acc = mul(acc, cd.reps[ci])
-            pm.append(idx[acc])
-        powmaps.append(pm)
-
     # lift: the value at class i lives in the cyclotomic field of the
     # representative's order m; recover the multiplicity of each power of
-    # zeta_m by inverting the DFT of t -> chi(rep^t) mod l
+    # zeta_m by inverting the DFT of t -> chi(rep^t) mod l, every row at
+    # once. Row r of class i's inverse DFT pairs each class c with the sum
+    # of y^(-r t) / m over the t with rep^t in c, y = root^(exponent/m), so
+    # mults[i][r][e] is the multiplicity of zeta_m^r in row e.
+    packed = _pack_columns(chars_mod)
+    mults = []
+    for ci in range(k):
+        m = rep_orders[ci]
+        y = pow(root, exponent // m, l)
+        ypow = [pow(m, -1, l)] * m
+        for t in range(1, m):
+            ypow[t] = ypow[t - 1] * y % l
+        pm = [id_idx]
+        acc = group.identity
+        for _ in range(m - 1):
+            acc = mul(acc, cd.reps[ci])
+            pm.append(idx[acc])
+        dft = []
+        for r in range(m):
+            sums = {}
+            for t, c in enumerate(pm):
+                sums[c] = sums.get(c, 0) + ypow[-r * t % m]
+            dft.append([(c, s % l) for c, s in sums.items()])
+        mults.append(_apply_packed(dft, packed, k, l))
+
     rows = []
-    for row_i, cm in enumerate(chars_mod):
-        deg = degrees[row_i]
+    for e, deg in enumerate(degrees):
         vals = []
         for ci in range(k):
-            m = rep_orders[ci]
-            y = pow(root, exponent // m, l)
-            ypow = [1] * m
-            for t in range(1, m):
-                ypow[t] = ypow[t - 1] * y % l
-            fvals = [cm[powmaps[ci][t]] for t in range(m)]
-            minv = pow(m, -1, l)
             coeffs = {}
-            for r in range(m):
-                acc = 0
-                for t in range(m):
-                    acc += fvals[t] * ypow[(m - r * t % m) % m]
-                nr = acc % l * minv % l
+            for r, nrs in enumerate(mults[ci]):
+                nr = nrs[e]
                 if nr:
                     if nr > deg:
                         raise AssertionError("eigenvalue multiplicity too large")
                     coeffs[r] = nr
             if sum(coeffs.values()) != deg:
                 raise AssertionError("multiplicities do not sum to the degree")
-            vals.append(Cyclotomic(m, coeffs))
+            vals.append(Cyclotomic(rep_orders[ci], coeffs))
         rows.append(ClassFunction(cd, vals))
     return CharacterTable(cd, rows)
 

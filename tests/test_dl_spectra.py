@@ -152,6 +152,43 @@ def test_dixon_budget():
         character_table_dixon(g)
 
 
+class OneWrongProduct:
+    """A matrix group through the generic protocol, whose mul returns a
+    wrong element for the one product a * b."""
+
+    def __init__(self, g, a, b, wrong):
+        self.elements, self.identity, self.inv = g.elements, g.identity, g.inv
+        self.group, self.fault = g, (a, b, wrong)
+
+    def mul(self, x, y):
+        a, b, wrong = self.fault
+        return wrong if x == a and y == b else self.group.mul(x, y)
+
+
+@pytest.mark.parametrize(
+    "kind,ci,t,message",
+    [
+        # class 3 is not needed to split the class algebra of either group,
+        # so only the check of every line against every class matrix sees it
+        ("SL2", 3, 0, "not a common eigenvector"),
+        ("GL2", 3, 0, "not a common eigenvector"),
+        ("SL2", 6, 1, "vector outside the span"),
+        ("GL2", 7, 1, "eigenspaces do not fill the subspace"),
+    ],
+)
+def test_dixon_checks_catch_one_wrong_product(kind, ci, t, message):
+    """x^{-1} * rep_t, for x the smallest member of class ci, is replaced by
+    the representative of the next class, one entry of the structure
+    matrices moved to another row."""
+    g = build_finite_group(kind, 3)
+    cd = conjugacy_classes(g)
+    xi = g.inv(cd.members[ci][0])
+    right = cd.class_of(g.mul(xi, cd.reps[t]))
+    wrong = cd.reps[(right + 1) % cd.count]
+    with pytest.raises(AssertionError, match=message):
+        character_table_dixon(OneWrongProduct(g, xi, cd.reps[t], wrong))
+
+
 # -- closed forms
 
 
@@ -225,7 +262,10 @@ def test_classical_orthogonality_exact(kind, q):
 
 @pytest.mark.parametrize(
     "kind,q",
-    [("SL2", 3), ("GL2", 3), ("SL2", 5), ("GL2", 5), ("SL2", 7), ("GL2", 7), ("SL2", 9)],
+    [
+        ("SL2", 3), ("GL2", 3), ("SL2", 5), ("GL2", 5), ("SL2", 7), ("GL2", 7), ("SL2", 9),
+        ("SL2", 11), ("SL2", 13),
+    ],
 )
 def test_dixon_matches_classical(kind, q):
     dix = character_table_dixon(build_finite_group(kind, q))
