@@ -387,13 +387,21 @@ def _check_qlog(kind):
 
 
 def _check_tjd_random(rng):
-    for _ in range(10):
+    """Ten invertible 2x2 matrices mod 3^3, then one mod p^k for each p in
+    (2, 5, 7) and k <= 4 whose leading entry is divisible by p, so that the
+    inverse must pivot past it."""
+    rings = [(3, 3, False)] * 10 + [(p, k, True) for p in (2, 5, 7) for k in range(1, 5)]
+    for p, k, non_unit in rings:
+        mod = p**k
         while True:
-            m = TruncatedMatrix(
-                2, 3, 3, [[rng.randrange(27) for _ in range(2)] for _ in range(2)]
-            )
+            rows = [[rng.randrange(mod) for _ in range(2)] for _ in range(2)]
+            if non_unit:
+                rows[0][0] = p * rng.randrange(mod // p)
+            m = TruncatedMatrix(2, p, k, rows)
             if m.is_invertible():
                 break
+        if m.mul(m.inverse()) != TruncatedMatrix.identity(2, p, k):
+            return False
         delta, u = topological_jordan(m)
         if delta.mul(u) != m:
             return False

@@ -224,9 +224,7 @@ class ClassFunction:
         """Hermitian inner product, averaged over the group."""
         if other.classes is not self.classes:
             raise ValueError("class data mismatch")
-        total = Cyclotomic.zero()
-        for sz, v, w in zip(self.classes.sizes, self.values, other.values):
-            total = total + v * w.conjugate() * sz
+        total = Cyclotomic.hermitian_sum(self.classes.sizes, self.values, other.values)
         return total * Fraction(1, self.classes.group_order)
 
     def __add__(self, other):

@@ -236,6 +236,28 @@ class Cyclotomic:
         """Complex conjugation, zeta -> zeta^(-1)."""
         return Cyclotomic(self.n, {-e: v for e, v in self.num.items()}, self.den)
 
+    @staticmethod
+    def hermitian_sum(weights, xs, ys):
+        """sum(w * x * y.conjugate()) over int weights w and values x, y,
+        added into one numerator dict over the common conductor and the
+        common denominator of the products: one value is made, not three per
+        term."""
+        terms = list(zip(weights, xs, ys))
+        m = lcm(*(v.n for _, x, y in terms for v in (x, y)))
+        den = lcm(*(x.den * y.den for _, x, y in terms))
+        out = {}
+        # exponents run from 1 - m to m - 1 here; the constructor reduces them
+        for w, x, y in terms:
+            s = w * (den // (x.den * y.den))
+            sx, sy = m // x.n, m // y.n
+            b = [(e2 * sy, v2) for e2, v2 in y.num.items()]
+            for e1, v1 in x.num.items():
+                e1, v1 = e1 * sx, v1 * s
+                for e2, v2 in b:
+                    e = e1 - e2
+                    out[e] = out.get(e, 0) + v1 * v2
+        return Cyclotomic(m, out, den)
+
     # -- predicates, canonical forms
 
     def _reduction(self):

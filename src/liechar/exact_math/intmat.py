@@ -326,15 +326,17 @@ def inverse_rational(rows):
 
 
 def rref_mod(rows, l, ncols):
-    """Gauss-Jordan over Z/l, l prime, on the first ncols columns of rows.
-    Returns (a, pivots): a is a reduced copy, entries in [0, l), and row i of
-    a has a 1 in column pivots[i], the only nonzero entry of that column; the
-    rows from len(pivots) on vanish in the first ncols columns."""
+    """Gauss-Jordan over Z/l on the first ncols columns of rows, pivoting
+    on units: for l prime every nonzero entry, for l = p^k the entries prime
+    to p. Returns (a, pivots): a is a reduced copy, entries in [0, l), and
+    row i of a has a 1 in column pivots[i], the only nonzero entry of that
+    column; the rows from len(pivots) on hold no unit in the first ncols
+    columns (they vanish there when l is prime)."""
     a = [[x % l for x in r] for r in rows]
     pivots = []
     for c in range(ncols):
         row = len(pivots)
-        pr = next((r for r in range(row, len(a)) if a[r][c]), None)
+        pr = next((r for r in range(row, len(a)) if gcd(a[r][c], l) == 1), None)
         if pr is None:
             continue
         a[row], a[pr] = a[pr], a[row]

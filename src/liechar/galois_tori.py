@@ -28,7 +28,11 @@ ORDER_BUDGET = 10**3
 
 
 class TwistedTorus:
-    """Lattice Z^rank with a finite-order unimodular Frobenius."""
+    """Lattice Z^rank with a finite-order unimodular Frobenius.
+
+    A torus is immutable once built. Its pairing data (H^1, pi0 and the
+    Smith form behind them) is built on first use and cached in `derived`,
+    only after it is built, so it lives exactly as long as the torus."""
 
     def __init__(self, rank, frobenius: IntMatrix):
         self.rank = int(rank)
@@ -39,6 +43,7 @@ class TwistedTorus:
             raise ValueError("frobenius must be unimodular")
         self.frobenius = frobenius
         self.order = self._find_order()
+        self.derived = {}
 
     def _find_order(self):
         ident = IntMatrix.identity(self.rank)
@@ -88,8 +93,12 @@ class TNPairingData:
 
 
 def component_group_pi0(torus: TwistedTorus) -> TNPairingData:
-    """Torsion of the Frobenius coinvariants, with its dual pi0 and pairing."""
-    return TNPairingData(torus)
+    """Torsion of the Frobenius coinvariants, with its dual pi0 and pairing;
+    the same object on every call with one torus."""
+    data = torus.derived.get("pi0")
+    if data is None:
+        data = torus.derived["pi0"] = TNPairingData(torus)
+    return data
 
 
 def tn_pairing(data: TNPairingData, inv, kappa) -> Cyclotomic:

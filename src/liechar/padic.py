@@ -1,6 +1,6 @@
 """Truncated p-adic arithmetic and local quadratic-form invariants.
 
-Matrices over Z/p^k with Hensel-lifted inversion, the decomposition of an
+Matrices over Z/p^k with one-pass inversion, the decomposition of an
 invertible element into a finite-order part prime to p times a topologically
 unipotent part, an exhaustive finite-precision bijectivity check for the
 quasi-logarithm, and the Hilbert symbol with its diagonal-form product
@@ -69,37 +69,15 @@ class TruncatedMatrix:
         n = self.n
         return self._like(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    def _check(self, other):
-        if (self.n, self.p, self.k) != (other.n, other.p, other.k):
-            raise ValueError("matrices live in different rings")
-
-    def add(self, other):
-        self._check(other)
-        mod = self.mod
-        return self._like(
-            tuple(
-                tuple((a + b) % mod for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
-
-    def sub(self, other):
-        self._check(other)
-        mod = self.mod
-        return self._like(
-            tuple(
-                tuple((a - b) % mod for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
-
     def mul(self, other):
-        self._check(other)
+        if (self.n, self.mod) != (other.n, other.mod):
+            raise ValueError("matrices live in different rings")
         mod = self.mod
         cols = tuple(zip(*other.rows))
-        return self._like(
-            tuple([tuple([sum(map(_mul, row, col)) % mod for col in cols]) for row in self.rows])
-        )
+        out = TruncatedMatrix.__new__(TruncatedMatrix)
+        out.n, out.p, out.k, out.mod = self.n, self.p, self.k, mod
+        out.rows = tuple([tuple([sum(map(_mul, row, col)) % mod for col in cols]) for row in self.rows])
+        return out
 
     def pow(self, e):
         if e < 0:
@@ -121,29 +99,19 @@ class TruncatedMatrix:
         return self.det() % self.p != 0
 
     def inverse(self):
-        """Hensel lifting from the inverse modulo p; precision doubles per
-        step, so a handful of iterations reach p^k."""
-        if not self.is_invertible():
-            raise ZeroDivisionError("matrix is not invertible modulo p")
-        x = self._like(self._inverse_mod_p())
-        ident = self._identity_like()
-        two_id = ident.add(ident)
-        prec = 1
-        while prec < self.k:
-            x = x.mul(two_id.sub(self.mul(x)))
-            prec *= 2
-        if self.mul(x) != ident:
-            raise AssertionError("lifted inverse fails to verify")
-        return x
-
-    def _inverse_mod_p(self):
+        """One Gauss-Jordan pass on [A | I] over Z/p^k, pivoting on units:
+        A is invertible exactly when every column finds one, that is when its
+        reduction mod p is. The result is checked: A * A^-1 = I."""
         n = self.n
         a, pivots = rref_mod(
-            [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.rows)], self.p, n
+            [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.rows)], self.mod, n
         )
         if len(pivots) < n:
             raise ZeroDivisionError("matrix is not invertible modulo p")
-        return tuple(tuple(r[n:]) for r in a)
+        x = self._like(tuple(tuple(r[n:]) for r in a))
+        if self.mul(x) != self._identity_like():
+            raise AssertionError("inverse fails to verify")
+        return x
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedMatrix):
@@ -200,7 +168,7 @@ def topological_jordan(gamma: TruncatedMatrix):
     multiple of the order of gamma. With r the prime-to-p part of N, the
     CRT split gives delta = gamma^e, e = 1 mod r and e = 0 mod N / r, in
     one power. The checks delta^r = 1, delta * u = u * delta = gamma with
-    u = delta^(-1) * gamma (a verified Hensel inverse), and u^(p^m) = 1
+    u = delta^(-1) * gamma (a verified inverse), and u^(p^m) = 1
     within k + 8 steps guard the result (a miss is a bug, not an input
     error). Returns (delta, u).
     """

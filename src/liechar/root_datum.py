@@ -166,8 +166,8 @@ class RootDatum:
             a, av = self.roots[i], self.coroots[i]
             for b in self.roots:
                 k = _dot(b, av)
-                refl = tuple(x - k * y for x, y in zip(b, a))
-                if refl not in rootset:
+                # k = 0: the reflection fixes b
+                if k and tuple(x - k * y for x, y in zip(b, a)) not in rootset:
                     raise ValueError("root set not reflection-closed")
 
     # -- basic accessors
@@ -359,6 +359,8 @@ def reflection_closure(gens):
             bv = pairs[b]
             for a, av in gens:
                 k = _dot(b, av)
+                if not k:
+                    continue  # the reflection fixes b
                 rb = tuple(x - k * y for x, y in zip(b, a))
                 if rb not in pairs:
                     k = _dot(a, bv)

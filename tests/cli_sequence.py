@@ -5,11 +5,12 @@ processes.
 puts calls next to each other that would differ if any state carried over
 from one call to the next: a `--format` default after an explicit value,
 one endoscopy subcommand after another, and a valid call after a usage
-error (exit 2) and after a rejected input (exit 1). Each in-process call
-must print the same stdout and return the same exit code as the same
-arguments in a fresh `python -m liechar.cli` process, and its subcommand
-must see the namespace that a freshly built parser gives, with no flag left
-over from an earlier call.
+error (exit 2) and after a rejected input (exit 1). It ends with a table
+over F_9, whose field is not prime. Each in-process call must print the
+same stdout and return the same exit code as the same arguments in a fresh
+`python -m liechar.cli` process, and its subcommand must see the namespace
+that a freshly built parser gives, with no flag left over from an earlier
+call. `tests/test_no_dead_code.py` traces the in-process calls.
 
 Runs without pytest (`tests/test_cli.py` runs it too):
 
@@ -32,9 +33,10 @@ SEQUENCE = [
     ["hilbert", "--a", "-1", "--b", "-1", "--place", "2"],
     ["hilbert", "--a", "0", "--b", "3", "--place", "5"],
     ["tori", "h1", "--frobenius", "[[-1]]"],
+    ["chartable", "--group", "SL2", "--q", "9", "--method", "classical"],
 ]
 # the usage error and the rejected input are what the calls after them test
-EXIT_CODES = [0, 0, 0, 0, 2, 0, 1, 0]
+EXIT_CODES = [0, 0, 0, 0, 2, 0, 1, 0, 0]
 
 
 def in_process(argv):

@@ -229,6 +229,31 @@ def test_matches_fraction_oracle(x, y, c):
     assert (a * b - b * a) == 0
 
 
+# conductors whose lcm stays at most 120, denominators up to 12
+mixed_cyclo = st.builds(
+    Cyclotomic,
+    st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12]),
+    st.dictionaries(
+        st.integers(-12, 12), st.fractions(min_value=-4, max_value=4, max_denominator=12), max_size=4
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(-5, 5), mixed_cyclo, mixed_cyclo), max_size=5))
+def test_hermitian_sum_is_the_fold(terms):
+    """One numerator dict over the common conductor and denominator is the
+    value, and the representation, of the term-by-term fold."""
+    weights, xs, ys = ([t[i] for t in terms] for i in range(3))
+    fold = Cyclotomic.zero()
+    for w, x, y in zip(weights, xs, ys):
+        fold = fold + x * y.conjugate() * w
+    got = Cyclotomic.hermitian_sum(weights, xs, ys)
+    assert got == fold
+    assert (got.n, got.num, got.den) == (fold.n, fold.num, fold.den)
+    assert repr(got) == repr(fold)
+
+
 def test_equality_across_conductors_sharing_at_most_two():
     z3, z4, z5 = Cyclotomic.zeta(3), Cyclotomic.zeta(4), Cyclotomic.zeta(5)
     assert z3 + Cyclotomic.zeta(3, 2) == Cyclotomic.zeta(4, 2)  # both are -1

@@ -107,14 +107,22 @@ def test_coordinates_and_inverse_mod_p_round_trip(l):
             )
             with pytest.raises(AssertionError, match="vector outside the span"):
                 _coords_in_basis(basis, [outside], l)
-    for _ in range(30):
-        n = rng.randint(1, 4)
-        m = TruncatedMatrix(n, l, 1, random_matrix(rng, n, n, l))
+    # the inverse over Z/l^k is rref_mod on [A | I] mod l^k, pivoting on units
+    for i in range(40):
+        n, k = rng.randint(1, 4), 1 + i % 4
+        m = TruncatedMatrix(n, l, k, random_matrix(rng, n, n, l**k))
         if not m.is_invertible():
             with pytest.raises(ZeroDivisionError, match="not invertible modulo p"):
-                m._inverse_mod_p()
+                m.inverse()
             continue
-        assert m.mul(m._like(m._inverse_mod_p())) == TruncatedMatrix.identity(n, l, 1)
+        assert m.mul(m.inverse()) == TruncatedMatrix.identity(n, l, k)
+    # a leading entry that is nonzero but not a unit is passed over
+    assert TruncatedMatrix(2, l, 2, [[l, 1], [1, 0]]).inverse() == TruncatedMatrix(
+        2, l, 2, [[0, 1], [1, -l]]
+    )
+    # det = l^2: nonzero mod l^3, but singular mod l, and no unit in column 0
+    with pytest.raises(ZeroDivisionError, match="not invertible modulo p"):
+        TruncatedMatrix(2, l, 3, [[l, 1], [l, 1 + l]]).inverse()
 
 
 def cofactor_det(rows):

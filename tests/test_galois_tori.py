@@ -14,6 +14,7 @@ from liechar.exact_math import (
     kernel_basis,
     solve_integer,
 )
+from liechar.exact_math import intmat
 from liechar.galois_tori import (
     TwistedTorus,
     center_quotient_lattices,
@@ -146,6 +147,32 @@ def test_cochar_class_coordinates():
     cls = data.cochar_class((1, 0, 0))
     zero = data.h1.zero()
     assert [m for m in range(1, 5) if data.h1.scale(m, cls) == zero] == [4]
+
+
+def test_pairing_data_is_cached_on_its_torus(monkeypatch):
+    """One Smith form per torus however many pairings it serves, held by the
+    torus itself: two tori with the same Frobenius share nothing."""
+    snf_calls = []
+    snf = intmat.smith_normal_form
+
+    def counting(m):
+        snf_calls.append(m)
+        return snf(m)
+
+    monkeypatch.setattr(intmat, "smith_normal_form", counting)
+    rows = [[0, 0, -1], [1, 0, -1], [0, 1, -1]]
+    first, second = _torus(rows), _torus(rows)
+    data = component_group_pi0(first)
+    assert len(snf_calls) == 1
+    for i in range(100):
+        assert component_group_pi0(first) is data
+        tn_pairing(component_group_pi0(first), (i % 4,), ((i // 4) % 4,))
+    assert len(snf_calls) == 1
+    assert any(v is data for v in first.derived.values())
+    other = component_group_pi0(second)
+    assert other is not data and other.presentation is not data.presentation
+    assert len(snf_calls) == 2
+    assert not any(v is data for v in second.derived.values())
 
 
 # --- independent oracle: ker(norm)/im(F - 1) --------------------------------

@@ -6,11 +6,21 @@ the non-test files of `perfbench/`, outside its own definition. A top-level
 name counts as referenced on a word match; a method only as `.name` or
 `"name"` (a getattr or a dispatch table). A name that only tests reach is
 deleted, not kept, unless it is listed in `EXEMPT` with its reason.
+
+A name match cannot tell apart two classes' methods of one name: a call of
+`FiniteField.mul` also matches `TruncatedMatrix.mul`. So every method whose
+name two or more library classes define must also run, in a fresh
+interpreter, during `selftest --seed 0` and the in-process calls of
+`tests/cli_sequence.py`, as recorded by `sys.setprofile`.
 """
 
 import ast
 import io
+import json
+import os
 import re
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -113,3 +123,67 @@ def test_every_exemption_names_a_live_definition():
     names = {qualname for qualname, *_ in _definitions()}
     assert set(EXEMPT) <= names
     assert set(EXEMPT.values()) == {"reserved for ROADMAP direction 3"}
+
+
+# run in a fresh interpreter, so that no cache filled by an earlier test
+# hides a call
+_TRACE = """
+import contextlib, io, json, sys
+import cli_sequence
+import liechar.cli as cli
+
+seen = set()
+
+def record(frame, event, arg):
+    if event == "call":
+        code = frame.f_code
+        seen.add((code.co_filename, code.co_name, code.co_firstlineno))
+
+sys.setprofile(record)
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["selftest", "--seed", "0"])
+for argv in cli_sequence.SEQUENCE:
+    cli_sequence.in_process(argv)
+sys.setprofile(None)
+json.dump(sorted(seen), sys.stdout)
+"""
+
+
+def _traced_calls():
+    """{(path, function name): first lines} of every Python function that
+    `_TRACE` enters."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACE], capture_output=True, text=True, env=env, cwd=ROOT, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = {}
+    for path, name, line in json.loads(proc.stdout):
+        out.setdefault((Path(path).resolve(), name), set()).add(line)
+    return out
+
+
+def _shared_methods():
+    """(qualified name, path, first line, last line) of every method whose
+    name two or more classes define."""
+    by_name = {}
+    for qualname, path, first, last, _ in _definitions():
+        _, _, name = qualname.partition(".")
+        if name:
+            by_name.setdefault(name, []).append((qualname, path, first, last))
+    return [d for defs in by_name.values() if len(defs) >= 2 for d in defs]
+
+
+def test_every_method_with_a_shared_name_runs():
+    ran = _traced_calls()
+    shared = _shared_methods()
+    assert shared, "no two library classes share a method name"
+    missing = [
+        f"{path.relative_to(ROOT)}: {qualname}"
+        for qualname, path, first, last in shared
+        if not any(
+            first <= line <= last
+            for line in ran.get((path.resolve(), qualname.rpartition(".")[2]), ())
+        )
+    ]
+    assert not missing, "never called:\n" + "\n".join(missing)

@@ -42,8 +42,6 @@ def test_matrix_ring_basics():
     assert m.rows == ((1, 1), (0, 1))
     i = TruncatedMatrix.identity(2, 5, 3)
     assert m.mul(i) == m and i.mul(m) == m
-    assert m.sub(m) == TruncatedMatrix(2, 5, 3, [[0, 0], [0, 0]])
-    assert m.add(m).sub(m) == m
     assert m.pow(0) == i
     assert m.pow(3) == m.mul(m).mul(m)
 
@@ -103,7 +101,7 @@ def test_constructor_refuses_inexact_or_malformed_input(n, p, k, rows):
 def test_arithmetic_results_stay_reduced():
     m = TruncatedMatrix(2, 3, 2, [[8, 4], [-1, 5]])
     assert m.rows == ((8, 4), (8, 5))
-    for r in (m.add(m), m.sub(m.pow(3)), m.mul(m), m.pow(5), m.inverse()):
+    for r in (m.mul(m), m.pow(5), m.inverse()):
         assert all(type(x) is int and 0 <= x < 9 for row in r.rows for x in row)
         assert r == TruncatedMatrix(2, 3, 2, r.rows)
 
