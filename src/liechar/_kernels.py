@@ -13,12 +13,13 @@ the columns are the rows of the transpose. `Tables` holds, for one field:
 
 They are built from the field's own add and mul (q^2 calls each), so every
 result is the exact field arithmetic; a product is then two divmods and five
-lookups. The tables are built once per field, on first use (`tables`), and
-kept on the field, so the groups over one field share them; a field that
-never carries a matrix group never builds them.
+lookups. `tables` keeps them on the field (see `exact_math.cached`), so the
+groups over one field share them.
 """
 
 from array import array
+
+from .exact_math import cached
 
 BACKEND = "python"  # recorded with every benchmark run
 
@@ -63,12 +64,8 @@ class Tables:
 
 
 def tables(field):
-    """The field's Tables, built on the first call and kept in
-    field.derived."""
-    t = field.derived.get("mat2")
-    if t is None:
-        t = field.derived["mat2"] = Tables(field)
-    return t
+    """The field's Tables."""
+    return cached(field, "mat2", Tables)
 
 
 def mat_mul(a, b, t):

@@ -10,17 +10,11 @@ reduction of a mixed trace to the semisimple part's centralizer.
 
 Every equality here is decided in exact cyclotomic arithmetic.
 
-This module keeps no state of its own. What it builds for a matrix group
-(conjugacy classes, class shapes, the Gauss sum, the Borel profile, orbit
-sums) is cached in the group's `derived` dict, and what it builds for a
-torus character (the torus-series character) in the torus's `derived`
-dict, keyed by the character's exponents. There is no cache of which
-values are rational: each cyclotomic value memoises its own reduction,
-and its `==` settles values of coprime conductors without a common
-field. The quadratic extension F_q^2, built as the elliptic-torus
-matrices on the packed 2 x 2 tables, lives on the field, in its `derived`
-dict next to the tables, so GL2 and SL2 over one q share it. Each is stored
-only after its checks passed.
+This module keeps no state of its own. What it builds is cached on its
+owner (see `exact_math.cached`): the classes, class shapes, Borel profile
+and orbit sums on the group, the torus-series characters on their torus,
+and the quadratic extension F_q^2 and the Gauss sum on the field, which GL2
+and SL2 over one q share. Each cyclotomic value memoises its own reduction.
 """
 
 from __future__ import annotations
@@ -33,7 +27,7 @@ from itertools import product
 from math import isqrt, lcm
 
 from . import _kernels
-from .exact_math import Cyclotomic, element_order, is_prime, power, prime_factors, rref_mod
+from .exact_math import Cyclotomic, cached, element_order, is_prime, power, primitive_element, rref_mod
 from .finite_lie import (
     FiniteLieGroup,
     LieFunction,
@@ -75,10 +69,11 @@ class _QuadExt:
 
     Products are `_kernels.mat_mul` and the norm x^2 - eps y^2 is the
     determinant. The generator is the first element of full order q^2 - 1
-    in the order of the code x + q y; `log` and `norm_one_log` hold the
-    discrete logarithms in the full multiplicative group and in its norm-one
-    subgroup, cyclic of orders q^2 - 1 and q + 1, keyed by packed point, so
-    the points of the elliptic tori of GL2 and SL2 are keys.
+    in the order of the code x + q y (`primitive_element`); `log` and
+    `norm_one_log` hold the discrete logarithms in the full multiplicative
+    group and in its norm-one subgroup, cyclic of orders q^2 - 1 and q + 1,
+    keyed by packed point, so the points of the elliptic tori of GL2 and SL2
+    are keys.
     """
 
     def __init__(self, field):
@@ -97,10 +92,7 @@ class _QuadExt:
             for y in range(q)
             for x in range(q)
         ][2:]
-        gen = next((z for z in points if element_order(mul, one, z, order) == order), None)
-        if gen is None:
-            raise AssertionError("no generator of the quadratic extension")
-        self.gen = gen
+        self.gen = gen = primitive_element(mul, one, points, order)
         self.log = {}
         acc = one
         for k in range(order):
@@ -119,13 +111,8 @@ class _QuadExt:
 
 
 def _quad_ext(field) -> _QuadExt:
-    """The field's quadratic extension, built on first use and kept in
-    field.derived next to the matrix tables, so GL2 and SL2 over one q
-    share it."""
-    ext = field.derived.get("quad_ext")
-    if ext is None:
-        ext = field.derived["quad_ext"] = _QuadExt(field)
-    return ext
+    """The field's quadratic extension."""
+    return cached(field, "quad_ext", _QuadExt)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +162,7 @@ def conjugacy_classes(group) -> ClassData:
     group; the generic path is quadratic and meant for small test groups.
     """
     if isinstance(group, FiniteLieGroup):
-        return group.cached("classes", _labeled_classes)
+        return cached(group, "classes", _labeled_classes)
     seen = set()
     classes = []
     for x in group.elements:
@@ -322,7 +309,7 @@ def _class_shapes(g: FiniteLieGroup):
     elliptic: eigenvalue z in the quadratic extension, with its discrete
               logarithm and (determinant one only) its norm-one logarithm
     """
-    return g.cached("class_shapes", _build_class_shapes)
+    return cached(g, "class_shapes", _build_class_shapes)
 
 
 def _build_class_shapes(g: FiniteLieGroup):
@@ -545,7 +532,7 @@ def _sl2_values_half(g, shapes, big_degree, pm):
     cuspidal side; elliptic classes do the opposite.
     """
     fld = g.field
-    tau = g.cached("gauss_sum", lambda g: _gauss_sum(g.field))
+    tau = cached(fld, "gauss_sum", _gauss_sum)
     eps_prime = 1 if fld.is_square(fld.neg(1)) else -1
     lam_minus = eps_prime if big_degree else -eps_prime
     c = 1 if big_degree else -1
@@ -617,14 +604,6 @@ def classical_table_oracle(kind, q) -> CharacterTable:
 
 # ---------------------------------------------------------------------------
 # the modular route
-
-
-def _primitive_root_mod(l):
-    fac = prime_factors(l - 1)
-    for g0 in range(2, l):
-        if all(pow(g0, (l - 1) // r, l) != 1 for r in fac):
-            return g0
-    raise AssertionError("no primitive root found")
 
 
 def _choose_modulus(exponent, order):
@@ -795,7 +774,8 @@ def character_table_dixon(group) -> CharacterTable:
     rep_orders = [element_order(mul, group.identity, r, n) for r in cd.reps]
     exponent = lcm(*rep_orders)
     l = _choose_modulus(exponent, n)
-    root = pow(_primitive_root_mod(l), (l - 1) // exponent, l)
+    gen = primitive_element(lambda a, b: a * b % l, 1, range(2, l), l - 1)
+    root = pow(gen, (l - 1) // exponent, l)
     inv_class = [idx[inv(r)] for r in cd.reps]
 
     # structure matrices, sparse: mats[i][j] lists the pairs (t, c), c > 0
@@ -1038,7 +1018,7 @@ def _split_class_profile(g: FiniteLieGroup):
     """Per class: upper-triangular members binned by diagonal, weighted by
     the centralizer order.  One pass over the group; every induced
     character from the Borel is then a q-free sum over these bins."""
-    return g.cached("split_profile", _build_split_profile)
+    return cached(g, "split_profile", _build_split_profile)
 
 
 def _build_split_profile(g: FiniteLieGroup):
@@ -1109,10 +1089,7 @@ def dl_character(torus: TorusInG, theta: TorusCharacter) -> DLCharacter:
     """
     if theta.torus is not torus:
         raise ValueError("theta belongs to a different torus")
-    store = torus.derived.setdefault("dl_characters", {})
-    parts = store.get(theta.exps)
-    if parts is None:
-        parts = store[theta.exps] = _dl_parts(torus, theta)
+    parts = cached(torus, ("dl_character", theta.exps), lambda torus: _dl_parts(torus, theta))
     return DLCharacter(torus, theta, *parts)
 
 
@@ -1213,14 +1190,13 @@ def springer_check(
     else:
         reps = (g.pack([[1, 1], [0, 1]]),)
     cd = conjugacy_classes(g)
-    orbit_sums = g.derived.setdefault("orbit_sums", {})
     cases = []
     ok = True
     for u in reps:
         x = quasi_logarithm(g, u)
-        rhs = orbit_sums.get((t, x))
-        if rhs is None:
-            rhs = orbit_sums[t, x] = _orbit_fourier_sum(g, x, orbit) * Fraction(1, g.q)
+        rhs = cached(
+            g, ("orbit_sum", t, x), lambda g: _orbit_fourier_sum(g, x, orbit) * Fraction(1, g.q)
+        )
         lhs = rho.value_at(u)
         eq = lhs == rhs
         ok = ok and eq

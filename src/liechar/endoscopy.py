@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .exact_math import FinAbGroup, IntMatrix, abelian_subgroup_type, cokernel_group
+from .exact_math import FinAbGroup, IntMatrix, abelian_subgroup_type, cached, cokernel_group
 from .root_datum import (
     RootDatum,
     _dot,
@@ -137,12 +137,9 @@ class CenterDiagramAction:
 def center_alcove_action(g: RootDatum) -> CenterDiagramAction:
     """Action of the center of the simply connected dual group on the
     extended diagram of the dual, by mu: x -> fold(x + mu) over a coweight
-    transversal (the origin and the mark-1 alcove vertices). Built once per
-    datum and cached on it."""
-    action = g.derived.get("center_alcove_action")
-    if action is None:
-        action = g.derived["center_alcove_action"] = _build_center_alcove_action(g)
-    return action
+    transversal (the origin and the mark-1 alcove vertices). The same object
+    on every call."""
+    return cached(g, "center_alcove_action", _build_center_alcove_action)
 
 
 def _build_center_alcove_action(g: RootDatum) -> CenterDiagramAction:
@@ -303,7 +300,7 @@ def _elliptic_triple(action, node):
     """The elliptic triple of the center orbit of an extended-diagram node.
     Built once per datum, after its checks pass, and stored under every node
     of the orbit in `derived["elliptic_triples"]` (at most one entry per
-    node)."""
+    node), one of the three exceptions to `exact_math.cached`."""
     store = action.ambient.derived.setdefault("elliptic_triples", {})
     triple = store.get(node)
     if triple is None:
@@ -317,8 +314,6 @@ def _elliptic_triple(action, node):
 def enumerate_split_elliptic(g: RootDatum) -> list:
     """One elliptic triple per center orbit of extended-diagram vertices."""
     _require_simple(g)
-    if g.label and g.label[2] not in ("sc", "ad"):
-        raise ValueError("sc or ad isogeny required")
     action = center_alcove_action(g)
     orbits = action.orbits()
     triples = [_elliptic_triple(action, min(orbit)) for orbit in orbits]

@@ -1,6 +1,7 @@
 """Exact arithmetic substrate: integer matrices and Smith form, row
 reduction over Q and Z/l, finitely generated abelian groups, cyclotomic
-numbers, small finite fields, primes, and element orders."""
+numbers, small finite fields, primes, element orders and generators, and
+`cached`, the one caching rule."""
 
 from .intmat import (
     IntMatrix,
@@ -22,7 +23,8 @@ from .cyclo import (
 )
 from .ffield import FiniteField
 from .primes import is_prime, prime_factors
-from .orders import element_order, power
+from .orders import element_order, power, primitive_element
+from .cache import cached
 
 __all__ = [
     "IntMatrix",
@@ -44,4 +46,6 @@ __all__ = [
     "prime_factors",
     "element_order",
     "power",
+    "primitive_element",
+    "cached",
 ]

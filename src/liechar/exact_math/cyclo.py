@@ -24,6 +24,11 @@ from math import gcd, lcm
 
 from .intmat import solve_rational
 
+# largest conductor reduced modulo Phi_n. The characters of GL2 and SL2 over
+# F_q, q <= 13, have conductors up to 168, and two tables are compared at
+# the lcm of theirs, up to 2184
+CONDUCTOR_BUDGET = 5000
+
 
 def _poly_divide_exact(num, den):
     # exact division of integer polynomials, num = q * den
@@ -74,7 +79,10 @@ def _phi_terms(n):
 def _reduce_mod_phi(coeffs, n):
     """Remainder of a sparse {exp: coefficient} polynomial modulo Phi_n, as
     a dense list of length deg Phi_n. Phi_n is monic, so integer
-    coefficients give integer remainders."""
+    coefficients give integer remainders. A conductor above
+    CONDUCTOR_BUDGET is refused before Phi_n or the list is built."""
+    if n > CONDUCTOR_BUDGET:
+        raise ValueError(f"conductor {n} exceeds the budget CONDUCTOR_BUDGET = {CONDUCTOR_BUDGET}")
     _, deg, low = _phi_terms(n)
     dense = [0] * max(n, deg)
     for e, c in coeffs.items():

@@ -11,7 +11,8 @@ table; both tables are built once from the digit-wise arithmetic.
 
 from __future__ import annotations
 
-from .primes import is_prime, prime_factors
+from .orders import primitive_element
+from .primes import is_prime
 
 MAX_Q = 2**14
 
@@ -29,9 +30,7 @@ class FiniteField:
         self.p, self.f, self.q = p, f, q
         self.modulus = self._find_modulus() if f > 1 else None
         self._build_tables()
-        # structures other modules build from the field, e.g. the matrix
-        # tables of liechar._kernels; filled on first use
-        self.derived = {}
+        self.derived = {}  # its cache (see `cached`)
 
     # -- element encoding
 
@@ -75,16 +74,8 @@ class FiniteField:
 
     def _build_tables(self):
         q = self.q
-        # smallest element of multiplicative order q-1
-        factors = prime_factors(q - 1)
-        gen = None
-        for cand in range(2, q):
-            if all(self._pow_raw(cand, (q - 1) // ell) != 1 for ell in factors):
-                gen = cand
-                break
-        if gen is None:
-            gen = 1  # q = 2
-        self.gen = gen
+        # smallest element of multiplicative order q-1 (1 when q = 2)
+        self.gen = gen = primitive_element(self._mul_raw, 1, range(1, q), q - 1)
         self.exp_table = [1] * (q - 1)
         for i in range(1, q - 1):
             self.exp_table[i] = self._mul_raw(self.exp_table[i - 1], gen)
@@ -97,15 +88,6 @@ class FiniteField:
             self._zech = [
                 self.log_table.get(self._add_raw(1, x)) for x in self.exp_table
             ]
-
-    def _pow_raw(self, a, n):
-        r = 1
-        while n:
-            if n & 1:
-                r = self._mul_raw(r, a)
-            a = self._mul_raw(a, a)
-            n >>= 1
-        return r
 
     def _add_raw(self, a, b):
         return self._encode([x + y for x, y in zip(self._digits(a), self._digits(b))])

@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .orders import element_order
+
 
 class IntMatrix:
     """Immutable integer matrix."""
@@ -479,16 +481,7 @@ def abelian_subgroup_type(elements, add, zero):
     if n == 1:
         return FinAbGroup()
 
-    def elt_order(x):
-        k, y = 1, x
-        while y != zero:
-            y = add(y, x)
-            k += 1
-            if k > n:
-                raise AssertionError("not closed under addition")
-        return k
-
-    orders = [elt_order(x) for x in elems]
+    orders = [element_order(add, zero, x, n) for x in elems]
     exponent = 1
     for o in orders:
         exponent = lcm(exponent, o)

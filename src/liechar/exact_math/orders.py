@@ -1,6 +1,8 @@
-"""Orders and powers of an element of a finite group given by its product."""
+"""Orders, powers and generators in a finite group given by its product."""
 
 from __future__ import annotations
+
+from .primes import prime_factors
 
 ORDER_BUDGET = 10**6  # most steps an order search may take
 
@@ -29,3 +31,14 @@ def power(mul, identity, x, k):
         base = mul(base, base)
         k >>= 1
     return out
+
+
+def primitive_element(mul, identity, candidates, order):
+    """The first candidate x of a cyclic group of the given order with
+    x^(order / l) != identity for every prime l dividing the order, i.e. the
+    first generator."""
+    exps = [order // ell for ell in prime_factors(order)]
+    for x in candidates:
+        if all(power(mul, identity, x, e) != identity for e in exps):
+            return x
+    raise AssertionError(f"no candidate generates the cyclic group of order {order}")

@@ -9,18 +9,10 @@ traces, the trace pairing, the scalar shift of the quasi-logarithm,
 conjugation orbits and classes) goes through `_kernels`, whose lookup tables
 are built once per field; the same code serves prime q and F_9.
 
-Every structure derived from a group is cached on the group, in its
-`derived` dict: the adjoint orbits (each stored under every one of its
-points), the maximal tori, and the conjugacy classes, class shapes and other
-tables that `dl_spectra` builds. A structure is stored only after its checks
-passed; a failed check raises again on every call. Structures of one torus
-(its torus-series characters) live on the `TorusInG`. `build_finite_group`
-keeps one object per (kind, q) and `_field_for` one field per q = p^f, so a
-process builds each structure once and GL2 and SL2 over one q share the
-field and what is kept on it, in `field.derived`: the matrix tables and the
-quadratic extension F_q^2 that `dl_spectra` builds as elliptic-torus
-matrices. No other module-level state refers to a group, so a group built
-directly is freed with all it derived.
+What is derived from a group, a torus or a field is cached on it (see
+`exact_math.cached`). `build_finite_group` keeps one object per (kind, q) and
+`_field_for` one field per q = p^f, so GL2 and SL2 over one q share the
+field and what is cached on it.
 """
 
 from __future__ import annotations
@@ -28,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import _kernels
-from .exact_math import Cyclotomic, FiniteField, prime_factors
+from .exact_math import Cyclotomic, FiniteField, cached, prime_factors
 
 _KIND_DATA = {
     # kind: (n, lie_dim, absolute rank, f_q-rank, |Z(G^sc)|, q budget)
@@ -64,7 +56,7 @@ def _kind_data(kind, p, q):
 
 class FiniteLieGroup:
     """One of the supported matrix groups with its Lie algebra data, and
-    `derived`, the cache of every structure built from it (see `cached`)."""
+    `derived`, its cache (see `exact_math.cached`)."""
 
     def __init__(self, kind, field: FiniteField):
         q = field.q
@@ -91,15 +83,6 @@ class FiniteLieGroup:
         self.lie_basis = self._lie_basis()
         self._check_gram()
         self.derived = {}
-
-    def cached(self, name, build):
-        """derived[name], made by build(self) on first use. build raises when
-        a check fails, so only checked structures are stored, and the error
-        is raised again on every call."""
-        value = self.derived.get(name)
-        if value is None:
-            value = self.derived[name] = build(self)
-        return value
 
     # -- packing and matrix arithmetic over the field codes
 
@@ -187,28 +170,12 @@ class FiniteLieGroup:
         )
 
     def _check_gram(self):
-        fld = self.field
-        d = self.dim
-        gram = [
-            [self.pairing_code(self.lie_basis[i], self.lie_basis[j]) for j in range(d)]
-            for i in range(d)
-        ]
-        # Gaussian elimination over the field
-        rank = 0
-        for col in range(d):
-            piv = next((r for r in range(rank, d) if gram[r][col] != 0), None)
-            if piv is None:
-                continue
-            gram[rank], gram[piv] = gram[piv], gram[rank]
-            inv = fld.inv(gram[rank][col])
-            for r in range(d):
-                if r != rank and gram[r][col] != 0:
-                    f = fld.mul(gram[r][col], inv)
-                    gram[r] = [
-                        fld.sub(x, fld.mul(f, y)) for x, y in zip(gram[r], gram[rank])
-                    ]
-            rank += 1
-        if rank != d:
+        """The trace pairing is nondegenerate on lie_basis: its Gram matrix
+        has one nonzero entry in every row and every column, so it is
+        invertible."""
+        basis = self.lie_basis
+        support = [[self.pairing_code(a, b) != 0 for b in basis] for a in basis]
+        if any(sum(line) != 1 for line in support + list(zip(*support))):
             raise AssertionError("trace pairing is degenerate")
 
     # -- Lie algebra coordinates
@@ -257,8 +224,8 @@ class FiniteLieGroup:
 
     def adjoint_orbit_of(self, t):
         """Sorted tuple of the orbit of a Lie point under conjugation. Each
-        orbit is built once and the same tuple is returned for every one of
-        its points."""
+        orbit is built once and stored under every one of its points, one of
+        the three exceptions to `exact_math.cached`."""
         self.lie_coeffs(t)  # membership check
         orbits = self.derived.setdefault("adjoint_orbits", {})
         orbit = orbits.get(t)
@@ -371,8 +338,8 @@ def finite_fourier(g_group: FiniteLieGroup, f: LieFunction) -> LieFunction:
 
 class TorusInG:
     """A maximal torus point group inside the finite group, with its Lie
-    points, relative Weyl group action and sign data. `derived` caches the
-    structures built per torus character (see dl_spectra)."""
+    points, relative Weyl group action and sign data, and `derived`, its
+    cache (see `exact_math.cached`)."""
 
     def __init__(self, parent, tag, points, lie_points, weyl, fq_rank):
         self.parent = parent
@@ -439,10 +406,9 @@ def _find_weyl_witness(g: FiniteLieGroup, points, lie_points):
 
 
 def tori_and_regularity(g: FiniteLieGroup):
-    """One TorusInG per conjugacy class of maximal tori: split and elliptic.
-    Built and checked on the first call; later calls return the same
-    objects."""
-    return g.cached("tori", _build_tori)
+    """One TorusInG per conjugacy class of maximal tori: split and elliptic,
+    the same objects on every call."""
+    return cached(g, "tori", _build_tori)
 
 
 def _build_tori(g: FiniteLieGroup):

@@ -18,6 +18,7 @@ from .exact_math import (
     FinAbGroup,
     IntMatrix,
     abelian_subgroup_type,
+    cached,
     cokernel_group,
     kernel_basis,
     solve_integer,
@@ -31,8 +32,7 @@ class TwistedTorus:
     """Lattice Z^rank with a finite-order unimodular Frobenius.
 
     A torus is immutable once built. Its pairing data (H^1, pi0 and the
-    Smith form behind them) is built on first use and cached in `derived`,
-    only after it is built, so it lives exactly as long as the torus."""
+    Smith form behind them) is cached in `derived` (see `exact_math.cached`)."""
 
     def __init__(self, rank, frobenius: IntMatrix):
         self.rank = int(rank)
@@ -95,10 +95,7 @@ class TNPairingData:
 def component_group_pi0(torus: TwistedTorus) -> TNPairingData:
     """Torsion of the Frobenius coinvariants, with its dual pi0 and pairing;
     the same object on every call with one torus."""
-    data = torus.derived.get("pi0")
-    if data is None:
-        data = torus.derived["pi0"] = TNPairingData(torus)
-    return data
+    return cached(torus, "pi0", TNPairingData)
 
 
 def tn_pairing(data: TNPairingData, inv, kappa) -> Cyclotomic:

@@ -8,10 +8,8 @@ Bourbaki numbering. The Cartan matrix is C[i][j] = <alpha_j, alpha_i^vee>,
 rows indexed by coroots.
 
 Isogeny choices:
-  'sc'          X is spanned by fundamental weights (simply connected form)
-  'ad'          X is spanned by the roots (adjoint form)
-  'gl-special'  series A only: X = Z^(rank+1) with roots e_i - e_j (GL_n type,
-                not semisimple)
+  'sc'  X is spanned by fundamental weights (simply connected form)
+  'ad'  X is spanned by the roots (adjoint form)
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from .exact_math import inverse_rational
+from .exact_math import cached, inverse_rational
 
 SERIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -129,16 +127,12 @@ def _check_series_rank(series, rank):
 class RootDatum:
     """Lattice Z^rank with aligned root/coroot tuples.
 
-    A datum is immutable once built. Structures derived from it (its dual,
-    the inverse Cartan matrix as integer rows over one denominator, which
-    the simple coefficients, the highest root, the alcove vertices and
-    alcove folding all read, the highest root, semisimplicity, the Cartan
-    type, the extended diagram, and for endoscopy the center action and the
-    elliptic triple of each center orbit) are built on first use and cached
-    in `derived`, keyed by name, so they live exactly as long as the datum.
-    Each holds a number of entries fixed by the datum, never one per query
-    point. Only values that passed every check are cached: a call that
-    raises raises again on the next call.
+    A datum is immutable once built. What is derived from it (its dual, the
+    inverse Cartan matrix as integer rows over one denominator, the highest
+    root, semisimplicity, the Cartan type, the extended diagram, and for
+    endoscopy the center action and the elliptic triple of each center
+    orbit) is cached in `derived` (see `exact_math.cached`), a number of
+    entries fixed by the datum, never one per query point.
     """
 
     def __init__(self, rank, roots, coroots, simple_indices, label=None, validate=True):
@@ -181,11 +175,9 @@ class RootDatum:
         return tuple(self.coroots[i] for i in self.simple_indices)
 
     def is_semisimple(self):
-        ss = self.derived.get("semisimple")
-        if ss is None:
-            ss = _rank_of_span(self.roots, self.rank) == self.rank and len(self.roots) > 0
-            self.derived["semisimple"] = ss
-        return ss
+        return cached(
+            self, "semisimple", lambda d: _rank_of_span(d.roots, d.rank) == d.rank and len(d.roots) > 0
+        )
 
     def coroot_of(self, root):
         return self.coroots[self.roots.index(tuple(root))]
@@ -202,10 +194,7 @@ class RootDatum:
         fundamental coweight omega_i^vee = sum_k rows[i][k] alpha_k^vee / den,
         column i the coordinate over alpha_i^vee of a point from its
         pairings with the simple roots."""
-        inv = self.derived.get("cartan_inverse")
-        if inv is None:
-            inv = self.derived["cartan_inverse"] = inverse_rational(self.cartan())
-        return inv
+        return cached(self, "cartan_inverse", lambda d: inverse_rational(d.cartan()))
 
     def simple_coefficients(self, root):
         """Coefficients of a root over the simple roots, as Fractions."""
@@ -216,20 +205,20 @@ class RootDatum:
 
     def highest_root(self):
         """Unique root of maximal height; requires an irreducible system."""
-        theta = self.derived.get("highest_root")
-        if theta is None:
-            # height(b) = sum_i (C^-1 <b, alpha^vee>)_i = <b, h> / den where
-            # h sums the simple coroots weighted by the column sums of the
-            # integer rows; each height is one integer dot product
-            sums = [sum(col) for col in zip(*self._cartan_inverse()[1])]
-            h = [_dot(sums, col) for col in zip(*self.simple_coroots)]
-            heights = [_dot(b, h) for b in self.roots]
-            best_h = max(heights, default=None)
-            ties = [b for b, height in zip(self.roots, heights) if height == best_h]
-            if len(ties) != 1:
-                raise ValueError("highest root not unique: system is reducible")
-            theta = self.derived["highest_root"] = ties[0]
-        return theta
+        return cached(self, "highest_root", RootDatum._find_highest_root)
+
+    def _find_highest_root(self):
+        # height(b) = sum_i (C^-1 <b, alpha^vee>)_i = <b, h> / den where h
+        # sums the simple coroots weighted by the column sums of the integer
+        # rows; each height is one integer dot product
+        sums = [sum(col) for col in zip(*self._cartan_inverse()[1])]
+        h = [_dot(sums, col) for col in zip(*self.simple_coroots)]
+        heights = [_dot(b, h) for b in self.roots]
+        best_h = max(heights, default=None)
+        ties = [b for b, height in zip(self.roots, heights) if height == best_h]
+        if len(ties) != 1:
+            raise ValueError("highest root not unique: system is reducible")
+        return ties[0]
 
     # -- classification
 
@@ -255,10 +244,7 @@ class RootDatum:
 
     def cartan_type(self):
         """Canonical type string, e.g. 'B3', 'A1+A1', 'A2+A2+A2', '0'."""
-        ctype = self.derived.get("cartan_type")
-        if ctype is None:
-            ctype = self.derived["cartan_type"] = self._classify()
-        return ctype
+        return cached(self, "cartan_type", RootDatum._classify)
 
     def _classify(self):
         if not self.simple_indices:
@@ -373,26 +359,18 @@ def reflection_closure(gens):
 def build_root_datum(series, rank, isogeny="sc") -> RootDatum:
     """Construct the root datum of the given simple series and isogeny type."""
     _check_series_rank(series, rank)
-    if isogeny not in ("sc", "ad", "gl-special"):
+    if isogeny not in ("sc", "ad"):
         raise ValueError(f"unknown isogeny {isogeny!r}")
-
-    if isogeny == "gl-special":
-        if series != "A":
-            raise ValueError("gl-special is defined for series A only")
-        n = rank + 1
-        simple = [tuple(1 if k == i else -1 if k == i + 1 else 0 for k in range(n)) for i in range(rank)]
-        simple_cov = simple
+    c = cartan_matrix(series, rank)
+    n = rank
+    if isogeny == "sc":
+        # X = weight basis: alpha_j = column j of C; coroots are unit vectors
+        simple = [tuple(c[i][j] for i in range(n)) for j in range(n)]
+        simple_cov = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
     else:
-        c = cartan_matrix(series, rank)
-        n = rank
-        if isogeny == "sc":
-            # X = weight basis: alpha_j = column j of C; coroots are unit vectors
-            simple = [tuple(c[i][j] for i in range(n)) for j in range(n)]
-            simple_cov = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-        else:
-            # X = root basis: alpha_j = e_j; coroot j = row j of C
-            simple = [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
-            simple_cov = [tuple(c[i][k] for k in range(n)) for i in range(n)]
+        # X = root basis: alpha_j = e_j; coroot j = row j of C
+        simple = [tuple(1 if k == j else 0 for k in range(n)) for j in range(n)]
+        simple_cov = [tuple(c[i][k] for k in range(n)) for i in range(n)]
     pairs = reflection_closure(zip(simple, simple_cov))
     roots = [a for a, _ in pairs]
     idx = [roots.index(s) for s in simple]
@@ -400,21 +378,23 @@ def build_root_datum(series, rank, isogeny="sc") -> RootDatum:
 
 
 _DUAL_SERIES = {"A": "A", "B": "C", "C": "B", "D": "D", "E": "E", "F": "F", "G": "G"}
-_DUAL_ISOGENY = {"sc": "ad", "ad": "sc", "gl-special": "gl-special"}
+_DUAL_ISOGENY = {"sc": "ad", "ad": "sc"}
 
 
 def dual_datum(d: RootDatum) -> RootDatum:
     """Swap (X, roots) with (Y, coroots). Every call on d returns the same
     object, whose dual is d itself."""
-    dual = d.derived.get("dual")
-    if dual is None:
-        label = None
-        if d.label:
-            series, rank, isog = d.label
-            label = (_DUAL_SERIES[series], rank, _DUAL_ISOGENY[isog])
-        dual = RootDatum(d.rank, d.coroots, d.roots, d.simple_indices, label=label, validate=False)
-        dual.derived["dual"] = d
-        d.derived["dual"] = dual
+    return cached(d, "dual", _build_dual)
+
+
+def _build_dual(d: RootDatum) -> RootDatum:
+    label = None
+    if d.label:
+        series, rank, isog = d.label
+        label = (_DUAL_SERIES[series], rank, _DUAL_ISOGENY[isog])
+    dual = RootDatum(d.rank, d.coroots, d.roots, d.simple_indices, label=label, validate=False)
+    # the link back, one of the three exceptions to `cached`
+    dual.derived["dual"] = d
     return dual
 
 
@@ -475,12 +455,9 @@ class ExtDynkin:
 
 
 def extended_dynkin(d: RootDatum) -> ExtDynkin:
-    """Extended diagram of an irreducible semisimple datum, built once per
-    datum."""
-    ext = d.derived.get("extended_dynkin")
-    if ext is None:
-        ext = d.derived["extended_dynkin"] = _build_extended_dynkin(d)
-    return ext
+    """Extended diagram of an irreducible semisimple datum, the same object
+    on every call."""
+    return cached(d, "extended_dynkin", _build_extended_dynkin)
 
 
 def _build_extended_dynkin(d: RootDatum) -> ExtDynkin:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from reference_cyclo import Cyclotomic as RefCyclotomic
 
 from liechar.exact_math import Cyclotomic, cyclotomic_polynomial, smallest_conductor
+from liechar.exact_math.cyclo import CONDUCTOR_BUDGET
 
 
 def test_phi_polynomials():
@@ -252,6 +253,43 @@ def test_hermitian_sum_is_the_fold(terms):
     assert got == fold
     assert (got.n, got.num, got.den) == (fold.n, fold.num, fold.den)
     assert repr(got) == repr(fold)
+
+
+# five terms with conductors 1-24: the lcm of the terms reaches 5.3 * 10^9
+wide_cyclo = st.builds(
+    Cyclotomic,
+    st.integers(1, 24),
+    st.dictionaries(
+        st.integers(-24, 24), st.fractions(min_value=-4, max_value=4, max_denominator=12), max_size=4
+    ),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(-5, 5), wide_cyclo, wide_cyclo), min_size=5, max_size=5))
+def test_a_conductor_past_the_budget_is_refused(terms):
+    """The Hermitian sum of wide conductors equals its fold, or, when their
+    lcm is past CONDUCTOR_BUDGET, the comparison is refused before a dense
+    list that long is made."""
+    weights, xs, ys = ([t[i] for t in terms] for i in range(3))
+    fold = Cyclotomic.zero()
+    for w, x, y in zip(weights, xs, ys):
+        fold = fold + x * y.conjugate() * w
+    got = Cyclotomic.hermitian_sum(weights, xs, ys)
+    assert got.n == fold.n
+    if got.n <= CONDUCTOR_BUDGET:
+        assert got == fold
+    else:
+        with pytest.raises(ValueError, match="CONDUCTOR_BUDGET"):
+            got == fold
+
+
+def test_reduction_refuses_a_conductor_past_the_budget():
+    assert Cyclotomic.zeta(CONDUCTOR_BUDGET) != 1
+    past = Cyclotomic.zeta(CONDUCTOR_BUDGET + 1, 5)
+    for check in (past.reduced, past.rational_value, lambda: past == 0, lambda: repr(past)):
+        with pytest.raises(ValueError, match="CONDUCTOR_BUDGET"):
+            check()
 
 
 def test_equality_across_conductors_sharing_at_most_two():

@@ -19,7 +19,7 @@ from liechar.endoscopy import (
     pseudo_levi,
 )
 from liechar.exact_math import FinAbGroup
-from liechar.root_datum import build_root_datum, dual_datum, extended_dynkin
+from liechar.root_datum import build_root_datum, dual_datum, extended_dynkin, sub_datum_from_pairs
 
 
 def _sc(series, rank):
@@ -175,9 +175,17 @@ def test_enumerate_ad_matches_sc():
         assert [t.serialize() for t in sc] == [t.serialize() for t in ad]
 
 
-def test_enumerate_rejects_gl_special():
-    with pytest.raises(ValueError):
-        enumerate_split_elliptic(build_root_datum("A", 2, "gl-special"))
+def _levi_a2():
+    """A2 inside the lattice of A3: rank-deficient, so not semisimple."""
+    d = build_root_datum("A", 3, "ad")
+    return sub_datum_from_pairs(d.rank, [(r, rv) for r, rv in zip(d.roots, d.coroots) if r[-1] == 0])
+
+
+def test_enumerate_rejects_a_non_semisimple_datum():
+    levi = _levi_a2()
+    assert levi.cartan_type() == "A2" and not levi.is_semisimple()
+    with pytest.raises(ValueError, match="semisimple"):
+        enumerate_split_elliptic(levi)
 
 
 def test_center_action_is_cached_per_datum():
@@ -191,10 +199,11 @@ def test_center_action_is_cached_per_datum():
 
 
 def test_center_action_error_is_not_cached():
-    gl = build_root_datum("A", 2, "gl-special")
+    levi = _levi_a2()
     for _ in range(2):
-        with pytest.raises(ValueError):
-            center_alcove_action(gl)
+        with pytest.raises(ValueError, match="semisimple"):
+            center_alcove_action(levi)
+    assert "center_alcove_action" not in levi.derived
 
 
 # ---------------------------------------------------------------------------

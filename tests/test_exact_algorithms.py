@@ -1,6 +1,6 @@
 """The shared exact algorithms of exact_math: the one-pass inverse over Q,
-row reduction over Z/l and its three callers, the bounded prime tests and
-the budgeted order search."""
+row reduction over Z/l and its three callers, the bounded prime tests, the
+budgeted order search and the generator search."""
 
 import random
 from fractions import Fraction
@@ -8,16 +8,19 @@ from math import lcm
 
 import pytest
 
-from liechar.dl_spectra import _coords_in_basis, _nullspace_mod
+from liechar.dl_spectra import _coords_in_basis, _nullspace_mod, _quad_ext
 from liechar.exact_math import (
+    FiniteField,
     element_order,
     inverse_rational,
     is_prime,
     power,
     prime_factors,
+    primitive_element,
     rref_mod,
     solve_rational,
 )
+from liechar.finite_lie import build_finite_group
 from liechar.exact_math.orders import ORDER_BUDGET
 from liechar.exact_math.primes import PRIME_BOUND, TRIAL_BOUND
 from liechar.padic import TruncatedMatrix
@@ -184,3 +187,35 @@ def test_order_search_budget_is_checked_before_stepping():
         element_order(lambda a, b: a * b % 7, 1, 3, 5)
     assert power(lambda a, b: a * b % 101, 1, 3, 100) == 1
     assert power(lambda a, b: a * b % 101, 1, 3, 0) == 1
+
+
+def _first_of_full_order(mul, identity, candidates, order):
+    """The first candidate whose powers, stepped one by one, reach the
+    identity only after `order` steps."""
+    return next(x for x in candidates if element_order(mul, identity, x, order) == order)
+
+
+def test_primitive_element_picks_what_each_search_picked():
+    # the multiplicative generator of each field: the smallest code of full
+    # order, 1 for F_2
+    for p, f in [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2)]:
+        fld = FiniteField(p, f)
+        want = _first_of_full_order(fld._mul_raw, 1, range(1, fld.q), fld.q - 1)
+        assert fld.gen == want, (p, f)
+        assert primitive_element(fld._mul_raw, 1, range(1, fld.q), fld.q - 1) == want
+    # the primitive root of Dixon's modulus: every prime l < 20000
+    for l in range(3, 20000, 2):
+        if is_prime(l):
+            fac = prime_factors(l - 1)
+            want = next(g for g in range(2, l) if all(pow(g, (l - 1) // r, l) != 1 for r in fac))
+            assert primitive_element(lambda a, b: a * b % l, 1, range(2, l), l - 1) == want, l
+    assert primitive_element(lambda a, b: 1, 1, [1], 1) == 1
+    # the generator of F_q^2, stepped over the elliptic-torus codes
+    for q in (3, 5, 7, 9, 11, 13):
+        g = build_finite_group("GL2", q)
+        eps = g.field.non_residue
+        points = [g.pack([[x, g.field.mul(eps, y)], [y, x]]) for y in range(q) for x in range(q)][2:]
+        want = _first_of_full_order(g.mul, g.identity, points, q * q - 1)
+        assert _quad_ext(g.field).gen == want, q
+    with pytest.raises(AssertionError, match="order 4"):
+        primitive_element(lambda a, b: a * b % 5, 1, [1, 4], 4)

@@ -5,8 +5,9 @@ import random
 import pytest
 
 from liechar.dl_spectra import conjugacy_classes
-from liechar.exact_math import Cyclotomic
+from liechar.exact_math import Cyclotomic, FiniteField
 from liechar.finite_lie import (
+    FiniteLieGroup,
     LieFunction,
     build_finite_group,
     finite_fourier,
@@ -25,6 +26,30 @@ def test_group_orders():
     assert build_finite_group("SL2", 5).order == 120
     assert build_finite_group("SL2", 3).order == 24
     assert build_finite_group("GL2", 5).order == 480
+
+
+def test_trace_pairing_check_refuses_a_singular_gram_matrix(monkeypatch):
+    # the fixed Lie bases pass: their Gram matrices are monomial for odd q
+    for kind in ("GL2", "SL2"):
+        for q in (3, 5, 7, 9, 11, 13):
+            g = build_finite_group(kind, q)
+            g._check_gram()
+            gram = [[g.pairing_code(a, b) for b in g.lie_basis] for a in g.lie_basis]
+            assert all(sum(1 for x in row if x) == 1 for row in gram + list(zip(*gram)))
+
+    def repeated(g):
+        # E11 twice: two equal rows, so the Gram matrix is singular
+        e11 = g.pack([[1, 0], [0, 0]])
+        return (e11, g.pack([[0, 1], [0, 0]]), g.pack([[0, 0], [1, 0]]), e11)
+
+    def sl2_repeated(g):
+        h = g.pack([[1, 0], [0, g.field.neg(1)]])
+        return (h, g.pack([[0, 1], [0, 0]]), h)
+
+    for kind, (p, f), basis in (("GL2", (5, 1), repeated), ("SL2", (3, 2), sl2_repeated)):
+        monkeypatch.setattr(FiniteLieGroup, "_lie_basis", basis)
+        with pytest.raises(AssertionError, match="trace pairing is degenerate"):
+            FiniteLieGroup(kind, FiniteField(p, f))
 
 
 def test_sl2_even_q_rejected_for_center():

@@ -54,21 +54,6 @@ def test_a1_coordinates():
     assert set(ad.coroots) == {(2,), (-2,)}
 
 
-def test_gl_special():
-    gl3 = build_root_datum("A", 2, "gl-special")
-    assert gl3.rank == 3
-    assert len(gl3.roots) == 6
-    assert (1, -1, 0) in gl3.roots and (0, 1, -1) in gl3.roots and (1, 0, -1) in gl3.roots
-    # roots and coroots coincide in these coordinates
-    for r, rv in zip(gl3.roots, gl3.coroots):
-        assert r == rv
-    assert not gl3.is_semisimple()
-    with pytest.raises(ValueError, match="semisimple"):
-        extended_dynkin(gl3)
-    with pytest.raises(ValueError):
-        build_root_datum("B", 2, "gl-special")
-
-
 def test_cartan_entries():
     g2 = cartan_matrix("G", 2)
     assert g2 == [[2, -3], [-1, 2]]
@@ -221,8 +206,9 @@ def test_rank_cap_and_bad_input():
         build_root_datum("E", 5)
     with pytest.raises(ValueError):
         build_root_datum("H", 2)
-    with pytest.raises(ValueError):
-        build_root_datum("A", 2, "simply")
+    for isogeny in ("simply", "gl-special"):
+        with pytest.raises(ValueError, match="unknown isogeny"):
+            build_root_datum("A", 2, isogeny)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +220,8 @@ def test_dual_is_cached_and_involutive_by_identity():
         d = build_root_datum("B", 3, isog)
         assert dual_datum(d) is dual_datum(d)
         assert dual_datum(dual_datum(d)) is d
-    gl = build_root_datum("A", 2, "gl-special")
-    assert dual_datum(dual_datum(gl)) is gl
+    levi = _levi_of_a(2)
+    assert dual_datum(dual_datum(levi)) is levi
 
 
 def test_extended_dynkin_is_cached():
@@ -284,8 +270,15 @@ def _all_data():
         for rank in ranks:
             for isog in ("sc", "ad"):
                 yield build_root_datum(series, rank, isog)
-    for rank in range(1, 9):
-        yield build_root_datum("A", rank, "gl-special")
+    for rank in range(1, 8):
+        yield _levi_of_a(rank)
+
+
+def _levi_of_a(rank):
+    """A_rank inside the lattice of A_(rank + 1): a rank-deficient datum,
+    irreducible but not semisimple."""
+    d = build_root_datum("A", rank + 1, "ad")
+    return sub_datum_from_pairs(d.rank, [(r, rv) for r, rv in zip(d.roots, d.coroots) if r[-1] == 0])
 
 
 def _height_by_solve(d, root):
@@ -425,6 +418,8 @@ def test_levi_subsystem_is_not_semisimple():
     assert sub.cartan_type() == "D5"
     assert not sub.is_semisimple()
     assert d.is_semisimple()
+    with pytest.raises(ValueError, match="semisimple"):
+        extended_dynkin(sub)
 
 
 def test_cartan_inverse_matches_per_column_solve():
