@@ -1,5 +1,4 @@
-"""Packed 2 x 2 matrix arithmetic over any small finite field, by table
-lookup.
+"""Packed 2 x 2 matrix arithmetic over any FiniteField, by table lookup.
 
 A matrix [[a, b], [c, d]] over F_q is packed into the int
 a + b q + c q^2 + d q^3 of its field codes (the encoding of FiniteField).
@@ -11,10 +10,12 @@ the columns are the rows of the transpose. `Tables` holds, for one field:
 - transpose[m], the packed transpose of m (q^4 unsigned shorts);
 - add[x q + y], neg[x] and inv[x] on single field codes.
 
-They are built from the field's own add and mul (q^2 calls each), so every
-result is the exact field arithmetic; a product is then two divmods and five
-lookups. `tables` keeps them on the field (see `exact_math.cached`), so the
-groups over one field share them.
+add and neg are the field's own tables, and the rest is built from them and
+the field's mul (q^2 calls), so every result is the exact field arithmetic;
+a product is then two divmods and five lookups. The field bounds q by its
+MAX_Q, so a packed matrix fits the unsigned shorts of the transpose table.
+`tables` keeps them on the field (see `exact_math.cached`), so the groups
+over one field share them.
 """
 
 from array import array
@@ -22,9 +23,6 @@ from array import array
 from .exact_math import cached
 
 BACKEND = "python"  # recorded with every benchmark run
-
-# largest q whose packed matrices (< q^4 <= 2^16) fit the transpose table
-MAX_Q = 16
 
 
 class Tables:
@@ -35,12 +33,10 @@ class Tables:
 
     def __init__(self, field):
         q = field.q
-        if q > MAX_Q:
-            raise ValueError(f"matrix tables need q <= {MAX_Q}, got {q}")
         q2 = q * q
         codes = range(q)
         prod = [field.mul(x, y) for x in codes for y in codes]
-        add = bytes(field.add(x, y) for x in codes for y in codes)
+        add = field.add_table
         dot = bytearray()
         for r1 in codes:
             for r0 in codes:
@@ -59,7 +55,7 @@ class Tables:
             ),
         )
         self.add = add
-        self.neg = bytes(field.neg(x) for x in codes)
+        self.neg = field.neg_table
         self.inv = bytes([0] + [field.inv(x) for x in range(1, q)])
 
 

@@ -1,6 +1,6 @@
 """Exact arithmetic substrate: integer matrices and Smith form, row
 reduction over Q and Z/l, finitely generated abelian groups, cyclotomic
-numbers, small finite fields, primes, element orders and generators, and
+numbers, the finite fields F_q for odd q <= 16, primes, element orders and generators, and
 `cached`, the one caching rule."""
 
 from .intmat import (

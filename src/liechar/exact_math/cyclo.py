@@ -23,6 +23,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .intmat import solve_rational
+from .primes import prime_factors
 
 # largest conductor reduced modulo Phi_n. The characters of GL2 and SL2 over
 # F_q, q <= 13, have conductors up to 168, and two tables are compared at
@@ -53,25 +54,25 @@ def cyclotomic_polynomial(n):
     return _phi_terms(n)[0]
 
 
+def _at_power(poly, k):
+    """Coefficients of poly(x^k)."""
+    out = [0] * ((len(poly) - 1) * k + 1)
+    out[::k] = poly
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def _phi_terms(n):
     """(Phi_n, deg Phi_n, the nonzero (j - deg, c_j) below its leading
-    term), built once per n. Phi_n is the exact quotient of x^n - 1 by the
-    product of Phi_d over proper divisors d."""
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
-    den = (1,)
-    for d in range(1, n):
-        if n % d == 0:
-            phi_d = cyclotomic_polynomial(d)
-            # den *= phi_d
-            out = [0] * (len(den) + len(phi_d) - 1)
-            for i, a in enumerate(den):
-                if a:
-                    for j, b in enumerate(phi_d):
-                        out[i + j] += a * b
-            den = tuple(out)
-    phi = _poly_divide_exact(num, den)
+    term), built once per n, prime by prime from Phi_1 = x - 1: for a prime
+    p not dividing m, Phi_mp(x) = Phi_m(x^p) / Phi_m(x), one exact division
+    per prime of n; then Phi_n(x) = Phi_r(x^(n/r)), r the product of the
+    primes of n, as Phi_mp(x) = Phi_m(x^p) when p divides m."""
+    phi, r = (-1, 1), 1
+    for p in prime_factors(n):
+        phi = _poly_divide_exact(_at_power(phi, p), phi)
+        r *= p
+    phi = _at_power(phi, n // r)
     deg = len(phi) - 1
     return phi, deg, tuple((j - deg, c) for j, c in enumerate(phi[:-1]) if c)
 

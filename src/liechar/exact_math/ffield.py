@@ -1,12 +1,13 @@
-"""Small finite fields F_q, q = p^f with f <= 3 and q <= 2**14.
+"""Finite fields F_q for odd q = p^f <= MAX_Q, f = 1 or 2.
 
-Elements are integers 0 .. q-1 encoding polynomial coordinates base p
-(constant digit least significant). Multiplication goes through exp/log
-tables for a fixed multiplicative generator, chosen as the smallest element
-(in this integer encoding) of full order, so the generator is reproducible.
-For f > 1, addition goes through the same tables by Zech logarithms,
-g^a + g^b = g^(a + Z(b - a)) with 1 + g^n = g^Z(n), and negation through a
-table; both tables are built once from the digit-wise arithmetic.
+Elements are the integers 0 .. q-1: the code a0 + a1 p stands for
+a0 + a1 x in F_p[x]/(x^2 - r), r the smallest non-square mod p (a1 = 0 when
+f = 1; F_9 = F_3[x]/(x^2 + 1)). Addition and negation are digit-wise, read
+off one q x q addition table and one negation table. Products, inverses,
+powers and logarithms go through exp/log tables for a fixed multiplicative
+generator, the smallest code of full order, so the generator is
+reproducible. All four tables are built once, from the digit-wise
+definitions, when the field is made.
 """
 
 from __future__ import annotations
@@ -14,67 +15,28 @@ from __future__ import annotations
 from .orders import primitive_element
 from .primes import is_prime
 
-MAX_Q = 2**14
+# largest q: `_kernels` packs a 2 x 2 matrix into a code < q^4, and its
+# transpose table holds them as unsigned shorts, q^4 <= 2^16
+MAX_Q = 16
 
 
 class FiniteField:
     def __init__(self, p, f=1):
         p, f = int(p), int(f)
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if not 1 <= f <= 3:
-            raise ValueError("extension degree must be 1, 2 or 3")
+        if f not in (1, 2) or p**f > MAX_Q or p % 2 == 0 or not is_prime(p):
+            raise ValueError(
+                f"no field F_q with q = {p}^{f}: p must be an odd prime, f 1 or 2 "
+                f"and q <= MAX_Q = {MAX_Q}"
+            )
         q = p**f
-        if q > MAX_Q:
-            raise ValueError(f"field size {q} exceeds {MAX_Q}")
         self.p, self.f, self.q = p, f, q
-        self.modulus = self._find_modulus() if f > 1 else None
-        self._build_tables()
-        self.derived = {}  # its cache (see `cached`)
-
-    # -- element encoding
-
-    def _digits(self, a):
-        return [(a // self.p**i) % self.p for i in range(self.f)]
-
-    def _encode(self, digits):
-        return sum(d % self.p * self.p**i for i, d in enumerate(digits))
-
-    def _find_modulus(self):
-        # monic irreducible of degree f over F_p; degree 2,3 irreducible iff
-        # no root in F_p. Coefficients scanned in lexicographic order.
-        p, f = self.p, self.f
-        for tail in range(p**f):
-            coeffs = [(tail // p**i) % p for i in range(f)] + [1]
-            if all(
-                sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p != 0
-                for x in range(p)
-            ):
-                return tuple(coeffs)
-        raise AssertionError("no irreducible polynomial found")
-
-    def _mul_raw(self, a, b):
-        if self.f == 1:
-            return (a * b) % self.p
-        p = self.p
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * self.f - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] += x * y
-        # reduce by the monic modulus
-        for i in range(len(prod) - 1, self.f - 1, -1):
-            c = prod[i] % p
-            prod[i] = 0
-            if c:
-                for j in range(self.f):
-                    prod[i - self.f + j] -= c * self.modulus[j]
-        return self._encode([x % p for x in prod[: self.f]])
-
-    def _build_tables(self):
-        q = self.q
-        # smallest element of multiplicative order q-1 (1 when q = 2)
+        # x^2 = r in F_p[x]/(x^2 - r)
+        self._r = next(x for x in range(p) if pow(x, (p - 1) // 2, p) == p - 1)
+        digits = [divmod(a, p) for a in range(q)]  # (a1, a0)
+        self.add_table = bytes(
+            (x0 + y0) % p + p * ((x1 + y1) % p) for x1, x0 in digits for y1, y0 in digits
+        )
+        self.neg_table = bytes(-x0 % p + p * (-x1 % p) for x1, x0 in digits)
         self.gen = gen = primitive_element(self._mul_raw, 1, range(1, q), q - 1)
         self.exp_table = [1] * (q - 1)
         for i in range(1, q - 1):
@@ -82,39 +44,23 @@ class FiniteField:
         self.log_table = {x: i for i, x in enumerate(self.exp_table)}
         if len(self.log_table) != q - 1:
             raise AssertionError("generator does not have full order")
-        if self.f > 1:
-            self._neg_table = [self._neg_raw(a) for a in range(q)]
-            # Zech logarithms: _zech[n] = log(1 + g^n), None where 1 + g^n = 0
-            self._zech = [
-                self.log_table.get(self._add_raw(1, x)) for x in self.exp_table
-            ]
+        self.derived = {}  # its cache (see `cached`)
 
-    def _add_raw(self, a, b):
-        return self._encode([x + y for x, y in zip(self._digits(a), self._digits(b))])
-
-    def _neg_raw(self, a):
-        return self._encode([-x for x in self._digits(a)])
+    def _mul_raw(self, a, b):
+        """a b by the digits: (a0 + a1 x)(b0 + b1 x) = a0 b0 + r a1 b1 +
+        (a0 b1 + a1 b0) x."""
+        p = self.p
+        a1, a0 = divmod(a, p)
+        b1, b0 = divmod(b, p)
+        return (a0 * b0 + self._r * a1 * b1) % p + p * ((a0 * b1 + a1 * b0) % p)
 
     # -- field operations
 
     def add(self, a, b):
-        if self.f == 1:
-            return (a + b) % self.p
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-        log = self.log_table
-        la = log[a]
-        z = self._zech[(log[b] - la) % (self.q - 1)]
-        if z is None:
-            return 0
-        return self.exp_table[(la + z) % (self.q - 1)]
+        return self.add_table[a * self.q + b]
 
     def neg(self, a):
-        if self.f == 1:
-            return (-a) % self.p
-        return self._neg_table[a]
+        return self.neg_table[a]
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -143,30 +89,22 @@ class FiniteField:
         return self.log_table[a]
 
     def trace(self, a):
-        """Absolute trace down to F_p, returned as an int mod p."""
+        """Absolute trace down to F_p, a + a^p for f = 2, returned as an int
+        mod p."""
         if self.f == 1:
             return a % self.p
-        t = a
-        x = a
-        for _ in range(self.f - 1):
-            x = self.pow(x, self.p) if x else 0
-            t = self.add(t, x)
-        # t lies in the prime subfield, i.e. its encoding is a single digit
-        digits = self._digits(t)
-        if any(digits[1:]):
+        t = self.add(a, self.pow(a, self.p) if a else 0)
+        # t lies in the prime subfield, i.e. its code is a single digit
+        if t >= self.p:
             raise AssertionError("trace left the prime field")
-        return digits[0]
+        return t
 
     def is_square(self, a):
-        if a == 0:
-            return True
-        return self.log_table[a] % 2 == 0 if self.q % 2 == 1 else True
+        return a == 0 or self.log_table[a] % 2 == 0
 
     @property
     def non_residue(self):
-        """Smallest non-square in the integer encoding (odd q only)."""
-        if self.q % 2 == 0:
-            raise ValueError("every element is a square in characteristic 2")
+        """Smallest non-square in the integer encoding."""
         for x in range(2, self.q):
             if not self.is_square(x):
                 return x
@@ -180,4 +118,3 @@ class FiniteField:
 
     def __hash__(self):
         return hash((self.p, self.f))
-

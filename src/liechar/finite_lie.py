@@ -1,7 +1,7 @@
-"""Concrete matrix groups over small finite fields: GL2 and SL2 (odd q <= 13,
-prime powers included), with Lie algebras, the trace pairing,
-quasi-logarithms, adjoint orbits, maximal tori, regularity tests, and a
-dense finite Fourier transform.
+"""Concrete matrix groups over finite fields: GL2 and SL2 over F_q, odd
+q <= 13 (F_3, F_5, F_7, F_11, F_13 and F_9 = F_3[x]/(x^2 + 1)), with Lie
+algebras, the trace pairing, quasi-logarithms, adjoint orbits, maximal tori,
+regularity tests, and a dense finite Fourier transform.
 
 Matrices are packed row-major into ints, digit (i, j) = field code of the
 entry, base q. All matrix arithmetic (products, inverses, determinants,

@@ -18,6 +18,25 @@ def test_phi_polynomials():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
 
+def _divisor_product(n):
+    """prod over d | n of Phi_d, by plain products of sparse polynomials."""
+    out = {0: 1}
+    for d in range(1, n + 1):
+        if n % d == 0:
+            phi = [(j, c) for j, c in enumerate(cyclotomic_polynomial(d)) if c]
+            prod = {}
+            for i, a in out.items():
+                for j, b in phi:
+                    prod[i + j] = prod.get(i + j, 0) + a * b
+            out = {e: c for e, c in prod.items() if c}
+    return out
+
+
+def test_phi_divisor_product_is_x_to_the_n_minus_one():
+    for n in [*range(1, 401), 2184, 4620]:
+        assert _divisor_product(n) == {0: -1, n: 1}, n
+
+
 def test_zeta4_squared_is_minus_one():
     i = Cyclotomic.zeta(4)
     assert i * i == Cyclotomic.rational(-1)

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from liechar.exact_math import FiniteField
@@ -23,27 +26,37 @@ def test_f9_structure():
     assert sorted(fixed) == [0, 1, 2]
 
 
-def test_field_axioms_f27():
-    k = FiniteField(3, 3)
+def test_field_axioms_f9():
+    k = FiniteField(3, 2)
     xs = list(range(k.q))
-    for a in xs[:9]:
-        for b in xs[:9]:
+    for a in xs:
+        for b in xs:
             assert k.mul(a, b) == k.mul(b, a)
             assert k.add(a, b) == k.add(b, a)
-            assert k.mul(a, k.add(b, 1)) == k.add(k.mul(a, b), a)
+            for c in xs:
+                assert k.mul(a, k.add(b, c)) == k.add(k.mul(a, b), k.mul(a, c))
+                assert k.add(a, k.add(b, c)) == k.add(k.add(a, b), c)
     for a in range(1, k.q):
         assert k.mul(a, k.inv(a)) == 1
 
 
 def test_bad_inputs():
-    with pytest.raises(ValueError):
-        FiniteField(4)
-    with pytest.raises(ValueError):
-        FiniteField(6)
-    with pytest.raises(ValueError):
-        FiniteField(2, 4)
-    with pytest.raises(ValueError):
-        FiniteField(127, 3)  # 127^3 > 2^14
+    # not a prime, characteristic 2, f > 2 or q > MAX_Q: refused before any
+    # table is built
+    for p, f in [(4, 1), (6, 1), (2, 4), (127, 3), (2, 1), (2, 2), (3, 3), (5, 2), (17, 1)]:
+        with pytest.raises(ValueError, match="MAX_Q = 16"):
+            FiniteField(p, f)
+
+
+def test_max_q_is_defined_once():
+    root = Path(__file__).resolve().parents[1] / "src" / "liechar"
+    defs = [
+        path.name
+        for path in root.rglob("*.py")
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if re.match(r"\s*MAX_Q\s*=", line)
+    ]
+    assert defs == ["ffield.py"]
 
 
 def test_trace_additive_and_surjective():
@@ -73,8 +86,8 @@ def _digitwise(k, a, b, sign):
     return out
 
 
-@pytest.mark.parametrize("p,f", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2)])
-def test_zech_addition_matches_digits(p, f):
+@pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)])
+def test_addition_table_matches_digits(p, f):
     k = FiniteField(p, f)
     for a in range(k.q):
         assert k.neg(a) == _digitwise(k, 0, a, -1)
