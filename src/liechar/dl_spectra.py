@@ -2,19 +2,22 @@
 
 Two independent routes produce the full character table: a modular
 eigenvector solver in the style of Dixon, and closed-form tables whose
-entries are roots of unity and quadratic Gauss sums.  On top of the tables
-sit the torus-series characters (induced from the Borel for the split
-torus, cuspidal for the elliptic one), the adjoint-orbit Fourier identity
-relating their unipotent values to additive character sums, and the
-reduction of a mixed trace to the semisimple part's centralizer.
+entries are roots of unity and quadratic Gauss sums.  Each torus-series
+character has one closed-form row per (torus, theta), the principal series
+on the split torus and the cuspidal or discrete series on the elliptic one,
+which both the table and the torus-series characters read.  On top of them
+sit the adjoint-orbit Fourier identity relating their unipotent values to
+additive character sums, and the reduction of a mixed trace to the
+semisimple part's centralizer.
 
 Every equality here is decided in exact cyclotomic arithmetic.
 
 This module keeps no state of its own. What it builds is cached on its
-owner (see `exact_math.cached`): the classes, class shapes, Borel profile
-and orbit sums on the group, the torus-series characters on their torus,
-and the quadratic extension F_q^2 and the Gauss sum on the field, which GL2
-and SL2 over one q share. Each cyclotomic value memoises its own reduction.
+owner (see `exact_math.cached`): the classes, class shapes and orbit sums
+on the group, the torus-series characters on their torus, and the Gauss sum
+on the field, which GL2 and SL2 over one q share. The quadratic extension
+F_q^2, whose points are the elliptic tori, lives with the tori in
+`finite_lie`. Each cyclotomic value memoises its own reduction.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .finite_lie import (
     FiniteLieGroup,
     LieFunction,
     TorusInG,
+    _quad_ext,
     build_finite_group,
     finite_fourier,
     is_strongly_regular,
@@ -56,63 +60,6 @@ __all__ = [
     "springer_check",
     "dl_jordan_reduction_check",
 ]
-
-
-# ---------------------------------------------------------------------------
-# quadratic extension of a coded finite field
-
-
-class _QuadExt:
-    """The quadratic extension F_q(sqrt(eps)), eps the canonical non-residue,
-    as the elliptic-torus matrices: x + y sqrt(eps) is the packed matrix
-    [[x, eps y], [y, x]].
-
-    Products are `_kernels.mat_mul` and the norm x^2 - eps y^2 is the
-    determinant. The generator is the first element of full order q^2 - 1
-    in the order of the code x + q y (`primitive_element`); `log` and
-    `norm_one_log` hold the discrete logarithms in the full multiplicative
-    group and in its norm-one subgroup, cyclic of orders q^2 - 1 and q + 1,
-    keyed by packed point, so the points of the elliptic tori of GL2 and SL2
-    are keys.
-    """
-
-    def __init__(self, field):
-        t = _kernels.tables(field)
-        q = field.q
-        eps = field.non_residue
-        one = 1 + t.q3  # the packed identity
-        self.order = order = q * q - 1
-
-        def mul(a, b):
-            return _kernels.mat_mul(a, b, t)
-
-        # dot[eps q^2 + y] is eps y; the codes x + q y from 2 on
-        points = [
-            x + t.dot[eps * t.q2 + y] * q + y * t.q2 + x * t.q3
-            for y in range(q)
-            for x in range(q)
-        ][2:]
-        self.gen = gen = primitive_element(mul, one, points, order)
-        self.log = {}
-        acc = one
-        for k in range(order):
-            self.log[acc] = k
-            acc = mul(acc, gen)
-        if acc != one or len(self.log) != order:
-            raise AssertionError("generator order is wrong")
-        self.norm_one_gen = power(mul, one, gen, q - 1)
-        self.norm_one_log = {}
-        acc = one
-        for k in range(q + 1):
-            self.norm_one_log[acc] = k
-            acc = mul(acc, self.norm_one_gen)
-        if acc != one:
-            raise AssertionError("norm-one generator order is wrong")
-
-
-def _quad_ext(field) -> _QuadExt:
-    """The field's quadratic extension."""
-    return cached(field, "quad_ext", _QuadExt)
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +200,6 @@ class CharacterTable:
                 raise AssertionError("row degree is not a positive integer")
             degs.append(int(d))
         self.degrees = tuple(degs)
-        # central characters: each row restricted to the singleton classes,
-        # divided by the degree
-        self.central_characters = tuple(
-            {
-                ci: row.values[ci] * Fraction(1, d)
-                for ci in range(classes.count)
-                if classes.sizes[ci] == 1
-            }
-            for row, d in zip(self.rows, self.degrees)
-        )
 
     def verify(self):
         """Exact row orthogonality and the degree-square identity."""
@@ -560,38 +497,51 @@ def _sl2_values_half(g, shapes, big_degree, pm):
     return out
 
 
+def _series_row(g, shapes, tag, exps):
+    """The closed-form values of R_T^theta up to the torus sign, theta given
+    by its exponents on the torus of the tag: the principal series on the
+    split torus, where a singular theta gives the reducible induced
+    character, and the cuspidal (GL2) or discrete (SL2) series on the
+    elliptic torus, where theta must be nonsingular."""
+    if tag == "split":
+        if g.kind == "GL2":
+            return _gl2_values_principal(g, shapes, *exps)
+        return _sl2_values_principal(g, shapes, *exps)
+    if g.kind == "GL2":
+        return _gl2_values_cuspidal(g, shapes, *exps)
+    return _sl2_values_discrete(g, shapes, *exps)
+
+
 def classical_table_oracle(kind, q) -> CharacterTable:
     """The full character table from the closed forms.
 
     Completely independent of the modular solver; the two are compared row
     for row in the tests.  kind and q are checked by build_finite_group: GL2
-    or SL2, q an odd prime power within the group's budget.
+    or SL2, q an odd prime power within the group's budget.  Rows: the
+    linear characters and their Steinberg twists (GL2) or the trivial and
+    Steinberg characters (SL2), one torus-series row per Weyl orbit of
+    nonsingular torus characters, split torus first, and for SL2 the four
+    half characters.
     """
     g = build_finite_group(kind, q)
     cd = conjugacy_classes(g)
     shapes = _class_shapes(g)
-    rows = []
     if kind == "GL2":
-        qm1, big = q - 1, q * q - 1
-        for i in range(qm1):
-            rows.append(ClassFunction(cd, _gl2_values_linear(g, shapes, i)))
-            rows.append(ClassFunction(cd, _gl2_values_steinberg(g, shapes, i)))
-        for i in range(qm1):
-            for j in range(i + 1, qm1):
-                rows.append(ClassFunction(cd, _gl2_values_principal(g, shapes, i, j)))
-        for j in range(big):
-            if j % (q + 1) == 0:
-                continue  # factors through the norm
-            if (j * q) % big < j:
-                continue  # Frobenius-orbit representative only
-            rows.append(ClassFunction(cd, _gl2_values_cuspidal(g, shapes, j)))
+        rows = [
+            ClassFunction(cd, values(g, shapes, i))
+            for i in range(q - 1)
+            for values in (_gl2_values_linear, _gl2_values_steinberg)
+        ]
     else:
-        rows.append(ClassFunction(cd, _sl2_values_trivial(g, shapes)))
-        rows.append(ClassFunction(cd, _sl2_values_steinberg(g, shapes)))
-        for i in range(1, (q - 1) // 2):
-            rows.append(ClassFunction(cd, _sl2_values_principal(g, shapes, i)))
-        for j in range(1, (q + 1) // 2):
-            rows.append(ClassFunction(cd, _sl2_values_discrete(g, shapes, j)))
+        rows = [
+            ClassFunction(cd, _sl2_values_trivial(g, shapes)),
+            ClassFunction(cd, _sl2_values_steinberg(g, shapes)),
+        ]
+    for torus in tori_and_regularity(g):
+        for theta in nonsingular_characters(torus):
+            if theta.exps < theta.w_twist().exps:
+                rows.append(ClassFunction(cd, _series_row(g, shapes, torus.tag, theta.exps)))
+    if kind == "SL2":
         for big_degree in (True, False):
             for pm in (1, -1):
                 rows.append(
@@ -1014,45 +964,6 @@ def nonsingular_characters(torus: TorusInG):
 # torus-series characters
 
 
-def _split_class_profile(g: FiniteLieGroup):
-    """Per class: upper-triangular members binned by diagonal, weighted by
-    the centralizer order.  One pass over the group; every induced
-    character from the Borel is then a q-free sum over these bins."""
-    return cached(g, "split_profile", _build_split_profile)
-
-
-def _build_split_profile(g: FiniteLieGroup):
-    cd = conjugacy_classes(g)
-    out = []
-    for mem, size in zip(cd.members, cd.sizes):
-        cent = cd.group_order // size
-        bins: dict = {}
-        for y in mem:
-            m = g.unpack(y)
-            if m[1][0] == 0:
-                key2 = (m[0][0], m[1][1])
-                bins[key2] = bins.get(key2, 0) + cent
-        out.append(tuple(bins.items()))
-    return tuple(out)
-
-
-def _induced_from_borel(g: FiniteLieGroup, theta: TorusCharacter):
-    q = g.q
-    fld = g.field
-    borel = q * (q - 1) ** 2 if g.kind == "GL2" else q * (q - 1)
-    vals = []
-    for bins in _split_class_profile(g):
-        coeffs: dict = {}
-        for (a, d), cnt in bins:
-            if g.kind == "GL2":
-                e = (theta.exps[0] * fld.log(a) + theta.exps[1] * fld.log(d)) % (q - 1)
-            else:
-                e = (theta.exps[0] * fld.log(a)) % (q - 1)
-            coeffs[e] = coeffs.get(e, 0) + cnt
-        vals.append(Cyclotomic(q - 1, coeffs, borel))
-    return vals
-
-
 class DLCharacter:
     """A virtual character attached to a maximal torus and one of its
     characters, together with the genuine irreducible member when the
@@ -1080,12 +991,15 @@ class DLCharacter:
 def dl_character(torus: TorusInG, theta: TorusCharacter) -> DLCharacter:
     """The torus-series virtual character for (torus, theta).
 
-    Split torus: induction from the Borel, which is the genuine character
-    whenever theta is nonsingular.  Elliptic torus: minus a cuspidal row
-    for nonsingular theta; for the singular ones the virtual character is
-    the explicit two-term combination with norm two.  The norm equals the
-    stabilizer order in the relative Weyl group, asserted exactly.  The
-    checked parts are cached on the torus, keyed by theta's exponents.
+    Split torus, and elliptic torus with nonsingular theta: the torus sign
+    times the closed-form row of (torus, theta), the same row that
+    `classical_table_oracle` lists, and the genuine character whenever
+    theta is nonsingular.  On the split torus that row is the principal
+    series, reducible for singular theta.  Elliptic torus with singular
+    theta: the explicit two-term combination with norm two.  The norm
+    equals the stabilizer order in the relative Weyl group, asserted
+    exactly.  The checked parts are cached on the torus, keyed by theta's
+    exponents.
     """
     if theta.torus is not torus:
         raise ValueError("theta belongs to a different torus")
@@ -1100,16 +1014,10 @@ def _dl_parts(torus: TorusInG, theta: TorusCharacter):
     shapes = _class_shapes(g)
     q = g.q
     w_stab = 2 if theta.is_singular else 1
-    if torus.tag == "split":
-        virtual = ClassFunction(cd, _induced_from_borel(g, theta))
-        genuine = None if theta.is_singular else virtual
-    elif not theta.is_singular:
-        j = theta.exps[0]
-        if g.kind == "GL2":
-            genuine = ClassFunction(cd, _gl2_values_cuspidal(g, shapes, j))
-        else:
-            genuine = ClassFunction(cd, _sl2_values_discrete(g, shapes, j))
-        virtual = -genuine
+    if torus.tag == "split" or not theta.is_singular:
+        row = ClassFunction(cd, _series_row(g, shapes, torus.tag, theta.exps))
+        virtual = row if torus.sign == 1 else -row
+        genuine = None if theta.is_singular else row
     else:
         genuine = None
         if g.kind == "GL2":

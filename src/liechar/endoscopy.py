@@ -96,38 +96,35 @@ class CenterDiagramAction:
 
     group: the center as a FinAbGroup; elements are torsion-coordinate tuples.
     permutations: element -> tuple p with p[i] = image node of node i.
-    transversal: element -> coweight-lattice representative (vector in the
-    alcove space of the dual datum).
     vertex_index: alcove vertex -> its node.
+    orbits: the orbits on the nodes, as frozensets, in the order of their
+    smallest nodes; orbit_of: node -> its orbit.
     """
 
-    def __init__(self, ambient, dual, ext, group, permutations, transversal, vertex_index):
+    def __init__(self, ambient, dual, ext, group, permutations, vertex_index):
         self.ambient = ambient
         self.dual = dual
         self.ext = ext
         self.group = group
         self.permutations = permutations
-        self.transversal = transversal
         self.vertex_index = vertex_index
-
-    def orbits(self):
-        n = self.ext.n_nodes
-        seen, out = set(), []
-        for start in range(n):
-            if start in seen:
+        self.orbits = []
+        self.orbit_of = {}
+        for start in range(ext.n_nodes):
+            if start in self.orbit_of:
                 continue
             orb = {start}
             frontier = [start]
             while frontier:
                 i = frontier.pop()
-                for p in self.permutations.values():
+                for p in permutations.values():
                     j = p[i]
                     if j not in orb:
                         orb.add(j)
                         frontier.append(j)
-            seen |= orb
-            out.append(frozenset(orb))
-        return out
+            orb = frozenset(orb)
+            self.orbits.append(orb)
+            self.orbit_of.update(dict.fromkeys(orb, orb))
 
     def stabilizer(self, node) -> FinAbGroup:
         fixed = [z for z, p in self.permutations.items() if p[node] == node]
@@ -197,7 +194,7 @@ def _build_center_alcove_action(g: RootDatum) -> CenterDiagramAction:
     if ident != tuple(range(ext.n_nodes)):
         raise AssertionError("identity element acts nontrivially")
 
-    return CenterDiagramAction(g, d, ext, group, permutations, transversal, vert_index)
+    return CenterDiagramAction(g, d, ext, group, permutations, vert_index)
 
 
 # ---------------------------------------------------------------------------
@@ -297,25 +294,19 @@ def _triple_from_orbit(action, orbit):
 
 
 def _elliptic_triple(action, node):
-    """The elliptic triple of the center orbit of an extended-diagram node.
-    Built once per datum, after its checks pass, and stored under every node
-    of the orbit in `derived["elliptic_triples"]` (at most one entry per
-    node), one of the three exceptions to `exact_math.cached`."""
-    store = action.ambient.derived.setdefault("elliptic_triples", {})
-    triple = store.get(node)
-    if triple is None:
-        orbit = next(o for o in action.orbits() if node in o)
-        triple = _triple_from_orbit(action, orbit)
-        for i in orbit:
-            store[i] = triple
-    return triple
+    """The elliptic triple of the center orbit of an extended-diagram node,
+    cached on the datum under the orbit's smallest node."""
+    orbit = action.orbit_of[node]
+    return cached(
+        action.ambient, ("elliptic_triple", min(orbit)), lambda _: _triple_from_orbit(action, orbit)
+    )
 
 
 def enumerate_split_elliptic(g: RootDatum) -> list:
     """One elliptic triple per center orbit of extended-diagram vertices."""
     _require_simple(g)
     action = center_alcove_action(g)
-    orbits = action.orbits()
+    orbits = action.orbits
     triples = [_elliptic_triple(action, min(orbit)) for orbit in orbits]
     triples.sort(key=lambda t: (t.ord_s, min(t.vertex_orbit)))
     if not any(0 in t.vertex_orbit for t in triples):
@@ -391,7 +382,7 @@ def estimate_diagram_check(g: RootDatum) -> dict:
     if not g.label and g.cartan_type().startswith("A") and "+" not in g.cartan_type():
         raise ValueError("type A is excluded from the estimate check")
     action = center_alcove_action(g)
-    orbits = action.orbits()
+    orbits = action.orbits
     special = next(o for o in orbits if 0 in o)
     z_order = action.group.order
     large = []

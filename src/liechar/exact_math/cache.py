@@ -7,11 +7,10 @@ and raises again on the next call. Each entry of a `derived` dict is one
 structure, keyed by its name, or for a family of structures by a tuple
 tagged with the family's name, e.g. ("orbit_sum", t, x).
 
-Three sites store one value under several keys and write `derived`
-themselves: `FiniteLieGroup.adjoint_orbit_of` (one orbit under each of its
-points), `endoscopy._elliptic_triple` (one triple under each node of its
-center orbit) and `root_datum._build_dual` (the dual's link back to the
-datum).
+One site stores one value under several keys and writes `derived` itself:
+`FiniteLieGroup.adjoint_orbit_of`, which keeps each orbit under every one
+of its points, because an orbit is looked up by any point of it before
+anyone knows which orbit that is.
 """
 
 

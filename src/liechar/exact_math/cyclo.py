@@ -229,18 +229,6 @@ class Cyclotomic:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("nonnegative powers only")
-        result = Cyclotomic.rational(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def conjugate(self):
         """Complex conjugation, zeta -> zeta^(-1)."""
         return Cyclotomic(self.n, {-e: v for e, v in self.num.items()}, self.den)

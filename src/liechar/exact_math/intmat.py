@@ -91,21 +91,6 @@ class IntMatrix:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        r, c = self.shape
-        if r != c:
-            raise ValueError("square matrix required")
-        if n < 0:
-            raise ValueError("nonnegative exponents only")
-        result = IntMatrix.identity(r)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def apply(self, vec):
         """Matrix times column vector, returned as a tuple."""
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.rows)
@@ -442,9 +427,8 @@ class CokernelPresentation:
 
     def __init__(self, m: IntMatrix):
         r, c = m.shape
-        u, d, v = smith_normal_form(m)
-        self.matrix = m
-        self.U, self.D, self.V = u, d, v
+        u, d, _ = smith_normal_form(m)
+        self.U, self.D = u, d
         diag = [d.at(i, i) for i in range(min(r, c))]
         self.torsion_indices = [i for i, di in enumerate(diag) if di >= 2]
         self.free_indices = [i for i, di in enumerate(diag) if di == 0] + list(range(min(r, c), r))

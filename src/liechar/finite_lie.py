@@ -1,7 +1,10 @@
 """Concrete matrix groups over finite fields: GL2 and SL2 over F_q, odd
 q <= 13 (F_3, F_5, F_7, F_11, F_13 and F_9 = F_3[x]/(x^2 + 1)), with Lie
 algebras, the trace pairing, quasi-logarithms, adjoint orbits, maximal tori,
-regularity tests, and a dense finite Fourier transform.
+regularity tests, and a dense finite Fourier transform. The quadratic
+extension F_q^2 is built here as the elliptic-torus matrices, with its
+discrete logarithms; the elliptic torus of GL2 is its multiplicative group
+and that of SL2 its norm-one subgroup, both read off it.
 
 Matrices are packed row-major into ints, digit (i, j) = field code of the
 entry, base q. All matrix arithmetic (products, inverses, determinants,
@@ -10,9 +13,10 @@ conjugation orbits and classes) goes through `_kernels`, whose lookup tables
 are built once per field; the same code serves prime q and F_9.
 
 What is derived from a group, a torus or a field is cached on it (see
-`exact_math.cached`). `build_finite_group` keeps one object per (kind, q) and
-`_field_for` one field per q = p^f, so GL2 and SL2 over one q share the
-field and what is cached on it.
+`exact_math.cached`), apart from the adjoint orbits, the one exception,
+each kept under every one of its points. `build_finite_group` keeps one
+object per (kind, q) and `_field_for` one field per q = p^f, so GL2 and SL2
+over one q share the field and what is cached on it, F_q^2 included.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import _kernels
-from .exact_math import Cyclotomic, FiniteField, cached, prime_factors
+from .exact_math import Cyclotomic, FiniteField, cached, power, prime_factors, primitive_element
 
 _KIND_DATA = {
     # kind: (n, lie_dim, absolute rank, f_q-rank, |Z(G^sc)|, q budget)
@@ -224,8 +228,8 @@ class FiniteLieGroup:
 
     def adjoint_orbit_of(self, t):
         """Sorted tuple of the orbit of a Lie point under conjugation. Each
-        orbit is built once and stored under every one of its points, one of
-        the three exceptions to `exact_math.cached`."""
+        orbit is built once and stored under every one of its points, the
+        one exception to `exact_math.cached`."""
         self.lie_coeffs(t)  # membership check
         orbits = self.derived.setdefault("adjoint_orbits", {})
         orbit = orbits.get(t)
@@ -336,6 +340,59 @@ def finite_fourier(g_group: FiniteLieGroup, f: LieFunction) -> LieFunction:
     return LieFunction(g_group, out)
 
 
+class _QuadExt:
+    """The quadratic extension F_q(sqrt(eps)), eps the canonical non-residue,
+    as the elliptic-torus matrices: x + y sqrt(eps) is the packed matrix
+    [[x, eps y], [y, x]].
+
+    Products are `_kernels.mat_mul` and the norm x^2 - eps y^2 is the
+    determinant. The generator is the first element of full order q^2 - 1
+    in the order of the code x + q y (`primitive_element`); `log` and
+    `norm_one_log` hold the discrete logarithms in the full multiplicative
+    group and in its norm-one subgroup, cyclic of orders q^2 - 1 and q + 1,
+    keyed by packed point. Their keys are the points of the elliptic tori of
+    GL2 and SL2.
+    """
+
+    def __init__(self, field):
+        t = _kernels.tables(field)
+        q = field.q
+        eps = field.non_residue
+        one = 1 + t.q3  # the packed identity
+        self.order = order = q * q - 1
+
+        def mul(a, b):
+            return _kernels.mat_mul(a, b, t)
+
+        # dot[eps q^2 + y] is eps y; the codes x + q y from 2 on
+        points = [
+            x + t.dot[eps * t.q2 + y] * q + y * t.q2 + x * t.q3
+            for y in range(q)
+            for x in range(q)
+        ][2:]
+        self.gen = gen = primitive_element(mul, one, points, order)
+        self.log = {}
+        acc = one
+        for k in range(order):
+            self.log[acc] = k
+            acc = mul(acc, gen)
+        if acc != one or len(self.log) != order:
+            raise AssertionError("generator order is wrong")
+        self.norm_one_gen = power(mul, one, gen, q - 1)
+        self.norm_one_log = {}
+        acc = one
+        for k in range(q + 1):
+            self.norm_one_log[acc] = k
+            acc = mul(acc, self.norm_one_gen)
+        if acc != one:
+            raise AssertionError("norm-one generator order is wrong")
+
+
+def _quad_ext(field) -> _QuadExt:
+    """The field's quadratic extension, shared by GL2 and SL2 over it."""
+    return cached(field, "quad_ext", _QuadExt)
+
+
 class TorusInG:
     """A maximal torus point group inside the finite group, with its Lie
     points, relative Weyl group action and sign data, and `derived`, its
@@ -362,7 +419,7 @@ class TorusInG:
         return f"{self.tag} torus of {self.parent!r} (order {self.order})"
 
 
-def _torus_lie_points(g: FiniteLieGroup, tag, non_residue):
+def _torus_lie_points(g: FiniteLieGroup, tag):
     q = g.q
     fld = g.field
     out = []
@@ -373,7 +430,7 @@ def _torus_lie_points(g: FiniteLieGroup, tag, non_residue):
                     continue
                 out.append(g.pack([[a, 0], [0, d]]))
     else:
-        eps = non_residue
+        eps = fld.non_residue
         for x in range(q):
             for y in range(q):
                 if g.kind == "SL2" and x != 0:
@@ -421,23 +478,12 @@ def _build_tori(g: FiniteLieGroup):
         else:
             for d in range(1, q):
                 split_pts.append(g.pack([[a, 0], [0, d]]))
-    eps = fld.non_residue
-    ell_pts = []
-    for x in range(q):
-        for y in range(q):
-            if x == 0 and y == 0:
-                continue
-            m = g.pack([[x, fld.mul(eps, y)], [y, x]])
-            d = g.det_code(m)
-            if g.kind == "SL2" and d != 1:
-                continue
-            if d == 0:
-                continue
-            ell_pts.append(m)
+    ext = _quad_ext(fld)
+    ell_pts = sorted(ext.log if g.kind == "GL2" else ext.norm_one_log)
 
     tori = []
-    for tag, pts, nr in (("split", split_pts, None), ("elliptic", ell_pts, eps)):
-        lie_pts = _torus_lie_points(g, tag, nr)
+    for tag, pts in (("split", split_pts), ("elliptic", ell_pts)):
+        lie_pts = _torus_lie_points(g, tag)
         witness = _find_weyl_witness(g, pts, lie_pts)
         weyl = {p: g.conj(witness, p) for p in pts}
         if sorted(weyl.values()) != sorted(pts):

@@ -25,20 +25,37 @@ from .exact_math import (
 )
 from .root_datum import RootDatum
 
+RANK_BUDGET = 8  # the rank cap of root data
+ENTRY_BUDGET = 10**6
 ORDER_BUDGET = 10**3
+
+
+def _require_rank(rank):
+    if rank > RANK_BUDGET:
+        raise ValueError(f"lattice rank {rank} exceeds the budget {RANK_BUDGET}")
 
 
 class TwistedTorus:
     """Lattice Z^rank with a finite-order unimodular Frobenius.
+
+    Budgets bound the work before anything is computed: rank at most
+    RANK_BUDGET, every entry of F at most ENTRY_BUDGET in absolute value
+    (checked before the determinant), and at most ORDER_BUDGET powers in
+    the order search. The search also stops at the first power with
+    |tr F^k| > rank: a finite-order integer matrix has only roots of unity
+    as eigenvalues, so every trace of its powers is at most the rank.
 
     A torus is immutable once built. Its pairing data (H^1, pi0 and the
     Smith form behind them) is cached in `derived` (see `exact_math.cached`)."""
 
     def __init__(self, rank, frobenius: IntMatrix):
         self.rank = int(rank)
+        _require_rank(self.rank)
         r, c = frobenius.shape
         if r != self.rank or c != self.rank:
             raise ValueError("frobenius must be square of the lattice rank")
+        if any(abs(x) > ENTRY_BUDGET for row in frobenius.rows for x in row):
+            raise ValueError(f"frobenius entry exceeds the budget {ENTRY_BUDGET} in absolute value")
         if abs(frobenius.det()) != 1:
             raise ValueError("frobenius must be unimodular")
         self.frobenius = frobenius
@@ -51,6 +68,10 @@ class TwistedTorus:
         for m in range(1, ORDER_BUDGET + 1):
             if p == ident:
                 return m
+            if abs(sum(p.at(i, i) for i in range(self.rank))) > self.rank:
+                raise ValueError(
+                    f"frobenius has infinite order: |tr F^{m}| exceeds the rank {self.rank}"
+                )
             p = p * self.frobenius
         raise ValueError(f"frobenius order exceeds the budget {ORDER_BUDGET}")
 
@@ -254,6 +275,7 @@ def sln_kappa_group(n, m, degrees):
 
     if m == 1:
         return FinAbGroup(), [((0,) * len(degrees), ())]
+    _require_rank(n - 1)  # before the (n - 1)^2 Frobenius is written down
 
     block_sizes = [m * d for d in degrees]
     f = _block_frobenius_on_sum_zero(n, block_sizes)

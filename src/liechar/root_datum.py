@@ -393,8 +393,7 @@ def _build_dual(d: RootDatum) -> RootDatum:
         series, rank, isog = d.label
         label = (_DUAL_SERIES[series], rank, _DUAL_ISOGENY[isog])
     dual = RootDatum(d.rank, d.coroots, d.roots, d.simple_indices, label=label, validate=False)
-    # the link back, one of the three exceptions to `cached`
-    dual.derived["dual"] = d
+    cached(dual, "dual", lambda _: d)  # the link back
     return dual
 
 
@@ -441,12 +440,10 @@ class ExtDynkin:
     omega_i^vee / marks[i]) in Y tensor Q. The diagram is cached on its datum
     and shared by every caller, so its lists must not be mutated."""
 
-    def __init__(self, datum, node_vectors, node_coroots, marks, edges, vertices):
-        self.datum = datum
+    def __init__(self, node_vectors, node_coroots, marks, vertices):
         self.node_vectors = node_vectors
         self.node_coroots = node_coroots
         self.marks = marks
-        self.edges = edges
         self.vertices = vertices
 
     @property
@@ -485,23 +482,10 @@ def _build_extended_dynkin(d: RootDatum) -> ExtDynkin:
     if any(total):
         raise AssertionError("marked node vectors do not sum to zero")
 
-    edges = []
-    for i in range(len(node_vectors)):
-        for j in range(i + 1, len(node_vectors)):
-            a, av = node_vectors[i], node_coroots[i]
-            b, bv = node_vectors[j], node_coroots[j]
-            m = _dot(a, bv) * _dot(b, av)
-            if m:
-                arrow = None
-                if m in (2, 3):
-                    # arrow points at the shorter root
-                    arrow = j if _dot(b, av) == -1 else i
-                edges.append((i, j, m, arrow))
-
     # alcove vertices: 0 and omega_i^vee / n_i, omega_i^vee from row i of C^-1
     den, inv = d._cartan_inverse()
     cov_cols = list(zip(*simple_cov))
     vertices = [tuple(Fraction(0) for _ in range(d.rank))]
     for row, m in zip(inv, marks[1:]):
         vertices.append(tuple(Fraction(_dot(row, col), den * m) for col in cov_cols))
-    return ExtDynkin(d, node_vectors, node_coroots, marks, edges, vertices)
+    return ExtDynkin(node_vectors, node_coroots, marks, vertices)

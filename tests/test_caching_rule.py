@@ -2,7 +2,7 @@
 
 Every owner of derived structures (a root datum, a group, a torus, a twisted
 torus, a field) keeps them in its `derived` dict, and only `cached` reads or
-writes that dict, apart from the three documented sites that store one value
+writes that dict, apart from the one documented site that stores one value
 under several keys. No library function memoises itself with `lru_cache`,
 except the registries that keep one object per input (`build_finite_group`,
 `_field_for`) and the memos of the cyclotomic polynomials and of the CLI.
@@ -21,8 +21,6 @@ LIBRARY = Path(__file__).resolve().parents[1] / "src" / "liechar"
 DERIVED_ACCESS = {
     ("exact_math/cache.py", "cached"),
     ("finite_lie.py", "FiniteLieGroup.adjoint_orbit_of"),  # one orbit under each point
-    ("endoscopy.py", "_elliptic_triple"),  # one triple under each node of its orbit
-    ("root_datum.py", "_build_dual"),  # the dual's link back to the datum
 }
 
 # (file, function) that may be memoised by functools
@@ -72,7 +70,7 @@ def _is_empty_init(node, scope):
 
 def derived_violations():
     """`file:line scope` of every access to `.derived` outside `cached`, the
-    three exceptions and the constructors' empty dicts."""
+    one exception and the constructors' empty dicts."""
     inits = set()
     accesses = []
     for rel, node, scope in _library_nodes():

@@ -272,6 +272,29 @@ def test_rejected_input_prints_json_error_whatever_the_format(argv, check):
     assert err == ""
 
 
+_HUGE = 10**300
+
+
+@pytest.mark.parametrize(
+    "argv,budget",
+    [
+        (["tori", "sln-group", "--n", "300", "--m", "2", "--degrees", "[150]"], "rank 299 exceeds the budget 8"),
+        (["tori", "sln-group", "--n", "120", "--m", "60", "--degrees", "[2]"], "rank 119 exceeds the budget 8"),
+        (["tori", "h1", "--frobenius", json.dumps([[_HUGE + 1, _HUGE], [1, 1]])], "exceeds the budget 1000000"),
+    ],
+)
+def test_twisted_torus_budgets_refuse_huge_inputs_at_once(argv, budget):
+    # without the rank and entry budgets each of these runs for seconds, or
+    # without end
+    start = time.monotonic()
+    code, out, err = run_cli(argv)
+    assert time.monotonic() - start < 1.0
+    assert code == 1
+    doc = json.loads(out)
+    assert list(doc) == ["error"] and budget in doc["error"]
+    assert err == ""
+
+
 def test_tori_pair_bad_coordinates_exits_1():
     code, out, err = run_cli(
         ["tori", "pair", "--frobenius", "[[0,1],[1,0]]", "--inv", "[0]", "--kappa", "[0]"]

@@ -3,11 +3,13 @@
 import gc
 import weakref
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 import liechar.dl_spectra as dl_spectra
 from liechar.dl_spectra import (
+    ClassFunction,
     TorusCharacter,
     _choose_modulus,
     _class_shapes,
@@ -244,12 +246,13 @@ def test_discrete_series_at_unipotent_is_minus_one():
 def test_central_character_of_steinberg():
     g = build_finite_group("SL2", 3)
     table = classical_table_oracle("SL2", 3)
-    cd = table.classes
     minus = g.pack([[2, 0], [0, 2]])
-    st = table.rows[table.degrees.index(3)]
-    cc = table.central_characters[table.degrees.index(3)]
-    assert cc[cd.class_of(minus)] == 1
+    assert table.classes.sizes[table.classes.class_of(minus)] == 1
+    i = table.degrees.index(3)
+    st = table.rows[i]
     assert st.value_at(minus) == 3
+    # the central character: the value at a central element over the degree
+    assert st.value_at(minus) * Fraction(1, table.degrees[i]) == 1
 
 
 @pytest.mark.parametrize("kind,q", [("GL2", 3), ("SL2", 3), ("SL2", 5), ("GL2", 5)])
@@ -341,14 +344,58 @@ def test_split_trivial_theta_decomposes():
         dl.genuine()
 
 
-def test_split_nonsingular_equals_principal_row():
-    g = build_finite_group("GL2", 5)
+def _borel_histograms(g):
+    """Per class representative y: the diagonals (a, d) of the conjugates
+    x y x^-1, x over the whole group, that are upper triangular, counted
+    with multiplicity; and the order of the upper-triangular Borel B."""
+    def diagonal_if_upper(m):
+        (a, _), (c, d) = g.unpack(m)
+        return (a, d) if c == 0 else None
+
+    borel = sum(diagonal_if_upper(x) is not None for x in g.elements)
+    hists = []
+    for y in conjugacy_classes(g).reps:
+        bins = Counter(diagonal_if_upper(g.conj(x, y)) for x in g.elements)
+        bins.pop(None, None)
+        hists.append(bins)
+    return hists, borel
+
+
+def _induced_from_borel(torus, theta, hists, borel):
+    """Ind_B^G theta by the Frobenius formula: at y, (1/|B|) times the sum
+    of theta(x y x^-1) over the x with x y x^-1 in B, theta read on B
+    through its diagonal."""
+    g = torus.parent
+    vals = []
+    for bins in hists:
+        total = Cyclotomic.zero()
+        for (a, d), count in bins.items():
+            total = total + theta.value_at(g.pack([[a, 0], [0, d]])) * count
+        vals.append(total * Fraction(1, borel))
+    return ClassFunction(conjugacy_classes(g), vals)
+
+
+@pytest.mark.parametrize(
+    "kind,q",
+    [("GL2", 3), ("GL2", 5), ("GL2", 7), ("SL2", 3), ("SL2", 5), ("SL2", 7), ("SL2", 9), ("SL2", 11)],
+)
+def test_split_series_is_induced_from_borel(kind, q):
+    # every theta, singular ones included: the closed-form row of the split
+    # torus is the induced character, irreducible of degree q + 1 exactly
+    # when theta is nonsingular
+    g = build_finite_group(kind, q)
     torus = torus_by_tag(g, "split")
-    table = classical_table_oracle("GL2", 5)
-    for theta in nonsingular_characters(torus):
-        rho = dl_character(torus, theta).genuine()
-        assert rho.degree_value == 6
-        assert any(rho == row for row in table.rows if row.degree_value == 6)
+    hists, borel = _borel_histograms(g)
+    for theta in torus_characters(torus):
+        dl = dl_character(torus, theta)
+        ind = _induced_from_borel(torus, theta, hists, borel)
+        assert dl.virtual == ind, theta
+        if theta.is_singular:
+            assert dl.virtual.inner(dl.virtual) == 2
+        else:
+            assert dl.genuine() == ind
+            assert ind.degree_value == q + 1
+            assert ind.inner(ind) == 1
 
 
 def test_elliptic_genuine_is_cuspidal():

@@ -356,7 +356,7 @@ def test_orbit_count_identity():
     for series, rank in (("B", 3), ("C", 3), ("D", 5), ("E", 6)):
         g = _sc(series, rank)
         act = center_alcove_action(g)
-        assert len(enumerate_split_elliptic(g)) == len(act.orbits())
+        assert len(enumerate_split_elliptic(g)) == len(act.orbits)
 
 
 def test_lambda_is_fin_ab_group():
@@ -483,6 +483,15 @@ def test_integer_pairings_match_fraction_lcm(data, den, nums):
 # elliptic triples are built once per datum and orbit
 
 
+def _stored_triples(g):
+    """{smallest orbit node: triple} of the elliptic triples cached on g."""
+    return {
+        key[1]: value
+        for key, value in g.derived.items()
+        if isinstance(key, tuple) and key[0] == "elliptic_triple"
+    }
+
+
 def test_kappa_in_one_orbit_share_the_enumerated_triple():
     for series, rank in (("C", 2), ("E", 6), ("D", 4)):
         g = _sc(series, rank)
@@ -490,7 +499,10 @@ def test_kappa_in_one_orbit_share_the_enumerated_triple():
         for t in enumerate_split_elliptic(g):
             for node in t.vertex_orbit:
                 assert endoscopic_from_kappa(g, act.ext.vertices[node]) is t
-        assert len(g.derived["elliptic_triples"]) == act.ext.n_nodes
+        # one entry per orbit, under its smallest node
+        stored = _stored_triples(g)
+        assert sorted(stored) == sorted(min(o) for o in act.orbits)
+        assert all(min(t.vertex_orbit) == node for node, t in stored.items())
 
 
 def test_non_elliptic_kappa_is_never_stored():
@@ -498,6 +510,6 @@ def test_non_elliptic_kappa_is_never_stored():
     for kappa in ((Fraction(1, 7), 0, 0), (Fraction(1, 2), Fraction(1, 3), 0)):
         t = endoscopic_from_kappa(g, kappa)
         assert not t.elliptic
-    assert "elliptic_triples" not in g.derived or not g.derived["elliptic_triples"]
+    assert _stored_triples(g) == {}
     t = endoscopic_from_kappa(g, (0, 0, 0))
-    assert set(g.derived["elliptic_triples"].values()) == {t}
+    assert _stored_triples(g) == {0: t}

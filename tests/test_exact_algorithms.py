@@ -8,7 +8,7 @@ from math import lcm
 
 import pytest
 
-from liechar.dl_spectra import _coords_in_basis, _nullspace_mod, _quad_ext
+from liechar.dl_spectra import _coords_in_basis, _nullspace_mod
 from liechar.exact_math import (
     FiniteField,
     element_order,
@@ -20,7 +20,7 @@ from liechar.exact_math import (
     rref_mod,
     solve_rational,
 )
-from liechar.finite_lie import build_finite_group
+from liechar.finite_lie import _quad_ext, build_finite_group
 from liechar.exact_math.orders import ORDER_BUDGET
 from liechar.exact_math.primes import PRIME_BOUND, TRIAL_BOUND
 from liechar.padic import TruncatedMatrix

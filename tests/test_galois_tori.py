@@ -14,6 +14,7 @@ from liechar.exact_math import (
     kernel_basis,
     solve_integer,
 )
+from liechar import galois_tori
 from liechar.exact_math import intmat
 from liechar.galois_tori import (
     TwistedTorus,
@@ -50,6 +51,48 @@ def test_torus_rejects_infinite_order():
     # unipotent shear: unimodular but no finite order
     with pytest.raises(ValueError):
         TwistedTorus(2, IntMatrix([[1, 1], [0, 1]]))
+
+
+def test_torus_refuses_rank_above_the_root_datum_cap(monkeypatch):
+    # the identity has order 1, so only the rank budget can refuse it
+    with pytest.raises(ValueError, match="rank 9 exceeds the budget 8"):
+        TwistedTorus(9, IntMatrix.identity(9))
+    assert TwistedTorus(8, IntMatrix.identity(8)).order == 1
+    # SL_n data are refused before their (n - 1) x (n - 1) Frobenius is built
+    def no_frobenius(n, block_sizes):
+        raise AssertionError("Frobenius built")
+
+    monkeypatch.setattr(galois_tori, "_block_frobenius_on_sum_zero", no_frobenius)
+    for n, m, degrees in ((300, 2, (150,)), (10**6, 2, (5 * 10**5,))):
+        with pytest.raises(ValueError, match=f"rank {n - 1} exceeds the budget 8"):
+            sln_kappa_group(n, m, degrees)
+
+
+def test_torus_refuses_large_entries_before_the_determinant(monkeypatch):
+    def no_det(self):
+        raise AssertionError("determinant computed")
+
+    n = 10**300
+    big = IntMatrix([[n + 1, n], [1, 1]])
+    edge = IntMatrix([[10**6 + 1, 10**6], [1, 1]])
+    monkeypatch.setattr(IntMatrix, "det", no_det)
+    for m in (big, edge):
+        with pytest.raises(ValueError, match="entry exceeds the budget 1000000"):
+            TwistedTorus(2, m)
+
+
+def test_torus_refuses_a_power_whose_trace_exceeds_the_rank():
+    # a finite-order integer matrix has roots of unity as eigenvalues, so
+    # |tr F^k| <= rank for every k; [[2, 1], [1, 1]] has trace 3
+    with pytest.raises(ValueError, match=r"infinite order: \|tr F\^1\| exceeds the rank 2"):
+        TwistedTorus(2, IntMatrix([[2, 1], [1, 1]]))
+    # trace -1, but F^2 = [[2, -1], [-1, 1]] has trace 3
+    with pytest.raises(ValueError, match=r"infinite order: \|tr F\^2\| exceeds the rank 2"):
+        TwistedTorus(2, IntMatrix([[-1, 1], [1, 0]]))
+    # a unipotent keeps every trace at the rank: the order budget ends it
+    uni = IntMatrix([[1 if i == j else 10**6 * (j > i) for j in range(8)] for i in range(8)])
+    with pytest.raises(ValueError, match="order exceeds the budget 1000"):
+        TwistedTorus(8, uni)
 
 
 def test_torus_order_found():

@@ -6,8 +6,8 @@ q <= 13."""
 import pytest
 
 import reference_quadext as ref
-from liechar.dl_spectra import _class_shapes, _quad_ext, conjugacy_classes
-from liechar.finite_lie import build_finite_group, quasi_logarithm
+from liechar.dl_spectra import _class_shapes, conjugacy_classes
+from liechar.finite_lie import _quad_ext, build_finite_group, quasi_logarithm
 
 QS = (3, 5, 7, 9, 11, 13)
 GROUPS = [(kind, q) for kind in ("GL2", "SL2") for q in QS]
