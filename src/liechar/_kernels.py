@@ -12,7 +12,10 @@ the columns are the rows of the transpose. `Tables` holds, for one field:
 
 add and neg are the field's own tables, and the rest is built from them and
 the field's mul (q^2 calls), so every result is the exact field arithmetic;
-a product is then two divmods and five lookups. The field bounds q by its
+a product is then two divmods and five lookups. Orbits and classes under
+conjugation share one closure (`_conjugates`): it reads the rows of each
+generator g and the columns of g^-1 once, so a conjugate g x g^-1 costs one
+transpose lookup, one divmod and eight dot lookups. The field bounds q by its
 MAX_Q, so a packed matrix fits the unsigned shorts of the transpose table.
 `tables` keeps them on the field (see `exact_math.cached`), so the groups
 over one field share them.
@@ -120,20 +123,34 @@ def mat_inv(m, t):
     return dot[s + d] + q * dot[s + neg[b]] + q2 * (dot[s + neg[c]] + q * dot[s + a])
 
 
-def orbit_of(seed, gens, t):
-    """Sorted tuple of the orbit of a packed matrix under conjugation by the
-    group generated by gens (packed, invertible)."""
-    pairs = [(g, mat_inv(g, t)) for g in gens]
+def _conjugates(seed, gens, t):
+    """The set of conjugates g x g^-1 of a packed matrix x, g in <gens>
+    (packed, invertible). Each step is (g x) g^-1: the rows of g dotted with
+    the columns of x, then those rows with the columns h0, h1 of g^-1."""
+    q, q2, dot, tr = t.q, t.q2, t.dot, t.transpose
+    steps = []
+    for g in gens:
+        g1, g0 = divmod(g, q2)
+        h1, h0 = divmod(tr[mat_inv(g, t)], q2)
+        steps.append((g0 * q2, g1 * q2, h0, h1))
     seen = {seed}
     stack = [seed]
     while stack:
-        x = stack.pop()
-        for g, gi in pairs:
-            y = mat_mul(mat_mul(g, x, t), gi, t)
+        c1, c0 = divmod(tr[stack.pop()], q2)
+        for g0, g1, h0, h1 in steps:
+            r0 = (dot[g0 + c0] + q * dot[g0 + c1]) * q2
+            r1 = (dot[g1 + c0] + q * dot[g1 + c1]) * q2
+            y = dot[r0 + h0] + q * dot[r0 + h1] + q2 * (dot[r1 + h0] + q * dot[r1 + h1])
             if y not in seen:
                 seen.add(y)
                 stack.append(y)
-    return tuple(sorted(seen))
+    return seen
+
+
+def orbit_of(seed, gens, t):
+    """Sorted tuple of the orbit of a packed matrix under conjugation by the
+    group generated by gens (packed, invertible)."""
+    return tuple(sorted(_conjugates(seed, gens, t)))
 
 
 def conjugacy_partition(elements, gens, t):
@@ -142,23 +159,15 @@ def conjugacy_partition(elements, gens, t):
     list must be closed under conjugation."""
     index = {e: i for i, e in enumerate(elements)}
     labels = [-1] * len(elements)
-    pairs = [(g, mat_inv(g, t)) for g in gens]
     next_label = 0
     for i, e in enumerate(elements):
         if labels[i] >= 0:
             continue
-        labels[i] = next_label
-        stack = [e]
-        while stack:
-            x = stack.pop()
-            for g, gi in pairs:
-                y = mat_mul(mat_mul(g, x, t), gi, t)
-                j = index.get(y)
-                if j is None:
-                    raise ValueError("element set not closed under conjugation")
-                if labels[j] < 0:
-                    labels[j] = next_label
-                    stack.append(y)
+        for y in _conjugates(e, gens, t):
+            j = index.get(y)
+            if j is None:
+                raise ValueError("element set not closed under conjugation")
+            labels[j] = next_label
         next_label += 1
     return labels
 

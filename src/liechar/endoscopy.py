@@ -101,9 +101,8 @@ class CenterDiagramAction:
     smallest nodes; orbit_of: node -> its orbit.
     """
 
-    def __init__(self, ambient, dual, ext, group, permutations, vertex_index):
+    def __init__(self, ambient, ext, group, permutations, vertex_index):
         self.ambient = ambient
-        self.dual = dual
         self.ext = ext
         self.group = group
         self.permutations = permutations
@@ -194,7 +193,7 @@ def _build_center_alcove_action(g: RootDatum) -> CenterDiagramAction:
     if ident != tuple(range(ext.n_nodes)):
         raise AssertionError("identity element acts nontrivially")
 
-    return CenterDiagramAction(g, d, ext, group, permutations, vert_index)
+    return CenterDiagramAction(g, ext, group, permutations, vert_index)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,11 @@ Matrices are packed row-major into ints, digit (i, j) = field code of the
 entry, base q. All matrix arithmetic (products, inverses, determinants,
 traces, the trace pairing, the scalar shift of the quasi-logarithm,
 conjugation orbits and classes) goes through `_kernels`, whose lookup tables
-are built once per field; the same code serves prime q and F_9.
+are built once per field; the same code serves prime q and F_9. The
+elements are read off the dot table, the determinants of all first rows
+beside one second row being one slice of it. The generators are the upper
+and lower shears by an F_p-basis of F_q (1, and gen for F_9), and
+diag(gen, 1) for GL2; a closure over them checks that they generate.
 
 What is derived from a group, a torus or a field is cached on it (see
 `exact_math.cached`), apart from the adjoint orbits, the one exception,
@@ -22,6 +26,7 @@ over one q share the field and what is cached on it, F_q^2 included.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 
 from . import _kernels
 from .exact_math import Cyclotomic, FiniteField, cached, power, prime_factors, primitive_element
@@ -129,19 +134,25 @@ class FiniteLieGroup:
     # -- construction helpers
 
     def _enumerate(self):
-        det, t = _kernels.det_code, self.tables
-        codes = range(self.q ** (self.n * self.n))
-        if self.kind == "GL2":
-            return tuple(a for a in codes if det(a, t) != 0)
-        return tuple(a for a in codes if det(a, t) == 1)
+        """Every element, in ascending code order. For the second row
+        r1 = m10 + q m11, det is the first row r0 dotted with (m11, -m10),
+        so the determinants of all q^2 first rows are one slice of dot."""
+        t = self.tables
+        q, q2 = t.q, t.q2
+        out = []
+        for r1 in range(q2):
+            m11, m10 = divmod(r1, q)
+            dets = t.dot[m11 + t.neg[m10] * q :: q2]
+            keep = dets if self.kind == "GL2" else (d == 1 for d in dets)
+            out.extend(compress(range(r1 * q2, r1 * q2 + q2), keep))
+        return tuple(out)
 
     def _generators(self):
+        """The shears [[1, c], [0, 1]] and [[1, 0], [c, 1]] for c in an
+        F_p-basis of F_q, (1,) or (1, gen), and diag(gen, 1) for GL2."""
         fld = self.field
-        shears = []
-        for c in {1, fld.gen}:
-            shears.append(self.pack([[1, c], [0, 1]]))
-            shears.append(self.pack([[1, 0], [c, 1]]))
-        gens = sorted(set(shears))
+        basis = (1,) if fld.f == 1 else (1, fld.gen)
+        gens = sorted(self.pack(m) for c in basis for m in ([[1, c], [0, 1]], [[1, 0], [c, 1]]))
         if self.kind == "GL2":
             gens.append(self.pack([[fld.gen, 0], [0, 1]]))
         return tuple(gens)
@@ -378,12 +389,12 @@ class _QuadExt:
             acc = mul(acc, gen)
         if acc != one or len(self.log) != order:
             raise AssertionError("generator order is wrong")
-        self.norm_one_gen = power(mul, one, gen, q - 1)
+        norm_one_gen = power(mul, one, gen, q - 1)
         self.norm_one_log = {}
         acc = one
         for k in range(q + 1):
             self.norm_one_log[acc] = k
-            acc = mul(acc, self.norm_one_gen)
+            acc = mul(acc, norm_one_gen)
         if acc != one:
             raise AssertionError("norm-one generator order is wrong")
 

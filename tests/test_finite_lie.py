@@ -28,6 +28,41 @@ def test_group_orders():
     assert build_finite_group("GL2", 5).order == 480
 
 
+ADMITTED = [(kind, q) for kind in ("GL2", "SL2") for q in (3, 5, 7, 9, 11, 13)]
+
+
+@pytest.mark.parametrize("kind,q", ADMITTED)
+def test_elements_and_generators(kind, q):
+    # the elements read off determinant slices are the matrices of
+    # determinant != 0 (GL2) or 1 (SL2), in code order; the generators are
+    # the upper and lower shears by an F_p-basis of F_q, plus diag(gen, 1)
+    # for GL2
+    g = build_finite_group(kind, q)
+    fld = g.field
+    det = g.det_code
+    if kind == "GL2":
+        want = tuple(a for a in range(q**4) if det(a) != 0)
+    else:
+        want = tuple(a for a in range(q**4) if det(a) == 1)
+    assert g.elements == want
+    upper, lower, rest = [], [], []
+    for x in g.gens:
+        (a, b), (c, d) = g.unpack(x)
+        if (a, d) == (1, 1) and c == 0 and b:
+            upper.append(b)
+        elif (a, d) == (1, 1) and b == 0 and c:
+            lower.append(c)
+        else:
+            rest.append(x)
+    assert len(g.gens) == 2 * fld.f + (kind == "GL2")
+    assert sorted(upper) == sorted(lower) and len(upper) == fld.f
+    span = {0}
+    for c in upper:
+        span = {fld.add(s, fld.mul(k, c)) for s in span for k in range(fld.p)}
+    assert len(span) == q
+    assert rest == ([g.pack([[fld.gen, 0], [0, 1]])] if kind == "GL2" else [])
+
+
 def test_trace_pairing_check_refuses_a_singular_gram_matrix(monkeypatch):
     # the fixed Lie bases pass: their Gram matrices are monomial for odd q
     for kind in ("GL2", "SL2"):
@@ -354,6 +389,31 @@ def test_adjoint_orbit_shared_by_its_points():
             assert t in orbit
             for y in orbit:
                 assert g.adjoint_orbit_of(y) is orbit
+
+
+@pytest.mark.parametrize("kind,q", [(k, q) for k in ("GL2", "SL2") for q in (3, 5, 9)])
+def test_classes_and_orbits_match_conjugation_by_every_element(kind, q):
+    # the generator closure of the kernels against g x g^-1 over all of G,
+    # computed with mul and inv alone
+    g = build_finite_group(kind, q)
+    pairs = [(h, g.inv(h)) for h in g.elements]
+
+    def brute_orbit(x):
+        return frozenset(g.mul(g.mul(h, x), hi) for h, hi in pairs)
+
+    labels, classes = {}, 0
+    for x in g.elements:
+        if x not in labels:
+            labels.update(dict.fromkeys(brute_orbit(x), classes))
+            classes += 1
+    assert g.conjugacy_labels() == [labels[x] for x in g.elements]
+    for torus in tori_and_regularity(g):
+        done = {}
+        for t in torus.lie_points():
+            if t not in done:
+                orbit = brute_orbit(t)
+                done.update(dict.fromkeys(orbit, orbit))
+            assert g.adjoint_orbit_of(t) == tuple(sorted(done[t]))
 
 
 def _centralizer_order(elements, t, add, mul):

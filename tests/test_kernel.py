@@ -185,6 +185,38 @@ def test_partition_rejects_unclosed_set(kern):
             kern.conjugacy_partition(els[:5], _sl2_gens(fld), t)
 
 
+def _ref_sl2_conj(fld, h, x):
+    """h x h^-1 for det h = 1, h^-1 = [[d, -b], [-c, a]], by the digits."""
+    (a, b), (c, d) = h
+    hi = [[d, _neg(fld, b)], [_neg(fld, c), a]]
+    return _pack(_ref_mul(fld, _ref_mul(fld, h, x), hi), fld.q)
+
+
+@KERNEL
+@pytest.mark.parametrize("q", [3, 5, 9], ids=lambda q: f"{q}-2")
+def test_orbits_and_classes_match_reference_conjugation(kern, q):
+    # conjugation by the reference generators, through orbit_of and
+    # conjugacy_partition, against h x h^-1 over every h in SL2 by the
+    # digit arithmetic
+    fld, t = _setup(q)
+    els = _sl2_elements(fld)
+    group = [_unpack(h, q) for h in els]
+
+    def ref_orbit(x):
+        m = _unpack(x, q)
+        return tuple(sorted({_ref_sl2_conj(fld, h, m) for h in group}))
+
+    labels = kern.conjugacy_partition(els, _sl2_gens(fld), t)
+    classes = {}
+    for e, lab in zip(els, labels):
+        classes.setdefault(lab, []).append(e)
+    for members in classes.values():
+        assert tuple(members) == ref_orbit(members[0])
+    rng = random.Random(q)
+    for x in [rng.randrange(q**4) for _ in range(10)]:
+        assert kern.orbit_of(x, _sl2_gens(fld), t) == ref_orbit(x)
+
+
 @KERNEL
 def test_orbit_of_identity_is_fixed(kern):
     for q in QS:
