@@ -12,16 +12,21 @@ the columns are the rows of the transpose. `Tables` holds, for one field:
 
 add and neg are the field's own tables, and the rest is built from them and
 the field's mul (q^2 calls), so every result is the exact field arithmetic;
-a product is then two divmods and five lookups. Orbits and classes under
-conjugation share one closure (`_conjugates`): it reads the rows of each
-generator g and the columns of g^-1 once, so a conjugate g x g^-1 costs one
-transpose lookup, one divmod and eight dot lookups. The field bounds q by its
-MAX_Q, so a packed matrix fits the unsigned shorts of the transpose table.
+a product is then two divmods and five lookups. Many products by one right
+factor y are one row map (`right_products`): y sends each row code r to the
+row code of r y, q^2 dot lookups, and every first row and every second row
+of the left factors is then mapped by one `bytes.translate`. Orbits and
+classes under conjugation share one closure (`_conjugates`): it reads the
+rows of each generator g and the columns of g^-1 once, so a conjugate
+g x g^-1 costs one transpose lookup, one divmod and eight dot lookups. The
+field bounds q by its MAX_Q = 16, so a packed matrix fits the unsigned
+shorts of the transpose table and a row code, below q^2 <= 256, one byte.
 `tables` keeps them on the field (see `exact_math.cached`), so the groups
 over one field share them.
 """
 
 from array import array
+from operator import add
 
 from .exact_math import cached
 
@@ -121,6 +126,23 @@ def mat_inv(m, t):
         raise ZeroDivisionError("matrix not invertible")
     s = t.inv[det] * q2  # dot[s + x] is det^-1 x
     return dot[s + d] + q * dot[s + neg[b]] + q2 * (dot[s + neg[c]] + q * dot[s + a])
+
+
+def right_products(xs, ys, t):
+    """For each packed y in ys, the list of the packed products x y, x in
+    xs. Row r of x goes to the row r y, a map of the q^2 row codes (a
+    permutation when y is invertible) kept as one 256-byte table, so the
+    first rows of all x are one `bytes.translate`, the second rows another."""
+    q, q2, dot, tr = t.q, t.q2, t.dot, t.transpose
+    pad = bytes(256 - q2)
+    high = [r * q2 for r in range(q2)]
+    first = bytes(x % q2 for x in xs)
+    second = bytes(x // q2 for x in xs)
+    for y in ys:
+        c1, c0 = divmod(tr[y], q2)
+        # dot[c::q2][r] is row r dotted with the column c of y
+        row = bytes(map(add, dot[c0::q2], map(q.__mul__, dot[c1::q2]))) + pad
+        yield list(map(add, first.translate(row), map(high.__getitem__, second.translate(row))))
 
 
 def _conjugates(seed, gens, t):

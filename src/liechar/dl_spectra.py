@@ -28,6 +28,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm
+from operator import add
 
 from . import _kernels
 from .exact_math import Cyclotomic, cached, element_order, is_prime, power, primitive_element, rref_mod
@@ -695,11 +696,14 @@ def character_table_dixon(group) -> CharacterTable:
     F_l for a prime l = 1 (mod exponent), the central character values are
     turned into character values mod l, and each value is lifted exactly by
     discrete Fourier inversion over the cyclic group generated by its class
-    representative.  Works for any group with elements/identity/mul/inv of
-    order at most 10^4.
+    representative.  Works for any group of order at most 10^4 with
+    `elements`, `identity`, `mul`, `inv` and `right_products(xs, ys)`, which
+    yields, for each y in ys, the list of the products x y, x in xs.
 
     The class matrices are kept sparse, as rows of (t, count) pairs, built
-    without a dense intermediate, and applied to a whole basis at once
+    without a dense intermediate from one right_products call, which
+    multiplies the inverses of all n elements by each of the k class
+    representatives (n k products), and applied to a whole basis at once
     (_apply_packed); the lift inverts the DFT of every row at once the same
     way. The class algebra is semisimple mod l, so a block on which a class
     matrix acts as a scalar is kept without a root search. Every table
@@ -729,16 +733,17 @@ def character_table_dixon(group) -> CharacterTable:
     inv_class = [idx[inv(r)] for r in cd.reps]
 
     # structure matrices, sparse: mats[i][j] lists the pairs (t, c), c > 0
-    # the number of x in C_i with x^{-1} * rep_t in C_j; the eigenvalue
-    # vectors of all of them give the central characters
-    mats = []
-    for ci in range(k):
-        xis = [inv(x) for x in cd.members[ci]]
-        rows = [[] for _ in range(k)]
-        for t, rep in enumerate(cd.reps):
-            for j, c in Counter([idx[mul(xi, rep)] for xi in xis]).items():
-                rows[j].append((t, c))
-        mats.append(rows)
+    # the number of x in C_i with x^{-1} * rep_t in C_j, in increasing t;
+    # the eigenvalue vectors of all of them give the central characters.
+    # All x^{-1} * rep_t for one t come from one right_products list, and
+    # the pair (i, j) of each is counted under the key i k + j.
+    xs = [x for mem in cd.members for x in mem]
+    row_keys = [ci * k for ci, mem in enumerate(cd.members) for _ in mem]
+    mats = [[[] for _ in range(k)] for _ in range(k)]
+    for t, prods in enumerate(group.right_products([inv(x) for x in xs], cd.reps)):
+        for key, c in Counter(map(add, row_keys, map(idx.__getitem__, prods))).items():
+            ci, j = divmod(key, k)
+            mats[ci][j].append((t, c))
 
     spaces = [[[1 if r == c else 0 for r in range(k)] for c in range(k)]]
     id_idx = cd.identity_index

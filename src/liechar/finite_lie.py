@@ -14,7 +14,9 @@ are built once per field; the same code serves prime q and F_9. The
 elements are read off the dot table, the determinants of all first rows
 beside one second row being one slice of it. The generators are the upper
 and lower shears by an F_p-basis of F_q (1, and gen for F_9), and
-diag(gen, 1) for GL2; a closure over them checks that they generate.
+diag(gen, 1) for GL2; a closure over them, each layer multiplied by every
+generator in one `_kernels.right_products` call, checks that they generate
+exactly the element set.
 
 What is derived from a group, a torus or a field is cached on it (see
 `exact_math.cached`), apart from the adjoint orbits, the one exception,
@@ -121,6 +123,10 @@ class FiniteLieGroup:
     def inv(self, a):
         return _kernels.mat_inv(a, self.tables)
 
+    def right_products(self, xs, ys):
+        """For each y in ys, the list of the products x y, x in xs."""
+        return _kernels.right_products(xs, ys, self.tables)
+
     def conj(self, g, x):
         return self.mul(self.mul(g, x), self.inv(g))
 
@@ -158,16 +164,15 @@ class FiniteLieGroup:
         return tuple(gens)
 
     def _check_generation(self):
+        """The closure of the identity under right multiplication by the
+        generators, one layer at a time, is the element set."""
         seen = {self.identity}
-        stack = [self.identity]
-        while stack:
-            x = stack.pop()
-            for g in self.gens:
-                y = self.mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != self.order:
+        frontier = [self.identity]
+        while frontier:
+            fresh = set().union(*self.right_products(frontier, self.gens)) - seen
+            seen |= fresh
+            frontier = list(fresh)
+        if seen != self._members:
             raise AssertionError("generators do not generate the group")
 
     def _lie_basis(self):

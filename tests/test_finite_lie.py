@@ -87,6 +87,30 @@ def test_trace_pairing_check_refuses_a_singular_gram_matrix(monkeypatch):
             FiniteLieGroup(kind, FiniteField(p, f))
 
 
+def test_generation_check_refuses_a_proper_subgroup(monkeypatch):
+    # without diag(gen, 1) the shears generate only SL2 inside GL2; without
+    # the shears by gen they generate only SL2(F_3) inside SL2(F_9)
+    generators = FiniteLieGroup._generators
+
+    def no_diag(g):
+        diag = g.pack([[g.field.gen, 0], [0, 1]])
+        return tuple(x for x in generators(g) if x != diag)
+
+    def no_gen_shear(g):
+        gen = g.field.gen
+        shears = {g.pack([[1, gen], [0, 1]]), g.pack([[1, 0], [gen, 1]])}
+        return tuple(x for x in generators(g) if x not in shears)
+
+    for kind, (p, f), gens in (
+        ("GL2", (5, 1), no_diag),
+        ("GL2", (3, 2), no_diag),
+        ("SL2", (3, 2), no_gen_shear),
+    ):
+        monkeypatch.setattr(FiniteLieGroup, "_generators", gens)
+        with pytest.raises(AssertionError, match="generators do not generate the group"):
+            FiniteLieGroup(kind, FiniteField(p, f))
+
+
 def test_sl2_even_q_rejected_for_center():
     with pytest.raises(ValueError, match="center"):
         build_finite_group("SL2", 2)

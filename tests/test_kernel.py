@@ -7,7 +7,9 @@ import random
 import pytest
 
 from liechar import _kernels
+from liechar.dl_spectra import conjugacy_classes
 from liechar.exact_math import FiniteField
+from liechar.finite_lie import build_finite_group
 
 # q -> (p, f)
 FIELDS = {3: (3, 1), 5: (5, 1), 7: (7, 1), 9: (3, 2), 11: (11, 1), 13: (13, 1)}
@@ -271,6 +273,22 @@ def test_exhaustive_against_digit_arithmetic(q):
         prod = _ref_mul(fld, mats[a], mats[b])
         assert _unpack(_kernels.mat_mul(a, b, t), q) == prod
         assert _kernels.pairing_code(a, b, t) == _ref_trace(fld, prod)
+
+
+@pytest.mark.parametrize("kind,q", [(kind, q) for kind in ("GL2", "SL2") for q in QS])
+def test_right_products_match_mat_mul(kind, q):
+    # every element times the generators, every class representative and
+    # one non-invertible Lie point, whose row map is not a permutation
+    g = build_finite_group(kind, q)
+    t = g.tables
+    m1 = g.field.neg(1)
+    singular = g.pack([[1, 1], [m1, m1]])
+    assert g.det_code(singular) == 0
+    g.lie_coeffs(singular)
+    xs = g.elements
+    ys = [*g.gens, *conjugacy_classes(g).reps, singular]
+    got = list(_kernels.right_products(xs, ys, t))
+    assert got == [[_kernels.mat_mul(x, y, t) for x in xs] for y in ys]
 
 
 def test_tables_refuse_large_fields():
