@@ -75,10 +75,25 @@ def _parse_json(s, flag):
         raise ValueError(f"{flag}: not valid JSON: {s!r}") from None
 
 
+# digits a rational argument may spell out, its exponent counted as that many
+# digits: Fraction("1eN") forms 10**N, so the text is measured first
+RATIONAL_DIGITS = 1000
+_EXPONENT_RE = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
+
+
 def _parse_rational(x, flag):
-    """A number, or a string such as "1/2"."""
+    """A number, or a string such as "1/2", within RATIONAL_DIGITS."""
+    text = str(x)
+    digits = sum(c.isdigit() for c in text)
+    exp = _EXPONENT_RE.search(text)
+    if exp and digits <= RATIONAL_DIGITS:
+        digits += abs(int(exp.group(1)))
+    if digits > RATIONAL_DIGITS:
+        raise ValueError(
+            f"{flag}: {digits} digits, exponent included, exceed the rational digit budget {RATIONAL_DIGITS}"
+        )
     try:
-        return Fraction(str(x))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{flag}: expected a rational such as 1/2, got {x!r}") from None
 

@@ -374,11 +374,9 @@ def endoscopic_from_kappa(g: RootDatum, kappa) -> EndoscopicTriple:
 def estimate_diagram_check(g: RootDatum) -> dict:
     """Report every non-special center orbit (not the orbit of the affine
     node) of size > 2, with its mark and gcd against the center order. Type A
-    is excluded."""
+    is excluded by the root system, so D3 = A3 is excluded too."""
     _require_simple(g)
-    if g.label and g.label[0] == "A":
-        raise ValueError("type A is excluded from the estimate check")
-    if not g.label and g.cartan_type().startswith("A") and "+" not in g.cartan_type():
+    if g.cartan_type().startswith("A"):
         raise ValueError("type A is excluded from the estimate check")
     action = center_alcove_action(g)
     orbits = action.orbits

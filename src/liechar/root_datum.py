@@ -10,11 +10,16 @@ rows indexed by coroots.
 Isogeny choices:
   'sc'  X is spanned by fundamental weights (simply connected form)
   'ad'  X is spanned by the roots (adjoint form)
+
+`build_root_datum` is a registry: one datum per (series, rank, isogeny) per
+process, so everything cached on a datum (its dual, extended diagram, center
+action, elliptic triples) is built once per input.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from operator import mul
 
@@ -133,6 +138,12 @@ class RootDatum:
     endoscopy the center action and the elliptic triple of each center
     orbit) is cached in `derived` (see `exact_math.cached`), a number of
     entries fixed by the datum, never one per query point.
+
+    `build_root_datum` returns one object per (series, rank, isogeny), shared
+    by every caller in the process, so a datum and what it derives must not
+    be mutated. A dual is owned by its datum through the cached link back:
+    the dual of C2 sc is labelled (B, 2, ad) but is not the registry's
+    B2 ad object.
     """
 
     def __init__(self, rank, roots, coroots, simple_indices, label=None, validate=True):
@@ -356,8 +367,11 @@ def reflection_closure(gens):
     return sorted(pairs.items())
 
 
-def build_root_datum(series, rank, isogeny="sc") -> RootDatum:
-    """Construct the root datum of the given simple series and isogeny type."""
+@lru_cache(maxsize=None)
+def build_root_datum(series, rank, isogeny, /) -> RootDatum:
+    """The root datum of the given simple series and isogeny type, one
+    object per input per process. A rejected input raises and is not stored,
+    so the registry holds at most the 66 admitted inputs."""
     _check_series_rank(series, rank)
     if isogeny not in ("sc", "ad"):
         raise ValueError(f"unknown isogeny {isogeny!r}")

@@ -5,12 +5,17 @@ processes.
 puts calls next to each other that would differ if any state carried over
 from one call to the next: a `--format` default after an explicit value,
 one endoscopy subcommand after another, and a valid call after a usage
-error (exit 2) and after a rejected input (exit 1). It ends with a table
-over F_9, whose field is not prime. Each in-process call must print the
-same stdout and return the same exit code as the same arguments in a fresh
-`python -m liechar.cli` process, and its subcommand must see the namespace
-that a freshly built parser gives, with no flag left over from an earlier
-call. `tests/test_no_dead_code.py` traces the in-process calls.
+error (exit 2) and after a rejected input (exit 1). Then comes a table
+over F_9, whose field is not prime. It ends with a chain of calls on E6,
+whose root datum is one object per process (`build_root_datum` is a
+registry): enumerate, estimate, a rejected and an elliptic from-kappa, the
+adjoint form, and enumerate again, so that no call may leave the shared
+datum, or what is derived from it, changed for the next. Each in-process
+call must print the same stdout and return the same exit code as the same
+arguments in a fresh `python -m liechar.cli` process, and its subcommand
+must see the namespace that a freshly built parser gives, with no flag left
+over from an earlier call. `tests/test_no_dead_code.py` traces the
+in-process calls.
 
 Runs without pytest (`tests/test_cli.py` runs it too):
 
@@ -34,9 +39,15 @@ SEQUENCE = [
     ["hilbert", "--a", "0", "--b", "3", "--place", "5"],
     ["tori", "h1", "--frobenius", "[[-1]]"],
     ["chartable", "--group", "SL2", "--q", "9", "--method", "classical"],
+    ["endoscopy", "enumerate", "--type", "E6"],
+    ["endoscopy", "estimate", "--type", "E6"],
+    ["endoscopy", "from-kappa", "--type", "E6", "--kappa", '["1/2", "0"]'],
+    ["endoscopy", "from-kappa", "--type", "E6", "--kappa", '["0", "0", "0", "1/3", "0", "0"]'],
+    ["endoscopy", "enumerate", "--type", "E6", "--isogeny", "ad"],
+    ["endoscopy", "enumerate", "--type", "E6"],
 ]
-# the usage error and the rejected input are what the calls after them test
-EXIT_CODES = [0, 0, 0, 0, 2, 0, 1, 0, 0]
+# the usage error and the rejected inputs are what the calls after them test
+EXIT_CODES = [0, 0, 0, 0, 2, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0]
 
 
 def in_process(argv):

@@ -5,7 +5,8 @@ torus, a field) keeps them in its `derived` dict, and only `cached` reads or
 writes that dict, apart from the one documented site that stores one value
 under several keys. No library function memoises itself with `lru_cache`,
 except the registries that keep one object per input (`build_finite_group`,
-`_field_for`) and the memos of the cyclotomic polynomials and of the CLI.
+`_field_for`, `build_root_datum`) and the memos of the cyclotomic
+polynomials and of the CLI.
 """
 
 import ast
@@ -27,6 +28,7 @@ DERIVED_ACCESS = {
 MEMOISED = {
     ("finite_lie.py", "build_finite_group"),
     ("finite_lie.py", "_field_for"),
+    ("root_datum.py", "build_root_datum"),
     ("exact_math/cyclo.py", "_phi_terms"),
     ("cli.py", "_parser"),
     ("cli.py", "_cyc_text"),

@@ -253,6 +253,15 @@ def test_endoscopy_estimate_type_a_exits_1():
     assert err == ""
 
 
+@pytest.mark.parametrize("isogeny", ["sc", "ad"])
+def test_endoscopy_estimate_d3_is_type_a_and_exits_1(isogeny):
+    # D3 = A3: the check reads the root system, not the label
+    code, out, err = run_cli(["endoscopy", "estimate", "--type", "D3", "--isogeny", isogeny])
+    assert code == 1
+    assert json.loads(out) == {"error": "type A is excluded from the estimate check"}
+    assert err == ""
+
+
 @pytest.mark.parametrize(
     "argv,check",
     [
@@ -293,6 +302,45 @@ def test_twisted_torus_budgets_refuse_huge_inputs_at_once(argv, budget):
     doc = json.loads(out)
     assert list(doc) == ["error"] and budget in doc["error"]
     assert err == ""
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["endoscopy", "from-kappa", "--type", "A2", "--kappa", '["1e30000000", "0"]'], "--kappa"),
+        (["endoscopy", "from-kappa", "--type", "A2", "--kappa", '["1e-100000", "0"]'], "--kappa"),
+        (["hilbert", "--a", "1e30000000", "--b", "3", "--place", "2"], "--a"),
+        (["hilbert", "--a", "1e-100000", "--b", "3", "--place", "2"], "--a"),
+        (["hilbert", "--a", "2", "--b", "1" * 1001, "--place", "2"], "--b"),
+    ],
+    ids=["kappa-huge", "kappa-tiny", "a-huge", "a-tiny", "b-long"],
+)
+def test_rational_digit_budget_refuses_huge_exponents_at_once(argv, flag):
+    # Fraction("1eN") forms 10**N: without the budget the first and third
+    # run past 20 s and the fourth for 16 s, so each call runs in its own
+    # interpreter, which the timeout ends, and times its `main` call there
+    script = (
+        "import sys, time, liechar.cli as cli\n"
+        "start = time.monotonic()\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(time.monotonic() - start, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=10
+    )
+    assert float(proc.stderr) < 1.0
+    assert proc.returncode == 1
+    doc = json.loads(proc.stdout)
+    assert list(doc) == ["error"]
+    assert doc["error"].startswith(flag + ":") and "rational digit budget 1000" in doc["error"]
+
+
+def test_rational_digit_budget_admits_its_edge():
+    code, out, _ = run_cli(["hilbert", "--a", "1e-990", "--b", "3", "--place", "2"])
+    assert code == 0 and json.loads(out)["symbol"] == 1
+    code, out, _ = run_cli(["hilbert", "--a", "1e-1000", "--b", "3", "--place", "2"])
+    assert code == 1 and "rational digit budget" in json.loads(out)["error"]
 
 
 def test_tori_pair_bad_coordinates_exits_1():

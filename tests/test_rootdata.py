@@ -221,14 +221,48 @@ def test_highest_root_reducible_errors():
 
 def test_rank_cap_and_bad_input():
     with pytest.raises(ValueError):
-        build_root_datum("A", 9)
+        build_root_datum("A", 9, "sc")
     with pytest.raises(ValueError):
-        build_root_datum("E", 5)
+        build_root_datum("E", 5, "sc")
     with pytest.raises(ValueError):
-        build_root_datum("H", 2)
+        build_root_datum("H", 2, "sc")
     for isogeny in ("simply", "gl-special"):
         with pytest.raises(ValueError, match="unknown isogeny"):
             build_root_datum("A", 2, isogeny)
+
+
+ADMITTED = [
+    (series, rank)
+    for series, ranks in [
+        ("A", range(1, 9)),
+        ("B", range(2, 9)),
+        ("C", range(2, 9)),
+        ("D", range(3, 9)),
+        ("E", (6, 7, 8)),
+        ("F", (4,)),
+        ("G", (2,)),
+    ]
+    for rank in ranks
+]
+
+
+def test_build_root_datum_is_one_object_per_input():
+    for series, rank in ADMITTED:
+        sc, ad = (build_root_datum(series, rank, isog) for isog in ("sc", "ad"))
+        assert build_root_datum(series, rank, "sc") is sc
+        assert build_root_datum(series, rank, "ad") is ad
+        assert sc is not ad
+    size = build_root_datum.cache_info().currsize
+    assert size == 2 * len(ADMITTED) == 66
+    # one key per input: the arguments are positional only
+    with pytest.raises(TypeError):
+        build_root_datum("A", 2, isogeny="sc")
+    # a rejected input raises every time and is never stored
+    for args in (("A", 9, "sc"), ("A", 2, "gl"), ("E", 5, "sc")):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                build_root_datum(*args)
+    assert build_root_datum.cache_info().currsize == size
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +312,9 @@ def test_cartan_type_is_cached_and_errors_are_not():
 
 
 def _all_data():
-    for series, ranks in [
-        ("A", range(1, 9)),
-        ("B", range(2, 9)),
-        ("C", range(2, 9)),
-        ("D", range(3, 9)),
-        ("E", (6, 7, 8)),
-        ("F", (4,)),
-        ("G", (2,)),
-    ]:
-        for rank in ranks:
-            for isog in ("sc", "ad"):
-                yield build_root_datum(series, rank, isog)
+    for series, rank in ADMITTED:
+        for isog in ("sc", "ad"):
+            yield build_root_datum(series, rank, isog)
     for rank in range(1, 8):
         yield _levi_of_a(rank)
 
