@@ -73,6 +73,11 @@ def _parse_json(s, flag):
         return json.loads(s)
     except json.JSONDecodeError:
         raise ValueError(f"{flag}: not valid JSON: {s!r}") from None
+    except ValueError:
+        # an integer past Python's limit on int <-> str conversion
+        raise ValueError(
+            f"{flag}: an integer exceeds Python's 4300-digit conversion limit"
+        ) from None
 
 
 # digits a rational argument may spell out, its exponent counted as that many

@@ -1,14 +1,14 @@
 """Exact character theory for the rank-1 finite matrix groups.
 
 Two independent routes produce the full character table: a modular
-eigenvector solver in the style of Dixon, and closed-form tables whose
-entries are roots of unity and quadratic Gauss sums.  Each torus-series
-character has one closed-form row per (torus, theta), the principal series
-on the split torus and the cuspidal or discrete series on the elliptic one,
-which both the table and the torus-series characters read.  On top of them
-sit the adjoint-orbit Fourier identity relating their unipotent values to
-additive character sums, and the reduction of a mixed trace to the
-semisimple part's centralizer.
+eigenvector solver in the style of Dixon, and the classical table. The
+classical table's torus-series rows are the Deligne-Lusztig characters
+R_T^theta, read off the torus points by their character formula
+(`dl_character`, one function for every torus and every theta, singular
+theta included); its other rows are closed forms in roots of unity and
+quadratic Gauss sums. On top of them sit the adjoint-orbit Fourier identity
+relating the unipotent values to additive character sums, and the
+reduction of a mixed trace to the semisimple part's centralizer.
 
 Every equality here is decided in exact cyclotomic arithmetic.
 
@@ -244,8 +244,8 @@ def _class_shapes(g: FiniteLieGroup):
     jordan:   double eigenvalue x with a nontrivial unipotent part; for SL2
               `unit_square` records the square class of that part
     split:    distinct eigenvalues x, y in the base field
-    elliptic: eigenvalue z in the quadratic extension, with its discrete
-              logarithm and (determinant one only) its norm-one logarithm
+    elliptic: eigenvalue z in the quadratic extension, with its norm-one
+              logarithm where it has one (read for determinant one only)
     """
     return cached(g, "class_shapes", _build_class_shapes)
 
@@ -280,7 +280,6 @@ def _build_class_shapes(g: FiniteLieGroup):
             shapes[ci] = {
                 "family": "elliptic",
                 "z": z,
-                "log": ext.log[z],
                 "norm_one_log": ext.norm_one_log.get(z),
             }
     if None in shapes:
@@ -329,10 +328,10 @@ def _gauss_sum(field) -> Cyclotomic:
 
 
 # ---------------------------------------------------------------------------
-# closed-form rows.  GL2 families: linear (alpha o det), its Steinberg
-# twist, principal series, cuspidal.  SL2 families: trivial, Steinberg,
-# principal series, discrete series, and the four half characters that
-# split off when the relevant series parameter is quadratic.
+# closed-form rows, the table's rows outside the torus series.  GL2: the
+# linear characters alpha o det and their Steinberg twists.  SL2: trivial,
+# Steinberg, and the four half characters that split off when the series
+# parameter is quadratic.
 
 
 def _gl2_values_linear(g, shapes, i):
@@ -368,52 +367,6 @@ def _gl2_values_steinberg(g, shapes, i):
     return out
 
 
-def _gl2_values_principal(g, shapes, i, j):
-    fld = g.field
-    qm1 = g.q - 1
-    out = []
-    for sh in shapes:
-        fam = sh["family"]
-        if fam == "central":
-            out.append(Cyclotomic.zeta(qm1, (i + j) * fld.log(sh["x"])) * (g.q + 1))
-        elif fam == "jordan":
-            out.append(Cyclotomic.zeta(qm1, (i + j) * fld.log(sh["x"])))
-        elif fam == "split":
-            lx, ly = fld.log(sh["x"]), fld.log(sh["y"])
-            out.append(
-                Cyclotomic.zeta(qm1, i * lx + j * ly)
-                + Cyclotomic.zeta(qm1, i * ly + j * lx)
-            )
-        else:
-            out.append(Cyclotomic.zero())
-    return out
-
-
-def _gl2_values_cuspidal(g, shapes, j):
-    ext = _quad_ext(g.field)
-    big = g.q * g.q - 1
-    out = []
-    for sh in shapes:
-        fam = sh["family"]
-        if fam in ("central", "jordan"):
-            # the scalar x is the packed point x (1 + q^3) = x * identity
-            v = Cyclotomic.zeta(big, j * ext.log[sh["x"] * g.identity])
-            out.append(v * (g.q - 1) if fam == "central" else -v)
-        elif fam == "split":
-            out.append(Cyclotomic.zero())
-        else:
-            k = sh["log"]
-            out.append(
-                -(Cyclotomic.zeta(big, j * k) + Cyclotomic.zeta(big, j * k * g.q))
-            )
-    return out
-
-
-def _pm_sign(i, x_code):
-    # value of the order-two-or-less central twist at a code +-1
-    return 1 if x_code == 1 else (-1) ** i
-
-
 def _sl2_values_trivial(g, shapes):
     return [Cyclotomic.rational(1) for _ in shapes]
 
@@ -421,41 +374,6 @@ def _sl2_values_trivial(g, shapes):
 def _sl2_values_steinberg(g, shapes):
     vals = {"central": g.q, "jordan": 0, "split": 1, "elliptic": -1}
     return [Cyclotomic.rational(vals[sh["family"]]) for sh in shapes]
-
-
-def _sl2_values_principal(g, shapes, i):
-    fld = g.field
-    qm1 = g.q - 1
-    out = []
-    for sh in shapes:
-        fam = sh["family"]
-        if fam == "central":
-            out.append(Cyclotomic.rational((g.q + 1) * _pm_sign(i, sh["x"])))
-        elif fam == "jordan":
-            out.append(Cyclotomic.rational(_pm_sign(i, sh["x"])))
-        elif fam == "split":
-            e = i * fld.log(sh["x"])
-            out.append(Cyclotomic.zeta(qm1, e) + Cyclotomic.zeta(qm1, -e))
-        else:
-            out.append(Cyclotomic.zero())
-    return out
-
-
-def _sl2_values_discrete(g, shapes, j):
-    qp1 = g.q + 1
-    out = []
-    for sh in shapes:
-        fam = sh["family"]
-        if fam == "central":
-            out.append(Cyclotomic.rational((g.q - 1) * _pm_sign(j, sh["x"])))
-        elif fam == "jordan":
-            out.append(Cyclotomic.rational(-_pm_sign(j, sh["x"])))
-        elif fam == "split":
-            out.append(Cyclotomic.zero())
-        else:
-            m = sh["norm_one_log"]
-            out.append(-(Cyclotomic.zeta(qp1, j * m) + Cyclotomic.zeta(qp1, -j * m)))
-    return out
 
 
 def _sl2_values_half(g, shapes, big_degree, pm):
@@ -498,30 +416,17 @@ def _sl2_values_half(g, shapes, big_degree, pm):
     return out
 
 
-def _series_row(g, shapes, tag, exps):
-    """The closed-form values of R_T^theta up to the torus sign, theta given
-    by its exponents on the torus of the tag: the principal series on the
-    split torus, where a singular theta gives the reducible induced
-    character, and the cuspidal (GL2) or discrete (SL2) series on the
-    elliptic torus, where theta must be nonsingular."""
-    if tag == "split":
-        if g.kind == "GL2":
-            return _gl2_values_principal(g, shapes, *exps)
-        return _sl2_values_principal(g, shapes, *exps)
-    if g.kind == "GL2":
-        return _gl2_values_cuspidal(g, shapes, *exps)
-    return _sl2_values_discrete(g, shapes, *exps)
-
-
 def classical_table_oracle(kind, q) -> CharacterTable:
-    """The full character table from the closed forms.
+    """The full character table from the character formula and the
+    closed forms.
 
     Completely independent of the modular solver; the two are compared row
     for row in the tests.  kind and q are checked by build_finite_group: GL2
     or SL2, q an odd prime power within the group's budget.  Rows: the
     linear characters and their Steinberg twists (GL2) or the trivial and
     Steinberg characters (SL2), one torus-series row per Weyl orbit of
-    nonsingular torus characters, split torus first, and for SL2 the four
+    nonsingular torus characters, split torus first, each the very
+    `dl_character(torus, theta).genuine()` object, and for SL2 the four
     half characters.
     """
     g = build_finite_group(kind, q)
@@ -541,7 +446,7 @@ def classical_table_oracle(kind, q) -> CharacterTable:
     for torus in tori_and_regularity(g):
         for theta in nonsingular_characters(torus):
             if theta.exps < theta.w_twist().exps:
-                rows.append(ClassFunction(cd, _series_row(g, shapes, torus.tag, theta.exps)))
+                rows.append(dl_character(torus, theta).genuine())
     if kind == "SL2":
         for big_degree in (True, False):
             for pm in (1, -1):
@@ -888,59 +793,37 @@ def character_table_dixon(group) -> CharacterTable:
 # torus characters
 
 
-def _char_orders(torus: TorusInG):
-    g = torus.parent
-    q = g.q
-    if torus.tag == "split":
-        return (q - 1, q - 1) if g.kind == "GL2" else (q - 1,)
-    return (q * q - 1,) if g.kind == "GL2" else (q + 1,)
-
-
 class TorusCharacter:
     """A character of the point group of a maximal torus.
 
-    Presented by exponents against the canonical cyclic coordinates: split
-    tori use the field's discrete logarithm on each diagonal entry,
-    elliptic tori the logarithm in the quadratic extension (full group for
-    determinant-free groups, norm-one subgroup otherwise).
+    Presented by exponents against the torus's own coordinates (`TorusInG`):
+    theta(t) is zeta_n raised to the dot product of the exponents with
+    log[t], n the torus's `char_order`.
     """
 
-    __slots__ = ("torus", "exps", "orders")
+    __slots__ = ("torus", "exps")
 
     def __init__(self, torus: TorusInG, exps):
         self.torus = torus
-        self.orders = _char_orders(torus)
-        exps = tuple(int(e) % o for e, o in zip(exps, self.orders))
-        if len(exps) != len(self.orders):
+        exps = tuple(int(e) % torus.char_order for e in exps)
+        if len(exps) != len(torus.unit_points):
             raise ValueError("wrong number of exponents")
         self.exps = exps
 
     def value_at(self, point) -> Cyclotomic:
-        g = self.torus.parent
-        if point not in self.torus.point_set:
+        coords = self.torus.log.get(point)
+        if coords is None:
             raise ValueError("not a point of this torus")
-        if self.torus.tag == "split":
-            # diag(a, d) is packed a + d q^3
-            d, a = divmod(point, g.tables.q3)
-            e = self.exps[0] * g.field.log(a)
-            if g.kind == "GL2":
-                e += self.exps[1] * g.field.log(d)
-            return Cyclotomic.zeta(g.q - 1, e)
-        ext = _quad_ext(g.field)
-        if g.kind == "GL2":
-            return Cyclotomic.zeta(ext.order, self.exps[0] * ext.log[point])
-        return Cyclotomic.zeta(g.q + 1, self.exps[0] * ext.norm_one_log[point])
+        exponent = sum(e * c for e, c in zip(self.exps, coords))
+        return Cyclotomic.zeta(self.torus.char_order, exponent)
 
     def w_twist(self) -> "TorusCharacter":
-        """The character composed with the nontrivial Weyl involution."""
-        g = self.torus.parent
-        if self.torus.tag == "split":
-            if g.kind == "GL2":
-                return TorusCharacter(self.torus, (self.exps[1], self.exps[0]))
-            return TorusCharacter(self.torus, (-self.exps[0],))
-        if g.kind == "GL2":
-            return TorusCharacter(self.torus, (self.exps[0] * g.q,))
-        return TorusCharacter(self.torus, (-self.exps[0],))
+        """The character composed with the nontrivial Weyl involution: its
+        exponent at a unit point u is theta's at the coordinates of w(u)."""
+        t = self.torus
+        return TorusCharacter(
+            t, [sum(e * c for e, c in zip(self.exps, t.log[t.weyl[u]])) for u in t.unit_points]
+        )
 
     @property
     def is_singular(self):
@@ -952,10 +835,8 @@ class TorusCharacter:
 
 def torus_characters(torus: TorusInG):
     """All characters of the torus point group, in lexicographic order."""
-    return [
-        TorusCharacter(torus, tup)
-        for tup in product(*(range(o) for o in _char_orders(torus)))
-    ]
+    rank = len(torus.unit_points)
+    return [TorusCharacter(torus, tup) for tup in product(range(torus.char_order), repeat=rank)]
 
 
 def nonsingular_characters(torus: TorusInG):
@@ -994,17 +875,16 @@ class DLCharacter:
 
 
 def dl_character(torus: TorusInG, theta: TorusCharacter) -> DLCharacter:
-    """The torus-series virtual character for (torus, theta).
+    """The Deligne-Lusztig virtual character R_T^theta for (torus, theta).
 
-    Split torus, and elliptic torus with nonsingular theta: the torus sign
-    times the closed-form row of (torus, theta), the same row that
-    `classical_table_oracle` lists, and the genuine character whenever
-    theta is nonsingular.  On the split torus that row is the principal
-    series, reducible for singular theta.  Elliptic torus with singular
-    theta: the explicit two-term combination with norm two.  The norm
-    equals the stabilizer order in the relative Weyl group, asserted
-    exactly.  The checked parts are cached on the torus, keyed by theta's
-    exponents.
+    Its values come from the character formula (`_dl_values`), one route
+    for every torus and every theta, singular theta included. Its norm
+    equals the stabilizer order of theta in the relative Weyl group,
+    asserted exactly. For nonsingular theta the torus sign times it is the
+    genuine irreducible character, of degree q + 1 on the split torus and
+    q - 1 on the elliptic one, asserted, and the row that
+    `classical_table_oracle` lists. The checked parts are cached on the
+    torus, keyed by theta's exponents.
     """
     if theta.torus is not torus:
         raise ValueError("theta belongs to a different torus")
@@ -1012,42 +892,43 @@ def dl_character(torus: TorusInG, theta: TorusCharacter) -> DLCharacter:
     return DLCharacter(torus, theta, *parts)
 
 
-def _dl_parts(torus: TorusInG, theta: TorusCharacter):
-    """(virtual, genuine or None, Weyl stabilizer order) for dl_character."""
+def _dl_values(torus: TorusInG, theta: TorusCharacter):
+    """R_T^theta by the Deligne-Lusztig character formula, one value per
+    class, read off the torus points through the class index.
+
+    A central point z gives eps_G eps_T (|G|/q)/|T| theta(z) at z, and
+    theta(z) at z u for each regular unipotent u: the Green function of a
+    rank-1 group is 1 there. A regular point t adds theta(t) at its class,
+    since the centralizer of t is the torus: the value at a regular
+    semisimple class is the sum of theta over the torus points in it. Every
+    other class gets 0."""
     g = torus.parent
     cd = conjugacy_classes(g)
-    shapes = _class_shapes(g)
-    q = g.q
-    w_stab = 2 if theta.is_singular else 1
-    if torus.tag == "split" or not theta.is_singular:
-        row = ClassFunction(cd, _series_row(g, shapes, torus.tag, theta.exps))
-        virtual = row if torus.sign == 1 else -row
-        genuine = None if theta.is_singular else row
-    else:
-        genuine = None
-        if g.kind == "GL2":
-            # theta factors through the norm: the virtual character is the
-            # difference of a linear character and its Steinberg twist
-            c = g.field.log(g.det_code(_quad_ext(g.field).gen))
-            i = theta.exps[0] // (q + 1) * pow(c, -1, q - 1) % (q - 1)
-            virtual = ClassFunction(
-                cd, _gl2_values_linear(g, shapes, i)
-            ) - ClassFunction(cd, _gl2_values_steinberg(g, shapes, i))
-        elif theta.exps[0] == 0:
-            virtual = ClassFunction(
-                cd, _sl2_values_trivial(g, shapes)
-            ) - ClassFunction(cd, _sl2_values_steinberg(g, shapes))
+    deg = torus.sign * (g.order // g.q) // torus.order
+    vals = [Cyclotomic.zero()] * cd.count
+    for t in torus.points:
+        v = theta.value_at(t)
+        if _is_central(g, t):
+            vals[cd.index[t]] = v * deg
+            for u in g.unipotent_class_reps()[1:]:
+                vals[cd.index[g.mul(t, u)]] = v
         else:
-            virtual = -(
-                ClassFunction(cd, _sl2_values_half(g, shapes, False, 1))
-                + ClassFunction(cd, _sl2_values_half(g, shapes, False, -1))
-            )
+            vals[cd.index[t]] += v
+    return vals
+
+
+def _dl_parts(torus: TorusInG, theta: TorusCharacter):
+    """(virtual, genuine or None, Weyl stabilizer order) for dl_character."""
+    virtual = ClassFunction(conjugacy_classes(torus.parent), _dl_values(torus, theta))
+    w_stab = 2 if theta.is_singular else 1
     if not virtual.inner(virtual) == w_stab:
         raise AssertionError("virtual character norm is off")
-    if genuine is not None:
-        want_deg = q + 1 if torus.tag == "split" else q - 1
-        if not genuine.degree_value == want_deg:
-            raise AssertionError("genuine degree is off")
+    if theta.is_singular:
+        return virtual, None, w_stab
+    genuine = virtual if torus.sign == 1 else -virtual
+    q = torus.parent.q
+    if not genuine.degree_value == (q + 1 if torus.tag == "split" else q - 1):
+        raise AssertionError("genuine degree is off")
     return virtual, genuine, w_stab
 
 

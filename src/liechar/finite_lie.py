@@ -4,7 +4,10 @@ algebras, the trace pairing, quasi-logarithms, adjoint orbits, maximal tori,
 regularity tests, and a dense finite Fourier transform. The quadratic
 extension F_q^2 is built here as the elliptic-torus matrices, with its
 discrete logarithms; the elliptic torus of GL2 is its multiplicative group
-and that of SL2 its norm-one subgroup, both read off it.
+and that of SL2 its norm-one subgroup, both read off it. Each torus carries
+its own coordinates, the exponents of its points against its unit points:
+the field's discrete logarithm on the diagonal entries of the split torus,
+the logarithm of F_q^2 or of its norm-one subgroup on the elliptic one.
 
 Matrices are packed row-major into ints, digit (i, j) = field code of the
 entry, base q. All matrix arithmetic (products, inverses, determinants,
@@ -412,13 +415,25 @@ def _quad_ext(field) -> _QuadExt:
 class TorusInG:
     """A maximal torus point group inside the finite group, with its Lie
     points, relative Weyl group action and sign data, and `derived`, its
-    cache (see `exact_math.cached`)."""
+    cache (see `exact_math.cached`).
 
-    def __init__(self, parent, tag, points, lie_points, weyl, fq_rank):
+    Its coordinates present the point group as (Z/char_order)^rank: `log`
+    maps each point to its exponent tuple, and `unit_points` lists the
+    points whose tuples are the unit vectors, so a point is the product of
+    their powers by its coordinates.
+    """
+
+    def __init__(self, parent, tag, log, char_order, lie_points, weyl, fq_rank):
         self.parent = parent
         self.tag = tag
-        self.points = tuple(sorted(points))
-        self.point_set = frozenset(self.points)
+        self.log = log
+        self.char_order = char_order
+        self.points = tuple(sorted(log))
+        by_coords = {c: p for p, c in log.items()}
+        rank = len(log[self.points[0]])
+        self.unit_points = tuple(
+            by_coords[tuple(int(i == k) for i in range(rank))] for k in range(rank)
+        )
         self._lie_points = lie_points
         self.lie_point_set = frozenset(lie_points)
         self.order = len(self.points)
@@ -485,20 +500,28 @@ def tori_and_regularity(g: FiniteLieGroup):
 
 
 def _build_tori(g: FiniteLieGroup):
-    fld = g.field
+    """The split torus in the coordinates of the field's discrete logarithm
+    on each diagonal entry (the first only for SL2, the second being its
+    inverse), the elliptic torus in those of F_q^2: the logarithm in its
+    multiplicative group for GL2, in the norm-one subgroup for SL2."""
     q = g.q
-    split_pts = []
-    for a in range(1, q):
-        if g.kind == "SL2":
-            split_pts.append(g.pack([[a, 0], [0, fld.inv(a)]]))
-        else:
-            for d in range(1, q):
-                split_pts.append(g.pack([[a, 0], [0, d]]))
-    ext = _quad_ext(fld)
-    ell_pts = sorted(ext.log if g.kind == "GL2" else ext.norm_one_log)
-
+    exp = g.field.exp_table
+    ext = _quad_ext(g.field)
+    if g.kind == "GL2":
+        split_log = {
+            g.pack([[exp[i], 0], [0, exp[j]]]): (i, j) for i in range(q - 1) for j in range(q - 1)
+        }
+        ell_log, ell_order = ext.log, q * q - 1
+    else:
+        split_log = {g.pack([[exp[i], 0], [0, exp[-i]]]): (i,) for i in range(q - 1)}
+        ell_log, ell_order = ext.norm_one_log, q + 1
+    coords = (
+        ("split", split_log, q - 1, g.fq_rank),
+        ("elliptic", {z: (k,) for z, k in ell_log.items()}, ell_order, g.fq_rank - 1),
+    )
     tori = []
-    for tag, pts in (("split", split_pts), ("elliptic", ell_pts)):
+    for tag, log, char_order, fq_rank in coords:
+        pts = list(log)
         lie_pts = _torus_lie_points(g, tag)
         witness = _find_weyl_witness(g, pts, lie_pts)
         weyl = {p: g.conj(witness, p) for p in pts}
@@ -508,11 +531,7 @@ def _build_tori(g: FiniteLieGroup):
             raise AssertionError("Weyl action does not preserve Lie(T)")
         if all(g.conj(witness, t) == t for t in lie_pts):
             raise AssertionError("Weyl action fixes Lie(T) pointwise")
-        if tag == "split":
-            fq_rank = g.fq_rank
-        else:
-            fq_rank = g.fq_rank - 1
-        tori.append(TorusInG(g, tag, pts, lie_pts, weyl, fq_rank))
+        tori.append(TorusInG(g, tag, log, char_order, lie_pts, weyl, fq_rank))
     if {t.order for t in tori} != torus_orders(g):
         raise AssertionError("torus orders do not match the closed forms")
     return tuple(tori)

@@ -150,7 +150,6 @@ def class_shapes(g, cd, ext):
             {
                 "family": "elliptic",
                 "z": z,
-                "log": ext.log[z],
                 "norm_one_log": ext.norm_one_log.get(z),
             }
         )

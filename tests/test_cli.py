@@ -389,6 +389,34 @@ def test_rejected_argument_is_named(argv, flag):
     assert err == ""
 
 
+_LONG = "1" * 5000  # past the 4300-digit limit on integer string conversion
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this Python has no limit on integer string conversion",
+)
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["endoscopy", "from-kappa", "--type", "A2", "--kappa", f"[{_LONG}, 0]"], "--kappa"),
+        (["tori", "h1", "--frobenius", f"[[{_LONG}]]"], "--frobenius"),
+        (["tori", "pair", "--frobenius", "[[-1]]", "--inv", f"[{_LONG}]", "--kappa", "[0]"], "--inv"),
+        (["tori", "pair", "--frobenius", "[[-1]]", "--inv", "[0]", "--kappa", f"[{_LONG}]"], "--kappa"),
+        (["tori", "sln-group", "--n", "4", "--m", "2", "--degrees", f"[{_LONG}]"], "--degrees"),
+        (["tjd", "--p", "5", "--k", "2", "--matrix", f"[[{_LONG}]]"], "--matrix"),
+    ],
+    ids=["from-kappa", "frobenius", "inv", "pair-kappa", "degrees", "matrix"],
+)
+def test_json_integer_past_the_conversion_limit_is_named(argv, flag):
+    code, out, err = run_cli(argv)
+    assert code == 1
+    doc = json.loads(out)
+    assert list(doc) == ["error"]
+    assert doc["error"].startswith(flag + ":") and "4300-digit conversion limit" in doc["error"]
+    assert err == ""
+
+
 # ---------------------------------------------------------------------------
 # one parser per process
 

@@ -331,6 +331,35 @@ def test_torus_character_twist_is_involutive():
             assert theta.w_twist().w_twist().exps == theta.exps
 
 
+ADMITTED = [(kind, q) for kind in ("GL2", "SL2") for q in (3, 5, 7, 9, 11, 13)]
+
+
+@pytest.mark.parametrize("kind,q", ADMITTED)
+def test_w_twist_is_theta_at_the_weyl_image(kind, q):
+    # w_twist reads the coordinates of w(u) at the unit points u only, so
+    # this checks the unit points against the coordinates at every point
+    g = build_finite_group(kind, q)
+    for torus in tori_and_regularity(g):
+        for theta in torus_characters(torus):
+            twisted = theta.w_twist()
+            for t in torus.points:
+                assert twisted.value_at(t) == theta.value_at(torus.weyl[t]), (torus, theta, t)
+
+
+@pytest.mark.parametrize("kind,q", ADMITTED)
+def test_classical_series_rows_are_the_dl_genuine_rows(kind, q):
+    g = build_finite_group(kind, q)
+    table = classical_table_oracle(kind, q)
+    series = [
+        dl_character(torus, theta).genuine()
+        for torus in tori_and_regularity(g)
+        for theta in nonsingular_characters(torus)
+        if theta.exps < theta.w_twist().exps
+    ]
+    assert series
+    assert [row for row in table.rows if any(row is s for s in series)] == series
+
+
 def test_torus_character_rejects_foreign_point():
     g = build_finite_group("SL2", 5)
     torus = torus_by_tag(g, "split")
@@ -432,6 +461,32 @@ def test_dl_norm_matches_weyl_stabilizer():
                 want = 2 if theta.is_singular else 1
                 assert dl.w_stabilizer == want
                 assert dl.virtual.inner(dl.virtual) == want
+
+
+@pytest.mark.parametrize(
+    "kind,q", [("GL2", 3), ("GL2", 5), ("GL2", 7), ("SL2", 3), ("SL2", 5), ("SL2", 7), ("SL2", 9)]
+)
+def test_dl_formula_decomposes_over_dixon(kind, q):
+    # every theta, singular ones included, against the modular route: the
+    # multiplicities are integers whose squares sum to |W_theta|, and a
+    # singular elliptic theta gives R_T^theta = 1 - St twisted (GL2, and the
+    # trivial theta of SL2) or minus the two halves of the cuspidal series
+    # (the quadratic theta of SL2)
+    g = build_finite_group(kind, q)
+    table = character_table_dixon(g)
+    for torus in tori_and_regularity(g):
+        for theta in torus_characters(torus):
+            dl = dl_character(torus, theta)
+            mults = [dl.virtual.inner(row).rational_value() for row in table.rows]
+            assert all(m.denominator == 1 for m in mults), (torus, theta)
+            assert sum(m * m for m in mults) == (2 if theta.is_singular else 1)
+            if torus.tag == "split" or not theta.is_singular:
+                continue
+            parts = sorted((m, d) for m, d in zip(mults, table.degrees) if m)
+            if kind == "GL2" or theta.exps == (0,):
+                assert parts == [(-1, q), (1, 1)], theta
+            else:
+                assert parts == [(-1, (q - 1) // 2)] * 2, theta
 
 
 def _expected_inner(theta1, theta2):

@@ -498,5 +498,8 @@ def test_torus_keeps_its_point_sets():
         assert lie is torus.lie_points()
         assert lie == tuple(sorted(set(lie)))
         assert torus.lie_point_set == frozenset(lie)
-        assert torus.point_set == frozenset(torus.points)
+        assert torus.points == tuple(sorted(torus.log))
+        rank = len(torus.unit_points)
+        for k, u in enumerate(torus.unit_points):
+            assert torus.log[u] == tuple(int(i == k) for i in range(rank))
     assert g.derived["tori"] is tori_and_regularity(g)
