@@ -73,6 +73,8 @@ def _parse_json(s, flag):
         return json.loads(s)
     except json.JSONDecodeError:
         raise ValueError(f"{flag}: not valid JSON: {s!r}") from None
+    except RecursionError:
+        raise ValueError(f"{flag}: JSON nested too deeply") from None
     except ValueError:
         # an integer past Python's limit on int <-> str conversion
         raise ValueError(
@@ -195,8 +197,19 @@ def _tn_data(args):
     return component_group_pi0(TwistedTorus(len(rows), IntMatrix(rows)))
 
 
+# the first word of a galois_tori message that names the argument it refuses
+_TORI_FLAGS = {"h1": "--inv", "pi0": "--kappa", "degrees": "--degrees"}
+
+
 def _cmd_tori(args):
-    _emit(_tori_doc(args), args)
+    try:
+        doc = _tori_doc(args)
+    except ValueError as e:
+        flag = _TORI_FLAGS.get(str(e).split(" ", 1)[0])
+        if flag is None:
+            raise
+        raise ValueError(f"{flag}: {e}") from None
+    _emit(doc, args)
     return 0
 
 

@@ -2,22 +2,24 @@
 
 Two independent routes produce the full character table: a modular
 eigenvector solver in the style of Dixon, and the classical table. The
-classical table's torus-series rows are the Deligne-Lusztig characters
-R_T^theta, read off the torus points by their character formula
-(`dl_character`, one function for every torus and every theta, singular
-theta included); its other rows are closed forms in roots of unity and
-quadratic Gauss sums. On top of them sit the adjoint-orbit Fourier identity
-relating the unipotent values to additive character sums, and the
-reduction of a mixed trace to the semisimple part's centralizer.
+classical table is read off the Deligne-Lusztig characters R_T^theta
+(`dl_character`, the character formula over the torus points, one function
+for every torus and every theta, singular theta included): the torus-series
+rows are the genuine members, the Steinberg rows are R_split minus a linear
+character, and SL2's four half characters are sign R_T^theta0 plus or minus
+a quadratic Gauss sum at the regular unipotent classes, halved. On top of
+them sit the adjoint-orbit Fourier identity relating the unipotent values
+to additive character sums, and the reduction of a mixed trace to the
+semisimple part's centralizer.
 
 Every equality here is decided in exact cyclotomic arithmetic.
 
 This module keeps no state of its own. What it builds is cached on its
-owner (see `exact_math.cached`): the classes, class shapes and orbit sums
-on the group, the torus-series characters on their torus, and the Gauss sum
-on the field, which GL2 and SL2 over one q share. The quadratic extension
-F_q^2, whose points are the elliptic tori, lives with the tori in
-`finite_lie`. Each cyclotomic value memoises its own reduction.
+owner (see `exact_math.cached`): the classes and orbit sums on the group,
+the torus-series characters on their torus, and the Gauss sum on the field,
+which GL2 and SL2 over one q share. The quadratic extension F_q^2, whose
+points are the elliptic tori, lives with the tori in `finite_lie`. Each
+cyclotomic value memoises its own reduction.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .finite_lie import (
     FiniteLieGroup,
     LieFunction,
     TorusInG,
-    _quad_ext,
     build_finite_group,
     finite_fourier,
     is_strongly_regular,
@@ -234,80 +235,6 @@ def tables_match(a: CharacterTable, b: CharacterTable) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# class shapes of the rank-1 matrix groups
-
-
-def _class_shapes(g: FiniteLieGroup):
-    """Classify each conjugacy class of GL2/SL2 by its eigenvalue pattern.
-
-    central:  scalar x
-    jordan:   double eigenvalue x with a nontrivial unipotent part; for SL2
-              `unit_square` records the square class of that part
-    split:    distinct eigenvalues x, y in the base field
-    elliptic: eigenvalue z in the quadratic extension, with its norm-one
-              logarithm where it has one (read for determinant one only)
-    """
-    return cached(g, "class_shapes", _build_class_shapes)
-
-
-def _build_class_shapes(g: FiniteLieGroup):
-    """Shapes read off the tori through the class index: a split point
-    diag(x, y) gives a central (x = y) or split class, a non-central
-    elliptic point z an elliptic class, and x u, x central and u a regular
-    unipotent representative, a jordan class."""
-    cd = conjugacy_classes(g)
-    ext = _quad_ext(g.field)
-    q, q2, q3 = g.q, g.tables.q2, g.tables.q3
-    tori = {torus.tag: torus for torus in tori_and_regularity(g)}
-    shapes = [None] * cd.count
-    for p in tori["split"].points:
-        x, y = p % q, p // q3
-        if x != y:
-            shapes[cd.index[p]] = {"family": "split", "x": min(x, y), "y": max(x, y)}
-            continue
-        shapes[cd.index[p]] = {"family": "central", "x": x}
-        for u in g.unipotent_class_reps()[1:]:
-            # for SL2 the square class of the unipotent part's corner entry
-            usq = g.field.is_square(u // q % q) if g.kind == "SL2" else None
-            shape = {"family": "jordan", "x": x, "unit_square": usq}
-            shapes[cd.index[g.mul(p, u)]] = shape
-    for z in tori["elliptic"].points:
-        if _is_central(g, z):
-            continue
-        ci = cd.index[z]
-        # of the two eigenvalues x +- y sqrt(eps), the one of smaller code y
-        if shapes[ci] is None or z // q2 % q < shapes[ci]["z"] // q2 % q:
-            shapes[ci] = {
-                "family": "elliptic",
-                "z": z,
-                "norm_one_log": ext.norm_one_log.get(z),
-            }
-    if None in shapes:
-        raise AssertionError("a class meets no torus point and no jordan point")
-    counts = {
-        fam: sum(1 for s in shapes if s["family"] == fam)
-        for fam in ("central", "jordan", "split", "elliptic")
-    }
-    if g.kind == "GL2":
-        want = {
-            "central": q - 1,
-            "jordan": q - 1,
-            "split": (q - 1) * (q - 2) // 2,
-            "elliptic": (q * q - q) // 2,
-        }
-    else:
-        want = {
-            "central": 2,
-            "jordan": 4,
-            "split": (q - 3) // 2,
-            "elliptic": (q - 1) // 2,
-        }
-    if counts != want:
-        raise AssertionError(f"class family counts {counts} != {want}")
-    return tuple(shapes)
-
-
-# ---------------------------------------------------------------------------
 # quadratic Gauss sum
 
 
@@ -328,131 +255,85 @@ def _gauss_sum(field) -> Cyclotomic:
 
 
 # ---------------------------------------------------------------------------
-# closed-form rows, the table's rows outside the torus series.  GL2: the
-# linear characters alpha o det and their Steinberg twists.  SL2: trivial,
-# Steinberg, and the four half characters that split off when the series
-# parameter is quadratic.
-
-
-def _gl2_values_linear(g, shapes, i):
-    fld = g.field
-    qm1 = g.q - 1
-    out = []
-    for sh in shapes:
-        fam = sh["family"]
-        if fam in ("central", "jordan"):
-            out.append(Cyclotomic.zeta(qm1, 2 * i * fld.log(sh["x"])))
-        elif fam == "split":
-            out.append(
-                Cyclotomic.zeta(qm1, i * (fld.log(sh["x"]) + fld.log(sh["y"])))
-            )
-        else:
-            out.append(Cyclotomic.zeta(qm1, i * fld.log(g.det_code(sh["z"]))))
-    return out
-
-
-def _gl2_values_steinberg(g, shapes, i):
-    lin = _gl2_values_linear(g, shapes, i)
-    out = []
-    for sh, v in zip(shapes, lin):
-        fam = sh["family"]
-        if fam == "central":
-            out.append(v * g.q)
-        elif fam == "jordan":
-            out.append(Cyclotomic.zero())
-        elif fam == "split":
-            out.append(v)
-        else:
-            out.append(-v)
-    return out
-
-
-def _sl2_values_trivial(g, shapes):
-    return [Cyclotomic.rational(1) for _ in shapes]
-
-
-def _sl2_values_steinberg(g, shapes):
-    vals = {"central": g.q, "jordan": 0, "split": 1, "elliptic": -1}
-    return [Cyclotomic.rational(vals[sh["family"]]) for sh in shapes]
-
-
-def _sl2_values_half(g, shapes, big_degree, pm):
-    """The four characters of degree (q +- 1)/2.
-
-    big_degree True gives the degree (q+1)/2 pair (constituents of the
-    principal series at the quadratic parameter), False the (q-1)/2 pair
-    (cuspidal side).  On a class z*u with z = +-1 and u unipotent of square
-    class s, the value is lambda(z) * (c + pm*s*tau)/2 with c = +-1 matching
-    the side and tau the Gauss sum.  Split classes see the quadratic
-    character of an eigenvalue on the principal side and vanish on the
-    cuspidal side; elliptic classes do the opposite.
-    """
-    fld = g.field
-    tau = cached(fld, "gauss_sum", _gauss_sum)
-    eps_prime = 1 if fld.is_square(fld.neg(1)) else -1
-    lam_minus = eps_prime if big_degree else -eps_prime
-    c = 1 if big_degree else -1
-    deg = (g.q + 1) // 2 if big_degree else (g.q - 1) // 2
-    out = []
-    for sh in shapes:
-        fam = sh["family"]
-        if fam == "central":
-            lam = 1 if sh["x"] == 1 else lam_minus
-            out.append(Cyclotomic.rational(deg * lam))
-        elif fam == "jordan":
-            lam = 1 if sh["x"] == 1 else lam_minus
-            s = 1 if sh["unit_square"] else -1
-            out.append((c + tau * (pm * s)) * Fraction(lam, 2))
-        elif fam == "split":
-            if big_degree:
-                out.append(Cyclotomic.rational(1 if fld.is_square(sh["x"]) else -1))
-            else:
-                out.append(Cyclotomic.zero())
-        else:
-            if big_degree:
-                out.append(Cyclotomic.zero())
-            else:
-                out.append(Cyclotomic.rational(-((-1) ** sh["norm_one_log"])))
-    return out
+# the classical table
 
 
 def classical_table_oracle(kind, q) -> CharacterTable:
-    """The full character table from the character formula and the
-    closed forms.
+    """The full character table from the Deligne-Lusztig character formula
+    and the Gauss sum.
 
     Completely independent of the modular solver; the two are compared row
     for row in the tests.  kind and q are checked by build_finite_group: GL2
-    or SL2, q an odd prime power within the group's budget.  Rows: the
-    linear characters and their Steinberg twists (GL2) or the trivial and
-    Steinberg characters (SL2), one torus-series row per Weyl orbit of
-    nonsingular torus characters, split torus first, each the very
-    `dl_character(torus, theta).genuine()` object, and for SL2 the four
-    half characters.
+    or SL2, q an odd prime power within the group's budget.  Rows, in order:
+
+    - GL2: for each i, alpha o det with alpha = zeta_(q-1)^(i log), and its
+      Steinberg twist R_split^(i, i) - alpha o det; SL2: the trivial
+      character and the Steinberg character R_split^1 - 1;
+    - one torus-series row per Weyl orbit of nonsingular torus characters,
+      split torus first, each the very `dl_character(torus,
+      theta).genuine()` object;
+    - SL2 only: at the quadratic theta0 of each torus, split first, the two
+      halves (sign R_T^theta0 +- D)/2. D is theta0(z) s tau at a class z u,
+      z central, u a regular unipotent of square class s = +-1, tau the Gauss
+      sum, and 0 elsewhere. R_T^theta0 and theta0(z) are rational, so the
+      halves stay in Q(zeta_p).
+
+    The central, jordan (z u), regular split and regular elliptic classes
+    are read off the tori through the class index; their closed-form counts
+    and that they partition the classes are asserted.
     """
     g = build_finite_group(kind, q)
     cd = conjugacy_classes(g)
-    shapes = _class_shapes(g)
+    tori = tori_and_regularity(g)
+    split = tori[0]
+    unipotents = g.unipotent_class_reps()[1:]
+    centre = [z for z in split.points if _is_central(g, z)]
+    families = {
+        "central": {cd.index[z] for z in centre},
+        "jordan": {cd.index[g.mul(z, u)] for z in centre for u in unipotents},
+    }
+    for torus in tori:
+        families[torus.tag] = {cd.index[t] for t in torus.points if not _is_central(g, t)}
+    counts = {fam: len(classes) for fam, classes in families.items()}
     if kind == "GL2":
-        rows = [
-            ClassFunction(cd, values(g, shapes, i))
-            for i in range(q - 1)
-            for values in (_gl2_values_linear, _gl2_values_steinberg)
-        ]
+        want = (q - 1, q - 1, (q - 1) * (q - 2) // 2, (q * q - q) // 2)
     else:
-        rows = [
-            ClassFunction(cd, _sl2_values_trivial(g, shapes)),
-            ClassFunction(cd, _sl2_values_steinberg(g, shapes)),
-        ]
-    for torus in tori_and_regularity(g):
+        want = (2, 4, (q - 3) // 2, (q - 1) // 2)
+    want = dict(zip(families, want))
+    if counts != want:
+        raise AssertionError(f"class family counts {counts} != {want}")
+    if sum(counts.values()) != cd.count or set().union(*families.values()) != set(range(cd.count)):
+        raise AssertionError("the class families do not partition the classes")
+
+    if kind == "GL2":
+        rows = []
+        for i in range(q - 1):
+            linear = ClassFunction(
+                cd, [Cyclotomic.zeta(q - 1, i * g.field.log(g.det_code(r))) for r in cd.reps]
+            )
+            rows += [linear, dl_character(split, TorusCharacter(split, (i, i))).virtual - linear]
+    else:
+        trivial = ClassFunction(cd, [1] * cd.count)
+        rows = [trivial, dl_character(split, TorusCharacter(split, (0,))).virtual - trivial]
+    for torus in tori:
         for theta in nonsingular_characters(torus):
             if theta.exps < theta.w_twist().exps:
                 rows.append(dl_character(torus, theta).genuine())
     if kind == "SL2":
-        for big_degree in (True, False):
+        tau = cached(g.field, "gauss_sum", _gauss_sum)
+        for torus in tori:
+            theta0 = TorusCharacter(torus, (torus.char_order // 2,))
+            half_r = [
+                v.rational_value() * Fraction(torus.sign, 2)
+                for v in dl_character(torus, theta0).virtual.values
+            ]
+            half_d = [0] * cd.count
+            for z in centre:
+                lam = theta0.value_at(z).rational_value()
+                for u, s in zip(unipotents, (1, -1)):
+                    half_d[cd.index[g.mul(z, u)]] = tau * (lam * Fraction(s, 2))
             for pm in (1, -1):
-                rows.append(
-                    ClassFunction(cd, _sl2_values_half(g, shapes, big_degree, pm))
-                )
+                rows.append(ClassFunction(cd, [r + d * pm for r, d in zip(half_r, half_d)]))
     if len(rows) != cd.count:
         raise AssertionError("row count differs from the class count")
     return CharacterTable(cd, rows)
@@ -810,20 +691,22 @@ class TorusCharacter:
             raise ValueError("wrong number of exponents")
         self.exps = exps
 
-    def value_at(self, point) -> Cyclotomic:
+    def exponent_at(self, point) -> int:
+        """The k with theta(point) = zeta_n^k: the exponents dotted with the
+        point's coordinates, not reduced mod n."""
         coords = self.torus.log.get(point)
         if coords is None:
             raise ValueError("not a point of this torus")
-        exponent = sum(e * c for e, c in zip(self.exps, coords))
-        return Cyclotomic.zeta(self.torus.char_order, exponent)
+        return sum(e * c for e, c in zip(self.exps, coords))
+
+    def value_at(self, point) -> Cyclotomic:
+        return Cyclotomic.zeta(self.torus.char_order, self.exponent_at(point))
 
     def w_twist(self) -> "TorusCharacter":
         """The character composed with the nontrivial Weyl involution: its
-        exponent at a unit point u is theta's at the coordinates of w(u)."""
+        exponent at a unit point u is theta's at w(u)."""
         t = self.torus
-        return TorusCharacter(
-            t, [sum(e * c for e, c in zip(self.exps, t.log[t.weyl[u]])) for u in t.unit_points]
-        )
+        return TorusCharacter(t, [self.exponent_at(t.weyl[u]) for u in t.unit_points])
 
     @property
     def is_singular(self):
@@ -901,20 +784,22 @@ def _dl_values(torus: TorusInG, theta: TorusCharacter):
     rank-1 group is 1 there. A regular point t adds theta(t) at its class,
     since the centralizer of t is the torus: the value at a regular
     semisimple class is the sum of theta over the torus points in it. Every
-    other class gets 0."""
+    other class gets 0. Each class counts the exponents of theta at its
+    points, and its value is one `Cyclotomic` at the torus's `char_order`."""
     g = torus.parent
     cd = conjugacy_classes(g)
     deg = torus.sign * (g.order // g.q) // torus.order
-    vals = [Cyclotomic.zero()] * cd.count
+    counts = [{} for _ in range(cd.count)]
     for t in torus.points:
-        v = theta.value_at(t)
+        e = theta.exponent_at(t)
         if _is_central(g, t):
-            vals[cd.index[t]] = v * deg
+            counts[cd.index[t]] = {e: deg}
             for u in g.unipotent_class_reps()[1:]:
-                vals[cd.index[g.mul(t, u)]] = v
+                counts[cd.index[g.mul(t, u)]] = {e: 1}
         else:
-            vals[cd.index[t]] += v
-    return vals
+            at = counts[cd.index[t]]
+            at[e] = at.get(e, 0) + 1
+    return [Cyclotomic(torus.char_order, c) for c in counts]
 
 
 def _dl_parts(torus: TorusInG, theta: TorusCharacter):

@@ -99,14 +99,15 @@ class TNPairingData:
 
     def pairing(self, inv, kappa) -> Cyclotomic:
         d = self.invariant_factors
-        if len(inv) != len(d) or len(kappa) != len(d):
-            raise ValueError("coordinate length mismatch")
-        for x, di in zip(inv, d):
-            if not 0 <= x < di:
-                raise ValueError(f"h1 coordinate {x} out of range for Z/{di}")
-        for x, di in zip(kappa, d):
-            if not 0 <= x < di:
-                raise ValueError(f"pi0 coordinate {x} out of range for Z/{di}")
+        # each message begins with the group whose coordinates it refuses
+        for group, coords in (("h1", inv), ("pi0", kappa)):
+            if len(coords) != len(d):
+                raise ValueError(
+                    f"{group} coordinate length mismatch: {len(coords)} for {len(d)} factors"
+                )
+            for x, di in zip(coords, d):
+                if not 0 <= x < di:
+                    raise ValueError(f"{group} coordinate {x} out of range for Z/{di}")
         out = Cyclotomic.rational(1)
         for a, k, di in zip(inv, kappa, d):
             out = out * Cyclotomic.zeta(di, a * k)
@@ -269,7 +270,7 @@ def sln_kappa_group(n, m, degrees):
     if sum(degrees) != n // m:
         raise ValueError("degrees must sum to n/m")
     if len(degrees) > 8:
-        raise ValueError("at most 8 blocks")
+        raise ValueError("degrees may list at most 8 blocks")
     if m ** len(degrees) > 10**5:
         raise ValueError("twist enumeration too large")
 

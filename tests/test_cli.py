@@ -417,6 +417,64 @@ def test_json_integer_past_the_conversion_limit_is_named(argv, flag):
     assert err == ""
 
 
+_DEEP = "[" * 50_000 + "]" * 50_000  # past the JSON decoder's recursion limit
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["endoscopy", "from-kappa", "--type", "A2", "--kappa", _DEEP], "--kappa"),
+        (["tori", "h1", "--frobenius", _DEEP], "--frobenius"),
+        (["tori", "pair", "--frobenius", "[[-1]]", "--inv", _DEEP, "--kappa", "[0]"], "--inv"),
+        (["tori", "pair", "--frobenius", "[[-1]]", "--inv", "[0]", "--kappa", _DEEP], "--kappa"),
+        (["tori", "sln-group", "--n", "4", "--m", "2", "--degrees", _DEEP], "--degrees"),
+        (["tjd", "--p", "5", "--k", "2", "--matrix", _DEEP], "--matrix"),
+    ],
+    ids=["from-kappa", "frobenius", "inv", "pair-kappa", "degrees", "matrix"],
+)
+def test_json_nested_too_deeply_is_named(argv, flag):
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert json.loads(out) == {"error": f"{flag}: JSON nested too deeply"}
+    assert err == ""
+
+
+_SIXTY = "1" * 60
+
+
+@pytest.mark.parametrize(
+    "argv,flag,message",
+    [
+        (
+            ["tori", "pair", "--frobenius", "[[-1]]", "--inv", f"[{_SIXTY}]", "--kappa", "[0]"],
+            "--inv",
+            f"h1 coordinate {_SIXTY} out of range for Z/2",
+        ),
+        (
+            ["tori", "pair", "--frobenius", "[[-1]]", "--inv", "[1, 0]", "--kappa", "[0]"],
+            "--inv",
+            "h1 coordinate length mismatch",
+        ),
+        (
+            ["tori", "pair", "--frobenius", "[[-1]]", "--inv", "[1]", "--kappa", "[2]"],
+            "--kappa",
+            "pi0 coordinate 2 out of range for Z/2",
+        ),
+        (
+            ["tori", "sln-group", "--n", "4", "--m", "2", "--degrees", f"[{_SIXTY}]"],
+            "--degrees",
+            "degrees must sum to n/m",
+        ),
+    ],
+    ids=["inv-range", "inv-length", "kappa-range", "degrees-sum"],
+)
+def test_tori_range_error_names_its_flag(argv, flag, message):
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert json.loads(out)["error"].startswith(f"{flag}: {message}")
+    assert err == ""
+
+
 # ---------------------------------------------------------------------------
 # one parser per process
 

@@ -1,12 +1,14 @@
-"""The quadratic extension, the quasi-logarithm and the class shapes on the
-packed 2 x 2 tables, against the entry-wise arithmetic they replaced
+"""The quadratic extension, the quasi-logarithm and the class families on
+the packed 2 x 2 tables, against the entry-wise arithmetic they replaced
 (tests/reference_quadext.py), over every element of GL2 and SL2 for odd
 q <= 13."""
+
+from fractions import Fraction
 
 import pytest
 
 import reference_quadext as ref
-from liechar.dl_spectra import _class_shapes, conjugacy_classes
+from liechar.dl_spectra import _gauss_sum, classical_table_oracle, conjugacy_classes
 from liechar.finite_lie import _quad_ext, build_finite_group, quasi_logarithm
 
 QS = (3, 5, 7, 9, 11, 13)
@@ -46,12 +48,40 @@ def test_quasi_logarithm_matches_reference(kind, q):
 
 @pytest.mark.parametrize("kind,q", GROUPS)
 def test_class_shapes_match_reference(kind, q):
+    """The classical table against the closed forms on the reference class
+    shapes. Each Steinberg row over its linear character is q, 0, 1, -1 on
+    the central, jordan, split and elliptic classes, so it reads the family
+    partition. SL2's four half characters, the principal pair and then the
+    cuspidal pair, each + before -, read the square class of the unipotent
+    part and the norm-one logarithm."""
     g = build_finite_group(kind, q)
-    want = ref.class_shapes(g, conjugacy_classes(g), ref.QuadExt(g.field))
-    for shape in want:
-        if shape["family"] == "elliptic":
-            shape["z"] = packed(g, shape["z"])
-    assert list(_class_shapes(g)) == want
+    fld = g.field
+    shapes = ref.class_shapes(g, conjugacy_classes(g), ref.QuadExt(fld))
+    rows = classical_table_oracle(kind, q).rows
+    pairs = q - 1 if kind == "GL2" else 1
+    st_over_linear = {"central": q, "jordan": 0, "split": 1, "elliptic": -1}
+    for linear, st in zip(rows[0 : 2 * pairs : 2], rows[1 : 2 * pairs : 2]):
+        for shape, a, b in zip(shapes, linear.values, st.values):
+            assert b == a * st_over_linear[shape["family"]]
+    if kind == "GL2":
+        return
+    tau = _gauss_sum(fld)
+    chi_minus_one = 1 if fld.is_square(fld.neg(1)) else -1
+    halves = [(c, pm) for c in (1, -1) for pm in (1, -1)]
+    for (c, pm), row in zip(halves, rows[-4:]):
+        for shape, v in zip(shapes, row.values):
+            fam = shape["family"]
+            lam = 1 if shape.get("x") == 1 else c * chi_minus_one
+            if fam == "central":
+                want = (q + c) // 2 * lam
+            elif fam == "jordan":
+                s = 1 if shape["unit_square"] else -1
+                want = (tau * (pm * s) + c) * Fraction(lam, 2)
+            elif fam == "split":
+                want = (1 if fld.is_square(shape["x"]) else -1) if c == 1 else 0
+            else:
+                want = 0 if c == 1 else -((-1) ** shape["norm_one_log"])
+            assert v == want, (c, pm, shape)
 
 
 def test_gl2_and_sl2_share_one_extension():
