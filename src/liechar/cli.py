@@ -33,6 +33,7 @@ from .dl_spectra import (
     nonsingular_characters,
     springer_check,
     springer_fourier_reference,
+    springer_grid,
     tables_match,
 )
 from .endoscopy import (
@@ -197,8 +198,12 @@ def _tn_data(args):
     return component_group_pi0(TwistedTorus(len(rows), IntMatrix(rows)))
 
 
-# the first word of a galois_tori message that names the argument it refuses
-_TORI_FLAGS = {"h1": "--inv", "pi0": "--kappa", "degrees": "--degrees"}
+# the first word of a galois_tori message, which names what it refuses, and
+# the flags that set it
+_TORI_FLAGS = {
+    "h1": "--inv", "pi0": "--kappa", "degrees": "--degrees", "frobenius": "--frobenius",
+    "n": "--n, --m", "twist": "--m, --degrees",
+}
 
 
 def _cmd_tori(args):
@@ -252,25 +257,22 @@ def _tori_doc(args):
 
 def _springer_cells(kind, q, all_u):
     """One cell per (torus, nonsingular theta): every strongly regular point
-    of the torus, the chosen unipotent classes; sorted by (torus, theta)."""
+    of the torus, the chosen unipotent classes, read off one
+    `springer_grid` per torus; sorted by (torus, theta)."""
     g = build_finite_group(kind, q)
     cells = []
     for torus in tori_and_regularity(g):
         sr = [t for t in torus.lie_points() if is_strongly_regular(g, t)]
-        for theta in nonsingular_characters(torus):
-            classes = set()
-            ok = True
-            for t in sr:
-                rep = springer_check(g, torus, theta, t, all_unipotent=all_u)
-                ok = ok and rep["pass"]
-                classes.update(c["unipotent_class"] for c in rep["cases"])
+        thetas = nonsingular_characters(torus)
+        classes, _, _, equal = springer_grid(torus, thetas, sr, all_u)
+        for theta, rows in zip(thetas, equal):
             cells.append(
                 {
                     "torus": torus.tag,
                     "theta": list(theta.exps),
                     "strongly_regular_points": len(sr),
-                    "unipotent_classes": sorted(classes),
-                    "pass": ok,
+                    "unipotent_classes": sorted(classes) if sr else [],
+                    "pass": all(map(all, rows)),
                 }
             )
     cells.sort(key=lambda c: (c["torus"], c["theta"]))

@@ -8,9 +8,11 @@ for every torus and every theta, singular theta included): the torus-series
 rows are the genuine members, the Steinberg rows are R_split minus a linear
 character, and SL2's four half characters are sign R_T^theta0 plus or minus
 a quadratic Gauss sum at the regular unipotent classes, halved. On top of
-them sit the adjoint-orbit Fourier identity relating the unipotent values
-to additive character sums, and the reduction of a mixed trace to the
-semisimple part's centralizer.
+them sit Springer's identity between the unipotent values and additive
+character sums over an adjoint orbit, decided on a whole grid of torus
+characters and Lie points at once (`springer_grid`: each side computed once,
+each cell through exact equality classes), and the reduction of a mixed
+trace to the semisimple part's centralizer.
 
 Every equality here is decided in exact cyclotomic arithmetic.
 
@@ -59,6 +61,7 @@ __all__ = [
     "nonsingular_characters",
     "DLCharacter",
     "dl_character",
+    "springer_grid",
     "springer_check",
     "dl_jordan_reduction_check",
 ]
@@ -821,72 +824,78 @@ def _dl_parts(torus: TorusInG, theta: TorusCharacter):
 # the adjoint-orbit Fourier identity
 
 
-def _orbit_fourier_sum(g: FiniteLieGroup, x, orbit) -> Cyclotomic:
-    """Sum over the orbit of the conjugate additive character applied to
-    the trace pairing with x."""
+def _orbit_fourier_sum(g: FiniteLieGroup, t, x) -> Cyclotomic:
+    """(1/q) times the sum over the adjoint orbit of t of the conjugate
+    additive character applied to the trace pairing with x."""
     fld = g.field
     coeffs = {}
-    for c, cnt in enumerate(_kernels.pair_histogram(x, orbit, g.tables)):
+    for c, cnt in enumerate(_kernels.pair_histogram(x, g.adjoint_orbit_of(t), g.tables)):
         if cnt:
             e = (-fld.trace(c)) % fld.p
             coeffs[e] = coeffs.get(e, 0) + cnt
-    return Cyclotomic(fld.p, coeffs)
+    return Cyclotomic(fld.p, coeffs, g.q)
+
+
+def springer_grid(torus: TorusInG, thetas, points, all_unipotent=False):
+    """Springer's identity on every pair (theta, t) of one torus: the
+    genuine character rho_theta at a unipotent u against (1/q) times the
+    additive character sum over the adjoint orbit of t at the
+    quasi-logarithm x of u.
+
+    Each point is checked once (a strongly regular Lie point of the torus,
+    else ValueError; orbit size times |T| = |G|, asserted), each theta once
+    (nonsingular, else ValueError), and each side is computed once:
+    lhs[i][k] = rho_i(u_k), rhs[j][k] the orbit sum of t_j at x_k, cached
+    on the group keyed by ("orbit_sum", t, x). For each u the values of
+    both sides are split into classes under exact equality, and a cell
+    holds when its two values share a class, so a torus costs (|thetas| +
+    |points|) |U| values and comparisons with class representatives, not
+    |thetas| |points| |U|. The two sides have coprime conductors, which
+    `Cyclotomic.__eq__` settles from each value's memoised reduction. U is
+    the class of [[1, 1], [0, 1]], or with all_unipotent every unipotent
+    class. Returns (classes, lhs, rhs, equal): the class index of each u,
+    the two sides, and equal[i][j][k], whether lhs[i][k] == rhs[j][k].
+    """
+    g = torus.parent
+    for t in points:
+        if t not in torus.lie_point_set:
+            raise ValueError("t is not a Lie algebra point of this torus")
+        if not is_strongly_regular(g, t):
+            raise ValueError("t is not strongly regular")
+        if len(g.adjoint_orbit_of(t)) * torus.order != g.order:
+            raise AssertionError("orbit size does not match the torus order")
+    rhos = [dl_character(torus, theta).genuine() for theta in thetas]
+    reps = g.unipotent_class_reps() if all_unipotent else (g.pack([[1, 1], [0, 1]]),)
+    logs = [quasi_logarithm(g, u) for u in reps]
+    lhs = [[rho.value_at(u) for u in reps] for rho in rhos]
+    rhs = [
+        [cached(g, ("orbit_sum", t, x), lambda g: _orbit_fourier_sum(g, t, x)) for x in logs]
+        for t in points
+    ]
+    # one split per u_k of the values lhs[0][k], ..., rhs[0][k], ...; vecs[i]
+    # lists the class of lhs[i][k] over k, vecs[n + j] that of rhs[j][k]
+    vecs = list(zip(*map(Cyclotomic.equality_classes, zip(*lhs, *rhs))))
+    n = len(thetas)
+    equal = [[tuple(map(int.__eq__, a, b)) for b in vecs[n:]] for a in vecs[:n]]
+    cd = conjugacy_classes(g)
+    return [cd.class_of(u) for u in reps], lhs, rhs, equal
 
 
 def springer_check(
-    g: FiniteLieGroup,
-    torus: TorusInG,
-    theta: TorusCharacter,
-    t,
-    all_unipotent=False,
+    g: FiniteLieGroup, torus: TorusInG, theta: TorusCharacter, t, all_unipotent=False
 ):
-    """Compare the genuine character at unipotent classes with the scaled
-    additive-character sum over the adjoint orbit of t.
-
-    t must be a strongly regular Lie algebra point of the torus, theta
-    nonsingular (otherwise there is no genuine character and a ValueError
-    propagates).  By default only the standard regular unipotent class is
-    checked; all_unipotent sweeps every unipotent class including the
-    identity.  Returns a report dict whose cases hold both sides as exact
-    Cyclotomic values; "pass" is the conjunction of the per-class exact
-    equalities.  The scaled orbit sums are cached on the group, keyed by
-    (t, x). There is no rationality cache: the two sides have coprime
-    conductors, which `Cyclotomic.__eq__` settles from each value's
-    memoised reduction.
-    """
+    """Springer's identity for one theta and one point t: `springer_grid` on
+    [theta] and [t], as a report dict. t must be a strongly regular Lie
+    point of the torus and theta nonsingular, else ValueError. Its cases
+    hold both sides as exact Cyclotomic values, one per unipotent class
+    checked, and "pass" is the conjunction of their equalities."""
     if torus.parent is not g:
         raise ValueError("torus belongs to a different group")
-    if t not in torus.lie_point_set:
-        raise ValueError("t is not a Lie algebra point of this torus")
-    if not is_strongly_regular(g, t):
-        raise ValueError("t is not strongly regular")
-    rho = dl_character(torus, theta).genuine()
-    orbit = g.adjoint_orbit_of(t)
-    if len(orbit) * torus.order != g.order:
-        raise AssertionError("orbit size does not match the torus order")
-    if all_unipotent:
-        reps = g.unipotent_class_reps()
-    else:
-        reps = (g.pack([[1, 1], [0, 1]]),)
-    cd = conjugacy_classes(g)
-    cases = []
-    ok = True
-    for u in reps:
-        x = quasi_logarithm(g, u)
-        rhs = cached(
-            g, ("orbit_sum", t, x), lambda g: _orbit_fourier_sum(g, x, orbit) * Fraction(1, g.q)
-        )
-        lhs = rho.value_at(u)
-        eq = lhs == rhs
-        ok = ok and eq
-        cases.append(
-            {
-                "unipotent_class": cd.class_of(u),
-                "lhs": lhs,
-                "rhs": rhs,
-                "equal": eq,
-            }
-        )
+    classes, (lhs,), (rhs,), ((equal,),) = springer_grid(torus, [theta], [t], all_unipotent)
+    cases = [
+        {"unipotent_class": c, "lhs": a, "rhs": b, "equal": eq}
+        for c, a, b, eq in zip(classes, lhs, rhs, equal)
+    ]
     return {
         "kind": g.kind,
         "q": g.q,
@@ -894,7 +903,7 @@ def springer_check(
         "theta": list(theta.exps),
         "t": g.unpack(t),
         "cases": cases,
-        "pass": ok,
+        "pass": all(equal),
     }
 
 

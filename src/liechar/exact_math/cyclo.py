@@ -13,7 +13,9 @@ reduced coefficients are not all integers.
 Equality crosses conductors. Q(zeta_a) and Q(zeta_b) meet in Q(zeta_g), g =
 gcd(a, b), which is Q when g <= 2: two values whose conductors share at
 most 2 are equal only as equal rationals, decided from their memoised
-reductions. Other pairs are compared in Q(zeta_lcm(a, b)).
+reductions. Other pairs are compared in Q(zeta_lcm(a, b)). So a value has
+no hash, and `equality_classes` splits a list of values into classes by
+comparing each with one representative per class.
 """
 
 from __future__ import annotations
@@ -300,6 +302,22 @@ class Cyclotomic:
         return [x * other.den for x in a] == [y * self.den for y in b]
 
     __hash__ = None  # equality crosses conductors; not hashable
+
+    @staticmethod
+    def equality_classes(values):
+        """The class of each value under ==, numbered in order of first
+        appearance: with no hash to bucket by, each value is compared with
+        the first value of each class so far."""
+        firsts, classes = [], []
+        for v in values:
+            for c, w in enumerate(firsts):
+                if v == w:
+                    break
+            else:
+                c = len(firsts)
+                firsts.append(v)
+            classes.append(c)
+        return classes
 
     def rational_value(self):
         red = self._reduction()

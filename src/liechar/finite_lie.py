@@ -248,12 +248,13 @@ class FiniteLieGroup:
     def adjoint_orbit_of(self, t):
         """Sorted tuple of the orbit of a Lie point under conjugation. Each
         orbit is built once and stored under every one of its points, the
-        one exception to `exact_math.cached`."""
-        self.lie_coeffs(t)  # membership check
+        one exception to `exact_math.cached`. Only Lie points are stored, so
+        membership is checked on a miss."""
         orbits = self.derived.setdefault("adjoint_orbits", {})
         orbit = orbits.get(t)
         if orbit is not None:
             return orbit
+        self.lie_coeffs(t)  # membership check
         orbit = _kernels.orbit_of(t, self.gens, self.tables)
         if self.order % len(orbit):
             raise AssertionError("orbit size does not divide the group order")
@@ -271,14 +272,11 @@ class FiniteLieGroup:
     def unipotent_class_reps(self):
         """One representative per unipotent conjugacy class: [1, J] for GL2,
         [1, J, J_eps] for SL2 (the two regular classes)."""
+        # [[1, c], [0, 1]] packs to the identity plus c at digit (0, 1), c q
+        one, q = self.identity, self.q
         if self.kind == "GL2":
-            return (self.identity, self.pack([[1, 1], [0, 1]]))
-        eps = self.field.non_residue
-        return (
-            self.identity,
-            self.pack([[1, 1], [0, 1]]),
-            self.pack([[1, eps], [0, 1]]),
-        )
+            return (one, one + q)
+        return (one, one + q, one + self.field.non_residue * q)
 
     def __repr__(self):
         return f"{self.kind}(F_{self.q})"
@@ -470,29 +468,6 @@ def _torus_lie_points(g: FiniteLieGroup, tag):
     return tuple(sorted(set(out)))
 
 
-def _find_weyl_witness(g: FiniteLieGroup, points, lie_points):
-    """Smallest group element normalizing the torus and acting nontrivially
-    on its Lie algebra.
-
-    Nontriviality is detected on Lie points, never on the point group: the
-    split torus of SL2(F_3) is {+1, -1}, central, so every candidate fixes
-    its points, yet the swap on diag(t, -t) is still there to find.
-    """
-    pts = frozenset(points)
-    lpts = frozenset(lie_points)
-    probes = [p for p in lie_points if p != 0][:3]
-    for cand in g.elements:
-        if any(g.conj(cand, p) not in lpts for p in probes):
-            continue
-        if (
-            all(g.conj(cand, p) in pts for p in points)
-            and all(g.conj(cand, t) in lpts for t in lie_points)
-            and any(g.conj(cand, t) != t for t in lie_points)
-        ):
-            return cand
-    raise AssertionError("no Weyl witness found")
-
-
 def tori_and_regularity(g: FiniteLieGroup):
     """One TorusInG per conjugacy class of maximal tori: split and elliptic,
     the same objects on every call."""
@@ -519,11 +494,21 @@ def _build_tori(g: FiniteLieGroup):
         ("split", split_log, q - 1, g.fq_rank),
         ("elliptic", {z: (k,) for z, k in ell_log.items()}, ell_order, g.fq_rank - 1),
     )
+    # normalisers acting by the Weyl involution, of determinant 1: the swap
+    # of the diagonal entries, and diag(1, -1) times the point gen^((q-1)/2)
+    # of norm x^2 - eps y^2 = -1 (the norm of gen generates F_q^*), that is
+    # [[x, eps y], [-y, -x]], which maps x + y sqrt(eps) to x - y sqrt(eps)
+    minus = g.field.neg(1)
+    witnesses = (
+        g.pack([[0, 1], [minus, 0]]),
+        g.mul(g.pack([[1, 0], [0, minus]]), power(g.mul, g.identity, ext.gen, (q - 1) // 2)),
+    )
     tori = []
-    for tag, log, char_order, fq_rank in coords:
+    for (tag, log, char_order, fq_rank), witness in zip(coords, witnesses):
         pts = list(log)
         lie_pts = _torus_lie_points(g, tag)
-        witness = _find_weyl_witness(g, pts, lie_pts)
+        if witness not in g._members:
+            raise AssertionError("Weyl witness is not a group element")
         weyl = {p: g.conj(witness, p) for p in pts}
         if sorted(weyl.values()) != sorted(pts):
             raise AssertionError("Weyl action is not a permutation")

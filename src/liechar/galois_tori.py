@@ -263,7 +263,7 @@ def sln_kappa_group(n, m, degrees):
     witness class set. The set is verified to be closed under the group law.
     """
     if n < 1 or m < 1 or n % m:
-        raise ValueError("need m | n with n, m >= 1")
+        raise ValueError("n must be a multiple of m, with n, m >= 1")
     degrees = tuple(int(d) for d in degrees)
     if any(d < 1 for d in degrees):
         raise ValueError("degrees must be positive")

@@ -465,8 +465,28 @@ _SIXTY = "1" * 60
             "--degrees",
             "degrees must sum to n/m",
         ),
+        (
+            ["tori", "sln-group", "--n", "3", "--m", "2", "--degrees", "[1]"],
+            "--n, --m",
+            "n must be a multiple of m, with n, m >= 1",
+        ),
+        (
+            ["tori", "sln-group", "--n", "40", "--m", "5", "--degrees", "[1,1,1,1,1,1,1,1]"],
+            "--m, --degrees",
+            "twist enumeration too large",
+        ),
+        (
+            ["tori", "h1", "--frobenius", "[[2]]"],
+            "--frobenius",
+            "frobenius must be unimodular",
+        ),
+        (
+            ["tori", "h1", "--frobenius", "[[2000000]]"],
+            "--frobenius",
+            "frobenius entry exceeds the budget 1000000",
+        ),
     ],
-    ids=["inv-range", "inv-length", "kappa-range", "degrees-sum"],
+    ids=["inv-range", "inv-length", "kappa-range", "degrees-sum", "n-m", "twists", "unimodular", "entry"],
 )
 def test_tori_range_error_names_its_flag(argv, flag, message):
     code, out, err = run_cli(argv)

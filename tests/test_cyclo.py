@@ -344,3 +344,19 @@ def test_reduced_hands_out_a_fresh_list():
         assert repr(v) == text
         assert v == twin and twin == v
         assert v.reduced() == twin.reduced() != red
+
+
+def test_equality_classes_cross_conductors():
+    # -1 written at conductors 1, 2 and 4, zeta_3, 1/2 at conductors 3 and
+    # 1, and 1 as -(zeta_3 + zeta_3^2), numbered by first appearance
+    values = [
+        Cyclotomic.rational(-1),
+        Cyclotomic.zeta(3),
+        Cyclotomic.zeta(2),
+        Cyclotomic(3, {0: Fraction(1, 2)}),
+        Cyclotomic.zeta(4, 2),
+        Cyclotomic.rational(Fraction(1, 2)),
+        Cyclotomic(3, {1: 1, 2: 1}, 1) * -1,
+    ]
+    assert Cyclotomic.equality_classes(values) == [0, 1, 0, 2, 0, 2, 3]
+    assert Cyclotomic.equality_classes([]) == []

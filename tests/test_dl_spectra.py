@@ -1,12 +1,14 @@
 """Character tables, torus-series characters, and the two trace identities."""
 
 import gc
+import json
 import weakref
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import liechar.cli as cli
 import liechar.dl_spectra as dl_spectra
 from liechar.dl_spectra import (
     ClassFunction,
@@ -22,6 +24,7 @@ from liechar.dl_spectra import (
     nonsingular_characters,
     springer_check,
     springer_fourier_reference,
+    springer_grid,
     tables_match,
     torus_characters,
 )
@@ -30,8 +33,11 @@ from liechar.finite_lie import (
     FiniteLieGroup,
     build_finite_group,
     is_strongly_regular,
+    quasi_logarithm,
     tori_and_regularity,
 )
+
+from test_cli import run_cli
 
 
 def right_products_by_mul(group, xs, ys):
@@ -594,6 +600,76 @@ def test_springer_rejects_singular_theta():
     t = next(t for t in torus.lie_points() if is_strongly_regular(g, t))
     with pytest.raises(ValueError, match="singular"):
         springer_check(g, torus, theta, t)
+
+
+def _strongly_regular(g, torus):
+    return [t for t in torus.lie_points() if is_strongly_regular(g, t)]
+
+
+@pytest.mark.parametrize("kind,q", [("SL2", 3), ("GL2", 3), ("SL2", 5), ("GL2", 5)])
+def test_springer_grid_verdicts_match_the_generic_fourier_route(kind, q):
+    # every (theta, t, u) verdict of the grid is rho_theta(u) == the orbit's
+    # Fourier transform at log u, taken densely over the Lie algebra. A
+    # dense transform over the 625 points of gl2(F_5) costs about 2 s, so
+    # there the reference is taken at the first strongly regular point of
+    # each torus only.
+    g = build_finite_group(kind, q)
+    reps = g.unipotent_class_reps()
+    for torus in tori_and_regularity(g):
+        thetas = nonsingular_characters(torus)
+        points = _strongly_regular(g, torus)
+        classes, lhs, rhs, equal = springer_grid(torus, thetas, points, all_unipotent=True)
+        assert classes == [conjugacy_classes(g).class_of(u) for u in reps]
+        checked = points if q**g.dim <= 125 else points[:1]
+        for j, t in enumerate(checked):
+            ref = [springer_fourier_reference(g, t, u) for u in reps]
+            assert all(a == b for a, b in zip(rhs[j], ref))
+            for i, theta in enumerate(thetas):
+                rho = dl_character(torus, theta).genuine()
+                want = tuple(rho.value_at(u) == r for u, r in zip(reps, ref))
+                assert equal[i][j] == want == (True,) * len(reps), (torus.tag, theta, t)
+
+
+def test_springer_grid_fails_exactly_the_cells_of_a_wrong_orbit_sum(monkeypatch):
+    # a fresh group, so that the wrong cache entry stays out of the shared
+    # one. The wrong value sits at the last point of the elliptic torus, no
+    # class representative, and fails exactly its (theta, t, u) cells, so
+    # exactly the elliptic cells of `springer verify`.
+    g = FiniteLieGroup("GL2", FiniteField(5))
+    split, elliptic = tori_and_regularity(g)
+    points = _strongly_regular(g, elliptic)
+    bad, u = points[-1], g.pack([[1, 1], [0, 1]])
+    x = quasi_logarithm(g, u)
+    thetas = nonsingular_characters(elliptic)
+    right = springer_grid(elliptic, thetas, points)[2][-1][0]
+    g.derived[("orbit_sum", bad, x)] = right + 1
+    _, _, rhs, equal = springer_grid(elliptic, thetas, points)
+    assert rhs[-1][0] == right + 1
+    for i in range(len(thetas)):
+        assert equal[i] == [(t != bad,) for t in points]
+    monkeypatch.setattr(cli, "build_finite_group", lambda kind, q: g)
+    for all_u in (False, True):
+        cells = cli._springer_cells("GL2", 5, all_u)
+        assert {c["torus"] for c in cells} == {"split", "elliptic"}
+        assert all(c["pass"] == (c["torus"] == "split") for c in cells)
+    code, out, _ = run_cli(["springer", "verify", "--group", "GL2", "--q", "5"])
+    assert code == 1 and json.loads(out)["pass"] is False
+
+
+def test_springer_cell_without_a_strongly_regular_point(monkeypatch):
+    # no point to check: the cell passes and lists no unipotent class
+    g = build_finite_group("SL2", 5)
+    torus = torus_by_tag(g, "elliptic")
+    thetas = nonsingular_characters(torus)
+    classes, lhs, rhs, equal = springer_grid(torus, thetas, [], all_unipotent=True)
+    assert len(classes) == 3 and rhs == [] and equal == [[] for _ in thetas]
+    monkeypatch.setattr(cli, "is_strongly_regular", lambda g, t: False)
+    cells = cli._springer_cells("SL2", 5, True)
+    assert cells
+    for c in cells:
+        assert c["strongly_regular_points"] == 0
+        assert c["unipotent_classes"] == []
+        assert c["pass"] is True
 
 
 # -- reduction to the semisimple part

@@ -361,6 +361,24 @@ def test_weyl_action_is_involution_on_points():
         assert moved > 0
 
 
+@pytest.mark.parametrize("kind,q", ADMITTED)
+def test_weyl_swaps_the_split_diagonal_and_conjugates_the_elliptic_points(kind, q):
+    # the Weyl involution is the swap diag(a, d) -> diag(d, a) on the split
+    # torus and the Galois conjugation x + y sqrt(eps) -> x - y sqrt(eps),
+    # [[x, eps y], [y, x]] -> [[x, -eps y], [-y, x]], on the elliptic one
+    g = build_finite_group(kind, q)
+    neg = g.field.neg
+    split, elliptic = tori_and_regularity(g)
+    for p, wp in split.weyl.items():
+        (a, b), (c, d) = g.unpack(p)
+        assert b == c == 0
+        assert g.unpack(wp) == [[d, 0], [0, a]]
+    for p, wp in elliptic.weyl.items():
+        (x, ey), (y, x2) = g.unpack(p)
+        assert x2 == x and ey == g.field.mul(g.field.non_residue, y)
+        assert g.unpack(wp) == [[x, neg(ey)], [neg(y), x]]
+
+
 def test_a_strong_regularity_worked_example():
     # a point of the split torus's Lie algebra, on SL2(F_3)
     g = build_finite_group("SL2", 3)
