@@ -7,7 +7,8 @@ verification fails or an input is rejected, 2 for usage errors.  `main` is
 the one place that catches a rejected input (a ValueError or
 ZeroDivisionError from any subcommand): it writes `{"error": ...}` as JSON,
 whatever `--format` is, and returns 1. A rejected argument is named by its
-flag in the message.
+flag in the message: a library refusal is led by the flag that `_FLAGS`
+reads off the subcommand and the message's first word.
 
 `main(argv)` may be called repeatedly in one process. It builds its parser
 with `build_parser()` on the first call and reuses it afterwards; each call
@@ -198,57 +199,40 @@ def _tn_data(args):
     return component_group_pi0(TwistedTorus(len(rows), IntMatrix(rows)))
 
 
-# the first word of a galois_tori message, which names what it refuses, and
-# the flags that set it
-_TORI_FLAGS = {
-    "h1": "--inv", "pi0": "--kappa", "degrees": "--degrees", "frobenius": "--frobenius",
-    "n": "--n, --m", "twist": "--m, --degrees",
-}
-
-
 def _cmd_tori(args):
-    try:
-        doc = _tori_doc(args)
-    except ValueError as e:
-        flag = _TORI_FLAGS.get(str(e).split(" ", 1)[0])
-        if flag is None:
-            raise
-        raise ValueError(f"{flag}: {e}") from None
-    _emit(doc, args)
-    return 0
-
-
-def _tori_doc(args):
     if args.tori_cmd == "h1":
         data = _tn_data(args)
-        return {
+        doc = {
             "rank": data.torus.rank,
             "frobenius_order": data.torus.order,
             "h1": data.h1.serialize(),
             "invariant_factors": list(data.invariant_factors),
         }
-    if args.tori_cmd == "pair":
+    elif args.tori_cmd == "pair":
         data = _tn_data(args)
         inv = _parse_int_list(args.inv, "--inv")
         kappa = _parse_int_list(args.kappa, "--kappa")
         val = tn_pairing(data, inv, kappa)
-        return {
+        doc = {
             "inv": list(inv),
             "kappa": list(kappa),
             "value": _cyc_str(val),
             "conductor": val.n,
         }
-    degrees = _parse_int_list(args.degrees, "--degrees")
-    group, witnesses = sln_kappa_group(args.n, args.m, degrees)
-    return {
-        "n": args.n,
-        "m": args.m,
-        "degrees": list(degrees),
-        "group": group.serialize(),
-        "witnesses": [
-            {"twist": list(t), "class": list(c)} for t, c in witnesses
-        ],
-    }
+    else:
+        degrees = _parse_int_list(args.degrees, "--degrees")
+        group, witnesses = sln_kappa_group(args.n, args.m, degrees)
+        doc = {
+            "n": args.n,
+            "m": args.m,
+            "degrees": list(degrees),
+            "group": group.serialize(),
+            "witnesses": [
+                {"twist": list(t), "class": list(c)} for t, c in witnesses
+            ],
+        }
+    _emit(doc, args)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +453,8 @@ def _check_springer_sl2_3():
 
 
 def _check_springer_fourier_sl2_3():
-    """The orbit sums of springer_check against the generic Fourier
-    transform, at the identity and the regular unipotent."""
+    """The orbit sums of springer_check against the Fourier transform's
+    defining sum, at the identity and the regular unipotent."""
     g = build_finite_group("SL2", 3)
     torus = next(t for t in tori_and_regularity(g) if t.tag == "elliptic")
     theta = nonsingular_characters(torus)[0]
@@ -615,12 +599,40 @@ def _parser():
     return build_parser()
 
 
+# the flags that set what a library refusal names, by subcommand and by the
+# first word of its message; None keys the subcommand's default
+_FLAGS = {
+    "tori": {
+        "h1": "--inv", "pi0": "--kappa", "degrees": "--degrees", "frobenius": "--frobenius",
+        "n": "--n, --m", "twist": "--m, --degrees",
+    },
+    "springer": {None: "--q"},
+    "chartable": {None: "--q", "group": "--q, --method"},
+    "endoscopy": {None: "--type", "kappa": "--kappa"},
+    "tjd": {
+        "p": "--p", "primality": "--p", "precision": "--k", "rows": "--matrix",
+        "gamma": "--matrix", "order": "--p, --matrix",
+    },
+    "hilbert": {"arguments": "--a, --b", "place": "--place", "primality": "--place"},
+}
+
+
+def _flagged(cmd, message):
+    """The message of a rejected input, led by the flag that set what it
+    refuses; a message that names its flag already is left alone."""
+    if message.startswith("--"):
+        return message
+    flags = _FLAGS.get(cmd, {})
+    flag = flags.get(message.split(" ", 1)[0], flags.get(None))
+    return message if flag is None else f"{flag}: {message}"
+
+
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, ZeroDivisionError) as e:
-        _write(json.dumps({"error": str(e)}, indent=2) + "\n", args)
+        _write(json.dumps({"error": _flagged(args.cmd, str(e))}, indent=2) + "\n", args)
         return 1
 
 

@@ -38,10 +38,8 @@ from . import _kernels
 from .exact_math import Cyclotomic, cached, element_order, is_prime, power, primitive_element, rref_mod
 from .finite_lie import (
     FiniteLieGroup,
-    LieFunction,
     TorusInG,
     build_finite_group,
-    finite_fourier,
     is_strongly_regular,
     quasi_logarithm,
     tori_and_regularity,
@@ -908,13 +906,18 @@ def springer_check(
 
 
 def springer_fourier_reference(g: FiniteLieGroup, t, u) -> Cyclotomic:
-    """The right-hand side of the identity computed through the generic
-    Fourier transform on the Lie algebra, for cross-checking the direct
-    orbit sum.  Subject to the Fourier budget of the Lie function layer."""
-    orbit = g.adjoint_orbit_of(t)
-    f = LieFunction.indicator(g, orbit)
-    fhat = finite_fourier(g, f)
-    return fhat.value_at(quasi_logarithm(g, u)) * Fraction(1, g.q)
+    """The right-hand side of the identity from the Fourier transform's
+    defining sum at x = qlog(u), for cross-checking the orbit sums: (1/q)
+    times the sum of psibar(<x, y>) over every Lie point y, each tested
+    for membership in the orbit of t."""
+    x = quasi_logarithm(g, u)
+    orbit = frozenset(g.adjoint_orbit_of(t))
+    fld = g.field
+    # psibar(c) = zeta_p^(-Tr c); coeffs[e] counts the terms zeta_p^e
+    coeffs = Counter(
+        -fld.trace(g.pairing_code(x, y)) % fld.p for y in g.lie_points() if y in orbit
+    )
+    return Cyclotomic(fld.p, coeffs) * Fraction(1, g.q)
 
 
 # ---------------------------------------------------------------------------

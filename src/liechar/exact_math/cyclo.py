@@ -231,16 +231,12 @@ class Cyclotomic:
 
     __rmul__ = __mul__
 
-    def conjugate(self):
-        """Complex conjugation, zeta -> zeta^(-1)."""
-        return Cyclotomic(self.n, {-e: v for e, v in self.num.items()}, self.den)
-
     @staticmethod
     def hermitian_sum(weights, xs, ys):
-        """sum(w * x * y.conjugate()) over int weights w and values x, y,
-        added into one numerator dict over the common conductor and the
-        common denominator of the products: one value is made, not three per
-        term."""
+        """The sum of w x conj(y) over int weights w and values x, y, conj
+        the complex conjugation zeta -> zeta^(-1), added into one numerator
+        dict over the common conductor and the common denominator of the
+        products: one value is made, not three per term."""
         terms = list(zip(weights, xs, ys))
         m = lcm(*(v.n for _, x, y in terms for v in (x, y)))
         den = lcm(*(x.den * y.den for _, x, y in terms))

@@ -1,13 +1,13 @@
 """Concrete matrix groups over finite fields: GL2 and SL2 over F_q, odd
 q <= 13 (F_3, F_5, F_7, F_11, F_13 and F_9 = F_3[x]/(x^2 + 1)), with Lie
-algebras, the trace pairing, quasi-logarithms, adjoint orbits, maximal tori,
-regularity tests, and a dense finite Fourier transform. The quadratic
-extension F_q^2 is built here as the elliptic-torus matrices, with its
-discrete logarithms; the elliptic torus of GL2 is its multiplicative group
-and that of SL2 its norm-one subgroup, both read off it. Each torus carries
-its own coordinates, the exponents of its points against its unit points:
-the field's discrete logarithm on the diagonal entries of the split torus,
-the logarithm of F_q^2 or of its norm-one subgroup on the elliptic one.
+algebras, the trace pairing, quasi-logarithms, adjoint orbits, maximal tori
+and regularity tests. The quadratic extension F_q^2 is built here as the
+elliptic-torus matrices, with its discrete logarithms; the elliptic torus of
+GL2 is its multiplicative group and that of SL2 its norm-one subgroup, both
+read off it. Each torus carries its own coordinates, the exponents of its
+points against its unit points: the field's discrete logarithm on the
+diagonal entries of the split torus, the logarithm of F_q^2 or of its
+norm-one subgroup on the elliptic one.
 
 Matrices are packed row-major into ints, digit (i, j) = field code of the
 entry, base q. All matrix arithmetic (products, inverses, determinants,
@@ -34,15 +34,11 @@ from functools import lru_cache
 from itertools import compress
 
 from . import _kernels
-from .exact_math import Cyclotomic, FiniteField, cached, power, prime_factors, primitive_element
+from .exact_math import FiniteField, cached, power, prime_factors, primitive_element
 
-_KIND_DATA = {
-    # kind: (n, lie_dim, absolute rank, f_q-rank, |Z(G^sc)|, q budget)
-    "GL2": (2, 4, 2, 2, 2, 13),
-    "SL2": (2, 3, 1, 1, 2, 13),
-}
-
-FOURIER_BUDGET = 6561  # largest dense LieFunction domain
+_KIND_DATA = {"GL2": 2, "SL2": 1}  # kind: F_q-rank
+_CENTER_ORDER = 2  # |Z(G^sc)|, the center of SL2
+_Q_BUDGET = 13
 
 
 @lru_cache(maxsize=None)
@@ -51,21 +47,19 @@ def _field_for(p, f):
 
 
 def _kind_data(kind, p, q):
-    """The row of _KIND_DATA for kind, once q = p^f passed the kind's
-    checks: the kind, the center, the budget. No field is needed, so a
-    refused q builds none."""
+    """The F_q-rank of kind, once q = p^f passed the kind's checks: the
+    kind, the center, the budget. No field is needed, so a refused q builds
+    none."""
     if kind not in _KIND_DATA:
         raise ValueError(f"unknown kind {kind!r}")
-    data = _KIND_DATA[kind]
-    zsc, budget = data[4:]
-    if zsc % p == 0:
+    if _CENTER_ORDER % p == 0:
         raise ValueError(
-            f"p = {p} divides the order {zsc} of the simply "
+            f"p = {p} divides the order {_CENTER_ORDER} of the simply "
             f"connected center for {kind}"
         )
-    if q > budget:
-        raise ValueError(f"{kind} budget is q <= {budget}")
-    return data
+    if q > _Q_BUDGET:
+        raise ValueError(f"{kind} budget is q <= {_Q_BUDGET}")
+    return _KIND_DATA[kind]
 
 
 class FiniteLieGroup:
@@ -74,18 +68,12 @@ class FiniteLieGroup:
 
     def __init__(self, kind, field: FiniteField):
         q = field.q
-        n, dim, rank, fq_rank, _, _ = _kind_data(kind, field.p, q)
         self.kind = kind
         self.field = field
         self.q = q
-        self.n = n
-        self.dim = dim
-        self.rank = rank
-        self.fq_rank = fq_rank
+        self.fq_rank = _kind_data(kind, field.p, q)
         self.tables = _kernels.tables(field)
-        self.identity = self.pack(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
+        self.identity = self.pack([[1, 0], [0, 1]])
         self.elements = self._enumerate()
         self.order = len(self.elements)
         self._members = frozenset(self.elements)
@@ -110,11 +98,11 @@ class FiniteLieGroup:
         return out
 
     def unpack(self, a):
-        q, n = self.q, self.n
+        q = self.q
         rows = []
-        for _ in range(n):
+        for _ in range(2):
             row = []
-            for _ in range(n):
+            for _ in range(2):
                 row.append(a % q)
                 a //= q
             rows.append(row)
@@ -201,47 +189,15 @@ class FiniteLieGroup:
         if any(sum(line) != 1 for line in support + list(zip(*support))):
             raise AssertionError("trace pairing is degenerate")
 
-    # -- Lie algebra coordinates
-
-    def lie_coeffs(self, t):
-        """Coefficients of a packed Lie element over lie_basis.
-        Raises ValueError if the matrix is not in the Lie algebra."""
-        m = self.unpack(t)
-        if self.kind == "GL2":
-            return (m[0][0], m[0][1], m[1][0], m[1][1])
-        if m[1][1] != self.field.neg(m[0][0]):
-            raise ValueError("matrix is not traceless")
-        return (m[0][0], m[0][1], m[1][0])
-
-    def lie_from_coeffs(self, coeffs):
-        if len(coeffs) != self.dim:
-            raise ValueError("coefficient length mismatch")
-        if self.kind == "GL2":
-            a, b, c, d = coeffs
-            return self.pack([[a, b], [c, d]])
-        a, b, c = coeffs
-        return self.pack([[a, b], [c, self.field.neg(a)]])
+    # -- the Lie algebra
 
     def lie_points(self):
-        """All packed Lie algebra points, in coefficient-lex order: index i
-        has coefficients (i mod q, i//q mod q, ...) over lie_basis."""
-        q = self.q
-        out = []
-        for i in range(q**self.dim):
-            coeffs = []
-            r = i
-            for _ in range(self.dim):
-                coeffs.append(r % q)
-                r //= q
-            out.append(self.lie_from_coeffs(coeffs))
-        return out
-
-    def lie_index(self, t):
-        coeffs = self.lie_coeffs(t)
-        i = 0
-        for c in reversed(coeffs):
-            i = i * self.q + c
-        return i
+        """All packed Lie algebra points in ascending code order: every
+        matrix for GL2, the traceless ones for SL2."""
+        codes = range(self.q**4)
+        if self.kind == "GL2":
+            return list(codes)
+        return [m for m in codes if _kernels.trace_code(m, self.tables) == 0]
 
     # -- orbits and classes
 
@@ -254,7 +210,8 @@ class FiniteLieGroup:
         orbit = orbits.get(t)
         if orbit is not None:
             return orbit
-        self.lie_coeffs(t)  # membership check
+        if self.kind == "SL2" and _kernels.trace_code(t, self.tables):
+            raise ValueError("matrix is not traceless")
         orbit = _kernels.orbit_of(t, self.gens, self.tables)
         if self.order % len(orbit):
             raise AssertionError("orbit size does not divide the group order")
@@ -308,53 +265,6 @@ def quasi_logarithm(g_group: FiniteLieGroup, g):
     half = t.inv[t.add[t.q + 1]]  # 1/(1 + 1)
     # dot[x q^2 + y] is the product x y
     return _kernels.sub_scalar(g, t.dot[half * t.q2 + _kernels.trace_code(g, t)], t)
-
-
-class LieFunction:
-    """Dense exact function on the Lie algebra points. values[i] is the value
-    at the point with basis coefficients (i mod q, i//q mod q, ...)."""
-
-    def __init__(self, group: FiniteLieGroup, values):
-        if group.q**group.dim > FOURIER_BUDGET:
-            raise ValueError("dense Lie function domain exceeds the budget")
-        vals = []
-        for v in values:
-            vals.append(v if isinstance(v, Cyclotomic) else Cyclotomic.rational(v))
-        if len(vals) != group.q**group.dim:
-            raise ValueError("value array length must be q**dim")
-        self.group = group
-        self.values = tuple(vals)
-
-    @classmethod
-    def indicator(cls, group, point_set):
-        idxs = {group.lie_index(t) for t in point_set}
-        return cls(group, [1 if i in idxs else 0 for i in range(group.q**group.dim)])
-
-    def value_at(self, t):
-        return self.values[self.group.lie_index(t)]
-
-
-def finite_fourier(g_group: FiniteLieGroup, f: LieFunction) -> LieFunction:
-    """F(f)(x) = sum_y psibar(<x, y>) f(y), counting measure, exact."""
-    if f.group is not g_group:
-        raise ValueError("function belongs to a different group")
-    fld = g_group.field
-    q = g_group.q
-    pts = g_group.lie_points()
-    psibar = [Cyclotomic.zeta(fld.p, (-fld.trace(c)) % fld.p) for c in range(q)]
-    out = []
-    for x in pts:
-        buckets = [None] * q
-        for i, y in enumerate(pts):
-            v = f.values[i]
-            c = g_group.pairing_code(x, y)
-            buckets[c] = v if buckets[c] is None else buckets[c] + v
-        acc = Cyclotomic.zero()
-        for c in range(q):
-            if buckets[c] is not None:
-                acc = acc + psibar[c] * buckets[c]
-        out.append(acc)
-    return LieFunction(g_group, out)
 
 
 class _QuadExt:

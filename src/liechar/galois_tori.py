@@ -79,9 +79,10 @@ class TwistedTorus:
 class TNPairingData:
     """H^1 and pi0 of a twisted torus with their evaluation pairing.
 
-    h1 and pi0 are abstractly the same invariant-factor group; h1 elements
-    are classes of cocharacters (coordinates via the SNF row transform),
-    pi0 elements are characters of that torsion group (dual coordinates).
+    h1 and pi0 are abstractly the same invariant-factor group, so only h1 is
+    kept; h1 elements are classes of cocharacters (coordinates via the SNF
+    row transform), pi0 elements are characters of that torsion group (dual
+    coordinates over the same invariant factors).
     """
 
     def __init__(self, torus: TwistedTorus):
@@ -91,7 +92,6 @@ class TNPairingData:
         factors = self.presentation.group.torsion
         self.invariant_factors = factors
         self.h1 = FinAbGroup(torsion=factors)
-        self.pi0 = FinAbGroup(torsion=factors)
 
     def cochar_class(self, v):
         """h1 coordinates of an integer cocharacter vector."""

@@ -85,7 +85,7 @@ def quasi_logarithm(g_group, g):
         raise ValueError("not a group element")
     fld = g_group.field
     m = g_group.unpack(g)
-    n = g_group.n
+    n = 2
     y = [[fld.sub(m[i][j], 1 if i == j else 0) for j in range(n)] for i in range(n)]
     if g_group.kind == "GL2":
         return g_group.pack(y)

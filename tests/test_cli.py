@@ -237,7 +237,7 @@ def test_tjd_failure_exits_1():
 def test_tjd_huge_precision_is_refused_by_the_cap():
     code, out, _ = run_cli(["tjd", "--p", "3", "--k", "10000000", "--matrix", "[[2]]"])
     assert code == 1
-    assert json.loads(out) == {"error": "precision capped at 64"}
+    assert json.loads(out) == {"error": "--k: precision capped at 64"}
 
 
 def test_hilbert_zero_exits_1():
@@ -249,7 +249,7 @@ def test_hilbert_zero_exits_1():
 def test_endoscopy_estimate_type_a_exits_1():
     code, out, err = run_cli(["endoscopy", "estimate", "--type", "A3"])
     assert code == 1
-    assert json.loads(out) == {"error": "type A is excluded from the estimate check"}
+    assert json.loads(out) == {"error": "--type: type A is excluded from the estimate check"}
     assert err == ""
 
 
@@ -258,7 +258,7 @@ def test_endoscopy_estimate_d3_is_type_a_and_exits_1(isogeny):
     # D3 = A3: the check reads the root system, not the label
     code, out, err = run_cli(["endoscopy", "estimate", "--type", "D3", "--isogeny", isogeny])
     assert code == 1
-    assert json.loads(out) == {"error": "type A is excluded from the estimate check"}
+    assert json.loads(out) == {"error": "--type: type A is excluded from the estimate check"}
     assert err == ""
 
 
@@ -492,6 +492,65 @@ def test_tori_range_error_names_its_flag(argv, flag, message):
     code, out, err = run_cli(argv)
     assert code == 1
     assert json.loads(out)["error"].startswith(f"{flag}: {message}")
+    assert err == ""
+
+
+_IDENTITY_9 = json.dumps([[int(i == j) for j in range(9)] for i in range(9)])
+_PAST_PRIME_BOUND = str(10**30 + 57)  # no prime factor below 43
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["springer", "verify", "--group", "GL2", "--q", "4"],
+            "--q: p = 2 divides the order 2 of the simply connected center for GL2",
+        ),
+        (["chartable", "--group", "SL2", "--q", "17"], "--q: SL2 budget is q <= 13"),
+        (["chartable", "--group", "SL2", "--q", "15"], "--q: 15 is not a prime power"),
+        (
+            ["chartable", "--group", "GL2", "--q", "11", "--method", "dixon"],
+            "--q, --method: group order exceeds the 10^4 budget",
+        ),
+        (["tjd", "--p", "4", "--k", "2", "--matrix", "[[1]]"], "--p: p must be prime"),
+        (
+            ["tjd", "--p", _PAST_PRIME_BOUND, "--k", "1", "--matrix", "[[2]]"],
+            f"--p: primality of {_PAST_PRIME_BOUND} is decided only below PRIME_BOUND = 3317044064679887385961981",
+        ),
+        (["tjd", "--p", "5", "--k", "0", "--matrix", "[[1]]"], "--k: precision must be a positive integer"),
+        (["tjd", "--p", "5", "--k", "100", "--matrix", "[[1]]"], "--k: precision capped at 64"),
+        (["tjd", "--p", "5", "--k", "2", "--matrix", "[[5]]"], "--matrix: gamma is not invertible modulo p"),
+        (["tjd", "--p", "5", "--k", "2", "--matrix", "[[1,2]]"], "--matrix: rows must form an n x n matrix"),
+        (
+            ["tjd", "--p", "5", "--k", "1", "--matrix", _IDENTITY_9],
+            "--p, --matrix: order search up to 1953124 exceeds the budget ORDER_BUDGET = 1000000",
+        ),
+        (["hilbert", "--a", "0", "--b", "3", "--place", "5"], "--a, --b: arguments must be nonzero"),
+        (["hilbert", "--a", "2", "--b", "3", "--place", "4"], "--place: place must be a prime or 'inf'"),
+        (
+            ["hilbert", "--a", "2", "--b", "3", "--place", _PAST_PRIME_BOUND],
+            f"--place: primality of {_PAST_PRIME_BOUND} is decided only below PRIME_BOUND = 3317044064679887385961981",
+        ),
+        (["endoscopy", "enumerate", "--type", "A9"], "--type: rank cap is 8"),
+        (["endoscopy", "enumerate", "--type", "E5"], "--type: E_n needs rank 6, 7 or 8"),
+        (["endoscopy", "enumerate", "--type", "G3"], "--type: G_2 only"),
+        (["endoscopy", "estimate", "--type", "A3"], "--type: type A is excluded from the estimate check"),
+        (
+            ["endoscopy", "from-kappa", "--type", "A2", "--kappa", "[1]"],
+            "--kappa: kappa has the wrong length",
+        ),
+    ],
+    ids=[
+        "springer-even-q", "chartable-q-budget", "chartable-q-not-prime-power", "dixon-budget",
+        "tjd-p", "tjd-p-primality", "tjd-k-zero", "tjd-k-cap", "tjd-gamma", "tjd-rows", "tjd-order-budget",
+        "hilbert-zero", "hilbert-place", "hilbert-place-primality", "endoscopy-rank-cap", "endoscopy-e5", "endoscopy-g3",
+        "endoscopy-estimate-a", "endoscopy-kappa-length",
+    ],
+)
+def test_library_refusal_names_its_flag(argv, message):
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert json.loads(out) == {"error": message}
     assert err == ""
 
 

@@ -65,17 +65,17 @@ def test_cross_conductor_equality():
 
 def test_conjugate_and_abs2():
     z = Cyclotomic.zeta(5)
-    assert z.conjugate() == Cyclotomic.zeta(5, 4)
+    assert Cyclotomic.hermitian_sum([1], [Cyclotomic.rational(1)], [z]) == Cyclotomic.zeta(5, 4)
     # |zeta| = 1
-    assert z * z.conjugate() == 1
+    assert Cyclotomic.hermitian_sum([1], [z], [z]) == 1
     # |1 + zeta_4|^2 = 2
     x = 1 + Cyclotomic.zeta(4)
-    assert x * x.conjugate() == 2
+    assert Cyclotomic.hermitian_sum([1], [x], [x]) == 2
 
 
 def test_rational_detection():
     z = Cyclotomic.zeta(3)
-    s = z + z.conjugate()  # = -1
+    s = z + Cyclotomic.zeta(3, 2)  # = -1
     assert s.rational_value() == -1
     with pytest.raises(ValueError, match="not a rational value"):
         z.rational_value()
@@ -106,7 +106,7 @@ def test_as_root_of_unity():
     assert _order(Cyclotomic.zeta(3) + 1, 6) == 6
     # 2 is no root of unity: |2|^2 = 4 != 1
     two = Cyclotomic.rational(2)
-    assert two * two.conjugate() == 4
+    assert Cyclotomic.hermitian_sum([1], [two], [two]) == 4
     assert _order(two, 12) is None
 
 
@@ -128,8 +128,10 @@ def test_ring_axioms(a, b, c):
 @settings(max_examples=60, deadline=None)
 @given(small_cyclo, small_cyclo)
 def test_norm_multiplicative(a, b):
-    ab = a * b
-    assert ab * ab.conjugate() == (a * a.conjugate()) * (b * b.conjugate())
+    def abs2(x):
+        return Cyclotomic.hermitian_sum([1], [x], [x])
+
+    assert abs2(a * b) == abs2(a) * abs2(b)
 
 
 def test_gauss_sum_square():
@@ -238,15 +240,20 @@ def test_matches_fraction_oracle(x, y, c):
     _same(a - b, ra - rb)
     _same(a * b, ra * rb)
     _same(-a, -ra)
-    _same(a.conjugate(), ra.conjugate())
+    _same(Cyclotomic.hermitian_sum([1], [Cyclotomic.rational(1)], [a]), ra.conjugate())
     _same(a * c, ra * c)
     _same(c * a, c * ra)
     _same(a + c, ra + c)
     _same(c - a, c - ra)
-    _same(a * a.conjugate(), ra * ra.conjugate())
+    _same(Cyclotomic.hermitian_sum([1], [a], [a]), ra * ra.conjugate())
     assert (a == b) == (ra == rb)
     assert (a == c) == (ra == c)
     assert (a * b - b * a) == 0
+
+
+def _conj(y):
+    """Complex conjugation, zeta -> zeta^(-1), term by term."""
+    return Cyclotomic(y.n, {-e: v for e, v in y.num.items()}, y.den)
 
 
 # conductors whose lcm stays at most 120, denominators up to 12
@@ -267,7 +274,7 @@ def test_hermitian_sum_is_the_fold(terms):
     weights, xs, ys = ([t[i] for t in terms] for i in range(3))
     fold = Cyclotomic.zero()
     for w, x, y in zip(weights, xs, ys):
-        fold = fold + x * y.conjugate() * w
+        fold = fold + x * _conj(y) * w
     got = Cyclotomic.hermitian_sum(weights, xs, ys)
     assert got == fold
     assert (got.n, got.num, got.den) == (fold.n, fold.num, fold.den)
@@ -293,7 +300,7 @@ def test_a_conductor_past_the_budget_is_refused(terms):
     weights, xs, ys = ([t[i] for t in terms] for i in range(3))
     fold = Cyclotomic.zero()
     for w, x, y in zip(weights, xs, ys):
-        fold = fold + x * y.conjugate() * w
+        fold = fold + x * _conj(y) * w
     got = Cyclotomic.hermitian_sum(weights, xs, ys)
     assert got.n == fold.n
     if got.n <= CONDUCTOR_BUDGET:
@@ -315,9 +322,9 @@ def test_equality_across_conductors_sharing_at_most_two():
     z3, z4, z5 = Cyclotomic.zeta(3), Cyclotomic.zeta(4), Cyclotomic.zeta(5)
     assert z3 + Cyclotomic.zeta(3, 2) == Cyclotomic.zeta(4, 2)  # both are -1
     assert Cyclotomic.zeta(4, 2) == Cyclotomic.zeta(6, 3)  # gcd 2, both -1
-    assert (z5 + z5.conjugate()) * Fraction(1, 2) != z3 * Fraction(1, 2)
+    assert (z5 + Cyclotomic.zeta(5, 4)) * Fraction(1, 2) != z3 * Fraction(1, 2)
     # no two non-rational values whose conductors share at most 2 are equal
-    values = [z3, -z3, z3 + 2, z4, z4 * 3, z5, z5 + z5.conjugate(), Cyclotomic.zeta(10)]
+    values = [z3, -z3, z3 + 2, z4, z4 * 3, z5, z5 + Cyclotomic.zeta(5, 4), Cyclotomic.zeta(10)]
     for a in values:
         for b in values:
             if gcd(a.n, b.n) <= 2:

@@ -553,11 +553,51 @@ def test_springer_sl2_3_elliptic_all_unipotent():
 
 
 def test_springer_identity_case_gives_the_degree():
+    # at u = 1 every pairing is 0, so the reference is |orbit(t)| / q, and
+    # at a strongly regular t that is |G| / (q |T|), the degree q -+ 1 of
+    # the torus's cuspidal or principal series
     g = build_finite_group("SL2", 3)
     torus = torus_by_tag(g, "elliptic")
     t = next(t for t in torus.lie_points() if is_strongly_regular(g, t))
     ref = springer_fourier_reference(g, t, g.identity)
     assert ref == g.q - 1
+    for kind, q in ADMITTED:
+        g = build_finite_group(kind, q)
+        for torus in tori_and_regularity(g):
+            t = _strongly_regular(g, torus)[0]
+            size = len(g.adjoint_orbit_of(t))
+            ref = springer_fourier_reference(g, t, g.identity)
+            assert ref == Fraction(size, q) == g.order // (q * torus.order)
+
+
+@pytest.mark.parametrize("kind,q", [("SL2", 3), ("GL2", 3), ("SL2", 7)])
+def test_fourier_reference_is_the_sum_over_the_conjugates(kind, q):
+    # at one Lie point t of every adjoint orbit and every unipotent u: the
+    # reference is (1/q) times the sum of psibar(Tr(x y)), x = log u, over
+    # the conjugates y of t by every group element, traced entry by entry.
+    # SL2's nilpotent orbits for q = 3 mod 4 give values that are not real,
+    # so psi in place of psibar shows there.
+    g = build_finite_group(kind, q)
+    fld = g.field
+    logs = [(u, g.unpack(quasi_logarithm(g, u))) for u in g.unipotent_class_reps()]
+    seen, nonreal = set(), 0
+    for t in g.lie_points():
+        if t in seen:
+            continue
+        orbit = {g.conj(h, t) for h in g.elements}
+        seen |= orbit
+        for u, x in logs:
+            total = Cyclotomic.zero()
+            for y in map(g.unpack, orbit):
+                tr = 0
+                for i in range(2):
+                    for j in range(2):
+                        tr = fld.add(tr, fld.mul(x[i][j], y[j][i]))
+                total = total + Cyclotomic.zeta(fld.p, -fld.trace(tr))
+            want = total * Fraction(1, q)
+            assert springer_fourier_reference(g, t, u) == want, (t, u)
+            nonreal += Cyclotomic.hermitian_sum([1], [Cyclotomic.rational(1)], [want]) != want
+    assert nonreal > 0 if kind == "SL2" else nonreal == 0
 
 
 def test_springer_agrees_with_generic_fourier_route():
@@ -606,13 +646,12 @@ def _strongly_regular(g, torus):
     return [t for t in torus.lie_points() if is_strongly_regular(g, t)]
 
 
-@pytest.mark.parametrize("kind,q", [("SL2", 3), ("GL2", 3), ("SL2", 5), ("GL2", 5)])
+@pytest.mark.parametrize("kind,q", ADMITTED)
 def test_springer_grid_verdicts_match_the_generic_fourier_route(kind, q):
-    # every (theta, t, u) verdict of the grid is rho_theta(u) == the orbit's
-    # Fourier transform at log u, taken densely over the Lie algebra. A
-    # dense transform over the 625 points of gl2(F_5) costs about 2 s, so
-    # there the reference is taken at the first strongly regular point of
-    # each torus only.
+    # every (theta, t, u) verdict of the grid, at every strongly regular
+    # point and every unipotent class, is rho_theta(u) == the orbit's
+    # Fourier transform at log u, taken from the transform's defining sum
+    # over the Lie algebra
     g = build_finite_group(kind, q)
     reps = g.unipotent_class_reps()
     for torus in tori_and_regularity(g):
@@ -620,14 +659,13 @@ def test_springer_grid_verdicts_match_the_generic_fourier_route(kind, q):
         points = _strongly_regular(g, torus)
         classes, lhs, rhs, equal = springer_grid(torus, thetas, points, all_unipotent=True)
         assert classes == [conjugacy_classes(g).class_of(u) for u in reps]
-        checked = points if q**g.dim <= 125 else points[:1]
-        for j, t in enumerate(checked):
+        rhos = [dl_character(torus, theta).genuine() for theta in thetas]
+        for j, t in enumerate(points):
             ref = [springer_fourier_reference(g, t, u) for u in reps]
             assert all(a == b for a, b in zip(rhs[j], ref))
-            for i, theta in enumerate(thetas):
-                rho = dl_character(torus, theta).genuine()
+            for i, rho in enumerate(rhos):
                 want = tuple(rho.value_at(u) == r for u, r in zip(reps, ref))
-                assert equal[i][j] == want == (True,) * len(reps), (torus.tag, theta, t)
+                assert equal[i][j] == want == (True,) * len(reps), (torus.tag, thetas[i], t)
 
 
 def test_springer_grid_fails_exactly_the_cells_of_a_wrong_orbit_sum(monkeypatch):

@@ -1,16 +1,14 @@
-"""Finite matrix groups: builds, quasi-logarithm, orbits, Fourier, tori."""
+"""Finite matrix groups: builds, quasi-logarithm, orbits, tori."""
 
 import random
 
 import pytest
 
 from liechar.dl_spectra import conjugacy_classes
-from liechar.exact_math import Cyclotomic, FiniteField
+from liechar.exact_math import FiniteField
 from liechar.finite_lie import (
     FiniteLieGroup,
-    LieFunction,
     build_finite_group,
-    finite_fourier,
     is_strongly_regular,
     quasi_logarithm,
     tori_and_regularity,
@@ -162,7 +160,7 @@ def test_one_field_per_q():
 def test_qlog_identity_is_zero():
     for kind, q in (("GL2", 3), ("SL2", 5)):
         g = build_finite_group(kind, q)
-        z = g.lie_from_coeffs((0,) * g.dim)
+        z = g.pack([[0, 0], [0, 0]])
         assert quasi_logarithm(g, g.identity) == z
 
 
@@ -246,16 +244,30 @@ def test_qlog_bijects_unipotents_onto_nilpotents():
         assert image == nil
 
 
+@pytest.mark.parametrize("kind,q", ADMITTED)
+def test_lie_points_are_the_ascending_codes_of_the_lie_algebra(kind, q):
+    # every packed 2 x 2 matrix for GL2, the traceless ones for SL2, whose
+    # adjoint orbits refuse a matrix of nonzero trace and store nothing
+    g = build_finite_group(kind, q)
+    pts = g.lie_points()
+    assert pts == [m for m in range(q**4) if kind == "GL2" or _trace(g, m) == 0]
+    assert len(pts) == (q**4 if kind == "GL2" else q**3)
+    if kind == "SL2":
+        with pytest.raises(ValueError, match="matrix is not traceless"):
+            g.adjoint_orbit_of(g.identity)
+        assert g.identity not in g.derived.get("adjoint_orbits", {})
+
+
 # --- pairing and orbits ---------------------------------------------------------
 
 
 def test_pairing_ad_invariant():
     g = build_finite_group("SL2", 7)
     rng = random.Random(13)
-    pts = [
-        g.lie_from_coeffs(tuple(rng.randrange(7) for _ in range(3)))
-        for _ in range(100)
-    ]
+    pts = []
+    for _ in range(100):
+        a, b, c = (rng.randrange(7) for _ in range(3))
+        pts.append(g.pack([[a, b], [c, g.field.neg(a)]]))
     for t in pts:
         h = rng.choice(g.elements)
         s = rng.choice(pts)
@@ -264,7 +276,7 @@ def test_pairing_ad_invariant():
 
 def test_adjoint_orbit_of_zero():
     g = build_finite_group("SL2", 5)
-    z = g.lie_from_coeffs((0, 0, 0))
+    z = g.pack([[0, 0], [0, 0]])
     assert g.adjoint_orbit_of(z) == (z,)
 
 
@@ -291,39 +303,6 @@ def test_unipotent_class_reps_partition():
             assert sizes == [1, (q * q - 1) // 2, (q * q - 1) // 2]
         union = {x for ci in labels for x in cd.members[ci]}
         assert union == set(_unipotents(g))
-
-
-# --- finite Fourier transform ----------------------------------------------------
-
-
-def test_fourier_delta_and_constant():
-    g = build_finite_group("SL2", 3)
-    zero = g.lie_from_coeffs((0, 0, 0))
-    n = g.q**g.dim
-    f1 = finite_fourier(g, LieFunction.indicator(g, [zero]))
-    assert all(v == Cyclotomic.rational(1) for v in f1.values)
-    f2 = finite_fourier(g, LieFunction(g, [1] * n))
-    for i, v in enumerate(f2.values):
-        assert v == (n if i == g.lie_index(zero) else 0)
-
-
-def test_fourier_inversion_random():
-    g = build_finite_group("SL2", 3)
-    rng = random.Random(5)
-    n = g.q**g.dim
-    f = LieFunction(g, [rng.randrange(-3, 4) for _ in range(n)])
-    ff = finite_fourier(g, finite_fourier(g, f))
-    for t in g.lie_points():
-        neg = g.pack(
-            [[g.field.neg(x) for x in row] for row in g.unpack(t)]
-        )
-        assert ff.value_at(t) == f.value_at(neg) * n
-
-
-def test_lie_function_budget():
-    g = build_finite_group("GL2", 11)
-    with pytest.raises(ValueError, match="budget"):
-        LieFunction.indicator(g, [])
 
 
 # --- tori and regularity --------------------------------------------------------
@@ -386,7 +365,7 @@ def test_a_strong_regularity_worked_example():
     t = g.pack([[1, 0], [0, g.field.neg(1)]])
     assert t in split.lie_point_set
     assert is_strongly_regular(g, t)
-    zero = g.lie_from_coeffs((0, 0, 0))
+    zero = g.pack([[0, 0], [0, 0]])
     assert not is_strongly_regular(g, zero)
     assert not is_strongly_regular(g, g.pack([[0, 1], [0, 0]]))
 
@@ -402,7 +381,7 @@ def test_a_strong_regularity_elliptic():
 
 def test_strong_regularity():
     g = build_finite_group("SL2", 5)
-    zero = g.lie_from_coeffs((0, 0, 0))
+    zero = g.pack([[0, 0], [0, 0]])
     assert not is_strongly_regular(g, zero)
     assert not is_strongly_regular(g, g.pack([[0, 1], [0, 0]]))  # nilpotent
     assert is_strongly_regular(g, g.pack([[1, 0], [0, g.field.neg(1)]]))

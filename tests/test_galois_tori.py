@@ -107,7 +107,7 @@ def test_torus_order_found():
 def test_norm_one_torus():
     data = component_group_pi0(_torus([[-1]]))
     assert data.h1.torsion == (2,)
-    assert data.pi0.torsion == (2,)
+    assert data.invariant_factors == (2,)
     assert tn_pairing(data, (1,), (1,)) == MINUS_ONE
     assert tn_pairing(data, (0,), (1,)) == ONE
 
@@ -115,7 +115,7 @@ def test_norm_one_torus():
 def test_split_torus_trivial():
     data = component_group_pi0(_torus([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     assert data.h1 == FinAbGroup()
-    assert data.pi0 == FinAbGroup()
+    assert data.invariant_factors == ()
 
 
 def test_induced_swap_trivial():
@@ -168,7 +168,7 @@ def test_pairing_bilinear_and_perfect():
 def test_pairing_identity_is_one():
     data = _klein_data()
     z = data.h1.zero()
-    for k in _elements(data.pi0):
+    for k in _elements(data.h1):  # pi0 has the invariant factors of h1
         assert tn_pairing(data, z, k) == ONE
 
 
@@ -289,11 +289,12 @@ def test_oracle_fifty_random_tori():
         data = component_group_pi0(torus)
         oracle = _oracle_group(f, torus.order)
         assert data.h1.serialize() == oracle.serialize(), (trial, f.rows)
-        # pi0 order equals the torsion determinant of SNF(F - 1)
+        # the order of h1, and of its dual pi0, is the torsion determinant
+        # of SNF(F - 1)
         prod = 1
         for d in data.invariant_factors:
             prod *= d
-        assert data.pi0.order == prod
+        assert data.h1.order == prod
 
 
 # --- center-quotient lattices -----------------------------------------------
