@@ -332,14 +332,9 @@ def _cmd_tjd(args):
 
 
 def _cmd_hilbert(args):
-    place = args.place
-    if place != "inf":
-        if not re.fullmatch(r"\d+", place):
-            raise ValueError(f"--place must be a prime or 'inf', got {place!r}")
-        place = int(place)
     a = _parse_rational(args.a, "--a")
     b = _parse_rational(args.b, "--b")
-    sym = hilbert_symbol(a, b, place)
+    sym = hilbert_symbol(a, b, args.place)
     doc = {"a": args.a, "b": args.b, "place": args.place, "symbol": sym}
     _emit(doc, args)
     return 0

@@ -3,6 +3,11 @@ row reduction over Q and over Z/l (l prime), and finitely generated abelian
 groups presented by invariant factors.
 
 All matrices are immutable, row-major tuples of tuples of Python ints.
+Row reduction over Q never forms a Fraction: `solve_rational` and
+`inverse_rational` run Bareiss's fraction-free Gauss-Jordan on integer rows
+(E. H. Bareiss, "Sylvester's identity and multistep integer-preserving
+Gaussian elimination", Math. Comp. 22, 1968), in which every entry is a
+minor of the input and every division is exact, and divide once at the end.
 """
 
 from __future__ import annotations
@@ -272,44 +277,64 @@ def kernel_basis(m: IntMatrix):
 
 
 def _gauss_jordan(a, n):
-    """Reduce the Fraction rows a in place until their first n columns are
-    the identity on top of zero rows; ValueError if those columns are
-    linearly dependent."""
+    """Fraction-free (Bareiss) Gauss-Jordan on the integer rows a, in place,
+    over their first n columns; returns the last pivot p.
+
+    Step c takes the pivot p from row c (after a swap) and replaces every
+    other row r by (a[r] * p - a[r][c] * a[c]) // prev, prev the pivot of
+    step c - 1 (1 before the first). By Sylvester's identity every entry is
+    then a minor of the input, so each division is exact, and the integers
+    grow only as minors do. At the end the first n columns of a[:n] are
+    p times the identity, p = +-det of those rows, and the rows from n on
+    are zero there. ValueError if the first n columns are linearly
+    dependent."""
+    prev = 1
     for col in range(n):
-        piv = next((r for r in range(col, len(a)) if a[r][col] != 0), None)
+        piv = next((r for r in range(col, len(a)) if a[r][col]), None)
         if piv is None:
             raise ValueError("singular system")
         a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(len(a)):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return a
+        prow = a[col]
+        p = prow[col]
+        for r, row in enumerate(a):
+            if r == col:
+                continue
+            f = row[col]
+            if f:
+                a[r] = [(x * p - f * y) // prev for x, y in zip(row, prow)]
+            elif p != prev:
+                a[r] = [x * p // prev for x in row]
+        prev = p
+    return prev
 
 
 def solve_rational(rows, b):
-    """Solve rows * x = b exactly over Q: at least as many rows as unknowns,
-    linearly independent columns (ValueError otherwise), and b in their span
-    (ValueError otherwise)."""
+    """Solve rows * x = b exactly over Q, as a tuple of Fractions: integer
+    rows, at least as many as unknowns, with linearly independent columns
+    (ValueError otherwise), and b (ints or Fractions) in their span
+    (ValueError otherwise). b is scaled by the common denominator d of its
+    entries, so the elimination runs on integers; x = a[:, n] / (p d)."""
     n = len(rows[0]) if rows else 0
-    a = _gauss_jordan([[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(rows, b)], n)
+    d = lcm(1, *(v.denominator for v in b))
+    a = [list(row) + [v.numerator * (d // v.denominator)] for row, v in zip(rows, b)]
+    p = _gauss_jordan(a, n)
     if any(a[r][n] for r in range(n, len(a))):
         raise ValueError("inconsistent system")
-    return tuple(a[r][n] for r in range(n))
+    return tuple(Fraction(a[r][n], p * d) for r in range(n))
 
 
 def inverse_rational(rows):
     """(den, inv) with rows^-1 = inv / den over Q: inv integer rows, den > 0
-    the least common denominator. One Gauss-Jordan pass on [rows | I];
+    the least common denominator. One fraction-free Gauss-Jordan pass on
+    [rows | I] leaves [p I | adj] with rows^-1 = adj / p, reduced by one gcd;
     ValueError for a singular matrix."""
     n = len(rows)
-    a = _gauss_jordan(
-        [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)], n
-    )
-    den = lcm(1, *(x.denominator for row in a for x in row[n:]))
-    return den, tuple(tuple(x.numerator * (den // x.denominator) for x in row[n:]) for row in a)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    p = _gauss_jordan(a, n)
+    g = gcd(p, *(x for row in a for x in row[n:]))
+    if p < 0:
+        g = -g
+    return p // g, tuple(tuple(x // g for x in row[n:]) for row in a)
 
 
 def rref_mod(rows, l, ncols):

@@ -30,10 +30,11 @@ class TruncatedMatrix:
     """A square matrix with entries in Z/p^k.
 
     The constructor is the one place that checks its input: p prime, k a
-    positive int, an n x n shape and int entries (bool refused), reduced
-    mod p^k. The precision is capped at k <= 64, checked before p^k is
-    formed, so a huge k is refused at once. Arithmetic results are built
-    from rows already reduced mod p^k and skip those checks."""
+    positive int, an n x n shape with n >= 1 and int entries (bool
+    refused), reduced mod p^k. The precision is capped at k <= 64, checked
+    before p^k is formed, so a huge k is refused at once. Arithmetic
+    results are built from rows already reduced mod p^k and skip those
+    checks."""
 
     __slots__ = ("n", "p", "k", "mod", "rows")
 
@@ -45,6 +46,8 @@ class TruncatedMatrix:
         rows = tuple(tuple(r) for r in rows)
         if type(n) is not int or len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("rows must form an n x n matrix")
+        if n < 1:
+            raise ValueError("rows must form an n x n matrix with n >= 1")
         if any(type(x) is not int for r in rows for x in r):
             raise ValueError("entries must be integers")
         if k > 64:
@@ -365,14 +368,18 @@ def _legendre(u: Fraction, p):
 def hilbert_symbol(a, b, v):
     """The local Hilbert symbol (a, b)_v in {+1, -1}.
 
-    v is an odd prime, 2, or the string "inf".  Computed from the standard
-    valuation and residue formulas; bimultiplicative and symmetric.
+    v is an odd prime, 2, or the string "inf"; a prime may also be given as
+    a string of decimal digits, and any other string is refused here.
+    Computed from the standard valuation and residue formulas;
+    bimultiplicative and symmetric.
     """
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("arguments must be nonzero")
     if v == "inf":
         return -1 if a < 0 and b < 0 else 1
+    if isinstance(v, str) and not v.isdecimal():
+        raise ValueError("place must be a prime or 'inf'")
     v = int(v)
     if not is_prime(v):
         raise ValueError("place must be a prime or 'inf'")

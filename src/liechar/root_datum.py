@@ -14,18 +14,44 @@ Isogeny choices:
 `build_root_datum` is a registry: one datum per (series, rank, isogeny) per
 process, so everything cached on a datum (its dual, extended diagram, center
 action, elliptic triples) is built once per input.
+
+Packed vectors. The reflection closure, the closure test of a datum and the
+simple-root search run on integers, not tuples. A vector v of n entries
+packs into one Python int, its code: field i holds v[i] + 2^31 in bits
+32 i .. 32 i + 31, so the code is v's image under the linear map
+P(v) = sum v[i] 2^(32 i) plus a fixed bias. A reflection b - k a is then
+the one operation code(b) - k P(a), and a root set is a set of ints. A
+root is packed together with its pairings with the reflecting coroots, so
+the multiplier k of the next reflection is read off a field instead of
+taken as a dot product. Codes decode field by field through `struct`.
+
+P is injective only while every field stays inside [-2^31, 2^31). So every
+root entry, coroot entry and pairing that is packed must lie in
+[-ROOT_ENTRY_BOUND, ROOT_ENTRY_BOUND), ROOT_ENTRY_BOUND = 2^7 (a signed
+byte); one reflection of such values moves each field by at most
+2^7 + 2^14 < 2^31, so a reflected code never wraps a field and its set
+membership is exact. An entry or a pairing outside the range is refused,
+and so is a closure past ROOT_BUDGET = 240 roots (E8, the largest system
+the library admits); the library's data stay within +-6.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd
 from operator import mul
 
 from .exact_math import cached, inverse_rational
 
 SERIES = ("A", "B", "C", "D", "E", "F", "G")
+
+ROOT_BUDGET = 240
+ROOT_ENTRY_BOUND = 2**7
+_FIELD_BITS = 32
+_HALF = 1 << (_FIELD_BITS - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +60,50 @@ SERIES = ("A", "B", "C", "D", "E", "F", "G")
 
 def _dot(x, y):
     return sum(map(mul, x, y))
+
+
+def _packing(n):
+    """(bias, pack, unpack, outside) for vectors of n entries: pack(v) is the
+    code of v, the fields v[i] + 2^31 at bits 32 i, and unpack inverts it;
+    pack(v) - bias is the linear image P(v). Biasing a field flips its top
+    bit, so both directions are one `struct` call and one xor. outside(code)
+    is nonzero when a field lies outside [-ROOT_ENTRY_BOUND,
+    ROOT_ENTRY_BOUND): shifted down by 2^31 - ROOT_ENTRY_BOUND, an admitted
+    field is below 2^8, and a field below the range borrows, so its high
+    bits show as well."""
+    ones = ((1 << (_FIELD_BITS * n)) - 1) // ((1 << _FIELD_BITS) - 1)
+    bias = _HALF * ones
+    low = bias - ROOT_ENTRY_BOUND * ones
+    high = ((1 << _FIELD_BITS) - 2 * ROOT_ENTRY_BOUND) * ones
+    fmt = struct.Struct(f"<{n}i")
+    size = fmt.size
+
+    def pack(v):
+        return int.from_bytes(fmt.pack(*v), "little") ^ bias
+
+    def unpack(code):
+        return fmt.unpack((code ^ bias).to_bytes(size, "little"))
+
+    def outside(code):
+        return (code - low) & high
+
+    return bias, pack, unpack, outside
+
+
+def _range_error():
+    return ValueError(
+        f"root entry or pairing outside [-{ROOT_ENTRY_BOUND}, {ROOT_ENTRY_BOUND}), "
+        f"ROOT_ENTRY_BOUND = {ROOT_ENTRY_BOUND}"
+    )
+
+
+def _check_range(vectors):
+    """ValueError unless every entry of the vectors lies in
+    [-ROOT_ENTRY_BOUND, ROOT_ENTRY_BOUND), the range in which packed fields
+    cannot wrap."""
+    entries = list(chain.from_iterable(vectors))
+    if entries and (max(entries) >= ROOT_ENTRY_BOUND or min(entries) < -ROOT_ENTRY_BOUND):
+        raise _range_error()
 
 
 def _rank_of_span(vectors, dim):
@@ -162,17 +232,29 @@ class RootDatum:
         for b, bv in zip(self.roots, self.coroots):
             if _dot(b, bv) != 2:
                 raise ValueError(f"<beta, beta^vee> != 2 for {b}")
-        rootset = set(self.roots)
         for i in self.simple_indices:
             if not 0 <= i < len(self.roots):
                 raise ValueError("bad simple index")
-        # reflections through simple roots must permute the roots
-        for i in self.simple_indices:
-            a, av = self.roots[i], self.coroots[i]
-            for b in self.roots:
-                k = _dot(b, av)
+        # reflections through simple roots must permute the roots. The
+        # pairings of all roots with one simple coroot come from one packed
+        # sum over the columns of the roots; |pairing| <= rank 2^14 decodes
+        # exactly below rank 2^17
+        n, simple_cov = self.rank, self.simple_coroots
+        _check_range(self.roots + simple_cov)
+        if n * ROOT_ENTRY_BOUND**2 >= _HALF:
+            raise ValueError(f"rank {n} beyond the packed range, rank < 2^17")
+        bias, pack, unpack, _ = _packing(len(self.roots))
+        cols = [pack(col) - bias for col in zip(*self.roots)]
+        pairings = [unpack(sum(map(mul, av, cols)) + bias) for av in simple_cov]
+        _check_range(pairings)
+        bias, pack, _, _ = _packing(n)
+        codes = [pack(b) - bias for b in self.roots]  # P(b)
+        codeset = set(codes)
+        for i, ks in zip(self.simple_indices, pairings):
+            step = codes[i]
+            for code, k in zip(codes, ks):
                 # k = 0: the reflection fixes b
-                if k and tuple(x - k * y for x, y in zip(b, a)) not in rootset:
+                if k and code - k * step not in codeset:
                     raise ValueError("root set not reflection-closed")
 
     # -- basic accessors
@@ -346,25 +428,48 @@ def _leg_lengths(comp, edges, branch):
 
 def reflection_closure(gens):
     """Closure of the (root, coroot) pairs gens under their reflections, as
-    (root, coroot) pairs sorted by root."""
+    (root, coroot) pairs sorted by root; ValueError past ROOT_BUDGET roots,
+    or for an entry or a pairing outside [-ROOT_ENTRY_BOUND, ROOT_ENTRY_BOUND).
+
+    A root b is carried as the code of (b, K(b)), K(b)[j] = <b, a_j^vee>,
+    and its coroot as the code of (b^vee, L(b)), L(b)[j] = <a_j, b^vee>.
+    Both are linear in b, so s_j b = b - k a_j with k = K(b)[j] is
+    code - k P(a_j, K(a_j)), and its coroot b^vee - k' a_j^vee with
+    k' = L(b)[j] is code - k' P(a_j^vee, L(a_j)): no reflection takes a dot
+    product. Each new root is decoded and range-checked once."""
     gens = [(tuple(a), tuple(av)) for a, av in gens]
-    pairs = dict(gens)
-    frontier = list(pairs)
+    if not gens:
+        return []
+    rank = len(gens[0][0])
+    # pairing[j][i] = <a_j, a_i^vee>: row j is K(a_j), column j is L(a_j)
+    pairing = [tuple(_dot(a, cv) for _, cv in gens) for a, _ in gens]
+    seeds = [(a + row, av + col) for (a, av), row, col in zip(gens, pairing, zip(*pairing))]
+    _check_range([v for seed in seeds for v in seed])
+    bias, pack, unpack, outside = _packing(rank + len(gens))
+    steps = [(rank + j, pack(root) - bias, pack(coroot) - bias) for j, (root, coroot) in enumerate(seeds)]
+    states = {}  # code of (b, K(b)) -> (code of (b^vee, L(b)), both decoded)
+    for root, coroot in seeds:
+        states[pack(root)] = (pack(coroot), root, coroot)
+    frontier = [(code, *state) for code, state in states.items()]
     while frontier:
         nxt = []
-        for b in frontier:
-            bv = pairs[b]
-            for a, av in gens:
-                k = _dot(b, av)
+        for code, cocode, root, coroot in frontier:
+            for j, step, costep in steps:
+                k = root[j]
                 if not k:
                     continue  # the reflection fixes b
-                rb = tuple(x - k * y for x, y in zip(b, a))
-                if rb not in pairs:
-                    k = _dot(a, bv)
-                    pairs[rb] = tuple(x - k * y for x, y in zip(bv, av))
-                    nxt.append(rb)
+                new = code - k * step
+                if new not in states:
+                    if len(states) == ROOT_BUDGET:
+                        raise ValueError(f"reflection closure exceeds ROOT_BUDGET = {ROOT_BUDGET} roots")
+                    newco = cocode - coroot[j] * costep
+                    if outside(new) or outside(newco):
+                        raise _range_error()
+                    state = (newco, unpack(new), unpack(newco))
+                    states[new] = state
+                    nxt.append((new, *state))
         frontier = nxt
-    return sorted(pairs.items())
+    return sorted((root[:rank], coroot[:rank]) for _, root, coroot in states.values())
 
 
 @lru_cache(maxsize=None)
@@ -414,27 +519,26 @@ def _build_dual(d: RootDatum) -> RootDatum:
 def sub_datum_from_pairs(rank, pairs) -> RootDatum:
     """Datum on the same lattice spanned by a reflection-closed set of
     (root, coroot) pairs. A simple system is extracted with a generic
-    big-base linear functional."""
+    linear functional, the packing map P."""
     pairs = [(tuple(a), tuple(b)) for a, b in pairs]
     if not pairs:
         return RootDatum(rank, (), (), (), validate=False)
-    maxc = max(abs(x) for a, _ in pairs for x in a)
-    base = maxc + 2
-    weights = [base**k for k in range(rank)]
-
-    def phi(v):
-        return _dot(v, weights)
-
-    positives = [a for a, _ in pairs if phi(a) > 0]
-    posset = set(positives)
+    # the functional is P, positive on v exactly when the last nonzero entry
+    # of v is; every entry lies in the range of ROOT_ENTRY_BOUND, so P is
+    # injective on the differences b - a and P(b) - P(a) is P(b - a)
+    _check_range([a for a, _ in pairs])
+    bias, pack, _, _ = _packing(rank)
+    codes = [pack(a) - bias for a, _ in pairs]  # P(a)
+    posset = {c for c in codes if c > 0}
     # a positive root b is simple unless b - alpha is a positive root for a
-    # simple alpha; such an alpha has smaller phi than b, so in phi order it
-    # is found before b is reached
-    found = set()
-    for b in sorted(positives, key=phi):
-        if not any(tuple(x - y for x, y in zip(b, a)) in posset for a in found):
-            found.add(b)
-    simple = [b for b in positives if b in found]
+    # simple alpha; such an alpha has smaller P than b, so in P order it is
+    # found before b is reached
+    found = []
+    for c in sorted(posset):
+        if not any(c - f in posset for f in found):
+            found.append(c)
+    found = set(found)
+    simple = [a for (a, _), c in zip(pairs, codes) if c in found]
     roots = sorted(a for a, _ in pairs)
     co = dict(pairs)
     coroots = [co[a] for a in roots]

@@ -521,12 +521,14 @@ _PAST_PRIME_BOUND = str(10**30 + 57)  # no prime factor below 43
         (["tjd", "--p", "5", "--k", "100", "--matrix", "[[1]]"], "--k: precision capped at 64"),
         (["tjd", "--p", "5", "--k", "2", "--matrix", "[[5]]"], "--matrix: gamma is not invertible modulo p"),
         (["tjd", "--p", "5", "--k", "2", "--matrix", "[[1,2]]"], "--matrix: rows must form an n x n matrix"),
+        (["tjd", "--p", "5", "--k", "2", "--matrix", "[]"], "--matrix: rows must form an n x n matrix with n >= 1"),
         (
             ["tjd", "--p", "5", "--k", "1", "--matrix", _IDENTITY_9],
             "--p, --matrix: order search up to 1953124 exceeds the budget ORDER_BUDGET = 1000000",
         ),
         (["hilbert", "--a", "0", "--b", "3", "--place", "5"], "--a, --b: arguments must be nonzero"),
         (["hilbert", "--a", "2", "--b", "3", "--place", "4"], "--place: place must be a prime or 'inf'"),
+        (["hilbert", "--a", "2", "--b", "3", "--place", "x"], "--place: place must be a prime or 'inf'"),
         (
             ["hilbert", "--a", "2", "--b", "3", "--place", _PAST_PRIME_BOUND],
             f"--place: primality of {_PAST_PRIME_BOUND} is decided only below PRIME_BOUND = 3317044064679887385961981",
@@ -542,8 +544,8 @@ _PAST_PRIME_BOUND = str(10**30 + 57)  # no prime factor below 43
     ],
     ids=[
         "springer-even-q", "chartable-q-budget", "chartable-q-not-prime-power", "dixon-budget",
-        "tjd-p", "tjd-p-primality", "tjd-k-zero", "tjd-k-cap", "tjd-gamma", "tjd-rows", "tjd-order-budget",
-        "hilbert-zero", "hilbert-place", "hilbert-place-primality", "endoscopy-rank-cap", "endoscopy-e5", "endoscopy-g3",
+        "tjd-p", "tjd-p-primality", "tjd-k-zero", "tjd-k-cap", "tjd-gamma", "tjd-rows", "tjd-empty", "tjd-order-budget",
+        "hilbert-zero", "hilbert-place", "hilbert-place-not-numeric", "hilbert-place-primality", "endoscopy-rank-cap", "endoscopy-e5", "endoscopy-g3",
         "endoscopy-estimate-a", "endoscopy-kappa-length",
     ],
 )

@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liechar.dl_spectra import _coords_in_basis, _nullspace_mod
 from liechar.exact_math import (
@@ -60,6 +61,110 @@ def test_inverse_of_singular_matrix_raises():
         inverse_rational([[1, 2], [2, 4]])
     with pytest.raises(ValueError, match="singular system"):
         inverse_rational([[0, 0, 0], [1, 2, 3], [4, 5, 6]])
+
+
+def fraction_gauss_jordan(rows, rhs, n):
+    """Reference: Gauss-Jordan over Fractions on [rows | rhs], pivot rows
+    scaled to 1, on the first n columns. Returns the reduced rows, or the
+    library's error text."""
+    a = [[Fraction(x) for x in row] + [Fraction(v) for v in extra] for row, extra in zip(rows, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, len(a)) if a[r][col]), None)
+        if piv is None:
+            return "singular system"
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(len(a)):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return a
+
+
+def reference_solve(rows, b):
+    n = len(rows[0]) if rows else 0
+    a = fraction_gauss_jordan(rows, [[v] for v in b], n)
+    if isinstance(a, str):
+        return a
+    if any(a[r][n] for r in range(n, len(a))):
+        return "inconsistent system"
+    return tuple(a[r][n] for r in range(n))
+
+
+def reference_inverse(rows):
+    n = len(rows)
+    a = fraction_gauss_jordan(rows, [[int(i == j) for j in range(n)] for i in range(n)], n)
+    return a if isinstance(a, str) else [row[n:] for row in a]
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as e:
+        return str(e)
+
+
+# small entries, and now and then entries large enough that the minors pass
+# 2^53, so an inexact division would show
+entries = st.one_of(st.integers(-9, 9), st.integers(-10**6, 10**6))
+fractions = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+
+
+@st.composite
+def systems(draw):
+    """(rows, b): square or overdetermined, consistent or not, of full
+    column rank or singular, with int or Fraction right-hand sides."""
+    n = draw(st.integers(0, 6))
+    m = n + draw(st.integers(0, 3))
+    rows = [[draw(entries) for _ in range(n)] for _ in range(m)]
+    if n >= 2 and draw(st.booleans()):
+        # a dependent column makes the system singular
+        j, k, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(st.integers(-3, 3))
+        if j != k:
+            for row in rows:
+                row[j] = c * row[k]
+    if draw(st.booleans()):
+        x = [draw(fractions) for _ in range(n)]
+        b = [sum(r * v for r, v in zip(row, x)) for row in rows]  # consistent
+        if m > n and draw(st.booleans()):
+            b[-1] += draw(st.sampled_from([1, Fraction(1, 3)]))  # inconsistent if columns are independent
+    else:
+        b = [draw(st.one_of(st.integers(-9, 9), fractions)) for _ in range(m)]
+    return rows, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(systems())
+def test_solve_rational_matches_fraction_gauss_jordan(system):
+    rows, b = system
+    got = outcome(solve_rational, rows, b)
+    assert got == reference_solve(rows, b)
+    if not isinstance(got, str):
+        assert all(type(v) is Fraction for v in got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_inverse_rational_matches_fraction_gauss_jordan(system):
+    rows, _ = system
+    n = len(rows[0]) if rows else 0
+    square = rows[:n]
+    got = outcome(inverse_rational, square)
+    want = reference_inverse(square)
+    if isinstance(want, str):
+        assert got == want
+        return
+    den, inv = got
+    assert den > 0 and den == lcm(1, *(x.denominator for row in want for x in row))
+    assert [[Fraction(x, den) for x in row] for row in inv] == want
+
+
+def test_solve_rational_scales_a_fraction_right_hand_side():
+    # the smallest-conductor solve hands Fractions over; int() would floor them
+    assert solve_rational([[2, 0], [0, 3]], [Fraction(1, 2), Fraction(-5, 7)]) == (Fraction(1, 4), Fraction(-5, 21))
+    assert solve_rational([[1], [2]], [Fraction(1, 3), Fraction(2, 3)]) == (Fraction(1, 3),)
+    with pytest.raises(ValueError, match="inconsistent system"):
+        solve_rational([[1], [2]], [Fraction(1, 3), Fraction(1, 3)])
 
 
 def random_matrix(rng, rows, cols, l, rank=None):

@@ -91,11 +91,18 @@ def test_mixed_rings_rejected():
         (2, 5.0, 2, [[1, 0], [0, 1]]),
         (2, 5, 0, [[1, 0], [0, 1]]),
         (2, 5, 2.0, [[1, 0], [0, 1]]),
+        (0, 5, 2, []),
     ],
 )
 def test_constructor_refuses_inexact_or_malformed_input(n, p, k, rows):
     with pytest.raises(ValueError):
         TruncatedMatrix(n, p, k, rows)
+
+
+def test_constructor_refuses_the_empty_matrix_and_admits_n_1():
+    with pytest.raises(ValueError, match=r"^rows must form an n x n matrix with n >= 1$"):
+        TruncatedMatrix(0, 5, 2, [])
+    assert TruncatedMatrix(1, 5, 2, [[7]]).rows == ((7,),)
 
 
 def test_arithmetic_results_stay_reduced():
@@ -337,6 +344,18 @@ def test_hilbert_pinned_values():
 def test_hilbert_rejects_zero():
     with pytest.raises(ValueError):
         hilbert_symbol(0, 3, 5)
+
+
+@pytest.mark.parametrize("place", ["x", "4", "-5", " 5", "5.0", "", "1_3", 4, 1])
+def test_hilbert_refuses_every_bad_place_with_one_text(place):
+    with pytest.raises(ValueError, match=r"^place must be a prime or 'inf'$"):
+        hilbert_symbol(2, 3, place)
+
+
+def test_hilbert_reads_a_decimal_place():
+    for v in (2, 3, 5, 7):
+        for a, b in ((2, 3), (-1, -1), (5, 7)):
+            assert hilbert_symbol(a, b, str(v)) == hilbert_symbol(a, b, v)
 
 
 def test_hilbert_symmetric_and_bimultiplicative():

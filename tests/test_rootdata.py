@@ -5,10 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from liechar import root_datum
 from liechar.endoscopy import center_alcove_action, pseudo_levi
 from liechar.exact_math import IntMatrix, smith_normal_form, solve_rational
 from liechar.root_datum import (
+    ROOT_BUDGET,
+    ROOT_ENTRY_BOUND,
     RootDatum,
+    _packing,
     _rank_of_span,
     build_root_datum,
     cartan_matrix,
@@ -475,3 +479,167 @@ def test_cartan_inverse_matches_per_column_solve():
         for k in range(n):
             col = solve_rational(c, [int(i == k) for i in range(n)])
             assert [Fraction(row[k], den) for row in rows] == list(col), (d, k)
+
+
+# ---------------------------------------------------------------------------
+# the packed closure against the tuple closure
+
+
+def _tuple_closure(gens):
+    """Reference: the closure of (root, coroot) pairs under their
+    reflections on tuples, one dot product per reflection; sorted by root."""
+    def dot(x, y):
+        return sum(a * b for a, b in zip(x, y))
+
+    gens = [(tuple(a), tuple(av)) for a, av in gens]
+    pairs = dict(gens)
+    frontier = list(pairs)
+    while frontier:
+        nxt = []
+        for b in frontier:
+            bv = pairs[b]
+            for a, av in gens:
+                k = dot(b, av)
+                if not k:
+                    continue
+                rb = tuple(x - k * y for x, y in zip(b, a))
+                if rb not in pairs:
+                    k = dot(a, bv)
+                    pairs[rb] = tuple(x - k * y for x, y in zip(bv, av))
+                    nxt.append(rb)
+        frontier = nxt
+    return sorted(pairs.items())
+
+
+def _check_closure(gens):
+    gens = list(gens)
+    got = reflection_closure(gens)
+    assert got == _tuple_closure(gens), gens
+    return got
+
+
+def test_packed_closure_matches_tuple_closure_on_every_datum_and_pseudo_levi():
+    for series, rank in ADMITTED:
+        for isog in ("sc", "ad"):
+            g = build_root_datum(series, rank, isog)
+            for d in (g, dual_datum(g)):
+                assert _check_closure(zip(d.simple_roots, d.simple_coroots)) == sorted(zip(d.roots, d.coroots))
+                ext = extended_dynkin(d)
+                for vertex in range(ext.n_nodes):
+                    _check_closure(
+                        (ext.node_vectors[i], ext.node_coroots[i]) for i in range(ext.n_nodes) if i != vertex
+                    )
+                # every node at once: the closure is the whole system again
+                assert _check_closure(zip(ext.node_vectors, ext.node_coroots)) == sorted(zip(d.roots, d.coroots))
+
+
+def test_packed_closure_matches_tuple_closure_on_kappa_subsystems():
+    rng = random.Random(7)
+    for series, rank in ATLAS_TYPES:
+        for isog in ("sc", "ad"):
+            d = dual_datum(build_root_datum(series, rank, isog))
+            for _ in range(6):
+                den = rng.choice((2, 3, 4, 5, 6))
+                kappa = [Fraction(rng.randint(-den, den), den) for _ in range(d.rank)]
+                pairs = [(r, rv) for r, rv in zip(d.roots, d.coroots)
+                         if sum(x * k for x, k in zip(r, kappa)).denominator == 1]
+                if not pairs:
+                    continue
+                sub = sub_datum_from_pairs(d.rank, pairs)
+                # the integral roots are closed: their simple roots give them back
+                assert _check_closure(zip(sub.simple_roots, sub.simple_coroots)) == sorted(pairs)
+
+
+def _affine_a1():
+    # <a1, a2^vee> = <a2, a1^vee> = -2: the affine Weyl group of A1, whose
+    # roots +-a1 + n delta grow by one entry per two roots
+    return [((1, 0), (2, -2)), ((0, 1), (-2, 2))]
+
+
+def test_closure_budget_refuses_an_infinite_reflection_group():
+    with pytest.raises(ValueError, match=f"reflection closure exceeds ROOT_BUDGET = {ROOT_BUDGET} roots"):
+        reflection_closure(_affine_a1())
+    # hyperbolic: <a1, a2^vee> = <a2, a1^vee> = -3, entries grow
+    # geometrically and leave the packed range before the budget
+    with pytest.raises(ValueError, match="ROOT_ENTRY_BOUND"):
+        reflection_closure([((1, 0), (2, -3)), ((0, 1), (-3, 2))])
+    # E8 is exactly the budget
+    e8 = build_root_datum("E", 8, "sc")
+    assert len(reflection_closure(zip(e8.simple_roots, e8.simple_coroots))) == ROOT_BUDGET == 240
+
+
+def test_closure_budget_boundary(monkeypatch):
+    g2 = build_root_datum("G", 2, "sc")  # 12 roots
+    b3 = build_root_datum("B", 3, "sc")  # 18 roots
+    monkeypatch.setattr(root_datum, "ROOT_BUDGET", 12)
+    assert len(reflection_closure(zip(g2.simple_roots, g2.simple_coroots))) == 12
+    with pytest.raises(ValueError, match="ROOT_BUDGET = 12"):
+        reflection_closure(zip(b3.simple_roots, b3.simple_coroots))
+
+
+def test_packed_fields_at_the_range_boundary():
+    low, high = -ROOT_ENTRY_BOUND, ROOT_ENTRY_BOUND - 1
+    assert (low, high) == (-128, 127)
+    for n in (1, 2, 5, 17):
+        bias, pack, unpack, outside = _packing(n)
+        for i in range(n):
+            for x, inside in ((low, True), (high, True), (low - 1, False), (high + 1, False), (0, True)):
+                v = [high if j % 2 else low for j in range(n)]
+                v[i] = x
+                code = pack(v)
+                assert unpack(code) == tuple(v)
+                assert code - bias == sum(y << (32 * j) for j, y in enumerate(v))
+                assert (not outside(code)) == inside, (n, i, x)
+
+
+def _a1_pair(x):
+    # a rank-2 A1 whose root has entry x: <(x, 1), (0, 2)> = 2
+    return [((x, 1), (0, 2)), ((-x, -1), (0, -2))]
+
+
+def test_root_entry_just_inside_the_range_is_accepted_and_just_outside_refused():
+    inside = ROOT_ENTRY_BOUND - 1
+    assert reflection_closure(_a1_pair(inside)[:1]) == sorted(_a1_pair(inside))
+    assert sub_datum_from_pairs(2, _a1_pair(inside)).cartan_type() == "A1"
+    pairs = sorted(_a1_pair(inside))
+    RootDatum(2, [a for a, _ in pairs], [av for _, av in pairs], [1])
+    outside = ROOT_ENTRY_BOUND
+    for call in (
+        lambda: reflection_closure(_a1_pair(outside)[:1]),
+        lambda: sub_datum_from_pairs(2, _a1_pair(outside)),
+        lambda: RootDatum(2, [(-outside, -1), (outside, 1)], [(0, -2), (0, 2)], [1]),
+    ):
+        with pytest.raises(ValueError, match="ROOT_ENTRY_BOUND = 128"):
+            call()
+
+
+def test_pairing_just_inside_the_range_is_tested_and_just_outside_refused():
+    # <a2, a1^vee> = 2 + (x - 2) = x with every entry below the bound: the
+    # set {+-a1, +-a2} is not reflection-closed; a pairing in range reaches
+    # the closure test, one outside is refused
+    def datum(x):
+        roots = [(1, 0), (-1, 0), (1, 1), (-1, -1)]
+        coroots = [(2, x - 2), (-2, 2 - x), (1, 1), (-1, -1)]
+        return RootDatum(2, roots, coroots, [0, 2])
+
+    with pytest.raises(ValueError, match="not reflection-closed"):
+        datum(ROOT_ENTRY_BOUND - 1)
+    with pytest.raises(ValueError, match="ROOT_ENTRY_BOUND = 128"):
+        datum(ROOT_ENTRY_BOUND)
+    # a closure whose pairing field reaches the bound is refused too
+    with pytest.raises(ValueError, match="ROOT_ENTRY_BOUND = 128"):
+        reflection_closure([((1, 0), (2, ROOT_ENTRY_BOUND)), ((0, 1), (0, 2))])
+
+
+def test_rank_just_inside_the_packed_range_is_accepted_and_just_outside_refused():
+    # pairings of entries within the bound reach rank 2^14 and decode
+    # exactly below rank 2^17
+    for rank, ok in ((2**17 - 1, True), (2**17, False)):
+        root = (1,) + (0,) * (rank - 1)
+        coroot = (2,) + (0,) * (rank - 1)
+        neg = tuple(-x for x in root), tuple(-x for x in coroot)
+        if ok:
+            assert RootDatum(rank, [root, neg[0]], [coroot, neg[1]], [0]).rank == rank
+        else:
+            with pytest.raises(ValueError, match="rank 131072 beyond the packed range"):
+                RootDatum(rank, [root, neg[0]], [coroot, neg[1]], [0])
