@@ -42,7 +42,7 @@ from .endoscopy import (
     enumerate_split_elliptic,
     estimate_diagram_check,
 )
-from .exact_math import IntMatrix, element_order, smallest_conductor
+from .exact_math import Cyclotomic, IntMatrix, element_order, smallest_conductor
 from .finite_lie import (
     build_finite_group,
     is_strongly_regular,
@@ -136,7 +136,11 @@ def _parse_int_matrix(s, flag):
 
 
 @lru_cache(maxsize=None)
-def _cyc_text(n, red):
+def _cyc_text(n, den, numerators):
+    """The text of the value with this stored form: numerators, a sorted
+    tuple of (exponent, numerator) pairs, over den at conductor n. A table
+    repeats few forms in many cells, so each form is reduced once."""
+    red = Cyclotomic(n, dict(numerators), den).reduced()
     if not any(red[1:]):
         return str(red[0]) if red else "0"
     d, coeffs = smallest_conductor(n, red)
@@ -146,7 +150,7 @@ def _cyc_text(n, red):
 def _cyc_str(v):
     """Stable text form of an exact cyclotomic value: its coefficients at the
     smallest conductor, so equal values print the same text."""
-    return _cyc_text(v.n, tuple(v.reduced()))
+    return _cyc_text(v.n, v.den, tuple(sorted(v.num.items())))
 
 
 def _emit(doc, args, rows=None, header=None):

@@ -2,12 +2,13 @@
 
 Two independent routes produce the full character table: a modular
 eigenvector solver in the style of Dixon, and the classical table. The
-classical table is read off the Deligne-Lusztig characters R_T^theta
-(`dl_character`, the character formula over the torus points, one function
-for every torus and every theta, singular theta included): the torus-series
-rows are the genuine members, the Steinberg rows are R_split minus a linear
-character, and SL2's four half characters are sign R_T^theta0 plus or minus
-a quadratic Gauss sum at the regular unipotent classes, halved. On top of
+classical table is read off the Deligne-Lusztig characters, each kept as
+the one row eps_G eps_T R_T^theta (`dl_character`, the character formula
+over the torus points, one function for every torus and every theta,
+singular theta included): the torus-series rows are those rows at theta in
+general position, the Steinberg rows are R_split minus a linear character,
+and SL2's four half characters are the row at theta0 plus or minus a
+quadratic Gauss sum at the regular unipotent classes, halved. On top of
 them sit Springer's identity between the unipotent values and additive
 character sums over an adjoint orbit, decided on a whole grid of torus
 characters and Lie points at once (`springer_grid`: each side computed once,
@@ -174,9 +175,6 @@ class ClassFunction:
             self.classes, [a - b for a, b in zip(self.values, other.values)]
         )
 
-    def __neg__(self):
-        return ClassFunction(self.classes, [-a for a in self.values])
-
     def __eq__(self, other):
         if not isinstance(other, ClassFunction):
             return NotImplemented
@@ -274,10 +272,11 @@ def classical_table_oracle(kind, q) -> CharacterTable:
       split torus first, each the very `dl_character(torus,
       theta).genuine()` object;
     - SL2 only: at the quadratic theta0 of each torus, split first, the two
-      halves (sign R_T^theta0 +- D)/2. D is theta0(z) s tau at a class z u,
-      z central, u a regular unipotent of square class s = +-1, tau the Gauss
-      sum, and 0 elsewhere. R_T^theta0 and theta0(z) are rational, so the
-      halves stay in Q(zeta_p).
+      halves (sign R_T^theta0 +- D)/2, read off the one row sign R_T^theta0
+      of `dl_character`. D is theta0(z) s tau at a class z u, z central, u a
+      regular unipotent of square class s = +-1, tau the Gauss sum, and 0
+      elsewhere. R_T^theta0 and theta0(z) are rational, so the halves stay
+      in Q(zeta_p).
 
     The central, jordan (z u), regular split and regular elliptic classes
     are read off the tori through the class index; their closed-form counts
@@ -312,10 +311,10 @@ def classical_table_oracle(kind, q) -> CharacterTable:
             linear = ClassFunction(
                 cd, [Cyclotomic.zeta(q - 1, i * g.field.log(g.det_code(r))) for r in cd.reps]
             )
-            rows += [linear, dl_character(split, TorusCharacter(split, (i, i))).virtual - linear]
+            rows += [linear, dl_character(split, TorusCharacter(split, (i, i))).signed - linear]
     else:
         trivial = ClassFunction(cd, [1] * cd.count)
-        rows = [trivial, dl_character(split, TorusCharacter(split, (0,))).virtual - trivial]
+        rows = [trivial, dl_character(split, TorusCharacter(split, (0,))).signed - trivial]
     for torus in tori:
         for theta in nonsingular_characters(torus):
             if theta.exps < theta.w_twist().exps:
@@ -324,10 +323,7 @@ def classical_table_oracle(kind, q) -> CharacterTable:
         tau = cached(g.field, "gauss_sum", _gauss_sum)
         for torus in tori:
             theta0 = TorusCharacter(torus, (torus.char_order // 2,))
-            half_r = [
-                v.rational_value() * Fraction(torus.sign, 2)
-                for v in dl_character(torus, theta0).virtual.values
-            ]
+            half_r = [v.rational_value() / 2 for v in dl_character(torus, theta0).signed.values]
             half_d = [0] * cd.count
             for z in centre:
                 lam = theta0.value_at(z).rational_value()
@@ -735,40 +731,41 @@ def nonsingular_characters(torus: TorusInG):
 
 
 class DLCharacter:
-    """A virtual character attached to a maximal torus and one of its
-    characters, together with the genuine irreducible member when the
-    torus character is in general position."""
+    """The Deligne-Lusztig character of a maximal torus and one of its
+    characters, kept as one row: `signed` = sign R_T^theta, sign = eps_G
+    eps_T the torus's relative sign (+1 on the split torus). When the torus
+    character is in general position, that row is the genuine irreducible
+    member."""
 
-    def __init__(self, torus, theta, virtual, genuine_row, w_stabilizer):
+    def __init__(self, torus, theta, signed, singular):
         self.torus = torus
         self.theta = theta
-        self.virtual = virtual
-        self.sign = torus.sign
-        self.w_stabilizer = w_stabilizer
-        self._genuine = genuine_row
+        self.signed = signed
+        self._singular = singular
 
     def genuine(self) -> ClassFunction:
-        if self._genuine is None:
+        if self._singular:
             raise ValueError(
                 "singular torus character: no genuine irreducible attached"
             )
-        return self._genuine
+        return self.signed
 
     def __repr__(self):
         return f"DLCharacter({self.torus.tag}, theta={self.theta.exps})"
 
 
 def dl_character(torus: TorusInG, theta: TorusCharacter) -> DLCharacter:
-    """The Deligne-Lusztig virtual character R_T^theta for (torus, theta).
+    """The Deligne-Lusztig character of (torus, theta), as its one row
+    sign R_T^theta, sign = eps_G eps_T the torus's relative sign.
 
     Its values come from the character formula (`_dl_values`), one route
     for every torus and every theta, singular theta included. Its norm
     equals the stabilizer order of theta in the relative Weyl group,
-    asserted exactly. For nonsingular theta the torus sign times it is the
-    genuine irreducible character, of degree q + 1 on the split torus and
-    q - 1 on the elliptic one, asserted, and the row that
-    `classical_table_oracle` lists. The checked parts are cached on the
-    torus, keyed by theta's exponents.
+    asserted exactly. For nonsingular theta the row is the genuine
+    irreducible character, of degree q + 1 on the split torus and q - 1 on
+    the elliptic one, asserted, and the row that `classical_table_oracle`
+    lists. The checked row is cached on the torus, keyed by theta's
+    exponents.
     """
     if theta.torus is not torus:
         raise ValueError("theta belongs to a different torus")
@@ -777,45 +774,45 @@ def dl_character(torus: TorusInG, theta: TorusCharacter) -> DLCharacter:
 
 
 def _dl_values(torus: TorusInG, theta: TorusCharacter):
-    """R_T^theta by the Deligne-Lusztig character formula, one value per
-    class, read off the torus points through the class index.
+    """sign R_T^theta by the Deligne-Lusztig character formula, sign =
+    eps_G eps_T, one value per class, read off the torus points through the
+    class index.
 
-    A central point z gives eps_G eps_T (|G|/q)/|T| theta(z) at z, and
-    theta(z) at z u for each regular unipotent u: the Green function of a
-    rank-1 group is 1 there. A regular point t adds theta(t) at its class,
-    since the centralizer of t is the torus: the value at a regular
-    semisimple class is the sum of theta over the torus points in it. Every
-    other class gets 0. Each class counts the exponents of theta at its
-    points, and its value is one `Cyclotomic` at the torus's `char_order`."""
+    A central point z gives (|G|/q)/|T| theta(z) at z, and sign theta(z) at
+    z u for each regular unipotent u: the Green function of a rank-1 group
+    is 1 there. A regular point t adds sign theta(t) at its class, since the
+    centralizer of t is the torus: the value at a regular semisimple class
+    is the sum of theta over the torus points in it. Every other class gets
+    0. Each class counts the exponents of theta at its points, each count
+    signed, and its value is one `Cyclotomic` at the torus's `char_order`."""
     g = torus.parent
     cd = conjugacy_classes(g)
-    deg = torus.sign * (g.order // g.q) // torus.order
+    deg = (g.order // g.q) // torus.order
     counts = [{} for _ in range(cd.count)]
     for t in torus.points:
         e = theta.exponent_at(t)
         if _is_central(g, t):
             counts[cd.index[t]] = {e: deg}
             for u in g.unipotent_class_reps()[1:]:
-                counts[cd.index[g.mul(t, u)]] = {e: 1}
+                counts[cd.index[g.mul(t, u)]] = {e: torus.sign}
         else:
             at = counts[cd.index[t]]
-            at[e] = at.get(e, 0) + 1
+            at[e] = at.get(e, 0) + torus.sign
     return [Cyclotomic(torus.char_order, c) for c in counts]
 
 
 def _dl_parts(torus: TorusInG, theta: TorusCharacter):
-    """(virtual, genuine or None, Weyl stabilizer order) for dl_character."""
-    virtual = ClassFunction(conjugacy_classes(torus.parent), _dl_values(torus, theta))
+    """(sign R_T^theta, whether theta is singular) for dl_character."""
+    signed = ClassFunction(conjugacy_classes(torus.parent), _dl_values(torus, theta))
     w_stab = 2 if theta.is_singular else 1
-    if not virtual.inner(virtual) == w_stab:
+    if not signed.inner(signed) == w_stab:
         raise AssertionError("virtual character norm is off")
     if theta.is_singular:
-        return virtual, None, w_stab
-    genuine = virtual if torus.sign == 1 else -virtual
+        return signed, True
     q = torus.parent.q
-    if not genuine.degree_value == (q + 1 if torus.tag == "split" else q - 1):
+    if not signed.degree_value == (q + 1 if torus.tag == "split" else q - 1):
         raise AssertionError("genuine degree is off")
-    return virtual, genuine, w_stab
+    return signed, False
 
 
 # ---------------------------------------------------------------------------

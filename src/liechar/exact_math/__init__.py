@@ -1,7 +1,9 @@
 """Exact arithmetic substrate: integer matrices and Smith form, row
 reduction over Q and Z/l, finitely generated abelian groups, cyclotomic
 numbers, the finite fields F_q for odd q <= 16, primes, element orders and generators, and
-`cached`, the one caching rule."""
+`cached`, the one caching rule. Integer kernels and integer solutions of a
+matrix are not here: no library code needs them, and the tests' oracle
+builds them from `smith_normal_form` (tests/reference_lattice.py)."""
 
 from .intmat import (
     IntMatrix,
@@ -9,11 +11,9 @@ from .intmat import (
     cokernel_group,
     CokernelPresentation,
     FinAbGroup,
-    solve_integer,
     solve_rational,
     inverse_rational,
     rref_mod,
-    kernel_basis,
     abelian_subgroup_type,
 )
 from .cyclo import (
@@ -32,11 +32,9 @@ __all__ = [
     "cokernel_group",
     "CokernelPresentation",
     "FinAbGroup",
-    "solve_integer",
     "solve_rational",
     "inverse_rational",
     "rref_mod",
-    "kernel_basis",
     "abelian_subgroup_type",
     "Cyclotomic",
     "cyclotomic_polynomial",

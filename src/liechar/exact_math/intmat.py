@@ -267,15 +267,6 @@ def smith_normal_form(m: IntMatrix):
     return U, D, V
 
 
-def kernel_basis(m: IntMatrix):
-    """Basis of the integer kernel {x : m x = 0}, as a list of column tuples.
-    The basis spans a saturated sublattice since V is unimodular."""
-    r, c = m.shape
-    _, d, v = smith_normal_form(m)
-    rank = sum(1 for i in range(min(r, c)) if d.at(i, i) != 0)
-    return [v.column(j) for j in range(rank, c)]
-
-
 def _gauss_jordan(a, n):
     """Fraction-free (Bareiss) Gauss-Jordan on the integer rows a, in place,
     over their first n columns; returns the last pivot p.
@@ -360,28 +351,6 @@ def rref_mod(rows, l, ncols):
                 a[r] = [(x - f * y) % l for x, y in zip(a[r], prow)]
         pivots.append(c)
     return a, pivots
-
-
-def solve_integer(m: IntMatrix, b):
-    """One integer solution x of m x = b, or None if none exists."""
-    r, c = m.shape
-    u, d, v = smith_normal_form(m)
-    w = u.apply(tuple(b))
-    y = [0] * c
-    for i in range(min(r, c)):
-        di = d.at(i, i)
-        if di != 0:
-            if w[i] % di != 0:
-                return None
-            y[i] = w[i] // di
-    for i in range(min(r, c), r):
-        if w[i] != 0:
-            return None
-    # also: rows i < min(r,c) with d_i == 0 must have w_i == 0
-    for i in range(min(r, c)):
-        if d.at(i, i) == 0 and w[i] != 0:
-            return None
-    return v.apply(tuple(y))
 
 
 # ---------------------------------------------------------------------------

@@ -193,11 +193,13 @@ class FiniteLieGroup:
 
     def lie_points(self):
         """All packed Lie algebra points in ascending code order: every
-        matrix for GL2, the traceless ones for SL2."""
-        codes = range(self.q**4)
+        matrix for GL2, the q^3 traceless ones [[a, b], [c, -a]] for SL2."""
+        q, neg = self.q, self.field.neg
         if self.kind == "GL2":
-            return list(codes)
-        return [m for m in codes if _kernels.trace_code(m, self.tables) == 0]
+            return list(range(q**4))
+        return sorted(
+            a + b * q + c * q * q + neg(a) * q**3 for a in range(q) for b in range(q) for c in range(q)
+        )
 
     # -- orbits and classes
 

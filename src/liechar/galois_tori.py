@@ -1,5 +1,5 @@
 """Unramified twisted tori: component groups, the Tate-Nakayama style
-pairing, center-quotient character lattices, and the SL_n kappa subgroup.
+pairing, and the SL_n kappa subgroup.
 
 A twisted torus is a cocharacter lattice Z^n with a finite-order unimodular
 Frobenius matrix F. Everything downstream is Smith normal form arithmetic:
@@ -20,10 +20,7 @@ from .exact_math import (
     abelian_subgroup_type,
     cached,
     cokernel_group,
-    kernel_basis,
-    solve_integer,
 )
-from .root_datum import RootDatum
 
 RANK_BUDGET = 8  # the rank cap of root data
 ENTRY_BUDGET = 10**6
@@ -123,105 +120,6 @@ def component_group_pi0(torus: TwistedTorus) -> TNPairingData:
 def tn_pairing(data: TNPairingData, inv, kappa) -> Cyclotomic:
     """Root of unity pairing an H^1 class against a pi0 character."""
     return data.pairing(inv, kappa)
-
-
-# ---------------------------------------------------------------------------
-# center-quotient character lattices
-
-
-class CenterQuotientLattices:
-    """The three character lattices of T, T^2/Z(G), T/Z(G) with the maps
-    dual to t -> [t, t^-1] and the diagonal.
-
-    mid_basis: columns = a basis of {(chi1, chi2) : chi1 + chi2 in the root
-    lattice} inside X^2. mu: X -> middle (in mid_basis coordinates), dual to
-    [t1, t2] -> t1/t2. nu: middle -> root-lattice coordinates, dual to the
-    diagonal embedding.
-    """
-
-    def __init__(self, rank, center, mid_basis, mu, nu, root_basis):
-        self.rank = rank
-        self.center = center
-        self.mid_basis = mid_basis
-        self.mu = mu
-        self.nu = nu
-        self.root_basis = root_basis
-
-    def middle_contains(self, chi1, chi2):
-        v = tuple(chi1) + tuple(chi2)
-        return solve_integer(self.mid_basis, v) is not None
-
-    def mu_ambient(self, chi):
-        """mu(chi) written back in X^2 coordinates: must be (chi, -chi)."""
-        coords = self.mu.apply(tuple(chi))
-        return self.mid_basis.apply(coords)
-
-
-def center_quotient_lattices(g: RootDatum) -> CenterQuotientLattices:
-    """Exact lattice model of the sequence dual to
-    1 -> T/Z -> T^2/Z -> T -> 1 (quotients by the diagonal center)."""
-    if not g.is_semisimple():
-        raise ValueError("semisimple datum required")
-    r = g.rank
-    root_cols = IntMatrix.from_columns([list(a) for a in g.simple_roots])
-    center = cokernel_group(root_cols).group
-    if center.free_rank:
-        raise AssertionError("semisimple datum with infinite center quotient")
-
-    # middle lattice: kernel of X^2 -> X/Q, computed as the projection of
-    # ker[I I | -R] onto the X^2 block
-    rows = []
-    for i in range(r):
-        row = [1 if j == i else 0 for j in range(r)]
-        row += [1 if j == i else 0 for j in range(r)]
-        row += [-root_cols.at(i, j) for j in range(r)]
-        rows.append(row)
-    big = IntMatrix(rows)
-    ker = kernel_basis(big)
-    cols = [[k[i] for i in range(2 * r)] for k in ker]
-    if len(cols) != 2 * r:
-        raise AssertionError("middle lattice has unexpected rank")
-    mid_basis = IntMatrix.from_columns(cols)
-
-    # mu: chi -> (chi, -chi), coordinates in the middle basis
-    mu_cols = []
-    for i in range(r):
-        chi = [1 if j == i else 0 for j in range(r)]
-        target = tuple(chi) + tuple(-x for x in chi)
-        sol = solve_integer(mid_basis, target)
-        if sol is None:
-            raise AssertionError("(chi, -chi) missing from the middle lattice")
-        mu_cols.append(list(sol))
-    mu = IntMatrix.from_columns(mu_cols)
-
-    # nu: (chi1, chi2) -> chi1 + chi2 in root-lattice coordinates
-    nu_cols = []
-    for j in range(2 * r):
-        w = mid_basis.column(j)
-        s = tuple(w[i] + w[r + i] for i in range(r))
-        sol = solve_integer(root_cols, s)
-        if sol is None:
-            raise AssertionError("middle lattice sum leaves the root lattice")
-        nu_cols.append(list(sol))
-    nu = IntMatrix.from_columns(nu_cols)
-
-    # exactness: nu o mu = 0 and ker(nu) = im(mu)
-    comp = nu * mu
-    if any(comp.at(i, j) != 0 for i in range(r) for j in range(r)):
-        raise AssertionError("nu o mu is not zero")
-    if kernel_basis(mu):
-        raise AssertionError("mu is not injective")
-    ker_nu = kernel_basis(nu)
-    if len(ker_nu) != r:
-        raise AssertionError("ker(nu) has unexpected rank")
-    for k in ker_nu:
-        if solve_integer(mu, k) is None:
-            raise AssertionError("ker(nu) escapes im(mu)")
-    for j in range(r):
-        e = tuple(1 if i == j else 0 for i in range(r))
-        if solve_integer(nu, e) is None:
-            raise AssertionError("nu is not onto the root lattice")
-    return CenterQuotientLattices(r, center, mid_basis, mu, nu, root_cols)
 
 
 # ---------------------------------------------------------------------------

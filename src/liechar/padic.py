@@ -13,6 +13,7 @@ from fractions import Fraction
 from operator import mul as _mul
 
 from .exact_math import IntMatrix, element_order, is_prime, prime_factors, rref_mod
+from .exact_math.primes import PRIME_BOUND
 
 __all__ = [
     "TruncatedMatrix",
@@ -369,17 +370,26 @@ def hilbert_symbol(a, b, v):
     """The local Hilbert symbol (a, b)_v in {+1, -1}.
 
     v is an odd prime, 2, or the string "inf"; a prime may also be given as
-    a string of decimal digits, and any other string is refused here.
-    Computed from the standard valuation and residue formulas;
-    bimultiplicative and symmetric.
+    a string of decimal digits, and any other string is refused here. No
+    prime at or above PRIME_BOUND is admitted (`is_prime` refuses it), so a
+    string with more significant digits than PRIME_BOUND is refused before
+    it is converted. Computed from the standard valuation and residue
+    formulas; bimultiplicative and symmetric.
     """
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("arguments must be nonzero")
     if v == "inf":
         return -1 if a < 0 and b < 0 else 1
-    if isinstance(v, str) and not v.isdecimal():
-        raise ValueError("place must be a prime or 'inf'")
+    if isinstance(v, str):
+        if not v.isdecimal():
+            raise ValueError("place must be a prime or 'inf'")
+        # any script's decimal digits, written as ASCII without leading zeros
+        v = "".join(str(int(c)) for c in v).lstrip("0") or "0"
+        if len(v) > len(str(PRIME_BOUND)):
+            raise ValueError(
+                f"primality of a {len(v)}-digit place is decided only below PRIME_BOUND = {PRIME_BOUND}"
+            )
     v = int(v)
     if not is_prime(v):
         raise ValueError("place must be a prime or 'inf'")

@@ -7,12 +7,14 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
 import cli_sequence
-from liechar.cli import main
+from liechar.cli import _cyc_str, main
 from liechar.dl_spectra import CharacterTable
+from liechar.exact_math import Cyclotomic
 
 
 def run_cli(argv):
@@ -531,7 +533,15 @@ _PAST_PRIME_BOUND = str(10**30 + 57)  # no prime factor below 43
         (["hilbert", "--a", "2", "--b", "3", "--place", "x"], "--place: place must be a prime or 'inf'"),
         (
             ["hilbert", "--a", "2", "--b", "3", "--place", _PAST_PRIME_BOUND],
-            f"--place: primality of {_PAST_PRIME_BOUND} is decided only below PRIME_BOUND = 3317044064679887385961981",
+            "--place: primality of a 31-digit place is decided only below PRIME_BOUND = 3317044064679887385961981",
+        ),
+        (
+            ["hilbert", "--a", "2", "--b", "3", "--place", "1" * 5000],
+            "--place: primality of a 5000-digit place is decided only below PRIME_BOUND = 3317044064679887385961981",
+        ),
+        (
+            ["hilbert", "--a", "2", "--b", "3", "--place", "3317044064679887385961981"],
+            "--place: primality of 3317044064679887385961981 is decided only below PRIME_BOUND = 3317044064679887385961981",
         ),
         (["endoscopy", "enumerate", "--type", "A9"], "--type: rank cap is 8"),
         (["endoscopy", "enumerate", "--type", "E5"], "--type: E_n needs rank 6, 7 or 8"),
@@ -545,7 +555,8 @@ _PAST_PRIME_BOUND = str(10**30 + 57)  # no prime factor below 43
     ids=[
         "springer-even-q", "chartable-q-budget", "chartable-q-not-prime-power", "dixon-budget",
         "tjd-p", "tjd-p-primality", "tjd-k-zero", "tjd-k-cap", "tjd-gamma", "tjd-rows", "tjd-empty", "tjd-order-budget",
-        "hilbert-zero", "hilbert-place", "hilbert-place-not-numeric", "hilbert-place-primality", "endoscopy-rank-cap", "endoscopy-e5", "endoscopy-g3",
+        "hilbert-zero", "hilbert-place", "hilbert-place-not-numeric", "hilbert-place-primality",
+        "hilbert-place-past-int-limit", "hilbert-place-at-prime-bound", "endoscopy-rank-cap", "endoscopy-e5", "endoscopy-g3",
         "endoscopy-estimate-a", "endoscopy-kappa-length",
     ],
 )
@@ -554,6 +565,33 @@ def test_library_refusal_names_its_flag(argv, message):
     assert code == 1
     assert json.loads(out) == {"error": message}
     assert err == ""
+
+
+# ---------------------------------------------------------------------------
+# the text of a cyclotomic value, memoised by its stored form
+
+
+@pytest.mark.parametrize(
+    "a,b,text",
+    [
+        (Cyclotomic(3, {0: 1, 1: 1, 2: 1}), Cyclotomic.zero(), "0"),
+        (Cyclotomic.zeta(4) * Cyclotomic.zeta(4), Cyclotomic.rational(-1), "-1"),
+        (Cyclotomic.zeta(12, 4), Cyclotomic.zeta(3), "cyc3[0,1]"),
+        (Cyclotomic(6, {2: 1}, 2), Cyclotomic(3, {1: 1}, 2), "cyc3[0,1/2]"),
+        (Cyclotomic(6, {1: 1, 5: 1}, 2), Cyclotomic.rational(Fraction(1, 2)), "1/2"),
+    ],
+    ids=["phi3-is-zero", "i-squared", "zeta12-power", "halved-zeta3", "halved-rational"],
+)
+def test_equal_values_of_different_stored_forms_print_one_text(a, b, text):
+    assert (a.n, a.den, a.num) != (b.n, b.den, b.num)
+    assert a == b
+    assert (_cyc_str(a), _cyc_str(b), _cyc_str(a)) == (text, text, text)
+
+
+def test_stored_forms_that_differ_only_in_the_denominator_print_apart():
+    one, half = Cyclotomic.rational(1), Cyclotomic.rational(Fraction(1, 2))
+    assert (one.n, one.num) == (half.n, half.num)
+    assert [_cyc_str(v) for v in (one, half, one, half)] == ["1", "1/2", "1", "1/2"]
 
 
 # ---------------------------------------------------------------------------

@@ -385,11 +385,14 @@ def test_split_trivial_theta_decomposes():
     torus = torus_by_tag(g, "split")
     theta = TorusCharacter(torus, (0,))
     dl = dl_character(torus, theta)
-    assert dl.w_stabilizer == 2
+    # the norm is the order 2 of the Weyl stabilizer of theta
+    assert dl.signed.inner(dl.signed) == 2
     table = classical_table_oracle("SL2", 3)
     triv = table.rows[table.degrees.index(1)]
     st = table.rows[table.degrees.index(3)]
-    assert dl.virtual == triv + st
+    # eps_G eps_T = +1 on the split torus, so the row is R_T^theta itself
+    assert torus.sign == 1
+    assert dl.signed == triv + st
     with pytest.raises(ValueError, match="singular"):
         dl.genuine()
 
@@ -432,16 +435,18 @@ def _induced_from_borel(torus, theta, hists, borel):
 def test_split_series_is_induced_from_borel(kind, q):
     # every theta, singular ones included: R_split^theta from the character
     # formula is the induced character, irreducible of degree q + 1 exactly
-    # when theta is nonsingular
+    # when theta is nonsingular. eps_G eps_T = +1 on the split torus, so the
+    # one row of dl_character is R_split^theta itself
     g = build_finite_group(kind, q)
     torus = torus_by_tag(g, "split")
+    assert torus.sign == 1
     hists, borel = _borel_histograms(g)
     for theta in torus_characters(torus):
         dl = dl_character(torus, theta)
         ind = _induced_from_borel(torus, theta, hists, borel)
-        assert dl.virtual == ind, theta
+        assert dl.signed == ind, theta
         if theta.is_singular:
-            assert dl.virtual.inner(dl.virtual) == 2
+            assert dl.signed.inner(dl.signed) == 2
         else:
             assert dl.genuine() == ind
             assert ind.degree_value == q + 1
@@ -456,8 +461,11 @@ def test_elliptic_genuine_is_cuspidal():
         dl = dl_character(torus, theta)
         rho = dl.genuine()
         assert rho.degree_value == 4
-        assert dl.virtual == -rho
-        assert dl.sign == -1
+        # rho is the row eps_G eps_T R_T^theta, eps_G eps_T = -1: R_T^theta
+        # has degree -(q - 1) = -4
+        assert rho is dl.signed
+        assert torus.sign == -1
+        assert torus.sign * rho.degree_value == -4
         assert any(rho == row for row in table.rows if row.degree_value == 4)
 
 
@@ -468,8 +476,13 @@ def test_dl_norm_matches_weyl_stabilizer():
             for theta in torus_characters(torus):
                 dl = dl_character(torus, theta)
                 want = 2 if theta.is_singular else 1
-                assert dl.w_stabilizer == want
-                assert dl.virtual.inner(dl.virtual) == want
+                if want == 2:
+                    with pytest.raises(ValueError, match="singular"):
+                        dl.genuine()
+                else:
+                    assert dl.genuine() is dl.signed
+                # the norm of eps R_T^theta is that of R_T^theta: eps^2 = 1
+                assert dl.signed.inner(dl.signed) == want
 
 
 @pytest.mark.parametrize(
@@ -477,25 +490,27 @@ def test_dl_norm_matches_weyl_stabilizer():
 )
 def test_dl_formula_decomposes_over_dixon(kind, q):
     # every theta, singular ones included, against the modular route: the
-    # multiplicities are integers whose squares sum to |W_theta|, and a
-    # singular elliptic theta gives R_T^theta = 1 - St twisted (GL2, and the
-    # trivial theta of SL2) or minus the two halves of the cuspidal series
-    # (the quadratic theta of SL2)
+    # multiplicities of the row eps_G eps_T R_T^theta are integers whose
+    # squares sum to |W_theta|. A singular elliptic theta gives R_T^theta =
+    # 1 - St twisted (GL2, and the trivial theta of SL2) or minus the two
+    # halves of the cuspidal series (the quadratic theta of SL2); there
+    # eps_G eps_T = -1, so the row's parts have the opposite signs
     g = build_finite_group(kind, q)
     table = character_table_dixon(g)
     for torus in tori_and_regularity(g):
         for theta in torus_characters(torus):
             dl = dl_character(torus, theta)
-            mults = [dl.virtual.inner(row).rational_value() for row in table.rows]
+            mults = [dl.signed.inner(row).rational_value() for row in table.rows]
             assert all(m.denominator == 1 for m in mults), (torus, theta)
             assert sum(m * m for m in mults) == (2 if theta.is_singular else 1)
             if torus.tag == "split" or not theta.is_singular:
                 continue
+            assert torus.sign == -1
             parts = sorted((m, d) for m, d in zip(mults, table.degrees) if m)
             if kind == "GL2" or theta.exps == (0,):
-                assert parts == [(-1, q), (1, 1)], theta
+                assert parts == [(-1, 1), (1, q)], theta
             else:
-                assert parts == [(-1, (q - 1) // 2)] * 2, theta
+                assert parts == [(1, (q - 1) // 2)] * 2, theta
 
 
 def _expected_inner(theta1, theta2):
@@ -515,10 +530,12 @@ def test_dl_inner_products_count_weyl_matches(kind, q):
         for torus in tori_and_regularity(g)
         for theta in torus_characters(torus)
     ]
+    # <R_1, R_2> = eps_1 eps_2 <eps_1 R_1, eps_2 R_2>, eps_i the sign of
+    # torus i: on one torus eps_1 eps_2 = 1
     for t1, th1 in pairs:
         for t2, th2 in pairs:
-            got = dl_character(t1, th1).virtual.inner(dl_character(t2, th2).virtual)
-            assert got == _expected_inner(th1, th2)
+            signed = dl_character(t1, th1).signed.inner(dl_character(t2, th2).signed)
+            assert signed * (t1.sign * t2.sign) == _expected_inner(th1, th2)
 
 
 @pytest.mark.parametrize("kind", ["SL2", "GL2"])
@@ -528,9 +545,10 @@ def test_unipotent_values_do_not_depend_on_theta(kind):
     uni = {cd.class_of(u) for u in g.unipotent_class_reps()}
     for torus in tori_and_regularity(g):
         thetas = torus_characters(torus)
-        base = dl_character(torus, thetas[0]).virtual
+        # every row of one torus carries the same sign eps_G eps_T
+        base = dl_character(torus, thetas[0]).signed
         for theta in thetas[1:]:
-            other = dl_character(torus, theta).virtual
+            other = dl_character(torus, theta).signed
             for ci in uni:
                 assert base.values[ci] == other.values[ci]
 
@@ -796,7 +814,7 @@ def test_second_call_returns_the_cached_object():
     for torus in tori_and_regularity(g):
         for theta in nonsingular_characters(torus):
             a, b = dl_character(torus, theta), dl_character(torus, theta)
-            assert a.virtual is b.virtual
+            assert a.signed is b.signed
             assert a.genuine() is b.genuine()
 
 

@@ -1,5 +1,5 @@
-"""Twisted tori: component groups, the evaluation pairing, center-quotient
-lattices, and the SL_n kappa subgroup."""
+"""Twisted tori: component groups, the evaluation pairing, and the SL_n
+kappa subgroup."""
 
 import random
 from itertools import product
@@ -11,19 +11,16 @@ from liechar.exact_math import (
     FinAbGroup,
     IntMatrix,
     cokernel_group,
-    kernel_basis,
-    solve_integer,
 )
 from liechar import galois_tori
 from liechar.exact_math import intmat
 from liechar.galois_tori import (
     TwistedTorus,
-    center_quotient_lattices,
     component_group_pi0,
     sln_kappa_group,
     tn_pairing,
 )
-from liechar.root_datum import build_root_datum
+from reference_lattice import kernel_basis, solve_integer
 
 ONE = Cyclotomic.rational(1)
 MINUS_ONE = Cyclotomic.rational(-1)
@@ -295,58 +292,6 @@ def test_oracle_fifty_random_tori():
         for d in data.invariant_factors:
             prod *= d
         assert data.h1.order == prod
-
-
-# --- center-quotient lattices -----------------------------------------------
-
-
-def test_sl2_middle_lattice_is_even_sum():
-    cq = center_quotient_lattices(build_root_datum("A", 1, "sc"))
-    assert cq.center.torsion == (2,)
-    assert cq.middle_contains((1,), (1,))
-    assert cq.middle_contains((0,), (2,))
-    assert not cq.middle_contains((1,), (0,))
-    assert cq.mu_ambient((1,)) == (1, -1)
-    assert cq.mu_ambient((3,)) == (3, -3)
-
-
-def test_adjoint_middle_lattice_is_everything():
-    cq = center_quotient_lattices(build_root_datum("A", 1, "ad"))
-    assert cq.center == FinAbGroup()
-    assert cq.middle_contains((1,), (0,))
-    assert cq.middle_contains((0,), (1,))
-
-
-def test_center_groups_match_fundamental_data():
-    cases = [
-        ("A", 2, "sc", (3,)),
-        ("A", 3, "sc", (4,)),
-        ("B", 3, "sc", (2,)),
-        ("D", 4, "sc", (2, 2)),
-        ("E", 6, "sc", (3,)),
-        ("G", 2, "sc", ()),
-    ]
-    for series, rank, isog, torsion in cases:
-        cq = center_quotient_lattices(build_root_datum(series, rank, isog))
-        assert cq.center.torsion == torsion
-
-
-def test_exactness_across_supported_types():
-    # the constructor asserts injectivity, im(mu) = ker(nu), surjectivity
-    sweep = [
-        ("A", 1), ("A", 2), ("A", 3), ("A", 4),
-        ("B", 2), ("B", 3), ("C", 2), ("C", 3),
-        ("D", 4), ("G", 2), ("F", 4), ("E", 6),
-    ]
-    for series, rank in sweep:
-        for isog in ("sc", "ad"):
-            cq = center_quotient_lattices(build_root_datum(series, rank, isog))
-            assert cq.mid_basis.shape == (2 * rank, 2 * rank)
-
-
-def test_center_quotient_rejects_non_semisimple():
-    with pytest.raises(ValueError):
-        center_quotient_lattices(build_root_datum("A", 2, "gl"))
 
 
 # --- SL_n kappa subgroup ----------------------------------------------------

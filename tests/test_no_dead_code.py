@@ -5,7 +5,7 @@ method of a top-level class, must be referenced somewhere in `src/` or in
 the non-test files of `perfbench/`, outside its own definition. A top-level
 name counts as referenced on a word match; a method only as `.name` or
 `"name"` (a getattr or a dispatch table). A name that only tests reach is
-deleted, not kept, unless it is listed in `EXEMPT` with its reason.
+deleted, or moved into the tests that need it; there is no exemption.
 
 A name match cannot tell apart two classes' methods of one name: a call of
 `FiniteField.mul` also matches `TruncatedMatrix.mul`. So every method whose
@@ -26,13 +26,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = ROOT / "src" / "liechar"
-
-EXEMPT = {
-    "center_quotient_lattices": "reserved for ROADMAP direction 3",
-    "CenterQuotientLattices": "reserved for ROADMAP direction 3",
-    "CenterQuotientLattices.middle_contains": "reserved for ROADMAP direction 3",
-    "CenterQuotientLattices.mu_ambient": "reserved for ROADMAP direction 3",
-}
 
 
 def _is_docstring(node):
@@ -115,14 +108,8 @@ def _unreferenced():
 
 
 def test_every_library_name_has_a_non_test_caller():
-    missing = [f"{path}: {name}" for path, name in _unreferenced() if name not in EXEMPT]
+    missing = [f"{path}: {name}" for path, name in _unreferenced()]
     assert not missing, "only tests reach:\n" + "\n".join(missing)
-
-
-def test_every_exemption_names_a_live_definition():
-    names = {qualname for qualname, *_ in _definitions()}
-    assert set(EXEMPT) <= names
-    assert set(EXEMPT.values()) == {"reserved for ROADMAP direction 3"}
 
 
 # run in a fresh interpreter, so that no cache filled by an earlier test

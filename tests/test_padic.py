@@ -352,6 +352,40 @@ def test_hilbert_refuses_every_bad_place_with_one_text(place):
         hilbert_symbol(2, 3, place)
 
 
+_BOUND_TEXT = "is decided only below PRIME_BOUND = 3317044064679887385961981"
+
+
+@pytest.mark.parametrize(
+    "place,digits",
+    [
+        ("2" + "0" * 25, 26),
+        (str(10**30 + 57), 31),
+        ("1" * 4300, 4300),
+        ("1" * 5000, 5000),
+        ("0" + "1" * 4300, 4300),
+    ],
+    ids=["even-26", "no-small-factor-31", "4300", "5000", "4300-after-a-zero"],
+)
+def test_hilbert_refuses_a_place_longer_than_prime_bound_before_converting_it(place, digits):
+    # PRIME_BOUND has 25 digits, and no place at or above it is admitted; a
+    # longer one is refused by its digit count, never by int()'s 4300-digit
+    # conversion limit, and never printed whole
+    with pytest.raises(ValueError) as info:
+        hilbert_symbol(2, 3, place)
+    assert str(info.value) == f"primality of a {digits}-digit place {_BOUND_TEXT}"
+
+
+def test_hilbert_counts_a_place_without_its_leading_zeros():
+    # 25 significant digits still reach is_prime, which names the number
+    with pytest.raises(ValueError) as info:
+        hilbert_symbol(2, 3, "0" * 10 + "3317044064679887385961981")
+    assert str(info.value) == f"primality of 3317044064679887385961981 {_BOUND_TEXT}"
+    for a, b in ((2, 3), (-1, -1), (5, 7)):
+        assert hilbert_symbol(a, b, "0" * 5000 + "7") == hilbert_symbol(a, b, 7)
+        # Arabic-Indic zeros are leading zeros too
+        assert hilbert_symbol(a, b, "\u0660" * 30 + "7") == hilbert_symbol(a, b, 7)
+
+
 def test_hilbert_reads_a_decimal_place():
     for v in (2, 3, 5, 7):
         for a, b in ((2, 3), (-1, -1), (5, 7)):
