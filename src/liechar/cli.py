@@ -6,9 +6,10 @@ time- or host-dependent is written.  Exit codes: 0 on success, 1 when a
 verification fails or an input is rejected, 2 for usage errors.  `main` is
 the one place that catches a rejected input (a ValueError or
 ZeroDivisionError from any subcommand): it writes `{"error": ...}` as JSON,
-whatever `--format` is, and returns 1. A rejected argument is named by its
-flag in the message: a library refusal is led by the flag that `_FLAGS`
-reads off the subcommand and the message's first word.
+whatever `--format` is (only `chartable` has the flag), and returns 1. A
+rejected argument is named by its flag in the message: a library refusal is
+led by the flag that `_FLAGS` reads off the subcommand and the message's
+first word.
 
 `main(argv)` may be called repeatedly in one process. It builds its parser
 with `build_parser()` on the first call and reuses it afterwards; each call
@@ -154,11 +155,9 @@ def _cyc_str(v):
 
 
 def _emit(doc, args, rows=None, header=None):
-    """Serialize to the chosen format and write to stdout or --out."""
-    if args.format == "csv":
-        if rows is None:
-            print("csv format is not available for this subcommand", file=sys.stderr)
-            raise SystemExit(2)
+    """Serialize and write to stdout or --out: as JSON, or as CSV when the
+    subcommand gives rows and --format (only `chartable` has it) asks."""
+    if rows is not None and args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(header)
@@ -514,8 +513,7 @@ def _cmd_selftest(args):
 # parser
 
 
-def _add_common(p, default_format="json"):
-    p.add_argument("--format", choices=["json", "csv"], default=default_format)
+def _add_common(p):
     p.add_argument("--out", default=None, help="write the document to a file")
 
 
@@ -566,7 +564,8 @@ def build_parser():
     p.add_argument("--group", required=True, choices=["SL2", "GL2"])
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--method", default="dixon", choices=["dixon", "classical"])
-    _add_common(p, default_format="csv")
+    p.add_argument("--format", choices=["json", "csv"], default="csv")
+    _add_common(p)
     p.set_defaults(fn=_cmd_chartable)
 
     p = sub.add_parser("tjd", help="topological Jordan decomposition")

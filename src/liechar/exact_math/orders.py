@@ -23,14 +23,18 @@ def element_order(mul, identity, x, limit):
 
 
 def power(mul, identity, x, k):
-    """x^k under mul, k >= 0, by repeated squaring."""
-    out, base = identity, x
+    """x^k under mul, k >= 0, by square-and-multiply from the low bit. The
+    identity is returned only for k = 0 and is never multiplied, and no
+    square is taken past the top bit: k costs bit_length(k) - 1 squares and
+    popcount(k) - 1 products."""
+    out = None
     while k:
         if k & 1:
-            out = mul(out, base)
-        base = mul(base, base)
+            out = x if out is None else mul(out, x)
         k >>= 1
-    return out
+        if k:
+            x = mul(x, x)
+    return identity if out is None else out
 
 
 def primitive_element(mul, identity, candidates, order):

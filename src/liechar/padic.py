@@ -1,18 +1,26 @@
 """Truncated p-adic arithmetic and local quadratic-form invariants.
 
-Matrices over Z/p^k with one-pass inversion, the decomposition of an
-invertible element into a finite-order part prime to p times a topologically
-unipotent part, an exhaustive finite-precision bijectivity check for the
-quasi-logarithm, and the Hilbert symbol with its diagonal-form product
-invariant.
+Matrices over Z/p^k with one-pass inversion and powers by
+`exact_math.power`, the decomposition of an invertible element into a
+finite-order part prime to p times a topologically unipotent part, an
+exhaustive finite-precision bijectivity check for the quasi-logarithm, and
+the Hilbert symbol with its diagonal-form product invariant.
+
+The check's two sets, the unipotent-reduction group elements and the
+nilpotent-reduction Lie algebra elements mod p^k, are built from their
+reductions mod p: each set but SL2's group side is its reductions lifted
+freely to Z/p^k (`_lifts`), and SL2's group side lifts the unit one of a and
+d with b and c, then solves the other from ad - bc = 1 (p is odd, so
+a + d = 2 mod p makes a or d a unit).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from operator import mul as _mul
 
-from .exact_math import IntMatrix, element_order, is_prime, prime_factors, rref_mod
+from .exact_math import IntMatrix, element_order, is_prime, power, prime_factors, rref_mod
 from .exact_math.primes import PRIME_BOUND
 
 __all__ = [
@@ -86,15 +94,10 @@ class TruncatedMatrix:
     def pow(self, e):
         if e < 0:
             raise ValueError("nonnegative exponents only; invert first")
-        out = None
-        base = self
-        while e:
-            if e & 1:
-                out = base if out is None else out.mul(base)
-            e >>= 1
-            if e:
-                base = base.mul(base)
-        return self._identity_like() if out is None else out
+        if e == 0:
+            return self._identity_like()
+        # power returns its identity argument only for e = 0
+        return power(TruncatedMatrix.mul, None, self, e)
 
     def det(self):
         return IntMatrix(self.rows).det() % self.mod
@@ -204,78 +207,46 @@ _QL_DIMS = {"SL2": 3, "GL2": 4}
 _QL_BUDGET = 10**7
 
 
-def _sl2_unipotent_set(p, k):
-    """All (a,b,c,d) mod p^k with determinant 1 mod p^k and unipotent
-    reduction (trace 2 mod p).  d is solved from the determinant equation,
-    splitting on the valuation of a."""
+def _lifts(residues, p, k):
+    """Every tuple mod p^k whose reduction mod p is in residues, tuples with
+    entries in [0, p): each entry x lifts to x, x + p, ..., below p^k."""
     mod = p**k
     out = []
-    for a in range(mod):
-        a_unit = a % p != 0
-        if a:
-            e = 0
-            aa = a
-            while aa % p == 0:
-                aa //= p
-                e += 1
-        for b in range(mod):
-            for c in range(mod):
-                rhs = (1 + b * c) % mod
-                if a_unit:
-                    d = rhs * pow(a, -1, mod) % mod
-                    if (a + d - 2) % p == 0:
-                        out.append((a, b, c, d))
-                elif a == 0:
-                    if rhs == 0:
-                        start = 2 % p
-                        out.extend((a, b, c, d) for d in range(start, mod, p))
-                else:
-                    pe = p**e
-                    if rhs % pe:
-                        continue
-                    sub = p ** (k - e)
-                    d0 = (rhs // pe) * pow(aa, -1, sub) % sub
-                    if (d0 - 2) % p:
-                        continue
-                    out.extend((a, b, c, d0 + j * sub) for j in range(pe))
+    for r in residues:
+        out.extend(product(*[range(x, mod, p) for x in r]))
     return out
 
 
-def _sl2_nilpotent_set(p, k):
-    """Traceless (x, y, z) -> [[x, y], [z, -x]] mod p^k whose reduction is
-    nilpotent: x^2 + yz = 0 mod p."""
-    mod = p**k
-    return [
-        (x, y, z)
-        for x in range(mod)
-        for y in range(mod)
-        for z in range(mod)
-        if (x * x + y * z) % p == 0
-    ]
-
-
-def _gl2_unipotent_set(p, k):
+def _sl2_unipotent_set(units, p, k):
+    """All (a, b, c, d) mod p^k with ad - bc = 1 mod p^k and a + d = 2 mod p,
+    from units, the reductions (u, b, c) with u a unit that extend to one.
+    p is odd, so a + d = 2 mod p makes a or d a unit u, and the determinant
+    gives the other entry as (1 + bc) / u."""
     mod = p**k
     out = []
-    for a in range(mod):
-        d0 = (2 - a) % p
-        for b in range(mod):
-            for c in range(mod):
-                if (a * d0 - b * c - 1) % p == 0:
-                    out.extend((a, b, c, d) for d in range(d0, mod, p))
+    for u, b, c in _lifts(units, p, k):
+        v = (1 + b * c) * pow(u, -1, mod) % mod
+        out.append((u, b, c, v))
+        if v % p == 0:
+            # a = v is not a unit and d = u is
+            out.append((v, b, c, u))
     return out
 
 
-def _gl2_nilpotent_set(p, k):
-    mod = p**k
-    out = []
-    for x in range(mod):
-        w0 = (-x) % p
-        for y in range(mod):
-            for z in range(mod):
-                if (x * w0 - y * z) % p == 0:
-                    out.extend((x, y, z, w) for w in range(w0, mod, p))
-    return out
+def _qlog_sets(kind, p, k):
+    """(unipotents, nilpotents): the group elements mod p^k with unipotent
+    reduction, as (a, b, c, d) for [[a, b], [c, d]], and the Lie algebra
+    elements mod p^k with nilpotent reduction, as (x, y, z) for SL2's
+    [[x, y], [z, -x]] and (x, y, z, w) for GL2's [[x, y], [z, w]]."""
+    # the reductions mod p, from the p^3 triples: [[x, y], [z, -x]] is
+    # nilpotent when x^2 + yz = 0, and then [[1 + x, y], [z, 1 - x]] is
+    # unipotent
+    nil_res = [(x, y, z) for x, y, z in product(range(p), repeat=3) if (x * x + y * z) % p == 0]
+    if kind == "SL2":
+        units = [((1 + x) % p, y, z) for x, y, z in nil_res if (1 + x) % p]
+        return _sl2_unipotent_set(units, p, k), _lifts(nil_res, p, k)
+    uni_res = [((1 + x) % p, y, z, (1 - x) % p) for x, y, z in nil_res]
+    return _lifts(uni_res, p, k), _lifts([(x, y, z, -x % p) for x, y, z in nil_res], p, k)
 
 
 def quasi_log_bijection_check(kind, p, k):
@@ -283,8 +254,9 @@ def quasi_log_bijection_check(kind, p, k):
     bijection from unipotent-reduction group elements mod p^k onto
     nilpotent-reduction Lie algebra elements mod p^k.
 
-    p must be odd; the enumeration budget p^(k*dim) is capped at 10^7.
-    Returns a report dict with the two cardinalities and the verdict.
+    p must be an odd prime and k a positive int; the enumeration budget
+    p^(k*dim) is capped at 10^7. Returns a report dict with the two
+    cardinalities and the verdict.
     """
     if kind not in _QL_DIMS:
         raise ValueError(f"unsupported kind {kind!r}")
@@ -292,31 +264,22 @@ def quasi_log_bijection_check(kind, p, k):
         raise ValueError("p must be prime")
     if p == 2:
         raise ValueError("p = 2 is excluded")
+    if type(k) is not int or k < 1:
+        raise ValueError("precision must be a positive integer")
     if p ** (k * _QL_DIMS[kind]) > _QL_BUDGET:
         raise ValueError("enumeration budget exceeded")
     mod = p**k
     inv2 = pow(2, -1, mod)
+    uni, nil = _qlog_sets(kind, p, k)
     if kind == "SL2":
-        uni = _sl2_unipotent_set(p, k)
-        nil = _sl2_nilpotent_set(p, k)
-
         def phi(g):
             a, b, c, d = g
             s = (a - 1 + d - 1) * inv2 % mod
             return ((a - 1 - s) % mod, b, c)
-
-        zero = (0, 0, 0)
-        ident = (1, 0, 0, 1)
     else:
-        uni = _gl2_unipotent_set(p, k)
-        nil = _gl2_nilpotent_set(p, k)
-
         def phi(g):
             a, b, c, d = g
             return ((a - 1) % mod, b, c, (d - 1) % mod)
-
-        zero = (0, 0, 0, 0)
-        ident = (1, 0, 0, 1)
     nil_set = set(nil)
     image = [phi(g) for g in uni]
     image_set = set(image)
@@ -329,7 +292,7 @@ def quasi_log_bijection_check(kind, p, k):
         "counts_equal": len(uni) == len(nil),
         "injective": len(image_set) == len(image),
         "image_in_nilpotents": image_set <= nil_set,
-        "identity_to_zero": phi(ident) == zero,
+        "identity_to_zero": phi((1, 0, 0, 1)) == (0,) * _QL_DIMS[kind],
     }
     report["pass"] = (
         report["counts_equal"]

@@ -5,7 +5,8 @@ processes.
 puts calls next to each other that would differ if any state carried over
 from one call to the next: a `--format` default after an explicit value,
 one endoscopy subcommand after another, and a valid call after a usage
-error (exit 2) and after a rejected input (exit 1). Then comes a table
+error (exit 2: a missing flag, or `--format` on a subcommand without it)
+and after a rejected input (exit 1). Then comes a table
 over F_9, whose field is not prime. It ends with a chain of calls on E6,
 whose root datum is one object per process (`build_root_datum` is a
 registry): enumerate, estimate, a rejected and an elliptic from-kappa, the
@@ -37,6 +38,7 @@ SEQUENCE = [
     ["springer", "verify", "--group", "SL2"],
     ["hilbert", "--a", "-1", "--b", "-1", "--place", "2"],
     ["hilbert", "--a", "0", "--b", "3", "--place", "5"],
+    ["tori", "h1", "--frobenius", "[[-1]]", "--format", "json"],
     ["tori", "h1", "--frobenius", "[[-1]]"],
     ["chartable", "--group", "SL2", "--q", "9", "--method", "classical"],
     ["endoscopy", "enumerate", "--type", "E6"],
@@ -47,7 +49,7 @@ SEQUENCE = [
     ["endoscopy", "enumerate", "--type", "E6"],
 ]
 # the usage error and the rejected inputs are what the calls after them test
-EXIT_CODES = [0, 0, 0, 0, 2, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0]
+EXIT_CODES = [0, 0, 0, 0, 2, 0, 1, 2, 0, 0, 0, 0, 1, 0, 0, 0]
 
 
 def in_process(argv):

@@ -223,11 +223,13 @@ def test_missing_required_flag_exits_2():
 
 
 def test_csv_rejected_for_json_only_command():
-    code, _, err = run_cli(
-        ["hilbert", "--a", "2", "--b", "3", "--place", "5", "--format", "csv"]
-    )
-    assert code == 2
-    assert "csv" in err
+    # only chartable has --format: on any other subcommand either value is
+    # a usage error
+    for fmt in ("csv", "json"):
+        code, out, err = run_cli(["hilbert", "--a", "2", "--b", "3", "--place", "5", "--format", fmt])
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: --format {fmt}" in err
 
 
 def test_tjd_failure_exits_1():
@@ -272,7 +274,7 @@ def test_endoscopy_estimate_d3_is_type_a_and_exits_1(isogeny):
         (["chartable", "--group", "SL2", "--q", "17", "--method", "classical"], "budget"),
         (["chartable", "--group", "GL2", "--q", "11", "--method", "dixon"], "10^4 budget"),
         (["hilbert", "--a", "2", "--b", "3", "--place", "x"], "--place"),
-        (["endoscopy", "estimate", "--type", "A3", "--format", "csv"], "type A is excluded"),
+        (["chartable", "--group", "SL2", "--q", "17", "--format", "csv"], "SL2 budget is q <= 13"),
     ],
     ids=["q-not-prime-power", "q-even", "q-over-budget", "dixon-budget", "place", "csv"],
 )

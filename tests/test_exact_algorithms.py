@@ -294,6 +294,33 @@ def test_order_search_budget_is_checked_before_stepping():
     assert power(lambda a, b: a * b % 101, 1, 3, 0) == 1
 
 
+def test_power_takes_no_product_with_the_identity_and_no_extra_square():
+    # k takes bit_length(k) - 1 squares and popcount(k) - 1 products
+    for k, products in [(0, 0), (1, 0), (2, 1), (3, 2), (5, 3), (8, 3), (255, 14), (256, 8)]:
+        calls = []
+
+        def mul(a, b):
+            calls.append((a, b))
+            return a * b % 1000003
+
+        assert power(mul, 1, 3, k) == pow(3, k, 1000003), k
+        assert len(calls) == products, k
+        assert all(1 not in pair for pair in calls), k
+    # k = 0 returns the identity object as given, whatever it is
+    marker = object()
+    assert power(None, marker, 3, 0) is marker
+
+
+def test_truncated_pow_is_repeated_mul():
+    rng = random.Random(27)
+    for n, p, k in [(1, 3, 2), (2, 5, 2), (2, 3, 4), (3, 7, 1)]:
+        m = TruncatedMatrix(n, p, k, [[rng.randrange(p**k) for _ in range(n)] for _ in range(n)])
+        acc = TruncatedMatrix.identity(n, p, k)
+        for e in range(21):
+            assert m.pow(e) == acc, (n, p, k, e)
+            acc = acc.mul(m)
+
+
 def _first_of_full_order(mul, identity, candidates, order):
     """The first candidate whose powers, stepped one by one, reach the
     identity only after `order` steps."""

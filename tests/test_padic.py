@@ -1,6 +1,7 @@
 """Tests for truncated p-adic matrices, the topological Jordan split,
 quasi-logarithm bijectivity at finite precision, and Hilbert symbols."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from liechar.padic import (
     DiagQuadForm,
     TruncatedMatrix,
+    _qlog_sets,
     hasse_invariant,
     hilbert_symbol,
     quasi_log_bijection_check,
@@ -321,6 +323,71 @@ def test_qlog_guards():
         quasi_log_bijection_check("SL2", 7, 3)
     with pytest.raises(ValueError):
         quasi_log_bijection_check("E8", 3, 1)
+    # Z/p^0 is no ring, and a negative, fractional or bool precision is no
+    # precision: each is refused with the constructor's text, before the
+    # budget is computed from it
+    for kind in ("SL2", "GL2"):
+        for k in (0, -1, 1.5, True, False, "1"):
+            with pytest.raises(ValueError, match="^precision must be a positive integer$"):
+                quasi_log_bijection_check(kind, 3, k)
+        with pytest.raises(ValueError, match="^precision must be a positive integer$"):
+            TruncatedMatrix(1, 3, 0, [[1]])
+
+
+def _brute_qlog_sets(kind, p, k):
+    """(unipotents, nilpotents) by their definitions, filtered from all
+    p^(dim k) tuples: determinant 1 mod p^k (SL2 only) and trace 2 mod p for
+    a unipotent reduction; characteristic polynomial x^2 mod p, that is
+    trace and determinant 0 mod p, for a nilpotent one."""
+    mod = p**k
+    entries = range(mod)
+
+    def unipotent(a, b, c, d):
+        det = a * d - b * c
+        if kind == "SL2":
+            return det % mod == 1 and (a + d - 2) % p == 0
+        # over F_p: char poly (x - 1)^2, so trace 2 and determinant 1
+        return (a + d - 2) % p == 0 and (det - 1) % p == 0
+
+    uni = {g for g in itertools.product(entries, repeat=4) if unipotent(*g)}
+    if kind == "SL2":
+        nil = {t for t in itertools.product(entries, repeat=3) if (t[0] * t[0] + t[1] * t[2]) % p == 0}
+    else:
+        nil = {
+            t for t in itertools.product(entries, repeat=4)
+            if (t[0] + t[3]) % p == 0 and (t[0] * t[3] - t[1] * t[2]) % p == 0
+        }
+    return uni, nil
+
+
+@pytest.mark.parametrize("kind", ["SL2", "GL2"])
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 1), (7, 1)])
+def test_qlog_sets_are_their_definitions(kind, p, k):
+    uni, nil = _qlog_sets(kind, p, k)
+    want_uni, want_nil = _brute_qlog_sets(kind, p, k)
+    assert len(uni) == len(set(uni)) and set(uni) == want_uni
+    assert len(nil) == len(set(nil)) and set(nil) == want_nil
+
+
+def _admitted(dim, budget):
+    """Every (p, k), p an odd prime and k >= 1, with p^(dim k) <= budget."""
+    for p in range(3, int(budget ** (1 / dim)) + 2, 2):
+        if all(p % d for d in range(3, int(p**0.5) + 1, 2)):
+            k = 1
+            while p ** (dim * k) <= budget:
+                yield p, k
+                k += 1
+
+
+def test_qlog_counts_are_the_closed_forms():
+    # p^2 nilpotent (or unipotent) reductions, each with p^(dim (k - 1))
+    # lifts: p^(3k - 1) for SL2 and p^(4k - 2) for GL2
+    for kind, dim in (("SL2", 3), ("GL2", 4)):
+        for p, k in _admitted(dim, 10**6):
+            rep = quasi_log_bijection_check(kind, p, k)
+            want = p ** (dim * k - dim + 2)
+            assert (rep["unipotent_count"], rep["nilpotent_count"]) == (want, want), (kind, p, k)
+            assert rep["pass"], (kind, p, k)
 
 
 # ---------------------------------------------------------------------------
