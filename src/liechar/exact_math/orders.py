@@ -26,7 +26,10 @@ def power(mul, identity, x, k):
     """x^k under mul, k >= 0, by square-and-multiply from the low bit. The
     identity is returned only for k = 0 and is never multiplied, and no
     square is taken past the top bit: k costs bit_length(k) - 1 squares and
-    popcount(k) - 1 products."""
+    popcount(k) - 1 products. A negative k, on which the loop would never
+    end, is refused."""
+    if k < 0:
+        raise ValueError("nonnegative exponents only; invert first")
     out = None
     while k:
         if k & 1:

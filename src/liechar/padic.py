@@ -92,8 +92,6 @@ class TruncatedMatrix:
         return out
 
     def pow(self, e):
-        if e < 0:
-            raise ValueError("nonnegative exponents only; invert first")
         if e == 0:
             return self._identity_like()
         # power returns its identity argument only for e = 0

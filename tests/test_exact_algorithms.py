@@ -309,6 +309,11 @@ def test_power_takes_no_product_with_the_identity_and_no_extra_square():
     # k = 0 returns the identity object as given, whatever it is
     marker = object()
     assert power(None, marker, 3, 0) is marker
+    # a negative k is refused, where the shift loop would never end
+    with pytest.raises(ValueError, match="nonnegative exponents only"):
+        power(lambda a, b: a * b, 1, 3, -1)
+    with pytest.raises(ValueError, match="nonnegative exponents only"):
+        TruncatedMatrix(1, 3, 2, [[2]]).pow(-2)
 
 
 def test_truncated_pow_is_repeated_mul():

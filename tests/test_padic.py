@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from liechar.exact_math import is_prime
 from liechar.padic import (
     DiagQuadForm,
     TruncatedMatrix,
@@ -330,8 +331,8 @@ def test_qlog_guards():
         for k in (0, -1, 1.5, True, False, "1"):
             with pytest.raises(ValueError, match="^precision must be a positive integer$"):
                 quasi_log_bijection_check(kind, 3, k)
-        with pytest.raises(ValueError, match="^precision must be a positive integer$"):
-            TruncatedMatrix(1, 3, 0, [[1]])
+    with pytest.raises(ValueError, match="^precision must be a positive integer$"):
+        TruncatedMatrix(1, 3, 0, [[1]])
 
 
 def _brute_qlog_sets(kind, p, k):
@@ -372,11 +373,10 @@ def test_qlog_sets_are_their_definitions(kind, p, k):
 def _admitted(dim, budget):
     """Every (p, k), p an odd prime and k >= 1, with p^(dim k) <= budget."""
     for p in range(3, int(budget ** (1 / dim)) + 2, 2):
-        if all(p % d for d in range(3, int(p**0.5) + 1, 2)):
-            k = 1
-            while p ** (dim * k) <= budget:
-                yield p, k
-                k += 1
+        k = 1
+        while is_prime(p) and p ** (dim * k) <= budget:
+            yield p, k
+            k += 1
 
 
 def test_qlog_counts_are_the_closed_forms():
