@@ -258,7 +258,7 @@ def quasi_log_bijection_check(kind, p, k):
     """
     if kind not in _QL_DIMS:
         raise ValueError(f"unsupported kind {kind!r}")
-    if not is_prime(p):
+    if type(p) is not int or not is_prime(p):
         raise ValueError("p must be prime")
     if p == 2:
         raise ValueError("p = 2 is excluded")

@@ -333,6 +333,11 @@ def test_qlog_guards():
                 quasi_log_bijection_check(kind, 3, k)
     with pytest.raises(ValueError, match="^precision must be a positive integer$"):
         TruncatedMatrix(1, 3, 0, [[1]])
+    # a p that is not an int is refused as the constructor refuses it, not
+    # with a TypeError from the primality test
+    for p in (3.0, "3", True):
+        with pytest.raises(ValueError, match="^p must be prime$"):
+            quasi_log_bijection_check("SL2", p, 1)
 
 
 def _brute_qlog_sets(kind, p, k):
