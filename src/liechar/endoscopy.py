@@ -5,11 +5,19 @@ center of the simply connected dual acts on alcove vertices by translate-and-
 fold, orbits of that action classify the split elliptic triples, and deleting
 a vertex yields the dual endoscopic root system (Borel-de Siebenthal).
 
-All alcove geometry is exact. A rational point is scaled by the lcm N of its
-denominators, so root pairings, wall tests and affine reflections are integer
-operations (the affine wall <theta, x> = 1 becomes <theta, N x> = N).
-Folding first translates by the coroot lattice, reading the coordinates over
-the simple coroots off the datum's cached C^-1 (integer rows over one
+All alcove geometry runs on integer Kac coordinates, the barycentric
+coordinates of the fundamental alcove (Kac, Infinite-dimensional Lie
+algebras, 8.6). At a scale n > 0 a point x of Y tensor Q has p_i =
+n <alpha_i, x> for the simple roots (i >= 1) and p_0 = n (1 - <theta, x>);
+then sum_i m_i p_i = n for the marks m_i, and the closed alcove is p >= 0.
+The scale makes every p_i an integer: the lcm of the denominators of x for
+kappa, lcm(marks) for the alcove vertices, where the vertex of node i is
+p_i = n / m_i with every other coordinate 0. The reflection in node i,
+affine node included, is p <- p - p_i A[:, i] for the extended Cartan
+matrix A (`ExtDynkin.columns`), so a fold step is one integer column
+update, and a vertex is read off the folded coordinates with no lookup.
+Folding first translates by the coroot lattice, reading the coordinates
+over the simple coroots off the datum's cached C^-1 (integer rows over one
 denominator), which bounds its number of reflection steps independently of
 the size of the point; the step budget stays as a safety check.
 
@@ -47,44 +55,44 @@ def _require_simple(g: RootDatum):
 # alcove folding
 
 
-def fold_to_alcove(d: RootDatum, ext, x):
-    """Affine-Weyl representative of x in the closed fundamental alcove of d.
-
-    x lives in Y tensor Q of d. Walls: <alpha_i, x> >= 0 for the simple
-    roots, <theta, x> <= 1 for the highest root. The fold runs on y = N x,
-    N the lcm of the denominators of x, and only the result is converted
-    back to Fractions.
-    """
-    x = tuple(Fraction(v) for v in x)
-    n = lcm(1, *(v.denominator for v in x))
-    y = [v.numerator * (n // v.denominator) for v in x]
-    simple = list(zip(ext.node_vectors[1:], ext.node_coroots[1:]))
+def fold_to_alcove(d: RootDatum, ext, p):
+    """Affine-Weyl representative in the closed fundamental alcove of d of
+    the point with integer Kac coordinates p (see the module docstring),
+    returned as its Kac coordinates, a list with the same n = sum m_i p_i."""
+    p = list(p)
+    n = _dot(ext.marks, p)
     # translate by the coroot lattice (part of the affine Weyl group): subtract
-    # floor(c_i) alpha_i^vee, so every coordinate c_i lies in [0, 1). Since
-    # <alpha_j, x> = sum_i c_i C[i][j], c_i is column i of C^-1 applied to
-    # the pairings (rows would give other numbers unless C is symmetric)
+    # floor(c_i) alpha_i^vee, which moves p by -floor(c_i) n A[:, i], so every
+    # coordinate c_i lies in [0, 1). Since p_j = n <alpha_j, x> = n sum_i c_i
+    # C[i][j], n c_i is column i of C^-1 applied to p_1..p_r (rows would give
+    # other numbers unless C is symmetric)
     den, inv = d._cartan_inverse()
-    pairings = [_dot(a, y) for a, _ in simple]
-    for col, (_, av) in zip(zip(*inv), simple):
+    pairings = p[1:]
+    for col, entries in zip(zip(*inv), ext.columns[1:]):
         k = _dot(col, pairings) // (den * n)
         if k:
-            y = [yi - k * n * ci for yi, ci in zip(y, av)]
-    # node 0 stores -theta: <theta, y> <= n reads <-theta, y> >= -n
-    low, low_cov = ext.node_vectors[0], ext.node_coroots[0]
+            for j, a in entries:
+                p[j] -= k * n * a
     for _ in range(FOLD_BUDGET):
         moved = False
-        for a, av in simple:
-            t = _dot(a, y)
+        for i, entries in enumerate(ext.columns):
+            t = p[i]
             if t < 0:
-                y = [yi - t * ci for yi, ci in zip(y, av)]
+                for j, a in entries:
+                    p[j] -= t * a
                 moved = True
-        t = _dot(low, y) + n
-        if t < 0:
-            y = [yi - t * ci for yi, ci in zip(y, low_cov)]
-            moved = True
         if not moved:
-            return tuple(Fraction(v, n) for v in y)
+            return p
     raise RuntimeError("alcove folding exceeded its step budget")
+
+
+def _vertex_node(ext, p, n):
+    """The node whose alcove vertex has Kac coordinates p at scale n, or
+    None: exactly one coordinate p_i is nonzero, and m_i p_i = n."""
+    nonzero = [i for i, t in enumerate(p) if t]
+    if len(nonzero) == 1 and ext.marks[nonzero[0]] * p[nonzero[0]] == n:
+        return nonzero[0]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -94,19 +102,22 @@ def fold_to_alcove(d: RootDatum, ext, x):
 class CenterDiagramAction:
     """Z(dual sc) acting on the extended-diagram vertex set by translate-fold.
 
+    The element of the class of the mark-1 vertex omega_j^vee sends node i to
+    the node of the folded vertex of i translated by omega_j^vee; in Kac
+    coordinates at scale D = lcm(marks) that translation is p_j += D,
+    p_0 -= D.
+
     group: the center as a FinAbGroup; elements are torsion-coordinate tuples.
     permutations: element -> tuple p with p[i] = image node of node i.
-    vertex_index: alcove vertex -> its node.
     orbits: the orbits on the nodes, as frozensets, in the order of their
     smallest nodes; orbit_of: node -> its orbit.
     """
 
-    def __init__(self, ambient, ext, group, permutations, vertex_index):
+    def __init__(self, ambient, ext, group, permutations):
         self.ambient = ambient
         self.ext = ext
         self.group = group
         self.permutations = permutations
-        self.vertex_index = vertex_index
         self.orbits = []
         self.orbit_of = {}
         for start in range(ext.n_nodes):
@@ -144,41 +155,40 @@ def _build_center_alcove_action(g: RootDatum) -> CenterDiagramAction:
     ext = extended_dynkin(d)
     pres = cokernel_group(IntMatrix(d.cartan()).transpose())
     group = pres.group
+    nodes = range(ext.n_nodes)
 
-    def coords(v):
-        # omega-vee coordinates of a coweight point: pair against simple roots
-        out = []
-        for a in d.simple_roots:
-            t = _dot(a, v)
-            if Fraction(t).denominator != 1:
-                raise AssertionError("transversal point is not a lattice coweight")
-            out.append(int(t))
-        return out
-
+    # the mark-1 vertices are the origin and fundamental coweights omega_j^vee,
+    # whose omega-vee coordinates are the unit vector e_j
     transversal = {}
-    for node, v in enumerate(ext.vertices):
+    for node in nodes:
         if ext.marks[node] != 1:
             continue
-        cls = pres.torsion_coords(coords(v))
+        cls = pres.torsion_coords([int(k == node) for k in nodes[1:]])
         if cls in transversal:
             raise AssertionError("two mark-1 vertices share a center class")
-        transversal[cls] = v
+        transversal[cls] = node
     if len(transversal) != group.order:
         raise AssertionError("mark-1 vertices do not exhaust the center")
 
-    vert_index = {v: i for i, v in enumerate(ext.vertices)}
+    # Kac coordinates at scale D = lcm(marks): vertex i is (D / m_i) e_i
+    scale = lcm(*ext.marks)
     permutations = {}
-    for cls, mu in transversal.items():
+    for cls, j in transversal.items():
         images = []
-        for v in ext.vertices:
-            w = fold_to_alcove(d, ext, tuple(a + b for a, b in zip(v, mu)))
-            if w not in vert_index:
+        for i in nodes:
+            kac = [0] * ext.n_nodes
+            kac[i] = scale // ext.marks[i]
+            # translate by omega_j^vee (by 0 for j = 0)
+            kac[j] += scale
+            kac[0] -= scale
+            image = _vertex_node(ext, fold_to_alcove(d, ext, kac), scale)
+            if image is None:
                 raise AssertionError("folded vertex is not a vertex")
-            images.append(vert_index[w])
+            images.append(image)
         p = tuple(images)
-        if sorted(p) != list(range(ext.n_nodes)):
+        if sorted(p) != list(nodes):
             raise AssertionError("center element does not permute the vertices")
-        if any(ext.marks[i] != ext.marks[p[i]] for i in range(ext.n_nodes)):
+        if any(ext.marks[i] != ext.marks[p[i]] for i in nodes):
             raise AssertionError("center action does not preserve marks")
         permutations[cls] = p
 
@@ -193,7 +203,7 @@ def _build_center_alcove_action(g: RootDatum) -> CenterDiagramAction:
     if ident != tuple(range(ext.n_nodes)):
         raise AssertionError("identity element acts nontrivially")
 
-    return CenterDiagramAction(g, ext, group, permutations, vert_index)
+    return CenterDiagramAction(g, ext, group, permutations)
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +325,20 @@ def enumerate_split_elliptic(g: RootDatum) -> list:
     return triples
 
 
-def _kappa_pairings(d: RootDatum, kappa):
-    """(pairs, ord_s) for a Fraction point kappa: the (root, coroot) pairs of
-    d whose root pairs integrally with kappa, and the order of
-    exp(2 pi i kappa) in the adjoint torus, the lcm of the denominators of
-    the root pairings."""
-    # clear denominators once: <r, kappa> = <r, v> / n with v = n kappa, so
-    # r is integral iff n | <r, v>, and the lcm is n / gcd(n, all <r, v>)
+def _clear_denominators(kappa):
+    """(n, v) for a Fraction point kappa: n the lcm of its denominators and
+    v = n kappa, an integer vector."""
     n = lcm(1, *(k.denominator for k in kappa))
-    v = [k.numerator * (n // k.denominator) for k in kappa]
+    return n, [k.numerator * (n // k.denominator) for k in kappa]
+
+
+def _kappa_pairings(d: RootDatum, n, v):
+    """(pairs, ord_s) for the point kappa = v / n, v an integer vector: the
+    (root, coroot) pairs of d whose root pairs integrally with kappa, and
+    the order of exp(2 pi i kappa) in the adjoint torus, the lcm of the
+    denominators of the root pairings."""
+    # <r, kappa> = <r, v> / n, so r is integral iff n | <r, v>, and the lcm
+    # is n / gcd(n, all <r, v>)
     pairings = [_dot(r, v) for r in d.roots]
     pairs = [(r, rv) for r, rv, p in zip(d.roots, d.coroots, pairings) if p % n == 0]
     return pairs, n // gcd(n, *pairings)
@@ -341,7 +356,8 @@ def endoscopic_from_kappa(g: RootDatum, kappa) -> EndoscopicTriple:
     d = dual_datum(g)
     if len(kappa) != d.rank:
         raise ValueError("kappa has the wrong length")
-    pairs, ord_s = _kappa_pairings(d, kappa)
+    n, v = _clear_denominators(kappa)
+    pairs, ord_s = _kappa_pairings(d, n, v)
     sub = sub_datum_from_pairs(d.rank, pairs)
     elliptic = bool(pairs) and sub.is_semisimple()
 
@@ -358,7 +374,11 @@ def endoscopic_from_kappa(g: RootDatum, kappa) -> EndoscopicTriple:
         )
 
     action = center_alcove_action(g)
-    node = action.vertex_index.get(fold_to_alcove(d, action.ext, kappa))
+    ext = action.ext
+    # Kac coordinates at scale n: p_i = <node_i, v>, plus n for the affine node
+    p = [_dot(a, v) for a in ext.node_vectors]
+    p[0] += n
+    node = _vertex_node(ext, fold_to_alcove(d, ext, p), n)
     if node is None:
         raise AssertionError("elliptic kappa did not fold onto an alcove vertex")
     triple = _elliptic_triple(action, node)

@@ -221,9 +221,11 @@ def _sl2_unipotent_set(units, p, k):
     p is odd, so a + d = 2 mod p makes a or d a unit u, and the determinant
     gives the other entry as (1 + bc) / u."""
     mod = p**k
+    # each unit lift u recurs p^(2k) times: invert it once
+    inverse = {u: pow(u, -1, mod) for u in range(1, mod) if u % p}
     out = []
     for u, b, c in _lifts(units, p, k):
-        v = (1 + b * c) * pow(u, -1, mod) % mod
+        v = (1 + b * c) * inverse[u] % mod
         out.append((u, b, c, v))
         if v % p == 0:
             # a = v is not a unit and d = u is

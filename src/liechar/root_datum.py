@@ -552,17 +552,24 @@ def sub_datum_from_pairs(rank, pairs) -> RootDatum:
 
 class ExtDynkin:
     """Extended diagram: node 0 is the affine node (lowest root -theta),
-    nodes 1..n are the simple roots. marks[i] are the coefficients n_i with
+    nodes 1..n are the simple roots. marks[i] are the coefficients m_i with
     sum_i marks[i] * node_vector[i] = 0 and marks[0] = 1. vertices[i] is the
     alcove vertex attached to node i (origin for i = 0, else
-    omega_i^vee / marks[i]) in Y tensor Q. The diagram is cached on its datum
-    and shared by every caller, so its lists must not be mutated."""
+    omega_i^vee / marks[i]) in Y tensor Q.
 
-    def __init__(self, node_vectors, node_coroots, marks, vertices):
+    columns[i] lists the nonzero entries (j, A[j][i]) of column i of the
+    extended Cartan matrix A[j][i] = <node_j, node_i^vee>. In the Kac
+    coordinates of the alcove (see `endoscopy`) the reflection in node i is
+    p <- p - p_i A[:, i], so these columns are all a fold reads. The diagram
+    is cached on its datum and shared by every caller, so its lists must
+    not be mutated."""
+
+    def __init__(self, node_vectors, node_coroots, marks, vertices, columns):
         self.node_vectors = node_vectors
         self.node_coroots = node_coroots
         self.marks = marks
         self.vertices = vertices
+        self.columns = columns
 
     @property
     def n_nodes(self):
@@ -606,4 +613,8 @@ def _build_extended_dynkin(d: RootDatum) -> ExtDynkin:
     vertices = [tuple(Fraction(0) for _ in range(d.rank))]
     for row, m in zip(inv, marks[1:]):
         vertices.append(tuple(Fraction(_dot(row, col), den * m) for col in cov_cols))
-    return ExtDynkin(node_vectors, node_coroots, marks, vertices)
+    columns = []
+    for cov in node_coroots:
+        pairings = (_dot(a, cov) for a in node_vectors)
+        columns.append(tuple((j, t) for j, t in enumerate(pairings) if t))
+    return ExtDynkin(node_vectors, node_coroots, marks, vertices, columns)

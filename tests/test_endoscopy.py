@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liechar.endoscopy import (
+    _clear_denominators,
     _kappa_pairings,
     center_alcove_action,
     endoscopic_from_kappa,
@@ -18,7 +19,7 @@ from liechar.endoscopy import (
     fold_to_alcove,
     pseudo_levi,
 )
-from liechar.exact_math import FinAbGroup
+from liechar.exact_math import FinAbGroup, IntMatrix, cokernel_group
 from liechar.root_datum import (
     RootDatum,
     build_root_datum,
@@ -26,6 +27,7 @@ from liechar.root_datum import (
     extended_dynkin,
     sub_datum_from_pairs,
 )
+from test_rootdata import ADMITTED
 
 
 def _sc(series, rank):
@@ -291,29 +293,28 @@ def test_kappa_rejects_floats():
         endoscopic_from_kappa(_sc("A", 1), (0.5,))
 
 
-def test_kappa_vertex_sweep_small_ranks():
-    # every alcove vertex must reproduce the enumerated triple of its orbit
-    types = [
-        ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6),
-        ("B", 2), ("B", 3), ("B", 4), ("B", 5), ("B", 6),
-        ("C", 2), ("C", 3), ("C", 4), ("C", 5), ("C", 6),
-        ("D", 4), ("D", 5), ("D", 6),
-        ("G", 2), ("F", 4), ("E", 6),
-    ]
-    for series, rank in types:
-        g = _sc(series, rank)
+@pytest.mark.parametrize("isogeny", ["sc", "ad"])
+def test_kappa_vertex_sweep_every_datum(isogeny):
+    # every alcove vertex, as is and moved by a far coroot-lattice vector
+    # (which keeps its integral roots), must reproduce the enumerated triple
+    # of its orbit
+    rng = random.Random(f"vertex-sweep-{isogeny}")
+    for series, rank in ADMITTED:
+        g = build_root_datum(series, rank, isogeny)
+        d = dual_datum(g)
         act = center_alcove_action(g)
-        triples = enumerate_split_elliptic(g)
         by_node = {}
-        for t in triples:
+        for t in enumerate_split_elliptic(g):
             for node in t.vertex_orbit:
                 by_node[node] = t
         for node, v in enumerate(act.ext.vertices):
-            got = endoscopic_from_kappa(g, v)
-            want = by_node[node]
-            assert (got.vertex_orbit, got.h_type, got.ord_s) == (
-                want.vertex_orbit, want.h_type, want.ord_s
-            ), (series, rank, node)
+            coef = [rng.randint(-10**6, 10**6) for _ in d.simple_coroots]
+            shift = [sum(c * av[k] for c, av in zip(coef, d.simple_coroots)) for k in range(rank)]
+            far = tuple(a + b for a, b in zip(v, shift))
+            for kappa in (v, far):
+                got = endoscopic_from_kappa(g, kappa)
+                assert got is by_node[node], (series, rank, node, kappa)
+                assert got.ord_s == act.ext.marks[node]
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +384,22 @@ def _qdot(u, w):
     return sum(a * b for a, b in zip(u, w))
 
 
+def _fold_point(d, ext, x):
+    """`fold_to_alcove` on a Fraction point x of Y tensor Q: its Kac
+    coordinates at scale n, the lcm of the denominators, in, and the point
+    sum_i (m_i p_i / n) vertex_i back out."""
+    x = tuple(Fraction(v) for v in x)
+    n = lcm(1, *(v.denominator for v in x))
+    y = [int(v * n) for v in x]
+    p = fold_to_alcove(d, ext, [n * (i == 0) + _qdot(a, y) for i, a in enumerate(ext.node_vectors)])
+    assert all(type(t) is int and t >= 0 for t in p)
+    assert sum(m * t for m, t in zip(ext.marks, p)) == n
+    return tuple(
+        sum((Fraction(m * t, n) * vert[k] for m, t, vert in zip(ext.marks, p, ext.vertices)), Fraction(0))
+        for k in range(d.rank)
+    )
+
+
 def _fraction_fold(d, ext, x, budget=10**4):
     """Reference fold: Fraction arithmetic, no coroot translation."""
     x = tuple(Fraction(v) for v in x)
@@ -437,7 +454,7 @@ def test_fold_matches_fraction_reference(series, rank, isogeny):
     rng = random.Random(f"{series}{rank}{isogeny}")
     for _ in range(6):
         x = _random_point(rng, rank)
-        got = fold_to_alcove(d, ext, x)
+        got = _fold_point(d, ext, x)
         assert got == _fraction_fold(d, ext, x), x
         assert all(type(v) is Fraction for v in got)
         assert _in_closed_alcove(ext, got), x
@@ -455,16 +472,35 @@ def test_fold_is_invariant_under_large_coroot_translations(series, rank, isogeny
         coef = [rng.randint(-10**6, 10**6) for _ in d.simple_coroots]
         shift = [sum(c * av[k] for c, av in zip(coef, d.simple_coroots)) for k in range(rank)]
         far = tuple(a + b for a, b in zip(x, shift))
-        assert fold_to_alcove(d, ext, far) == fold_to_alcove(d, ext, x)
+        assert _fold_point(d, ext, far) == _fraction_fold(d, ext, x)
 
 
-def test_from_kappa_far_translate_matches_vertex():
-    # an E8 vertex moved by a large coroot-lattice vector still folds onto it
-    g = _sc("E", 8)
-    act = center_alcove_action(g)
+def _fraction_center_action(g):
+    """Reference center action: translate each Fraction alcove vertex by each
+    mark-1 vertex and fold it with `_fraction_fold`, the vertex found by
+    lookup; classes from the omega-vee coordinates of the translation."""
     d = dual_datum(g)
-    far = tuple(x + 10**6 * c for x, c in zip(act.ext.vertices[4], d.simple_coroots[2]))
-    assert endoscopic_from_kappa(g, far) is endoscopic_from_kappa(g, act.ext.vertices[4])
+    ext = extended_dynkin(d)
+    pres = cokernel_group(IntMatrix(d.cartan()).transpose())
+    index = {v: i for i, v in enumerate(ext.vertices)}
+    perms = {}
+    for mu, mark in zip(ext.vertices, ext.marks):
+        if mark != 1:
+            continue
+        coords = [_qdot(a, mu) for a in d.simple_roots]
+        assert all(c.denominator == 1 for c in coords)
+        cls = pres.torsion_coords([int(c) for c in coords])
+        perms[cls] = tuple(
+            index[_fraction_fold(d, ext, tuple(a + b for a, b in zip(v, mu)))] for v in ext.vertices
+        )
+    return perms
+
+
+@pytest.mark.parametrize("isogeny", ["sc", "ad"])
+def test_center_action_matches_fraction_translate_and_fold(isogeny):
+    for series, rank in ADMITTED:
+        g = build_root_datum(series, rank, isogeny)
+        assert center_alcove_action(g).permutations == _fraction_center_action(g), (series, rank)
 
 
 def _fraction_pairings(d, kappa):
@@ -483,7 +519,7 @@ def test_integer_pairings_match_fraction_lcm(data, den, nums):
     series, rank, isogeny = data
     d, _ = _dual_and_ext(*data)
     kappa = tuple(Fraction(a, den) for a in nums[:rank])
-    pairs, ord_s = _kappa_pairings(d, kappa)
+    pairs, ord_s = _kappa_pairings(d, *_clear_denominators(kappa))
     integral, order = _fraction_pairings(d, kappa)
     assert [r for r, _ in pairs] == integral
     assert all(d.coroot_of(r) == rv for r, rv in pairs)

@@ -184,6 +184,19 @@ def test_alcove_vertex_a1():
     assert ext.vertices == [(Fraction(0),), (Fraction(1, 2),)]
 
 
+def test_extended_cartan_columns():
+    # columns[i] holds the nonzero entries of column i of A[j][i] =
+    # <node_j, node_i^vee>: 2 on the diagonal, and the marks are its kernel
+    for series, rank in ADMITTED:
+        for isogeny in ("sc", "ad"):
+            ext = extended_dynkin(build_root_datum(series, rank, isogeny))
+            for i, entries in enumerate(ext.columns):
+                col = [sum(x * y for x, y in zip(a, ext.node_coroots[i])) for a in ext.node_vectors]
+                assert entries == tuple((j, t) for j, t in enumerate(col) if t)
+                assert col[i] == 2
+                assert sum(m * t for m, t in zip(ext.marks, col)) == 0
+
+
 def test_classify_from_pairs():
     for series, rank in [("B", 3), ("C", 3), ("A", 2), ("G", 2), ("D", 4), ("F", 4)]:
         d = build_root_datum(series, rank, "sc")
