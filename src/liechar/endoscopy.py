@@ -21,9 +21,11 @@ over the simple coroots off the datum's cached C^-1 (integer rows over one
 denominator), which bounds its number of reflection steps independently of
 the size of the point; the step budget stays as a safety check.
 
-The elliptic triple of each center orbit is built once per datum and shared
-by every caller (`enumerate_split_elliptic`, `endoscopic_from_kappa`), so
-triples must not be mutated.
+A triple records s by its vertex orbit and ord_s, the order of s, which is
+the mark of the orbit's nodes; no alcove point is stored. The elliptic
+triple of each center orbit is built once per datum and shared by every
+caller (`enumerate_split_elliptic`, `endoscopic_from_kappa`), so triples
+must not be mutated.
 """
 
 from __future__ import annotations
@@ -108,9 +110,13 @@ class CenterDiagramAction:
     p_0 -= D.
 
     group: the center as a FinAbGroup; elements are torsion-coordinate tuples.
-    permutations: element -> tuple p with p[i] = image node of node i.
+    permutations: element -> tuple p with p[i] = image node of node i, one
+    entry for every element of the center.
     orbits: the orbits on the nodes, as frozensets, in the order of their
-    smallest nodes; orbit_of: node -> its orbit.
+    smallest nodes; orbit_of: node -> its orbit. The table holds every
+    element of the center (the build checks that the mark-1 vertices
+    exhaust it), so the orbit of i is read off it as {p[i]}, with no
+    closure.
     """
 
     def __init__(self, ambient, ext, group, permutations):
@@ -120,21 +126,11 @@ class CenterDiagramAction:
         self.permutations = permutations
         self.orbits = []
         self.orbit_of = {}
-        for start in range(ext.n_nodes):
-            if start in self.orbit_of:
-                continue
-            orb = {start}
-            frontier = [start]
-            while frontier:
-                i = frontier.pop()
-                for p in permutations.values():
-                    j = p[i]
-                    if j not in orb:
-                        orb.add(j)
-                        frontier.append(j)
-            orb = frozenset(orb)
-            self.orbits.append(orb)
-            self.orbit_of.update(dict.fromkeys(orb, orb))
+        for i in range(ext.n_nodes):
+            if i not in self.orbit_of:
+                orb = frozenset(p[i] for p in permutations.values())
+                self.orbits.append(orb)
+                self.orbit_of.update(dict.fromkeys(orb, orb))
 
     def stabilizer(self, node) -> FinAbGroup:
         fixed = [z for z, p in self.permutations.items() if p[node] == node]
@@ -236,21 +232,19 @@ def pseudo_levi(g: RootDatum, vertex) -> RootDatum:
 class EndoscopicTriple:
     """Split endoscopic datum at the diagram level.
 
-    s_point is an alcove point (rational cocharacter of the dual maximal
-    torus) and ord_s its order; for the enumerated elliptic triples the point
-    is an alcove vertex and ord_s equals the vertex mark. levi_datum is the
-    dual-side subsystem (the connected centralizer of s); H_datum is its
-    dual, the endoscopic group itself. lam is the stabilizer of the vertex
-    under the center action, the symmetry group Lambda of the triple (for a
-    split elliptic triple it is also the group Z); it is trivial for a
-    triple that is not elliptic.
+    s is recorded by vertex_orbit, the center orbit of the alcove vertices
+    it reduces to (empty for a triple that is not elliptic), and ord_s, its
+    order; for the enumerated elliptic triples ord_s equals the vertex
+    mark. levi_datum is the dual-side subsystem (the connected centralizer
+    of s); H_datum is its dual, the endoscopic group itself. lam is the
+    stabilizer of the vertex under the center action, the symmetry group
+    Lambda of the triple (for a split elliptic triple it is also the group
+    Z); it is trivial for a triple that is not elliptic.
     """
 
-    def __init__(self, ambient, levi_datum, h_datum, s_point, ord_s, vertex_orbit, elliptic, lam):
-        self.ambient = ambient
+    def __init__(self, levi_datum, h_datum, ord_s, vertex_orbit, elliptic, lam):
         self.levi_datum = levi_datum
         self.H_datum = h_datum
-        self.s_point = s_point
         self.ord_s = ord_s
         self.vertex_orbit = vertex_orbit
         self.elliptic = elliptic
@@ -283,20 +277,16 @@ def _triple_from_orbit(action, orbit):
     if len(marks) != 1:
         raise AssertionError("mark not constant on a center orbit")
     ord_s = marks.pop()
-    rep = min(orbit)
-    if 0 in orbit:
-        rep = 0  # trivial triple: delete the affine node, H = G
+    rep = min(orbit)  # 0 for the trivial triple: delete the affine node, H = G
     levi = pseudo_levi(g, rep)
     lam = action.stabilizer(rep)
     if lam.order * len(orbit) != action.group.order:
         raise AssertionError("orbit-stabilizer mismatch")
     return EndoscopicTriple(
-        ambient=g,
         levi_datum=levi,
         h_datum=dual_datum(levi),
-        s_point=ext.vertices[rep],
         ord_s=ord_s,
-        vertex_orbit=frozenset(orbit),
+        vertex_orbit=orbit,
         elliptic=True,
         lam=lam,
     )
@@ -363,10 +353,8 @@ def endoscopic_from_kappa(g: RootDatum, kappa) -> EndoscopicTriple:
 
     if not elliptic:
         return EndoscopicTriple(
-            ambient=g,
             levi_datum=sub,
             h_datum=dual_datum(sub),
-            s_point=kappa,
             ord_s=ord_s,
             vertex_orbit=frozenset(),
             elliptic=False,

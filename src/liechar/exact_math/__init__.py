@@ -23,7 +23,7 @@ from .cyclo import (
 )
 from .ffield import FiniteField
 from .primes import is_prime, prime_factors
-from .orders import element_order, power, primitive_element
+from .orders import check_order_limit, element_order, power, primitive_element
 from .cache import cached
 
 __all__ = [
@@ -42,6 +42,7 @@ __all__ = [
     "FiniteField",
     "is_prime",
     "prime_factors",
+    "check_order_limit",
     "element_order",
     "power",
     "primitive_element",

@@ -6,7 +6,9 @@ denominator and the numerators share no common factor. Sums and products
 stay in this representation and on plain integers. Reduction into the Phi_N
 quotient happens only when equality, rationality or the printed form is
 decided, at most once per value: the value memoises its reduction. Phi_N is
-monic, so the reduction stays integral too. A Fraction is made only where a
+monic, so the reduction stays integral too. Fractions appear only at the
+edges: `rational` reads one into a numerator and a denominator, a Fraction
+scalar multiplies the denominator, and a Fraction is made only where a
 caller asks for a rational: `rational_value`, or `reduced` of a value whose
 reduced coefficients are not all integers.
 
@@ -105,10 +107,12 @@ class Cyclotomic:
 
     The value is sum(num[e] * zeta_n^e for e in num) / den: integer
     numerators keyed by exponents mod n, over one positive denominator den
-    that shares no factor with all of them. The constructor takes int or
-    Fraction coefficients keyed by int exponents, all divided by den, and
-    refuses anything else (a float has no exact value here). `_red` memoises
-    the numerators reduced modulo Phi_n, built on first use."""
+    that shares no factor with all of them. The constructor takes int
+    coefficients keyed by int exponents, all divided by den, and refuses
+    anything else with a ValueError: den is the value's one rational, and
+    `rational` reads an int or a Fraction into it (a float has no exact
+    value here). `_red` memoises the numerators reduced modulo Phi_n, built
+    on first use."""
 
     __slots__ = ("n", "num", "den", "_red")
 
@@ -119,23 +123,11 @@ class Cyclotomic:
             raise ValueError("denominator must be a positive integer")
         num = {}
         if coeffs:
-            unit = 1  # what an int coefficient is scaled by: den / (den given)
             for e, v in coeffs.items():
                 if type(e) is not int:
                     raise ValueError(f"exponents must be integers, got {e!r}")
                 if type(v) is not int:
-                    if not isinstance(v, Fraction):
-                        raise ValueError(f"coefficients must be ints or Fractions, got {v!r}")
-                    b = v.denominator
-                    s = b // gcd(unit, b)
-                    if s > 1:
-                        unit *= s
-                        den *= s
-                        for x in num:
-                            num[x] *= s
-                    v = v.numerator * (unit // b)
-                elif unit > 1:
-                    v *= unit
+                    raise ValueError(f"coefficients must be ints, got {v!r}")
                 if v:
                     e %= n
                     num[e] = num.get(e, 0) + v
@@ -161,7 +153,11 @@ class Cyclotomic:
 
     @classmethod
     def rational(cls, v):
-        return cls(1, {0: v})
+        """v, an int or a Fraction, as numerator over denominator; a bool or
+        any other type is refused."""
+        if type(v) is not int and not isinstance(v, Fraction):
+            raise ValueError(f"a rational must be an int or a Fraction, got {v!r}")
+        return cls(1, {0: v.numerator}, v.denominator)
 
     @classmethod
     def zeta(cls, n, k=1):

@@ -7,12 +7,18 @@ from .primes import prime_factors
 ORDER_BUDGET = 10**6  # most steps an order search may take
 
 
+def check_order_limit(limit):
+    """Refuse an order search up to limit, a bound on the order, when limit
+    is above ORDER_BUDGET: the one place that raises the budget's error."""
+    if limit > ORDER_BUDGET:
+        raise ValueError(f"order search up to {limit} exceeds the budget ORDER_BUDGET = {ORDER_BUDGET}")
+
+
 def element_order(mul, identity, x, limit):
     """Order of x under mul, stepping its powers. limit bounds the order (a
     group order, or the largest element order); a limit above ORDER_BUDGET
     is refused before any step, and an order past limit raises."""
-    if limit > ORDER_BUDGET:
-        raise ValueError(f"order search up to {limit} exceeds the budget ORDER_BUDGET = {ORDER_BUDGET}")
+    check_order_limit(limit)
     acc, k = x, 1
     while acc != identity:
         acc = mul(acc, x)

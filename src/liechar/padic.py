@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import product
 from operator import mul as _mul
 
-from .exact_math import IntMatrix, element_order, is_prime, power, prime_factors, rref_mod
+from .exact_math import IntMatrix, check_order_limit, element_order, is_prime, power, prime_factors, rref_mod
 from .exact_math.primes import PRIME_BOUND
 
 __all__ = [
@@ -176,7 +176,12 @@ def topological_jordan(gamma: TruncatedMatrix):
     u = delta^(-1) * gamma (a verified inverse), and u^(p^m) = 1
     within k + 8 steps guard the result (a miss is a bug, not an input
     error). Returns (delta, u).
+
+    The order search is bounded by p^n - 1, so a matrix whose bound passes
+    ORDER_BUDGET is refused first, before the determinant that decides
+    invertibility, whose integer entries grow with n.
     """
+    check_order_limit(gamma.p**gamma.n - 1)
     if not gamma.is_invertible():
         raise ValueError("gamma is not invertible modulo p")
     p = gamma.p

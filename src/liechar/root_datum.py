@@ -1,5 +1,5 @@
 """Root data for the simple series A-G at chosen isogeny, their duals, and
-extended Dynkin diagrams with alcove vertex data.
+extended Dynkin diagrams with their marks and extended Cartan columns.
 
 Conventions. A root datum here is a lattice X = Z^rank together with aligned
 tuples of roots (vectors in X) and coroots (vectors in the dual lattice Y),
@@ -38,7 +38,6 @@ the library admits); the library's data stay within +-6.
 from __future__ import annotations
 
 import struct
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd
@@ -202,7 +201,9 @@ def _check_series_rank(series, rank):
 class RootDatum:
     """Lattice Z^rank with aligned root/coroot tuples.
 
-    A datum is immutable once built. What is derived from it (its dual, the
+    A datum is immutable once built. The coefficients of a root over the
+    simple roots are integers (`simple_coefficients`), read off the
+    integer rows of C^-1. What is derived from it (its dual, the
     inverse Cartan matrix as integer rows over one denominator, the highest
     root, semisimplicity, the Cartan type, the extended diagram, and for
     endoscopy the center action and the elliptic triple of each center
@@ -290,11 +291,16 @@ class RootDatum:
         return cached(self, "cartan_inverse", lambda d: inverse_rational(d.cartan()))
 
     def simple_coefficients(self, root):
-        """Coefficients of a root over the simple roots, as Fractions."""
+        """Coefficients of a root over the simple roots, as ints; an
+        AssertionError if one is not an integer, which no root of the
+        datum gives."""
         # sum_j c_j <alpha_j, alpha_i^vee> = <root, alpha_i^vee>, so c = C^-1 b
         b = [_dot(root, av) for av in self.simple_coroots]
         den, rows = self._cartan_inverse()
-        return tuple(Fraction(_dot(row, b), den) for row in rows)
+        coeffs = [divmod(_dot(row, b), den) for row in rows]
+        if any(r for _, r in coeffs):
+            raise AssertionError(f"root {root} has non-integer coefficients")
+        return tuple(c for c, _ in coeffs)
 
     def highest_root(self):
         """Unique root of maximal height; requires an irreducible system."""
@@ -553,9 +559,10 @@ def sub_datum_from_pairs(rank, pairs) -> RootDatum:
 class ExtDynkin:
     """Extended diagram: node 0 is the affine node (lowest root -theta),
     nodes 1..n are the simple roots. marks[i] are the coefficients m_i with
-    sum_i marks[i] * node_vector[i] = 0 and marks[0] = 1. vertices[i] is the
-    alcove vertex attached to node i (origin for i = 0, else
-    omega_i^vee / marks[i]) in Y tensor Q.
+    sum_i marks[i] * node_vector[i] = 0 and marks[0] = 1. The alcove vertex
+    of node i (the origin for i = 0, else omega_i^vee / marks[i]) is not
+    stored: at the scale D = lcm(marks) its Kac coordinates are
+    (D / m_i) e_i (see `endoscopy`).
 
     columns[i] lists the nonzero entries (j, A[j][i]) of column i of the
     extended Cartan matrix A[j][i] = <node_j, node_i^vee>. In the Kac
@@ -564,11 +571,10 @@ class ExtDynkin:
     is cached on its datum and shared by every caller, so its lists must
     not be mutated."""
 
-    def __init__(self, node_vectors, node_coroots, marks, vertices, columns):
+    def __init__(self, node_vectors, node_coroots, marks, columns):
         self.node_vectors = node_vectors
         self.node_coroots = node_coroots
         self.marks = marks
-        self.vertices = vertices
         self.columns = columns
 
     @property
@@ -592,10 +598,7 @@ def _build_extended_dynkin(d: RootDatum) -> ExtDynkin:
     simple = list(d.simple_roots)
     simple_cov = list(d.simple_coroots)
 
-    coeffs = d.simple_coefficients(theta)
-    marks = [1] + [int(c) for c in coeffs]
-    if any(Fraction(m) != c for m, c in zip(marks[1:], coeffs)):
-        raise AssertionError("highest root has non-integer coefficients")
+    marks = [1, *d.simple_coefficients(theta)]
 
     node_vectors = [tuple(-x for x in theta)] + simple
     node_coroots = [tuple(-x for x in theta_cov)] + simple_cov
@@ -607,14 +610,8 @@ def _build_extended_dynkin(d: RootDatum) -> ExtDynkin:
     if any(total):
         raise AssertionError("marked node vectors do not sum to zero")
 
-    # alcove vertices: 0 and omega_i^vee / n_i, omega_i^vee from row i of C^-1
-    den, inv = d._cartan_inverse()
-    cov_cols = list(zip(*simple_cov))
-    vertices = [tuple(Fraction(0) for _ in range(d.rank))]
-    for row, m in zip(inv, marks[1:]):
-        vertices.append(tuple(Fraction(_dot(row, col), den * m) for col in cov_cols))
     columns = []
     for cov in node_coroots:
         pairings = (_dot(a, cov) for a in node_vectors)
         columns.append(tuple((j, t) for j, t in enumerate(pairings) if t))
-    return ExtDynkin(node_vectors, node_coroots, marks, vertices, columns)
+    return ExtDynkin(node_vectors, node_coroots, marks, columns)

@@ -500,6 +500,7 @@ def test_tori_range_error_names_its_flag(argv, flag, message):
 
 
 _IDENTITY_9 = json.dumps([[int(i == j) for j in range(9)] for i in range(9)])
+_ZERO_13 = json.dumps([[0] * 13] * 13)
 _PAST_PRIME_BOUND = str(10**30 + 57)  # no prime factor below 43
 
 
@@ -530,6 +531,11 @@ _PAST_PRIME_BOUND = str(10**30 + 57)  # no prime factor below 43
             ["tjd", "--p", "5", "--k", "1", "--matrix", _IDENTITY_9],
             "--p, --matrix: order search up to 1953124 exceeds the budget ORDER_BUDGET = 1000000",
         ),
+        # a singular matrix past the budget gets the budget's refusal, checked first
+        (
+            ["tjd", "--p", "3", "--k", "1", "--matrix", _ZERO_13],
+            "--p, --matrix: order search up to 1594322 exceeds the budget ORDER_BUDGET = 1000000",
+        ),
         (["hilbert", "--a", "0", "--b", "3", "--place", "5"], "--a, --b: arguments must be nonzero"),
         (["hilbert", "--a", "2", "--b", "3", "--place", "4"], "--place: place must be a prime or 'inf'"),
         (["hilbert", "--a", "2", "--b", "3", "--place", "x"], "--place: place must be a prime or 'inf'"),
@@ -557,6 +563,7 @@ _PAST_PRIME_BOUND = str(10**30 + 57)  # no prime factor below 43
     ids=[
         "springer-even-q", "chartable-q-budget", "chartable-q-not-prime-power", "dixon-budget",
         "tjd-p", "tjd-p-primality", "tjd-k-zero", "tjd-k-cap", "tjd-gamma", "tjd-rows", "tjd-empty", "tjd-order-budget",
+        "tjd-order-budget-singular",
         "hilbert-zero", "hilbert-place", "hilbert-place-not-numeric", "hilbert-place-primality",
         "hilbert-place-past-int-limit", "hilbert-place-at-prime-bound", "endoscopy-rank-cap", "endoscopy-e5", "endoscopy-g3",
         "endoscopy-estimate-a", "endoscopy-kappa-length",

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +7,15 @@ from reference_cyclo import Cyclotomic as RefCyclotomic
 
 from liechar.exact_math import Cyclotomic, cyclotomic_polynomial, smallest_conductor
 from liechar.exact_math.cyclo import CONDUCTOR_BUDGET
+
+
+def _cyc(n, coeffs, den=1):
+    """Cyclotomic(n, coeffs, den) for int or Fraction coefficients, which
+    the constructor does not take: the coefficients times the lcm m of their
+    denominators are the numerators, over den * m."""
+    coeffs = {e: Fraction(v) for e, v in coeffs.items()}
+    m = lcm(1, *(v.denominator for v in coeffs.values()))
+    return Cyclotomic(n, {e: v.numerator * (m // v.denominator) for e, v in coeffs.items()}, den * m)
 
 
 def test_phi_polynomials():
@@ -111,7 +120,7 @@ def test_as_root_of_unity():
 
 
 small_cyclo = st.builds(
-    lambda n, pairs: Cyclotomic(n, {e: Fraction(c) for e, c in pairs}),
+    lambda n, pairs: _cyc(n, {e: Fraction(c) for e, c in pairs}),
     st.sampled_from([1, 2, 3, 4, 6, 8, 12]),
     st.lists(st.tuples(st.integers(0, 11), st.integers(-3, 3)), max_size=3),
 )
@@ -169,8 +178,8 @@ def test_smallest_conductor_roundtrip(d, m, coeffs):
     n = d * m
     e, red = smallest_conductor(n, tuple(v.lift(n).reduced()))
     assert d % e == 0 and e % 4 != 2
-    assert Cyclotomic(e, dict(enumerate(red))) == v
-    assert red == Cyclotomic(e, dict(enumerate(red))).reduced()
+    assert _cyc(e, dict(enumerate(red))) == v
+    assert red == _cyc(e, dict(enumerate(red))).reduced()
 
 
 def test_inexact_coefficients_are_refused():
@@ -186,13 +195,25 @@ def test_inexact_coefficients_are_refused():
         Cyclotomic.zeta(3) + 0.5
 
 
+def test_fraction_coefficients_are_refused_and_rational_clears_them():
+    # den is the value's one rational: the constructor takes int numerators,
+    # and `rational` reads a Fraction into numerator and denominator
+    with pytest.raises(ValueError, match="coefficients must be ints"):
+        Cyclotomic(3, {0: Fraction(1, 2)})
+    half = Cyclotomic.rational(Fraction(1, 2))
+    assert half == Cyclotomic(1, {0: 1}, 2)
+    assert (half.n, half.num, half.den) == (1, {0: 1}, 2)
+    with pytest.raises(ValueError, match="int or a Fraction"):
+        Cyclotomic.rational(True)
+
+
 def test_denominator_is_reduced_and_kept_through_reduction():
     # (1 + zeta_3 + zeta_3^2) / 2 = 0, and (3 + zeta_3 + zeta_3^2) / 2 = 1
     assert Cyclotomic(3, {0: 1, 1: 1, 2: 1}, 2) == 0
     one = Cyclotomic(3, {0: 3, 1: 1, 2: 1}, 2)
     assert one.reduced() == [1, 0] and all(type(c) is int for c in one.reduced())
     assert Cyclotomic(4, {0: 2, 1: 4}, 6).den == 3
-    half = Cyclotomic(4, {1: Fraction(1, 2)})
+    half = _cyc(4, {1: Fraction(1, 2)})
     assert half.reduced() == [0, Fraction(1, 2)]
     assert repr(half) == "1/2*z4"
     assert Cyclotomic(1, {0: 3}, 6).rational_value() == Fraction(1, 2)
@@ -216,7 +237,7 @@ def cyclo_pairs(draw):
     coeffs = {}
     for e, c in draw(ref_coeffs):
         coeffs[e] = coeffs.get(e, 0) + c
-    return Cyclotomic(n, coeffs), RefCyclotomic(n, coeffs)
+    return _cyc(n, coeffs), RefCyclotomic(n, coeffs)
 
 
 def _same(new, old):
@@ -258,7 +279,7 @@ def _conj(y):
 
 # conductors whose lcm stays at most 120, denominators up to 12
 mixed_cyclo = st.builds(
-    Cyclotomic,
+    _cyc,
     st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12]),
     st.dictionaries(
         st.integers(-12, 12), st.fractions(min_value=-4, max_value=4, max_denominator=12), max_size=4
@@ -283,7 +304,7 @@ def test_hermitian_sum_is_the_fold(terms):
 
 # five terms with conductors 1-24: the lcm of the terms reaches 5.3 * 10^9
 wide_cyclo = st.builds(
-    Cyclotomic,
+    _cyc,
     st.integers(1, 24),
     st.dictionaries(
         st.integers(-24, 24), st.fractions(min_value=-4, max_value=4, max_denominator=12), max_size=4
@@ -360,7 +381,7 @@ def test_equality_classes_cross_conductors():
         Cyclotomic.rational(-1),
         Cyclotomic.zeta(3),
         Cyclotomic.zeta(2),
-        Cyclotomic(3, {0: Fraction(1, 2)}),
+        _cyc(3, {0: Fraction(1, 2)}),
         Cyclotomic.zeta(4, 2),
         Cyclotomic.rational(Fraction(1, 2)),
         Cyclotomic(3, {1: 1, 2: 1}, 1) * -1,

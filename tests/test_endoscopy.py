@@ -27,7 +27,7 @@ from liechar.root_datum import (
     extended_dynkin,
     sub_datum_from_pairs,
 )
-from test_rootdata import ADMITTED
+from test_rootdata import ADMITTED, alcove_vertices
 
 
 def _sc(series, rank):
@@ -270,8 +270,7 @@ def test_kappa_zero_is_trivial():
 
 def test_kappa_sp4_vertex():
     g = _sc("C", 2)
-    act = center_alcove_action(g)
-    v = act.ext.vertices[2]
+    v = alcove_vertices(dual_datum(g))[2]
     t = endoscopic_from_kappa(g, v)
     assert t.elliptic
     assert t.ord_s == 2
@@ -307,7 +306,7 @@ def test_kappa_vertex_sweep_every_datum(isogeny):
         for t in enumerate_split_elliptic(g):
             for node in t.vertex_orbit:
                 by_node[node] = t
-        for node, v in enumerate(act.ext.vertices):
+        for node, v in enumerate(alcove_vertices(d)):
             coef = [rng.randint(-10**6, 10**6) for _ in d.simple_coroots]
             shift = [sum(c * av[k] for c, av in zip(coef, d.simple_coroots)) for k in range(rank)]
             far = tuple(a + b for a, b in zip(v, shift))
@@ -387,15 +386,16 @@ def _qdot(u, w):
 def _fold_point(d, ext, x):
     """`fold_to_alcove` on a Fraction point x of Y tensor Q: its Kac
     coordinates at scale n, the lcm of the denominators, in, and the point
-    sum_i (m_i p_i / n) vertex_i back out."""
+    sum_i (m_i p_i / n) vertex_i back out, vertex_i from `alcove_vertices`."""
     x = tuple(Fraction(v) for v in x)
     n = lcm(1, *(v.denominator for v in x))
     y = [int(v * n) for v in x]
     p = fold_to_alcove(d, ext, [n * (i == 0) + _qdot(a, y) for i, a in enumerate(ext.node_vectors)])
     assert all(type(t) is int and t >= 0 for t in p)
     assert sum(m * t for m, t in zip(ext.marks, p)) == n
+    vertices = alcove_vertices(d)
     return tuple(
-        sum((Fraction(m * t, n) * vert[k] for m, t, vert in zip(ext.marks, p, ext.vertices)), Fraction(0))
+        sum((Fraction(m * t, n) * vert[k] for m, t, vert in zip(ext.marks, p, vertices)), Fraction(0))
         for k in range(d.rank)
     )
 
@@ -482,25 +482,52 @@ def _fraction_center_action(g):
     d = dual_datum(g)
     ext = extended_dynkin(d)
     pres = cokernel_group(IntMatrix(d.cartan()).transpose())
-    index = {v: i for i, v in enumerate(ext.vertices)}
+    vertices = alcove_vertices(d)
+    index = {v: i for i, v in enumerate(vertices)}
     perms = {}
-    for mu, mark in zip(ext.vertices, ext.marks):
+    for mu, mark in zip(vertices, ext.marks):
         if mark != 1:
             continue
         coords = [_qdot(a, mu) for a in d.simple_roots]
         assert all(c.denominator == 1 for c in coords)
         cls = pres.torsion_coords([int(c) for c in coords])
         perms[cls] = tuple(
-            index[_fraction_fold(d, ext, tuple(a + b for a, b in zip(v, mu)))] for v in ext.vertices
+            index[_fraction_fold(d, ext, tuple(a + b for a, b in zip(v, mu)))] for v in vertices
         )
     return perms
 
 
+def _closure_orbits(perms, n_nodes):
+    """Orbits of the nodes under the group generated by the permutations,
+    by a breadth-first closure, in the order of their smallest nodes."""
+    orbits, seen = [], set()
+    for start in range(n_nodes):
+        if start in seen:
+            continue
+        orb, frontier = {start}, [start]
+        while frontier:
+            i = frontier.pop()
+            for p in perms:
+                if p[i] not in orb:
+                    orb.add(p[i])
+                    frontier.append(p[i])
+        orbits.append(frozenset(orb))
+        seen |= orb
+    return orbits
+
+
 @pytest.mark.parametrize("isogeny", ["sc", "ad"])
 def test_center_action_matches_fraction_translate_and_fold(isogeny):
+    # the action reads each orbit off its table as {p[i]}; the reference
+    # closes each node under the permutations of the Fraction action
     for series, rank in ADMITTED:
         g = build_root_datum(series, rank, isogeny)
-        assert center_alcove_action(g).permutations == _fraction_center_action(g), (series, rank)
+        act = center_alcove_action(g)
+        perms = _fraction_center_action(g)
+        assert act.permutations == perms, (series, rank)
+        orbits = _closure_orbits(perms.values(), act.ext.n_nodes)
+        assert act.orbits == orbits, (series, rank)
+        assert act.orbit_of == {i: o for o in orbits for i in o}, (series, rank)
 
 
 def _fraction_pairings(d, kappa):
@@ -543,9 +570,10 @@ def test_kappa_in_one_orbit_share_the_enumerated_triple():
     for series, rank in (("C", 2), ("E", 6), ("D", 4)):
         g = _sc(series, rank)
         act = center_alcove_action(g)
+        vertices = alcove_vertices(dual_datum(g))
         for t in enumerate_split_elliptic(g):
             for node in t.vertex_orbit:
-                assert endoscopic_from_kappa(g, act.ext.vertices[node]) is t
+                assert endoscopic_from_kappa(g, vertices[node]) is t
         # one entry per orbit, under its smallest node
         stored = _stored_triples(g)
         assert sorted(stored) == sorted(min(o) for o in act.orbits)

@@ -1,4 +1,5 @@
-"""Every library name has a caller outside the tests.
+"""Every library name has a caller outside the tests, and every attribute
+a library object stores has a reader.
 
 Each top-level function or class in `src/liechar/`, and each non-dunder
 method of a top-level class, must be referenced somewhere in `src/` or in
@@ -12,6 +13,14 @@ A name match cannot tell apart two classes' methods of one name: a call of
 name two or more library classes define must also run, in a fresh
 interpreter, during `selftest --seed 0` and the in-process calls of
 `tests/cli_sequence.py`, as recorded by `sys.setprofile`.
+
+Each attribute that a method of a top-level library class stores as
+`self.x = ...` must be read in the same files: loaded as `.x`, or named by
+the string constant "x" (a getattr or a dispatch table); docstrings and
+`__slots__` entries do not count. The match is by name, like the one for
+methods, so it cannot tell two classes' attributes of one name apart: a
+stored `EndoscopicTriple.ambient` would pass, because
+`CenterDiagramAction.ambient` is read.
 """
 
 import ast
@@ -34,17 +43,22 @@ def _is_docstring(node):
     )
 
 
-def _caller_sources():
-    """(path, lines) of every file that counts as a caller. Imports,
-    `__all__` lists, docstrings and comments name a function without
-    calling it, so they are blanked."""
+def _caller_paths():
+    """Every file that counts as a caller: `src/` and the non-test files of
+    `perfbench/`."""
     paths = sorted((ROOT / "src").rglob("*.py"))
-    paths += sorted(
+    return paths + sorted(
         p for p in (ROOT / "perfbench").rglob("*.py")
         if not p.name.startswith(("test_", "conftest"))
     )
+
+
+def _caller_sources():
+    """(path, lines) of every caller file. Imports, `__all__` lists,
+    docstrings and comments name a function without calling it, so they
+    are blanked."""
     out = []
-    for path in paths:
+    for path in _caller_paths():
         text = path.read_text(encoding="utf-8")
         lines = text.splitlines()
         for tok in tokenize.generate_tokens(io.StringIO(text).readline):
@@ -110,6 +124,57 @@ def _unreferenced():
 def test_every_library_name_has_a_non_test_caller():
     missing = [f"{path}: {name}" for path, name in _unreferenced()]
     assert not missing, "only tests reach:\n" + "\n".join(missing)
+
+
+def _stored_attributes():
+    """(path, class name, attribute) for every `self.x` that a method of a
+    top-level library class assigns."""
+    out = set()
+    for path in sorted(LIBRARY.rglob("*.py")):
+        for cls in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                ):
+                    out.add((path, cls.name, node.attr))
+    return sorted(out)
+
+
+def _read_names():
+    """Every attribute loaded as `.x` in a caller file, and every string
+    constant there other than docstrings and `__slots__` entries."""
+    names = set()
+    for path in _caller_paths():
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        skip = set()
+        for node in ast.walk(tree):
+            if _is_docstring(node):
+                skip.add(node.value)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+            ):
+                skip.update(ast.walk(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node not in skip:
+                names.add(node.value)
+    return names
+
+
+def test_every_stored_attribute_is_read():
+    read = _read_names()
+    unread = [
+        f"{path.relative_to(ROOT)}: {cls}.{attr}"
+        for path, cls, attr in _stored_attributes()
+        if attr not in read
+    ]
+    assert not unread, "stored, never read:\n" + "\n".join(unread)
 
 
 # run in a fresh interpreter, so that no cache filled by an earlier test

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from liechar.exact_math import is_prime
+from liechar.exact_math import IntMatrix, is_prime
 from liechar.padic import (
     DiagQuadForm,
     TruncatedMatrix,
@@ -149,6 +149,21 @@ def test_tjd_rejects_singular_and_deep_precision():
         topological_jordan(TruncatedMatrix(2, 3, 4, [[3, 0], [0, 1]]))
     with pytest.raises(ValueError):
         topological_jordan(TruncatedMatrix.identity(1, 3, 65))
+
+
+def test_tjd_refuses_the_order_budget_before_the_determinant(monkeypatch):
+    # 3^40 - 1 is past ORDER_BUDGET: the refusal comes before the integer
+    # determinant, whose entries grow with n, and before the question of
+    # invertibility, so a singular matrix gets it too
+    def no_det(self):
+        raise AssertionError("determinant taken before the order budget was checked")
+
+    monkeypatch.setattr(IntMatrix, "det", no_det)
+    rng = random.Random(40)
+    rows = [[rng.randrange(3) for _ in range(40)] for _ in range(40)]
+    for m in (TruncatedMatrix(40, 3, 1, rows), TruncatedMatrix(40, 3, 1, [[0] * 40] * 40)):
+        with pytest.raises(ValueError, match=f"order search up to {3**40 - 1} exceeds the budget ORDER_BUDGET"):
+            topological_jordan(m)
 
 
 def test_precision_cap_is_checked_by_the_constructor():
