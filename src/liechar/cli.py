@@ -11,6 +11,10 @@ rejected argument is named by its flag in the message: a library refusal is
 led by the flag that `_FLAGS` reads off the subcommand and the message's
 first word.
 
+When the file that `--out` names cannot be written, the document, or the
+refusal, is replaced by one `{"error": "--out: ..."}` on stdout, and the
+exit code is 1.
+
 `main(argv)` may be called repeatedly in one process. It builds its parser
 with `build_parser()` on the first call and reuses it afterwards; each call
 parses into a fresh namespace, so no flag carries over from an earlier call.
@@ -167,12 +171,19 @@ def _emit(doc, args, rows=None, header=None):
         _write(json.dumps(doc, indent=2) + "\n", args)
 
 
+class _OutError(Exception):
+    """The file that --out names cannot be written."""
+
+
 def _write(text, args):
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        raise _OutError(f"--out: cannot write {args.out!r}: {e.strerror or e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +613,7 @@ def _parser():
 _FLAGS = {
     "tori": {
         "h1": "--inv", "pi0": "--kappa", "degrees": "--degrees", "frobenius": "--frobenius",
-        "n": "--n, --m", "twist": "--m, --degrees",
+        "ragged": "--frobenius", "n": "--n, --m", "rank": "--n", "twist": "--m, --degrees",
     },
     "springer": {None: "--q"},
     "chartable": {None: "--q", "group": "--q, --method"},
@@ -625,12 +636,20 @@ def _flagged(cmd, message):
     return message if flag is None else f"{flag}: {message}"
 
 
+def _error_text(message):
+    return json.dumps({"error": message}, indent=2) + "\n"
+
+
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except (ValueError, ZeroDivisionError) as e:
-        _write(json.dumps({"error": _flagged(args.cmd, str(e))}, indent=2) + "\n", args)
+        try:
+            return args.fn(args)
+        except (ValueError, ZeroDivisionError) as e:
+            _write(_error_text(_flagged(args.cmd, str(e))), args)
+            return 1
+    except _OutError as e:  # the document or the refusal had nowhere to go
+        sys.stdout.write(_error_text(str(e)))
         return 1
 
 

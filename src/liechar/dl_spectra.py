@@ -36,7 +36,9 @@ from math import isqrt, lcm
 from operator import add
 
 from . import _kernels
-from .exact_math import Cyclotomic, cached, element_order, is_prime, power, primitive_element, rref_mod
+from .exact_math import (
+    Cyclotomic, cached, element_order, is_prime, jordan_exponent, power, primitive_element, rref_mod,
+)
 from .finite_lie import (
     FiniteLieGroup,
     TorusInG,
@@ -45,7 +47,6 @@ from .finite_lie import (
     quasi_logarithm,
     tori_and_regularity,
 )
-from .padic import jordan_exponent
 
 __all__ = [
     "ClassData",
@@ -924,7 +925,7 @@ def springer_fourier_reference(g: FiniteLieGroup, t, u) -> Cyclotomic:
 def _jordan_parts(g: FiniteLieGroup, gamma):
     """gamma = delta * u with delta of order prime to p, u of p-power
     order, both powers of gamma: the CRT split of the cyclic group
-    generated by gamma (`padic.jordan_exponent`)."""
+    generated by gamma (`exact_math.orders.jordan_exponent`)."""
     if gamma not in g._members:
         raise ValueError("not a group element")
     n_ord = element_order(g.mul, g.identity, gamma, g.order)

@@ -1,9 +1,10 @@
 """Exact arithmetic substrate: integer matrices and Smith form, row
 reduction over Q and Z/l, finitely generated abelian groups, cyclotomic
-numbers, the finite fields F_q for odd q <= 16, primes, element orders and generators, and
-`cached`, the one caching rule. Integer kernels and integer solutions of a
-matrix are not here: no library code needs them, and the tests' oracle
-builds them from `smith_normal_form` (tests/reference_lattice.py)."""
+numbers, the finite fields F_q for odd q <= 16, primes, element orders,
+generators and the CRT split of an order, and `cached`, the one caching
+rule. Integer kernels and integer solutions of a matrix are not here: no
+library code needs them, and the tests' oracle builds them from
+`smith_normal_form` (tests/reference_lattice.py)."""
 
 from .intmat import (
     IntMatrix,
@@ -23,7 +24,7 @@ from .cyclo import (
 )
 from .ffield import FiniteField
 from .primes import is_prime, prime_factors
-from .orders import check_order_limit, element_order, power, primitive_element
+from .orders import check_order_limit, element_order, jordan_exponent, power, primitive_element
 from .cache import cached
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "prime_factors",
     "check_order_limit",
     "element_order",
+    "jordan_exponent",
     "power",
     "primitive_element",
     "cached",

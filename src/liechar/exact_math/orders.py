@@ -1,4 +1,6 @@
-"""Orders, powers and generators in a finite group given by its product."""
+"""Orders, powers and generators in a finite group given by its product,
+and the CRT split of a cyclic group's order into its prime-to-p and
+p-power parts."""
 
 from __future__ import annotations
 
@@ -55,3 +57,15 @@ def primitive_element(mul, identity, candidates, order):
         if all(power(mul, identity, x, e) != identity for e in exps):
             return x
     raise AssertionError(f"no candidate generates the cyclic group of order {order}")
+
+
+def jordan_exponent(order, p):
+    """(r, e) for an element x of the given finite order (or any multiple
+    of it): r is the prime-to-p part of order and e = 1 mod r, e = 0 mod
+    order / r, 0 <= e < order. Then x^e has order dividing r and x^(1 - e)
+    has p-power order: the CRT split of the cyclic group generated by x."""
+    r, pa = order, 1
+    while r % p == 0:
+        r //= p
+        pa *= p
+    return r, pa * pow(pa, -1, r) % order

@@ -11,6 +11,7 @@ are only meaningful relative to it).
 
 from __future__ import annotations
 
+from itertools import product
 from math import gcd
 
 from .exact_math import (
@@ -24,12 +25,9 @@ from .exact_math import (
 
 RANK_BUDGET = 8  # the rank cap of root data
 ENTRY_BUDGET = 10**6
-ORDER_BUDGET = 10**3
-
-
-def _require_rank(rank):
-    if rank > RANK_BUDGET:
-        raise ValueError(f"lattice rank {rank} exceeds the budget {RANK_BUDGET}")
+# powers of a Frobenius its order search may take; the order searches of
+# exact_math.orders have their own ORDER_BUDGET
+FROBENIUS_ORDER_BUDGET = 10**3
 
 
 class TwistedTorus:
@@ -37,17 +35,18 @@ class TwistedTorus:
 
     Budgets bound the work before anything is computed: rank at most
     RANK_BUDGET, every entry of F at most ENTRY_BUDGET in absolute value
-    (checked before the determinant), and at most ORDER_BUDGET powers in
-    the order search. The search also stops at the first power with
-    |tr F^k| > rank: a finite-order integer matrix has only roots of unity
-    as eigenvalues, so every trace of its powers is at most the rank.
+    (checked before the determinant), and at most FROBENIUS_ORDER_BUDGET
+    powers in the order search. The search also stops at the first power
+    with |tr F^k| > rank: a finite-order integer matrix has only roots of
+    unity as eigenvalues, so every trace of its powers is at most the rank.
 
     A torus is immutable once built. Its pairing data (H^1, pi0 and the
     Smith form behind them) is cached in `derived` (see `exact_math.cached`)."""
 
     def __init__(self, rank, frobenius: IntMatrix):
         self.rank = int(rank)
-        _require_rank(self.rank)
+        if self.rank > RANK_BUDGET:
+            raise ValueError(f"frobenius rank {self.rank} exceeds the budget RANK_BUDGET = {RANK_BUDGET}")
         r, c = frobenius.shape
         if r != self.rank or c != self.rank:
             raise ValueError("frobenius must be square of the lattice rank")
@@ -62,7 +61,7 @@ class TwistedTorus:
     def _find_order(self):
         ident = IntMatrix.identity(self.rank)
         p = self.frobenius
-        for m in range(1, ORDER_BUDGET + 1):
+        for m in range(1, FROBENIUS_ORDER_BUDGET + 1):
             if p == ident:
                 return m
             if abs(sum(p.at(i, i) for i in range(self.rank))) > self.rank:
@@ -70,7 +69,9 @@ class TwistedTorus:
                     f"frobenius has infinite order: |tr F^{m}| exceeds the rank {self.rank}"
                 )
             p = p * self.frobenius
-        raise ValueError(f"frobenius order exceeds the budget {ORDER_BUDGET}")
+        raise ValueError(
+            f"frobenius order exceeds the budget FROBENIUS_ORDER_BUDGET = {FROBENIUS_ORDER_BUDGET}"
+        )
 
 
 class TNPairingData:
@@ -136,18 +137,9 @@ def _block_frobenius_on_sum_zero(n, block_sizes):
         for j in range(d):
             sigma.append(off + (j + 1) % d)
         off += d
-    # F b_k = e_{sigma(k)} - e_{sigma(k+1)}; expand in the b-basis:
-    # e_a - e_b = sum of b_j over [min, max) with sign
-    def diff_coords(a, b):
-        out = [0] * (n - 1)
-        if a == b:
-            return out
-        lo, hi, s = (a, b, 1) if a < b else (b, a, -1)
-        for j in range(lo, hi):
-            out[j] = s
-        return out
-
-    cols = [diff_coords(sigma[k], sigma[k + 1]) for k in range(n - 1)]
+    # F b_k = e_{sigma(k)} - e_{sigma(k+1)}, and e_a - e_b is the sum of b_j
+    # over a <= j < b, minus that over b <= j < a
+    cols = [[(j >= a) - (j >= b) for j in range(n - 1)] for a, b in zip(sigma, sigma[1:])]
     return IntMatrix.from_columns(cols)
 
 
@@ -174,7 +166,11 @@ def sln_kappa_group(n, m, degrees):
 
     if m == 1:
         return FinAbGroup(), [((0,) * len(degrees), ())]
-    _require_rank(n - 1)  # before the (n - 1)^2 Frobenius is written down
+    # before the (n - 1)^2 Frobenius is written down
+    if n - 1 > RANK_BUDGET:
+        raise ValueError(
+            f"rank {n - 1} exceeds the budget RANK_BUDGET = {RANK_BUDGET}: SL_n's torus has rank n - 1"
+        )
 
     block_sizes = [m * d for d in degrees]
     f = _block_frobenius_on_sum_zero(n, block_sizes)
@@ -207,14 +203,10 @@ def sln_kappa_group(n, m, degrees):
         if any(data.presentation.class_of(v)):
             raise AssertionError("twist class not well-defined mod m")
 
-    twists = [()]
-    for _ in range(l):
-        twists = [t + (ti,) for t in twists for ti in range(m)]
-
     xi = data.cochar_class([1 if k == 0 else 0 for k in range(n - 1)])
     witnesses = []
     classes = []
-    for t in twists:
+    for t in product(range(m), repeat=l):  # lexicographic order
         cls = class_of_twist(t)
         s = sum(ti * di for ti, di in zip(t, degrees)) % mg
         expected = data.h1.scale(s, xi)

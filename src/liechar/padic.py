@@ -20,13 +20,14 @@ from fractions import Fraction
 from itertools import product
 from operator import mul as _mul
 
-from .exact_math import IntMatrix, check_order_limit, element_order, is_prime, power, prime_factors, rref_mod
+from .exact_math import (
+    IntMatrix, check_order_limit, element_order, is_prime, jordan_exponent, power, prime_factors, rref_mod,
+)
 from .exact_math.primes import PRIME_BOUND
 
 __all__ = [
     "TruncatedMatrix",
     "DiagQuadForm",
-    "jordan_exponent",
     "topological_jordan",
     "quasi_log_bijection_check",
     "hilbert_symbol",
@@ -133,18 +134,6 @@ class TruncatedMatrix:
 
     def __repr__(self):
         return f"TruncatedMatrix({self.n}, {self.p}, {self.k}, {list(map(list, self.rows))})"
-
-
-def jordan_exponent(order, p):
-    """(r, e) for an element x of the given finite order (or any multiple
-    of it): r is the prime-to-p part of order and e = 1 mod r, e = 0 mod
-    order / r, 0 <= e < order. Then x^e has order dividing r and x^(1 - e)
-    has p-power order: the CRT split of the cyclic group generated by x."""
-    r, pa = order, 1
-    while r % p == 0:
-        r //= p
-        pa *= p
-    return r, pa * pow(pa, -1, r) % order
 
 
 def _reduction_order(gamma: TruncatedMatrix):

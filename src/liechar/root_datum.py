@@ -321,37 +321,35 @@ class RootDatum:
 
     # -- classification
 
-    def components(self):
-        """Connected components of the simple diagram, as index lists."""
-        n = len(self.simple_indices)
-        c = self.cartan()
-        seen, comps = set(), []
-        for start in range(n):
-            if start in seen:
-                continue
-            stack, comp = [start], []
-            seen.add(start)
-            while stack:
-                i = stack.pop()
-                comp.append(i)
-                for j in range(n):
-                    if j not in seen and c[i][j] != 0 and i != j:
-                        seen.add(j)
-                        stack.append(j)
-            comps.append(sorted(comp))
-        return comps
-
     def cartan_type(self):
         """Canonical type string, e.g. 'B3', 'A1+A1', 'A2+A2+A2', '0'."""
         return cached(self, "cartan_type", RootDatum._classify)
 
     def _classify(self):
-        if not self.simple_indices:
-            return "0"
+        """Each connected component of the simple diagram is typed by
+        `_component_type`, which is right on every finite diagram. A diagram
+        of no finite type gets some name there, and the root count refuses
+        it: a finite system of type X_k has k h roots, h the Coxeter
+        number."""
         c = self.cartan()
-        names = [_classify_component(comp, c) for comp in self.components()]
-        names.sort(key=lambda s: (-int(s[1:]), s[0]))
-        return "+".join(names)
+        nbrs = [[j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(c)]
+        types, seen = [], set()
+        for start in range(len(c)):
+            if start in seen:
+                continue
+            comp = [start]
+            seen.add(start)
+            for i in comp:  # the walk appends to the list it walks
+                new = [j for j in nbrs[i] if j not in seen]
+                seen.update(new)
+                comp += new
+            types.append(_component_type(comp, c, nbrs))
+        types.sort(key=lambda t: (-t[1], t[0]))
+        name = "+".join(f"{s}{k}" for s, k in types)
+        count = sum(k * _coxeter_number(s, k) for s, k in types)
+        if count != len(self.roots):
+            raise ValueError(f"root count check: {len(self.roots)} roots, but {name} has {count}")
+        return name or "0"
 
     def __repr__(self):
         if self.label:
@@ -360,72 +358,37 @@ class RootDatum:
         return f"RootDatum({self.cartan_type()}, rank {self.rank} lattice, derived)"
 
 
-def _classify_component(comp, c):
-    """Type of one connected component of a Cartan matrix."""
+def _component_type(comp, c, nbrs):
+    """(series, k) of a connected component of k nodes, from its bonds and
+    its branch node. A triple bond is G2. A double bond a-b with
+    c[a][b] = -2, so alpha_a short, is B_k when a is a leaf (B2 when k = 2),
+    C_k when only b is, F4 when neither is. A simply-laced path is A_k; a
+    branch node with two leaf neighbours is D_k's, with one E_k's."""
     k = len(comp)
-    if k == 1:
-        return "A1"
-    edges = {}
-    for a in comp:
-        for b in comp:
-            if a < b and c[a][b] != 0:
-                edges[(a, b)] = c[a][b] * c[b][a]
-    mults = sorted(edges.values())
-    deg = {a: sum(1 for e in edges if a in e) for a in comp}
-    maxdeg = max(deg.values())
-
-    if mults == [1] * (k - 1):
-        if maxdeg <= 2:
-            return f"A{k}"
-        if maxdeg == 3 and sum(1 for d in deg.values() if d == 3) == 1:
-            branch = next(a for a, d in deg.items() if d == 3)
-            legs = _leg_lengths(comp, edges, branch)
-            legs.sort()
-            if legs == [1, 1, k - 3]:
-                return f"D{k}"
-            if legs == [1, 2, 2] and k == 6:
-                return "E6"
-            if legs == [1, 2, 3] and k == 7:
-                return "E7"
-            if legs == [1, 2, 4] and k == 8:
-                return "E8"
-        raise ValueError("unrecognized simply-laced diagram")
-    if sorted(mults)[-1] == 3 and k == 2:
-        return "G2"
-    if mults.count(2) == 1 and all(m in (1, 2) for m in mults) and maxdeg <= 2:
-        (a, b), = [e for e, m in edges.items() if m == 2]
-        if k == 2:
-            return "B2"  # = C2 as an abstract type
-        # path: the double edge sits at an end (B/C) or in the middle (F4)
-        enda, endb = deg[a] == 1, deg[b] == 1
-        if not (enda or endb):
-            if k == 4:
-                return "F4"
-            raise ValueError("double edge strictly inside a long path")
-        leaf = a if enda else b
-        other = b if enda else a
-        # leaf short <=> <alpha_other, alpha_leaf^vee> = -2 <=> longer 'other'
-        leaf_is_short = c[leaf][other] == -2
-        return f"B{k}" if leaf_is_short else f"C{k}"
-    raise ValueError(f"unrecognized diagram with edge multiplicities {mults}")
+    bonds = {c[a][b]: (a, b) for a in comp for b in nbrs[a]}
+    if -3 in bonds:
+        return "G", k
+    if -2 in bonds:
+        a, b = bonds[-2]
+        if len(nbrs[a]) == 1:
+            return "B", k
+        return ("C" if len(nbrs[b]) == 1 else "F"), k
+    branch = next((a for a in comp if len(nbrs[a]) > 2), None)
+    if branch is None:
+        return "A", k
+    leaves = sum(len(nbrs[b]) == 1 for b in nbrs[branch])
+    return ("D" if leaves > 1 else "E"), k
 
 
-def _leg_lengths(comp, edges, branch):
-    adj = {a: [] for a in comp}
-    for (a, b) in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    legs = []
-    for start in adj[branch]:
-        length, prev, cur = 1, branch, start
-        while True:
-            nxt = [x for x in adj[cur] if x != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        legs.append(length)
-    return legs
+def _coxeter_number(series, k):
+    """h of the finite type series_k; 0 for a name of no finite type."""
+    if series == "A":
+        return k + 1
+    if series in "BC":
+        return 2 * k
+    if series == "D":
+        return 2 * k - 2
+    return {"E6": 12, "E7": 18, "E8": 30, "F4": 12, "G2": 6}.get(f"{series}{k}", 0)
 
 
 # ---------------------------------------------------------------------------

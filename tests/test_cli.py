@@ -291,8 +291,8 @@ _HUGE = 10**300
 @pytest.mark.parametrize(
     "argv,budget",
     [
-        (["tori", "sln-group", "--n", "300", "--m", "2", "--degrees", "[150]"], "rank 299 exceeds the budget 8"),
-        (["tori", "sln-group", "--n", "120", "--m", "60", "--degrees", "[2]"], "rank 119 exceeds the budget 8"),
+        (["tori", "sln-group", "--n", "300", "--m", "2", "--degrees", "[150]"], "rank 299 exceeds the budget RANK_BUDGET = 8"),
+        (["tori", "sln-group", "--n", "120", "--m", "60", "--degrees", "[2]"], "rank 119 exceeds the budget RANK_BUDGET = 8"),
         (["tori", "h1", "--frobenius", json.dumps([[_HUGE + 1, _HUGE], [1, 1]])], "exceeds the budget 1000000"),
     ],
 )
@@ -501,6 +501,8 @@ def test_tori_range_error_names_its_flag(argv, flag, message):
 
 _IDENTITY_9 = json.dumps([[int(i == j) for j in range(9)] for i in range(9)])
 _ZERO_13 = json.dumps([[0] * 13] * 13)
+# unipotent: every trace of a power is the rank, so only the order budget ends it
+_UNIPOTENT_8 = json.dumps([[1 if i == j else 10**6 * (j > i) for j in range(8)] for i in range(8)])
 _PAST_PRIME_BOUND = str(10**30 + 57)  # no prime factor below 43
 
 
@@ -536,6 +538,27 @@ _PAST_PRIME_BOUND = str(10**30 + 57)  # no prime factor below 43
             ["tjd", "--p", "3", "--k", "1", "--matrix", _ZERO_13],
             "--p, --matrix: order search up to 1594322 exceeds the budget ORDER_BUDGET = 1000000",
         ),
+        (["tori", "h1", "--frobenius", "[[1,0],[0]]"], "--frobenius: ragged rows"),
+        (
+            ["tori", "pair", "--frobenius", "[[1,0],[0]]", "--inv", "[]", "--kappa", "[]"],
+            "--frobenius: ragged rows",
+        ),
+        (
+            ["tori", "h1", "--frobenius", _IDENTITY_9],
+            "--frobenius: frobenius rank 9 exceeds the budget RANK_BUDGET = 8",
+        ),
+        (
+            ["tori", "pair", "--frobenius", _IDENTITY_9, "--inv", "[]", "--kappa", "[]"],
+            "--frobenius: frobenius rank 9 exceeds the budget RANK_BUDGET = 8",
+        ),
+        (
+            ["tori", "sln-group", "--n", "12", "--m", "2", "--degrees", "[3,3]"],
+            "--n: rank 11 exceeds the budget RANK_BUDGET = 8: SL_n's torus has rank n - 1",
+        ),
+        (
+            ["tori", "h1", "--frobenius", _UNIPOTENT_8],
+            "--frobenius: frobenius order exceeds the budget FROBENIUS_ORDER_BUDGET = 1000",
+        ),
         (["hilbert", "--a", "0", "--b", "3", "--place", "5"], "--a, --b: arguments must be nonzero"),
         (["hilbert", "--a", "2", "--b", "3", "--place", "4"], "--place: place must be a prime or 'inf'"),
         (["hilbert", "--a", "2", "--b", "3", "--place", "x"], "--place: place must be a prime or 'inf'"),
@@ -563,7 +586,8 @@ _PAST_PRIME_BOUND = str(10**30 + 57)  # no prime factor below 43
     ids=[
         "springer-even-q", "chartable-q-budget", "chartable-q-not-prime-power", "dixon-budget",
         "tjd-p", "tjd-p-primality", "tjd-k-zero", "tjd-k-cap", "tjd-gamma", "tjd-rows", "tjd-empty", "tjd-order-budget",
-        "tjd-order-budget-singular",
+        "tjd-order-budget-singular", "tori-h1-ragged", "tori-pair-ragged", "tori-h1-rank", "tori-pair-rank",
+        "tori-sln-rank", "tori-frobenius-order",
         "hilbert-zero", "hilbert-place", "hilbert-place-not-numeric", "hilbert-place-primality",
         "hilbert-place-past-int-limit", "hilbert-place-at-prime-bound", "endoscopy-rank-cap", "endoscopy-e5", "endoscopy-g3",
         "endoscopy-estimate-a", "endoscopy-kappa-length",
@@ -666,6 +690,17 @@ def test_out_writes_file_and_keeps_stdout_quiet(tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(path.read_text())["invariant_factors"] == [2]
+
+
+@pytest.mark.parametrize("place", ["5", "4"], ids=["document", "refusal"])
+def test_out_that_cannot_be_written_prints_one_json_error(place):
+    # the document (place 5) and the refusal (place 4) both need the file
+    argv = ["hilbert", "--a", "2", "--b", "3", "--place", place, "--out", "/nonexistent/d/x.json"]
+    message = "--out: cannot write '/nonexistent/d/x.json': No such file or directory"
+    assert run_cli(argv) == (1, json.dumps({"error": message}, indent=2) + "\n", "")
+    proc = run_proc(argv)
+    assert proc.returncode == 1 and json.loads(proc.stdout) == {"error": message}
+    assert "Traceback" not in proc.stderr
 
 
 def test_identical_runs_are_byte_identical():

@@ -52,7 +52,7 @@ def test_torus_rejects_infinite_order():
 
 def test_torus_refuses_rank_above_the_root_datum_cap(monkeypatch):
     # the identity has order 1, so only the rank budget can refuse it
-    with pytest.raises(ValueError, match="rank 9 exceeds the budget 8"):
+    with pytest.raises(ValueError, match="frobenius rank 9 exceeds the budget RANK_BUDGET = 8"):
         TwistedTorus(9, IntMatrix.identity(9))
     assert TwistedTorus(8, IntMatrix.identity(8)).order == 1
     # SL_n data are refused before their (n - 1) x (n - 1) Frobenius is built
@@ -61,7 +61,7 @@ def test_torus_refuses_rank_above_the_root_datum_cap(monkeypatch):
 
     monkeypatch.setattr(galois_tori, "_block_frobenius_on_sum_zero", no_frobenius)
     for n, m, degrees in ((300, 2, (150,)), (10**6, 2, (5 * 10**5,))):
-        with pytest.raises(ValueError, match=f"rank {n - 1} exceeds the budget 8"):
+        with pytest.raises(ValueError, match=f"rank {n - 1} exceeds the budget RANK_BUDGET = 8"):
             sln_kappa_group(n, m, degrees)
 
 
@@ -88,7 +88,7 @@ def test_torus_refuses_a_power_whose_trace_exceeds_the_rank():
         TwistedTorus(2, IntMatrix([[-1, 1], [1, 0]]))
     # a unipotent keeps every trace at the rank: the order budget ends it
     uni = IntMatrix([[1 if i == j else 10**6 * (j > i) for j in range(8)] for i in range(8)])
-    with pytest.raises(ValueError, match="order exceeds the budget 1000"):
+    with pytest.raises(ValueError, match="frobenius order exceeds the budget FROBENIUS_ORDER_BUDGET = 1000"):
         TwistedTorus(8, uni)
 
 

@@ -21,6 +21,7 @@ from liechar.root_datum import (
     reflection_closure,
     sub_datum_from_pairs,
 )
+from reference_dynkin import reference_cartan_type
 
 ROOT_COUNTS = {
     ("A", 1): 2,
@@ -329,14 +330,75 @@ def test_cartan_type_is_cached_and_errors_are_not():
     assert ctype == "B3" and d.derived["cartan_type"] is ctype
     assert d.cartan_type() is ctype
     # affine A2: a three-cycle of simple roots, no finite type
-    c = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
-    roots = [tuple(c[i][j] for i in range(3)) for j in range(3)]
-    coroots = [tuple(int(k == j) for k in range(3)) for j in range(3)]
-    cyc = RootDatum(3, roots, coroots, range(3), validate=False)
+    cyc = _simple_roots_only(_bonded(3, [(0, 1, -1), (1, 2, -1), (2, 0, -1)]))
     for _ in range(2):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="root count check"):
             cyc.cartan_type()
     assert "cartan_type" not in cyc.derived
+
+
+def _bonded(n, bonds):
+    """The n x n Cartan matrix with c[a][b] = x and c[b][a] = -1 for each
+    bond (a, b, x), so that alpha_a is the short end when x < -1."""
+    c = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for a, b, x in bonds:
+        c[a][b], c[b][a] = x, -1
+    return c
+
+
+def _simple_roots_only(c):
+    """An unvalidated datum in the weight basis whose roots are the simple
+    roots of the Cartan matrix c, so that <alpha_j, alpha_i^vee> = c[i][j]."""
+    n = len(c)
+    roots = [tuple(c[i][j] for i in range(n)) for j in range(n)]
+    coroots = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    return RootDatum(n, roots, coroots, range(n), validate=False)
+
+
+@pytest.mark.parametrize(
+    "bonds",
+    [
+        [(0, 1, -1), (1, 2, -1), (2, 3, -1), (3, 0, -1)],
+        [(0, 1, -1), (0, 2, -1), (0, 3, -1), (0, 4, -1)],
+        [(1, 0, -2), (1, 2, -2)],
+        [(0, 1, -1), (2, 1, -2), (2, 3, -1), (3, 4, -1)],
+        [(0, 1, -3), (1, 2, -1)],
+    ],
+    ids=["affine-A3-four-cycle", "affine-D4-degree-4", "affine-C2-two-double-bonds",
+         "path-inner-double-bond", "g2-bond-with-tail"],
+)
+def test_diagram_of_no_finite_type_is_refused_by_the_root_count(bonds):
+    d = _simple_roots_only(_bonded(1 + max(max(a, b) for a, b, _ in bonds), bonds))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="root count check"):
+            d.cartan_type()
+    assert "cartan_type" not in d.derived
+    # the leg-walking classifier refuses each of them as well
+    with pytest.raises(ValueError, match="unrecognized|double edge"):
+        reference_cartan_type(d)
+
+
+def test_cartan_type_matches_the_leg_walking_classifier():
+    # every datum, its dual, every pseudo-Levi of both, and the integral
+    # roots of seeded kappa in both, which reach every type the library
+    # admits and most of their sums
+    rng = random.Random(11)
+    seen = set()
+    for g in (build_root_datum(s, n, isog) for s, n in ADMITTED for isog in ("sc", "ad")):
+        for d in (g, dual_datum(g)):
+            data = [d] + [pseudo_levi(d, node) for node in range(d.rank + 1)]
+            for _ in range(12):
+                # kappa = v / den, and <r, kappa> is integral when den divides <r, v>
+                den = rng.choice((2, 3, 4, 5, 6))
+                v = [rng.randint(-den, den) for _ in range(d.rank)]
+                data.append(sub_datum_from_pairs(d.rank, [
+                    (r, rv) for r, rv in zip(d.roots, d.coroots)
+                    if sum(x * k for x, k in zip(r, v)) % den == 0
+                ]))
+            for sub in data:
+                assert sub.cartan_type() == reference_cartan_type(sub), sub
+                seen.update(sub.cartan_type().split("+"))
+    assert len(seen) == 32  # "0" and the 31 irreducible types of rank <= 8
 
 
 def _all_data():
