@@ -13,7 +13,9 @@ first word.
 
 When the file that `--out` names cannot be written, the document, or the
 refusal, is replaced by one `{"error": "--out: ..."}` on stdout, and the
-exit code is 1.
+exit code is 1. When stdout cannot be written (a full device, a closed
+pipe), nothing can carry a JSON error: one line goes to stderr instead, and
+the exit code is 1.
 
 `main(argv)` may be called repeatedly in one process. It builds its parser
 with `build_parser()` on the first call and reuses it afterwards; each call
@@ -47,7 +49,9 @@ from .endoscopy import (
     enumerate_split_elliptic,
     estimate_diagram_check,
 )
-from .exact_math import Cyclotomic, IntMatrix, element_order, smallest_conductor
+from .exact_math import (
+    Cyclotomic, IntMatrix, jordan_exponent, order_from_multiple, prime_factors, smallest_conductor,
+)
 from .finite_lie import (
     build_finite_group,
     is_strongly_regular,
@@ -59,6 +63,7 @@ from .padic import (
     TruncatedMatrix,
     hasse_invariant,
     hilbert_symbol,
+    order_multiple,
     quasi_log_bijection_check,
     relevant_places,
     topological_jordan,
@@ -175,9 +180,23 @@ class _OutError(Exception):
     """The file that --out names cannot be written."""
 
 
+class _StdoutError(Exception):
+    """Stdout cannot be written, so it cannot carry a JSON error either."""
+
+
+def _stdout(text):
+    """Write text to stdout and flush it, so that a failed write raises
+    here, not at exit."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as e:
+        raise _StdoutError(f"cannot write to stdout: {e.strerror or e}") from None
+
+
 def _write(text, args):
     if not args.out:
-        sys.stdout.write(text)
+        _stdout(text)
         return
     try:
         with open(args.out, "w") as fh:
@@ -331,15 +350,18 @@ def _cmd_tjd(args):
     rows = _parse_int_matrix(args.matrix, "--matrix")
     m = TruncatedMatrix(len(rows), args.p, args.k, rows)
     delta, u = topological_jordan(m)
-    # delta's order divides the order of the reduction, at most p^n - 1
+    # topological_jordan checked delta^r = 1 for r = lcm(p^d - 1, d <= n), the
+    # prime-to-p part of the order multiple; each p^d - 1 is at most the
+    # order bound p^n - 1 <= ORDER_BUDGET, so trial division factors it
+    r, _ = jordan_exponent(order_multiple(m.n, m.p, m.k), m.p)
+    primes = {ell for d in range(1, m.n + 1) for ell in prime_factors(m.p**d - 1)}
     ident = TruncatedMatrix.identity(m.n, m.p, m.k)
-    r = element_order(TruncatedMatrix.mul, ident, delta, m.p**m.n - 1)
     doc = {
         "p": args.p,
         "k": args.k,
         "delta": [list(row) for row in delta.rows],
         "u": [list(row) for row in u.rows],
-        "order_r": r,
+        "order_r": order_from_multiple(TruncatedMatrix.mul, ident, delta, r, primes),
     }
     _emit(doc, args)
     return 0
@@ -640,8 +662,7 @@ def _error_text(message):
     return json.dumps({"error": message}, indent=2) + "\n"
 
 
-def main(argv=None):
-    args = _parser().parse_args(argv)
+def _run(args):
     try:
         try:
             return args.fn(args)
@@ -649,7 +670,16 @@ def main(argv=None):
             _write(_error_text(_flagged(args.cmd, str(e))), args)
             return 1
     except _OutError as e:  # the document or the refusal had nowhere to go
-        sys.stdout.write(_error_text(str(e)))
+        _stdout(_error_text(str(e)))
+        return 1
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
+    try:
+        return _run(args)
+    except _StdoutError as e:  # no document can be written: one line on stderr
+        sys.stderr.write(f"liechar: {e}\n")
         return 1
 
 

@@ -66,6 +66,8 @@ __all__ = [
     "dl_jordan_reduction_check",
 ]
 
+DIXON_ORDER_BUDGET = 10**4  # most group elements a Dixon table is built over
+
 
 # ---------------------------------------------------------------------------
 # conjugacy classes
@@ -373,8 +375,8 @@ def _apply_packed(rows, packed, count, l):
     integer multiply-add. A field then holds at most (l - 1) times the sum
     of the row's c. That sum is at most n^2 for a class matrix (the sum over
     t of |C_t| times its count is |C_i| |C_j|) and at most m (l - 1) for a
-    lift, so with n <= 10^4 and l < 10^6 a field stays below 2^54 and never
-    carries into the next one.
+    lift, so with n <= DIXON_ORDER_BUDGET = 10^4 and l < 10^6 a field stays
+    below 2^54 and never carries into the next one.
     """
     nbytes = 8 * count
     out = []
@@ -480,9 +482,10 @@ def character_table_dixon(group) -> CharacterTable:
     F_l for a prime l = 1 (mod exponent), the central character values are
     turned into character values mod l, and each value is lifted exactly by
     discrete Fourier inversion over the cyclic group generated by its class
-    representative.  Works for any group of order at most 10^4 with
-    `elements`, `identity`, `mul`, `inv` and `right_products(xs, ys)`, which
-    yields, for each y in ys, the list of the products x y, x in xs.
+    representative.  Works for any group of order at most
+    DIXON_ORDER_BUDGET with `elements`, `identity`, `mul`, `inv` and
+    `right_products(xs, ys)`, which yields, for each y in ys, the list of
+    the products x y, x in xs.
 
     The class matrices are kept sparse, as rows of (t, count) pairs, built
     without a dense intermediate from one right_products call, which
@@ -503,8 +506,8 @@ def character_table_dixon(group) -> CharacterTable:
     - each row's degree is a positive integer (CharacterTable).
     """
     n = len(group.elements)
-    if n > 10**4:
-        raise ValueError("group order exceeds the 10^4 budget")
+    if n > DIXON_ORDER_BUDGET:
+        raise ValueError(f"group order {n} exceeds the budget DIXON_ORDER_BUDGET = {DIXON_ORDER_BUDGET}")
     cd = conjugacy_classes(group)
     mul, inv = group.mul, group.inv
     k = cd.count

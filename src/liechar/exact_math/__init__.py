@@ -24,7 +24,7 @@ from .cyclo import (
 )
 from .ffield import FiniteField
 from .primes import is_prime, prime_factors
-from .orders import check_order_limit, element_order, jordan_exponent, power, primitive_element
+from .orders import check_order_limit, element_order, jordan_exponent, order_from_multiple, power, primitive_element
 from .cache import cached
 
 __all__ = [
@@ -46,6 +46,7 @@ __all__ = [
     "check_order_limit",
     "element_order",
     "jordan_exponent",
+    "order_from_multiple",
     "power",
     "primitive_element",
     "cached",

@@ -1,6 +1,7 @@
 """Orders, powers and generators in a finite group given by its product,
 and the CRT split of a cyclic group's order into its prime-to-p and
-p-power parts."""
+p-power parts. An order is found by a budgeted search, or by prime descent
+from a known multiple of it."""
 
 from __future__ import annotations
 
@@ -28,6 +29,23 @@ def element_order(mul, identity, x, limit):
         if k > limit:
             raise AssertionError("element order exceeds the group order")
     return k
+
+
+def order_from_multiple(mul, identity, x, multiple, primes):
+    """Order of x given a multiple of it and the primes dividing that
+    multiple, by prime descent (Celler and Leedham-Green): each prime l is
+    divided out while x^(order / l) is still the identity. That is one power
+    per prime factor of the multiple, counted with multiplicity, and one
+    more per distinct prime, where `element_order` takes one product per
+    power of x. x^multiple must be the identity; if it is not, that is a bug
+    in the caller, and raises."""
+    if power(mul, identity, x, multiple) != identity:
+        raise AssertionError("the order multiple is not a multiple of the order")
+    order = multiple
+    for ell in primes:
+        while order % ell == 0 and power(mul, identity, x, order // ell) == identity:
+            order //= ell
+    return order
 
 
 def power(mul, identity, x, k):

@@ -1,33 +1,46 @@
 """Truncated p-adic arithmetic and local quadratic-form invariants.
 
 Matrices over Z/p^k with one-pass inversion and powers by
-`exact_math.power`, the decomposition of an invertible element into a
-finite-order part prime to p times a topologically unipotent part, an
-exhaustive finite-precision bijectivity check for the quasi-logarithm, and
-the Hilbert symbol with its diagonal-form product invariant.
+`exact_math.power`; the topological Jordan decomposition of an invertible
+element into a finite-order part prime to p times a topologically unipotent
+part; an exhaustive finite-precision bijectivity check for the
+quasi-logarithm; and the Hilbert symbol with its diagonal-form product
+invariant.
 
-The check's two sets, the unipotent-reduction group elements and the
-nilpotent-reduction Lie algebra elements mod p^k, are built from their
-reductions mod p: each set but SL2's group side is its reductions lifted
-freely to Z/p^k (`_lifts`), and SL2's group side lifts the unit one of a and
-d with b and c, then solves the other from ad - bc = 1 (p is odd, so
-a + d = 2 mod p makes a or d a unit).
+The Jordan decomposition searches for no order. N = `order_multiple(n, p,
+k)` = lcm(p^d - 1, d <= n) * p^(c + k - 1), with p^c >= n, is a multiple of
+the order of every element of GL_n(Z/p^k): the semisimple part of the
+reduction mod p has its eigenvalues in fields F_(p^d), d <= n, its unipotent
+part has order at most p^c, and the kernel of reduction has exponent
+p^(k-1). So the finite-order part is one power of gamma, its inverse one
+more, and each is checked.
+
+The quasi-logarithm check's two sets, the unipotent-reduction group
+elements and the nilpotent-reduction Lie algebra elements mod p^k, are built
+from their reductions mod p: each set but SL2's group side is its
+reductions lifted freely to Z/p^k (`_lifts`), and SL2's group side lifts
+the unit one of a and d with b and c, then solves the other from
+ad - bc = 1 (p is odd, so a + d = 2 mod p makes a or d a unit).
+
+The Hilbert symbol works on the numerators and denominators of its
+arguments as ints: valuations by division, the residue symbol of a unit
+num / den by Euler's criterion on num * den, and signs off the numerators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from operator import mul as _mul
 
-from .exact_math import (
-    IntMatrix, check_order_limit, element_order, is_prime, jordan_exponent, power, prime_factors, rref_mod,
-)
+from .exact_math import IntMatrix, check_order_limit, is_prime, jordan_exponent, power, prime_factors, rref_mod
 from .exact_math.primes import PRIME_BOUND
 
 __all__ = [
     "TruncatedMatrix",
     "DiagQuadForm",
+    "order_multiple",
     "topological_jordan",
     "quasi_log_bijection_check",
     "hilbert_symbol",
@@ -136,20 +149,21 @@ class TruncatedMatrix:
         return f"TruncatedMatrix({self.n}, {self.p}, {self.k}, {list(map(list, self.rows))})"
 
 
-def _reduction_order(gamma: TruncatedMatrix):
-    """Multiplicative order of the reduction mod p, stepped on int tuples;
-    an element of GL_n(F_p) has order at most p^n - 1, and a larger bound
-    than the order-search budget is refused before any step."""
-    p, n = gamma.p, gamma.n
-    red = tuple(tuple(x % p for x in r) for r in gamma.rows)
-    cols = tuple(zip(*red))
-    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+def order_multiple(n, p, k):
+    """N = L * p^(c + k - 1), with L = lcm(p^d - 1, d <= n) and c the least
+    exponent with p^c >= n: a multiple of the order of every element of
+    GL_n(Z/p^k).
 
-    def times_red(acc, _):
-        # every step multiplies by red, whose columns are taken once
-        return tuple([tuple([sum(map(_mul, row, col)) % p for col in cols]) for row in acc])
-
-    return element_order(times_red, ident, red, p**n - 1)
+    The reduction mod p of such an element is s * v with s semisimple and v
+    unipotent, commuting. The eigenvalues of s lie in fields F_(p^d), d <= n,
+    so s^L = 1; (v - 1)^n = 0 and p^c >= n give v^(p^c) = 1 + (v - 1)^(p^c)
+    = 1. So gamma^(L p^c) = 1 + pX, whose p^(k-1)-th power is 1 mod p^k.
+    L is prime to p, so it is the prime-to-p part of N.
+    """
+    pc, c = 1, 0
+    while pc < n:
+        pc, c = pc * p, c + 1
+    return lcm(*[p**d - 1 for d in range(1, n + 1)]) * p ** (c + k - 1)
 
 
 def topological_jordan(gamma: TruncatedMatrix):
@@ -157,33 +171,34 @@ def topological_jordan(gamma: TruncatedMatrix):
     finite order prime to p and u is topologically unipotent; the two parts
     commute and are unique at this precision.
 
-    gamma^ord = 1 mod p, ord the order of the reduction, so gamma^ord is
-    1 + pX and its p^(k-1)-th power is 1 mod p^k: N = ord * p^(k-1) is a
-    multiple of the order of gamma. With r the prime-to-p part of N, the
-    CRT split gives delta = gamma^e, e = 1 mod r and e = 0 mod N / r, in
-    one power. The checks delta^r = 1, delta * u = u * delta = gamma with
-    u = delta^(-1) * gamma (a verified inverse), and u^(p^m) = 1
-    within k + 8 steps guard the result (a miss is a bug, not an input
-    error). Returns (delta, u).
+    N = `order_multiple(n, p, k)` is a multiple of the order of gamma. With
+    r the prime-to-p part of N, the CRT split gives delta = gamma^e, e = 1
+    mod r and e = 0 mod N / r, in one power, and delta^(r-1) is its inverse:
+    the one product delta * delta^(r-1) = 1 checks both delta^r = 1 and the
+    inverse. The checks delta * u = u * delta = gamma with u = delta^(r-1) *
+    gamma, and u^(p^m) = 1 within k + 8 steps guard the result (a miss is a
+    bug, not an input error). Returns (delta, u).
 
-    The order search is bounded by p^n - 1, so a matrix whose bound passes
-    ORDER_BUDGET is refused first, before the determinant that decides
-    invertibility, whose integer entries grow with n.
+    A matrix whose order bound p^n - 1 passes ORDER_BUDGET is refused first,
+    before the determinant that decides invertibility, whose integer entries
+    grow with n. Within the budget each p^d - 1, d <= n, is small enough to
+    factor by trial division, which the CLI's order of delta relies on.
     """
-    check_order_limit(gamma.p**gamma.n - 1)
+    p, n, k = gamma.p, gamma.n, gamma.k
+    check_order_limit(p**n - 1)
     if not gamma.is_invertible():
         raise ValueError("gamma is not invertible modulo p")
-    p = gamma.p
-    r, e = jordan_exponent(_reduction_order(gamma) * p ** (gamma.k - 1), p)
+    r, e = jordan_exponent(order_multiple(n, p, k), p)
     delta = gamma.pow(e)
+    delta_inv = delta.pow(r - 1)
     ident = gamma._identity_like()
-    if delta.pow(r) != ident:
+    if delta.mul(delta_inv) != ident:
         raise AssertionError("finite-order part has the wrong order")
-    u = delta.inverse().mul(gamma)
+    u = delta_inv.mul(gamma)
     if delta.mul(u) != gamma or u.mul(delta) != gamma:
         raise AssertionError("parts do not commute back to gamma")
     acc = u
-    for _ in range(gamma.k + 8):
+    for _ in range(k + 8):
         if acc == ident:
             break
         acc = acc.pow(p)
@@ -301,26 +316,17 @@ def quasi_log_bijection_check(kind, p, k):
 # Hilbert symbol and the diagonal-form invariant
 
 
-def _split_valuation(x: Fraction, p):
-    """x = p^alpha * u with u a p-unit; returns (alpha, u)."""
+def _split_valuation(num, den, p):
+    """num / den = p^alpha * num' / den' with num' and den' prime to p;
+    returns the ints (alpha, num', den')."""
     alpha = 0
-    num, den = x.numerator, x.denominator
     while num % p == 0:
         num //= p
         alpha += 1
     while den % p == 0:
         den //= p
         alpha -= 1
-    return alpha, Fraction(num, den)
-
-
-def _unit_mod(u: Fraction, m):
-    return u.numerator * pow(u.denominator, -1, m) % m
-
-
-def _legendre(u: Fraction, p):
-    s = pow(_unit_mod(u, p), (p - 1) // 2, p)
-    return 1 if s == 1 else -1
+    return alpha, num, den
 
 
 def hilbert_symbol(a, b, v):
@@ -331,13 +337,19 @@ def hilbert_symbol(a, b, v):
     prime at or above PRIME_BOUND is admitted (`is_prime` refuses it), so a
     string with more significant digits than PRIME_BOUND is refused before
     it is converted. Computed from the standard valuation and residue
-    formulas; bimultiplicative and symmetric.
+    formulas on the numerators and denominators; bimultiplicative and
+    symmetric. A unit num / den is a square mod an odd v when num * den is,
+    which Euler's criterion decides; mod 8, an odd den is its own inverse.
     """
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 or b == 0:
+    if not isinstance(a, Fraction):
+        a = Fraction(a)
+    if not isinstance(b, Fraction):
+        b = Fraction(b)
+    an, bn = a.numerator, b.numerator
+    if an == 0 or bn == 0:
         raise ValueError("arguments must be nonzero")
     if v == "inf":
-        return -1 if a < 0 and b < 0 else 1
+        return -1 if an < 0 and bn < 0 else 1
     if isinstance(v, str):
         if not v.isdecimal():
             raise ValueError("place must be a prime or 'inf'")
@@ -350,23 +362,21 @@ def hilbert_symbol(a, b, v):
     v = int(v)
     if not is_prime(v):
         raise ValueError("place must be a prime or 'inf'")
+    alpha, un, ud = _split_valuation(an, a.denominator, v)
+    beta, wn, wd = _split_valuation(bn, b.denominator, v)
     if v == 2:
-        alpha, u = _split_valuation(a, 2)
-        beta, w = _split_valuation(b, 2)
-        um, wm = _unit_mod(u, 8), _unit_mod(w, 8)
+        um, wm = un * ud % 8, wn * wd % 8
         eps_u, eps_w = (um - 1) // 2 % 2, (wm - 1) // 2 % 2
         om_u, om_w = (um * um - 1) // 8 % 2, (wm * wm - 1) // 8 % 2
         expo = eps_u * eps_w + alpha * om_w + beta * om_u
         return -1 if expo % 2 else 1
-    alpha, u = _split_valuation(a, v)
-    beta, w = _split_valuation(b, v)
     eps = (v - 1) // 2
     out = 1
     if alpha * beta * eps % 2:
         out = -out
-    if beta % 2 and _legendre(u, v) == -1:
+    if beta % 2 and pow(un * ud, eps, v) != 1:
         out = -out
-    if alpha % 2 and _legendre(w, v) == -1:
+    if alpha % 2 and pow(wn * wd, eps, v) != 1:
         out = -out
     return out
 
@@ -401,6 +411,7 @@ def relevant_places(*values):
     denominator."""
     places = {"inf", 2}
     for x in values:
-        x = Fraction(x)
+        if not isinstance(x, Fraction):
+            x = Fraction(x)
         places.update(prime_factors(abs(x.numerator)), prime_factors(x.denominator))
     return places

@@ -1,8 +1,11 @@
 """Exit-code and golden-output tests for the command-line interface."""
 
 import csv
+import errno
+import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -272,7 +275,7 @@ def test_endoscopy_estimate_d3_is_type_a_and_exits_1(isogeny):
         (["springer", "verify", "--group", "SL2", "--q", "15"], "not a prime power"),
         (["springer", "verify", "--group", "GL2", "--q", "4"], "center"),
         (["chartable", "--group", "SL2", "--q", "17", "--method", "classical"], "budget"),
-        (["chartable", "--group", "GL2", "--q", "11", "--method", "dixon"], "10^4 budget"),
+        (["chartable", "--group", "GL2", "--q", "11", "--method", "dixon"], "exceeds the budget DIXON_ORDER_BUDGET = 10000"),
         (["hilbert", "--a", "2", "--b", "3", "--place", "x"], "--place"),
         (["chartable", "--group", "SL2", "--q", "17", "--format", "csv"], "SL2 budget is q <= 13"),
     ],
@@ -517,7 +520,7 @@ _PAST_PRIME_BOUND = str(10**30 + 57)  # no prime factor below 43
         (["chartable", "--group", "SL2", "--q", "15"], "--q: 15 is not a prime power"),
         (
             ["chartable", "--group", "GL2", "--q", "11", "--method", "dixon"],
-            "--q, --method: group order exceeds the 10^4 budget",
+            "--q, --method: group order 13200 exceeds the budget DIXON_ORDER_BUDGET = 10000",
         ),
         (["tjd", "--p", "4", "--k", "2", "--matrix", "[[1]]"], "--p: p must be prime"),
         (
@@ -701,6 +704,72 @@ def test_out_that_cannot_be_written_prints_one_json_error(place):
     proc = run_proc(argv)
     assert proc.returncode == 1 and json.loads(proc.stdout) == {"error": message}
     assert "Traceback" not in proc.stderr
+
+
+class _FullStdout(io.StringIO):
+    """A stdout on a full device: every write, or only every flush (a
+    buffered stream fails when it flushes), raises ENOSPC."""
+
+    def __init__(self, failing):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hilbert", "--a", "2", "--b", "3", "--place", "5"],
+        ["hilbert", "--a", "2", "--b", "3", "--place", "4"],
+        ["hilbert", "--a", "2", "--b", "3", "--place", "5", "--out", "/nonexistent/d/x.json"],
+    ],
+    ids=["document", "refusal", "out-error"],
+)
+def test_stdout_that_cannot_be_written_prints_one_line_on_stderr(argv, failing):
+    # stdout cannot carry a JSON error either, so one line goes to stderr
+    err = io.StringIO()
+    with redirect_stdout(_FullStdout(failing)), redirect_stderr(err):
+        code = main(argv)
+    assert code == 1
+    assert err.getvalue() == "liechar: cannot write to stdout: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_stdout_on_a_full_device_ends_without_a_traceback():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "liechar.cli", "chartable", "--group", "GL2", "--q", "5"],
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr == "liechar: cannot write to stdout: No space left on device\n"
+
+
+# x^7 - x - 1 is irreducible mod 7 (an Artin-Schreier polynomial), so its
+# companion matrix is semisimple of order 137257 = (7^7 - 1) / 6, just under
+# the order bound 7^7 - 1; the linear order searches tjd used to run walked
+# all of it twice
+_COMPANION_7 = json.dumps([[int(j == 6 and i < 2 or i == j + 1) for j in range(7)] for i in range(7)])
+
+
+def test_tjd_slowest_accepted_input_prints_the_same_document_quickly():
+    # the sha1 is that of the document the order searches printed, in
+    # about 15 s
+    start = time.perf_counter()
+    code, out, err = run_cli(["tjd", "--p", "7", "--k", "64", "--matrix", _COMPANION_7])
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (0, "")
+    assert json.loads(out)["order_r"] == 137257
+    assert hashlib.sha1(out.encode()).hexdigest() == "7c93841661f1295fbfb154cfcf365067b5afa6ec"
 
 
 def test_identical_runs_are_byte_identical():

@@ -2,6 +2,7 @@
 row reduction over Z/l and its three callers, the bounded prime tests, the
 budgeted order search and the generator search."""
 
+import math
 import random
 from fractions import Fraction
 from math import lcm
@@ -14,6 +15,7 @@ from liechar.exact_math import (
     FiniteField,
     element_order,
     inverse_rational,
+    order_from_multiple,
     is_prime,
     power,
     prime_factors,
@@ -275,6 +277,21 @@ def test_prime_factors_trial_bound():
     assert p > TRIAL_BOUND and is_prime(p)
     with pytest.raises(ValueError, match="TRIAL_BOUND"):
         prime_factors(p * p)
+
+
+def test_order_from_multiple_matches_the_order_search():
+    # every unit mod m, descending from a multiple of its order
+    for m in (7, 9, 16, 45, 97, 360):
+        mul = lambda a, b, m=m: a * b % m
+        units = [x for x in range(1, m) if math.gcd(x, m) == 1]
+        multiple = len(units) * 12
+        primes = prime_factors(multiple)
+        for x in units:
+            assert order_from_multiple(mul, 1, x, multiple, primes) == element_order(mul, 1, x, m), (m, x)
+    with pytest.raises(AssertionError, match="not a multiple of the order"):
+        order_from_multiple(lambda a, b: a * b % 7, 1, 3, 4, [2])
+    with pytest.raises(AssertionError, match="not a multiple of the order"):
+        order_from_multiple(lambda a, b: a * b % 7, 1, 3, 1, [])
 
 
 def test_order_search_budget_is_checked_before_stepping():

@@ -1,12 +1,17 @@
 """Tests for truncated p-adic matrices, the topological Jordan split,
 quasi-logarithm bijectivity at finite precision, and Hilbert symbols."""
 
+import contextlib
+import io
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+import reference_padic as ref
+from liechar.cli import main
 from liechar.exact_math import IntMatrix, is_prime
 from liechar.padic import (
     DiagQuadForm,
@@ -14,6 +19,7 @@ from liechar.padic import (
     _qlog_sets,
     hasse_invariant,
     hilbert_symbol,
+    order_multiple,
     quasi_log_bijection_check,
     relevant_places,
     topological_jordan,
@@ -285,6 +291,92 @@ def test_tjd_matches_power_iteration(n, p):
         scalar = [[1 + p if i == j else 0 for j in range(n)] for i in range(n)]
         g = rand_invertible(rng, n, p, k).mul(TruncatedMatrix(n, p, k, scalar))
         assert topological_jordan(g) == _power_iteration_jordan(g)
+
+
+def _jordan_block_conjugate(rng, n, p, k):
+    """h J h^-1 for J the n x n Jordan block at a random unit: its reduction
+    has a unipotent part of order p^c, the least p-power >= n."""
+    mod = p**k
+    lam = rng.choice([x for x in range(1, mod) if x % p])
+    block = TruncatedMatrix(n, p, k, [[lam if i == j else int(j == i + 1) for j in range(n)] for i in range(n)])
+    h = rand_invertible(rng, n, p, k)
+    return h.mul(block).mul(h.inverse())
+
+
+def test_order_multiple_is_a_multiple_of_every_order():
+    # every element of GL_2(Z/4), GL_2(Z/9) and GL_3(Z/2): N kills it
+    for n, p, k in [(2, 2, 2), (2, 3, 2), (3, 2, 1)]:
+        mod, big = p**k, order_multiple(n, p, k)
+        for entries in itertools.product(range(mod), repeat=n * n):
+            g = TruncatedMatrix(n, p, k, [entries[i * n:(i + 1) * n] for i in range(n)])
+            if g.is_invertible():
+                assert g.pow(big) == TruncatedMatrix.identity(n, p, k), (n, p, k, entries)
+    # L = lcm(p^d - 1, d <= n) times p^(c + k - 1), p^c the least p-power >= n
+    assert order_multiple(1, 2, 1) == 1
+    assert order_multiple(3, 2, 4) == 21 * 2**5
+    assert order_multiple(2, 7, 3) == 48 * 7**3
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_tjd_matches_the_order_search_reference(p):
+    # the reference finds the reduction's order by a linear search and
+    # inverts delta by row reduction; a Jordan-block conjugate has the
+    # largest unipotent part the order multiple must cover
+    rng = random.Random(500 + p)
+    for n in range(1, 5):
+        for k in range(1, 6):
+            cases = [rand_invertible(rng, n, p, k) for _ in range(4 if n < 3 else 1)]
+            if n > 1:
+                cases.append(_jordan_block_conjugate(rng, n, p, k))
+            for g in cases:
+                assert topological_jordan(g) == ref.topological_jordan(g), (n, p, k, g)
+
+
+def _tjd_document(g):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["tjd", "--p", str(g.p), "--k", str(g.k), "--matrix", json.dumps(g.rows)]) == 0
+    return json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_tjd_order_r_matches_the_linear_order_search(p):
+    rng = random.Random(600 + p)
+    for n in range(1, 5 if p < 5 else 4):
+        for k in range(1, 4):
+            cases = [rand_invertible(rng, n, p, k)]
+            if n > 1:
+                cases.append(_jordan_block_conjugate(rng, n, p, k).mul(rand_invertible(rng, n, p, k)))
+            for g in cases:
+                delta, u = ref.topological_jordan(g)
+                doc = _tjd_document(g)
+                assert (doc["delta"], doc["u"]) == ([list(r) for r in delta.rows], [list(r) for r in u.rows])
+                assert doc["order_r"] == ref.delta_order(delta), (n, p, k, g)
+
+
+def _rational_at(rng, v):
+    """A random nonzero rational whose valuation at the prime v is in
+    [-3, 3], so both parities of each valuation occur."""
+    x = Fraction(rng.choice((1, -1)) * rng.randint(1, 400), rng.randint(1, 300))
+    return x * Fraction(v) ** rng.randint(-3, 3)
+
+
+def test_hilbert_matches_the_fraction_reference():
+    rng = random.Random(31)
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 1009, 10007]
+    for _ in range(10000):
+        v = rng.choice(primes)
+        a, b = _rational_at(rng, v), _rational_at(rng, v)
+        want = ref.hilbert_symbol(a, b, v)
+        assert hilbert_symbol(a, b, v) == want, (a, b, v)
+        # the same place as decimal digits, and the same arguments as text
+        assert hilbert_symbol(str(a), str(b), "0" + str(v)) == want, (a, b, v)
+        assert hilbert_symbol(a, b, "inf") == ref.hilbert_symbol(a, b, "inf")
+    for a in range(-12, 13):
+        for b in range(-12, 13):
+            if a and b:
+                for v in ("inf", 2, 3, 5, 7, 11):
+                    assert hilbert_symbol(a, b, v) == ref.hilbert_symbol(a, b, v), (a, b, v)
 
 
 def test_tjd_conjugation_equivariance():
