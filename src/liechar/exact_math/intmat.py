@@ -3,19 +3,22 @@ row reduction over Q and over Z/l (l prime), and finitely generated abelian
 groups presented by invariant factors.
 
 All matrices are immutable, row-major tuples of tuples of Python ints.
-Row reduction over Q never forms a Fraction: `solve_rational` and
-`inverse_rational` run Bareiss's fraction-free Gauss-Jordan on integer rows
-(E. H. Bareiss, "Sylvester's identity and multistep integer-preserving
-Gaussian elimination", Math. Comp. 22, 1968), in which every entry is a
-minor of the input and every division is exact, and divide once at the end.
+Elimination over Z is one routine, Bareiss's fraction-free Gauss-Jordan on
+integer rows (E. H. Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 22, 1968), in which
+every entry is a minor of the input and every division is exact. The one
+pass serves `IntMatrix.det` (its last pivot, signed by its row swaps),
+`solve_rational` and `inverse_rational`, which never form a Fraction
+before they divide once at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .orders import element_order
+from .primes import prime_factors
 
 
 class IntMatrix:
@@ -101,30 +104,17 @@ class IntMatrix:
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.rows)
 
     def det(self):
-        """Exact determinant by fraction-free (Bareiss) elimination."""
+        """Exact determinant, read off the one Bareiss pass
+        `_gauss_jordan`: its last pivot times the sign of its row swaps, and
+        0 when it finds the columns dependent."""
         r, c = self.shape
         if r != c:
             raise ValueError("square matrix required")
-        if r == 0:
-            return 1
-        a = [list(row) for row in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(r - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, r):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, r):
-                for j in range(k + 1, r):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[r - 1][r - 1]
+        try:
+            p, sign = _gauss_jordan([list(row) for row in self.rows], r)
+        except ValueError:
+            return 0
+        return sign * p
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +259,8 @@ def smith_normal_form(m: IntMatrix):
 
 def _gauss_jordan(a, n):
     """Fraction-free (Bareiss) Gauss-Jordan on the integer rows a, in place,
-    over their first n columns; returns the last pivot p.
+    over their first n columns; returns (p, sign), p the last pivot and sign
+    = (-1)^(number of row swaps).
 
     Step c takes the pivot p from row c (after a swap) and replaces every
     other row r by (a[r] * p - a[r][c] * a[c]) // prev, prev the pivot of
@@ -277,14 +268,16 @@ def _gauss_jordan(a, n):
     then a minor of the input, so each division is exact, and the integers
     grow only as minors do. At the end the first n columns of a[:n] are
     p times the identity, p = +-det of those rows, and the rows from n on
-    are zero there. ValueError if the first n columns are linearly
-    dependent."""
-    prev = 1
+    are zero there; for n square rows, sign * p is their determinant.
+    ValueError if the first n columns are linearly dependent."""
+    prev, sign = 1, 1
     for col in range(n):
         piv = next((r for r in range(col, len(a)) if a[r][col]), None)
         if piv is None:
             raise ValueError("singular system")
-        a[col], a[piv] = a[piv], a[col]
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            sign = -sign
         prow = a[col]
         p = prow[col]
         for r, row in enumerate(a):
@@ -296,7 +289,7 @@ def _gauss_jordan(a, n):
             elif p != prev:
                 a[r] = [x * p // prev for x in row]
         prev = p
-    return prev
+    return prev, sign
 
 
 def solve_rational(rows, b):
@@ -308,7 +301,7 @@ def solve_rational(rows, b):
     n = len(rows[0]) if rows else 0
     d = lcm(1, *(v.denominator for v in b))
     a = [list(row) + [v.numerator * (d // v.denominator)] for row, v in zip(rows, b)]
-    p = _gauss_jordan(a, n)
+    p, _ = _gauss_jordan(a, n)
     if any(a[r][n] for r in range(n, len(a))):
         raise ValueError("inconsistent system")
     return tuple(Fraction(a[r][n], p * d) for r in range(n))
@@ -321,7 +314,7 @@ def inverse_rational(rows):
     ValueError for a singular matrix."""
     n = len(rows)
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    p = _gauss_jordan(a, n)
+    p, _ = _gauss_jordan(a, n)
     g = gcd(p, *(x for row in a for x in row[n:]))
     if p < 0:
         g = -g
@@ -451,50 +444,34 @@ def cokernel_group(m: IntMatrix) -> CokernelPresentation:
 
 def abelian_subgroup_type(elements, add, zero):
     """Invariant factors of a finite abelian group given as an explicit set of
-    elements with an addition law. Works by matching order statistics: for a
-    group of type (d_1, ..., d_k) the count of x with m*x = 0 is the product
-    of gcd(d_i, m)."""
+    elements with an addition law, read off its order statistics. For a
+    group of type (d_1, ..., d_k), a prime p and j >= 1, the number of x with
+    p^j x = 0 is the product of gcd(d_i, p^j), so its ratio to the number at
+    p^(j - 1) is p^e_j, e_j the number of d_i divisible by p^j. The i-th
+    largest factor (from i = 0) thus has p-part p^#{j : e_j > i}. A ratio
+    that is not a power of p, or factors whose product is not the number of
+    elements, raise AssertionError."""
     elems = list(elements)
     n = len(elems)
-    if n == 1:
-        return FinAbGroup()
-
     orders = [element_order(add, zero, x, n) for x in elems]
-    exponent = 1
-    for o in orders:
-        exponent = lcm(exponent, o)
-
-    def count_killed(m):
-        return sum(1 for o in orders if m % o == 0)
-
-    # enumerate divisibility chains with product n, factors largest-first
-    results = []
-
-    def rec(remaining, cap, acc):
-        if remaining == 1:
-            results.append(tuple(reversed(acc)))
-            return
-        for d in range(2, cap + 1):
-            if cap % d == 0 and remaining % d == 0:
-                rec(remaining // d, d, acc + [d])
-
-    rec(n, exponent, [])
-    matches = []
-    for chain in results:
-        if not chain or chain[-1] != exponent:
-            continue
-        ok = True
-        for m in range(1, exponent + 1):
-            if exponent % m != 0:
-                continue
-            prod = 1
-            for d in chain:
-                prod *= gcd(d, m)
-            if prod != count_killed(m):
-                ok = False
+    factors = []  # largest first
+    for p in prime_factors(n):
+        ranks, killed, pj = [], 1, p  # killed = #{x : p^(j - 1) x = 0}, pj = p^j
+        while True:
+            count = sum(1 for o in orders if pj % o == 0)
+            e, pe = 0, killed
+            while pe < count:
+                pe, e = pe * p, e + 1
+            if pe != count:
+                raise AssertionError(f"{count} / {killed} elements is not a power of {p}")
+            if not e:
                 break
-        if ok:
-            matches.append(chain)
-    if len(matches) != 1:
-        raise AssertionError(f"ambiguous or missing abelian type: {matches}")
-    return FinAbGroup(torsion=matches[0])
+            ranks.append(e)
+            killed, pj = count, pj * p
+        top = max(ranks, default=0)  # e_1, the number of d_i divisible by p
+        factors += [1] * (top - len(factors))
+        for i in range(top):
+            factors[i] *= p ** sum(1 for k in ranks if k > i)
+    if prod(factors) != n:
+        raise AssertionError(f"invariant factors {factors} do not multiply to {n} elements")
+    return FinAbGroup(torsion=factors[::-1])

@@ -7,14 +7,16 @@ from __future__ import annotations
 
 from .primes import prime_factors
 
-ORDER_BUDGET = 10**6  # most steps an order search may take
+ORDER_BUDGET = 10**6  # largest order bound admitted
 
 
 def check_order_limit(limit):
-    """Refuse an order search up to limit, a bound on the order, when limit
-    is above ORDER_BUDGET: the one place that raises the budget's error."""
+    """Refuse an order bound limit above ORDER_BUDGET: the one place that
+    raises the budget's error. The bound caps an order search, or the size
+    of an input whose orders are read off a multiple (p^n - 1 for an n x n
+    matrix mod p)."""
     if limit > ORDER_BUDGET:
-        raise ValueError(f"order search up to {limit} exceeds the budget ORDER_BUDGET = {ORDER_BUDGET}")
+        raise ValueError(f"order bound {limit} exceeds the budget ORDER_BUDGET = {ORDER_BUDGET}")
 
 
 def element_order(mul, identity, x, limit):

@@ -38,7 +38,6 @@ from .exact_math import FiniteField, cached, power, prime_factors, primitive_ele
 
 _KIND_DATA = {"GL2": 2, "SL2": 1}  # kind: F_q-rank
 _CENTER_ORDER = 2  # |Z(G^sc)|, the center of SL2
-_Q_BUDGET = 13
 
 
 @lru_cache(maxsize=None)
@@ -46,10 +45,10 @@ def _field_for(p, f):
     return FiniteField(p, f)
 
 
-def _kind_data(kind, p, q):
-    """The F_q-rank of kind, once q = p^f passed the kind's checks: the
-    kind, the center, the budget. No field is needed, so a refused q builds
-    none."""
+def _check_kind(kind, p):
+    """The kind's checks on the characteristic p: the kind and the center.
+    No field is needed, so a refused kind or p builds none; q itself is
+    bounded by the field's MAX_Q."""
     if kind not in _KIND_DATA:
         raise ValueError(f"unknown kind {kind!r}")
     if _CENTER_ORDER % p == 0:
@@ -57,9 +56,6 @@ def _kind_data(kind, p, q):
             f"p = {p} divides the order {_CENTER_ORDER} of the simply "
             f"connected center for {kind}"
         )
-    if q > _Q_BUDGET:
-        raise ValueError(f"{kind} budget is q <= {_Q_BUDGET}")
-    return _KIND_DATA[kind]
 
 
 class FiniteLieGroup:
@@ -71,7 +67,7 @@ class FiniteLieGroup:
         self.kind = kind
         self.field = field
         self.q = q
-        self.fq_rank = _kind_data(kind, field.p, q)
+        self.fq_rank = _KIND_DATA[kind]
         self.tables = _kernels.tables(field)
         self.identity = self.pack([[1, 0], [0, 1]])
         self.elements = self._enumerate()
@@ -244,15 +240,16 @@ class FiniteLieGroup:
 @lru_cache(maxsize=None)
 def build_finite_group(kind, q) -> FiniteLieGroup:
     """The group GL2 or SL2 over F_q, for an odd prime power q <= 13; one
-    object per (kind, q). Any other kind or q raises ValueError, before a
-    field is built."""
+    object per (kind, q). Any other kind or q raises ValueError: a kind or
+    a characteristic before a field is built, a q past the field's MAX_Q
+    from `FiniteField`."""
     primes = prime_factors(q)
     if len(primes) != 1:
         raise ValueError(f"{q} is not a prime power")
     p, f = primes[0], 1
     while p**f < q:
         f += 1
-    _kind_data(kind, p, q)
+    _check_kind(kind, p)
     return FiniteLieGroup(kind, _field_for(p, f))
 
 

@@ -1,6 +1,7 @@
 """Truncated p-adic arithmetic and local quadratic-form invariants.
 
-Matrices over Z/p^k with one-pass inversion and powers by
+Matrices over Z/p^k with one-pass inversion, invertibility read off the
+rank of the reduction over F_p (`rref_mod`, no determinant), and powers by
 `exact_math.power`; the topological Jordan decomposition of an invertible
 element into a finite-order part prime to p times a topologically unipotent
 part; an exhaustive finite-precision bijectivity check for the
@@ -34,7 +35,7 @@ from itertools import product
 from math import lcm
 from operator import mul as _mul
 
-from .exact_math import IntMatrix, check_order_limit, is_prime, jordan_exponent, power, prime_factors, rref_mod
+from .exact_math import check_order_limit, is_prime, jordan_exponent, power, prime_factors, rref_mod
 from .exact_math.primes import PRIME_BOUND
 
 __all__ = [
@@ -111,11 +112,10 @@ class TruncatedMatrix:
         # power returns its identity argument only for e = 0
         return power(TruncatedMatrix.mul, None, self, e)
 
-    def det(self):
-        return IntMatrix(self.rows).det() % self.mod
-
     def is_invertible(self):
-        return self.det() % self.p != 0
+        """Whether the reduction mod p has full rank, by `rref_mod` over
+        F_p: no integer is formed past the entries mod p."""
+        return len(rref_mod(self.rows, self.p, self.n)[1]) == self.n
 
     def inverse(self):
         """One Gauss-Jordan pass on [A | I] over Z/p^k, pivoting on units:
@@ -180,9 +180,9 @@ def topological_jordan(gamma: TruncatedMatrix):
     bug, not an input error). Returns (delta, u).
 
     A matrix whose order bound p^n - 1 passes ORDER_BUDGET is refused first,
-    before the determinant that decides invertibility, whose integer entries
-    grow with n. Within the budget each p^d - 1, d <= n, is small enough to
-    factor by trial division, which the CLI's order of delta relies on.
+    before the rank over F_p that decides invertibility. The budget keeps
+    each p^d - 1, d <= n, small enough to factor by trial division, which
+    the CLI's order of delta relies on.
     """
     p, n, k = gamma.p, gamma.n, gamma.k
     check_order_limit(p**n - 1)

@@ -40,7 +40,6 @@ from __future__ import annotations
 import struct
 from functools import lru_cache
 from itertools import chain
-from math import gcd
 from operator import mul
 
 from .exact_math import cached, inverse_rational
@@ -103,31 +102,6 @@ def _check_range(vectors):
     entries = list(chain.from_iterable(vectors))
     if entries and (max(entries) >= ROOT_ENTRY_BOUND or min(entries) < -ROOT_ENTRY_BOUND):
         raise _range_error()
-
-
-def _rank_of_span(vectors, dim):
-    """Rank of the span of integer vectors of length dim. Each vector is
-    reduced against an integer echelon basis, kept sorted by pivot column,
-    by cross-multiplying with the pivot rows and dividing out the content;
-    what is left, if nonzero, joins the basis. The search stops once the
-    rank reaches dim."""
-    basis = []  # (pivot column, row); pivot columns are distinct, rows zero left of them
-    for v in vectors:
-        if len(basis) == dim:
-            break
-        row = list(v)
-        for col, p in basis:
-            x = row[col]
-            if x:
-                row = [p[col] * a - x * b for a, b in zip(row, p)]
-                g = gcd(*row)
-                if g:
-                    row = [a // g for a in row]
-        col = next((i for i, a in enumerate(row) if a), None)
-        if col is not None:
-            basis.append((col, row))
-            basis.sort()
-    return len(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +179,13 @@ class RootDatum:
     simple roots are integers (`simple_coefficients`), read off the
     integer rows of C^-1. What is derived from it (its dual, the
     inverse Cartan matrix as integer rows over one denominator, the highest
-    root, semisimplicity, the Cartan type, the extended diagram, and for
-    endoscopy the center action and the elliptic triple of each center
-    orbit) is cached in `derived` (see `exact_math.cached`), a number of
-    entries fixed by the datum, never one per query point.
+    root, the Cartan type, the extended diagram, and for endoscopy the
+    center action and the elliptic triple of each center orbit) is cached in
+    `derived` (see `exact_math.cached`), a number of entries fixed by the
+    datum, never one per query point. Semisimplicity is not cached: it is
+    read off the simple system, a basis of the span of the roots, which
+    every datum is built with (the registry, the dual and
+    `sub_datum_from_pairs`).
 
     `build_root_datum` returns one object per (series, rank, isogeny), shared
     by every caller in the process, so a datum and what it derives must not
@@ -269,9 +246,9 @@ class RootDatum:
         return tuple(self.coroots[i] for i in self.simple_indices)
 
     def is_semisimple(self):
-        return cached(
-            self, "semisimple", lambda d: _rank_of_span(d.roots, d.rank) == d.rank and len(d.roots) > 0
-        )
+        """Whether the roots span X over Q. The simple roots are a basis of
+        that span, so this is their count against the rank."""
+        return len(self.simple_indices) == self.rank
 
     def coroot_of(self, root):
         return self.coroots[self.roots.index(tuple(root))]

@@ -1,9 +1,17 @@
-"""Integer kernels and integer solutions of an integer matrix, read off its
-Smith normal form. The library needs neither; they build the kernel-of-norm
-route to H^1 of a twisted torus in tests/test_galois_tori.py, the oracle
-that the coinvariant route is checked against."""
+"""Lattice routines the library no longer needs, kept as oracles.
 
-from liechar.exact_math import IntMatrix, smith_normal_form
+Integer kernels and integer solutions of an integer matrix, read off its
+Smith normal form, build the kernel-of-norm route to H^1 of a twisted torus
+in tests/test_galois_tori.py, the oracle that the coinvariant route is
+checked against. The rank of an integer span, by its own echelon
+elimination, checks `RootDatum.is_semisimple`, which reads the rank off the
+simple system. The invariant factors of a finite abelian group by a search
+over divisibility chains check `abelian_subgroup_type`, which reads them off
+prime-power counts."""
+
+from math import gcd, lcm
+
+from liechar.exact_math import FinAbGroup, IntMatrix, element_order, smith_normal_form
 
 
 def kernel_basis(m: IntMatrix):
@@ -35,3 +43,78 @@ def solve_integer(m: IntMatrix, b):
         if d.at(i, i) == 0 and w[i] != 0:
             return None
     return v.apply(tuple(y))
+
+
+def rank_of_span(vectors, dim):
+    """Rank of the span of integer vectors of length dim. Each vector is
+    reduced against an integer echelon basis, kept sorted by pivot column,
+    by cross-multiplying with the pivot rows and dividing out the content;
+    what is left, if nonzero, joins the basis. The search stops once the
+    rank reaches dim."""
+    basis = []  # (pivot column, row); pivot columns are distinct, rows zero left of them
+    for v in vectors:
+        if len(basis) == dim:
+            break
+        row = list(v)
+        for col, p in basis:
+            x = row[col]
+            if x:
+                row = [p[col] * a - x * b for a, b in zip(row, p)]
+                g = gcd(*row)
+                if g:
+                    row = [a // g for a in row]
+        col = next((i for i, a in enumerate(row) if a), None)
+        if col is not None:
+            basis.append((col, row))
+            basis.sort()
+    return len(basis)
+
+
+def abelian_type_by_chains(elements, add, zero):
+    """Invariant factors of a finite abelian group given as an explicit set
+    of elements, by matching order statistics: every divisibility chain with
+    product n and last factor the exponent is tried, and the one whose
+    counts prod gcd(d_i, m) of x with m x = 0 match the group's at every m
+    dividing the exponent is kept."""
+    elems = list(elements)
+    n = len(elems)
+    if n == 1:
+        return FinAbGroup()
+
+    orders = [element_order(add, zero, x, n) for x in elems]
+    exponent = lcm(*orders)
+
+    def count_killed(m):
+        return sum(1 for o in orders if m % o == 0)
+
+    # enumerate divisibility chains with product n, factors largest-first
+    results = []
+
+    def rec(remaining, cap, acc):
+        if remaining == 1:
+            results.append(tuple(reversed(acc)))
+            return
+        for d in range(2, cap + 1):
+            if cap % d == 0 and remaining % d == 0:
+                rec(remaining // d, d, acc + [d])
+
+    rec(n, exponent, [])
+    matches = []
+    for chain in results:
+        if not chain or chain[-1] != exponent:
+            continue
+        ok = True
+        for m in range(1, exponent + 1):
+            if exponent % m != 0:
+                continue
+            prod = 1
+            for d in chain:
+                prod *= gcd(d, m)
+            if prod != count_killed(m):
+                ok = False
+                break
+        if ok:
+            matches.append(chain)
+    if len(matches) != 1:
+        raise AssertionError(f"ambiguous or missing abelian type: {matches}")
+    return FinAbGroup(torsion=matches[0])

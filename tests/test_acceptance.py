@@ -239,7 +239,7 @@ def test_c08_topological_jordan_random():
             for _ in range(r):
                 red = TruncatedMatrix(2, p, 1, cand.inverse().mul(g).rows)
                 trace = red.rows[0][0] + red.rows[1][1]
-                if trace % p == 2 % p and red.det() % p == 1 % p:
+                if trace % p == 2 % p and IntMatrix(red.rows).det() % p == 1 % p:
                     hits.append(cand)
                 cand = cand.mul(delta)
             assert hits == [delta]

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -274,10 +275,10 @@ def test_endoscopy_estimate_d3_is_type_a_and_exits_1(isogeny):
     [
         (["springer", "verify", "--group", "SL2", "--q", "15"], "not a prime power"),
         (["springer", "verify", "--group", "GL2", "--q", "4"], "center"),
-        (["chartable", "--group", "SL2", "--q", "17", "--method", "classical"], "budget"),
+        (["chartable", "--group", "SL2", "--q", "17", "--method", "classical"], "no field F_q with q = 17^1: p must be an odd prime, f 1 or 2 and q <= MAX_Q = 16"),
         (["chartable", "--group", "GL2", "--q", "11", "--method", "dixon"], "exceeds the budget DIXON_ORDER_BUDGET = 10000"),
         (["hilbert", "--a", "2", "--b", "3", "--place", "x"], "--place"),
-        (["chartable", "--group", "SL2", "--q", "17", "--format", "csv"], "SL2 budget is q <= 13"),
+        (["chartable", "--group", "SL2", "--q", "17", "--format", "csv"], "no field F_q with q = 17^1: p must be an odd prime, f 1 or 2 and q <= MAX_Q = 16"),
     ],
     ids=["q-not-prime-power", "q-even", "q-over-budget", "dixon-budget", "place", "csv"],
 )
@@ -516,7 +517,7 @@ _PAST_PRIME_BOUND = str(10**30 + 57)  # no prime factor below 43
             ["springer", "verify", "--group", "GL2", "--q", "4"],
             "--q: p = 2 divides the order 2 of the simply connected center for GL2",
         ),
-        (["chartable", "--group", "SL2", "--q", "17"], "--q: SL2 budget is q <= 13"),
+        (["chartable", "--group", "SL2", "--q", "17"], "--q: no field F_q with q = 17^1: p must be an odd prime, f 1 or 2 and q <= MAX_Q = 16"),
         (["chartable", "--group", "SL2", "--q", "15"], "--q: 15 is not a prime power"),
         (
             ["chartable", "--group", "GL2", "--q", "11", "--method", "dixon"],
@@ -534,12 +535,12 @@ _PAST_PRIME_BOUND = str(10**30 + 57)  # no prime factor below 43
         (["tjd", "--p", "5", "--k", "2", "--matrix", "[]"], "--matrix: rows must form an n x n matrix with n >= 1"),
         (
             ["tjd", "--p", "5", "--k", "1", "--matrix", _IDENTITY_9],
-            "--p, --matrix: order search up to 1953124 exceeds the budget ORDER_BUDGET = 1000000",
+            "--p, --matrix: order bound 1953124 exceeds the budget ORDER_BUDGET = 1000000",
         ),
         # a singular matrix past the budget gets the budget's refusal, checked first
         (
             ["tjd", "--p", "3", "--k", "1", "--matrix", _ZERO_13],
-            "--p, --matrix: order search up to 1594322 exceeds the budget ORDER_BUDGET = 1000000",
+            "--p, --matrix: order bound 1594322 exceeds the budget ORDER_BUDGET = 1000000",
         ),
         (["tori", "h1", "--frobenius", "[[1,0],[0]]"], "--frobenius: ragged rows"),
         (
@@ -772,6 +773,18 @@ def test_tjd_slowest_accepted_input_prints_the_same_document_quickly():
     assert hashlib.sha1(out.encode()).hexdigest() == "7c93841661f1295fbfb154cfcf365067b5afa6ec"
 
 
+def test_tjd_on_the_largest_matrix_the_budget_admits_at_p_3():
+    # 3^12 - 1 is under ORDER_BUDGET and 3^13 - 1 is past it; the sha1 is
+    # that of the document printed while invertibility was an integer
+    # determinant of the residues
+    rng = random.Random(12)
+    rows = [[rng.randrange(3**64) for _ in range(12)] for _ in range(12)]
+    code, out, err = run_cli(["tjd", "--p", "3", "--k", "64", "--matrix", json.dumps(rows)])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["order_r"] == 88573
+    assert hashlib.sha1(out.encode()).hexdigest() == "c0a03407ed1ce6fb6955dd75de9a1860873dfcf7"
+
+
 def test_identical_runs_are_byte_identical():
     a = run_cli(["endoscopy", "enumerate", "--type", "D4"])
     b = run_cli(["endoscopy", "enumerate", "--type", "D4"])
@@ -789,13 +802,14 @@ def test_selftest_deterministic_and_green():
 
 
 HUGE_PRIME = "1000000000000000003"
+_NO_HUGE_FIELD = f"--q: no field F_q with q = {HUGE_PRIME}^1: p must be an odd prime, f 1 or 2 and q <= MAX_Q = 16"
 
 
 @pytest.mark.parametrize(
     "argv,budget",
     [
-        (["springer", "verify", "--group", "GL2", "--q", HUGE_PRIME], "GL2 budget is q <= 13"),
-        (["chartable", "--group", "SL2", "--q", HUGE_PRIME, "--method", "classical"], "SL2 budget is q <= 13"),
+        (["springer", "verify", "--group", "GL2", "--q", HUGE_PRIME], _NO_HUGE_FIELD),
+        (["chartable", "--group", "SL2", "--q", HUGE_PRIME, "--method", "classical"], _NO_HUGE_FIELD),
         (["tjd", "--p", HUGE_PRIME, "--k", "1", "--matrix", "[[2]]"], "ORDER_BUDGET"),
         (["hilbert", "--a", "2", "--b", "3", "--place", HUGE_PRIME], None),
     ],

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from liechar.dl_spectra import _coords_in_basis, _nullspace_mod
 from liechar.exact_math import (
     FiniteField,
+    IntMatrix,
     element_order,
     inverse_rational,
     order_from_multiple,
@@ -250,7 +251,58 @@ def test_truncated_det_is_the_integer_det_mod_p_power():
     for _ in range(50):
         n = rng.randint(1, 4)
         m = TruncatedMatrix(n, 5, 2, [[rng.randrange(25) for _ in range(n)] for _ in range(n)])
-        assert m.det() == cofactor_det([list(r) for r in m.rows]) % 25
+        det = cofactor_det([list(r) for r in m.rows])
+        assert IntMatrix(m.rows).det() % 25 == det % 25
+        assert m.is_invertible() == (det % 5 != 0)
+
+
+def _seeded_square(rng, n):
+    """A random n x n integer matrix: full, of lower rank, or with a zero
+    leading entry, so that the first column needs a row swap."""
+    kind = rng.randrange(3)
+    if kind == 1 and n > 1:
+        r = rng.randint(1, n - 1)
+        a = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+        b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    if kind == 2:
+        rows[0][0] = 0
+    return rows
+
+
+def test_det_is_the_cofactor_det():
+    rng = random.Random(32)
+    seen = {"singular": 0, "swap": 0, "negative": 0}
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        rows = _seeded_square(rng, n)
+        det = cofactor_det(rows)
+        assert IntMatrix(rows).det() == det, rows
+        seen["singular"] += det == 0
+        seen["swap"] += rows[0][0] == 0 and det != 0
+        seen["negative"] += det < 0
+    assert min(seen.values()) >= 20, seen
+    assert IntMatrix(()).det() == 1
+    # one swap in the first column, and a cycle of three rows (two swaps)
+    assert IntMatrix([[0, 1], [1, 0]]).det() == -1
+    assert IntMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]]).det() == 1
+    with pytest.raises(ValueError, match="square"):
+        IntMatrix([[1, 2]]).det()
+
+
+def test_is_invertible_is_the_cofactor_det_mod_p():
+    rng = random.Random(33)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        n, p = rng.randint(1, 5), rng.choice((2, 3, 5, 7))
+        k = rng.randint(1, 3)
+        rows = random_matrix(rng, n, n, p**k, rank=rng.choice((None, None, rng.randint(1, n))))
+        m = TruncatedMatrix(n, p, k, rows)
+        invertible = cofactor_det([list(r) for r in m.rows]) % p != 0
+        assert m.is_invertible() == invertible, (p, k, rows)
+        seen[invertible] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 def test_is_prime_is_exact_and_bounded():

@@ -1,6 +1,7 @@
 """Finite matrix groups: builds, quasi-logarithm, orbits, tori."""
 
 import random
+import re
 
 import pytest
 
@@ -128,8 +129,10 @@ def test_unknown_kind_rejected():
 
 
 def test_budget_and_bad_q():
-    with pytest.raises(ValueError, match="budget"):
-        build_finite_group("SL2", 17)
+    # q = 17, 19, 23, 25 and 27 are past the field's MAX_Q
+    for q, pf in ((17, "17^1"), (19, "19^1"), (23, "23^1"), (25, "5^2"), (27, "3^3")):
+        with pytest.raises(ValueError, match=rf"^no field F_q with q = {re.escape(pf)}: .* q <= MAX_Q = 16$"):
+            build_finite_group("SL2", q)
     with pytest.raises(ValueError):
         build_finite_group("GL2", 15)  # not a prime power
     with pytest.raises(ValueError):

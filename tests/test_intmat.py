@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,7 @@ from liechar.exact_math import (
     solve_rational,
     abelian_subgroup_type,
 )
-from reference_lattice import kernel_basis, solve_integer
+from reference_lattice import abelian_type_by_chains, kernel_basis, solve_integer
 
 
 def test_snf_identity():
@@ -161,6 +163,47 @@ def test_abelian_subgroup_type():
     sub = [(0, 0), (1, 1), (0, 2), (1, 3)]
     t = abelian_subgroup_type(sub, g.add, g.zero())
     assert t == FinAbGroup(torsion=(4,))
+
+
+def _seeded_subgroup(rng):
+    """A random finite abelian group of order <= 432 and the subgroup of it
+    generated by one to three random elements, as an element list."""
+    torsion = [rng.choice((2, 3, 4, 5, 6))]
+    for _ in range(rng.randint(0, 2)):
+        d = torsion[-1] * rng.choice((1, 1, 2, 3))
+        if d * prod(torsion) <= 432:
+            torsion.append(d)
+    g = FinAbGroup(torsion=torsion)
+    gens = [tuple(rng.randrange(d) for d in torsion) for _ in range(rng.randint(1, 3))]
+    elems, frontier = {g.zero()}, {g.zero()}
+    while frontier:
+        frontier = {g.add(x, a) for x in frontier for a in gens} - elems
+        elems |= frontier
+    return g, sorted(elems)
+
+
+def test_abelian_subgroup_type_matches_the_chain_search():
+    rng = random.Random(32)
+    types = set()
+    for _ in range(400):
+        g, elems = _seeded_subgroup(rng)
+        t = abelian_subgroup_type(elems, g.add, g.zero())
+        assert t == abelian_type_by_chains(elems, g.add, g.zero()), (g, elems)
+        assert t.order == len(elems)
+        types.add(t.torsion)
+    assert len(types) > 40 and max(len(t) for t in types) == 3, types
+
+
+def test_abelian_subgroup_type_refuses_a_set_that_is_no_group():
+    g = FinAbGroup(torsion=(2, 6))
+    # two involutions and not their sum: 3 of the 6 elements are killed by 2
+    elems = [(0, 0), (1, 0), (0, 3), (0, 2), (0, 4), (1, 2)]
+    with pytest.raises(AssertionError, match="not a power of 2"):
+        abelian_subgroup_type(elems, g.add, g.zero())
+    # an involution and two elements of order 3 in a set of 4: factors 2 * 3
+    elems = [(0, 0), (1, 0), (0, 2), (0, 4)]
+    with pytest.raises(AssertionError, match="do not multiply to 4"):
+        abelian_subgroup_type(elems, g.add, g.zero())
 
 
 def test_det_bareiss():

@@ -58,7 +58,7 @@ def test_matrix_ring_basics():
 def test_det_and_invertibility():
     m = TruncatedMatrix(3, 3, 2, [[1, 2, 0], [0, 1, 1], [1, 0, 1]])
     # det = 1*(1-0) - 2*(0-1) = 3, zero mod 3
-    assert m.det() == 3
+    assert IntMatrix(m.rows).det() == 3
     assert not m.is_invertible()
     m2 = TruncatedMatrix(2, 7, 2, [[7, 1], [1, 0]])
     # reduction [[0,1],[1,0]] has det -1, a unit
@@ -158,17 +158,16 @@ def test_tjd_rejects_singular_and_deep_precision():
 
 
 def test_tjd_refuses_the_order_budget_before_the_determinant(monkeypatch):
-    # 3^40 - 1 is past ORDER_BUDGET: the refusal comes before the integer
-    # determinant, whose entries grow with n, and before the question of
-    # invertibility, so a singular matrix gets it too
-    def no_det(self):
-        raise AssertionError("determinant taken before the order budget was checked")
+    # 3^40 - 1 is past ORDER_BUDGET: the refusal comes before the question
+    # of invertibility, so a singular matrix gets it too
+    def no_rank(self):
+        raise AssertionError("invertibility decided before the order budget was checked")
 
-    monkeypatch.setattr(IntMatrix, "det", no_det)
+    monkeypatch.setattr(TruncatedMatrix, "is_invertible", no_rank)
     rng = random.Random(40)
     rows = [[rng.randrange(3) for _ in range(40)] for _ in range(40)]
     for m in (TruncatedMatrix(40, 3, 1, rows), TruncatedMatrix(40, 3, 1, [[0] * 40] * 40)):
-        with pytest.raises(ValueError, match=f"order search up to {3**40 - 1} exceeds the budget ORDER_BUDGET"):
+        with pytest.raises(ValueError, match=f"order bound {3**40 - 1} exceeds the budget ORDER_BUDGET"):
             topological_jordan(m)
 
 
@@ -215,7 +214,7 @@ def test_tjd_random_posts(p, k):
             u2 = cand.inverse().mul(g)
             red = _mod_p(u2)
             tr = sum(red.rows[i][i] for i in range(red.n)) % p
-            det = red.det() % p
+            det = IntMatrix(red.rows).det() % p
             if tr == 2 % p and det == 1 % p:
                 hits += 1
                 assert cand == delta

@@ -13,7 +13,6 @@ from liechar.root_datum import (
     ROOT_ENTRY_BOUND,
     RootDatum,
     _packing,
-    _rank_of_span,
     build_root_datum,
     cartan_matrix,
     dual_datum,
@@ -22,6 +21,7 @@ from liechar.root_datum import (
     sub_datum_from_pairs,
 )
 from reference_dynkin import reference_cartan_type
+from reference_lattice import rank_of_span
 
 ROOT_COUNTS = {
     ("A", 1): 2,
@@ -444,8 +444,8 @@ def test_rank_of_span_matches_smith_form():
         basis = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(rng.randint(1, c))]
         rows = [[sum(rng.randint(-2, 2) * b[j] for b in basis) for j in range(c)] for _ in range(r)]
         _, d, _ = smith_normal_form(IntMatrix(rows))
-        assert _rank_of_span(rows, c) == sum(1 for i in range(min(r, c)) if d.at(i, i))
-    assert _rank_of_span([], 3) == 0
+        assert rank_of_span(rows, c) == sum(1 for i in range(min(r, c)) if d.at(i, i))
+    assert rank_of_span([], 3) == 0
 
 
 def _rank_by_full_elimination(rows, dim):
@@ -480,16 +480,39 @@ def test_rank_of_span_matches_full_elimination():
             rows.append([rng.randint(-5, 5) for _ in range(dim)])
         if trial % 4 == 1:
             rng.shuffle(rows)
-        assert _rank_of_span(rows, dim) == _rank_by_full_elimination(rows, dim), (rows, dim)
+        assert rank_of_span(rows, dim) == _rank_by_full_elimination(rows, dim), (rows, dim)
 
 
 def test_rank_of_span_counts_the_last_vector_and_stops_at_full_rank():
     for dim in range(1, 9):
         units = [[int(i == j) for j in range(dim)] for i in range(dim)]
-        assert _rank_of_span(units[1:] + [units[0]], dim) == dim
-        assert _rank_of_span(units[1:] * 2, dim) == dim - 1
+        assert rank_of_span(units[1:] + [units[0]], dim) == dim
+        assert rank_of_span(units[1:] * 2, dim) == dim - 1
         # nothing after full rank is read: list(None) would raise
-        assert _rank_of_span(units + [None], dim) == dim
+        assert rank_of_span(units + [None], dim) == dim
+
+
+def test_is_semisimple_matches_the_rank_of_the_span():
+    # every datum, its dual, every pseudo-Levi of both, and the integral
+    # roots of seeded kappa in both, which reach coranks 0 to 5
+    rng = random.Random(32)
+    coranks = {}
+    for g in (build_root_datum(s, n, isog) for s, n in ADMITTED for isog in ("sc", "ad")):
+        for d in (g, dual_datum(g)):
+            data = [d] + [pseudo_levi(d, node) for node in range(d.rank + 1)]
+            for _ in range(12):
+                den = rng.choice((2, 3, 4, 5, 6))
+                v = [rng.randint(-den, den) for _ in range(d.rank)]
+                data.append(sub_datum_from_pairs(d.rank, [
+                    (r, rv) for r, rv in zip(d.roots, d.coroots)
+                    if sum(x * k for x, k in zip(r, v)) % den == 0
+                ]))
+            for sub in data:
+                rank = rank_of_span(sub.roots, sub.rank)
+                assert sub.is_semisimple() == (rank == sub.rank and len(sub.roots) > 0), sub
+                coranks[sub.rank - rank] = coranks.get(sub.rank - rank, 0) + 1
+    assert coranks[0] > 500 and coranks[1] > 100 and max(coranks) == 5, coranks
+    assert not sub_datum_from_pairs(3, []).is_semisimple()
 
 
 def _simple_by_all_pairs(pairs):
