@@ -15,14 +15,15 @@ the field's mul (q^2 calls), so every result is the exact field arithmetic;
 a product is then two divmods and five lookups. Many products by one right
 factor y are one row map (`right_products`): y sends each row code r to the
 row code of r y, q^2 dot lookups, and every first row and every second row
-of the left factors is then mapped by one `bytes.translate`. Orbits and
-classes under conjugation share one closure (`_conjugates`): it reads the
-rows of each generator g and the columns of g^-1 once, so a conjugate
-g x g^-1 costs one transpose lookup, one divmod and eight dot lookups. The
-field bounds q by its MAX_Q = 16, so a packed matrix fits the unsigned
-shorts of the transpose table and a row code, below q^2 <= 256, one byte.
-`tables` keeps them on the field (see `exact_math.cached`), so the groups
-over one field share them.
+of the left factors is then mapped by one `bytes.translate`. An orbit under
+conjugation is one closure (`_conjugates`): it reads the rows of each
+generator g and the columns of g^-1 once, so a conjugate g x g^-1 costs
+one transpose lookup, one divmod and eight dot lookups. A partition into
+orbits, the conjugacy classes or the adjoint orbits, is one `orbit_of` per
+orbit (`conjugacy_partition`). The field bounds q by its MAX_Q = 16, so a
+packed matrix fits the unsigned shorts of the transpose table and a row
+code, below q^2 <= 256, one byte. `tables` keeps them on the field (see
+`exact_math.cached`), so the groups over one field share them.
 """
 
 from array import array
@@ -175,23 +176,22 @@ def orbit_of(seed, gens, t):
     return tuple(sorted(_conjugates(seed, gens, t)))
 
 
-def conjugacy_partition(elements, gens, t):
-    """Class labels, aligned with elements, for conjugation by <gens>.
-    Labels count up in order of the first element of each class. The element
-    list must be closed under conjugation."""
-    index = {e: i for i, e in enumerate(elements)}
-    labels = [-1] * len(elements)
-    next_label = 0
-    for i, e in enumerate(elements):
-        if labels[i] >= 0:
+def conjugacy_partition(points, gens, t):
+    """The orbits of conjugation by <gens> on points, each a sorted tuple
+    (`orbit_of`), in order of their first point: one orbit per point not in
+    an earlier one. The point list must be closed under conjugation."""
+    members = set(points)
+    seen = set()
+    orbits = []
+    for x in points:
+        if x in seen:
             continue
-        for y in _conjugates(e, gens, t):
-            j = index.get(y)
-            if j is None:
-                raise ValueError("element set not closed under conjugation")
-            labels[j] = next_label
-        next_label += 1
-    return labels
+        orbit = orbit_of(x, gens, t)
+        if not members.issuperset(orbit):
+            raise ValueError("element set not closed under conjugation")
+        seen.update(orbit)
+        orbits.append(orbit)
+    return orbits
 
 
 def pair_histogram(fixed, space, t):

@@ -112,11 +112,12 @@ def conjugacy_classes(group) -> ClassData:
     """Conjugacy classes of `group`, as ClassData.
 
     Accepts any object with `elements`, `identity`, `mul`, `inv`.  The
-    matrix groups take a fast path through their own labeling, cached on the
-    group; the generic path is quadratic and meant for small test groups.
+    matrix groups read theirs off one partition of their elements
+    (`_kernels.conjugacy_partition`), cached on the group; the generic path
+    is quadratic and meant for small test groups.
     """
     if isinstance(group, FiniteLieGroup):
-        return cached(group, "classes", _labeled_classes)
+        return cached(group, "classes", _partition_classes)
     seen = set()
     classes = []
     for x in group.elements:
@@ -128,11 +129,10 @@ def conjugacy_classes(group) -> ClassData:
     return ClassData(group, classes)
 
 
-def _labeled_classes(g: FiniteLieGroup) -> ClassData:
-    buckets: dict = {}
-    for x, lab in zip(g.elements, g.conjugacy_labels()):
-        buckets.setdefault(lab, []).append(x)
-    return ClassData(g, list(buckets.values()))
+def _partition_classes(g: FiniteLieGroup) -> ClassData:
+    """The classes of a matrix group, one orbit each of the partition of
+    its elements."""
+    return ClassData(g, _kernels.conjugacy_partition(g.elements, g.gens, g.tables))
 
 
 # ---------------------------------------------------------------------------
@@ -823,12 +823,12 @@ def _dl_parts(torus: TorusInG, theta: TorusCharacter):
 # the adjoint-orbit Fourier identity
 
 
-def _orbit_fourier_sum(g: FiniteLieGroup, t, x) -> Cyclotomic:
-    """(1/q) times the sum over the adjoint orbit of t of the conjugate
-    additive character applied to the trace pairing with x."""
+def _orbit_fourier_sum(g: FiniteLieGroup, orbit, x) -> Cyclotomic:
+    """(1/q) times the sum over an adjoint orbit of the conjugate additive
+    character applied to the trace pairing with x."""
     fld = g.field
     coeffs = {}
-    for c, cnt in enumerate(_kernels.pair_histogram(x, g.adjoint_orbit_of(t), g.tables)):
+    for c, cnt in enumerate(_kernels.pair_histogram(x, orbit, g.tables)):
         if cnt:
             e = (-fld.trace(c)) % fld.p
             coeffs[e] = coeffs.get(e, 0) + cnt
@@ -845,7 +845,8 @@ def springer_grid(torus: TorusInG, thetas, points, all_unipotent=False):
     else ValueError; orbit size times |T| = |G|, asserted), each theta once
     (nonsingular, else ValueError), and each side is computed once:
     lhs[i][k] = rho_i(u_k), rhs[j][k] the orbit sum of t_j at x_k, cached
-    on the group keyed by ("orbit_sum", t, x). For each u the values of
+    on the group keyed by ("orbit_sum", orbit[0], x), so the points of one
+    orbit (t and its Weyl conjugate) share it. For each u the values of
     both sides are split into classes under exact equality, and a cell
     holds when its two values share a class, so a torus costs (|thetas| +
     |points|) |U| values and comparisons with class representatives, not
@@ -856,20 +857,22 @@ def springer_grid(torus: TorusInG, thetas, points, all_unipotent=False):
     the two sides, and equal[i][j][k], whether lhs[i][k] == rhs[j][k].
     """
     g = torus.parent
+    orbits = []
     for t in points:
         if t not in torus.lie_point_set:
             raise ValueError("t is not a Lie algebra point of this torus")
         if not is_strongly_regular(g, t):
             raise ValueError("t is not strongly regular")
-        if len(g.adjoint_orbit_of(t)) * torus.order != g.order:
+        orbits.append(g.adjoint_orbit_of(t))
+        if len(orbits[-1]) * torus.order != g.order:
             raise AssertionError("orbit size does not match the torus order")
     rhos = [dl_character(torus, theta).genuine() for theta in thetas]
     reps = g.unipotent_class_reps() if all_unipotent else (g.pack([[1, 1], [0, 1]]),)
     logs = [quasi_logarithm(g, u) for u in reps]
     lhs = [[rho.value_at(u) for u in reps] for rho in rhos]
     rhs = [
-        [cached(g, ("orbit_sum", t, x), lambda g: _orbit_fourier_sum(g, t, x)) for x in logs]
-        for t in points
+        [cached(g, ("orbit_sum", o[0], x), lambda g: _orbit_fourier_sum(g, o, x)) for x in logs]
+        for o in orbits
     ]
     # one split per u_k of the values lhs[0][k], ..., rhs[0][k], ...; vecs[i]
     # lists the class of lhs[i][k] over k, vecs[n + j] that of rhs[j][k]

@@ -5,12 +5,10 @@ dict, and only after its checks passed: `cached` stores a value once its
 build has returned, so a build that raises (a failed check) stores nothing
 and raises again on the next call. Each entry of a `derived` dict is one
 structure, keyed by its name, or for a family of structures by a tuple
-tagged with the family's name, e.g. ("orbit_sum", t, x).
-
-One site stores one value under several keys and writes `derived` itself:
-`FiniteLieGroup.adjoint_orbit_of`, which keeps each orbit under every one
-of its points, because an orbit is looked up by any point of it before
-anyone knows which orbit that is.
+tagged with the family's name, e.g. ("orbit_sum", orbit[0], x). Nothing
+else reads or writes `derived`: a structure looked up by any of several
+keys, such as an adjoint orbit by any of its points, is one entry that maps
+each key to it.
 """
 
 

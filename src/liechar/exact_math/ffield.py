@@ -23,12 +23,20 @@ MAX_Q = 16
 class FiniteField:
     def __init__(self, p, f=1):
         p, f = int(p), int(f)
-        if f not in (1, 2) or p**f > MAX_Q or p % 2 == 0 or not is_prime(p):
-            raise ValueError(
-                f"no field F_q with q = {p}^{f}: p must be an odd prime, f 1 or 2 "
-                f"and q <= MAX_Q = {MAX_Q}"
-            )
+        if not 0 < f <= MAX_Q:  # so that p^f is cheap to compute and print
+            raise ValueError(f"no field F_q with q = {p}^{f}: f = {f} is not 1 or 2")
         q = p**f
+        # the refusal names the first check that fails, and q is bounded
+        # before p's primality is tested
+        reason = (
+            f"q exceeds MAX_Q = {MAX_Q}" if q > MAX_Q
+            else f"f = {f} is not 1 or 2" if f not in (1, 2)
+            else f"p = {p} is even" if p % 2 == 0
+            else f"p = {p} is not prime" if not is_prime(p)
+            else None
+        )
+        if reason:
+            raise ValueError(f"no field F_q with q = {q}: {reason}")
         self.p, self.f, self.q = p, f, q
         # x^2 = r in F_p[x]/(x^2 - r)
         self._r = next(x for x in range(p) if pow(x, (p - 1) // 2, p) == p - 1)

@@ -22,10 +22,13 @@ generator in one `_kernels.right_products` call, checks that they generate
 exactly the element set.
 
 What is derived from a group, a torus or a field is cached on it (see
-`exact_math.cached`), apart from the adjoint orbits, the one exception,
-each kept under every one of its points. `build_finite_group` keeps one
-object per (kind, q) and `_field_for` one field per q = p^f, so GL2 and SL2
-over one q share the field and what is cached on it, F_q^2 included.
+`exact_math.cached`). The adjoint orbits are one entry, a dict from every
+Lie point to its orbit, read off one partition of the Lie points into
+orbits (`_kernels.conjugacy_partition`), as `dl_spectra` reads the
+conjugacy classes off one partition of the elements. `build_finite_group`
+keeps one object per (kind, q) and `_field_for` one field per q = p^f, so
+GL2 and SL2 over one q share the field and what is cached on it, F_q^2
+included.
 """
 
 from __future__ import annotations
@@ -197,30 +200,15 @@ class FiniteLieGroup:
             a + b * q + c * q * q + neg(a) * q**3 for a in range(q) for b in range(q) for c in range(q)
         )
 
-    # -- orbits and classes
+    # -- adjoint orbits
 
     def adjoint_orbit_of(self, t):
-        """Sorted tuple of the orbit of a Lie point under conjugation. Each
-        orbit is built once and stored under every one of its points, the
-        one exception to `exact_math.cached`. Only Lie points are stored, so
-        membership is checked on a miss."""
-        orbits = self.derived.setdefault("adjoint_orbits", {})
-        orbit = orbits.get(t)
-        if orbit is not None:
-            return orbit
-        if self.kind == "SL2" and _kernels.trace_code(t, self.tables):
-            raise ValueError("matrix is not traceless")
-        orbit = _kernels.orbit_of(t, self.gens, self.tables)
-        if self.order % len(orbit):
-            raise AssertionError("orbit size does not divide the group order")
-        for y in orbit:
-            orbits[y] = orbit
+        """Sorted tuple of the orbit of a Lie point under conjugation, looked
+        up in the partition of all Lie points (`_adjoint_orbits`)."""
+        orbit = cached(self, "adjoint_orbits", _adjoint_orbits).get(t)
+        if orbit is None:
+            raise ValueError("matrix is not traceless" if self.kind == "SL2" else "not a Lie algebra point")
         return orbit
-
-    def conjugacy_labels(self):
-        """Class labels aligned with `elements`, counting up in order of the
-        first element of each class."""
-        return _kernels.conjugacy_partition(self.elements, self.gens, self.tables)
 
     # -- unipotent classes
 
@@ -235,6 +223,15 @@ class FiniteLieGroup:
 
     def __repr__(self):
         return f"{self.kind}(F_{self.q})"
+
+
+def _adjoint_orbits(g: FiniteLieGroup):
+    """Every Lie point -> its orbit under conjugation, from one partition of
+    `lie_points()`; each orbit size divides |G|."""
+    orbits = _kernels.conjugacy_partition(g.lie_points(), g.gens, g.tables)
+    if any(g.order % len(orbit) for orbit in orbits):
+        raise AssertionError("orbit size does not divide the group order")
+    return {x: orbit for orbit in orbits for x in orbit}
 
 
 @lru_cache(maxsize=None)

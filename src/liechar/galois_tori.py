@@ -12,7 +12,7 @@ are only meaningful relative to it).
 from __future__ import annotations
 
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from .exact_math import (
     Cyclotomic,
@@ -25,6 +25,8 @@ from .exact_math import (
 
 RANK_BUDGET = 8  # the rank cap of root data
 ENTRY_BUDGET = 10**6
+BLOCK_BUDGET = 8  # most blocks of SL_n kappa data
+TWIST_BUDGET = 10**5  # most twists m^l an SL_n kappa group enumerates
 # powers of a Frobenius its order search may take; the order searches of
 # exact_math.orders have their own ORDER_BUDGET
 FROBENIUS_ORDER_BUDGET = 10**3
@@ -51,7 +53,7 @@ class TwistedTorus:
         if r != self.rank or c != self.rank:
             raise ValueError("frobenius must be square of the lattice rank")
         if any(abs(x) > ENTRY_BUDGET for row in frobenius.rows for x in row):
-            raise ValueError(f"frobenius entry exceeds the budget {ENTRY_BUDGET} in absolute value")
+            raise ValueError(f"frobenius entry exceeds the budget ENTRY_BUDGET = {ENTRY_BUDGET} in absolute value")
         if abs(frobenius.det()) != 1:
             raise ValueError("frobenius must be unimodular")
         self.frobenius = frobenius
@@ -106,10 +108,10 @@ class TNPairingData:
             for x, di in zip(coords, d):
                 if not 0 <= x < di:
                     raise ValueError(f"{group} coordinate {x} out of range for Z/{di}")
-        out = Cyclotomic.rational(1)
-        for a, k, di in zip(inv, kappa, d):
-            out = out * Cyclotomic.zeta(di, a * k)
-        return out
+        # each d_i divides n = d_k, so the product of the zeta_(d_i)^(a_i k_i)
+        # is one root of unity; lcm() = 1 when there are no factors
+        n = lcm(*d)
+        return Cyclotomic.zeta(n, sum(a * k * (n // di) for a, k, di in zip(inv, kappa, d)))
 
 
 def component_group_pi0(torus: TwistedTorus) -> TNPairingData:
@@ -159,10 +161,10 @@ def sln_kappa_group(n, m, degrees):
         raise ValueError("degrees must be positive")
     if sum(degrees) != n // m:
         raise ValueError("degrees must sum to n/m")
-    if len(degrees) > 8:
-        raise ValueError("degrees may list at most 8 blocks")
-    if m ** len(degrees) > 10**5:
-        raise ValueError("twist enumeration too large")
+    if len(degrees) > BLOCK_BUDGET:
+        raise ValueError(f"degrees block count {len(degrees)} exceeds the budget BLOCK_BUDGET = {BLOCK_BUDGET}")
+    if m ** len(degrees) > TWIST_BUDGET:
+        raise ValueError(f"twist enumeration {m}^{len(degrees)} exceeds the budget TWIST_BUDGET = {TWIST_BUDGET}")
 
     if m == 1:
         return FinAbGroup(), [((0,) * len(degrees), ())]

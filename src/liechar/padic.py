@@ -263,9 +263,9 @@ def quasi_log_bijection_check(kind, p, k):
     bijection from unipotent-reduction group elements mod p^k onto
     nilpotent-reduction Lie algebra elements mod p^k.
 
-    p must be an odd prime and k a positive int; the enumeration budget
-    p^(k*dim) is capped at 10^7. Returns a report dict with the two
-    cardinalities and the verdict.
+    p must be an odd prime and k a positive int; the enumeration of the
+    p^(k*dim) points is capped at _QL_BUDGET = 10^7. Returns a report dict
+    with the two cardinalities and the verdict.
     """
     if kind not in _QL_DIMS:
         raise ValueError(f"unsupported kind {kind!r}")
@@ -276,7 +276,7 @@ def quasi_log_bijection_check(kind, p, k):
     if type(k) is not int or k < 1:
         raise ValueError("precision must be a positive integer")
     if p ** (k * _QL_DIMS[kind]) > _QL_BUDGET:
-        raise ValueError("enumeration budget exceeded")
+        raise ValueError(f"enumeration {p}^{k * _QL_DIMS[kind]} exceeds the budget _QL_BUDGET = {_QL_BUDGET}")
     mod = p**k
     inv2 = pow(2, -1, mod)
     uni, nil = _qlog_sets(kind, p, k)

@@ -2,8 +2,7 @@
 
 Every owner of derived structures (a root datum, a group, a torus, a twisted
 torus, a field) keeps them in its `derived` dict, and only `cached` reads or
-writes that dict, apart from the one documented site that stores one value
-under several keys. No library function memoises itself with `lru_cache`,
+writes that dict. No library function memoises itself with `lru_cache`,
 except the registries that keep one object per input (`build_finite_group`,
 `_field_for`, `build_root_datum`) and the memos of the cyclotomic
 polynomials and of the CLI.
@@ -19,10 +18,7 @@ from liechar.exact_math import cached
 LIBRARY = Path(__file__).resolve().parents[1] / "src" / "liechar"
 
 # (file, qualified function) that may read or write `.derived`
-DERIVED_ACCESS = {
-    ("exact_math/cache.py", "cached"),
-    ("finite_lie.py", "FiniteLieGroup.adjoint_orbit_of"),  # one orbit under each point
-}
+DERIVED_ACCESS = {("exact_math/cache.py", "cached")}
 
 # (file, function) that may be memoised by functools
 MEMOISED = {
@@ -71,8 +67,8 @@ def _is_empty_init(node, scope):
 
 
 def derived_violations():
-    """`file:line scope` of every access to `.derived` outside `cached`, the
-    one exception and the constructors' empty dicts."""
+    """`file:line scope` of every access to `.derived` outside `cached` and
+    the constructors' empty dicts."""
     inits = set()
     accesses = []
     for rel, node, scope in _library_nodes():

@@ -688,21 +688,27 @@ def test_springer_grid_verdicts_match_the_generic_fourier_route(kind, q):
 
 def test_springer_grid_fails_exactly_the_cells_of_a_wrong_orbit_sum(monkeypatch):
     # a fresh group, so that the wrong cache entry stays out of the shared
-    # one. The wrong value sits at the last point of the elliptic torus, no
-    # class representative, and fails exactly its (theta, t, u) cells, so
-    # exactly the elliptic cells of `springer verify`.
+    # one. The wrong value sits under the orbit of the last point of the
+    # elliptic torus, keyed by the orbit's first point, no point of the
+    # torus, and fails exactly the (theta, t, u) cells of the two points of
+    # that orbit, a Weyl pair, so exactly the elliptic cells of `springer
+    # verify`.
     g = FiniteLieGroup("GL2", FiniteField(5))
     split, elliptic = tori_and_regularity(g)
     points = _strongly_regular(g, elliptic)
     bad, u = points[-1], g.pack([[1, 1], [0, 1]])
+    orbit = g.adjoint_orbit_of(bad)
+    pair = [t for t in points if t in orbit]
+    assert len(pair) == 2 and bad in pair
     x = quasi_logarithm(g, u)
     thetas = nonsingular_characters(elliptic)
     right = springer_grid(elliptic, thetas, points)[2][-1][0]
-    g.derived[("orbit_sum", bad, x)] = right + 1
+    assert orbit[0] not in elliptic.lie_point_set
+    g.derived[("orbit_sum", orbit[0], x)] = right + 1
     _, _, rhs, equal = springer_grid(elliptic, thetas, points)
-    assert rhs[-1][0] == right + 1
+    assert [r[0] == right + 1 for r in rhs] == [t in orbit for t in points]
     for i in range(len(thetas)):
-        assert equal[i] == [(t != bad,) for t in points]
+        assert equal[i] == [(t not in orbit,) for t in points]
     monkeypatch.setattr(cli, "build_finite_group", lambda kind, q: g)
     for all_u in (False, True):
         cells = cli._springer_cells("GL2", 5, all_u)
@@ -710,6 +716,28 @@ def test_springer_grid_fails_exactly_the_cells_of_a_wrong_orbit_sum(monkeypatch)
         assert all(c["pass"] == (c["torus"] == "split") for c in cells)
     code, out, _ = run_cli(["springer", "verify", "--group", "GL2", "--q", "5"])
     assert code == 1 and json.loads(out)["pass"] is False
+
+
+@pytest.mark.parametrize("kind,p,f", [("GL2", 5, 1), ("SL2", 3, 2)])
+def test_springer_verify_keeps_one_orbit_entry_and_one_sum_per_weyl_pair(monkeypatch, kind, p, f):
+    # a fresh group, so that its cache holds what one `springer verify
+    # --all` stores and nothing else: the adjoint orbits as one entry that
+    # covers every Lie point exactly once, and one orbit sum per (orbit, u)
+    # for the two points of each Weyl pair
+    g = FiniteLieGroup(kind, FiniteField(p, f))
+    monkeypatch.setattr(cli, "build_finite_group", lambda kind, q: g)
+    code, out, _ = run_cli(["springer", "verify", "--group", kind, "--q", str(g.q), "--all"])
+    assert code == 0 and json.loads(out)["pass"] is True
+    sums = [k for k in g.derived if type(k) is tuple]
+    assert sorted(k for k in g.derived if type(k) is not tuple) == ["adjoint_orbits", "classes", "tori"]
+    orbits = g.derived["adjoint_orbits"]
+    distinct = list({id(o): o for o in orbits.values()}.values())
+    assert sorted(orbits) == sorted(x for o in distinct for x in o) == g.lie_points()
+    assert all(orbits[x] is o for o in distinct for x in o)
+    regular = [t for torus in tori_and_regularity(g) for t in torus.lie_points() if is_strongly_regular(g, t)]
+    logs = {quasi_logarithm(g, u) for u in g.unipotent_class_reps()}
+    assert 2 * len(sums) == len(regular) * len(logs)
+    assert set(sums) == {("orbit_sum", orbits[t][0], x) for t in regular for x in logs}
 
 
 def test_springer_cell_without_a_strongly_regular_point(monkeypatch):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from liechar.exact_math import FiniteField
+from liechar.exact_math import FiniteField, ffield
 
 
 def test_f3_generator():
@@ -42,10 +42,39 @@ def test_field_axioms_f9():
 
 def test_bad_inputs():
     # not a prime, characteristic 2, f > 2 or q > MAX_Q: refused before any
-    # table is built
-    for p, f in [(4, 1), (6, 1), (2, 4), (127, 3), (2, 1), (2, 2), (3, 3), (5, 2), (17, 1)]:
-        with pytest.raises(ValueError, match="MAX_Q = 16"):
+    # table is built, by the first of q <= MAX_Q, f in (1, 2), p odd and p
+    # prime that fails
+    refusals = {
+        (4, 1): "q = 4: p = 4 is even",
+        (6, 1): "q = 6: p = 6 is even",
+        (2, 4): "q = 16: f = 4 is not 1 or 2",
+        (127, 3): "q = 2048383: q exceeds MAX_Q = 16",
+        (2, 1): "q = 2: p = 2 is even",
+        (2, 2): "q = 4: p = 2 is even",
+        (3, 3): "q = 27: q exceeds MAX_Q = 16",
+        (5, 2): "q = 25: q exceeds MAX_Q = 16",
+        (17, 1): "q = 17: q exceeds MAX_Q = 16",
+        (9, 1): "q = 9: p = 9 is not prime",
+        (15, 1): "q = 15: p = 15 is not prime",
+        (3, 0): "q = 3^0: f = 0 is not 1 or 2",
+        (3, -1): "q = 3^-1: f = -1 is not 1 or 2",
+        (3, 10**9): "q = 3^1000000000: f = 1000000000 is not 1 or 2",
+    }
+    for (p, f), reason in refusals.items():
+        with pytest.raises(ValueError, match=rf"^no field F_q with {re.escape(reason)}$"):
             FiniteField(p, f)
+
+
+def test_no_primality_test_past_max_q(monkeypatch):
+    # a q past MAX_Q is refused before p's primality is tested, so a huge p
+    # costs nothing
+    def no_primality(n):
+        raise AssertionError("primality tested")
+
+    monkeypatch.setattr(ffield, "is_prime", no_primality)
+    for p in (17, 10**18 + 3, 10**40 + 1):
+        with pytest.raises(ValueError, match=rf"^no field F_q with q = {p}: q exceeds MAX_Q = 16$"):
+            FiniteField(p)
 
 
 def test_max_q_is_defined_once():

@@ -74,7 +74,9 @@ def test_torus_refuses_large_entries_before_the_determinant(monkeypatch):
     edge = IntMatrix([[10**6 + 1, 10**6], [1, 1]])
     monkeypatch.setattr(IntMatrix, "det", no_det)
     for m in (big, edge):
-        with pytest.raises(ValueError, match="entry exceeds the budget 1000000"):
+        with pytest.raises(
+            ValueError, match=r"^frobenius entry exceeds the budget ENTRY_BUDGET = 1000000 in absolute value$"
+        ):
             TwistedTorus(2, m)
 
 
@@ -160,6 +162,43 @@ def test_pairing_bilinear_and_perfect():
         if k == zero:
             continue
         assert any(tn_pairing(data, a, k) != ONE for a in els)
+
+
+# the Frobenius matrices of the query-serve workload's ten lattices
+SERVE_LATTICES = [
+    [[-1]],
+    [[0, 1], [1, 0]],
+    [[0, -1], [1, 0]],
+    [[0, -1], [1, -1]],
+    [[-1, 0], [0, -1]],
+    [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+    [[0, 1, 0], [1, 0, 0], [0, 0, -1]],
+    [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+    [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+    [[0, 0, -1], [1, 0, 0], [0, 1, 0]],
+]
+
+
+def test_pairing_is_the_product_of_the_coordinate_values():
+    # one root of unity at conductor d_k against the product of the
+    # zeta_(d_i)^(a_i k_i), in the same stored form, so the printed value
+    # and conductor stay the same; every (inv, kappa) of every lattice, and
+    # of -1 beside the order-4 cycle of the sum-zero lattice of Z^4, whose
+    # factors (2, 4) differ
+    factor_sets = set()
+    for m in SERVE_LATTICES + [[[-1, 0, 0, 0], [0, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]]]:
+        data = component_group_pi0(_torus(m))
+        factor_sets.add(data.invariant_factors)
+        els = _elements(data.h1)
+        for inv in els:
+            for kappa in els:
+                want = Cyclotomic.rational(1)
+                for a, k, d in zip(inv, kappa, data.invariant_factors):
+                    want = want * Cyclotomic.zeta(d, a * k)
+                got = tn_pairing(data, inv, kappa)
+                assert (got.n, got.num, got.den) == (want.n, want.num, want.den), (m, inv, kappa)
+    # no factors, one, and two that divide each other occur
+    assert {(), (2,), (2, 2), (2, 4)} <= factor_sets
 
 
 def test_pairing_identity_is_one():
@@ -356,7 +395,12 @@ def test_sln_rejects_bad_input():
         sln_kappa_group(4, 2, (1, 2))
     with pytest.raises(ValueError):
         sln_kappa_group(4, 2, (0, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^degrees block count 9 exceeds the budget BLOCK_BUDGET = 8$"):
         sln_kappa_group(18, 2, (1,) * 9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^twist enumeration 5\^8 exceeds the budget TWIST_BUDGET = 100000$"):
         sln_kappa_group(40, 5, (1,) * 8)
+    # the budgets' edges: 8 blocks and 10^5 twists are admitted
+    assert galois_tori.BLOCK_BUDGET == 8 and galois_tori.TWIST_BUDGET == 10**5
+    assert len(sln_kappa_group(8, 1, (1,) * 8)[1]) == 1
+    with pytest.raises(ValueError, match=r"^twist enumeration 100001\^1 exceeds the budget TWIST_BUDGET = 100000$"):
+        sln_kappa_group(100001, 100001, (1,))

@@ -136,10 +136,10 @@ def test_sl2_f3_conjugacy_classes(kern):
     fld, t = _setup(3)
     els = _sl2_elements(fld)
     assert len(els) == 24
-    labels = kern.conjugacy_partition(els, _sl2_gens(fld), t)
-    assert len(set(labels)) == 7
-    sizes = sorted(labels.count(c) for c in set(labels))
-    assert sizes == [1, 1, 4, 4, 4, 4, 6]
+    orbits = kern.conjugacy_partition(els, _sl2_gens(fld), t)
+    assert len(orbits) == 7
+    assert sorted(map(len, orbits)) == [1, 1, 4, 4, 4, 4, 6]
+    assert sorted(x for orbit in orbits for x in orbit) == sorted(els)
 
 
 @pytest.mark.parametrize("q", QS)
@@ -151,8 +151,8 @@ def test_sl2_conjugacy_class_sizes(q):
     fld, t = _setup(q)
     els = _sl2_elements(fld)
     assert len(els) == q * (q * q - 1)
-    labels = _kernels.conjugacy_partition(els, _sl2_gens(fld), t)
-    sizes = sorted(labels.count(c) for c in set(labels))
+    orbits = _kernels.conjugacy_partition(els, _sl2_gens(fld), t)
+    sizes = sorted(map(len, orbits))
     expected = (
         [1, 1]
         + [(q * q - 1) // 2] * 4
@@ -167,15 +167,19 @@ def test_partition_labels_deterministic(kern):
     for q in QS:
         fld, t = _setup(q)
         els = _sl2_elements(fld)
-        labels1 = kern.conjugacy_partition(els, _sl2_gens(fld), t)
-        labels2 = kern.conjugacy_partition(els, _sl2_gens(fld), t)
-        assert labels1 == labels2
-        # first element of class k appears before first element of class k+1
-        firsts = {}
-        for i, lab in enumerate(labels1):
-            firsts.setdefault(lab, i)
-        order = [firsts[k] for k in sorted(firsts)]
-        assert order == sorted(order)
+        orbits1 = kern.conjugacy_partition(els, _sl2_gens(fld), t)
+        orbits2 = kern.conjugacy_partition(els, _sl2_gens(fld), t)
+        assert orbits1 == orbits2
+        # each orbit a sorted tuple, and orbit k + 1 starts at the first
+        # element, in the order of els, that no earlier orbit holds
+        assert all(type(o) is tuple and list(o) == sorted(set(o)) for o in orbits1)
+        position = {e: i for i, e in enumerate(els)}
+        firsts = [min(position[x] for x in o) for o in orbits1]
+        seen = set()
+        for o, first in zip(orbits1, firsts):
+            assert first == min(i for i, e in enumerate(els) if e not in seen)
+            seen.update(o)
+        assert len(seen) == len(els)
 
 
 @KERNEL
@@ -208,12 +212,10 @@ def test_orbits_and_classes_match_reference_conjugation(kern, q):
         m = _unpack(x, q)
         return tuple(sorted({_ref_sl2_conj(fld, h, m) for h in group}))
 
-    labels = kern.conjugacy_partition(els, _sl2_gens(fld), t)
-    classes = {}
-    for e, lab in zip(els, labels):
-        classes.setdefault(lab, []).append(e)
-    for members in classes.values():
-        assert tuple(members) == ref_orbit(members[0])
+    orbits = kern.conjugacy_partition(els, _sl2_gens(fld), t)
+    for orbit in orbits:
+        assert orbit == ref_orbit(orbit[0])
+    assert sorted(x for orbit in orbits for x in orbit) == sorted(els)
     rng = random.Random(q)
     for x in [rng.randrange(q**4) for _ in range(10)]:
         assert kern.orbit_of(x, _sl2_gens(fld), t) == ref_orbit(x)

@@ -426,8 +426,10 @@ def test_qlog_gl2():
 def test_qlog_guards():
     with pytest.raises(ValueError):
         quasi_log_bijection_check("SL2", 2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^enumeration 7\^9 exceeds the budget _QL_BUDGET = 10000000$"):
         quasi_log_bijection_check("SL2", 7, 3)
+    with pytest.raises(ValueError, match=r"^enumeration 3\^16 exceeds the budget _QL_BUDGET = 10000000$"):
+        quasi_log_bijection_check("GL2", 3, 4)
     with pytest.raises(ValueError):
         quasi_log_bijection_check("E8", 3, 1)
     # Z/p^0 is no ring, and a negative, fractional or bool precision is no
