@@ -67,6 +67,7 @@ __all__ = [
 ]
 
 DIXON_ORDER_BUDGET = 10**4  # most group elements a Dixon table is built over
+DIXON_MODULUS_BOUND = 10**6  # Dixon's prime l lies below it (see _apply_packed)
 
 
 # ---------------------------------------------------------------------------
@@ -345,19 +346,21 @@ def classical_table_oracle(kind, q) -> CharacterTable:
 
 def _choose_modulus(exponent, order):
     """Smallest prime l = 1 (mod exponent) with l^2 > 4*order, searched
-    up to 10^6.
+    below DIXON_MODULUS_BOUND.
 
     The congruence guarantees a full set of exponent-th roots of unity mod l
     and, by Cauchy, that l does not divide the group order.  The size bound
-    makes the degree recovery unambiguous.
+    makes the degree recovery unambiguous.  The search cannot fail for a
+    group within DIXON_ORDER_BUDGET: the exponent divides the order, and
+    over every exponent up to 10^4 the largest l needed is 496,747
+    (exponent 9199), so a failure is an AssertionError.
     """
-    bound = 10**6
     l = exponent + 1
-    while l <= bound:
+    while l < DIXON_MODULUS_BOUND:
         if l * l > 4 * order and is_prime(l):
             return l
         l += exponent
-    raise ValueError(f"no usable prime below {bound} for exponent {exponent}")
+    raise AssertionError(f"no prime l = 1 (mod {exponent}) below DIXON_MODULUS_BOUND = {DIXON_MODULUS_BOUND}")
 
 
 def _pack_columns(vecs):
@@ -374,9 +377,11 @@ def _apply_packed(rows, packed, count, l):
     `packed` comes from _pack_columns, so each pair (t, c) of row j is one
     integer multiply-add. A field then holds at most (l - 1) times the sum
     of the row's c. That sum is at most n^2 for a class matrix (the sum over
-    t of |C_t| times its count is |C_i| |C_j|) and at most m (l - 1) for a
-    lift, so with n <= DIXON_ORDER_BUDGET = 10^4 and l < 10^6 a field stays
-    below 2^54 and never carries into the next one.
+    t of |C_t| times its count is |C_i| |C_j|), at most m (l - 1) for a
+    lift, and at most d (l - 1) for a change of basis from d <= n basis
+    vectors, whose fields are so at most d (l - 1)^2. So with
+    n <= DIXON_ORDER_BUDGET = 10^4 and l < DIXON_MODULUS_BOUND = 10^6 a
+    field stays below 2^54 and never carries into the next one.
     """
     nbytes = 8 * count
     out = []
@@ -397,54 +402,30 @@ def _roots_mod(poly, l):
     return [x for x, v in enumerate(vals) if v == 0]
 
 
-def _charpoly_mod(mat, l):
-    """det(x*I - mat) over F_l, coefficients listed low to high.
+def _distinct_eigenvalues(basis, coords, id_idx, l):
+    """The distinct eigenvalues of a class matrix S on the block W spanned
+    by basis, coords[c] holding the coordinates of S basis[c]: the roots of
+    the minimal polynomial of S on W.
 
-    Reduction to Hessenberg form by similarity, then the standard leading
-    principal minor recurrence.
+    W is a sum of common eigenlines omega^chi, and e_id = sum_chi
+    (chi(1)^2 / |G|) omega^chi with l prime to |G|, so the identity-class
+    coordinate u_j = basis[j][id_idx] is nonzero on every eigenline. Its
+    left Krylov sequence u, uS, ..., uS^d ((uS)_c = u . coords[c]) first
+    becomes dependent at the minimal polynomial of S on W, which the first
+    null vector of the d x (d + 1) Krylov matrix holds, monic, low to high.
+    Raises AssertionError unless that polynomial has as many distinct roots
+    in F_l as its degree.
     """
-    n = len(mat)
-    h = [row[:] for row in mat]
-    for c in range(n - 2):
-        piv = None
-        for r in range(c + 1, n):
-            if h[r][c] % l:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != c + 1:
-            h[c + 1], h[piv] = h[piv], h[c + 1]
-            for row in h:
-                row[c + 1], row[piv] = row[piv], row[c + 1]
-        inv = pow(h[c + 1][c], -1, l)
-        for r in range(c + 2, n):
-            f = h[r][c] * inv % l
-            if not f:
-                continue
-            hr, hc1 = h[r], h[c + 1]
-            for jj in range(c, n):
-                hr[jj] = (hr[jj] - f * hc1[jj]) % l
-            for row in h:
-                row[c + 1] = (row[c + 1] + f * row[r]) % l
-    polys = [[1]]
-    for k in range(1, n + 1):
-        prev = polys[k - 1]
-        cur = [0] * (k + 1)
-        for d, cf in enumerate(prev):
-            cur[d + 1] = (cur[d + 1] + cf) % l
-            cur[d] = (cur[d] - h[k - 1][k - 1] * cf) % l
-        beta = 1
-        for i in range(1, k):
-            beta = beta * h[k - i][k - i - 1] % l
-            if beta == 0:
-                break
-            cf2 = h[k - 1 - i][k - 1] * beta % l
-            if cf2:
-                for d, c0 in enumerate(polys[k - 1 - i]):
-                    cur[d] = (cur[d] - cf2 * c0) % l
-        polys.append(cur)
-    return polys[n]
+    seq = [[b[id_idx] for b in basis]]
+    for _ in range(len(basis)):
+        seq.append([sum(x * y for x, y in zip(seq[-1], col)) % l for col in coords])
+    poly = _nullspace_mod(list(zip(*seq)), l)[0]
+    while not poly[-1]:
+        poly.pop()
+    roots = _roots_mod(poly, l)
+    if len(roots) != len(poly) - 1:
+        raise AssertionError("the minimal polynomial does not split into distinct roots in F_l")
+    return roots
 
 
 def _nullspace_mod(mat, l):
@@ -493,9 +474,15 @@ def character_table_dixon(group) -> CharacterTable:
     representatives (n k products), and applied to a whole basis at once
     (_apply_packed); the lift inverts the DFT of every row at once the same
     way. The class algebra is semisimple mod l, so a block on which a class
-    matrix acts as a scalar is kept without a root search. Every table
-    passes these checks, each raising AssertionError:
+    matrix acts as a scalar is kept without a root search. Any other block
+    is split by the eigenvalues of the class matrix on it, the roots of its
+    minimal polynomial read off the identity-class coordinates
+    (_distinct_eigenvalues); each eigenspace is a null space over F_l,
+    mapped back to F_l^k by _apply_packed. Every row reduction is rref_mod.
+    Every table passes these checks, each raising AssertionError:
     - each block's basis is independent and each image lies in its span;
+    - the minimal polynomial of each split has as many distinct roots in
+      F_l as its degree;
     - the eigenspaces of each split fill the block, and the splitting ends
       in lines;
     - every line is an eigenvector of every class matrix, with eigenvalue
@@ -550,28 +537,16 @@ def character_table_dixon(group) -> CharacterTable:
             if s_mat == [[lam if r == c else 0 for c in range(d)] for r in range(d)]:
                 nxt.append(basis)
                 continue
-            roots = _roots_mod(_charpoly_mod(s_mat, l), l)
-            if len(roots) <= 1:
-                nxt.append(basis)
-                continue
+            packed = _pack_columns(list(zip(*basis)))
             total = 0
-            for lam in roots:
+            for lam in _distinct_eigenvalues(basis, coords, id_idx, l):
                 shifted = [
                     [(s_mat[r][c] - (lam if r == c else 0)) % l for c in range(d)]
                     for r in range(d)
                 ]
                 null = _nullspace_mod(shifted, l)
                 total += len(null)
-                vecs = []
-                for coord in null:
-                    v = [0] * k
-                    for jj, cf in enumerate(coord):
-                        if cf:
-                            bj = basis[jj]
-                            for r in range(k):
-                                v[r] = (v[r] + cf * bj[r]) % l
-                    vecs.append(v)
-                nxt.append(vecs)
+                nxt.append(_apply_packed([list(enumerate(v)) for v in null], packed, k, l))
             if total != d:
                 raise AssertionError("eigenspaces do not fill the subspace")
         spaces = nxt

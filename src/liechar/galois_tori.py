@@ -22,8 +22,8 @@ from .exact_math import (
     cached,
     cokernel_group,
 )
+from .root_datum import RANK_BUDGET
 
-RANK_BUDGET = 8  # the rank cap of root data
 ENTRY_BUDGET = 10**6
 BLOCK_BUDGET = 8  # most blocks of SL_n kappa data
 TWIST_BUDGET = 10**5  # most twists m^l an SL_n kappa group enumerates

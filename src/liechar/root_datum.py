@@ -47,6 +47,7 @@ from .exact_math import cached, inverse_rational
 SERIES = ("A", "B", "C", "D", "E", "F", "G")
 
 ROOT_BUDGET = 240
+RANK_BUDGET = 8  # the largest rank of a root datum, and of a twisted torus
 ROOT_ENTRY_BOUND = 2**7
 _FIELD_BITS = 32
 _HALF = 1 << (_FIELD_BITS - 1)
@@ -163,8 +164,8 @@ def cartan_matrix(series, rank):
 def _check_series_rank(series, rank):
     if series not in SERIES:
         raise ValueError(f"unknown series {series!r}")
-    if rank > 8:
-        raise ValueError("rank cap is 8")
+    if rank > RANK_BUDGET:
+        raise ValueError(f"rank {rank} exceeds the budget RANK_BUDGET = {RANK_BUDGET}")
     cartan_matrix(series, rank)  # validates the combination
 
 

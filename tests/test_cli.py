@@ -581,7 +581,7 @@ _PAST_PRIME_BOUND = str(10**30 + 57)  # no prime factor below 43
             ["hilbert", "--a", "2", "--b", "3", "--place", "3317044064679887385961981"],
             "--place: primality of 3317044064679887385961981 is decided only below PRIME_BOUND = 3317044064679887385961981",
         ),
-        (["endoscopy", "enumerate", "--type", "A9"], "--type: rank cap is 8"),
+        (["endoscopy", "enumerate", "--type", "A9"], "--type: rank 9 exceeds the budget RANK_BUDGET = 8"),
         (["endoscopy", "enumerate", "--type", "E5"], "--type: E_n needs rank 6, 7 or 8"),
         (["endoscopy", "enumerate", "--type", "G3"], "--type: G_2 only"),
         (["endoscopy", "estimate", "--type", "A3"], "--type: type A is excluded from the estimate check"),

@@ -13,7 +13,10 @@ import liechar.dl_spectra as dl_spectra
 from liechar.dl_spectra import (
     ClassFunction,
     TorusCharacter,
+    DIXON_MODULUS_BOUND,
+    DIXON_ORDER_BUDGET,
     _choose_modulus,
+    _distinct_eigenvalues,
     _gauss_sum,
     _jordan_parts,
     character_table_dixon,
@@ -28,7 +31,7 @@ from liechar.dl_spectra import (
     tables_match,
     torus_characters,
 )
-from liechar.exact_math import Cyclotomic, FiniteField
+from liechar.exact_math import Cyclotomic, FiniteField, rref_mod
 from liechar.finite_lie import (
     FiniteLieGroup,
     build_finite_group,
@@ -133,8 +136,36 @@ def test_generic_path_on_s3():
 def test_choose_modulus_values():
     assert _choose_modulus(12, 24) == 13
     assert _choose_modulus(24, 48) == 73
-    with pytest.raises(ValueError, match="no usable prime"):
+    with pytest.raises(AssertionError, match=r"below DIXON_MODULUS_BOUND = 1000000$"):
         _choose_modulus(999983, 100)
+
+
+def test_choose_modulus_never_reaches_its_bound():
+    # the exponent divides the order n <= DIXON_ORDER_BUDGET, and the
+    # largest order needs the largest l, so this covers every admitted group
+    worst = max((_choose_modulus(e, DIXON_ORDER_BUDGET), e) for e in range(1, DIXON_ORDER_BUDGET + 1))
+    assert worst == (496747, 9199)
+    assert worst[0] < DIXON_MODULUS_BOUND
+
+
+@pytest.mark.parametrize("l", [13, 101])
+def test_distinct_eigenvalues_of_a_repeated_spectrum(l):
+    """S = P diag(lam) P^-1 on the standard basis of F_l^4, eigenvalue 2
+    twice. Row 0 of P, the identity coordinate, is nonzero on every
+    eigenspace; each other row vanishes on one (row 1 on the repeated one),
+    so no other coordinate sees the whole spectrum."""
+    lam = [2, 2, 5, 7]
+    p = [[1, 1, 1, 1], [0, 0, 1, 2], [1, 2, 0, 1], [1, 3, 1, 0]]
+    a, pivots = rref_mod([row + [int(i == j) for j in range(4)] for i, row in enumerate(p)], l, 4)
+    assert pivots == [0, 1, 2, 3]
+    p_inv = [row[4:] for row in a]
+    s = [[sum(p[r][t] * lam[t] * p_inv[t][c] for t in range(4)) % l for c in range(4)] for r in range(4)]
+    basis = [[int(i == j) for j in range(4)] for i in range(4)]
+    coords = [[s[r][c] for r in range(4)] for c in range(4)]
+    assert _distinct_eigenvalues(basis, coords, 0, l) == [2, 5, 7]
+    # a defective block (one Jordan block of 2) is refused, not kept
+    with pytest.raises(AssertionError, match="minimal polynomial does not split"):
+        _distinct_eigenvalues(basis[:2], [[3, 0], [1, 3]], 0, l)
 
 
 def test_dixon_cyclic_three():
@@ -191,21 +222,38 @@ class OneWrongProduct:
         # so only the check of every line against every class matrix sees it
         ("SL2", 3, 0, "not a common eigenvector"),
         ("GL2", 3, 0, "not a common eigenvector"),
-        ("SL2", 6, 1, "vector outside the span"),
-        ("GL2", 7, 1, "eigenspaces do not fill the subspace"),
+        ("SL2", 2, 0, "vector outside the span"),
+        ("SL2", 6, 1, "eigenspaces do not fill the subspace"),
+        ("GL2", 7, 1, "the minimal polynomial does not split into distinct roots"),
     ],
 )
 def test_dixon_checks_catch_one_wrong_product(kind, ci, t, message):
     """x^{-1} * rep_t, for x the smallest member of class ci, is replaced by
     the representative of the next class, one entry of the structure
     matrices moved to another row."""
+    with pytest.raises(AssertionError, match=message):
+        character_table_dixon(_one_wrong_product(kind, ci, t))
+
+
+def _one_wrong_product(kind, ci, t):
     g = build_finite_group(kind, 3)
     cd = conjugacy_classes(g)
     xi = g.inv(cd.members[ci][0])
     right = cd.class_of(g.mul(xi, cd.reps[t]))
     wrong = cd.reps[(right + 1) % cd.count]
-    with pytest.raises(AssertionError, match=message):
-        character_table_dixon(OneWrongProduct(g, xi, cd.reps[t], wrong))
+    return OneWrongProduct(g, xi, cd.reps[t], wrong)
+
+
+def test_dixon_refuses_every_single_wrong_product():
+    # the 7^2 + 8^2 = 113 class pairs (ci, t) of SL2(F_3) and GL2(F_3)
+    faults = []
+    for kind in ("SL2", "GL2"):
+        k = conjugacy_classes(build_finite_group(kind, 3)).count
+        faults += [(kind, ci, t) for ci in range(k) for t in range(k)]
+    assert len(faults) == 113
+    for fault in faults:
+        with pytest.raises(AssertionError):
+            character_table_dixon(_one_wrong_product(*fault))
 
 
 # -- closed forms

@@ -9,6 +9,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import liechar.endoscopy as endoscopy
 from liechar.endoscopy import (
     _clear_denominators,
     _kappa_pairings,
@@ -473,6 +474,31 @@ def test_fold_is_invariant_under_large_coroot_translations(series, rank, isogeny
         shift = [sum(c * av[k] for c, av in zip(coef, d.simple_coroots)) for k in range(rank)]
         far = tuple(a + b for a, b in zip(x, shift))
         assert _fold_point(d, ext, far) == _fraction_fold(d, ext, x)
+
+
+def test_fold_stays_far_below_its_budget(monkeypatch):
+    # the coroot translation bounds the passes over the nodes independently
+    # of the point: every datum's alcove vertices stay put and far points
+    # land in the closed alcove within 32 passes (20 at most measured)
+    monkeypatch.setattr(endoscopy, "FOLD_BUDGET", 32)
+    for series, rank in ADMITTED:
+        for isogeny in ("sc", "ad"):
+            d = build_root_datum(series, rank, isogeny)
+            ext = extended_dynkin(d)
+            vertices = alcove_vertices(d)
+            for v in vertices:
+                assert _fold_point(d, ext, v) == v
+            rng = random.Random(f"{series}{rank}{isogeny}")
+            for _ in range(8):
+                x = _random_point(rng, rank, size=10**6)
+                assert _in_closed_alcove(ext, _fold_point(d, ext, x)), x
+
+
+def test_fold_budget_is_named(monkeypatch):
+    monkeypatch.setattr(endoscopy, "FOLD_BUDGET", 1)
+    d, ext = _dual_and_ext("A", 2, "sc")
+    with pytest.raises(AssertionError, match=r"step budget FOLD_BUDGET = 1$"):
+        _fold_point(d, ext, (Fraction(-5, 2), Fraction(7, 3)))
 
 
 def _fraction_center_action(g):
