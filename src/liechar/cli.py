@@ -33,6 +33,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from .dl_spectra import (
     character_table_dixon,
@@ -50,7 +51,7 @@ from .endoscopy import (
     estimate_diagram_check,
 )
 from .exact_math import (
-    Cyclotomic, IntMatrix, jordan_exponent, order_from_multiple, prime_factors, smallest_conductor,
+    Cyclotomic, IntMatrix, jordan_exponent, order_from_multiple, power, prime_factors, smallest_conductor,
 )
 from .finite_lie import (
     build_finite_group,
@@ -149,11 +150,13 @@ def _parse_int_matrix(s, flag):
 def _cyc_text(n, den, numerators):
     """The text of the value with this stored form: numerators, a sorted
     tuple of (exponent, numerator) pairs, over den at conductor n. A table
-    repeats few forms in many cells, so each form is reduced once."""
-    red = Cyclotomic(n, dict(numerators), den).reduced()
+    repeats few forms in many cells, so each form is printed once. A
+    rational prints as a plain number: its smallest conductor is 1."""
+    v = Cyclotomic(n, dict(numerators), den)
+    red = v.reduced()
     if not any(red[1:]):
-        return str(red[0]) if red else "0"
-    d, coeffs = smallest_conductor(n, red)
+        return str(red[0])
+    d, coeffs = smallest_conductor(v)
     return f"cyc{d}[" + ",".join(str(c) for c in coeffs) + "]"
 
 
@@ -414,22 +417,30 @@ def _check_tn_norm_one():
 
 
 def _check_tn_pairing_roots(rng):
-    size = rng.choice([2, 3, 4])
-    perm = list(range(size))
-    rng.shuffle(perm)
-    rows = [[1 if perm[i] == j else 0 for j in range(size)] for i in range(size)]
-    data = component_group_pi0(TwistedTorus(size, IntMatrix(rows)))
+    """The pairing on the sum of the cyclic shifts of two sum-zero lattices
+    of sizes a | b, whose H^1 is Z/a + Z/b: at every pi0 character, every
+    value is an e-th root of unity, e the largest invariant factor, and the
+    pairing is multiplicative in the H^1 class (checked against each unit
+    vector, so that a coordinate wraps around its own factor)."""
+
+    def shift(s):
+        # x^i -> x^(i + 1) on Z[x] / (1 + x + ... + x^(s - 1))
+        return [[(i == j + 1) - (j == s - 2) for j in range(s - 1)] for i in range(s - 1)]
+
+    a, b = rng.choice([(2, 4), (2, 6), (3, 6)])
+    rows = [r + [0] * (b - 1) for r in shift(a)] + [[0] * (a - 1) + r for r in shift(b)]
+    data = component_group_pi0(TwistedTorus(a + b - 2, IntMatrix(rows)))
     d = data.invariant_factors
-    if not d:
-        return True
-    inv = tuple(rng.randrange(di) for di in d)
-    kap = tuple(rng.randrange(di) for di in d)
-    val = tn_pairing(data, inv, kap)
-    n = val.n
-    acc = val
-    for _ in range(n - 1):
-        acc = acc * val
-    return acc == 1
+    elements = list(product(*(range(di) for di in d)))
+    units = [tuple(int(i == j) for i in range(len(d))) for j in range(len(d))]
+    for kap in elements:
+        vals = {x: tn_pairing(data, x, kap) for x in elements}
+        for x, val in vals.items():
+            if power(Cyclotomic.__mul__, None, val, d[-1]) != 1:
+                return False
+            if any(vals[data.h1.add(x, u)] != val * vals[u] for u in units):
+                return False
+    return True
 
 
 def _check_qlog(kind):

@@ -12,14 +12,12 @@ from .intmat import (
     cokernel_group,
     CokernelPresentation,
     FinAbGroup,
-    solve_rational,
     inverse_rational,
     rref_mod,
     abelian_subgroup_type,
 )
 from .cyclo import (
     Cyclotomic,
-    cyclotomic_polynomial,
     smallest_conductor,
 )
 from .ffield import FiniteField
@@ -33,12 +31,10 @@ __all__ = [
     "cokernel_group",
     "CokernelPresentation",
     "FinAbGroup",
-    "solve_rational",
     "inverse_rational",
     "rref_mod",
     "abelian_subgroup_type",
     "Cyclotomic",
-    "cyclotomic_polynomial",
     "smallest_conductor",
     "FiniteField",
     "is_prime",

@@ -18,6 +18,10 @@ most 2 are equal only as equal rationals, decided from their memoised
 reductions. Other pairs are compared in Q(zeta_lcm(a, b)). So a value has
 no hash, and `equality_classes` splits a list of values into classes by
 comparing each with one representative per class.
+
+A value prints at its smallest conductor, which `smallest_conductor` finds
+by descent, one prime of the conductor at a time: each step reads a
+relative trace off the numerators and makes one equality test.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .intmat import solve_rational
 from .primes import prime_factors
 
 # largest conductor reduced modulo Phi_n. The characters of GL2 and SL2 over
@@ -51,11 +54,6 @@ def _poly_divide_exact(num, den):
     if any(num):
         raise ArithmeticError("non-exact polynomial division")
     return tuple(q)
-
-
-def cyclotomic_polynomial(n):
-    """Coefficients of Phi_n, constant term first."""
-    return _phi_terms(n)[0]
 
 
 def _at_power(poly, k):
@@ -341,26 +339,33 @@ class Cyclotomic:
         return out
 
 
-def smallest_conductor(n, red):
-    """The value sum_k red[k] zeta_n^k (red reduced modulo Phi_n) at its
-    smallest conductor: (d, coefficients modulo Phi_d), d the least divisor
-    of n with d != 2 mod 4 and the value in Q(zeta_d).
+def smallest_conductor(v):
+    """The Cyclotomic v at its smallest conductor: (d, coefficients modulo
+    Phi_d), d the least divisor of v.n with v in Q(zeta_d); d is never 2
+    mod 4.
 
-    Q(zeta_d) is the fixed field of the units k = 1 mod d of Z/n, so
-    membership is invariance under those sigma_k: zeta_n -> zeta_n^k; the
-    coefficients then come from one exact solve in the power basis of
-    zeta_d = zeta_n^(n/d)."""
-    red = list(red)
-    for d in range(1, n + 1):
-        if n % d or d % 4 == 2:
-            continue
-        if all(
-            _reduce_mod_phi({e * k % n: c for e, c in enumerate(red) if c}, n) == red
-            for k in range(1 + d, n, d)
-            if gcd(k, n) == 1
-        ):
-            s = n // d
-            deg = len(cyclotomic_polynomial(d)) - 1
-            cols = [_reduce_mod_phi({s * j: 1}, n) for j in range(deg)]
-            return d, list(solve_rational(list(zip(*cols)), red))
-    raise AssertionError("no conductor found")
+    The descent goes prime by prime. For a prime p of n and m = n / p, the
+    trace from Q(zeta_n) to Q(zeta_m) over its degree, w, fixes Q(zeta_m),
+    so v is in Q(zeta_m) exactly when w == v; then v = w and p is tried
+    again. w is read term by term: zeta_n^e goes to zeta_m^(e / p) when p
+    divides e; otherwise to 0 when p divides m (degree p), and to
+    -zeta_m^(e p^-1 mod m) / (p - 1) when it does not (degree p - 1). The
+    fields Q(zeta_d) holding v are closed under gcd, and a step at p keeps
+    the exponents of the other primes, so the greedy descent is exact. At
+    n = 2m, m odd, w = v always, so no conductor 2 mod 4 is left."""
+    for p in prime_factors(v.n):
+        while v.n % p == 0:
+            m = v.n // p
+            if m % p == 0:
+                w = Cyclotomic(m, {e // p: c for e, c in v.num.items() if e % p == 0}, v.den)
+            else:
+                # e p^-1 = e / p mod m when p divides e
+                r, num = pow(p, -1, m), {}
+                for e, c in v.num.items():
+                    k = e * r % m
+                    num[k] = num.get(k, 0) + (c * (p - 1) if e % p == 0 else -c)
+                w = Cyclotomic(m, num, v.den * (p - 1))
+            if w != v:
+                break
+            v = w
+    return v.n, v.reduced()

@@ -7,15 +7,14 @@ Elimination over Z is one routine, Bareiss's fraction-free Gauss-Jordan on
 integer rows (E. H. Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 22, 1968), in which
 every entry is a minor of the input and every division is exact. The one
-pass serves `IntMatrix.det` (its last pivot, signed by its row swaps),
-`solve_rational` and `inverse_rational`, which never form a Fraction
-before they divide once at the end.
+pass serves `IntMatrix.det` (its last pivot, signed by its row swaps) and
+`inverse_rational`, which forms no Fraction: it returns integer rows over
+one denominator.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from .orders import element_order
 from .primes import prime_factors
@@ -86,8 +85,6 @@ class IntMatrix:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return IntMatrix(tuple(tuple(x * other for x in r) for r in self.rows))
         r, k = self.shape
         k2, c = other.shape
         if k != k2:
@@ -96,8 +93,6 @@ class IntMatrix:
         return IntMatrix(
             tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in ocols) for row in self.rows)
         )
-
-    __rmul__ = __mul__
 
     def apply(self, vec):
         """Matrix times column vector, returned as a tuple."""
@@ -267,8 +262,10 @@ def _gauss_jordan(a, n):
     step c - 1 (1 before the first). By Sylvester's identity every entry is
     then a minor of the input, so each division is exact, and the integers
     grow only as minors do. At the end the first n columns of a[:n] are
-    p times the identity, p = +-det of those rows, and the rows from n on
-    are zero there; for n square rows, sign * p is their determinant.
+    p times the identity, p = +-det of those rows, and sign * p is their
+    determinant; columns past n, such as the identity that
+    `inverse_rational` appends, are carried along, and rows past n, which
+    an overdetermined system would add, end zero in the first n columns.
     ValueError if the first n columns are linearly dependent."""
     prev, sign = 1, 1
     for col in range(n):
@@ -290,21 +287,6 @@ def _gauss_jordan(a, n):
                 a[r] = [x * p // prev for x in row]
         prev = p
     return prev, sign
-
-
-def solve_rational(rows, b):
-    """Solve rows * x = b exactly over Q, as a tuple of Fractions: integer
-    rows, at least as many as unknowns, with linearly independent columns
-    (ValueError otherwise), and b (ints or Fractions) in their span
-    (ValueError otherwise). b is scaled by the common denominator d of its
-    entries, so the elimination runs on integers; x = a[:, n] / (p d)."""
-    n = len(rows[0]) if rows else 0
-    d = lcm(1, *(v.denominator for v in b))
-    a = [list(row) + [v.numerator * (d // v.denominator)] for row, v in zip(rows, b)]
-    p, _ = _gauss_jordan(a, n)
-    if any(a[r][n] for r in range(n, len(a))):
-        raise ValueError("inconsistent system")
-    return tuple(Fraction(a[r][n], p * d) for r in range(n))
 
 
 def inverse_rational(rows):

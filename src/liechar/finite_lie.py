@@ -273,8 +273,10 @@ class _QuadExt:
     in the order of the code x + q y (`primitive_element`); `log` and
     `norm_one_log` hold the discrete logarithms in the full multiplicative
     group and in its norm-one subgroup, cyclic of orders q^2 - 1 and q + 1,
-    keyed by packed point. Their keys are the points of the elliptic tori of
-    GL2 and SL2.
+    keyed by packed point. The norm x -> x^(q + 1) maps gen^k to 1 exactly
+    when q - 1 divides k, so the norm-one logarithms are read off `log`: k /
+    (q - 1) for gen^(q - 1) as generator. Their keys are the points of the
+    elliptic tori of GL2 and SL2.
     """
 
     def __init__(self, field):
@@ -301,14 +303,7 @@ class _QuadExt:
             acc = mul(acc, gen)
         if acc != one or len(self.log) != order:
             raise AssertionError("generator order is wrong")
-        norm_one_gen = power(mul, one, gen, q - 1)
-        self.norm_one_log = {}
-        acc = one
-        for k in range(q + 1):
-            self.norm_one_log[acc] = k
-            acc = mul(acc, norm_one_gen)
-        if acc != one:
-            raise AssertionError("norm-one generator order is wrong")
+        self.norm_one_log = {pt: k // (q - 1) for pt, k in self.log.items() if k % (q - 1) == 0}
 
 
 def _quad_ext(field) -> _QuadExt:

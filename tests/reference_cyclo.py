@@ -1,18 +1,48 @@
-"""The dict-of-Fractions Cyclotomic that liechar used before its values
-moved to integer numerators over one denominator, kept as an oracle for
-tests/test_cyclo.py: every coefficient a Fraction, every value reduced
-modulo Phi_n in Fractions."""
+"""Two oracles for tests/test_cyclo.py.
+
+The dict-of-Fractions Cyclotomic that liechar used before its values moved
+to integer numerators over one denominator: every coefficient a Fraction,
+every value reduced modulo Phi_n in Fractions. And the search for the
+smallest conductor that liechar used before its descent by relative
+traces: every divisor d of n, every unit k = 1 mod d, and one rational
+solve for the coefficients."""
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from liechar.exact_math import cyclotomic_polynomial
+from liechar.exact_math.cyclo import _phi_terms, _reduce_mod_phi as _reduce_int
+from reference_lattice import solve_rational
+
+
+def smallest_conductor_by_search(n, red):
+    """The value sum_k red[k] zeta_n^k (red reduced modulo Phi_n) at its
+    smallest conductor: (d, coefficients modulo Phi_d), d the least divisor
+    of n with d != 2 mod 4 and the value in Q(zeta_d).
+
+    Q(zeta_d) is the fixed field of the units k = 1 mod d of Z/n, so
+    membership is invariance under those sigma_k: zeta_n -> zeta_n^k; the
+    coefficients then come from one exact solve in the power basis of
+    zeta_d = zeta_n^(n/d)."""
+    red = list(red)
+    for d in range(1, n + 1):
+        if n % d or d % 4 == 2:
+            continue
+        if all(
+            _reduce_int({e * k % n: c for e, c in enumerate(red) if c}, n) == red
+            for k in range(1 + d, n, d)
+            if gcd(k, n) == 1
+        ):
+            s = n // d
+            deg = len(_phi_terms(d)[0]) - 1
+            cols = [_reduce_int({s * j: 1}, n) for j in range(deg)]
+            return d, list(solve_rational(list(zip(*cols)), red))
+    raise AssertionError("no conductor found")
 
 
 def _reduce_mod_phi(coeffs, n):
     """Remainder of a sparse {exp: Fraction} polynomial modulo Phi_n.
     Returns a dense list of Fractions of length deg Phi_n."""
-    phi = cyclotomic_polynomial(n)
+    phi = _phi_terms(n)[0]
     deg = len(phi) - 1
     dense = [Fraction(0)] * max(n, deg)
     for e, c in coeffs.items():

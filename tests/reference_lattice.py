@@ -7,11 +7,16 @@ checked against. The rank of an integer span, by its own echelon
 elimination, checks `RootDatum.is_semisimple`, which reads the rank off the
 simple system. The invariant factors of a finite abelian group by a search
 over divisibility chains check `abelian_subgroup_type`, which reads them off
-prime-power counts."""
+prime-power counts. Rational solutions of an integer system, read off
+the library's one Bareiss elimination, are the per-root and per-column
+solves that root heights and inverse Cartan matrices are checked against
+(tests/test_rootdata.py, tests/test_exact_algorithms.py)."""
 
+from fractions import Fraction
 from math import gcd, lcm
 
 from liechar.exact_math import FinAbGroup, IntMatrix, element_order, smith_normal_form
+from liechar.exact_math.intmat import _gauss_jordan
 
 
 def kernel_basis(m: IntMatrix):
@@ -118,3 +123,18 @@ def abelian_type_by_chains(elements, add, zero):
     if len(matches) != 1:
         raise AssertionError(f"ambiguous or missing abelian type: {matches}")
     return FinAbGroup(torsion=matches[0])
+
+
+def solve_rational(rows, b):
+    """Solve rows * x = b exactly over Q, as a tuple of Fractions: integer
+    rows, at least as many as unknowns, with linearly independent columns
+    (ValueError otherwise), and b (ints or Fractions) in their span
+    (ValueError otherwise). b is scaled by the common denominator d of its
+    entries, so the elimination runs on integers; x = a[:, n] / (p d)."""
+    n = len(rows[0]) if rows else 0
+    d = lcm(1, *(v.denominator for v in b))
+    a = [list(row) + [v.numerator * (d // v.denominator)] for row, v in zip(rows, b)]
+    p, _ = _gauss_jordan(a, n)
+    if any(a[r][n] for r in range(n, len(a))):
+        raise ValueError("inconsistent system")
+    return tuple(Fraction(a[r][n], p * d) for r in range(n))

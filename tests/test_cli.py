@@ -12,10 +12,12 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 import cli_sequence
+from liechar import cli
 from liechar.cli import _cyc_str, main
 from liechar.dl_spectra import CharacterTable
 from liechar.exact_math import Cyclotomic
@@ -683,6 +685,30 @@ def test_selftest_runs_the_table_checks_and_the_gl2_quasi_log(monkeypatch):
     failed = [c for c in json.loads(out)["checks"] if not c["pass"]]
     assert [c["name"] for c in failed] == ["dixon_vs_classical_sl2_3"]
     assert "orthogonality" in failed[0]["detail"]
+
+
+def test_tn_pairing_roots_pairs_and_catches_an_unscaled_pairing(monkeypatch):
+    """At every seed the selftest's pairing check reaches tn_pairing, and it
+    fails when the pairing drops the n // d_i scaling of each coordinate,
+    a map that still takes roots of unity as values."""
+    paired = []
+
+    def counted(data, inv, kappa):
+        paired.append(inv)
+        return tn_pairing(data, inv, kappa)
+
+    def unscaled(data, inv, kappa):
+        n = lcm(*data.invariant_factors)
+        return Cyclotomic.zeta(n, sum(a * k for a, k in zip(inv, kappa)))
+
+    tn_pairing = cli.tn_pairing
+    for seed in range(50):
+        paired.clear()
+        monkeypatch.setattr(cli, "tn_pairing", counted)
+        assert cli._check_tn_pairing_roots(random.Random(seed)), seed
+        assert paired, seed
+        monkeypatch.setattr(cli, "tn_pairing", unscaled)
+        assert not cli._check_tn_pairing_roots(random.Random(seed)), seed
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@ from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference_cyclo import Cyclotomic as RefCyclotomic
+from reference_cyclo import Cyclotomic as RefCyclotomic, smallest_conductor_by_search
 
-from liechar.exact_math import Cyclotomic, cyclotomic_polynomial, smallest_conductor
-from liechar.exact_math.cyclo import CONDUCTOR_BUDGET
+from liechar.exact_math import Cyclotomic, smallest_conductor
+from liechar.exact_math.cyclo import CONDUCTOR_BUDGET, _phi_terms
 
 
 def _cyc(n, coeffs, den=1):
@@ -19,12 +19,12 @@ def _cyc(n, coeffs, den=1):
 
 
 def test_phi_polynomials():
-    assert cyclotomic_polynomial(1) == (-1, 1)
-    assert cyclotomic_polynomial(2) == (1, 1)
-    assert cyclotomic_polynomial(3) == (1, 1, 1)
-    assert cyclotomic_polynomial(4) == (1, 0, 1)
-    assert cyclotomic_polynomial(6) == (1, -1, 1)
-    assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+    assert _phi_terms(1)[0] == (-1, 1)
+    assert _phi_terms(2)[0] == (1, 1)
+    assert _phi_terms(3)[0] == (1, 1, 1)
+    assert _phi_terms(4)[0] == (1, 0, 1)
+    assert _phi_terms(6)[0] == (1, -1, 1)
+    assert _phi_terms(12)[0] == (1, 0, -1, 0, 1)
 
 
 def _divisor_product(n):
@@ -32,7 +32,7 @@ def _divisor_product(n):
     out = {0: 1}
     for d in range(1, n + 1):
         if n % d == 0:
-            phi = [(j, c) for j, c in enumerate(cyclotomic_polynomial(d)) if c]
+            phi = [(j, c) for j, c in enumerate(_phi_terms(d)[0]) if c]
             prod = {}
             for i, a in out.items():
                 for j, b in phi:
@@ -158,13 +158,13 @@ def test_gauss_sum_square():
 def test_smallest_conductor_examples():
     # zeta_10 = -zeta_5^3
     z10 = Cyclotomic.zeta(10)
-    assert smallest_conductor(10, tuple(z10.reduced())) == (5, [0, 0, 0, -1])
+    assert smallest_conductor(z10) == (5, [0, 0, 0, -1])
     # i written in conductor 24
     i24 = Cyclotomic.zeta(4).lift(24)
-    assert smallest_conductor(24, tuple(i24.reduced())) == (4, [0, 1])
+    assert smallest_conductor(i24) == (4, [0, 1])
     # sqrt(-3) = 2 zeta_3 + 1, written in conductor 12
     s = (Cyclotomic.zeta(3) * 2 + 1).lift(12)
-    assert smallest_conductor(12, tuple(s.reduced())) == (3, [1, 2])
+    assert smallest_conductor(s) == (3, [1, 2])
 
 
 @settings(max_examples=60, deadline=None)
@@ -176,10 +176,41 @@ def test_smallest_conductor_examples():
 def test_smallest_conductor_roundtrip(d, m, coeffs):
     v = Cyclotomic(d, dict(enumerate(coeffs)))
     n = d * m
-    e, red = smallest_conductor(n, tuple(v.lift(n).reduced()))
+    e, red = smallest_conductor(v.lift(n))
     assert d % e == 0 and e % 4 != 2
     assert _cyc(e, dict(enumerate(red))) == v
     assert red == _cyc(e, dict(enumerate(red))).reduced()
+
+
+def _conductor_text(d, coeffs):
+    """The CLI's text of a value at conductor d with these coefficients."""
+    return f"cyc{d}[" + ",".join(str(c) for c in coeffs) + "]"
+
+
+@st.composite
+def sums_at_divisors(draw):
+    """A sum of up to three values at divisors of n <= 420, each over a
+    denominator, written at conductor n: as the sum's stored form, or as
+    its reduction modulo Phi_n, which spreads a value of a smaller field
+    over exponents prime to n."""
+    n = draw(st.integers(1, 420))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    v = Cyclotomic.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.sampled_from(divisors))
+        coeffs = draw(st.dictionaries(st.integers(0, d - 1), st.integers(-4, 4), max_size=4))
+        v = v + Cyclotomic(d, coeffs, draw(st.integers(1, 6)))
+    v = v.lift(n)
+    return _cyc(n, dict(enumerate(v.reduced()))) if draw(st.booleans()) else v
+
+
+@settings(max_examples=300, deadline=None)
+@given(sums_at_divisors())
+def test_descent_matches_the_search(v):
+    """The descent by relative traces prints what the search over units and
+    the rational solve printed."""
+    want = smallest_conductor_by_search(v.n, v.reduced())
+    assert _conductor_text(*smallest_conductor(v)) == _conductor_text(*want)
 
 
 def test_inexact_coefficients_are_refused():

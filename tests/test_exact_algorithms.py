@@ -22,12 +22,12 @@ from liechar.exact_math import (
     prime_factors,
     primitive_element,
     rref_mod,
-    solve_rational,
 )
 from liechar.finite_lie import _quad_ext, build_finite_group
 from liechar.exact_math.orders import ORDER_BUDGET
 from liechar.exact_math.primes import PRIME_BOUND, TRIAL_BOUND
 from liechar.padic import TruncatedMatrix
+from reference_lattice import solve_rational
 
 
 def inverse_by_columns(rows):

@@ -10,10 +10,9 @@ from liechar.exact_math import (
     smith_normal_form,
     cokernel_group,
     FinAbGroup,
-    solve_rational,
     abelian_subgroup_type,
 )
-from reference_lattice import abelian_type_by_chains, kernel_basis, solve_integer
+from reference_lattice import abelian_type_by_chains, kernel_basis, solve_integer, solve_rational
 
 
 def test_snf_identity():

@@ -7,7 +7,7 @@ import pytest
 
 from liechar import root_datum
 from liechar.endoscopy import center_alcove_action, pseudo_levi
-from liechar.exact_math import IntMatrix, smith_normal_form, solve_rational
+from liechar.exact_math import IntMatrix, smith_normal_form
 from liechar.root_datum import (
     ROOT_BUDGET,
     ROOT_ENTRY_BOUND,
@@ -21,7 +21,7 @@ from liechar.root_datum import (
     sub_datum_from_pairs,
 )
 from reference_dynkin import reference_cartan_type
-from reference_lattice import rank_of_span
+from reference_lattice import rank_of_span, solve_rational
 
 ROOT_COUNTS = {
     ("A", 1): 2,
