@@ -344,20 +344,22 @@ def classical_table_oracle(kind, q) -> CharacterTable:
 # the modular route
 
 
-def _choose_modulus(exponent, order):
-    """Smallest prime l = 1 (mod exponent) with l^2 > 4*order, searched
-    below DIXON_MODULUS_BOUND.
+def _choose_modulus(exponent, order, count):
+    """Smallest prime l = 1 (mod exponent) with l^2 > 4*order and
+    l > count + 1, searched below DIXON_MODULUS_BOUND.
 
     The congruence guarantees a full set of exponent-th roots of unity mod l
     and, by Cauchy, that l does not divide the group order.  The size bound
-    makes the degree recovery unambiguous.  The search cannot fail for a
-    group within DIXON_ORDER_BUDGET: the exponent divides the order, and
-    over every exponent up to 10^4 the largest l needed is 496,747
-    (exponent 9199), so a failure is an AssertionError.
+    makes the degree recovery unambiguous, and l > count + 1 gives the
+    split its count distinct points x = 2, ..., count + 1 (_split).  The
+    search cannot fail for a group within DIXON_ORDER_BUDGET: the exponent
+    divides the order, the class count is at most the order, and over every
+    exponent up to 10^4 the largest l needed is 496,747 (exponent 9199), so
+    a failure is an AssertionError.
     """
     l = exponent + 1
     while l < DIXON_MODULUS_BOUND:
-        if l * l > 4 * order and is_prime(l):
+        if l * l > 4 * order and l > count + 1 and is_prime(l):
             return l
         l += exponent
     raise AssertionError(f"no prime l = 1 (mod {exponent}) below DIXON_MODULUS_BOUND = {DIXON_MODULUS_BOUND}")
@@ -377,9 +379,9 @@ def _apply_packed(rows, packed, count, l):
     `packed` comes from _pack_columns, so each pair (t, c) of row j is one
     integer multiply-add. A field then holds at most (l - 1) times the sum
     of the row's c. That sum is at most n^2 for a class matrix (the sum over
-    t of |C_t| times its count is |C_i| |C_j|), at most m (l - 1) for a
-    lift, and at most d (l - 1) for a change of basis from d <= n basis
-    vectors, whose fields are so at most d (l - 1)^2. So with
+    t of |C_t| times its count is |C_i| |C_j|) and at most m (l - 1) for a
+    lift. A row of the split's S or of a share's polynomial has at most
+    k <= n entries below l, so its fields stay below k (l - 1)^2. So with
     n <= DIXON_ORDER_BUDGET = 10^4 and l < DIXON_MODULUS_BOUND = 10^6 a
     field stays below 2^54 and never carries into the next one.
     """
@@ -402,32 +404,6 @@ def _roots_mod(poly, l):
     return [x for x, v in enumerate(vals) if v == 0]
 
 
-def _distinct_eigenvalues(basis, coords, id_idx, l):
-    """The distinct eigenvalues of a class matrix S on the block W spanned
-    by basis, coords[c] holding the coordinates of S basis[c]: the roots of
-    the minimal polynomial of S on W.
-
-    W is a sum of common eigenlines omega^chi, and e_id = sum_chi
-    (chi(1)^2 / |G|) omega^chi with l prime to |G|, so the identity-class
-    coordinate u_j = basis[j][id_idx] is nonzero on every eigenline. Its
-    left Krylov sequence u, uS, ..., uS^d ((uS)_c = u . coords[c]) first
-    becomes dependent at the minimal polynomial of S on W, which the first
-    null vector of the d x (d + 1) Krylov matrix holds, monic, low to high.
-    Raises AssertionError unless that polynomial has as many distinct roots
-    in F_l as its degree.
-    """
-    seq = [[b[id_idx] for b in basis]]
-    for _ in range(len(basis)):
-        seq.append([sum(x * y for x, y in zip(seq[-1], col)) % l for col in coords])
-    poly = _nullspace_mod(list(zip(*seq)), l)[0]
-    while not poly[-1]:
-        poly.pop()
-    roots = _roots_mod(poly, l)
-    if len(roots) != len(poly) - 1:
-        raise AssertionError("the minimal polynomial does not split into distinct roots in F_l")
-    return roots
-
-
 def _nullspace_mod(mat, l):
     m = len(mat[0])
     a, pivots = rref_mod(mat, l, m)
@@ -444,16 +420,83 @@ def _nullspace_mod(mat, l):
     return basis
 
 
-def _coords_in_basis(basis, vecs, l):
-    """Coordinates of each vec in the span of an independent basis."""
-    d = len(basis)
-    a, pivots = rref_mod([list(col) for col in zip(*basis, *vecs)], l, d)
-    if len(pivots) < d:
-        raise AssertionError("basis is dependent")
-    for r in range(d, len(a)):
-        if any(a[r][d:]):
-            raise AssertionError("vector outside the span")
-    return [[a[i][d + j] for i in range(d)] for j in range(len(vecs))]
+def _generic_element(mats, x, l):
+    """The sparse rows of S = sum_i x^i M_i mod l, M_i = mats[i]."""
+    rows = [{} for _ in mats]
+    c = 1
+    for mat in mats:
+        for row, pairs in zip(rows, mat):
+            for t, a in pairs:
+                row[t] = row.get(t, 0) + c * a
+        c = c * x % l
+    return [[(t, a % l) for t, a in row.items() if a % l] for row in rows]
+
+
+def _split_round(s_rows, blocks, l):
+    """One round of the split: each block w, a vector of F_l^k, replaced by
+    its shares g(S) w, one per root lam of the minimal polynomial of S
+    (sparse rows) on w, g = minpoly / (x - lam).
+
+    A block is a sum of eigenlines, and B blocks leave at most k - B + 1 to
+    any one, so its Krylov vectors w, ..., S^(k - B + 1) w, one
+    _apply_packed per step for all blocks, are dependent: the first null
+    vector of the Krylov matrix is the minimal polynomial, monic, low to
+    high. A block's shares are one _apply_packed over its Krylov vectors.
+    Raises AssertionError when a Krylov sequence does not close, when a
+    minimal polynomial does not have as many distinct roots in F_l as its
+    degree, and when S share != lam share for a share (one _apply_packed).
+    """
+    k, count = len(s_rows), len(blocks)
+    steps = [blocks]
+    for _ in range(k - count + 1):
+        steps.append(list(zip(*_apply_packed(s_rows, _pack_columns(steps[-1]), count, l))))
+    shares, lams = [], []
+    for krylov in zip(*steps):
+        null = _nullspace_mod(list(zip(*krylov)), l)
+        if not null:
+            raise AssertionError("a Krylov sequence does not close")
+        poly = null[0]
+        while not poly[-1]:
+            poly.pop()
+        roots = _roots_mod(poly, l)
+        if len(roots) != len(poly) - 1:
+            raise AssertionError("the minimal polynomial does not split into distinct roots in F_l")
+        quotients = []
+        for lam in roots:
+            # minpoly / (x - lam) by synthetic division, high to low
+            g = [1]
+            for cf in poly[-2:0:-1]:
+                g.append((cf + lam * g[-1]) % l)
+            quotients.append(list(enumerate(reversed(g))))
+        shares += _apply_packed(quotients, _pack_columns(list(zip(*krylov[:len(roots)]))), k, l)
+        lams += roots
+    images = _apply_packed(s_rows, _pack_columns(shares), len(shares), l)
+    if list(zip(*images)) != [tuple(lam * x % l for x in v) for lam, v in zip(lams, shares)]:
+        raise AssertionError("a share is not an eigenvector of S")
+    return shares
+
+
+def _split(mats, id_idx, l):
+    """The k common eigenlines of the class matrices, as shares of the
+    identity-class vector e_id, split in rounds x = 2, 3, ... by S = sum_i
+    x^i M_i (_split_round).
+
+    e_id = sum_chi (chi(1)^2 / |G|) omega^chi, every coefficient a unit mod
+    l, so each share of it is a sum of eigenlines. The class algebra is
+    semisimple mod l, so chi != psi have omega^chi != omega^psi mod l, and
+    sum_i (omega^chi_i - omega^psi_i) x^i, zero at x unless x separates
+    them, is nonzero of degree < k: the k rounds up to x = k + 1 < l
+    separate every pair. Raises AssertionError unless the split ends in k
+    blocks within k rounds."""
+    k = len(mats)
+    blocks = [[int(r == id_idx) for r in range(k)]]
+    for x in range(2, k + 2):
+        if len(blocks) >= k:
+            break
+        blocks = _split_round(_generic_element(mats, x, l), blocks, l)
+    if len(blocks) != k:
+        raise AssertionError("the class algebra did not split into k lines within k rounds")
+    return blocks
 
 
 def character_table_dixon(group) -> CharacterTable:
@@ -471,22 +514,22 @@ def character_table_dixon(group) -> CharacterTable:
     The class matrices are kept sparse, as rows of (t, count) pairs, built
     without a dense intermediate from one right_products call, which
     multiplies the inverses of all n elements by each of the k class
-    representatives (n k products), and applied to a whole basis at once
+    representatives (n k products), and applied to many vectors at once
     (_apply_packed); the lift inverts the DFT of every row at once the same
-    way. The class algebra is semisimple mod l, so a block on which a class
-    matrix acts as a scalar is kept without a root search. Any other block
-    is split by the eigenvalues of the class matrix on it, the roots of its
-    minimal polynomial read off the identity-class coordinates
-    (_distinct_eigenvalues); each eigenspace is a null space over F_l,
-    mapped back to F_l^k by _apply_packed. Every row reduction is rref_mod.
-    Every table passes these checks, each raising AssertionError:
-    - each block's basis is independent and each image lies in its span;
-    - the minimal polynomial of each split has as many distinct roots in
-      F_l as its degree;
-    - the eigenspaces of each split fill the block, and the splitting ends
-      in lines;
-    - every line is an eigenvector of every class matrix, with eigenvalue
-      one for the identity class;
+    way. The common eigenlines are split off the identity-class vector by
+    generic elements of the class algebra, each block carried as one
+    vector, its share of e_id (_split); every row reduction is rref_mod, one
+    Krylov null vector per block and round. Every table passes these
+    checks, each raising AssertionError:
+    - each block's Krylov sequence closes within k - B + 2 vectors, B the
+      number of blocks;
+    - each minimal polynomial has as many distinct roots in F_l as its
+      degree;
+    - each share is an eigenvector of its round's S, with its root;
+    - the split ends in k lines within k rounds;
+    - every line v has M_i (v_id v) = v_i v for every class matrix M_i: v
+      is nonzero at the identity class, and v / v_id is an eigenvector of
+      every class matrix, with eigenvalue one for the identity class;
     - each degree is recovered, and the degree squares sum to the order;
     - the rows are orthogonal mod l;
     - each lifted multiplicity is at most the degree, and they sum to it;
@@ -501,7 +544,7 @@ def character_table_dixon(group) -> CharacterTable:
     idx = cd.index
     rep_orders = [element_order(mul, group.identity, r, n) for r in cd.reps]
     exponent = lcm(*rep_orders)
-    l = _choose_modulus(exponent, n)
+    l = _choose_modulus(exponent, n, k)
     gen = primitive_element(lambda a, b: a * b % l, 1, range(2, l), l - 1)
     root = pow(gen, (l - 1) // exponent, l)
     inv_class = [idx[inv(r)] for r in cd.reps]
@@ -519,58 +562,19 @@ def character_table_dixon(group) -> CharacterTable:
             ci, j = divmod(key, k)
             mats[ci][j].append((t, c))
 
-    spaces = [[[1 if r == c else 0 for r in range(k)] for c in range(k)]]
+    # every line v against every class matrix: M_i (v_id v) = v_i v. At
+    # v_id = 0 this fails for an i with v_i != 0; else omega = v / v_id has
+    # M_i omega = omega_i omega, and omega_id = 1
     id_idx = cd.identity_index
-    for ci in range(k):
-        if ci == id_idx or all(len(b) == 1 for b in spaces):
-            continue
-        nxt = []
-        for basis in spaces:
-            d = len(basis)
-            if d == 1:
-                nxt.append(basis)
-                continue
-            imgs = list(zip(*_apply_packed(mats[ci], _pack_columns(basis), d, l)))
-            coords = _coords_in_basis(basis, imgs, l)
-            s_mat = [[coords[c][r] for c in range(d)] for r in range(d)]
-            lam = s_mat[0][0]
-            if s_mat == [[lam if r == c else 0 for c in range(d)] for r in range(d)]:
-                nxt.append(basis)
-                continue
-            packed = _pack_columns(list(zip(*basis)))
-            total = 0
-            for lam in _distinct_eigenvalues(basis, coords, id_idx, l):
-                shifted = [
-                    [(s_mat[r][c] - (lam if r == c else 0)) % l for c in range(d)]
-                    for r in range(d)
-                ]
-                null = _nullspace_mod(shifted, l)
-                total += len(null)
-                nxt.append(_apply_packed([list(enumerate(v)) for v in null], packed, k, l))
-            if total != d:
-                raise AssertionError("eigenspaces do not fill the subspace")
-        spaces = nxt
-    if any(len(b) != 1 for b in spaces):
-        raise AssertionError("the class algebra did not split completely")
-
-    # every line against every class matrix: omegas[e][ci] is the
-    # eigenvalue of class matrix ci on line e
-    lines = [v for (v,) in spaces]
-    packed = _pack_columns(lines)
+    lines = _split(mats, id_idx, l)
+    ids = [v[id_idx] for v in lines]
+    packed = _pack_columns([[u * x % l for x in v] for u, v in zip(ids, lines)])
     rows_of_lines = list(zip(*lines))
-    firsts = [next(j for j in range(k) if v[j]) for v in lines]
-    inv_firsts = [pow(v[j0], -1, l) for v, j0 in zip(lines, firsts)]
-    by_class = []
     for ci in range(k):
-        tv = _apply_packed(mats[ci], packed, k, l)
-        ws = [tv[j0][e] * iv % l for e, (j0, iv) in enumerate(zip(firsts, inv_firsts))]
-        for r in range(k):
-            if tv[r] != [w * x % l for w, x in zip(ws, rows_of_lines[r])]:
-                raise AssertionError("not a common eigenvector")
-        by_class.append(ws)
-    omegas = [list(om) for om in zip(*by_class)]
-    if any(om[id_idx] != 1 for om in omegas):
-        raise AssertionError("identity eigenvalue is not one")
+        want = [[a * b % l for a, b in zip(rows_of_lines[ci], row)] for row in rows_of_lines]
+        if _apply_packed(mats[ci], packed, k, l) != want:
+            raise AssertionError("not a common eigenvector")
+    omegas = [[x * pow(u, -1, l) % l for x in v] for u, v in zip(ids, lines)]
 
     degrees = []
     chars_mod = []
@@ -579,12 +583,8 @@ def character_table_dixon(group) -> CharacterTable:
         s = 0
         for ci in range(k):
             s = (s + om[ci] * om[inv_class[ci]] * size_inv[ci]) % l
-        d2 = n * pow(s, -1, l) % l
-        deg = None
-        for t in range(1, isqrt(n) + 1):
-            if t * t % l == d2:
-                deg = t
-                break
+        # chi(1)^2 s = n mod l, so s = 0 (a fault) matches no degree
+        deg = next((t for t in range(1, isqrt(n) + 1) if t * t * s % l == n % l), None)
         if deg is None:
             raise AssertionError("degree not recovered")
         degrees.append(deg)

@@ -284,9 +284,9 @@ class Cyclotomic:
                 return False
             a, b = a[:1], b[:1]
         else:
+            # an operand already at the common conductor has its reduction
             m = lcm(self.n, other.n)
-            a = _reduce_mod_phi(self._terms_at(m), m)
-            b = _reduce_mod_phi(other._terms_at(m), m)
+            a, b = (x._reduction() if x.n == m else _reduce_mod_phi(x._terms_at(m), m) for x in (self, other))
         if self.den == other.den:
             return a == b
         return [x * other.den for x in a] == [y * self.den for y in b]

@@ -10,12 +10,15 @@ over divisibility chains check `abelian_subgroup_type`, which reads them off
 prime-power counts. Rational solutions of an integer system, read off
 the library's one Bareiss elimination, are the per-root and per-column
 solves that root heights and inverse Cartan matrices are checked against
-(tests/test_rootdata.py, tests/test_exact_algorithms.py)."""
+(tests/test_rootdata.py, tests/test_exact_algorithms.py). Coordinates of
+vectors mod a prime in an independent basis, by the library's one
+elimination over Z/l, read the eigenlines that Dixon's split carries in
+each share (tests/test_dl_spectra.py)."""
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from liechar.exact_math import FinAbGroup, IntMatrix, element_order, smith_normal_form
+from liechar.exact_math import FinAbGroup, IntMatrix, element_order, rref_mod, smith_normal_form
 from liechar.exact_math.intmat import _gauss_jordan
 
 
@@ -138,3 +141,17 @@ def solve_rational(rows, b):
     if any(a[r][n] for r in range(n, len(a))):
         raise ValueError("inconsistent system")
     return tuple(Fraction(a[r][n], p * d) for r in range(n))
+
+
+def coords_in_basis(basis, vecs, l):
+    """Coordinates mod the prime l of each vec in the span of an independent
+    basis; AssertionError if the basis is dependent or a vec lies outside
+    its span."""
+    d = len(basis)
+    a, pivots = rref_mod([list(col) for col in zip(*basis, *vecs)], l, d)
+    if len(pivots) < d:
+        raise AssertionError("basis is dependent")
+    for r in range(d, len(a)):
+        if any(a[r][d:]):
+            raise AssertionError("vector outside the span")
+    return [[a[i][d + j] for i in range(d)] for j in range(len(vecs))]

@@ -1,7 +1,9 @@
 """Character tables, torus-series characters, and the two trace identities."""
 
+import copy
 import gc
 import json
+import random
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -16,9 +18,11 @@ from liechar.dl_spectra import (
     DIXON_MODULUS_BOUND,
     DIXON_ORDER_BUDGET,
     _choose_modulus,
-    _distinct_eigenvalues,
     _gauss_sum,
+    _generic_element,
     _jordan_parts,
+    _split,
+    _split_round,
     character_table_dixon,
     classical_table_oracle,
     conjugacy_classes,
@@ -40,6 +44,7 @@ from liechar.finite_lie import (
     tori_and_regularity,
 )
 
+from reference_lattice import coords_in_basis
 from test_cli import run_cli
 
 
@@ -81,6 +86,22 @@ class PermAdapter:
         for i, v in enumerate(a):
             out[v] = i
         return tuple(out)
+
+    right_products = right_products_by_mul
+
+
+class ElementaryTwoGroup:
+    """(Z/2)^r on the integers below 2^r, the product their xor."""
+
+    def __init__(self, r):
+        self.elements = tuple(range(2**r))
+        self.identity = 0
+
+    def mul(self, a, b):
+        return a ^ b
+
+    def inv(self, a):
+        return a
 
     right_products = right_products_by_mul
 
@@ -134,38 +155,132 @@ def test_generic_path_on_s3():
 
 
 def test_choose_modulus_values():
-    assert _choose_modulus(12, 24) == 13
-    assert _choose_modulus(24, 48) == 73
+    assert _choose_modulus(12, 24, 7) == 13  # SL2(F_3)
+    assert _choose_modulus(24, 48, 8) == 73  # GL2(F_3)
+    # elementary abelian groups, where l > k + 1 decides: (Z/2)^4 and
+    # (Z/3)^2 would take 11 and 7 by the congruence and the size bound
+    assert _choose_modulus(2, 16, 16) == 19
+    assert _choose_modulus(3, 9, 9) == 13
     with pytest.raises(AssertionError, match=r"below DIXON_MODULUS_BOUND = 1000000$"):
-        _choose_modulus(999983, 100)
+        _choose_modulus(999983, 100, 1)
 
 
 def test_choose_modulus_never_reaches_its_bound():
-    # the exponent divides the order n <= DIXON_ORDER_BUDGET, and the
-    # largest order needs the largest l, so this covers every admitted group
-    worst = max((_choose_modulus(e, DIXON_ORDER_BUDGET), e) for e in range(1, DIXON_ORDER_BUDGET + 1))
+    # the exponent divides the order n <= DIXON_ORDER_BUDGET, the class
+    # count is at most n, and the largest order and count need the largest
+    # l, so this covers every admitted group
+    budget = DIXON_ORDER_BUDGET
+    worst = max((_choose_modulus(e, budget, budget), e) for e in range(1, budget + 1))
     assert worst == (496747, 9199)
     assert worst[0] < DIXON_MODULUS_BOUND
 
 
+def _planted_algebra(omegas, p, l):
+    """The sparse rows of M_i = P diag(omegas[c][i] for c) P^-1 mod l, one
+    matrix per coordinate i: column c of P is an eigenvector of every M_i,
+    with eigenvalue omegas[c][i]. Column 0 of P^-1 must have no zero, so
+    that e_0 has a share on every column."""
+    k = len(p)
+    a, pivots = rref_mod([row + [int(i == j) for j in range(k)] for i, row in enumerate(p)], l, k)
+    assert pivots == list(range(k))
+    p_inv = [row[k:] for row in a]
+    assert all(row[0] for row in p_inv)
+    mats = []
+    for i in range(k):
+        dense = [
+            [sum(p[r][c] * om[i] * p_inv[c][t] for c, om in enumerate(omegas)) % l for t in range(k)]
+            for r in range(k)
+        ]
+        mats.append([[(t, x) for t, x in enumerate(row) if x] for row in dense])
+    return mats
+
+
+def _eigen_support(p, vecs, l):
+    """For each vector, the columns of P it has a nonzero coordinate on."""
+    cols = [list(c) for c in zip(*p)]
+    return sorted(tuple(c for c, x in enumerate(cf) if x) for cf in coords_in_basis(cols, vecs, l))
+
+
+# e_0 is the sum of the columns: column 0 of the inverse is (1, 1, 1, 1)
+_P = [[1, 1, 0, -1], [0, 1, -1, 0], [0, -1, 0, 1], [-1, -1, 1, 1]]
+
+
 @pytest.mark.parametrize("l", [13, 101])
-def test_distinct_eigenvalues_of_a_repeated_spectrum(l):
-    """S = P diag(lam) P^-1 on the standard basis of F_l^4, eigenvalue 2
-    twice. Row 0 of P, the identity coordinate, is nonzero on every
-    eigenspace; each other row vanishes on one (row 1 on the repeated one),
-    so no other coordinate sees the whole spectrum."""
-    lam = [2, 2, 5, 7]
-    p = [[1, 1, 1, 1], [0, 0, 1, 2], [1, 2, 0, 1], [1, 3, 1, 0]]
-    a, pivots = rref_mod([row + [int(i == j) for j in range(4)] for i, row in enumerate(p)], l, 4)
-    assert pivots == [0, 1, 2, 3]
-    p_inv = [row[4:] for row in a]
-    s = [[sum(p[r][t] * lam[t] * p_inv[t][c] for t in range(4)) % l for c in range(4)] for r in range(4)]
-    basis = [[int(i == j) for j in range(4)] for i in range(4)]
-    coords = [[s[r][c] for r in range(4)] for c in range(4)]
-    assert _distinct_eigenvalues(basis, coords, 0, l) == [2, 5, 7]
+def test_one_round_keeps_a_repeated_eigenvalue_as_one_share(l):
+    """Four common eigenlines whose eigenvalues of S = sum_i x^i M_i are
+    1, 1, 3, 5 at x = 2 and 1, -2, 4, 10 at x = 3."""
+    omegas = [[1, 0, 0, 0], [1, 2, -1, 0], [1, 1, 0, 0], [1, 0, 1, 0]]
+    mats = _planted_algebra(omegas, _P, l)
+    shares = _split_round(_generic_element(mats, 2, l), [[1, 0, 0, 0]], l)
+    assert _eigen_support(_P, shares, l) == [(0, 1), (2,), (3,)]
+    # x = 3 splits the repeated root's share; the two lines stay lines
+    lines = _split_round(_generic_element(mats, 3, l), shares, l)
+    assert _eigen_support(_P, lines, l) == [(0,), (1,), (2,), (3,)]
+    assert _eigen_support(_P, _split(mats, 0, l), l) == [(0,), (1,), (2,), (3,)]
     # a defective block (one Jordan block of 2) is refused, not kept
     with pytest.raises(AssertionError, match="minimal polynomial does not split"):
-        _distinct_eigenvalues(basis[:2], [[3, 0], [1, 3]], 0, l)
+        _split_round([[(0, 3), (1, 1)], [(1, 3)]], [[0, 1]], l)
+    # two blocks of F_l^2 leave one line each, so S w = lam w must close
+    with pytest.raises(AssertionError, match="a Krylov sequence does not close"):
+        _split_round([[(1, 1)], [(0, 1)]], [[1, 0], [0, 1]], l)
+
+
+def _rounds(monkeypatch, constant=None):
+    """The points x of the split's rounds, recorded as they run; with a
+    constant, every round uses it instead."""
+    xs = []
+
+    def generic_element(mats, x, l):
+        xs.append(x)
+        return _generic_element(mats, x if constant is None else constant, l)
+
+    monkeypatch.setattr(dl_spectra, "_generic_element", generic_element)
+    return xs
+
+
+def test_split_needs_at_most_k_rounds_and_may_need_all(monkeypatch):
+    """sum_i (omega^chi_i - omega^psi_i) x^i separates chi and psi unless it
+    vanishes at x; it is nonzero of degree < k, so one of the k points x =
+    2, ..., k + 1 separates them. Planted at k = 4, l = 7: omega^1 - omega^0
+    = (x - 2)(x - 3)(x - 4), nonzero only at the last point."""
+    l = 7
+    omegas = [[0, 0, 0, 0], [-24 % l, 26 % l, -9 % l, 1], [1, 0, 0, 0], [2, 0, 0, 0]]
+    mats = _planted_algebra(omegas, _P, l)
+    xs = _rounds(monkeypatch)
+    assert _eigen_support(_P, _split(mats, 0, l), l) == [(0,), (1,), (2,), (3,)]
+    assert xs == [2, 3, 4, 5]
+    # random algebras of distinct eigenvalue vectors split within k rounds
+    rng = random.Random(7)
+    for _ in range(40):
+        omegas = [[0] * 4]
+        while len(omegas) < 4:
+            om = [rng.randrange(l) for _ in range(4)]
+            if om not in omegas:
+                omegas.append(om)
+        xs.clear()
+        lines = _split(_planted_algebra(omegas, _P, l), 0, l)
+        assert _eigen_support(_P, lines, l) == [(0,), (1,), (2,), (3,)]
+        assert len(xs) <= 4
+    # a constant x runs out of the rounds
+    _rounds(monkeypatch, constant=2)
+    with pytest.raises(AssertionError, match="did not split into k lines within k rounds"):
+        _split(mats, 0, l)
+
+
+def test_dixon_splits_the_small_groups_within_two_rounds(monkeypatch):
+    xs = _rounds(monkeypatch)
+    for group in (CyclicAdapter(3), s3(), ElementaryTwoGroup(4)):
+        xs.clear()
+        character_table_dixon(group)
+        assert xs in ([2], [2, 3])
+
+
+def test_dixon_elementary_two_group():
+    """(Z/2)^4: 16 classes, so l > 17 decides l = 19."""
+    table = character_table_dixon(ElementaryTwoGroup(4))
+    assert table.degrees == (1,) * 16
+    table.verify()
+    assert all(row.value_at(x) in (1, -1) for row in table.rows for x in range(16))
 
 
 def test_dixon_cyclic_three():
@@ -218,13 +333,13 @@ class OneWrongProduct:
 @pytest.mark.parametrize(
     "kind,ci,t,message",
     [
-        # class 3 is not needed to split the class algebra of either group,
-        # so only the check of every line against every class matrix sees it
-        ("SL2", 3, 0, "not a common eigenvector"),
-        ("GL2", 3, 0, "not a common eigenvector"),
-        ("SL2", 2, 0, "vector outside the span"),
-        ("SL2", 6, 1, "eigenspaces do not fill the subspace"),
+        ("SL2", 2, 6, "a Krylov sequence does not close"),
         ("GL2", 7, 1, "the minimal polynomial does not split into distinct roots"),
+        # the generic element of these faulty class matrices still splits
+        # into k lines, so only the check of every line against every class
+        # matrix sees them
+        ("GL2", 3, 0, "not a common eigenvector"),
+        ("GL2", 2, 1, "not a common eigenvector"),
     ],
 )
 def test_dixon_checks_catch_one_wrong_product(kind, ci, t, message):
@@ -233,6 +348,64 @@ def test_dixon_checks_catch_one_wrong_product(kind, ci, t, message):
     matrices moved to another row."""
     with pytest.raises(AssertionError, match=message):
         character_table_dixon(_one_wrong_product(kind, ci, t))
+
+
+def _swapped_sizes(monkeypatch, g):
+    """The classes of g with the sizes of classes 0 and 2 swapped."""
+    cd = copy.copy(conjugacy_classes(g))
+    sizes = list(cd.sizes)
+    sizes[0], sizes[2] = sizes[2], sizes[0]
+    cd.sizes = tuple(sizes)
+    monkeypatch.setattr(dl_spectra, "conjugacy_classes", lambda group: cd)
+
+
+def _half_order(monkeypatch, g):
+    """The order of the representative of class 2 read as half its order."""
+    rep = conjugacy_classes(g).reps[2]
+    order = dl_spectra.element_order
+    monkeypatch.setattr(
+        dl_spectra, "element_order", lambda mul, one, x, n: order(mul, one, x, n) // (2 if x == rep else 1)
+    )
+
+
+def _root_off_by_one(monkeypatch, g):
+    """Each root of a minimal polynomial read one too large."""
+    find = dl_spectra._roots_mod
+    monkeypatch.setattr(dl_spectra, "_roots_mod", lambda poly, l: [(x + 1) % l for x in find(poly, l)])
+
+
+def _square_generator(monkeypatch, g):
+    """The square of a generator of F_l^* taken for a generator."""
+    find = dl_spectra.primitive_element
+    monkeypatch.setattr(dl_spectra, "primitive_element", lambda *args: find(*args) ** 2)
+
+
+# the checks that no single wrong product reaches, each with a fault
+# planted in the code
+PLANTED = {
+    "root": _root_off_by_one,
+    "constant-x": lambda monkeypatch, g: _rounds(monkeypatch, constant=2),
+    "sizes": _swapped_sizes,
+    "generator": _square_generator,
+    "order": _half_order,
+}
+
+
+@pytest.mark.parametrize(
+    "fault,message",
+    [
+        ("root", "a share is not an eigenvector of S"),
+        ("constant-x", "did not split into k lines within k rounds"),
+        ("sizes", "degree not recovered"),
+        ("generator", "multiplicities do not sum to the degree"),
+        ("order", "eigenvalue multiplicity too large"),
+    ],
+)
+def test_dixon_checks_catch_one_planted_fault(monkeypatch, fault, message):
+    g = build_finite_group("SL2", 3)
+    PLANTED[fault](monkeypatch, g)
+    with pytest.raises(AssertionError, match=message):
+        character_table_dixon(g)
 
 
 def _one_wrong_product(kind, ci, t):
@@ -254,6 +427,14 @@ def test_dixon_refuses_every_single_wrong_product():
     for fault in faults:
         with pytest.raises(AssertionError):
             character_table_dixon(_one_wrong_product(*fault))
+
+
+def test_character_table_refuses_a_degree_that_is_not_a_positive_integer():
+    # the last check of every Dixon table, on the rows it lifted
+    cd = conjugacy_classes(s3())
+    for degree in (-1, 0, Fraction(1, 2)):
+        with pytest.raises(AssertionError, match="row degree is not a positive integer"):
+            dl_spectra.CharacterTable(cd, [ClassFunction(cd, [degree] * cd.count)])
 
 
 # -- closed forms
@@ -339,9 +520,12 @@ def test_classical_orthogonality_exact(kind, q):
         ("GL2", 9), ("SL2", 11), ("SL2", 13),
     ],
 )
-def test_dixon_matches_classical(kind, q):
+def test_dixon_matches_classical(monkeypatch, kind, q):
+    xs = _rounds(monkeypatch)
     dix = character_table_dixon(build_finite_group(kind, q))
     assert tables_match(dix, classical_table_oracle(kind, q))
+    # every group here splits within two rounds
+    assert xs in ([2], [2, 3])
 
 
 def test_tables_match_rejects_foreign_classes():

