@@ -358,13 +358,17 @@ def _cmd_tjd(args):
     # order bound p^n - 1 <= ORDER_BUDGET, so trial division factors it
     r, _ = jordan_exponent(order_multiple(m.n, m.p, m.k), m.p)
     primes = {ell for d in range(1, m.n + 1) for ell in prime_factors(m.p**d - 1)}
-    ident = TruncatedMatrix.identity(m.n, m.p, m.k)
+    # delta's order is prime to p and the kernel of GL_n(Z/p^k) -> GL_n(F_p)
+    # is a p-group, so delta has the order of its reduction mod p: the
+    # descent runs over F_p
+    delta_p = TruncatedMatrix(m.n, m.p, 1, delta.rows)
+    ident = TruncatedMatrix.identity(m.n, m.p, 1)
     doc = {
         "p": args.p,
         "k": args.k,
         "delta": [list(row) for row in delta.rows],
         "u": [list(row) for row in u.rows],
-        "order_r": order_from_multiple(TruncatedMatrix.mul, ident, delta, r, primes),
+        "order_r": order_from_multiple(TruncatedMatrix.mul, ident, delta_p, r, primes),
     }
     _emit(doc, args)
     return 0

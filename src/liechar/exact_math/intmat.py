@@ -9,12 +9,15 @@ integer-preserving Gaussian elimination", Math. Comp. 22, 1968), in which
 every entry is a minor of the input and every division is exact. The one
 pass serves `IntMatrix.det` (its last pivot, signed by its row swaps) and
 `inverse_rational`, which forms no Fraction: it returns integer rows over
-one denominator.
+one denominator. The Smith normal form clears rows with one unimodular
+routine, `_clear`, and clears columns with the same routine on the
+transposes of the matrix and of V.
 """
 
 from __future__ import annotations
 
 from math import gcd, prod
+from operator import mul
 
 from .orders import element_order
 from .primes import prime_factors
@@ -26,7 +29,7 @@ class IntMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
+        rows = tuple(tuple(map(int, r)) for r in rows)
         if rows:
             w = len(rows[0])
             if any(len(r) != w for r in rows):
@@ -51,12 +54,8 @@ class IntMatrix:
     def at(self, i, j):
         return self.rows[i][j]
 
-    def column(self, j):
-        return tuple(r[j] for r in self.rows)
-
     def columns(self):
-        r, c = self.shape
-        return [self.column(j) for j in range(c)]
+        return list(zip(*self.rows))
 
     def transpose(self):
         r, c = self.shape
@@ -91,7 +90,7 @@ class IntMatrix:
             raise ValueError("shape mismatch")
         ocols = other.columns()
         return IntMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in ocols) for row in self.rows)
+            tuple(tuple(sum(map(mul, row, col)) for col in ocols) for row in self.rows)
         )
 
     def apply(self, vec):
@@ -116,31 +115,6 @@ class IntMatrix:
 # Smith normal form
 
 
-def _swap_rows(a, u, i, j):
-    a[i], a[j] = a[j], a[i]
-    u[i], u[j] = u[j], u[i]
-
-
-def _swap_cols(a, v, i, j):
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-    for row in v:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_row(a, u, dst, src, q):
-    # row_dst += q * row_src
-    a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-    u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-
-def _add_col(a, v, dst, src, q):
-    for row in a:
-        row[dst] += q * row[src]
-    for row in v:
-        row[dst] += q * row[src]
-
-
 def _xgcd(x, y):
     """(g, s, t) with s*x + t*y = g = gcd(x, y) >= 0."""
     s0, s1, t0, t1 = 1, 0, 0, 1
@@ -159,96 +133,85 @@ def _mix(x, y, s, t, p, q):
     return [s * a + t * b for a, b in zip(x, y)], [p * a + q * b for a, b in zip(x, y)]
 
 
-def _eliminate_row(a, u, t, i):
-    """Zero a[i][t] against the pivot a[t][t] by a unimodular row operation.
-    Unless the pivot divides a[i][t], the pivot becomes a proper divisor."""
-    p, x = a[t][t], a[i][t]
-    if x % p == 0:
-        _add_row(a, u, i, t, -(x // p))
-        return
-    g, s, w = _xgcd(p, x)
-    # [[s, w], [-x/g, p/g]] has determinant (s*p + w*x)/g = 1
-    a[t], a[i] = _mix(a[t], a[i], s, w, -x // g, p // g)
-    u[t], u[i] = _mix(u[t], u[i], s, w, -x // g, p // g)
-
-
-def _eliminate_col(a, v, t, j):
-    """Column counterpart of _eliminate_row for a[t][j]; True when the
-    pivot changed."""
-    p, x = a[t][t], a[t][j]
-    if x % p == 0:
-        _add_col(a, v, j, t, -(x // p))
-        return False
-    g, s, w = _xgcd(p, x)
-    for m in (a, v):
-        for row in m:
-            row[t], row[j] = s * row[t] + w * row[j], (-x // g) * row[t] + (p // g) * row[j]
-    return True
+def _clear(a, u, t):
+    """Zero column t of a below the pivot a[t][t] by unimodular row
+    operations on a and u, rows in order. A multiple of the pivot is cleared
+    by subtracting a multiple of row t; any other entry x by a 2x2
+    extended-gcd transform, which makes the pivot gcd(pivot, x), a proper
+    divisor of it. True when it made such a transform."""
+    moved = False
+    for i in range(t + 1, len(a)):
+        p, x = a[t][t], a[i][t]
+        if x % p:
+            g, s, w = _xgcd(p, x)
+            # [[s, w], [-x/g, p/g]] has determinant (s*p + w*x)/g = 1
+            a[t], a[i] = _mix(a[t], a[i], s, w, -x // g, p // g)
+            u[t], u[i] = _mix(u[t], u[i], s, w, -x // g, p // g)
+            moved = True
+        elif x:
+            q = x // p
+            a[i] = [y - q * z for y, z in zip(a[i], a[t])]
+            u[i] = [y - q * z for y, z in zip(u[i], u[t])]
+    return moved
 
 
 def smith_normal_form(m: IntMatrix):
     """Return (U, D, V) with U*m*V = D, U and V unimodular, D diagonal with
     nonnegative entries d_1 | d_2 | ... .
 
-    A least-magnitude nonzero entry of the trailing block takes the pivot
-    seat. Exact multiples of the pivot are cleared by subtraction, the other
-    entries by a 2x2 extended-gcd transform that replaces the pivot with the
-    gcd, a proper divisor of the pivot. Each stage therefore makes at most
-    log2(|pivot|) gcd transforms and ends.
+    Stage t seats the least-magnitude nonzero entry of the trailing block,
+    the first in row order, as the pivot. `_clear` zeroes column t below it
+    by row operations on m and U; the same routine on the transposes of m
+    and of V, which is kept transposed, zeroes row t right of it by column
+    operations. Exact multiples of the pivot are cleared by subtraction, the
+    other entries by a 2x2 extended-gcd transform that replaces the pivot
+    with the gcd, a proper divisor of the pivot. A transform in the row-t
+    phase may refill column t and restarts the stage; once both are clear,
+    the first row of the trailing block that the pivot does not divide is
+    added to row t. Each stage therefore makes at most log2(|pivot|) gcd
+    transforms and ends.
     """
     r, c = m.shape
     a = [list(row) for row in m.rows]
-    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-
-    t = 0
-    while t < min(r, c):
-        # locate least |entry| != 0 in the trailing block
-        pivot = None
-        for i in range(t, r):
-            for j in range(t, c):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+    u = [[int(i == j) for j in range(r)] for i in range(r)]
+    vt = [[int(i == j) for j in range(c)] for i in range(c)]
+    for t in range(min(r, c)):
+        block = [(abs(x), i, j) for i in range(t, r) for j, x in enumerate(a[i][t:], t) if x]
+        if not block:
             break
-        pi, pj = pivot
-        if pi != t:
-            _swap_rows(a, u, t, pi)
-        if pj != t:
-            _swap_cols(a, v, t, pj)
-
+        _, pi, pj = min(block)
+        a[t], a[pi], u[t], u[pi] = a[pi], a[t], u[pi], u[t]
+        for row in a:
+            row[t], row[pj] = row[pj], row[t]
+        vt[t], vt[pj] = vt[pj], vt[t]
         while True:
-            # clear column t below the pivot, then row t right of it; a
-            # column transform that moved the pivot may refill column t
-            for i in range(t + 1, r):
-                if a[i][t] != 0:
-                    _eliminate_row(a, u, t, i)
-            dirty = False
-            for j in range(t + 1, c):
-                if a[t][j] != 0:
-                    dirty |= _eliminate_col(a, v, t, j)
-            if dirty:
-                continue
-            # pivot must divide the whole trailing block, else absorb a bad row
-            bad = None
-            for i in range(t + 1, r):
-                for j in range(t + 1, c):
-                    if a[i][j] % a[t][t] != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            _clear(a, u, t)
+            if any(a[t][t + 1 :]):
+                at = [list(col) for col in zip(*a)]
+                moved = _clear(at, vt, t)
+                a = [list(row) for row in zip(*at)]
+                if moved:  # the new pivot may have refilled column t
+                    continue
+            # the pivot must divide the trailing block, else the first bad row joins row t
+            bad = next((i for i in range(t + 1, r) if any(x % a[t][t] for x in a[i][t + 1 :])), None)
             if bad is None:
                 break
-            _add_row(a, u, t, bad, 1)
+            a[t] = [x + y for x, y in zip(a[t], a[bad])]
+            u[t] = [x + y for x, y in zip(u[t], u[bad])]
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
-        t += 1
 
-    U, D, V = IntMatrix(u), IntMatrix(a), IntMatrix(v)
+    U, D, V = IntMatrix(u), IntMatrix(a), IntMatrix(zip(*vt))
     if U * m * V != D:
         raise AssertionError("SNF transform identity failed")
+    diag = [a[i][i] for i in range(min(r, c))]
+    if (
+        any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j)
+        or any(x < 0 for x in diag)
+        or any(y % x if x else y for x, y in zip(diag, diag[1:]))
+    ):
+        raise AssertionError("SNF shape check failed: D is not diagonal with 0 <= d_1 | d_2 | ...")
     return U, D, V
 
 

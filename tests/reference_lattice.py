@@ -13,13 +13,16 @@ solves that root heights and inverse Cartan matrices are checked against
 (tests/test_rootdata.py, tests/test_exact_algorithms.py). Coordinates of
 vectors mod a prime in an independent basis, by the library's one
 elimination over Z/l, read the eigenlines that Dixon's split carries in
-each share (tests/test_dl_spectra.py)."""
+each share (tests/test_dl_spectra.py). The Smith normal form by mirrored
+row and column eliminations, which the library's one row routine on the
+transposes replaced, is the reference that the library's transforms U, D
+and V must equal (tests/test_intmat.py)."""
 
 from fractions import Fraction
 from math import gcd, lcm
 
 from liechar.exact_math import FinAbGroup, IntMatrix, element_order, rref_mod, smith_normal_form
-from liechar.exact_math.intmat import _gauss_jordan
+from liechar.exact_math.intmat import _gauss_jordan, _mix, _xgcd
 
 
 def kernel_basis(m: IntMatrix):
@@ -28,7 +31,7 @@ def kernel_basis(m: IntMatrix):
     r, c = m.shape
     _, d, v = smith_normal_form(m)
     rank = sum(1 for i in range(min(r, c)) if d.at(i, i) != 0)
-    return [v.column(j) for j in range(rank, c)]
+    return v.columns()[rank:]
 
 
 def solve_integer(m: IntMatrix, b):
@@ -155,3 +158,121 @@ def coords_in_basis(basis, vecs, l):
         if any(a[r][d:]):
             raise AssertionError("vector outside the span")
     return [[a[i][d + j] for i in range(d)] for j in range(len(vecs))]
+
+
+def _swap_rows(a, u, i, j):
+    a[i], a[j] = a[j], a[i]
+    u[i], u[j] = u[j], u[i]
+
+
+def _swap_cols(a, v, i, j):
+    for row in a:
+        row[i], row[j] = row[j], row[i]
+    for row in v:
+        row[i], row[j] = row[j], row[i]
+
+
+def _add_row(a, u, dst, src, q):
+    # row_dst += q * row_src
+    a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
+    u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+
+
+def _add_col(a, v, dst, src, q):
+    for row in a:
+        row[dst] += q * row[src]
+    for row in v:
+        row[dst] += q * row[src]
+
+
+def _eliminate_row(a, u, t, i):
+    """Zero a[i][t] against the pivot a[t][t] by a unimodular row operation.
+    Unless the pivot divides a[i][t], the pivot becomes a proper divisor."""
+    p, x = a[t][t], a[i][t]
+    if x % p == 0:
+        _add_row(a, u, i, t, -(x // p))
+        return
+    g, s, w = _xgcd(p, x)
+    # [[s, w], [-x/g, p/g]] has determinant (s*p + w*x)/g = 1
+    a[t], a[i] = _mix(a[t], a[i], s, w, -x // g, p // g)
+    u[t], u[i] = _mix(u[t], u[i], s, w, -x // g, p // g)
+
+
+def _eliminate_col(a, v, t, j):
+    """Column counterpart of _eliminate_row for a[t][j]; True when the
+    pivot changed."""
+    p, x = a[t][t], a[t][j]
+    if x % p == 0:
+        _add_col(a, v, j, t, -(x // p))
+        return False
+    g, s, w = _xgcd(p, x)
+    for m in (a, v):
+        for row in m:
+            row[t], row[j] = s * row[t] + w * row[j], (-x // g) * row[t] + (p // g) * row[j]
+    return True
+
+
+def smith_normal_form_reference(m: IntMatrix):
+    """Return (U, D, V) with U*m*V = D, U and V unimodular, D diagonal with
+    nonnegative entries d_1 | d_2 | ... .
+
+    A least-magnitude nonzero entry of the trailing block takes the pivot
+    seat. Exact multiples of the pivot are cleared by subtraction, the other
+    entries by a 2x2 extended-gcd transform that replaces the pivot with the
+    gcd, a proper divisor of the pivot. Each stage therefore makes at most
+    log2(|pivot|) gcd transforms and ends.
+    """
+    r, c = m.shape
+    a = [list(row) for row in m.rows]
+    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+
+    t = 0
+    while t < min(r, c):
+        # locate least |entry| != 0 in the trailing block
+        pivot = None
+        for i in range(t, r):
+            for j in range(t, c):
+                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != t:
+            _swap_rows(a, u, t, pi)
+        if pj != t:
+            _swap_cols(a, v, t, pj)
+
+        while True:
+            # clear column t below the pivot, then row t right of it; a
+            # column transform that moved the pivot may refill column t
+            for i in range(t + 1, r):
+                if a[i][t] != 0:
+                    _eliminate_row(a, u, t, i)
+            dirty = False
+            for j in range(t + 1, c):
+                if a[t][j] != 0:
+                    dirty |= _eliminate_col(a, v, t, j)
+            if dirty:
+                continue
+            # pivot must divide the whole trailing block, else absorb a bad row
+            bad = None
+            for i in range(t + 1, r):
+                for j in range(t + 1, c):
+                    if a[i][j] % a[t][t] != 0:
+                        bad = i
+                        break
+                if bad is not None:
+                    break
+            if bad is None:
+                break
+            _add_row(a, u, t, bad, 1)
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+
+    U, D, V = IntMatrix(u), IntMatrix(a), IntMatrix(v)
+    if U * m * V != D:
+        raise AssertionError("SNF transform identity failed")
+    return U, D, V

@@ -802,6 +802,26 @@ def test_tjd_slowest_accepted_input_prints_the_same_document_quickly():
     assert hashlib.sha1(out.encode()).hexdigest() == "7c93841661f1295fbfb154cfcf365067b5afa6ec"
 
 
+# x^19 - x^5 - x^2 - x - 1 is x^19 + x^5 + x^2 + x + 1, primitive, mod 2, so
+# its companion matrix has order 2^19 - 1 = 524287; 2^19 - 1 is under
+# ORDER_BUDGET and 2^20 - 1 past it, so n = 19 is the largest n the budget
+# admits at p = 2
+_COMPANION_19 = json.dumps(
+    [[int(i == j + 1 or j == 18 and i in (0, 1, 2, 5)) for j in range(19)] for i in range(19)]
+)
+
+
+def test_tjd_on_the_largest_companion_the_budget_admits_at_p_2():
+    # the sha1 is that of the document printed while the order descent ran
+    # over Z/2^64, in about 4 s
+    start = time.perf_counter()
+    code, out, err = run_cli(["tjd", "--p", "2", "--k", "64", "--matrix", _COMPANION_19])
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (0, "")
+    assert json.loads(out)["order_r"] == 524287
+    assert hashlib.sha1(out.encode()).hexdigest() == "498935916d98fa57b6a41be5baef08b70643ce62"
+
+
 def test_tjd_on_the_largest_matrix_the_budget_admits_at_p_3():
     # 3^12 - 1 is under ORDER_BUDGET and 3^13 - 1 is past it; the sha1 is
     # that of the document printed while invertibility was an integer

@@ -270,8 +270,8 @@ def _oracle_group(f: IntMatrix, order):
     kmat = IntMatrix.from_columns([list(k) for k in ker])
     fm1 = f - IntMatrix.identity(n)
     cols = []
-    for j in range(n):
-        sol = solve_integer(kmat, fm1.column(j))
+    for col in fm1.columns():
+        sol = solve_integer(kmat, col)
         assert sol is not None, "im(F - 1) escapes ker(norm)"
         cols.append(list(sol))
     pres = cokernel_group(IntMatrix.from_columns(cols))

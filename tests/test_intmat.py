@@ -1,3 +1,5 @@
+import ast
+import inspect
 import random
 from fractions import Fraction
 from math import prod
@@ -5,14 +7,25 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import test_galois_tori
 from liechar.exact_math import (
     IntMatrix,
     smith_normal_form,
     cokernel_group,
     FinAbGroup,
     abelian_subgroup_type,
+    intmat,
 )
-from reference_lattice import abelian_type_by_chains, kernel_basis, solve_integer, solve_rational
+from liechar.galois_tori import _block_frobenius_on_sum_zero
+from liechar.root_datum import build_root_datum
+from reference_lattice import (
+    abelian_type_by_chains,
+    kernel_basis,
+    smith_normal_form_reference,
+    solve_integer,
+    solve_rational,
+)
+from test_rootdata import ADMITTED
 
 
 def test_snf_identity():
@@ -92,6 +105,94 @@ def test_snf_roundtrip_property(m):
             assert b == 0
         else:
             assert b % a == 0
+
+
+def _seeded_matrix(rng):
+    """An r x c integer matrix, 1 <= r, c <= 8, about 30 % zeros, entries
+    bounded by 3, 30 or 10^12 (small bounds make ties for the pivot and
+    exact multiples), and at times a zero row or a zero column."""
+    r, c = rng.randint(1, 8), rng.randint(1, 8)
+    bound = rng.choice((3, 30, 10**12))
+    rows = [[rng.randint(-bound, bound) if rng.random() > 0.3 else 0 for _ in range(c)] for _ in range(r)]
+    if rng.random() < 0.2:
+        rows[rng.randrange(r)] = [0] * c
+    if rng.random() < 0.2:
+        j = rng.randrange(c)
+        for row in rows:
+            row[j] = 0
+    return IntMatrix(rows)
+
+
+def _compositions(k):
+    if k == 0:
+        yield ()
+    for first in range(1, k + 1):
+        for rest in _compositions(k - first):
+            yield (first,) + rest
+
+
+def _library_inputs():
+    """The matrices the library gives SNF: the transposed Cartan matrix of
+    each registry datum (the center's presentation), and F - 1 for every
+    square matrix written out in tests/test_galois_tori.py (the workload's
+    lattices among them), for its fifty random tori, and for each SL_n
+    torus with n <= 9 that sln_kappa_group builds."""
+    cartans = [
+        IntMatrix(build_root_datum(s, n, isog).cartan()).transpose()
+        for s, n in ADMITTED
+        for isog in ("sc", "ad")
+    ]
+    frobenius = []
+    for node in ast.walk(ast.parse(inspect.getsource(test_galois_tori))):
+        try:
+            rows = ast.literal_eval(node) if isinstance(node, ast.List) else None
+        except ValueError:
+            continue
+        if rows and all(isinstance(row, list) and len(row) == len(rows) for row in rows):
+            if all(type(x) is int for row in rows for x in row):
+                frobenius.append(IntMatrix(rows))
+    rng = random.Random(20260819)
+    frobenius += [test_galois_tori._random_finite_order(rng, rng.randint(1, 5)) for _ in range(50)]
+    frobenius += [
+        _block_frobenius_on_sum_zero(n, [m * d for d in degs])
+        for n in range(2, 10)
+        for m in range(2, n + 1)
+        if n % m == 0
+        for degs in _compositions(n // m)
+    ]
+    assert len(cartans) == 66 and len(frobenius) > 80
+    return cartans + [f - IntMatrix.identity(f.shape[0]) for f in frobenius]
+
+
+def test_snf_transforms_match_the_mirrored_eliminations():
+    # the row routine on the transposes makes every column operation the
+    # mirrored column elimination made, so U and V agree, not only D
+    rng = random.Random(38)
+    for m in [_seeded_matrix(rng) for _ in range(2000)] + _library_inputs():
+        assert smith_normal_form(m) == smith_normal_form_reference(m), m
+
+
+def _snf_variant(old, new):
+    """A copy of smith_normal_form with one source line replaced."""
+    src = inspect.getsource(intmat.smith_normal_form)
+    assert src.count(old) == 1
+    scope = dict(vars(intmat))
+    exec(src.replace(old, new), scope)
+    return scope["smith_normal_form"]
+
+
+def test_snf_checks_the_shape_of_d():
+    # with the row-t phase skipped, [[1, 2], [3, 4]] ends at D = [[1, 2],
+    # [0, 2]] with U m V = D, a D whose diagonal reads as the right one
+    skip_row_phase = _snf_variant("if any(a[t][t + 1 :]):", "if False:")
+    with pytest.raises(AssertionError, match="SNF shape check failed"):
+        skip_row_phase(IntMatrix([[1, 2], [3, 4]]))
+    with pytest.raises(AssertionError, match="SNF shape check failed"):
+        _snf_variant("if a[t][t] < 0:", "if False:")(IntMatrix([[-2]]))
+    assert smith_normal_form(IntMatrix([[1, 2], [3, 4]]))[1] == IntMatrix([[1, 0], [0, 2]])
+    # zeros end the diagonal, and a zero pivot raises no ZeroDivisionError
+    for d in ([[0, 0], [0, 0]], [[2, 0, 0], [0, 0, 0]], [[1, 0], [0, 3], [0, 0]]):
+        assert smith_normal_form(IntMatrix(d))[1] == IntMatrix(d)
 
 
 def test_cokernel_examples():
