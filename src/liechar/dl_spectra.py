@@ -18,11 +18,11 @@ trace to the semisimple part's centralizer.
 Every equality here is decided in exact cyclotomic arithmetic.
 
 This module keeps no state of its own. What it builds is cached on its
-owner (see `exact_math.cached`): the classes and orbit sums on the group,
-the torus-series characters on their torus, and the Gauss sum on the field,
-which GL2 and SL2 over one q share. The quadratic extension F_q^2, whose
-points are the elliptic tori, lives with the tori in `finite_lie`. Each
-cyclotomic value memoises its own reduction.
+owner (see `exact_math.cached`): the classes and orbit sums on the group
+and the torus-series characters on their torus. The Gauss sum is computed
+where SL2's classical table reads it, once per table. The quadratic
+extension F_q^2, whose points are the elliptic tori, lives with the tori
+in `finite_lie`. Each cyclotomic value memoises its own reduction.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from operator import add
 
 from . import _kernels
 from .exact_math import (
-    Cyclotomic, cached, element_order, is_prime, jordan_exponent, power, primitive_element, rref_mod,
+    Cyclotomic, cached, is_prime, jordan_exponent, powers, primitive_element, rref_mod,
 )
 from .finite_lie import (
     FiniteLieGroup,
@@ -324,7 +324,7 @@ def classical_table_oracle(kind, q) -> CharacterTable:
             if theta.exps < theta.w_twist().exps:
                 rows.append(dl_character(torus, theta).genuine())
     if kind == "SL2":
-        tau = cached(g.field, "gauss_sum", _gauss_sum)
+        tau = _gauss_sum(g.field)
         for torus in tori:
             theta0 = TorusCharacter(torus, (torus.char_order // 2,))
             half_r = [v.rational_value() / 2 for v in dl_character(torus, theta0).signed.values]
@@ -404,22 +404,6 @@ def _roots_mod(poly, l):
     return [x for x, v in enumerate(vals) if v == 0]
 
 
-def _nullspace_mod(mat, l):
-    m = len(mat[0])
-    a, pivots = rref_mod(mat, l, m)
-    piv_set = set(pivots)
-    basis = []
-    for c in range(m):
-        if c in piv_set:
-            continue
-        v = [0] * m
-        v[c] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-a[r][c]) % l
-        basis.append(v)
-    return basis
-
-
 def _generic_element(mats, x, l):
     """The sparse rows of S = sum_i x^i M_i mod l, M_i = mats[i]."""
     rows = [{} for _ in mats]
@@ -432,6 +416,21 @@ def _generic_element(mats, x, l):
     return [[(t, a % l) for t, a in row.items() if a % l] for row in rows]
 
 
+def _minimal_polynomial(krylov, l):
+    """The minimal polynomial of S on w, monic, low to high, from the
+    Krylov vectors w, S w, ..., S^j w over F_l. Once S^d w depends on the
+    vectors before it, so does every later one, so one rref_mod of the
+    Krylov matrix puts its pivots at columns 0 .. d - 1, and column d holds
+    S^d w in the basis w, ..., S^(d - 1) w: the polynomial is minus that
+    column, then 1. Raises AssertionError when all j + 1 vectors are
+    independent: the Krylov sequence does not close."""
+    a, pivots = rref_mod(list(zip(*krylov)), l, len(krylov))
+    d = len(pivots)
+    if d == len(krylov):
+        raise AssertionError("a Krylov sequence does not close")
+    return [-a[r][d] % l for r in range(d)] + [1]
+
+
 def _split_round(s_rows, blocks, l):
     """One round of the split: each block w, a vector of F_l^k, replaced by
     its shares g(S) w, one per root lam of the minimal polynomial of S
@@ -439,12 +438,12 @@ def _split_round(s_rows, blocks, l):
 
     A block is a sum of eigenlines, and B blocks leave at most k - B + 1 to
     any one, so its Krylov vectors w, ..., S^(k - B + 1) w, one
-    _apply_packed per step for all blocks, are dependent: the first null
-    vector of the Krylov matrix is the minimal polynomial, monic, low to
-    high. A block's shares are one _apply_packed over its Krylov vectors.
-    Raises AssertionError when a Krylov sequence does not close, when a
-    minimal polynomial does not have as many distinct roots in F_l as its
-    degree, and when S share != lam share for a share (one _apply_packed).
+    _apply_packed per step for all blocks, are dependent, and
+    _minimal_polynomial reads them. A block's shares are one _apply_packed
+    over its Krylov vectors. Raises AssertionError when a Krylov sequence
+    does not close, when a minimal polynomial does not have as many
+    distinct roots in F_l as its degree, and when S share != lam share for
+    a share (one _apply_packed).
     """
     k, count = len(s_rows), len(blocks)
     steps = [blocks]
@@ -452,12 +451,7 @@ def _split_round(s_rows, blocks, l):
         steps.append(list(zip(*_apply_packed(s_rows, _pack_columns(steps[-1]), count, l))))
     shares, lams = [], []
     for krylov in zip(*steps):
-        null = _nullspace_mod(list(zip(*krylov)), l)
-        if not null:
-            raise AssertionError("a Krylov sequence does not close")
-        poly = null[0]
-        while not poly[-1]:
-            poly.pop()
+        poly = _minimal_polynomial(krylov, l)
         roots = _roots_mod(poly, l)
         if len(roots) != len(poly) - 1:
             raise AssertionError("the minimal polynomial does not split into distinct roots in F_l")
@@ -516,11 +510,15 @@ def character_table_dixon(group) -> CharacterTable:
     multiplies the inverses of all n elements by each of the k class
     representatives (n k products), and applied to many vectors at once
     (_apply_packed); the lift inverts the DFT of every row at once the same
-    way. The common eigenlines are split off the identity-class vector by
-    generic elements of the class algebra, each block carried as one
-    vector, its share of e_id (_split); every row reduction is rref_mod, one
-    Krylov null vector per block and round. Every table passes these
-    checks, each raising AssertionError:
+    way. Each representative's cyclic group is walked once
+    (`exact_math.powers`) and read as the classes of its powers: their
+    number is the representative's order, the last is the inverse class
+    that pairs rows in the orthogonality check, and all of them index the
+    lift's inverse DFT. The common
+    eigenlines are split off the identity-class vector by generic elements
+    of the class algebra, each block carried as one vector, its share of
+    e_id (_split); every row reduction is rref_mod, one per block and
+    round. Every table passes these checks, each raising AssertionError:
     - each block's Krylov sequence closes within k - B + 2 vectors, B the
       number of blocks;
     - each minimal polynomial has as many distinct roots in F_l as its
@@ -539,15 +537,17 @@ def character_table_dixon(group) -> CharacterTable:
     if n > DIXON_ORDER_BUDGET:
         raise ValueError(f"group order {n} exceeds the budget DIXON_ORDER_BUDGET = {DIXON_ORDER_BUDGET}")
     cd = conjugacy_classes(group)
-    mul, inv = group.mul, group.inv
+    inv = group.inv
     k = cd.count
     idx = cd.index
-    rep_orders = [element_order(mul, group.identity, r, n) for r in cd.reps]
+    # the classes of each representative's powers, rep^0 .. rep^(m - 1)
+    power_classes = [[idx[x] for x in powers(group.mul, group.identity, r, n)] for r in cd.reps]
+    rep_orders = [len(pc) for pc in power_classes]
     exponent = lcm(*rep_orders)
     l = _choose_modulus(exponent, n, k)
     gen = primitive_element(lambda a, b: a * b % l, 1, range(2, l), l - 1)
     root = pow(gen, (l - 1) // exponent, l)
-    inv_class = [idx[inv(r)] for r in cd.reps]
+    inv_class = [pc[-1] for pc in power_classes]
 
     # structure matrices, sparse: mats[i][j] lists the pairs (t, c), c > 0
     # the number of x in C_i with x^{-1} * rep_t in C_j, in increasing t;
@@ -615,15 +615,10 @@ def character_table_dixon(group) -> CharacterTable:
         ypow = [pow(m, -1, l)] * m
         for t in range(1, m):
             ypow[t] = ypow[t - 1] * y % l
-        pm = [id_idx]
-        acc = group.identity
-        for _ in range(m - 1):
-            acc = mul(acc, cd.reps[ci])
-            pm.append(idx[acc])
         dft = []
         for r in range(m):
             sums = {}
-            for t, c in enumerate(pm):
+            for t, c in enumerate(power_classes[ci]):
                 sums[c] = sums.get(c, 0) + ypow[-r * t % m]
             dft.append([(c, s % l) for c, s in sums.items()])
         mults.append(_apply_packed(dft, packed, k, l))
@@ -906,17 +901,14 @@ def springer_fourier_reference(g: FiniteLieGroup, t, u) -> Cyclotomic:
 def _jordan_parts(g: FiniteLieGroup, gamma):
     """gamma = delta * u with delta of order prime to p, u of p-power
     order, both powers of gamma: the CRT split of the cyclic group
-    generated by gamma (`exact_math.orders.jordan_exponent`)."""
+    generated by gamma (`exact_math.orders.jordan_exponent`), delta = gamma^e
+    and u = gamma^(1 - e) read off that group as `exact_math.powers` walks
+    it. Raises AssertionError unless delta u = gamma."""
     if gamma not in g._members:
         raise ValueError("not a group element")
-    n_ord = element_order(g.mul, g.identity, gamma, g.order)
-    r, e = jordan_exponent(n_ord, g.field.p)
-    if r == n_ord:
-        return gamma, g.identity
-    if r == 1:
-        return g.identity, gamma
-    delta = power(g.mul, g.identity, gamma, e)
-    u = power(g.mul, g.identity, gamma, (1 - e) % n_ord)
+    walk = powers(g.mul, g.identity, gamma, g.order)
+    e = jordan_exponent(len(walk), g.field.p)[1]
+    delta, u = walk[e], walk[(1 - e) % len(walk)]
     if g.mul(delta, u) != gamma:
         raise AssertionError("the two parts do not recompose")
     return delta, u

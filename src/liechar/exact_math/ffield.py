@@ -6,13 +6,15 @@ f = 1; F_9 = F_3[x]/(x^2 + 1)). Addition and negation are digit-wise, read
 off one q x q addition table and one negation table. Products, inverses,
 powers and logarithms go through exp/log tables for a fixed multiplicative
 generator, the smallest code of full order, so the generator is
-reproducible. All four tables are built once, from the digit-wise
+reproducible: the exp table is the generator's cyclic group as
+`orders.powers` walks it under the digit-wise product, and the log table
+its inverse. All four tables are built once, from the digit-wise
 definitions, when the field is made.
 """
 
 from __future__ import annotations
 
-from .orders import primitive_element
+from .orders import powers, primitive_element
 from .primes import is_prime
 
 # largest q: `_kernels` packs a 2 x 2 matrix into a code < q^4, and its
@@ -46,12 +48,10 @@ class FiniteField:
         )
         self.neg_table = bytes(-x0 % p + p * (-x1 % p) for x1, x0 in digits)
         self.gen = gen = primitive_element(self._mul_raw, 1, range(1, q), q - 1)
-        self.exp_table = [1] * (q - 1)
-        for i in range(1, q - 1):
-            self.exp_table[i] = self._mul_raw(self.exp_table[i - 1], gen)
-        self.log_table = {x: i for i, x in enumerate(self.exp_table)}
-        if len(self.log_table) != q - 1:
+        self.exp_table = powers(self._mul_raw, 1, gen, q - 1)
+        if len(self.exp_table) != q - 1:
             raise AssertionError("generator does not have full order")
+        self.log_table = {x: i for i, x in enumerate(self.exp_table)}
         self.derived = {}  # its cache (see `cached`)
 
     def _mul_raw(self, a, b):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from math import gcd, prod
 from operator import mul
 
-from .orders import element_order
+from .orders import powers
 from .primes import prime_factors
 
 
@@ -398,7 +398,7 @@ def abelian_subgroup_type(elements, add, zero):
     elements, raise AssertionError."""
     elems = list(elements)
     n = len(elems)
-    orders = [element_order(add, zero, x, n) for x in elems]
+    orders = [len(powers(add, zero, x, n)) for x in elems]
     factors = []  # largest first
     for p in prime_factors(n):
         ranks, killed, pj = [], 1, p  # killed = #{x : p^(j - 1) x = 0}, pj = p^j

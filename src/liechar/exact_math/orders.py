@@ -1,7 +1,8 @@
 """Orders, powers and generators in a finite group given by its product,
 and the CRT split of a cyclic group's order into its prime-to-p and
-p-power parts. An order is found by a budgeted search, or by prime descent
-from a known multiple of it."""
+p-power parts. An element's cyclic group is enumerated by one budgeted walk
+(`powers`), whose length is its order; an order is otherwise found by prime
+descent from a known multiple of it."""
 
 from __future__ import annotations
 
@@ -19,18 +20,22 @@ def check_order_limit(limit):
         raise ValueError(f"order bound {limit} exceeds the budget ORDER_BUDGET = {ORDER_BUDGET}")
 
 
-def element_order(mul, identity, x, limit):
-    """Order of x under mul, stepping its powers. limit bounds the order (a
-    group order, or the largest element order); a limit above ORDER_BUDGET
-    is refused before any step, and an order past limit raises."""
+def powers(mul, identity, x, limit):
+    """The cyclic group of x under mul, [identity, x, ..., x^(m - 1)] for m
+    the order of x: its length is the order, x^k is entry k mod m, and the
+    last entry is x's inverse. limit bounds the order (a group order, or the
+    largest element order); a limit above ORDER_BUDGET is refused before
+    any product, and an order past limit raises. The walk takes m - 1
+    products; the finite-group layers read every order, power and
+    logarithm they step to off it."""
     check_order_limit(limit)
-    acc, k = x, 1
+    walk, acc = [identity], x
     while acc != identity:
-        acc = mul(acc, x)
-        k += 1
-        if k > limit:
+        if len(walk) >= limit:
             raise AssertionError("element order exceeds the group order")
-    return k
+        walk.append(acc)
+        acc = mul(acc, x)
+    return walk
 
 
 def order_from_multiple(mul, identity, x, multiple, primes):
@@ -38,9 +43,9 @@ def order_from_multiple(mul, identity, x, multiple, primes):
     multiple, by prime descent (Celler and Leedham-Green): each prime l is
     divided out while x^(order / l) is still the identity. That is one power
     per prime factor of the multiple, counted with multiplicity, and one
-    more per distinct prime, where `element_order` takes one product per
-    power of x. x^multiple must be the identity; if it is not, that is a bug
-    in the caller, and raises."""
+    more per distinct prime, where the walk of `powers` takes one product
+    per power of x and keeps them all. x^multiple must be the identity; if
+    it is not, that is a bug in the caller, and raises."""
     if power(mul, identity, x, multiple) != identity:
         raise AssertionError("the order multiple is not a multiple of the order")
     order = multiple

@@ -37,7 +37,7 @@ from functools import lru_cache
 from itertools import compress
 
 from . import _kernels
-from .exact_math import FiniteField, cached, power, prime_factors, primitive_element
+from .exact_math import FiniteField, cached, power, powers, prime_factors, primitive_element
 
 _KIND_DATA = {"GL2": 2, "SL2": 1}  # kind: F_q-rank
 _CENTER_ORDER = 2  # |Z(G^sc)|, the center of SL2
@@ -273,10 +273,12 @@ class _QuadExt:
     in the order of the code x + q y (`primitive_element`); `log` and
     `norm_one_log` hold the discrete logarithms in the full multiplicative
     group and in its norm-one subgroup, cyclic of orders q^2 - 1 and q + 1,
-    keyed by packed point. The norm x -> x^(q + 1) maps gen^k to 1 exactly
-    when q - 1 divides k, so the norm-one logarithms are read off `log`: k /
-    (q - 1) for gen^(q - 1) as generator. Their keys are the points of the
-    elliptic tori of GL2 and SL2.
+    keyed by packed point. Both invert the generator's cyclic group as
+    `exact_math.powers` walks it, which must have q^2 - 1 points. The norm
+    x -> x^(q + 1) maps gen^k to 1 exactly when q - 1 divides k, so the
+    norm-one subgroup is every (q - 1)-th step of that walk, with gen^(q - 1)
+    as generator. Their keys are the points of the elliptic tori of GL2 and
+    SL2.
     """
 
     def __init__(self, field):
@@ -296,14 +298,11 @@ class _QuadExt:
             for x in range(q)
         ][2:]
         self.gen = gen = primitive_element(mul, one, points, order)
-        self.log = {}
-        acc = one
-        for k in range(order):
-            self.log[acc] = k
-            acc = mul(acc, gen)
-        if acc != one or len(self.log) != order:
+        walk = powers(mul, one, gen, order)
+        if len(walk) != order:
             raise AssertionError("generator order is wrong")
-        self.norm_one_log = {pt: k // (q - 1) for pt, k in self.log.items() if k % (q - 1) == 0}
+        self.log = {pt: k for k, pt in enumerate(walk)}
+        self.norm_one_log = {pt: k for k, pt in enumerate(walk[::q - 1])}
 
 
 def _quad_ext(field) -> _QuadExt:

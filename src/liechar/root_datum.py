@@ -281,10 +281,8 @@ class RootDatum:
         return tuple(c for c, _ in coeffs)
 
     def highest_root(self):
-        """Unique root of maximal height; requires an irreducible system."""
-        return cached(self, "highest_root", RootDatum._find_highest_root)
-
-    def _find_highest_root(self):
+        """Unique root of maximal height; requires an irreducible system.
+        Not cached: its one caller, `extended_dynkin`, is."""
         # height(b) = sum_i (C^-1 <b, alpha^vee>)_i = <b, h> / den where h
         # sums the simple coroots weighted by the column sums of the integer
         # rows; each height is one integer dot product

@@ -21,7 +21,7 @@ and V must equal (tests/test_intmat.py)."""
 from fractions import Fraction
 from math import gcd, lcm
 
-from liechar.exact_math import FinAbGroup, IntMatrix, element_order, rref_mod, smith_normal_form
+from liechar.exact_math import FinAbGroup, IntMatrix, powers, rref_mod, smith_normal_form
 from liechar.exact_math.intmat import _gauss_jordan, _mix, _xgcd
 
 
@@ -92,7 +92,7 @@ def abelian_type_by_chains(elements, add, zero):
     if n == 1:
         return FinAbGroup()
 
-    orders = [element_order(add, zero, x, n) for x in elems]
+    orders = [len(powers(add, zero, x, n)) for x in elems]
     exponent = lcm(*orders)
 
     def count_killed(m):

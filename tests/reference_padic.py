@@ -7,7 +7,7 @@ the Hilbert symbol on Fractions, with the Legendre symbol of a unit."""
 
 from fractions import Fraction
 
-from liechar.exact_math import element_order, jordan_exponent
+from liechar.exact_math import jordan_exponent, powers
 from liechar.padic import TruncatedMatrix
 
 
@@ -15,7 +15,7 @@ def reduction_order(gamma):
     """The multiplicative order of gamma mod p, stepped one product at a
     time; an element of GL_n(F_p) has order at most p^n - 1."""
     red = TruncatedMatrix(gamma.n, gamma.p, 1, gamma.rows)
-    return element_order(TruncatedMatrix.mul, TruncatedMatrix.identity(gamma.n, gamma.p, 1), red, gamma.p**gamma.n - 1)
+    return len(powers(TruncatedMatrix.mul, TruncatedMatrix.identity(gamma.n, gamma.p, 1), red, gamma.p**gamma.n - 1))
 
 
 def topological_jordan(gamma):
@@ -34,7 +34,7 @@ def topological_jordan(gamma):
 def delta_order(delta):
     """The order of delta at its precision, stepped one product at a time."""
     ident = TruncatedMatrix.identity(delta.n, delta.p, delta.k)
-    return element_order(TruncatedMatrix.mul, ident, delta, delta.p**delta.n - 1)
+    return len(powers(TruncatedMatrix.mul, ident, delta, delta.p**delta.n - 1))
 
 
 def _split_valuation(x, p):

@@ -35,7 +35,7 @@ from liechar.dl_spectra import (
     tables_match,
     torus_characters,
 )
-from liechar.exact_math import Cyclotomic, FiniteField, rref_mod
+from liechar.exact_math import Cyclotomic, FiniteField, jordan_exponent, power, rref_mod
 from liechar.finite_lie import (
     FiniteLieGroup,
     build_finite_group,
@@ -360,12 +360,17 @@ def _swapped_sizes(monkeypatch, g):
 
 
 def _half_order(monkeypatch, g):
-    """The order of the representative of class 2 read as half its order."""
+    """The walk of the representative of class 2 cut to its first half and
+    closed by its last entry, the inverse: the order is read as half the
+    order, and the inverse class stays right."""
     rep = conjugacy_classes(g).reps[2]
-    order = dl_spectra.element_order
-    monkeypatch.setattr(
-        dl_spectra, "element_order", lambda mul, one, x, n: order(mul, one, x, n) // (2 if x == rep else 1)
-    )
+    find = dl_spectra.powers
+
+    def half_walk(mul, one, x, n):
+        walk = find(mul, one, x, n)
+        return walk[: len(walk) // 2 - 1] + walk[-1:] if x == rep else walk
+
+    monkeypatch.setattr(dl_spectra, "powers", half_walk)
 
 
 def _root_off_by_one(monkeypatch, g):
@@ -999,6 +1004,48 @@ def test_jordan_parts_split_correctly():
     assert delta == g.pack([[2, 0], [0, 2]])
     mu = g.unpack(u)
     assert mu[0][0] == mu[1][1] == 1 and mu[1][0] == 0
+
+
+def _jordan_parts_by_power(g, gamma):
+    """The split by square-and-multiply: the order of gamma stepped one
+    product at a time, then delta = gamma^e and u = gamma^(1 - e) each by
+    `power`, with gamma itself returned when its order is prime to p or a
+    power of p."""
+    order, acc = 1, gamma
+    while acc != g.identity:
+        acc = g.mul(acc, gamma)
+        order += 1
+    r, e = jordan_exponent(order, g.field.p)
+    if r == order:
+        return gamma, g.identity
+    if r == 1:
+        return g.identity, gamma
+    return power(g.mul, g.identity, gamma, e), power(g.mul, g.identity, gamma, (1 - e) % order)
+
+
+# the groups of the query-serve working set (perfbench/workloads.py)
+SERVED_GROUPS = [
+    ("GL2", 3), ("SL2", 5), ("SL2", 3), ("GL2", 5), ("SL2", 7),
+    ("SL2", 11), ("GL2", 7), ("SL2", 13), ("SL2", 9),
+]
+
+
+@pytest.mark.parametrize("kind,q", SERVED_GROUPS)
+def test_jordan_parts_match_the_square_and_multiply_split(kind, q):
+    g = build_finite_group(kind, q)
+    for gamma in g.elements:
+        assert _jordan_parts(g, gamma) == _jordan_parts_by_power(g, gamma), g.unpack(gamma)
+
+
+def test_jordan_parts_refuse_parts_that_do_not_recompose(monkeypatch):
+    # the walk of gamma^2 read as gamma's: gamma = diag(2, 2) times a
+    # unipotent has order 20 in GL2(F5), gamma^2 order 10, and the parts
+    # read off it recompose to gamma^22 = gamma^2
+    g = build_finite_group("GL2", 5)
+    find = dl_spectra.powers
+    monkeypatch.setattr(dl_spectra, "powers", lambda mul, one, x, n: find(mul, one, mul(x, x), n))
+    with pytest.raises(AssertionError, match="the two parts do not recompose"):
+        _jordan_parts(g, g.pack([[2, 1], [0, 2]]))
 
 
 def test_jordan_reduction_unipotent_gamma_is_trivial():

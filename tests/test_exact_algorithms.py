@@ -10,15 +10,15 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liechar.dl_spectra import _nullspace_mod
+from liechar.dl_spectra import _minimal_polynomial
 from liechar.exact_math import (
     FiniteField,
     IntMatrix,
-    element_order,
     inverse_rational,
     order_from_multiple,
     is_prime,
     power,
+    powers,
     prime_factors,
     primitive_element,
     rref_mod,
@@ -191,10 +191,24 @@ def test_rref_mod_pivots_and_null_vectors(l):
         for i, c in enumerate(pivots):
             assert [a[r][c] for r in range(n)] == [int(r == i) for r in range(n)]
         assert not any(x for r in a[len(pivots):] for x in r)
-        null = _nullspace_mod(mat, l)
-        assert len(null) == m - len(pivots)
-        for v in null:
-            assert all(sum(x * y for x, y in zip(row, v)) % l == 0 for row in mat)
+    # the null vector of the Krylov matrix w, S w, ..., S^k w that Dixon's
+    # split reads off its first dependent column: the minimal polynomial of
+    # S on w, monic, killing w, of least degree
+    for _ in range(40):
+        k = rng.randint(1, 6)
+        s_mat = random_matrix(rng, k, k, l, rank=rng.randint(0, k))
+        krylov = [[rng.randrange(l) for _ in range(k)]]
+        for _ in range(k):
+            krylov.append([sum(x * y for x, y in zip(row, krylov[-1])) % l for row in s_mat])
+        poly = _minimal_polynomial(krylov, l)
+        d = len(poly) - 1
+        assert poly[-1] == 1
+        assert all(sum(c * v[i] for c, v in zip(poly, krylov)) % l == 0 for i in range(k))
+        # w, ..., S^(d - 1) w are independent, so no monic polynomial of
+        # lower degree kills w
+        assert len(rref_mod(krylov[:d], l, k)[1]) == d
+    with pytest.raises(AssertionError, match="a Krylov sequence does not close"):
+        _minimal_polynomial([[1, 0], [0, 1]], l)
 
 
 @pytest.mark.parametrize("l", [2, 3, 5, 7, 101])
@@ -331,6 +345,24 @@ def test_prime_factors_trial_bound():
         prime_factors(p * p)
 
 
+def _stepped_powers(x, m):
+    """[1, x, ..., x^(o - 1)] mod m, o the order of the unit x, stepped
+    with pow."""
+    out = [1]
+    while pow(x, len(out), m) != 1:
+        out.append(pow(x, len(out), m))
+    return out
+
+
+def test_powers_is_the_cyclic_group_stepped_one_power_at_a_time():
+    for m in (7, 9, 16, 45, 97, 360):
+        mul = lambda a, b, m=m: a * b % m
+        for x in (x for x in range(1, m) if math.gcd(x, m) == 1):
+            walk = powers(mul, 1, x, m)
+            assert walk == _stepped_powers(x, m), (m, x)
+            assert walk[-1] * x % m == 1, (m, x)
+
+
 def test_order_from_multiple_matches_the_order_search():
     # every unit mod m, descending from a multiple of its order
     for m in (7, 9, 16, 45, 97, 360):
@@ -339,7 +371,7 @@ def test_order_from_multiple_matches_the_order_search():
         multiple = len(units) * 12
         primes = prime_factors(multiple)
         for x in units:
-            assert order_from_multiple(mul, 1, x, multiple, primes) == element_order(mul, 1, x, m), (m, x)
+            assert order_from_multiple(mul, 1, x, multiple, primes) == len(powers(mul, 1, x, m)), (m, x)
     with pytest.raises(AssertionError, match="not a multiple of the order"):
         order_from_multiple(lambda a, b: a * b % 7, 1, 3, 4, [2])
     with pytest.raises(AssertionError, match="not a multiple of the order"):
@@ -354,11 +386,16 @@ def test_order_search_budget_is_checked_before_stepping():
         return a * b % 1000003
 
     with pytest.raises(ValueError, match="ORDER_BUDGET"):
-        element_order(mul, 1, 2, ORDER_BUDGET + 1)
+        powers(mul, 1, 2, ORDER_BUDGET + 1)
     assert not steps
-    assert element_order(lambda a, b: a * b % 7, 1, 3, 6) == 6
-    with pytest.raises(AssertionError, match="element order exceeds"):
-        element_order(lambda a, b: a * b % 7, 1, 3, 5)
+    # an order of 6 takes 5 products, and any limit below 6 refuses it
+    calls = []
+    assert powers(lambda a, b: calls.append(1) or a * b % 7, 1, 3, 6) == [1, 3, 2, 6, 4, 5]
+    assert len(calls) == 5
+    for limit in (0, 1, 5):
+        with pytest.raises(AssertionError, match="element order exceeds"):
+            powers(lambda a, b: a * b % 7, 1, 3, limit)
+    assert powers(None, 1, 1, 0) == [1]
     assert power(lambda a, b: a * b % 101, 1, 3, 100) == 1
     assert power(lambda a, b: a * b % 101, 1, 3, 0) == 1
 
@@ -398,7 +435,7 @@ def test_truncated_pow_is_repeated_mul():
 def _first_of_full_order(mul, identity, candidates, order):
     """The first candidate whose powers, stepped one by one, reach the
     identity only after `order` steps."""
-    return next(x for x in candidates if element_order(mul, identity, x, order) == order)
+    return next(x for x in candidates if len(powers(mul, identity, x, order)) == order)
 
 
 def test_primitive_element_picks_what_each_search_picked():

@@ -16,6 +16,20 @@ def test_f5_generator():
     assert k.gen == 2  # ord(2) = 4 mod 5
 
 
+def test_a_generator_short_of_full_order_is_refused(monkeypatch):
+    # the square of the generator walks only half of F_q^*
+    find = ffield.primitive_element
+
+    def square_of_generator(mul, *args):
+        gen = find(mul, *args)
+        return mul(gen, gen)
+
+    monkeypatch.setattr(ffield, "primitive_element", square_of_generator)
+    for p, f in [(3, 1), (7, 1), (3, 2)]:
+        with pytest.raises(AssertionError, match="generator does not have full order"):
+            FiniteField(p, f)
+
+
 def test_f9_structure():
     k = FiniteField(3, 2)
     assert k.q == 9

@@ -1,5 +1,6 @@
-"""Every library name has a caller outside the tests, and every attribute
-a library object stores has a reader.
+"""Every library name has a caller outside the tests, every attribute a
+library object stores has a reader, and every name a library module
+imports is used in it.
 
 Each top-level function or class in `src/liechar/`, and each non-dunder
 method of a top-level class, must be referenced somewhere in `src/` or in
@@ -175,6 +176,31 @@ def test_every_stored_attribute_is_read():
         if attr not in read
     ]
     assert not unread, "stored, never read:\n" + "\n".join(unread)
+
+
+def _unused_imports():
+    """(path, line, name) for every name that a module-level import of a
+    non-`__init__` library module binds and that module never uses as a
+    name. Import lines are blanked in `_caller_sources`, so a deletion that
+    leaves its import behind is seen only here."""
+    out = []
+    for path in sorted(LIBRARY.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                for alias in node.names:
+                    name = (alias.asname or alias.name).partition(".")[0]
+                    if name not in used:
+                        out.append((path.relative_to(ROOT), node.lineno, name))
+    return out
+
+
+def test_every_imported_name_is_used():
+    unused = [f"{path}:{line}: {name}" for path, line, name in _unused_imports()]
+    assert not unused, "imported, never used:\n" + "\n".join(unused)
 
 
 # run in a fresh interpreter, so that no cache filled by an earlier test

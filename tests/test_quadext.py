@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+import liechar.finite_lie as finite_lie
 import reference_quadext as ref
 from liechar.dl_spectra import _gauss_sum, classical_table_oracle, conjugacy_classes
-from liechar.finite_lie import _quad_ext, build_finite_group, quasi_logarithm
+from liechar.finite_lie import _QuadExt, _quad_ext, build_finite_group, quasi_logarithm
 
 QS = (3, 5, 7, 9, 11, 13)
 GROUPS = [(kind, q) for kind in ("GL2", "SL2") for q in QS]
@@ -37,6 +38,20 @@ def test_quad_ext_matches_reference(q):
         assert ext.log[z] == want.log[code]
         assert ext.norm_one_log.get(z) == want.norm_one_log.get(code)
         assert g.det_code(z) == want.norm(code)
+
+
+def test_a_generator_short_of_full_order_is_refused(monkeypatch):
+    # the square of the generator walks only half of F_q^2^*
+    find = finite_lie.primitive_element
+
+    def square_of_generator(mul, *args):
+        gen = find(mul, *args)
+        return mul(gen, gen)
+
+    monkeypatch.setattr(finite_lie, "primitive_element", square_of_generator)
+    for q in (3, 5, 9):
+        with pytest.raises(AssertionError, match="generator order is wrong"):
+            _QuadExt(build_finite_group("GL2", q).field)
 
 
 @pytest.mark.parametrize("kind,q", GROUPS)

@@ -434,7 +434,7 @@ def test_highest_root_and_coefficients_match_per_root_solve():
             if best is None or sum(coeffs) > best[1]:
                 best = (r, sum(coeffs))
         assert d.highest_root() == best[0], d
-        assert d.highest_root() is d.highest_root()
+        assert d.highest_root() == d.highest_root()
 
 
 def test_rank_of_span_matches_smith_form():
