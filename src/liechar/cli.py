@@ -69,7 +69,7 @@ from .padic import (
     relevant_places,
     topological_jordan,
 )
-from .root_datum import build_root_datum
+from .root_datum import RANK_BUDGET, build_root_datum
 
 _TYPE_RE = re.compile(r"^([A-G])(\d+)$")
 
@@ -78,7 +78,12 @@ def _parse_type(s):
     m = _TYPE_RE.match(s)
     if not m:
         raise ValueError(f"bad type {s!r}; expected e.g. A3, C2, E6")
-    return m.group(1), int(m.group(2))
+    # measured before int(), which refuses past 4300 digits, leading zeros
+    # included, in its own words
+    rank = m.group(2).lstrip("0") or "0"
+    if len(rank) > len(str(RANK_BUDGET)):
+        raise ValueError(f"--type: rank of {len(rank)} digits exceeds the budget RANK_BUDGET = {RANK_BUDGET}")
+    return m.group(1), int(rank)
 
 
 def _parse_json(s, flag):

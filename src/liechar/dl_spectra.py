@@ -21,8 +21,9 @@ This module keeps no state of its own. What it builds is cached on its
 owner (see `exact_math.cached`): the classes and orbit sums on the group
 and the torus-series characters on their torus. The Gauss sum is computed
 where SL2's classical table reads it, once per table. The quadratic
-extension F_q^2, whose points are the elliptic tori, lives with the tori
-in `finite_lie`. Each cyclotomic value memoises its own reduction.
+extension F_q^2, whose points are the elliptic tori, is read off their
+matrix shape by `finite_lie`. Each cyclotomic value memoises its own
+reduction.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Concrete matrix groups over finite fields: GL2 and SL2 over F_q, odd
 q <= 13 (F_3, F_5, F_7, F_11, F_13 and F_9 = F_3[x]/(x^2 + 1)), with Lie
 algebras, the trace pairing, quasi-logarithms, adjoint orbits, maximal tori
-and regularity tests. The quadratic extension F_q^2 is built here as the
-elliptic-torus matrices, with its discrete logarithms; the elliptic torus of
-GL2 is its multiplicative group and that of SL2 its norm-one subgroup, both
-read off it. Each torus carries its own coordinates, the exponents of its
+and regularity tests. Each maximal torus is read off its matrix shape,
+diag(x, y) or [[x, eps y], [y, x]] (x + y sqrt(eps) in F_q^2): its points,
+its Lie points and its Weyl witness. The elliptic torus of GL2 is F_q^2^*
+and that of SL2 its norm-one subgroup, both read off one walk of F_q^2^*'s
+generator. Each torus carries its own coordinates, the exponents of its
 points against its unit points: the field's discrete logarithm on the
 diagonal entries of the split torus, the logarithm of F_q^2 or of its
 norm-one subgroup on the elliptic one.
@@ -27,8 +28,8 @@ Lie point to its orbit, read off one partition of the Lie points into
 orbits (`_kernels.conjugacy_partition`), as `dl_spectra` reads the
 conjugacy classes off one partition of the elements. `build_finite_group`
 keeps one object per (kind, q) and `_field_for` one field per q = p^f, so
-GL2 and SL2 over one q share the field and what is cached on it, F_q^2
-included.
+GL2 and SL2 over one q share the field and what is cached on it; each
+group walks F_q^2^* once, for its own tori.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from functools import lru_cache
 from itertools import compress
 
 from . import _kernels
-from .exact_math import FiniteField, cached, power, powers, prime_factors, primitive_element
+from .exact_math import FiniteField, cached, powers, prime_factors, primitive_element
 
 _KIND_DATA = {"GL2": 2, "SL2": 1}  # kind: F_q-rank
 _CENTER_ORDER = 2  # |Z(G^sc)|, the center of SL2
@@ -263,53 +264,6 @@ def quasi_logarithm(g_group: FiniteLieGroup, g):
     return _kernels.sub_scalar(g, t.dot[half * t.q2 + _kernels.trace_code(g, t)], t)
 
 
-class _QuadExt:
-    """The quadratic extension F_q(sqrt(eps)), eps the canonical non-residue,
-    as the elliptic-torus matrices: x + y sqrt(eps) is the packed matrix
-    [[x, eps y], [y, x]].
-
-    Products are `_kernels.mat_mul` and the norm x^2 - eps y^2 is the
-    determinant. The generator is the first element of full order q^2 - 1
-    in the order of the code x + q y (`primitive_element`); `log` and
-    `norm_one_log` hold the discrete logarithms in the full multiplicative
-    group and in its norm-one subgroup, cyclic of orders q^2 - 1 and q + 1,
-    keyed by packed point. Both invert the generator's cyclic group as
-    `exact_math.powers` walks it, which must have q^2 - 1 points. The norm
-    x -> x^(q + 1) maps gen^k to 1 exactly when q - 1 divides k, so the
-    norm-one subgroup is every (q - 1)-th step of that walk, with gen^(q - 1)
-    as generator. Their keys are the points of the elliptic tori of GL2 and
-    SL2.
-    """
-
-    def __init__(self, field):
-        t = _kernels.tables(field)
-        q = field.q
-        eps = field.non_residue
-        one = 1 + t.q3  # the packed identity
-        self.order = order = q * q - 1
-
-        def mul(a, b):
-            return _kernels.mat_mul(a, b, t)
-
-        # dot[eps q^2 + y] is eps y; the codes x + q y from 2 on
-        points = [
-            x + t.dot[eps * t.q2 + y] * q + y * t.q2 + x * t.q3
-            for y in range(q)
-            for x in range(q)
-        ][2:]
-        self.gen = gen = primitive_element(mul, one, points, order)
-        walk = powers(mul, one, gen, order)
-        if len(walk) != order:
-            raise AssertionError("generator order is wrong")
-        self.log = {pt: k for k, pt in enumerate(walk)}
-        self.norm_one_log = {pt: k for k, pt in enumerate(walk[::q - 1])}
-
-
-def _quad_ext(field) -> _QuadExt:
-    """The field's quadratic extension, shared by GL2 and SL2 over it."""
-    return cached(field, "quad_ext", _QuadExt)
-
-
 class TorusInG:
     """A maximal torus point group inside the finite group, with its Lie
     points, relative Weyl group action and sign data, and `derived`, its
@@ -348,26 +302,6 @@ class TorusInG:
         return f"{self.tag} torus of {self.parent!r} (order {self.order})"
 
 
-def _torus_lie_points(g: FiniteLieGroup, tag):
-    q = g.q
-    fld = g.field
-    out = []
-    if tag == "split":
-        for a in range(q):
-            for d in range(q):
-                if g.kind == "SL2" and d != fld.neg(a):
-                    continue
-                out.append(g.pack([[a, 0], [0, d]]))
-    else:
-        eps = fld.non_residue
-        for x in range(q):
-            for y in range(q):
-                if g.kind == "SL2" and x != 0:
-                    continue
-                out.append(g.pack([[x, fld.mul(eps, y)], [y, x]]))
-    return tuple(sorted(set(out)))
-
-
 def tori_and_regularity(g: FiniteLieGroup):
     """One TorusInG per conjugacy class of maximal tori: split and elliptic,
     the same objects on every call."""
@@ -375,38 +309,54 @@ def tori_and_regularity(g: FiniteLieGroup):
 
 
 def _build_tori(g: FiniteLieGroup):
-    """The split torus in the coordinates of the field's discrete logarithm
-    on each diagonal entry (the first only for SL2, the second being its
-    inverse), the elliptic torus in those of F_q^2: the logarithm in its
-    multiplicative group for GL2, in the norm-one subgroup for SL2."""
-    q = g.q
+    """The split and the elliptic torus, each read off its shape: the
+    matrices diag(x, y) and x + y sqrt(eps) = [[x, eps y], [y, x]], eps the
+    canonical non-residue, listed by the code x + q y of their entries. The
+    elliptic shape is F_q^2, products `_kernels.mat_mul` and the norm
+    x^2 - eps y^2 the determinant.
+
+    The split torus has the coordinates of the field's discrete logarithm on
+    each diagonal entry (the first only for SL2, the second being its
+    inverse). The generator of F_q^2^* is the first elliptic point of full
+    order q^2 - 1 from code 2 on (`primitive_element`), and one `powers`
+    walk of it, which must have q^2 - 1 points, is the elliptic torus of
+    GL2 in its logarithm. The norm x -> x^(q + 1) maps gen^k to 1 exactly
+    when q - 1 divides k, so SL2's elliptic torus, the norm-one subgroup,
+    is every (q - 1)-th step of the walk, with gen^(q - 1) as generator.
+    Lie(T) is the shape's points that are Lie points of g: all of them for
+    GL2, the traceless ones for SL2."""
+    q, t = g.q, g.tables
     exp = g.field.exp_table
-    ext = _quad_ext(g.field)
-    if g.kind == "GL2":
-        split_log = {
-            g.pack([[exp[i], 0], [0, exp[j]]]): (i, j) for i in range(q - 1) for j in range(q - 1)
-        }
-        ell_log, ell_order = ext.log, q * q - 1
-    else:
-        split_log = {g.pack([[exp[i], 0], [0, exp[-i]]]): (i,) for i in range(q - 1)}
-        ell_log, ell_order = ext.norm_one_log, q + 1
-    coords = (
-        ("split", split_log, q - 1, g.fq_rank),
-        ("elliptic", {z: (k,) for z, k in ell_log.items()}, ell_order, g.fq_rank - 1),
-    )
+    eps = g.field.non_residue
+    split = [x + y * t.q3 for y in range(q) for x in range(q)]
+    # dot[eps q^2 + y] is eps y
+    elliptic = [x + t.dot[eps * t.q2 + y] * q + y * t.q2 + x * t.q3 for y in range(q) for x in range(q)]
+    gen = primitive_element(g.mul, g.identity, elliptic[2:], q * q - 1)
+    walk = powers(g.mul, g.identity, gen, q * q - 1)
+    if len(walk) != q * q - 1:
+        raise AssertionError("generator order is wrong")
     # normalisers acting by the Weyl involution, of determinant 1: the swap
     # of the diagonal entries, and diag(1, -1) times the point gen^((q-1)/2)
     # of norm x^2 - eps y^2 = -1 (the norm of gen generates F_q^*), that is
     # [[x, eps y], [-y, -x]], which maps x + y sqrt(eps) to x - y sqrt(eps)
     minus = g.field.neg(1)
-    witnesses = (
-        g.pack([[0, 1], [minus, 0]]),
-        g.mul(g.pack([[1, 0], [0, minus]]), power(g.mul, g.identity, ext.gen, (q - 1) // 2)),
+    witnesses = (g.pack([[0, 1], [minus, 0]]), g.mul(g.pack([[1, 0], [0, minus]]), walk[(q - 1) // 2]))
+    if g.kind == "GL2":
+        split_log = {
+            g.pack([[exp[i], 0], [0, exp[j]]]): (i, j) for i in range(q - 1) for j in range(q - 1)
+        }
+    else:
+        split_log = {g.pack([[exp[i], 0], [0, exp[-i]]]): (i,) for i in range(q - 1)}
+        walk = walk[:: q - 1]
+        split, elliptic = ([a for a in shape if _kernels.trace_code(a, t) == 0] for shape in (split, elliptic))
+    coords = (
+        ("split", split_log, q - 1, g.fq_rank, split),
+        ("elliptic", {z: (k,) for k, z in enumerate(walk)}, len(walk), g.fq_rank - 1, elliptic),
     )
     tori = []
-    for (tag, log, char_order, fq_rank), witness in zip(coords, witnesses):
+    for (tag, log, char_order, fq_rank, shape), witness in zip(coords, witnesses):
         pts = list(log)
-        lie_pts = _torus_lie_points(g, tag)
+        lie_pts = tuple(sorted(shape))
         if witness not in g._members:
             raise AssertionError("Weyl witness is not a group element")
         weyl = {p: g.conj(witness, p) for p in pts}

@@ -49,16 +49,18 @@ __all__ = [
     "relevant_places",
 ]
 
+PRECISION_BUDGET = 64  # largest precision k of a TruncatedMatrix
+
 
 class TruncatedMatrix:
     """A square matrix with entries in Z/p^k.
 
     The constructor is the one place that checks its input: p prime, k a
     positive int, an n x n shape with n >= 1 and int entries (bool
-    refused), reduced mod p^k. The precision is capped at k <= 64, checked
-    before p^k is formed, so a huge k is refused at once. Arithmetic
-    results are built from rows already reduced mod p^k and skip those
-    checks."""
+    refused), reduced mod p^k. The precision is capped at k <=
+    PRECISION_BUDGET = 64, checked before p^k is formed, so a huge k is
+    refused at once. Arithmetic results are built from rows already reduced
+    mod p^k and skip those checks."""
 
     __slots__ = ("n", "p", "k", "mod", "rows")
 
@@ -74,8 +76,8 @@ class TruncatedMatrix:
             raise ValueError("rows must form an n x n matrix with n >= 1")
         if any(type(x) is not int for r in rows for x in r):
             raise ValueError("entries must be integers")
-        if k > 64:
-            raise ValueError("precision capped at 64")
+        if k > PRECISION_BUDGET:
+            raise ValueError(f"precision k = {k} exceeds the budget PRECISION_BUDGET = {PRECISION_BUDGET}")
         self.n = n
         self.p = p
         self.k = k

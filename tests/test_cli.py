@@ -247,7 +247,7 @@ def test_tjd_failure_exits_1():
 def test_tjd_huge_precision_is_refused_by_the_cap():
     code, out, _ = run_cli(["tjd", "--p", "3", "--k", "10000000", "--matrix", "[[2]]"])
     assert code == 1
-    assert json.loads(out) == {"error": "--k: precision capped at 64"}
+    assert json.loads(out) == {"error": "--k: precision k = 10000000 exceeds the budget PRECISION_BUDGET = 64"}
 
 
 def test_hilbert_zero_exits_1():
@@ -534,7 +534,10 @@ _PAST_PRIME_BOUND = str(10**30 + 57)  # no prime factor below 43
             f"--p: primality of {_PAST_PRIME_BOUND} is decided only below PRIME_BOUND = 3317044064679887385961981",
         ),
         (["tjd", "--p", "5", "--k", "0", "--matrix", "[[1]]"], "--k: precision must be a positive integer"),
-        (["tjd", "--p", "5", "--k", "100", "--matrix", "[[1]]"], "--k: precision capped at 64"),
+        (
+            ["tjd", "--p", "5", "--k", "100", "--matrix", "[[1]]"],
+            "--k: precision k = 100 exceeds the budget PRECISION_BUDGET = 64",
+        ),
         (["tjd", "--p", "5", "--k", "2", "--matrix", "[[5]]"], "--matrix: gamma is not invertible modulo p"),
         (["tjd", "--p", "5", "--k", "2", "--matrix", "[[1,2]]"], "--matrix: rows must form an n x n matrix"),
         (["tjd", "--p", "5", "--k", "2", "--matrix", "[]"], "--matrix: rows must form an n x n matrix with n >= 1"),
@@ -584,6 +587,10 @@ _PAST_PRIME_BOUND = str(10**30 + 57)  # no prime factor below 43
             "--place: primality of 3317044064679887385961981 is decided only below PRIME_BOUND = 3317044064679887385961981",
         ),
         (["endoscopy", "enumerate", "--type", "A9"], "--type: rank 9 exceeds the budget RANK_BUDGET = 8"),
+        (
+            ["endoscopy", "enumerate", "--type", "A" + "1" * 5000],
+            "--type: rank of 5000 digits exceeds the budget RANK_BUDGET = 8",
+        ),
         (["endoscopy", "enumerate", "--type", "E5"], "--type: E_n needs rank 6, 7 or 8"),
         (["endoscopy", "enumerate", "--type", "G3"], "--type: G_2 only"),
         (["endoscopy", "estimate", "--type", "A3"], "--type: type A is excluded from the estimate check"),
@@ -598,7 +605,8 @@ _PAST_PRIME_BOUND = str(10**30 + 57)  # no prime factor below 43
         "tjd-order-budget-singular", "tori-h1-ragged", "tori-pair-ragged", "tori-h1-rank", "tori-pair-rank",
         "tori-sln-rank", "tori-frobenius-order",
         "hilbert-zero", "hilbert-place", "hilbert-place-not-numeric", "hilbert-place-primality",
-        "hilbert-place-past-int-limit", "hilbert-place-at-prime-bound", "endoscopy-rank-cap", "endoscopy-e5", "endoscopy-g3",
+        "hilbert-place-past-int-limit", "hilbert-place-at-prime-bound", "endoscopy-rank-cap",
+        "endoscopy-rank-digits", "endoscopy-e5", "endoscopy-g3",
         "endoscopy-estimate-a", "endoscopy-kappa-length",
     ],
 )
@@ -607,6 +615,13 @@ def test_library_refusal_names_its_flag(argv, message):
     assert code == 1
     assert json.loads(out) == {"error": message}
     assert err == ""
+
+
+def test_type_rank_leading_zeros_do_not_count():
+    # measured and converted without its leading zeros, past int()'s limit too
+    want = run_cli(["endoscopy", "enumerate", "--type", "A1"])
+    for rank in ("01", "0" * 5000 + "1"):
+        assert run_cli(["endoscopy", "enumerate", "--type", "A" + rank]) == want
 
 
 # ---------------------------------------------------------------------------

@@ -404,6 +404,27 @@ def test_torus_lie_points_counts():
         assert len(torus.lie_points()) == 3
 
 
+def _torus_lie_points_by_rule(g, tag):
+    """Lie(T) written out per kind and tag: diag(a, d), with d = -a for
+    SL2, and [[x, eps y], [y, x]], with x = 0 for SL2."""
+    q, fld = g.q, g.field
+    out = []
+    for a in range(q):
+        for b in range(q):
+            if tag == "split" and not (g.kind == "SL2" and b != fld.neg(a)):
+                out.append(g.pack([[a, 0], [0, b]]))
+            if tag == "elliptic" and not (g.kind == "SL2" and a != 0):
+                out.append(g.pack([[a, fld.mul(fld.non_residue, b)], [b, a]]))
+    return tuple(sorted(out))
+
+
+@pytest.mark.parametrize("kind,q", ADMITTED)
+def test_torus_lie_points_match_the_rule_per_kind_and_tag(kind, q):
+    g = build_finite_group(kind, q)
+    for torus in tori_and_regularity(g):
+        assert torus.lie_points() == _torus_lie_points_by_rule(g, torus.tag), torus.tag
+
+
 # --- orbits and tori are built once per group -----------------------------------
 
 

@@ -174,7 +174,7 @@ def test_tjd_refuses_the_order_budget_before_the_determinant(monkeypatch):
 def test_precision_cap_is_checked_by_the_constructor():
     with pytest.raises(ValueError, match="precision"):
         TruncatedMatrix(1, 3, 65, [[2]])
-    with pytest.raises(ValueError, match="precision capped at 64"):
+    with pytest.raises(ValueError, match="^precision k = 10000000 exceeds the budget PRECISION_BUDGET = 64$"):
         TruncatedMatrix(1, 3, 10**7, [[2]])
     assert TruncatedMatrix(1, 3, 64, [[2]]).mod == 3**64
 

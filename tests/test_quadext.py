@@ -10,7 +10,7 @@ import pytest
 import liechar.finite_lie as finite_lie
 import reference_quadext as ref
 from liechar.dl_spectra import _gauss_sum, classical_table_oracle, conjugacy_classes
-from liechar.finite_lie import _QuadExt, _quad_ext, build_finite_group, quasi_logarithm
+from liechar.finite_lie import build_finite_group, quasi_logarithm, tori_and_regularity
 
 QS = (3, 5, 7, 9, 11, 13)
 GROUPS = [(kind, q) for kind in ("GL2", "SL2") for q in QS]
@@ -24,20 +24,27 @@ def packed(g, code):
     return g.pack([[x, fld.mul(fld.non_residue, y)], [y, x]])
 
 
+def elliptic_torus(kind, q):
+    g = build_finite_group(kind, q)
+    return g, next(t for t in tori_and_regularity(g) if t.tag == "elliptic")
+
+
 @pytest.mark.parametrize("q", QS)
 def test_quad_ext_matches_reference(q):
+    # GL2's elliptic torus is F_q^2^* in the logarithm of its generator,
+    # SL2's the norm-one subgroup in that of gen^(q - 1)
+    want = ref.QuadExt(build_finite_group("GL2", q).field)
+    for kind, gen, log, order in (
+        ("GL2", want.gen, want.log, q * q - 1),
+        ("SL2", want.norm_one_gen, want.norm_one_log, q + 1),
+    ):
+        g, ell = elliptic_torus(kind, q)
+        assert ell.unit_points == (packed(g, gen),)
+        assert ell.order == ell.char_order == len(log) == order
+        assert ell.log == {packed(g, code): (k,) for code, k in log.items()}
     g = build_finite_group("GL2", q)
-    ext, want = _quad_ext(g.field), ref.QuadExt(g.field)
-    assert ext.gen == packed(g, want.gen)
-    norm_one_gen = next(z for z, k in ext.norm_one_log.items() if k == 1)
-    assert norm_one_gen == packed(g, want.norm_one_gen)
-    assert len(ext.log) == len(want.log) == q * q - 1
-    assert len(ext.norm_one_log) == len(want.norm_one_log) == q + 1
     for code in range(1, q * q):
-        z = packed(g, code)
-        assert ext.log[z] == want.log[code]
-        assert ext.norm_one_log.get(z) == want.norm_one_log.get(code)
-        assert g.det_code(z) == want.norm(code)
+        assert g.det_code(packed(g, code)) == want.norm(code)
 
 
 def test_a_generator_short_of_full_order_is_refused(monkeypatch):
@@ -49,9 +56,10 @@ def test_a_generator_short_of_full_order_is_refused(monkeypatch):
         return mul(gen, gen)
 
     monkeypatch.setattr(finite_lie, "primitive_element", square_of_generator)
-    for q in (3, 5, 9):
-        with pytest.raises(AssertionError, match="generator order is wrong"):
-            _QuadExt(build_finite_group("GL2", q).field)
+    for kind in ("GL2", "SL2"):
+        for q in (3, 5, 9):
+            with pytest.raises(AssertionError, match="generator order is wrong"):
+                finite_lie._build_tori(build_finite_group(kind, q))
 
 
 @pytest.mark.parametrize("kind,q", GROUPS)
@@ -100,8 +108,12 @@ def test_class_shapes_match_reference(kind, q):
 
 
 def test_gl2_and_sl2_share_one_extension():
+    # gen^k has norm 1 exactly when q - 1 divides k, and it is step
+    # k / (q - 1) of the norm-one subgroup's generator
     for q in QS:
-        gl, sl = build_finite_group("GL2", q), build_finite_group("SL2", q)
+        gl, gl_ell = elliptic_torus("GL2", q)
+        sl, sl_ell = elliptic_torus("SL2", q)
         assert gl.field is sl.field
-        assert _quad_ext(gl.field) is _quad_ext(sl.field)
-        assert gl.field.derived["quad_ext"] is _quad_ext(sl.field)
+        norm_one = {z: k for z, (k,) in gl_ell.log.items() if gl.det_code(z) == 1}
+        assert all(k % (q - 1) == 0 for k in norm_one.values())
+        assert sl_ell.log == {z: (k // (q - 1),) for z, k in norm_one.items()}
