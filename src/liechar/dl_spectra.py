@@ -19,11 +19,8 @@ Every equality here is decided in exact cyclotomic arithmetic.
 
 This module keeps no state of its own. What it builds is cached on its
 owner (see `exact_math.cached`): the classes and orbit sums on the group
-and the torus-series characters on their torus. The Gauss sum is computed
-where SL2's classical table reads it, once per table. The quadratic
-extension F_q^2, whose points are the elliptic tori, is read off their
-matrix shape by `finite_lie`. Each cyclotomic value memoises its own
-reduction.
+and the torus-series characters on their torus. Each cyclotomic value
+memoises its own reduction.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from array import array
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import add
 
 from . import _kernels
@@ -91,10 +88,7 @@ class ClassData:
         self.reps = tuple(m[0] for m in members)
         self.sizes = tuple(len(m) for m in members)
         self.count = len(members)
-        self.index = {}
-        for ci, mem in enumerate(members):
-            for x in mem:
-                self.index[x] = ci
+        self.index = {x: ci for ci, mem in enumerate(members) for x in mem}
         self.group_order = sum(self.sizes)
         if self.group_order != len(group.elements):
             raise AssertionError("classes do not partition the group")
@@ -381,24 +375,29 @@ def _apply_packed(rows, packed, count, l):
     integer multiply-add. A field then holds at most (l - 1) times the sum
     of the row's c. That sum is at most n^2 for a class matrix (the sum over
     t of |C_t| times its count is |C_i| |C_j|) and at most m (l - 1) for a
-    lift. A row of the split's S or of a share's polynomial has at most
-    k <= n entries below l, so its fields stay below k (l - 1)^2. So with
-    n <= DIXON_ORDER_BUDGET = 10^4 and l < DIXON_MODULUS_BOUND = 10^6 a
-    field stays below 2^54 and never carries into the next one.
+    lift. A row of the split's S, of a share's polynomial or of the
+    orthogonality product has at most k <= n entries below l, so its
+    fields stay below k (l - 1)^2. So with n <= DIXON_ORDER_BUDGET = 10^4
+    and l < DIXON_MODULUS_BOUND = 10^6 a field stays below 2^54 and never
+    carries into the next one.
     """
     nbytes = 8 * count
-    out = []
+    accs = []
     for row in rows:
         acc = 0
         for t, c in row:
             acc += c * packed[t]
-        out.append([x % l for x in array("Q", acc.to_bytes(nbytes, sys.byteorder))])
-    return out
+        accs.append(acc.to_bytes(nbytes, sys.byteorder))
+    flat = [x % l for x in array("Q", b"".join(accs))]
+    return [flat[j * count : j * count + count] for j in range(len(rows))]
 
 
 def _roots_mod(poly, l):
-    """The roots in F_l of a polynomial, coefficients low to high, by one
-    Horner pass over the list of its values at all l points."""
+    """The roots in F_l of a monic polynomial, coefficients low to high:
+    -c0 for x + c0, else by one Horner pass over its values at all l
+    points."""
+    if len(poly) == 2:
+        return [-poly[0] % l]
     vals = [poly[-1]] * l
     for cf in reversed(poly[:-1]):
         vals = [(v * x + cf) % l for x, v in enumerate(vals)]
@@ -441,10 +440,8 @@ def _split_round(s_rows, blocks, l):
     any one, so its Krylov vectors w, ..., S^(k - B + 1) w, one
     _apply_packed per step for all blocks, are dependent, and
     _minimal_polynomial reads them. A block's shares are one _apply_packed
-    over its Krylov vectors. Raises AssertionError when a Krylov sequence
-    does not close, when a minimal polynomial does not have as many
-    distinct roots in F_l as its degree, and when S share != lam share for
-    a share (one _apply_packed).
+    over its Krylov vectors. Raises AssertionError on the first three
+    checks that character_table_dixon lists.
     """
     k, count = len(s_rows), len(blocks)
     steps = [blocks]
@@ -497,29 +494,26 @@ def _split(mats, id_idx, l):
 def character_table_dixon(group) -> CharacterTable:
     """Exact character table through the class algebra mod a prime.
 
-    The class-multiplication matrices are simultaneously diagonalized over
-    F_l for a prime l = 1 (mod exponent), the central character values are
-    turned into character values mod l, and each value is lifted exactly by
-    discrete Fourier inversion over the cyclic group generated by its class
-    representative.  Works for any group of order at most
-    DIXON_ORDER_BUDGET with `elements`, `identity`, `mul`, `inv` and
+    The class matrices are simultaneously diagonalized over F_l, l = 1 (mod
+    exponent), the central characters are turned into characters mod l, and
+    each value is lifted exactly by discrete Fourier inversion over the
+    cyclic group of its class representative. Works for any group of order
+    at most DIXON_ORDER_BUDGET with `elements`, `identity`, `mul`, `inv` and
     `right_products(xs, ys)`, which yields, for each y in ys, the list of
     the products x y, x in xs.
 
-    The class matrices are kept sparse, as rows of (t, count) pairs, built
-    without a dense intermediate from one right_products call, which
-    multiplies the inverses of all n elements by each of the k class
-    representatives (n k products), and applied to many vectors at once
-    (_apply_packed); the lift inverts the DFT of every row at once the same
-    way. Each representative's cyclic group is walked once
-    (`exact_math.powers`) and read as the classes of its powers: their
-    number is the representative's order, the last is the inverse class
-    that pairs rows in the orthogonality check, and all of them index the
-    lift's inverse DFT. The common
-    eigenlines are split off the identity-class vector by generic elements
-    of the class algebra, each block carried as one vector, its share of
-    e_id (_split); every row reduction is rref_mod, one per block and
-    round. Every table passes these checks, each raising AssertionError:
+    The class matrices are sparse rows of (t, count) pairs from one
+    right_products call (the inverses of all n elements times the k
+    representatives), applied to many vectors at once (_apply_packed), as
+    are the orthogonality product and the lift's inverse DFTs. Each
+    representative's cyclic group is walked once (`exact_math.powers`) and
+    read as the classes of its powers: their number is its order, the last
+    is the inverse class, and all of them index the lift, built once per
+    Galois orbit of classes: [rep^s], s prime to the order, reuses rep's.
+    The eigenlines are split off the identity-class vector e_id by generic
+    elements of the class algebra, each block one vector, its share of e_id
+    (_split); every row reduction is rref_mod, one per block and round.
+    Every table passes these checks, each raising AssertionError:
     - each block's Krylov sequence closes within k - B + 2 vectors, B the
       number of blocks;
     - each minimal polynomial has as many distinct roots in F_l as its
@@ -530,7 +524,7 @@ def character_table_dixon(group) -> CharacterTable:
       is nonzero at the identity class, and v / v_id is an eigenvector of
       every class matrix, with eigenvalue one for the identity class;
     - each degree is recovered, and the degree squares sum to the order;
-    - the rows are orthogonal mod l;
+    - the rows are orthogonal mod l, on every ordered pair;
     - each lifted multiplicity is at most the degree, and they sum to it;
     - each row's degree is a positive integer (CharacterTable).
     """
@@ -538,27 +532,24 @@ def character_table_dixon(group) -> CharacterTable:
     if n > DIXON_ORDER_BUDGET:
         raise ValueError(f"group order {n} exceeds the budget DIXON_ORDER_BUDGET = {DIXON_ORDER_BUDGET}")
     cd = conjugacy_classes(group)
-    inv = group.inv
     k = cd.count
     idx = cd.index
     # the classes of each representative's powers, rep^0 .. rep^(m - 1)
     power_classes = [[idx[x] for x in powers(group.mul, group.identity, r, n)] for r in cd.reps]
-    rep_orders = [len(pc) for pc in power_classes]
-    exponent = lcm(*rep_orders)
+    exponent = lcm(*map(len, power_classes))
     l = _choose_modulus(exponent, n, k)
     gen = primitive_element(lambda a, b: a * b % l, 1, range(2, l), l - 1)
     root = pow(gen, (l - 1) // exponent, l)
     inv_class = [pc[-1] for pc in power_classes]
 
     # structure matrices, sparse: mats[i][j] lists the pairs (t, c), c > 0
-    # the number of x in C_i with x^{-1} * rep_t in C_j, in increasing t;
-    # the eigenvalue vectors of all of them give the central characters.
+    # the number of x in C_i with x^{-1} * rep_t in C_j, in increasing t.
     # All x^{-1} * rep_t for one t come from one right_products list, and
     # the pair (i, j) of each is counted under the key i k + j.
     xs = [x for mem in cd.members for x in mem]
     row_keys = [ci * k for ci, mem in enumerate(cd.members) for _ in mem]
     mats = [[[] for _ in range(k)] for _ in range(k)]
-    for t, prods in enumerate(group.right_products([inv(x) for x in xs], cd.reps)):
+    for t, prods in enumerate(group.right_products([group.inv(x) for x in xs], cd.reps)):
         for key, c in Counter(map(add, row_keys, map(idx.__getitem__, prods))).items():
             ci, j = divmod(key, k)
             mats[ci][j].append((t, c))
@@ -581,9 +572,7 @@ def character_table_dixon(group) -> CharacterTable:
     chars_mod = []
     size_inv = [pow(sz, -1, l) for sz in cd.sizes]
     for om in omegas:
-        s = 0
-        for ci in range(k):
-            s = (s + om[ci] * om[inv_class[ci]] * size_inv[ci]) % l
+        s = sum(om[c] * om[inv_class[c]] * size_inv[c] for c in range(k)) % l
         # chi(1)^2 s = n mod l, so s = 0 (a fault) matches no degree
         deg = next((t for t in range(1, isqrt(n) + 1) if t * t * s % l == n % l), None)
         if deg is None:
@@ -593,36 +582,42 @@ def character_table_dixon(group) -> CharacterTable:
     if sum(d * d for d in degrees) != n:
         raise AssertionError("degree squares do not sum to the order")
 
-    # orthogonality mod l, cheap and done for every table
-    for i1 in range(k):
-        for i2 in range(i1, k):
-            s = 0
-            for ci in range(k):
-                s = (s + cd.sizes[ci] * chars_mod[i1][ci] * chars_mod[i2][inv_class[ci]]) % l
-            if s != (n % l if i1 == i2 else 0):
-                raise AssertionError("modular orthogonality fails")
-
-    # lift: the value at class i lives in the cyclotomic field of the
-    # representative's order m; recover the multiplicity of each power of
-    # zeta_m by inverting the DFT of t -> chi(rep^t) mod l, every row at
-    # once. Row r of class i's inverse DFT pairs each class c with the sum
-    # of y^(-r t) / m over the t with rep^t in c, y = root^(exponent/m), so
-    # mults[i][r][e] is the multiplicity of zeta_m^r in row e.
+    # orthogonality mod l on every ordered pair, one packed product: row i2
+    # pairs class c with |C_c| chi_i2(c^-1)
     packed = _pack_columns(chars_mod)
+    gram = [[(c, cd.sizes[c] * chi[inv_class[c]] % l) for c in range(k)] for chi in chars_mod]
+    if _apply_packed(gram, packed, k, l) != [[n % l * (i1 == i2) for i1 in range(k)] for i2 in range(k)]:
+        raise AssertionError("modular orthogonality fails")
+
+    # lift: the value at class i lies in Q(zeta_m), m the representative's
+    # order; row r of its inverse DFT pairs each class c with the sum of
+    # y^(-r t) / m over the t with rep^t in c, y = root^(exponent/m), so
+    # mults[i][r][e] is the multiplicity of zeta_m^r in row e. A class c =
+    # [rep^s], gcd(s, m) = 1, of order m whose walk is rep's at the
+    # exponents s t has mults[c][r] = mults[i][r s^-1 mod m]
     mults = []
-    for ci in range(k):
-        m = rep_orders[ci]
-        y = pow(root, exponent // m, l)
-        ypow = [pow(m, -1, l)] * m
-        for t in range(1, m):
-            ypow[t] = ypow[t - 1] * y % l
-        dft = []
-        for r in range(m):
-            sums = {}
-            for t, c in enumerate(power_classes[ci]):
-                sums[c] = sums.get(c, 0) + ypow[-r * t % m]
-            dft.append([(c, s % l) for c, s in sums.items()])
-        mults.append(_apply_packed(dft, packed, k, l))
+    shared = {}
+    for ci, walk in enumerate(power_classes):
+        m = len(walk)
+        i, s = shared.get(ci, (ci, 1))
+        if i != ci and len(power_classes[i]) == m and walk == [power_classes[i][s * t % m] for t in range(m)]:
+            s = pow(s, -1, m)
+            mults.append([mults[i][r * s % m] for r in range(m)])
+        else:
+            y = pow(root, exponent // m, l)
+            ypow = [pow(m, -1, l)] * m
+            for t in range(1, m):
+                ypow[t] = ypow[t - 1] * y % l
+            dft = []
+            for r in range(m):
+                sums = {}
+                for t, c in enumerate(walk):
+                    sums[c] = sums.get(c, 0) + ypow[-r * t % m]
+                dft.append([(c, v % l) for c, v in sums.items()])
+            mults.append(_apply_packed(dft, packed, k, l))
+        for s, c in enumerate(walk):
+            if c > ci and gcd(s, m) == 1:
+                shared.setdefault(c, (ci, s))
 
     rows = []
     for e, deg in enumerate(degrees):
@@ -637,7 +632,7 @@ def character_table_dixon(group) -> CharacterTable:
                     coeffs[r] = nr
             if sum(coeffs.values()) != deg:
                 raise AssertionError("multiplicities do not sum to the degree")
-            vals.append(Cyclotomic(rep_orders[ci], coeffs))
+            vals.append(Cyclotomic(len(mults[ci]), coeffs))
         rows.append(ClassFunction(cd, vals))
     return CharacterTable(cd, rows)
 

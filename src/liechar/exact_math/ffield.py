@@ -17,8 +17,8 @@ from __future__ import annotations
 from .orders import powers, primitive_element
 from .primes import is_prime
 
-# largest q: `_kernels` packs a 2 x 2 matrix into a code < q^4, and its
-# transpose table holds them as unsigned shorts, q^4 <= 2^16
+# largest q: `_kernels` keeps the row and column codes of a 2 x 2 matrix,
+# each below q^2 <= 256, in single bytes
 MAX_Q = 16
 
 

@@ -52,6 +52,18 @@ __all__ = [
 PRECISION_BUDGET = 64  # largest precision k of a TruncatedMatrix
 
 
+def _k_text(k):
+    """'k = N', or for k of more than PRECISION_BUDGET digits 'k of D
+    digits', since str() refuses an int past 4300 digits. D is the least d
+    with 10^d > k, searched up from (bit length - 1) log10 2 rounded down."""
+    if k < 10**PRECISION_BUDGET:
+        return f"k = {k}"
+    d = (k.bit_length() - 1) * 30102999566 // 10**11
+    while 10**d <= k:
+        d += 1
+    return f"k of {d} digits"
+
+
 class TruncatedMatrix:
     """A square matrix with entries in Z/p^k.
 
@@ -77,7 +89,7 @@ class TruncatedMatrix:
         if any(type(x) is not int for r in rows for x in r):
             raise ValueError("entries must be integers")
         if k > PRECISION_BUDGET:
-            raise ValueError(f"precision k = {k} exceeds the budget PRECISION_BUDGET = {PRECISION_BUDGET}")
+            raise ValueError(f"precision {_k_text(k)} exceeds the budget PRECISION_BUDGET = {PRECISION_BUDGET}")
         self.n = n
         self.p = p
         self.k = k

@@ -385,6 +385,22 @@ def _square_generator(monkeypatch, g):
     monkeypatch.setattr(dl_spectra, "primitive_element", lambda *args: find(*args) ** 2)
 
 
+def _duplicate_line(monkeypatch, g):
+    """The second of two lines with one identity coordinate, so one degree,
+    replaced by the first: every line is still a common eigenvector, the
+    degrees and the lifted rows are still those of characters."""
+    find = dl_spectra._split
+
+    def split(mats, id_idx, l):
+        lines = list(find(mats, id_idx, l))
+        ids = [v[id_idx] for v in lines]
+        j = next(j for j, u in enumerate(ids) if u in ids[:j])
+        lines[j] = lines[ids.index(ids[j])]
+        return lines
+
+    monkeypatch.setattr(dl_spectra, "_split", split)
+
+
 # the checks that no single wrong product reaches, each with a fault
 # planted in the code
 PLANTED = {
@@ -393,6 +409,7 @@ PLANTED = {
     "sizes": _swapped_sizes,
     "generator": _square_generator,
     "order": _half_order,
+    "duplicate": _duplicate_line,
 }
 
 
@@ -404,6 +421,7 @@ PLANTED = {
         ("sizes", "degree not recovered"),
         ("generator", "multiplicities do not sum to the degree"),
         ("order", "eigenvalue multiplicity too large"),
+        ("duplicate", "modular orthogonality fails"),
     ],
 )
 def test_dixon_checks_catch_one_planted_fault(monkeypatch, fault, message):

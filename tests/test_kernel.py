@@ -253,14 +253,14 @@ def test_exhaustive_against_digit_arithmetic(q):
     # every matrix through det_code and trace_code; every pair of matrices
     # through mat_mul and pairing_code for F_3, and for F_9 every matrix
     # once on each side (a bijection pairs them), with every entry of the
-    # dot and transpose tables checked on its own
+    # dot and column tables checked on its own
     fld, t = _setup(q)
     n = q**4
     mats = [_unpack(a, q) for a in range(n)]
     for a, m in enumerate(mats):
         assert _kernels.det_code(a, t) == _ref_det(fld, m)
         assert _kernels.trace_code(a, t) == _ref_trace(fld, m)
-        assert _unpack(t.transpose[a], q) == [list(c) for c in zip(*m)]
+        assert _unpack(t.col0[a] + q * q * t.col1[a], q) == [list(c) for c in zip(*m)]
     for r in range(q * q):
         for c in range(q * q):
             row = [[r % q, r // q], [0, 0]]
@@ -275,6 +275,39 @@ def test_exhaustive_against_digit_arithmetic(q):
         prod = _ref_mul(fld, mats[a], mats[b])
         assert _unpack(_kernels.mat_mul(a, b, t), q) == prod
         assert _kernels.pairing_code(a, b, t) == _ref_trace(fld, prod)
+
+
+def _dot_by_generator(fld):
+    """The dot table as a generator of q^4 steps builds it: for each row
+    r = r0 + r1 q, r0 c0 + r1 c1 over c = c0 + c1 q, off the field's own
+    addition table and mul."""
+    q = fld.q
+    codes = range(q)
+    prod = [fld.mul(x, y) for x in codes for y in codes]
+    add = fld.add_table
+    dot = bytearray()
+    for r1 in codes:
+        for r0 in codes:
+            a, b = prod[r0 * q : r0 * q + q], prod[r1 * q : r1 * q + q]
+            dot += bytes(add[a[c0] * q + b[c1]] for c1 in codes for c0 in codes)
+    return bytes(dot)
+
+
+@Q_CASES
+def test_every_table_entry_against_digit_arithmetic(q):
+    # dot, col0 and col1 entry by entry, q^4 <= 28,561 entries each, and
+    # the translate-built dot against the generator
+    fld, t = _setup(q)
+    q2 = q * q
+    assert len(t.dot) == len(t.col0) == len(t.col1) == q2 * q2
+    for r in range(q2):
+        for c in range(q2):
+            want = _add(fld, _mul(fld, r % q, c % q), _mul(fld, r // q, c // q))
+            assert t.dot[r * q2 + c] == want
+    for m in range(q2 * q2):
+        (m00, m01), (m10, m11) = _unpack(m, q)
+        assert (t.col0[m], t.col1[m]) == (m00 + m10 * q, m01 + m11 * q)
+    assert t.dot == _dot_by_generator(fld)
 
 
 @pytest.mark.parametrize("kind,q", [(kind, q) for kind in ("GL2", "SL2") for q in QS])

@@ -179,6 +179,21 @@ def test_precision_cap_is_checked_by_the_constructor():
     assert TruncatedMatrix(1, 3, 64, [[2]]).mod == 3**64
 
 
+def test_precision_refusal_writes_a_long_k_by_its_digit_count():
+    # past 64 digits k is written by its digit count: str() refuses an int
+    # past 4300 digits, and a message must not
+    for k, text in [
+        (10**64 - 1, "k = " + "9" * 64),
+        (10**64, "k of 65 digits"),
+        (2**20000, "k of 6021 digits"),
+        (10**5000 - 1, "k of 5000 digits"),
+        (10**5000, "k of 5001 digits"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            TruncatedMatrix(1, 3, k, [[2]])
+        assert str(err.value) == f"precision {text} exceeds the budget PRECISION_BUDGET = 64"
+
+
 def _mult_order(m, ident, bound):
     acc = m
     for r in range(1, bound + 1):
