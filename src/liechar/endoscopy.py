@@ -2,8 +2,9 @@
 
 Everything runs on the extended Dynkin diagram of the dual root system: the
 center of the simply connected dual acts on alcove vertices by translate-and-
-fold, orbits of that action classify the split elliptic triples, and deleting
-a vertex yields the dual endoscopic root system (Borel-de Siebenthal).
+fold, orbits of that action classify the split elliptic triples, and the dual
+roots integral at an alcove vertex form the dual endoscopic root system, with
+the other extended-diagram nodes as its simple roots (Borel-de Siebenthal).
 
 All alcove geometry runs on integer Kac coordinates, the barycentric
 coordinates of the fundamental alcove (Kac, Infinite-dimensional Lie
@@ -41,7 +42,6 @@ from .root_datum import (
     _dot,
     dual_datum,
     extended_dynkin,
-    reflection_closure,
     sub_datum_from_pairs,
 )
 
@@ -209,19 +209,38 @@ def _build_center_alcove_action(g: RootDatum) -> CenterDiagramAction:
 
 
 def pseudo_levi(g: RootDatum, vertex) -> RootDatum:
-    """Full-rank subsystem of the dual generated by the extended-diagram
-    nodes other than the given one (delete-a-vertex construction)."""
+    """Full-rank subsystem of the dual whose simple roots are the
+    extended-diagram nodes other than the given one (Borel-de Siebenthal):
+    the centralizer of the alcove vertex of that node, read off the dual's
+    roots by the integrality rule of `_kappa_pairings`. The vertex of node
+    i >= 1 is omega_i^vee / m_i = W / (den m_i), W the integer row i of
+    C^-1 over the simple coroots, so a root r is kept iff den m_i divides
+    <r, W>; the origin (node 0) keeps every root. The datum's validation
+    proves the kept roots closed under the nodes' reflections, and the
+    root count of `cartan_type` proves them no more than the nodes
+    generate."""
     _require_simple(g)
     d = dual_datum(g)
     ext = extended_dynkin(d)
+    if type(vertex) is not int:
+        raise ValueError(f"vertex {vertex!r} is not an int")
     if not 0 <= vertex < ext.n_nodes:
         raise ValueError(f"vertex {vertex} out of range for {ext.n_nodes} nodes")
-    gens = [
-        (ext.node_vectors[i], ext.node_coroots[i])
-        for i in range(ext.n_nodes)
-        if i != vertex
-    ]
-    sub = sub_datum_from_pairs(d.rank, reflection_closure(gens))
+    if vertex:
+        den, inv = d._cartan_inverse()
+        w = [_dot(inv[vertex - 1], col) for col in zip(*d.simple_coroots)]
+        pairs, _ = _kappa_pairings(d, den * ext.marks[vertex], w)
+    else:
+        pairs = list(zip(d.roots, d.coroots))
+    position = {pair: k for k, pair in enumerate(sorted(pairs))}
+    nodes = list(zip(ext.node_vectors, ext.node_coroots))
+    del nodes[vertex]
+    missing = [node for node in nodes if node not in position]
+    if missing:
+        raise AssertionError(f"nodes {missing} are not roots of the pseudo-Levi at vertex {vertex}")
+    roots, coroots = zip(*position)  # the pairs in sorted order
+    sub = RootDatum(d.rank, roots, coroots, [position[node] for node in nodes])
+    sub.cartan_type()  # the root count check
     if not sub.is_semisimple():
         raise AssertionError("pseudo-Levi is not full rank")
     return sub
@@ -238,10 +257,12 @@ class EndoscopicTriple:
     it reduces to (empty for a triple that is not elliptic), and ord_s, its
     order; for the enumerated elliptic triples ord_s equals the vertex
     mark. levi_datum is the dual-side subsystem (the connected centralizer
-    of s); H_datum is its dual, the endoscopic group itself. lam is the
-    stabilizer of the vertex under the center action, the symmetry group
-    Lambda of the triple (for a split elliptic triple it is also the group
-    Z); it is trivial for a triple that is not elliptic.
+    of s); for an elliptic triple its simple roots are the extended-diagram
+    nodes other than the orbit's smallest node, so -theta is one of them
+    unless that node is 0. H_datum is its dual, the endoscopic group
+    itself. lam is the stabilizer of the vertex under the center action,
+    the symmetry group Lambda of the triple (for a split elliptic triple it
+    is also the group Z); it is trivial for a triple that is not elliptic.
     """
 
     def __init__(self, levi_datum, h_datum, ord_s, vertex_orbit, elliptic, lam):
@@ -328,7 +349,8 @@ def _kappa_pairings(d: RootDatum, n, v):
     """(pairs, ord_s) for the point kappa = v / n, v an integer vector: the
     (root, coroot) pairs of d whose root pairs integrally with kappa, and
     the order of exp(2 pi i kappa) in the adjoint torus, the lcm of the
-    denominators of the root pairings."""
+    denominators of the root pairings. The one integrality rule, for kappa
+    and for the alcove vertices of `pseudo_levi`."""
     # <r, kappa> = <r, v> / n, so r is integral iff n | <r, v>, and the lcm
     # is n / gcd(n, all <r, v>)
     pairings = [_dot(r, v) for r in d.roots]

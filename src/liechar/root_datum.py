@@ -185,8 +185,8 @@ class RootDatum:
     `derived` (see `exact_math.cached`), a number of entries fixed by the
     datum, never one per query point. Semisimplicity is not cached: it is
     read off the simple system, a basis of the span of the roots, which
-    every datum is built with (the registry, the dual and
-    `sub_datum_from_pairs`).
+    every datum is built with (the registry, the dual,
+    `sub_datum_from_pairs` and `endoscopy.pseudo_levi`).
 
     `build_root_datum` returns one object per (series, rank, isogeny), shared
     by every caller in the process, so a datum and what it derives must not
@@ -375,6 +375,10 @@ def reflection_closure(gens):
     """Closure of the (root, coroot) pairs gens under their reflections, as
     (root, coroot) pairs sorted by root; ValueError past ROOT_BUDGET roots,
     or for an entry or a pairing outside [-ROOT_ENTRY_BOUND, ROOT_ENTRY_BOUND).
+    It only builds data: its one library caller is `build_root_datum`,
+    which closes the simple roots of a series. No subsystem is closed
+    again: a pseudo-Levi is read off the dual's integral roots
+    (`endoscopy.pseudo_levi`), and so is a kappa subsystem.
 
     A root b is carried as the code of (b, K(b)), K(b)[j] = <b, a_j^vee>,
     and its coroot as the code of (b^vee, L(b)), L(b)[j] = <a_j, b^vee>.

@@ -182,6 +182,31 @@ def test_enumerate_e7_count():
     assert sorted(t.ord_s for t in triples) == [1, 2, 2, 3, 4]
 
 
+# (ord_s, H) of every split elliptic triple of the exceptional types, from
+# Borel-de Siebenthal: deleting the node of mark m from the extended diagram
+# of the dual leaves the dual of H, at an element of order m (one triple per
+# center orbit of nodes). H is the dual of that subsystem, so F4's B4 and
+# C3+A1 read C4 and B3+A1 here.
+EXCEPTIONAL_H_TYPES = {
+    ("G", 2): [(1, "G2"), (2, "A1+A1"), (3, "A2")],
+    ("F", 4): [(1, "F4"), (2, "C4"), (2, "B3+A1"), (3, "A2+A2"), (4, "A3+A1")],
+    ("E", 6): [(1, "E6"), (2, "A5+A1"), (3, "A2+A2+A2")],
+    ("E", 7): [(1, "E7"), (2, "D6+A1"), (2, "A7"), (3, "A5+A2"), (4, "A3+A3+A1")],
+    ("E", 8): [
+        (1, "E8"), (2, "D8"), (2, "E7+A1"), (3, "A8"), (3, "E6+A2"),
+        (4, "A7+A1"), (4, "D5+A3"), (5, "A4+A4"), (6, "A5+A2+A1"),
+    ],
+}
+
+
+@pytest.mark.parametrize("isogeny", ["sc", "ad"])
+@pytest.mark.parametrize("series, rank", list(EXCEPTIONAL_H_TYPES))
+def test_enumerate_exceptional_matches_borel_de_siebenthal(series, rank, isogeny):
+    triples = enumerate_split_elliptic(build_root_datum(series, rank, isogeny))
+    got = sorted((t.ord_s, t.h_type) for t in triples)
+    assert got == sorted(EXCEPTIONAL_H_TYPES[series, rank])
+
+
 def test_enumerate_ad_matches_sc():
     for series, rank in (("C", 2), ("A", 2), ("D", 4)):
         sc = enumerate_split_elliptic(build_root_datum(series, rank, "sc"))
@@ -252,8 +277,13 @@ def test_pseudo_levi_full_rank():
 
 
 def test_pseudo_levi_bad_vertex():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="out of range"):
         pseudo_levi(_sc("A", 2), 9)
+    # a vertex is an int: a float or a bool passes the range check, where
+    # 1.5 names no node and 2.0 and True would read as nodes 2 and 1
+    for vertex in (1.5, 2.0, True):
+        with pytest.raises(ValueError, match=f"vertex {vertex!r} is not an int"):
+            pseudo_levi(_sc("B", 3), vertex)
 
 
 # ---------------------------------------------------------------------------
