@@ -7,9 +7,16 @@ verification fails or an input is rejected, 2 for usage errors.  `main` is
 the one place that catches a rejected input (a ValueError or
 ZeroDivisionError from any subcommand): it writes `{"error": ...}` as JSON,
 whatever `--format` is (only `chartable` has the flag), and returns 1. A
-rejected argument is named by its flag in the message: a library refusal is
-led by the flag that `_FLAGS` reads off the subcommand and the message's
-first word.
+rejected argument is named by its flag in the message. A refusal
+(`exact_math.Refusal`) carries its subject, the input it refuses: the CLI's
+own parsing gives the flag itself, and a library refusal is led by the flag
+that `_FLAGS` maps its subject to under the subcommand. A refusal without a
+subject, or with one the subcommand does not list, is led by the
+subcommand's default flag. No word of the message is read, so its text is
+free. Every budget's refusal is written by `exact_math.over_budget`: it
+names the budget as "{NAME} = {limit}", most often in "{what} {value}
+exceeds the budget {NAME} = {limit}", and writes a value of 10^64 or more
+by its digit count.
 
 When the file that `--out` names cannot be written, the document, or the
 refusal, is replaced by one `{"error": "--out: ..."}` on stdout, and the
@@ -51,7 +58,8 @@ from .endoscopy import (
     estimate_diagram_check,
 )
 from .exact_math import (
-    Cyclotomic, IntMatrix, jordan_exponent, order_from_multiple, power, prime_factors, smallest_conductor,
+    Cyclotomic, IntMatrix, Refusal, jordan_exponent, order_from_multiple, over_budget, power, prime_factors,
+    smallest_conductor,
 )
 from .finite_lie import (
     build_finite_group,
@@ -82,7 +90,7 @@ def _parse_type(s):
     # included, in its own words
     rank = m.group(2).lstrip("0") or "0"
     if len(rank) > len(str(RANK_BUDGET)):
-        raise ValueError(f"--type: rank of {len(rank)} digits exceeds the budget RANK_BUDGET = {RANK_BUDGET}")
+        raise over_budget(None, f"rank of {len(rank)} digits", None, "RANK_BUDGET", RANK_BUDGET)
     return m.group(1), int(rank)
 
 
@@ -90,14 +98,12 @@ def _parse_json(s, flag):
     try:
         return json.loads(s)
     except json.JSONDecodeError:
-        raise ValueError(f"{flag}: not valid JSON: {s!r}") from None
+        raise Refusal(flag, f"not valid JSON: {s!r}") from None
     except RecursionError:
-        raise ValueError(f"{flag}: JSON nested too deeply") from None
+        raise Refusal(flag, "JSON nested too deeply") from None
     except ValueError:
         # an integer past Python's limit on int <-> str conversion
-        raise ValueError(
-            f"{flag}: an integer exceeds Python's 4300-digit conversion limit"
-        ) from None
+        raise Refusal(flag, "an integer exceeds Python's 4300-digit conversion limit") from None
 
 
 # digits a rational argument may spell out, its exponent counted as that many
@@ -114,20 +120,20 @@ def _parse_rational(x, flag):
     if exp and digits <= RATIONAL_DIGITS:
         digits += abs(int(exp.group(1)))
     if digits > RATIONAL_DIGITS:
-        raise ValueError(
-            f"{flag}: {digits} digits, exponent included, exceed the rational digit budget {RATIONAL_DIGITS}"
+        raise Refusal(
+            flag, f"{digits} digits, exponent included, exceed the rational digit budget {RATIONAL_DIGITS}"
         )
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{flag}: expected a rational such as 1/2, got {x!r}") from None
+        raise Refusal(flag, f"expected a rational such as 1/2, got {x!r}") from None
 
 
 def _parse_fraction_list(s, flag):
     """JSON list of rationals, each a number or a string such as "1/2"."""
     items = _parse_json(s, flag)
     if not isinstance(items, list):
-        raise ValueError(f"{flag}: expected a JSON list of rationals, got {s!r}")
+        raise Refusal(flag, f"expected a JSON list of rationals, got {s!r}")
     return tuple(_parse_rational(x, flag) for x in items)
 
 
@@ -139,7 +145,7 @@ def _parse_int_list(s, flag):
     """JSON list of integers."""
     items = _parse_json(s, flag)
     if not _is_int_list(items):
-        raise ValueError(f"{flag}: expected a JSON list of integers, got {s!r}")
+        raise Refusal(flag, f"expected a JSON list of integers, got {s!r}")
     return tuple(items)
 
 
@@ -147,7 +153,7 @@ def _parse_int_matrix(s, flag):
     """JSON list of integer rows; the consumer checks that they are square."""
     rows = _parse_json(s, flag)
     if not isinstance(rows, list) or not all(_is_int_list(r) for r in rows):
-        raise ValueError(f"{flag}: expected a JSON matrix of integers, got {s!r}")
+        raise Refusal(flag, f"expected a JSON matrix of integers, got {s!r}")
     return rows
 
 
@@ -650,8 +656,9 @@ def _parser():
     return build_parser()
 
 
-# the flags that set what a library refusal names, by subcommand and by the
-# first word of its message; None keys the subcommand's default
+# the flag that set each subject a library refusal names, by subcommand; None
+# keys the subcommand's default, for a refusal without a subject or with a
+# subject the subcommand does not list
 _FLAGS = {
     "tori": {
         "h1": "--inv", "pi0": "--kappa", "degrees": "--degrees", "frobenius": "--frobenius",
@@ -668,14 +675,13 @@ _FLAGS = {
 }
 
 
-def _flagged(cmd, message):
-    """The message of a rejected input, led by the flag that set what it
-    refuses; a message that names its flag already is left alone."""
-    if message.startswith("--"):
-        return message
-    flags = _FLAGS.get(cmd, {})
-    flag = flags.get(message.split(" ", 1)[0], flags.get(None))
-    return message if flag is None else f"{flag}: {message}"
+def _flagged(cmd, e):
+    """The message of a rejected input e, led by the flag that set its
+    subject: a flag itself when the CLI's own parsing refused it, else the
+    one `_FLAGS` maps the subject to."""
+    subject, flags = getattr(e, "subject", None), _FLAGS.get(cmd, {})
+    flag = subject if str(subject).startswith("--") else flags.get(subject, flags.get(None))
+    return str(e) if flag is None else f"{flag}: {e}"
 
 
 def _error_text(message):
@@ -687,7 +693,7 @@ def _run(args):
         try:
             return args.fn(args)
         except (ValueError, ZeroDivisionError) as e:
-            _write(_error_text(_flagged(args.cmd, str(e))), args)
+            _write(_error_text(_flagged(args.cmd, e)), args)
             return 1
     except _OutError as e:  # the document or the refusal had nowhere to go
         _stdout(_error_text(str(e)))

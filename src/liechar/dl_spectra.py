@@ -35,7 +35,7 @@ from operator import add
 
 from . import _kernels
 from .exact_math import (
-    Cyclotomic, cached, is_prime, jordan_exponent, powers, primitive_element, rref_mod,
+    Cyclotomic, cached, is_prime, jordan_exponent, over_budget, powers, primitive_element, rref_mod,
 )
 from .finite_lie import (
     FiniteLieGroup,
@@ -530,7 +530,7 @@ def character_table_dixon(group) -> CharacterTable:
     """
     n = len(group.elements)
     if n > DIXON_ORDER_BUDGET:
-        raise ValueError(f"group order {n} exceeds the budget DIXON_ORDER_BUDGET = {DIXON_ORDER_BUDGET}")
+        raise over_budget("group", "group order", n, "DIXON_ORDER_BUDGET", DIXON_ORDER_BUDGET)
     cd = conjugacy_classes(group)
     k = cd.count
     idx = cd.index

@@ -2,7 +2,11 @@
 reduction over Q and Z/l, finitely generated abelian groups, cyclotomic
 numbers, the finite fields F_q for odd q <= 16, primes, an element's
 cyclic group and its order, generators and the CRT split of an order,
-and `cached`, the one caching rule. Integer kernels and integer
+`cached`, the one caching rule, and the refusals of an input: `Refusal`, a
+ValueError that carries its subject (the input it refuses, which the CLI
+maps to a flag), and `over_budget`, the one writer of a budget's refusal,
+"{what} {value} exceeds the budget {name} = {limit}", with a value of 10^64
+or more written by its digit count. Integer kernels and integer
 solutions of a matrix are not here: no library code needs them, and the
 tests' oracle builds them from `smith_normal_form`
 (tests/reference_lattice.py)."""
@@ -23,8 +27,9 @@ from .cyclo import (
 )
 from .ffield import FiniteField
 from .primes import is_prime, prime_factors
-from .orders import check_order_limit, jordan_exponent, order_from_multiple, power, powers, primitive_element
+from .orders import jordan_exponent, order_from_multiple, power, powers, primitive_element
 from .cache import cached
+from .refusal import Refusal, over_budget
 
 __all__ = [
     "IntMatrix",
@@ -40,11 +45,12 @@ __all__ = [
     "FiniteField",
     "is_prime",
     "prime_factors",
-    "check_order_limit",
     "jordan_exponent",
     "order_from_multiple",
     "power",
     "powers",
     "primitive_element",
     "cached",
+    "Refusal",
+    "over_budget",
 ]

@@ -31,6 +31,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .primes import prime_factors
+from .refusal import over_budget
 
 # largest conductor reduced modulo Phi_n. The characters of GL2 and SL2 over
 # F_q, q <= 13, have conductors up to 168, and two tables are compared at
@@ -85,7 +86,7 @@ def _reduce_mod_phi(coeffs, n):
     coefficients give integer remainders. A conductor above
     CONDUCTOR_BUDGET is refused before Phi_n or the list is built."""
     if n > CONDUCTOR_BUDGET:
-        raise ValueError(f"conductor {n} exceeds the budget CONDUCTOR_BUDGET = {CONDUCTOR_BUDGET}")
+        raise over_budget(None, "conductor", n, "CONDUCTOR_BUDGET", CONDUCTOR_BUDGET)
     _, deg, low = _phi_terms(n)
     dense = [0] * max(n, deg)
     for e, c in coeffs.items():

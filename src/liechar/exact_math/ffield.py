@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from .orders import powers, primitive_element
 from .primes import is_prime
+from .refusal import over_budget
 
 # largest q: `_kernels` keeps the row and column codes of a 2 x 2 matrix,
 # each below q^2 <= 256, in single bytes
@@ -30,9 +31,10 @@ class FiniteField:
         q = p**f
         # the refusal names the first check that fails, and q is bounded
         # before p's primality is tested
+        if q > MAX_Q:
+            raise over_budget(None, "no field F_q with q = {value}: q exceeds {budget}", q, "MAX_Q", MAX_Q)
         reason = (
-            f"q exceeds MAX_Q = {MAX_Q}" if q > MAX_Q
-            else f"f = {f} is not 1 or 2" if f not in (1, 2)
+            f"f = {f} is not 1 or 2" if f not in (1, 2)
             else f"p = {p} is even" if p % 2 == 0
             else f"p = {p} is not prime" if not is_prime(p)
             else None

@@ -21,6 +21,7 @@ from operator import mul
 
 from .orders import powers
 from .primes import prime_factors
+from .refusal import Refusal
 
 
 class IntMatrix:
@@ -33,7 +34,7 @@ class IntMatrix:
         if rows:
             w = len(rows[0])
             if any(len(r) != w for r in rows):
-                raise ValueError("ragged rows")
+                raise Refusal("ragged", "ragged rows")
         self.rows = rows
 
     @classmethod

@@ -7,17 +7,12 @@ descent from a known multiple of it."""
 from __future__ import annotations
 
 from .primes import prime_factors
+from .refusal import over_budget
 
-ORDER_BUDGET = 10**6  # largest order bound admitted
-
-
-def check_order_limit(limit):
-    """Refuse an order bound limit above ORDER_BUDGET: the one place that
-    raises the budget's error. The bound caps an order search, or the size
-    of an input whose orders are read off a multiple (p^n - 1 for an n x n
-    matrix mod p)."""
-    if limit > ORDER_BUDGET:
-        raise ValueError(f"order bound {limit} exceeds the budget ORDER_BUDGET = {ORDER_BUDGET}")
+# largest order bound admitted: it caps an order search, or the size of an
+# input whose orders are read off a multiple (p^n - 1 for an n x n matrix
+# mod p, refused by `padic.topological_jordan`)
+ORDER_BUDGET = 10**6
 
 
 def powers(mul, identity, x, limit):
@@ -28,7 +23,8 @@ def powers(mul, identity, x, limit):
     any product, and an order past limit raises. The walk takes m - 1
     products; the finite-group layers read every order, power and
     logarithm they step to off it."""
-    check_order_limit(limit)
+    if limit > ORDER_BUDGET:
+        raise over_budget("order", "order bound", limit, "ORDER_BUDGET", ORDER_BUDGET)
     walk, acc = [identity], x
     while acc != identity:
         if len(walk) >= limit:

@@ -3,6 +3,8 @@ division with a fixed bound, so no input makes either run long."""
 
 from __future__ import annotations
 
+from .refusal import over_budget
+
 # Miller-Rabin with the first 13 prime bases is exact below PRIME_BOUND
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_BOUND = 3317044064679887385961981
@@ -11,14 +13,15 @@ TRIAL_BOUND = 10**5  # prime_factors trial-divides by d < TRIAL_BOUND only
 
 def is_prime(n):
     """Exact for n < PRIME_BOUND; a larger n without a small factor is
-    refused with ValueError."""
+    refused, with the subject "primality"."""
     if n < 2:
         return False
     for b in _BASES:
         if n % b == 0:
             return n == b
     if n >= PRIME_BOUND:
-        raise ValueError(f"primality of {n} is decided only below PRIME_BOUND = {PRIME_BOUND}")
+        undecided = "primality of {value} is decided only below {budget}"
+        raise over_budget("primality", undecided, n, "PRIME_BOUND", PRIME_BOUND)
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -45,9 +48,8 @@ def prime_factors(n):
     while d * d <= n:
         if d >= TRIAL_BOUND:
             if not is_prime(n):
-                raise ValueError(
-                    f"{n} has no prime factor below TRIAL_BOUND = {TRIAL_BOUND} and is not prime"
-                )
+                unfactored = "{value} has no prime factor below {budget} and is not prime"
+                raise over_budget(None, unfactored, n, "TRIAL_BOUND", TRIAL_BOUND)
             break
         if n % d == 0:
             out.append(d)

@@ -39,6 +39,7 @@ from itertools import compress
 
 from . import _kernels
 from .exact_math import FiniteField, cached, powers, prime_factors, primitive_element
+from .exact_math.ffield import MAX_Q
 
 _KIND_DATA = {"GL2": 2, "SL2": 1}  # kind: F_q-rank
 _CENTER_ORDER = 2  # |Z(G^sc)|, the center of SL2
@@ -237,10 +238,13 @@ def _adjoint_orbits(g: FiniteLieGroup):
 
 @lru_cache(maxsize=None)
 def build_finite_group(kind, q) -> FiniteLieGroup:
-    """The group GL2 or SL2 over F_q, for an odd prime power q <= 13; one
-    object per (kind, q). Any other kind or q raises ValueError: a kind or
-    a characteristic before a field is built, a q past the field's MAX_Q
-    from `FiniteField`."""
+    """The group GL2 or SL2 over F_q, for an odd prime power q <= MAX_Q =
+    16; one object per (kind, q). Any other kind or q raises ValueError: a q
+    past MAX_Q gets the field's refusal before q is factored, so every such
+    q reads the same text; a kind or a characteristic is refused before a
+    field is built."""
+    if q > MAX_Q:
+        FiniteField(q)  # raises the field's MAX_Q refusal
     primes = prime_factors(q)
     if len(primes) != 1:
         raise ValueError(f"{q} is not a prime power")

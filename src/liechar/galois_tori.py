@@ -15,12 +15,7 @@ from itertools import product
 from math import gcd, lcm
 
 from .exact_math import (
-    Cyclotomic,
-    FinAbGroup,
-    IntMatrix,
-    abelian_subgroup_type,
-    cached,
-    cokernel_group,
+    Cyclotomic, FinAbGroup, IntMatrix, Refusal, abelian_subgroup_type, cached, cokernel_group, over_budget,
 )
 from .root_datum import RANK_BUDGET
 
@@ -48,14 +43,15 @@ class TwistedTorus:
     def __init__(self, rank, frobenius: IntMatrix):
         self.rank = int(rank)
         if self.rank > RANK_BUDGET:
-            raise ValueError(f"frobenius rank {self.rank} exceeds the budget RANK_BUDGET = {RANK_BUDGET}")
+            raise over_budget("frobenius", "frobenius rank", self.rank, "RANK_BUDGET", RANK_BUDGET)
         r, c = frobenius.shape
         if r != self.rank or c != self.rank:
-            raise ValueError("frobenius must be square of the lattice rank")
+            raise Refusal("frobenius", "frobenius must be square of the lattice rank")
         if any(abs(x) > ENTRY_BUDGET for row in frobenius.rows for x in row):
-            raise ValueError(f"frobenius entry exceeds the budget ENTRY_BUDGET = {ENTRY_BUDGET} in absolute value")
+            entry = "frobenius entry exceeds the budget {budget} in absolute value"
+            raise over_budget("frobenius", entry, None, "ENTRY_BUDGET", ENTRY_BUDGET)
         if abs(frobenius.det()) != 1:
-            raise ValueError("frobenius must be unimodular")
+            raise Refusal("frobenius", "frobenius must be unimodular")
         self.frobenius = frobenius
         self.order = self._find_order()
         self.derived = {}
@@ -67,13 +63,10 @@ class TwistedTorus:
             if p == ident:
                 return m
             if abs(sum(p.at(i, i) for i in range(self.rank))) > self.rank:
-                raise ValueError(
-                    f"frobenius has infinite order: |tr F^{m}| exceeds the rank {self.rank}"
-                )
+                infinite = f"frobenius has infinite order: |tr F^{m}| exceeds the rank {self.rank}"
+                raise Refusal("frobenius", infinite)
             p = p * self.frobenius
-        raise ValueError(
-            f"frobenius order exceeds the budget FROBENIUS_ORDER_BUDGET = {FROBENIUS_ORDER_BUDGET}"
-        )
+        raise over_budget("frobenius", "frobenius order", None, "FROBENIUS_ORDER_BUDGET", FROBENIUS_ORDER_BUDGET)
 
 
 class TNPairingData:
@@ -99,15 +92,12 @@ class TNPairingData:
 
     def pairing(self, inv, kappa) -> Cyclotomic:
         d = self.invariant_factors
-        # each message begins with the group whose coordinates it refuses
         for group, coords in (("h1", inv), ("pi0", kappa)):
             if len(coords) != len(d):
-                raise ValueError(
-                    f"{group} coordinate length mismatch: {len(coords)} for {len(d)} factors"
-                )
+                raise Refusal(group, f"{group} coordinate length mismatch: {len(coords)} for {len(d)} factors")
             for x, di in zip(coords, d):
                 if not 0 <= x < di:
-                    raise ValueError(f"{group} coordinate {x} out of range for Z/{di}")
+                    raise Refusal(group, f"{group} coordinate {x} out of range for Z/{di}")
         # each d_i divides n = d_k, so the product of the zeta_(d_i)^(a_i k_i)
         # is one root of unity; lcm() = 1 when there are no factors
         n = lcm(*d)
@@ -155,24 +145,24 @@ def sln_kappa_group(n, m, degrees):
     witness class set. The set is verified to be closed under the group law.
     """
     if n < 1 or m < 1 or n % m:
-        raise ValueError("n must be a multiple of m, with n, m >= 1")
+        raise Refusal("n", "n must be a multiple of m, with n, m >= 1")
     degrees = tuple(int(d) for d in degrees)
     if any(d < 1 for d in degrees):
-        raise ValueError("degrees must be positive")
+        raise Refusal("degrees", "degrees must be positive")
     if sum(degrees) != n // m:
-        raise ValueError("degrees must sum to n/m")
+        raise Refusal("degrees", "degrees must sum to n/m")
     if len(degrees) > BLOCK_BUDGET:
-        raise ValueError(f"degrees block count {len(degrees)} exceeds the budget BLOCK_BUDGET = {BLOCK_BUDGET}")
+        raise over_budget("degrees", "degrees block count", len(degrees), "BLOCK_BUDGET", BLOCK_BUDGET)
     if m ** len(degrees) > TWIST_BUDGET:
-        raise ValueError(f"twist enumeration {m}^{len(degrees)} exceeds the budget TWIST_BUDGET = {TWIST_BUDGET}")
+        twists = f"twist enumeration {{value}}^{len(degrees)} exceeds the budget {{budget}}"
+        raise over_budget("twist", twists, m, "TWIST_BUDGET", TWIST_BUDGET)
 
     if m == 1:
         return FinAbGroup(), [((0,) * len(degrees), ())]
     # before the (n - 1)^2 Frobenius is written down
     if n - 1 > RANK_BUDGET:
-        raise ValueError(
-            f"rank {n - 1} exceeds the budget RANK_BUDGET = {RANK_BUDGET}: SL_n's torus has rank n - 1"
-        )
+        rank = "rank {value} exceeds the budget {budget}: SL_n's torus has rank n - 1"
+        raise over_budget("rank", rank, n - 1, "RANK_BUDGET", RANK_BUDGET)
 
     block_sizes = [m * d for d in degrees]
     f = _block_frobenius_on_sum_zero(n, block_sizes)

@@ -35,7 +35,8 @@ from itertools import product
 from math import lcm
 from operator import mul as _mul
 
-from .exact_math import check_order_limit, is_prime, jordan_exponent, power, prime_factors, rref_mod
+from .exact_math import Refusal, is_prime, jordan_exponent, over_budget, power, prime_factors, rref_mod
+from .exact_math.orders import ORDER_BUDGET
 from .exact_math.primes import PRIME_BOUND
 
 __all__ = [
@@ -52,18 +53,6 @@ __all__ = [
 PRECISION_BUDGET = 64  # largest precision k of a TruncatedMatrix
 
 
-def _k_text(k):
-    """'k = N', or for k of more than PRECISION_BUDGET digits 'k of D
-    digits', since str() refuses an int past 4300 digits. D is the least d
-    with 10^d > k, searched up from (bit length - 1) log10 2 rounded down."""
-    if k < 10**PRECISION_BUDGET:
-        return f"k = {k}"
-    d = (k.bit_length() - 1) * 30102999566 // 10**11
-    while 10**d <= k:
-        d += 1
-    return f"k of {d} digits"
-
-
 class TruncatedMatrix:
     """A square matrix with entries in Z/p^k.
 
@@ -78,18 +67,18 @@ class TruncatedMatrix:
 
     def __init__(self, n, p, k, rows):
         if type(p) is not int or not is_prime(p):
-            raise ValueError("p must be prime")
+            raise Refusal("p", "p must be prime")
         if type(k) is not int or k < 1:
-            raise ValueError("precision must be a positive integer")
+            raise Refusal("precision", "precision must be a positive integer")
         rows = tuple(tuple(r) for r in rows)
         if type(n) is not int or len(rows) != n or any(len(r) != n for r in rows):
-            raise ValueError("rows must form an n x n matrix")
+            raise Refusal("rows", "rows must form an n x n matrix")
         if n < 1:
-            raise ValueError("rows must form an n x n matrix with n >= 1")
+            raise Refusal("rows", "rows must form an n x n matrix with n >= 1")
         if any(type(x) is not int for r in rows for x in r):
             raise ValueError("entries must be integers")
         if k > PRECISION_BUDGET:
-            raise ValueError(f"precision {_k_text(k)} exceeds the budget PRECISION_BUDGET = {PRECISION_BUDGET}")
+            raise over_budget("precision", "precision k =", k, "PRECISION_BUDGET", PRECISION_BUDGET)
         self.n = n
         self.p = p
         self.k = k
@@ -199,9 +188,10 @@ def topological_jordan(gamma: TruncatedMatrix):
     the CLI's order of delta relies on.
     """
     p, n, k = gamma.p, gamma.n, gamma.k
-    check_order_limit(p**n - 1)
+    if p**n - 1 > ORDER_BUDGET:
+        raise over_budget("order", "order bound", p**n - 1, "ORDER_BUDGET", ORDER_BUDGET)
     if not gamma.is_invertible():
-        raise ValueError("gamma is not invertible modulo p")
+        raise Refusal("gamma", "gamma is not invertible modulo p")
     r, e = jordan_exponent(order_multiple(n, p, k), p)
     delta = gamma.pow(e)
     delta_inv = delta.pow(r - 1)
@@ -284,13 +274,13 @@ def quasi_log_bijection_check(kind, p, k):
     if kind not in _QL_DIMS:
         raise ValueError(f"unsupported kind {kind!r}")
     if type(p) is not int or not is_prime(p):
-        raise ValueError("p must be prime")
+        raise Refusal("p", "p must be prime")
     if p == 2:
-        raise ValueError("p = 2 is excluded")
+        raise Refusal("p", "p = 2 is excluded")
     if type(k) is not int or k < 1:
-        raise ValueError("precision must be a positive integer")
+        raise Refusal("precision", "precision must be a positive integer")
     if p ** (k * _QL_DIMS[kind]) > _QL_BUDGET:
-        raise ValueError(f"enumeration {p}^{k * _QL_DIMS[kind]} exceeds the budget _QL_BUDGET = {_QL_BUDGET}")
+        raise over_budget(None, f"enumeration {p}^{k * _QL_DIMS[kind]}", None, "_QL_BUDGET", _QL_BUDGET)
     mod = p**k
     inv2 = pow(2, -1, mod)
     uni, nil = _qlog_sets(kind, p, k)
@@ -361,21 +351,19 @@ def hilbert_symbol(a, b, v):
         b = Fraction(b)
     an, bn = a.numerator, b.numerator
     if an == 0 or bn == 0:
-        raise ValueError("arguments must be nonzero")
+        raise Refusal("arguments", "arguments must be nonzero")
     if v == "inf":
         return -1 if an < 0 and bn < 0 else 1
     if isinstance(v, str):
-        if not v.isdecimal():
-            raise ValueError("place must be a prime or 'inf'")
-        # any script's decimal digits, written as ASCII without leading zeros
-        v = "".join(str(int(c)) for c in v).lstrip("0") or "0"
+        # any script's decimal digits, written as ASCII without leading
+        # zeros; any other text reads as 0, which is no place
+        v = ("".join(str(int(c)) for c in v).lstrip("0") if v.isdecimal() else "") or "0"
         if len(v) > len(str(PRIME_BOUND)):
-            raise ValueError(
-                f"primality of a {len(v)}-digit place is decided only below PRIME_BOUND = {PRIME_BOUND}"
-            )
+            undecided = "primality of a {value}-digit place is decided only below {budget}"
+            raise over_budget("primality", undecided, len(v), "PRIME_BOUND", PRIME_BOUND)
     v = int(v)
     if not is_prime(v):
-        raise ValueError("place must be a prime or 'inf'")
+        raise Refusal("place", "place must be a prime or 'inf'")
     alpha, un, ud = _split_valuation(an, a.denominator, v)
     beta, wn, wd = _split_valuation(bn, b.denominator, v)
     if v == 2:

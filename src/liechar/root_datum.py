@@ -42,7 +42,7 @@ from functools import lru_cache
 from itertools import chain
 from operator import mul
 
-from .exact_math import cached, inverse_rational
+from .exact_math import cached, inverse_rational, over_budget
 
 SERIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -90,10 +90,8 @@ def _packing(n):
 
 
 def _range_error():
-    return ValueError(
-        f"root entry or pairing outside [-{ROOT_ENTRY_BOUND}, {ROOT_ENTRY_BOUND}), "
-        f"ROOT_ENTRY_BOUND = {ROOT_ENTRY_BOUND}"
-    )
+    outside = "root entry or pairing outside [-{limit}, {limit}), {budget}"
+    return over_budget(None, outside, None, "ROOT_ENTRY_BOUND", ROOT_ENTRY_BOUND)
 
 
 def _check_range(vectors):
@@ -165,7 +163,7 @@ def _check_series_rank(series, rank):
     if series not in SERIES:
         raise ValueError(f"unknown series {series!r}")
     if rank > RANK_BUDGET:
-        raise ValueError(f"rank {rank} exceeds the budget RANK_BUDGET = {RANK_BUDGET}")
+        raise over_budget("rank", "rank", rank, "RANK_BUDGET", RANK_BUDGET)
     cartan_matrix(series, rank)  # validates the combination
 
 
@@ -410,7 +408,8 @@ def reflection_closure(gens):
                 new = code - k * step
                 if new not in states:
                     if len(states) == ROOT_BUDGET:
-                        raise ValueError(f"reflection closure exceeds ROOT_BUDGET = {ROOT_BUDGET} roots")
+                        closure = "reflection closure exceeds {budget} roots"
+                        raise over_budget(None, closure, None, "ROOT_BUDGET", ROOT_BUDGET)
                     newco = cocode - coroot[j] * costep
                     if outside(new) or outside(newco):
                         raise _range_error()

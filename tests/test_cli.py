@@ -524,6 +524,11 @@ _PAST_PRIME_BOUND = str(10**30 + 57)  # no prime factor below 43
         ),
         (["chartable", "--group", "SL2", "--q", "17"], "--q: no field F_q with q = 17: q exceeds MAX_Q = 16"),
         (["chartable", "--group", "SL2", "--q", "15"], "--q: 15 is not a prime power"),
+        # q is bounded before it is factored, so no factor of q is named
+        (
+            ["chartable", "--group", "SL2", "--q", str(10**40 + 1)],
+            f"--q: no field F_q with q = {10**40 + 1}: q exceeds MAX_Q = 16",
+        ),
         (
             ["chartable", "--group", "GL2", "--q", "11", "--method", "dixon"],
             "--q, --method: group order 13200 exceeds the budget DIXON_ORDER_BUDGET = 10000",
@@ -600,7 +605,8 @@ _PAST_PRIME_BOUND = str(10**30 + 57)  # no prime factor below 43
         ),
     ],
     ids=[
-        "springer-even-q", "chartable-q-budget", "chartable-q-not-prime-power", "dixon-budget",
+        "springer-even-q", "chartable-q-budget", "chartable-q-not-prime-power", "chartable-q-budget-first",
+        "dixon-budget",
         "tjd-p", "tjd-p-primality", "tjd-k-zero", "tjd-k-cap", "tjd-gamma", "tjd-rows", "tjd-empty", "tjd-order-budget",
         "tjd-order-budget-singular", "tori-h1-ragged", "tori-pair-ragged", "tori-h1-rank", "tori-pair-rank",
         "tori-sln-rank", "tori-frobenius-order",

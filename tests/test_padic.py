@@ -184,10 +184,10 @@ def test_precision_refusal_writes_a_long_k_by_its_digit_count():
     # past 4300 digits, and a message must not
     for k, text in [
         (10**64 - 1, "k = " + "9" * 64),
-        (10**64, "k of 65 digits"),
-        (2**20000, "k of 6021 digits"),
-        (10**5000 - 1, "k of 5000 digits"),
-        (10**5000, "k of 5001 digits"),
+        (10**64, "k = <65 digits>"),
+        (2**20000, "k = <6021 digits>"),
+        (10**5000 - 1, "k = <5000 digits>"),
+        (10**5000, "k = <5001 digits>"),
     ]:
         with pytest.raises(ValueError) as err:
             TruncatedMatrix(1, 3, k, [[2]])
