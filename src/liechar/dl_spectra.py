@@ -405,15 +405,17 @@ def _roots_mod(poly, l):
 
 
 def _generic_element(mats, x, l):
-    """The sparse rows of S = sum_i x^i M_i mod l, M_i = mats[i]."""
-    rows = [{} for _ in mats]
+    """The sparse rows of S = sum_i x^i M_i mod l, M_i = mats[i], summed
+    in dense rows."""
+    k = len(mats)
+    rows = [[0] * k for _ in mats]
     c = 1
     for mat in mats:
         for row, pairs in zip(rows, mat):
             for t, a in pairs:
-                row[t] = row.get(t, 0) + c * a
+                row[t] += c * a
         c = c * x % l
-    return [[(t, a % l) for t, a in row.items() if a % l] for row in rows]
+    return [[(t, a % l) for t, a in enumerate(row) if a % l] for row in rows]
 
 
 def _minimal_polynomial(krylov, l):
@@ -438,10 +440,14 @@ def _split_round(s_rows, blocks, l):
 
     A block is a sum of eigenlines, and B blocks leave at most k - B + 1 to
     any one, so its Krylov vectors w, ..., S^(k - B + 1) w, one
-    _apply_packed per step for all blocks, are dependent, and
-    _minimal_polynomial reads them. A block's shares are one _apply_packed
-    over its Krylov vectors. Raises AssertionError on the first three
-    checks that character_table_dixon lists.
+    _apply_packed per step for all blocks, are dependent. A block with S w
+    = lam w, read off the first step, is taken as it is: its minimal
+    polynomial is x - lam and its one share is w, so a line left by an
+    earlier round costs no row reduction. Of every other block,
+    _minimal_polynomial reads the Krylov vectors, and its shares are one
+    _apply_packed over them. Every share, a taken block too, is then
+    checked to be an eigenvector of S. Raises AssertionError on the first
+    three checks that character_table_dixon lists.
     """
     k, count = len(s_rows), len(blocks)
     steps = [blocks]
@@ -449,6 +455,13 @@ def _split_round(s_rows, blocks, l):
         steps.append(list(zip(*_apply_packed(s_rows, _pack_columns(steps[-1]), count, l))))
     shares, lams = [], []
     for krylov in zip(*steps):
+        w, sw = krylov[0], krylov[1]
+        # lam = (S w)_j / w_j at w's first nonzero coordinate j
+        lam = next((sw[j] * pow(a, -1, l) % l for j, a in enumerate(w) if a), None)
+        if lam is not None and sw == tuple(lam * a % l for a in w):
+            shares.append(w)
+            lams.append(lam)
+            continue
         poly = _minimal_polynomial(krylov, l)
         roots = _roots_mod(poly, l)
         if len(roots) != len(poly) - 1:
@@ -498,13 +511,15 @@ def character_table_dixon(group) -> CharacterTable:
     exponent), the central characters are turned into characters mod l, and
     each value is lifted exactly by discrete Fourier inversion over the
     cyclic group of its class representative. Works for any group of order
-    at most DIXON_ORDER_BUDGET with `elements`, `identity`, `mul`, `inv` and
+    at most DIXON_ORDER_BUDGET with `elements`, `identity`, `mul` and
     `right_products(xs, ys)`, which yields, for each y in ys, the list of
-    the products x y, x in xs.
+    the products x y, x in xs, and whatever `conjugacy_classes` reads of it
+    (`inv` too, unless it is a matrix group). No inverse is taken here.
 
     The class matrices are sparse rows of (t, count) pairs from one
-    right_products call (the inverses of all n elements times the k
-    representatives), applied to many vectors at once (_apply_packed), as
+    right_products call: the members of each class's inverse class, which
+    are the inverses of the class's members, times the k representatives.
+    They are applied to many vectors at once (_apply_packed), as
     are the orthogonality product and the lift's inverse DFTs. Each
     representative's cyclic group is walked once (`exact_math.powers`) and
     read as the classes of its powers: their number is its order, the last
@@ -512,7 +527,8 @@ def character_table_dixon(group) -> CharacterTable:
     Galois orbit of classes: [rep^s], s prime to the order, reuses rep's.
     The eigenlines are split off the identity-class vector e_id by generic
     elements of the class algebra, each block one vector, its share of e_id
-    (_split); every row reduction is rref_mod, one per block and round.
+    (_split); every row reduction is rref_mod, one per block and round
+    that is not already an eigenvector of the round's S.
     Every table passes these checks, each raising AssertionError:
     - each block's Krylov sequence closes within k - B + 2 vectors, B the
       number of blocks;
@@ -544,12 +560,13 @@ def character_table_dixon(group) -> CharacterTable:
 
     # structure matrices, sparse: mats[i][j] lists the pairs (t, c), c > 0
     # the number of x in C_i with x^{-1} * rep_t in C_j, in increasing t.
-    # All x^{-1} * rep_t for one t come from one right_products list, and
+    # The x^{-1} for x in C_i are the members of C_i's inverse class, so
+    # all x^{-1} * rep_t for one t come from one right_products list, and
     # the pair (i, j) of each is counted under the key i k + j.
-    xs = [x for mem in cd.members for x in mem]
-    row_keys = [ci * k for ci, mem in enumerate(cd.members) for _ in mem]
+    inverses = [x for ci in range(k) for x in cd.members[inv_class[ci]]]
+    row_keys = [ci * k for ci in range(k) for _ in cd.members[inv_class[ci]]]
     mats = [[[] for _ in range(k)] for _ in range(k)]
-    for t, prods in enumerate(group.right_products([group.inv(x) for x in xs], cd.reps)):
+    for t, prods in enumerate(group.right_products(inverses, cd.reps)):
         for key, c in Counter(map(add, row_keys, map(idx.__getitem__, prods))).items():
             ci, j = divmod(key, k)
             mats[ci][j].append((t, c))

@@ -216,11 +216,10 @@ def pseudo_levi(g: RootDatum, vertex) -> RootDatum:
     i >= 1 is omega_i^vee / m_i = W / (den m_i), W the integer row i of
     C^-1 over the simple coroots, so a root r is kept iff den m_i divides
     <r, W>; the origin (node 0) keeps every root. The datum's validation
-    proves the kept roots closed under the nodes' reflections, and the
-    root count of `cartan_type` proves them no more than the nodes
-    generate. The rank many nodes are independent (Borel-de Siebenthal),
-    so the datum has full rank; a full-rank check here could only count
-    the nodes it was built with, and is not made."""
+    proves the kept roots closed under the nodes' reflections and the
+    nodes independent (a nonsingular Cartan matrix), so the rank many
+    nodes give the datum full rank, and the root count of `cartan_type`
+    proves the kept roots no more than the nodes generate."""
     _require_simple(g)
     d = dual_datum(g)
     ext = extended_dynkin(d)

@@ -6,7 +6,8 @@ cyclic group and its order, generators and the CRT split of an order,
 ValueError that carries its subject (the input it refuses, which the CLI
 maps to a flag), and `over_budget`, the one writer of a budget's refusal,
 "{what} {value} exceeds the budget {name} = {limit}", with a value of 10^64
-or more written by its digit count. Integer kernels and integer
+or more written by its digit count (`int_text`, which the other refusals
+that write an unbounded int use as well). Integer kernels and integer
 solutions of a matrix are not here: no library code needs them, and the
 tests' oracle builds them from `smith_normal_form`
 (tests/reference_lattice.py)."""
@@ -29,7 +30,7 @@ from .ffield import FiniteField
 from .primes import is_prime, prime_factors
 from .orders import jordan_exponent, order_from_multiple, power, powers, primitive_element
 from .cache import cached
-from .refusal import Refusal, over_budget
+from .refusal import Refusal, int_text, over_budget
 
 __all__ = [
     "IntMatrix",
@@ -53,4 +54,5 @@ __all__ = [
     "cached",
     "Refusal",
     "over_budget",
+    "int_text",
 ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .orders import powers, primitive_element
 from .primes import is_prime
-from .refusal import over_budget
+from .refusal import int_text, over_budget
 
 # largest q: `_kernels` keeps the row and column codes of a 2 x 2 matrix,
 # each below q^2 <= 256, in single bytes
@@ -26,8 +26,10 @@ MAX_Q = 16
 class FiniteField:
     def __init__(self, p, f=1):
         p, f = int(p), int(f)
-        if not 0 < f <= MAX_Q:  # so that p^f is cheap to compute and print
-            raise ValueError(f"no field F_q with q = {p}^{f}: f = {f} is not 1 or 2")
+        # every refusal writes p, f and q by int_text, so an int past 4300
+        # digits is refused like any other
+        if not 0 < f <= MAX_Q:  # so that p^f is cheap to compute
+            raise ValueError(f"no field F_q with q = {int_text(p)}^{int_text(f)}: f = {int_text(f)} is not 1 or 2")
         q = p**f
         # the refusal names the first check that fails, and q is bounded
         # before p's primality is tested
@@ -35,12 +37,12 @@ class FiniteField:
             raise over_budget(None, "no field F_q with q = {value}: q exceeds {budget}", q, "MAX_Q", MAX_Q)
         reason = (
             f"f = {f} is not 1 or 2" if f not in (1, 2)
-            else f"p = {p} is even" if p % 2 == 0
-            else f"p = {p} is not prime" if not is_prime(p)
+            else f"p = {int_text(p)} is even" if p % 2 == 0
+            else f"p = {int_text(p)} is not prime" if not is_prime(p)
             else None
         )
         if reason:
-            raise ValueError(f"no field F_q with q = {q}: {reason}")
+            raise ValueError(f"no field F_q with q = {int_text(q)}: {reason}")
         self.p, self.f, self.q = p, f, q
         # x^2 = r in F_p[x]/(x^2 - r)
         self._r = next(x for x in range(p) if pow(x, (p - 1) // 2, p) == p - 1)

@@ -35,7 +35,7 @@ from itertools import product
 from math import lcm
 from operator import mul as _mul
 
-from .exact_math import Refusal, is_prime, jordan_exponent, over_budget, power, prime_factors, rref_mod
+from .exact_math import Refusal, int_text, is_prime, jordan_exponent, over_budget, power, prime_factors, rref_mod
 from .exact_math.orders import ORDER_BUDGET
 from .exact_math.primes import PRIME_BOUND
 
@@ -279,8 +279,11 @@ def quasi_log_bijection_check(kind, p, k):
         raise Refusal("p", "p = 2 is excluded")
     if type(k) is not int or k < 1:
         raise Refusal("precision", "precision must be a positive integer")
-    if p ** (k * _QL_DIMS[kind]) > _QL_BUDGET:
-        raise over_budget(None, f"enumeration {p}^{k * _QL_DIMS[kind]}", None, "_QL_BUDGET", _QL_BUDGET)
+    e = k * _QL_DIMS[kind]
+    # p >= 3, so an exponent of 15 or more is past the budget (3^15 > 10^7):
+    # the power is formed only below that
+    if e >= 15 or p**e > _QL_BUDGET:
+        raise over_budget(None, f"enumeration {p}^{int_text(e)}", None, "_QL_BUDGET", _QL_BUDGET)
     mod = p**k
     inv2 = pow(2, -1, mod)
     uni, nil = _qlog_sets(kind, p, k)

@@ -103,6 +103,30 @@ def _check_range(vectors):
         raise _range_error()
 
 
+def _nonsingular(rows):
+    """Whether a square integer matrix, a list of its rows that this call
+    consumes, has a nonzero determinant, decided exactly by fraction-free
+    (Bareiss) elimination from the last column: after each step every entry
+    is a minor of the matrix with its rows permuted, so each division by the
+    last pivot is exact and no entry grows past Hadamard's bound."""
+    last = 1
+    while rows:
+        for k, pivot in enumerate(rows):
+            if pivot[-1]:
+                break
+        else:
+            return False
+        del rows[k]
+        p = pivot.pop()
+        rows = [
+            [(p * x - a * y) // last for x, y in zip(row, pivot)] if (a := row.pop())
+            else [p * x // last for x in row]
+            for row in rows
+        ]
+        last = p
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Cartan matrices, Bourbaki numbering
 
@@ -212,6 +236,8 @@ class RootDatum:
         for i in self.simple_indices:
             if not 0 <= i < len(self.roots):
                 raise ValueError("bad simple index")
+        if len(set(self.simple_indices)) != len(self.simple_indices):
+            raise ValueError("repeated simple index")
         # reflections through simple roots must permute the roots. The
         # pairings of all roots with one simple coroot come from one packed
         # sum over the columns of the roots; |pairing| <= rank 2^14 decodes
@@ -224,6 +250,10 @@ class RootDatum:
         cols = [pack(col) - bias for col in zip(*self.roots)]
         pairings = [unpack(sum(map(mul, av, cols)) + bias) for av in simple_cov]
         _check_range(pairings)
+        # the simple roots are independent: the Cartan matrix, entry (i, j)
+        # = <alpha_j, alpha_i^vee>, is nonsingular
+        if not _nonsingular([[ks[j] for j in self.simple_indices] for ks in pairings]):
+            raise ValueError("simple roots are linearly dependent: the Cartan matrix is singular")
         bias, pack, _, _ = _packing(n)
         codes = [pack(b) - bias for b in self.roots]  # P(b)
         codeset = set(codes)
@@ -246,7 +276,8 @@ class RootDatum:
 
     def is_semisimple(self):
         """Whether the roots span X over Q. The simple roots are a basis of
-        that span, so this is their count against the rank."""
+        that span (validation checks that they are independent), so this is
+        their count against the rank."""
         return len(self.simple_indices) == self.rank
 
     def coroot_of(self, root):

@@ -225,6 +225,110 @@ def test_one_round_keeps_a_repeated_eigenvalue_as_one_share(l):
         _split_round([[(1, 1)], [(0, 1)]], [[1, 0], [0, 1]], l)
 
 
+def _counted(monkeypatch, name):
+    """The calls of dl_spectra's `name`, counted as they run."""
+    calls = []
+    f = getattr(dl_spectra, name)
+
+    def counted(*args):
+        calls.append(1)
+        return f(*args)
+
+    monkeypatch.setattr(dl_spectra, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("l", [13, 101])
+def test_a_block_is_taken_as_its_own_share_only_when_s_w_is_lam_w(monkeypatch, l):
+    """A block w with S w = lam w (read off the first Krylov step) is its
+    own share, with no row reduction; every other block is split as
+    before. The round of x = 3 gets the lines (2,) and (3,) and the block
+    (0, 1), which it splits with one minimal polynomial."""
+    omegas = [[1, 0, 0, 0], [1, 2, -1, 0], [1, 1, 0, 0], [1, 0, 1, 0]]
+    mats = _planted_algebra(omegas, _P, l)
+    shares = _split_round(_generic_element(mats, 2, l), [[1, 0, 0, 0]], l)
+    polys, reductions = _counted(monkeypatch, "_minimal_polynomial"), _counted(monkeypatch, "rref_mod")
+    lines = _split_round(_generic_element(mats, 3, l), shares, l)
+    assert (len(polys), len(reductions)) == (1, 1)
+    assert _eigen_support(_P, lines, l) == [(0,), (1,), (2,), (3,)]
+    # the two lines come back as they went in
+    kept = [v for v in shares if len(_eigen_support(_P, [v], l)[0]) == 1]
+    assert len(kept) == 2 and all(v in lines for v in kept)
+    # a round in which no block is a line reduces every block
+    polys.clear()
+    _split_round(_generic_element(mats, 2, l), [[1, 0, 0, 0]], l)
+    assert len(polys) == 1
+
+
+def test_generic_element_is_the_sum_of_the_class_matrices(monkeypatch):
+    """S = sum_i x^i M_i mod l, summed here densely from GL2(F_5)'s class
+    matrices, against `_generic_element`'s sparse rows: every nonzero
+    entry listed once, in [1, l), and no other."""
+    mats = _class_matrices(monkeypatch, build_finite_group("GL2", 5))
+    k = len(mats)
+    for x, l in ((2, 101), (3, 101), (25, 4001)):
+        want = [[0] * k for _ in range(k)]
+        for i, mat in enumerate(mats):
+            for r, pairs in enumerate(mat):
+                for t, c in pairs:
+                    want[r][t] = (want[r][t] + pow(x, i, l) * c) % l
+        rows = _generic_element(mats, x, l)
+        assert all(0 < a < l for row in rows for _, a in row)
+        assert [[dict(row).get(t, 0) for t in range(k)] for row in rows] == want
+        assert all(len(dict(row)) == len(row) for row in rows)
+
+
+def _class_matrices(monkeypatch, g):
+    """The class matrices character_table_dixon builds for g, read off its
+    call of `_split`."""
+    seen = []
+    split = dl_spectra._split
+
+    def spy(mats, id_idx, l):
+        seen.append(mats)
+        return split(mats, id_idx, l)
+
+    monkeypatch.setattr(dl_spectra, "_split", spy)
+    character_table_dixon(g)
+    monkeypatch.setattr(dl_spectra, "_split", split)
+    return seen[0]
+
+
+def test_dixon_structure_constants_count_inverses_of_the_class(monkeypatch):
+    """mats[i][j] lists (t, c), c the number of x in C_i with x^-1 rep_t in
+    C_j. The table takes the x^-1 from C_i's inverse class; here they are
+    the inverses of C_i's members, taken one by one. GL2(F_5) has classes
+    that are not their own inverse class, so the two differ unless the
+    inverse class is used."""
+    g = build_finite_group("GL2", 5)
+    cd = conjugacy_classes(g)
+    assert any(cd.class_of(g.inv(r)) != ci for ci, r in enumerate(cd.reps))
+    counts = Counter(
+        (ci, cd.class_of(g.mul(g.inv(x), rep)), t)
+        for ci, mem in enumerate(cd.members) for x in mem for t, rep in enumerate(cd.reps)
+    )
+    want = [[[] for _ in range(cd.count)] for _ in range(cd.count)]
+    for (ci, j, t), c in sorted(counts.items()):
+        want[ci][j].append((t, c))
+    assert _class_matrices(monkeypatch, g) == want
+
+
+def test_dixon_takes_no_inverse_of_a_matrix_group_with_its_classes(monkeypatch):
+    """The classes of a matrix group come from its conjugation orbits, and
+    the table from products alone: a GL2(F_5) whose inv raises once its
+    classes are cached gets the same table."""
+    want = character_table_dixon(build_finite_group("GL2", 5))
+    g = FiniteLieGroup("GL2", FiniteField(5))
+    conjugacy_classes(g)
+
+    def inv(a):
+        raise AssertionError("inv called")
+
+    monkeypatch.setattr(g, "inv", inv)
+    got = character_table_dixon(g)
+    assert [row.values for row in got.rows] == [row.values for row in want.rows]
+
+
 def _rounds(monkeypatch, constant=None):
     """The points x of the split's rounds, recorded as they run; with a
     constant, every round uses it instead."""

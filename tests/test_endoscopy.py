@@ -276,6 +276,33 @@ def test_pseudo_levi_full_rank():
             assert sub.rank == rank
 
 
+def test_pseudo_levi_refuses_a_planted_dependent_node_set():
+    """The last node of every pseudo-Levi of every admitted datum past A1
+    (whose one node is the first and the last) replaced by the first node,
+    and by its negative: the datum's validation refuses each. The root
+    count of `cartan_type`, once the only refusal left, passes some of both
+    plants."""
+    missed = [0, 0]
+    for series, rank in [t for t in ADMITTED if t != ("A", 1)]:
+        for isogeny in ("sc", "ad"):
+            g = build_root_datum(series, rank, isogeny)
+            for vertex in range(rank + 1):
+                sub = pseudo_levi(g, vertex)
+                nodes = list(sub.simple_indices)
+                minus = sub.roots.index(tuple(-x for x in sub.roots[nodes[0]]))
+                for plant, last in enumerate((nodes[0], minus)):
+                    planted = nodes[:-1] + [last]
+                    with pytest.raises(ValueError, match="simple index|linearly dependent"):
+                        RootDatum(sub.rank, sub.roots, sub.coroots, planted)
+                    unchecked = RootDatum(sub.rank, sub.roots, sub.coroots, planted, validate=False)
+                    try:
+                        unchecked.cartan_type()
+                    except ValueError:
+                        continue
+                    missed[plant] += 1
+    assert missed[0] > 0 and missed[1] > 0
+
+
 def test_pseudo_levi_bad_vertex():
     with pytest.raises(ValueError, match="out of range"):
         pseudo_levi(_sc("A", 2), 9)

@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -447,6 +448,14 @@ def test_qlog_guards():
         quasi_log_bijection_check("GL2", 3, 4)
     with pytest.raises(ValueError):
         quasi_log_bijection_check("E8", 3, 1)
+    # p >= 3, so an exponent k dim of 15 or more is refused before p^(k dim)
+    # is formed (3^(3 10^7) took 14 s), and an exponent of 10^64 or more is
+    # written by its digit count
+    for k, exponent in ((5, "15"), (10**7, "30000000"), (10**5000, "<5001 digits>")):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"^enumeration 3\^{exponent} exceeds the budget _QL_BUDGET = 10000000$"):
+            quasi_log_bijection_check("SL2", 3, k)
+        assert time.perf_counter() - start < 1
     # Z/p^0 is no ring, and a negative, fractional or bool precision is no
     # precision: each is refused with the constructor's text, before the
     # budget is computed from it

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from liechar import cli
-from liechar.exact_math import FiniteField, IntMatrix, Refusal, is_prime, over_budget, powers
+from liechar.exact_math import FiniteField, IntMatrix, Refusal, int_text, is_prime, over_budget, powers
 from liechar.finite_lie import build_finite_group
 from liechar.galois_tori import TwistedTorus, sln_kappa_group
 from liechar.root_datum import build_root_datum
@@ -53,6 +53,32 @@ def test_a_huge_value_is_refused_by_its_budget_by_name(call, budget):
     text = str(info.value)
     assert budget in text and "4300" not in text
     assert "<5001 digits>" in text
+
+
+@pytest.mark.parametrize(
+    "args,text",
+    [
+        ((HUGE, 20), "no field F_q with q = <5001 digits>^20: f = 20 is not 1 or 2"),
+        ((3, HUGE), "no field F_q with q = 3^<5001 digits>: f = <5001 digits> is not 1 or 2"),
+        ((-HUGE - 1,), "no field F_q with q = -<5001 digits>: p = -<5001 digits> is not prime"),
+    ],
+    ids=["field-p-with-f-past-max", "field-f", "field-negative-p"],
+)
+def test_a_huge_field_input_is_refused_with_its_digit_count(args, text):
+    """The field's refusals that are not its budget's write p, f and q as
+    the writer does, by `int_text`."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as info:
+        FiniteField(*args)
+    assert time.perf_counter() - start < 1
+    assert str(info.value) == text
+
+
+def test_int_text_writes_a_value_past_10_to_the_64_by_its_digit_count():
+    below = 10**64 - 1
+    assert (int_text(below), int_text(-below)) == (str(below), str(-below))
+    assert (int_text(10**64), int_text(-(10**64))) == ("<65 digits>", "-<65 digits>")
+    assert (int_text(HUGE - 1), int_text(-HUGE)) == ("<5000 digits>", "-<5001 digits>")
 
 
 def test_over_budget_writes_the_one_wording():

@@ -275,6 +275,53 @@ ADMITTED = [
 ]
 
 
+def test_dependent_simple_roots_are_refused():
+    """Simple roots must be distinct and independent: the Cartan matrix is
+    nonsingular. A repeated one reads [[2, 2], [2, 2]], which the root count
+    of `cartan_type` takes for A2."""
+    a2 = build_root_datum("A", 2, "sc")
+    i, j = a2.simple_indices
+    with pytest.raises(ValueError, match="^repeated simple index$"):
+        RootDatum(2, a2.roots, a2.coroots, [i, i])
+    assert RootDatum(2, a2.roots, a2.coroots, [i, i], validate=False).cartan_type() == "A2"
+    dependent = "^simple roots are linearly dependent: the Cartan matrix is singular$"
+    # alpha1, alpha2 and alpha1 + alpha2: three distinct roots in rank 2
+    both = a2.roots.index(tuple(x + y for x, y in zip(a2.roots[i], a2.roots[j])))
+    with pytest.raises(ValueError, match=dependent):
+        RootDatum(2, a2.roots, a2.coroots, [i, j, both])
+    # alpha1 and its negative
+    minus = a2.roots.index(tuple(-x for x in a2.roots[i]))
+    with pytest.raises(ValueError, match=dependent):
+        RootDatum(2, a2.roots, a2.coroots, [i, minus])
+    # as many simple roots as the rank: alpha1, alpha2, alpha1 + alpha2 in A3
+    a3 = build_root_datum("A", 3, "sc")
+    i, j, _ = a3.simple_indices
+    both = a3.roots.index(tuple(x + y for x, y in zip(a3.roots[i], a3.roots[j])))
+    with pytest.raises(ValueError, match=dependent):
+        RootDatum(3, a3.roots, a3.coroots, [i, j, both])
+    # every admitted datum's own simple roots pass
+    for series, rank in ADMITTED:
+        for isogeny in ("sc", "ad"):
+            d = build_root_datum(series, rank, isogeny)
+            RootDatum(d.rank, d.roots, d.coroots, d.simple_indices)
+
+
+def test_nonsingular_matches_the_rank_of_the_rows():
+    """Bareiss elimination against the reference rank, on random small
+    integer matrices up to 8 x 8, about a third of them with a last row
+    that combines two earlier ones, with entries at the edges of the packed
+    range too."""
+    rng = random.Random(44)
+    entries = (0, 0, 0, 1, -1, 2, -2, -3, ROOT_ENTRY_BOUND - 1, -ROOT_ENTRY_BOUND)
+    for _ in range(600):
+        n = rng.randrange(9)
+        rows = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            a, b = rng.randrange(-2, 3), rng.randrange(-2, 3)
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[(n - 1) // 2])]
+        assert root_datum._nonsingular([r[:] for r in rows]) == (rank_of_span(rows, n) == n)
+
+
 def test_build_root_datum_is_one_object_per_input():
     for series, rank in ADMITTED:
         sc, ad = (build_root_datum(series, rank, isog) for isog in ("sc", "ad"))
