@@ -280,9 +280,9 @@ def quasi_log_bijection_check(kind, p, k):
     if type(k) is not int or k < 1:
         raise Refusal("precision", "precision must be a positive integer")
     e = k * _QL_DIMS[kind]
-    # p >= 3, so an exponent of 15 or more is past the budget (3^15 > 10^7):
-    # the power is formed only below that
-    if e >= 15 or p**e > _QL_BUDGET:
+    # p > 2, so p^e > 2^e > _QL_BUDGET once e reaches the budget's bit
+    # length: the power is formed only below that
+    if e >= _QL_BUDGET.bit_length() or p**e > _QL_BUDGET:
         raise over_budget(None, f"enumeration {p}^{int_text(e)}", None, "_QL_BUDGET", _QL_BUDGET)
     mod = p**k
     inv2 = pow(2, -1, mod)

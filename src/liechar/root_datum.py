@@ -43,6 +43,7 @@ from itertools import chain
 from operator import mul
 
 from .exact_math import cached, inverse_rational, over_budget
+from .exact_math.intmat import _gauss_jordan
 
 SERIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -101,30 +102,6 @@ def _check_range(vectors):
     entries = list(chain.from_iterable(vectors))
     if entries and (max(entries) >= ROOT_ENTRY_BOUND or min(entries) < -ROOT_ENTRY_BOUND):
         raise _range_error()
-
-
-def _nonsingular(rows):
-    """Whether a square integer matrix, a list of its rows that this call
-    consumes, has a nonzero determinant, decided exactly by fraction-free
-    (Bareiss) elimination from the last column: after each step every entry
-    is a minor of the matrix with its rows permuted, so each division by the
-    last pivot is exact and no entry grows past Hadamard's bound."""
-    last = 1
-    while rows:
-        for k, pivot in enumerate(rows):
-            if pivot[-1]:
-                break
-        else:
-            return False
-        del rows[k]
-        p = pivot.pop()
-        rows = [
-            [(p * x - a * y) // last for x, y in zip(row, pivot)] if (a := row.pop())
-            else [p * x // last for x in row]
-            for row in rows
-        ]
-        last = p
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +213,6 @@ class RootDatum:
         for i in self.simple_indices:
             if not 0 <= i < len(self.roots):
                 raise ValueError("bad simple index")
-        if len(set(self.simple_indices)) != len(self.simple_indices):
-            raise ValueError("repeated simple index")
         # reflections through simple roots must permute the roots. The
         # pairings of all roots with one simple coroot come from one packed
         # sum over the columns of the roots; |pairing| <= rank 2^14 decodes
@@ -250,10 +225,12 @@ class RootDatum:
         cols = [pack(col) - bias for col in zip(*self.roots)]
         pairings = [unpack(sum(map(mul, av, cols)) + bias) for av in simple_cov]
         _check_range(pairings)
-        # the simple roots are independent: the Cartan matrix, entry (i, j)
-        # = <alpha_j, alpha_i^vee>, is nonsingular
-        if not _nonsingular([[ks[j] for j in self.simple_indices] for ks in pairings]):
-            raise ValueError("simple roots are linearly dependent: the Cartan matrix is singular")
+        # the simple roots are distinct and independent: the Cartan matrix,
+        # entry (i, j) = <alpha_j, alpha_i^vee>, is nonsingular
+        try:
+            _gauss_jordan([[ks[j] for j in self.simple_indices] for ks in pairings], len(pairings))
+        except ValueError:
+            raise ValueError("simple roots are linearly dependent: the Cartan matrix is singular") from None
         bias, pack, _, _ = _packing(n)
         codes = [pack(b) - bias for b in self.roots]  # P(b)
         codeset = set(codes)

@@ -292,7 +292,7 @@ def test_pseudo_levi_refuses_a_planted_dependent_node_set():
                 minus = sub.roots.index(tuple(-x for x in sub.roots[nodes[0]]))
                 for plant, last in enumerate((nodes[0], minus)):
                     planted = nodes[:-1] + [last]
-                    with pytest.raises(ValueError, match="simple index|linearly dependent"):
+                    with pytest.raises(ValueError, match="linearly dependent"):
                         RootDatum(sub.rank, sub.roots, sub.coroots, planted)
                     unchecked = RootDatum(sub.rank, sub.roots, sub.coroots, planted, validate=False)
                     try:

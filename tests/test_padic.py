@@ -448,9 +448,9 @@ def test_qlog_guards():
         quasi_log_bijection_check("GL2", 3, 4)
     with pytest.raises(ValueError):
         quasi_log_bijection_check("E8", 3, 1)
-    # p >= 3, so an exponent k dim of 15 or more is refused before p^(k dim)
-    # is formed (3^(3 10^7) took 14 s), and an exponent of 10^64 or more is
-    # written by its digit count
+    # p > 2, so an exponent k dim at the budget's bit length or past it is
+    # refused before p^(k dim) is formed (3^(3 10^7) took 14 s), and an
+    # exponent of 10^64 or more is written by its digit count
     for k, exponent in ((5, "15"), (10**7, "30000000"), (10**5000, "<5001 digits>")):
         start = time.perf_counter()
         with pytest.raises(ValueError, match=rf"^enumeration 3\^{exponent} exceeds the budget _QL_BUDGET = 10000000$"):
