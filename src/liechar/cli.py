@@ -79,11 +79,11 @@ from .padic import (
 )
 from .root_datum import RANK_BUDGET, build_root_datum
 
-_TYPE_RE = re.compile(r"^([A-G])(\d+)$")
+_TYPE_RE = re.compile(r"([A-G])([0-9]+)")
 
 
 def _parse_type(s):
-    m = _TYPE_RE.match(s)
+    m = _TYPE_RE.fullmatch(s)
     if not m:
         raise ValueError(f"bad type {s!r}; expected e.g. A3, C2, E6")
     # measured before int(), which refuses past 4300 digits, leading zeros

@@ -215,11 +215,12 @@ def pseudo_levi(g: RootDatum, vertex) -> RootDatum:
     roots by the integrality rule of `_kappa_pairings`. The vertex of node
     i >= 1 is omega_i^vee / m_i = W / (den m_i), W the integer row i of
     C^-1 over the simple coroots, so a root r is kept iff den m_i divides
-    <r, W>; the origin (node 0) keeps every root. The datum's validation
-    proves the kept roots closed under the nodes' reflections and the
-    nodes independent (a nonsingular Cartan matrix), so the rank many
-    nodes give the datum full rank, and the root count of `cartan_type`
-    proves the kept roots no more than the nodes generate."""
+    <r, W>. The origin (node 0) keeps every root with the simple roots
+    as its nodes, so its pseudo-Levi is the dual itself, H = G. Elsewhere
+    the datum's validation proves the kept roots closed under the nodes'
+    reflections and the nodes independent (a nonsingular Cartan matrix),
+    so the rank many nodes give the datum full rank, and the root count of
+    `cartan_type` proves the kept roots no more than the nodes generate."""
     _require_simple(g)
     d = dual_datum(g)
     ext = extended_dynkin(d)
@@ -227,12 +228,11 @@ def pseudo_levi(g: RootDatum, vertex) -> RootDatum:
         raise ValueError(f"vertex {vertex!r} is not an int")
     if not 0 <= vertex < ext.n_nodes:
         raise ValueError(f"vertex {vertex} out of range for {ext.n_nodes} nodes")
-    if vertex:
-        den, inv = d._cartan_inverse()
-        w = [_dot(inv[vertex - 1], col) for col in zip(*d.simple_coroots)]
-        pairs, _ = _kappa_pairings(d, den * ext.marks[vertex], w)
-    else:
-        pairs = list(zip(d.roots, d.coroots))
+    if not vertex:
+        return d
+    den, inv = d._cartan_inverse()
+    w = [_dot(inv[vertex - 1], col) for col in zip(*d.simple_coroots)]
+    pairs, _ = _kappa_pairings(d, den * ext.marks[vertex], w)
     position = {pair: k for k, pair in enumerate(sorted(pairs))}
     nodes = list(zip(ext.node_vectors, ext.node_coroots))
     del nodes[vertex]

@@ -125,7 +125,7 @@ def cartan_matrix(series, rank):
         if n < 2:
             raise ValueError("C_n needs rank >= 2")
         pairs = [(i, i + 1) for i in range(n - 1)]
-        special = {(n - 2, n - 1): -2}  # alpha_n long: <alpha_n, alpha_{n-1}^vee> = -1 ... transpose of B
+        special = {(n - 2, n - 1): -2}  # alpha_n long: <alpha_n, alpha_{n-1}^vee> = -2, the transpose of B
     elif series == "D":
         if n < 3:
             raise ValueError("D_n needs rank >= 3")
@@ -185,7 +185,15 @@ class RootDatum:
     datum, never one per query point. Semisimplicity is not cached: it is
     read off the simple system, a basis of the span of the roots, which
     every datum is built with (the registry, the dual,
-    `sub_datum_from_pairs` and `endoscopy.pseudo_levi`).
+    `sub_datum_from_pairs` and `endoscopy.pseudo_levi`). Each of them lists
+    the roots in sorted order, so two data built from the same (root,
+    coroot) pairs and simple roots are equal field for field, and the
+    origin's pseudo-Levi can be the dual itself.
+
+    Validation proves <beta, beta^vee> = 2 for every pair, the simple
+    roots independent and the roots closed under their reflections. The
+    library skips it for the empty datum and for the dual; the tests
+    validate the dual of every admitted datum.
 
     `build_root_datum` returns one object per (series, rank, isogeny), shared
     by every caller in the process, so a datum and what it derives must not
@@ -216,15 +224,17 @@ class RootDatum:
         # reflections through simple roots must permute the roots. The
         # pairings of all roots with one simple coroot come from one packed
         # sum over the columns of the roots; |pairing| <= rank 2^14 decodes
-        # exactly below rank 2^17
+        # exactly below rank 2^17, and each sum is range-checked packed
         n, simple_cov = self.rank, self.simple_coroots
         _check_range(self.roots + simple_cov)
         if n * ROOT_ENTRY_BOUND**2 >= _HALF:
             raise ValueError(f"rank {n} beyond the packed range, rank < 2^17")
-        bias, pack, unpack, _ = _packing(len(self.roots))
+        bias, pack, unpack, outside = _packing(len(self.roots))
         cols = [pack(col) - bias for col in zip(*self.roots)]
-        pairings = [unpack(sum(map(mul, av, cols)) + bias) for av in simple_cov]
-        _check_range(pairings)
+        sums = [sum(map(mul, av, cols)) + bias for av in simple_cov]
+        if any(map(outside, sums)):
+            raise _range_error()
+        pairings = list(map(unpack, sums))
         # the simple roots are distinct and independent: the Cartan matrix,
         # entry (i, j) = <alpha_j, alpha_i^vee>, is nonsingular
         try:
@@ -236,10 +246,8 @@ class RootDatum:
         codeset = set(codes)
         for i, ks in zip(self.simple_indices, pairings):
             step = codes[i]
-            for code, k in zip(codes, ks):
-                # k = 0: the reflection fixes b
-                if k and code - k * step not in codeset:
-                    raise ValueError("root set not reflection-closed")
+            if not codeset.issuperset([code - k * step for code, k in zip(codes, ks)]):
+                raise ValueError("root set not reflection-closed")
 
     # -- basic accessors
 
@@ -467,7 +475,13 @@ def _build_dual(d: RootDatum) -> RootDatum:
     if d.label:
         series, rank, isog = d.label
         label = (_DUAL_SERIES[series], rank, _DUAL_ISOGENY[isog])
-    dual = RootDatum(d.rank, d.coroots, d.roots, d.simple_indices, label=label, validate=False)
+    # the dual's roots are d's coroots, listed in sorted order like every
+    # datum's roots, and its simple indices follow them
+    pairs = sorted(zip(d.coroots, d.roots))
+    roots = [root for root, _ in pairs]
+    simple = [roots.index(d.coroots[i]) for i in d.simple_indices]
+    coroots = [coroot for _, coroot in pairs]
+    dual = RootDatum(d.rank, roots, coroots, simple, label=label, validate=False)
     cached(dual, "dual", lambda _: d)  # the link back
     return dual
 

@@ -597,6 +597,11 @@ _PAST_PRIME_BOUND = str(10**30 + 57)  # no prime factor below 43
             "--type: rank of 5000 digits exceeds the budget RANK_BUDGET = 8",
         ),
         (["endoscopy", "enumerate", "--type", "E5"], "--type: E_n needs rank 6, 7 or 8"),
+        # no trailing newline, and ASCII digits only (fullwidth 3, Arabic-Indic 8)
+        *(
+            (["endoscopy", "enumerate", "--type", bad], f"--type: bad type {bad!r}; expected e.g. A3, C2, E6")
+            for bad in ("A2\n", "B\uff13", "E\u0668")
+        ),
         (["endoscopy", "enumerate", "--type", "G3"], "--type: G_2 only"),
         (["endoscopy", "estimate", "--type", "A3"], "--type: type A is excluded from the estimate check"),
         (
@@ -612,7 +617,8 @@ _PAST_PRIME_BOUND = str(10**30 + 57)  # no prime factor below 43
         "tori-sln-rank", "tori-frobenius-order",
         "hilbert-zero", "hilbert-place", "hilbert-place-not-numeric", "hilbert-place-primality",
         "hilbert-place-past-int-limit", "hilbert-place-at-prime-bound", "endoscopy-rank-cap",
-        "endoscopy-rank-digits", "endoscopy-e5", "endoscopy-g3",
+        "endoscopy-rank-digits", "endoscopy-e5", "endoscopy-type-newline", "endoscopy-type-fullwidth-digit",
+        "endoscopy-type-arabic-indic-digit", "endoscopy-g3",
         "endoscopy-estimate-a", "endoscopy-kappa-length",
     ],
 )

@@ -313,6 +313,40 @@ def test_pseudo_levi_bad_vertex():
             pseudo_levi(_sc("B", 3), vertex)
 
 
+def test_origin_pseudo_levi_is_the_dual_and_passes_validation():
+    """Deleting the affine node leaves the whole dual, so the origin's
+    pseudo-Levi is the dual object itself, with sorted roots like every
+    datum. The dual is built unvalidated; a validated copy accepts it, the
+    only check the F4 and G2 duals get, since they equal no registry datum."""
+    for series, rank in ADMITTED:
+        for isogeny in ("sc", "ad"):
+            g = build_root_datum(series, rank, isogeny)
+            d = dual_datum(g)
+            assert pseudo_levi(g, 0) is d
+            assert list(d.roots) == sorted(d.roots)
+            RootDatum(d.rank, d.roots, d.coroots, d.simple_indices)
+
+
+def test_no_datum_is_validated_twice(monkeypatch):
+    """Every admitted datum in both isogenies, built outside the registry so
+    that nothing is cached yet, then enumerated, all in one process: each
+    (rank, roots, coroots, simple indices) is validated once."""
+    seen = []
+    validate = RootDatum._validate
+
+    def counted(d):
+        seen.append((d.rank, d.roots, d.coroots, d.simple_indices))
+        validate(d)
+
+    monkeypatch.setattr(RootDatum, "_validate", counted)
+    data = [build_root_datum.__wrapped__(s, r, isogeny) for s, r in ADMITTED for isogeny in ("sc", "ad")]
+    for g in data:
+        enumerate_split_elliptic(g)
+    assert len(seen) > len(data)
+    repeated = {key for key in seen if seen.count(key) > 1}
+    assert not repeated, [(rank, len(roots)) for rank, roots, _, _ in repeated]
+
+
 # ---------------------------------------------------------------------------
 # kappa route
 

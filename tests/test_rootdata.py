@@ -1,6 +1,7 @@
 """Root datum construction, duality, extended diagrams."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -799,6 +800,45 @@ def test_pairing_just_inside_the_range_is_tested_and_just_outside_refused():
     # a closure whose pairing field reaches the bound is refused too
     with pytest.raises(ValueError, match="ROOT_ENTRY_BOUND = 128"):
         reflection_closure([((1, 0), (2, ROOT_ENTRY_BOUND)), ((0, 1), (0, 2))])
+
+
+_PAIRING_REFUSED = "root entry or pairing outside [-128, 128), ROOT_ENTRY_BOUND = 128"
+
+
+@pytest.mark.parametrize(
+    "k,closed,message",
+    [
+        (-129, False, _PAIRING_REFUSED),
+        (-128, False, "root set not reflection-closed"),
+        (127, False, "root set not reflection-closed"),
+        (128, False, _PAIRING_REFUSED),
+        (-129, True, _PAIRING_REFUSED),
+        (-128, True, _PAIRING_REFUSED),  # s_a(b) pairs to 128
+        (127, True, None),
+        (128, True, _PAIRING_REFUSED),
+    ],
+)
+def test_packed_pairing_range_at_both_ends(k, closed, message):
+    """A rank-2 datum with simple root a = (1, 1) = a^vee and a root b with
+    <b, a^vee> = k, every entry within the bound; closed adds s_a(b), whose
+    pairing is -k. A pairing in [-128, 128) reaches the closure test, one
+    outside is refused with the bound's text."""
+    b, bv = {
+        -129: ((-127, -2), (0, -1)),
+        -128: ((-127, -1), (0, -2)),
+        127: ((126, 1), (0, 2)),
+        128: ((127, 1), (0, 2)),
+    }[k]
+    roots, coroots = [(1, 1), (-1, -1), b], [(1, 1), (-1, -1), bv]
+    if closed:
+        roots.append((b[0] - k, b[1] - k))
+        coroots.append(tuple(x - sum(bv) for x in bv))
+    if message is None:
+        # reflection-closed, though no finite system (4 roots, one simple root)
+        assert RootDatum(2, roots, coroots, [0]).simple_roots == ((1, 1),)
+        return
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RootDatum(2, roots, coroots, [0])
 
 
 def test_rank_just_inside_the_packed_range_is_accepted_and_just_outside_refused():
