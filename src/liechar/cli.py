@@ -59,7 +59,6 @@ from .endoscopy import (
 )
 from .exact_math import (
     Cyclotomic, IntMatrix, Refusal, jordan_exponent, order_from_multiple, over_budget, power, prime_factors,
-    smallest_conductor,
 )
 from .finite_lie import (
     build_finite_group,
@@ -109,11 +108,13 @@ def _parse_json(s, flag):
 # digits a rational argument may spell out, its exponent counted as that many
 # digits: Fraction("1eN") forms 10**N, so the text is measured first
 RATIONAL_DIGITS = 1000
-_EXPONENT_RE = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)")
+_EXPONENT_RE = re.compile(r"[eE]([-+]?\d+)")
 
 
 def _parse_rational(x, flag):
-    """A number, or a string such as "1/2", within RATIONAL_DIGITS."""
+    """A number, or a string such as "1/2", within RATIONAL_DIGITS. Digit
+    underscores are refused: Fraction reads them from Python 3.11 on, and
+    one argument has one answer on every Python."""
     text = str(x)
     digits = sum(c.isdigit() for c in text)
     exp = _EXPONENT_RE.search(text)
@@ -123,10 +124,12 @@ def _parse_rational(x, flag):
         raise Refusal(
             flag, f"{digits} digits, exponent included, exceed the rational digit budget {RATIONAL_DIGITS}"
         )
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise Refusal(flag, f"expected a rational such as 1/2, got {x!r}") from None
+    if "_" not in text:
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise Refusal(flag, f"expected a rational such as 1/2, got {x!r}")
 
 
 def _parse_fraction_list(s, flag):
@@ -155,26 +158,6 @@ def _parse_int_matrix(s, flag):
     if not isinstance(rows, list) or not all(_is_int_list(r) for r in rows):
         raise Refusal(flag, f"expected a JSON matrix of integers, got {s!r}")
     return rows
-
-
-@lru_cache(maxsize=None)
-def _cyc_text(n, den, numerators):
-    """The text of the value with this stored form: numerators, a sorted
-    tuple of (exponent, numerator) pairs, over den at conductor n. A table
-    repeats few forms in many cells, so each form is printed once. A
-    rational prints as a plain number: its smallest conductor is 1."""
-    v = Cyclotomic(n, dict(numerators), den)
-    red = v.reduced()
-    if not any(red[1:]):
-        return str(red[0])
-    d, coeffs = smallest_conductor(v)
-    return f"cyc{d}[" + ",".join(str(c) for c in coeffs) + "]"
-
-
-def _cyc_str(v):
-    """Stable text form of an exact cyclotomic value: its coefficients at the
-    smallest conductor, so equal values print the same text."""
-    return _cyc_text(v.n, v.den, tuple(sorted(v.num.items())))
 
 
 def _emit(doc, args, rows=None, header=None):
@@ -263,7 +246,7 @@ def _cmd_tori(args):
         doc = {
             "inv": list(inv),
             "kappa": list(kappa),
-            "value": _cyc_str(val),
+            "value": str(val),
             "conductor": val.n,
         }
     else:
@@ -333,7 +316,7 @@ def _cmd_chartable(args):
     else:
         table = classical_table_oracle(args.group, args.q)
     cd = table.classes
-    texts = [[_cyc_str(v) for v in row.values] for row in table.rows]
+    texts = [[str(v) for v in row.values] for row in table.rows]
     order = sorted(
         range(len(table.rows)), key=lambda i: (table.degrees[i], texts[i])
     )

@@ -105,24 +105,12 @@ class ClassData:
 
 
 def conjugacy_classes(group) -> ClassData:
-    """Conjugacy classes of `group`, as ClassData.
-
-    Accepts any object with `elements`, `identity`, `mul`, `inv`.  The
-    matrix groups read theirs off one partition of their elements
-    (`_kernels.conjugacy_partition`), cached on the group; the generic path
-    is quadratic and meant for small test groups.
+    """Conjugacy classes of `group`, as ClassData cached on it under
+    "classes". A matrix group reads them off one partition of its elements
+    (`_kernels.conjugacy_partition`) on first use; any other group brings
+    its own, stored there when it is made.
     """
-    if isinstance(group, FiniteLieGroup):
-        return cached(group, "classes", _partition_classes)
-    seen = set()
-    classes = []
-    for x in group.elements:
-        if x in seen:
-            continue
-        orb = {group.mul(g, group.mul(x, group.inv(g))) for g in group.elements}
-        seen |= orb
-        classes.append(sorted(orb))
-    return ClassData(group, classes)
+    return cached(group, "classes", _partition_classes)
 
 
 def _partition_classes(g: FiniteLieGroup) -> ClassData:
@@ -220,16 +208,16 @@ class CharacterTable:
 
 
 def tables_match(a: CharacterTable, b: CharacterTable) -> bool:
-    """Whether two tables on the same class list agree up to row order."""
+    """Whether two tables on the same class list agree up to row order.
+    Each row is keyed by its values' texts, which are equal exactly when
+    the values are (`Cyclotomic.__repr__`)."""
     if a.classes is not b.classes:
         raise ValueError("tables live on different class lists")
-    conductors = {v.n for t in (a, b) for row in t.rows for v in row.values}
-    big = lcm(*conductors)
 
     def key(row):
-        return tuple(tuple(v.lift(big).reduced()) for v in row.values)
+        return [repr(v) for v in row.values]
 
-    return sorted(key(r) for r in a.rows) == sorted(key(r) for r in b.rows)
+    return sorted(map(key, a.rows)) == sorted(map(key, b.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +381,8 @@ def _apply_packed(rows, packed, count, l):
 
 
 def _roots_mod(poly, l):
-    """The roots in F_l of a monic polynomial, coefficients low to high:
-    -c0 for x + c0, else by one Horner pass over its values at all l
-    points."""
-    if len(poly) == 2:
-        return [-poly[0] % l]
+    """The roots in F_l of a monic polynomial, coefficients low to high, by
+    one Horner pass over its values at all l points."""
     vals = [poly[-1]] * l
     for cf in reversed(poly[:-1]):
         vals = [(v * x + cf) % l for x, v in enumerate(vals)]
@@ -511,10 +496,11 @@ def character_table_dixon(group) -> CharacterTable:
     exponent), the central characters are turned into characters mod l, and
     each value is lifted exactly by discrete Fourier inversion over the
     cyclic group of its class representative. Works for any group of order
-    at most DIXON_ORDER_BUDGET with `elements`, `identity`, `mul` and
+    at most DIXON_ORDER_BUDGET with `elements`, `identity`, `mul`,
     `right_products(xs, ys)`, which yields, for each y in ys, the list of
-    the products x y, x in xs, and whatever `conjugacy_classes` reads of it
-    (`inv` too, unless it is a matrix group). No inverse is taken here.
+    the products x y, x in xs, and a `derived` dict that holds its classes
+    under "classes", unless it is a matrix group, which builds them there
+    (`conjugacy_classes`). No inverse is taken here.
 
     The class matrices are sparse rows of (t, count) pairs from one
     right_products call: the members of each class's inverse class, which

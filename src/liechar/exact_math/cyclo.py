@@ -19,9 +19,13 @@ reductions. Other pairs are compared in Q(zeta_lcm(a, b)). So a value has
 no hash, and `equality_classes` splits a list of values into classes by
 comparing each with one representative per class.
 
-A value prints at its smallest conductor, which `smallest_conductor` finds
-by descent, one prime of the conductor at a time: each step reads a
-relative trace off the numerators and makes one equality test.
+A value has one text, its `repr`: a rational as a plain number, any other
+value as cycD[c_0,...], its coefficients at its smallest conductor D, so
+two texts are equal exactly when the values are. `smallest_conductor` finds
+D by descent, one prime of the conductor at a time: each step reads a
+relative trace off the numerators and makes one equality test. A table
+repeats few stored forms in many cells, so each stored form's text is made
+once (`_text`).
 """
 
 from __future__ import annotations
@@ -34,8 +38,10 @@ from .primes import prime_factors
 from .refusal import over_budget
 
 # largest conductor reduced modulo Phi_n. The characters of GL2 and SL2 over
-# F_q, q <= 13, have conductors up to 168, and two tables are compared at
-# the lcm of theirs, up to 2184
+# F_q, q <= 13, have conductors up to 168. A sum, product or equality test
+# of two values works at the lcm of their two conductors; two tables are
+# compared cell by cell through their values' texts, so no value is lifted
+# to the lcm of a whole table's conductors
 CONDUCTOR_BUDGET = 5000
 
 
@@ -170,12 +176,6 @@ class Cyclotomic:
         if s == 1:
             return self.num
         return {e * s: v for e, v in self.num.items()}
-
-    def lift(self, m):
-        """Rewrite in conductor m, where n | m."""
-        if m % self.n != 0:
-            raise ValueError("conductor must be a multiple")
-        return Cyclotomic(m, self._terms_at(m), self.den)
 
     @staticmethod
     def _as_cyclotomic(x):
@@ -317,27 +317,7 @@ class Cyclotomic:
         return Fraction(red[0], self.den)
 
     def __repr__(self):
-        red = self.reduced()
-        if not any(red):
-            return "0"
-        terms = []
-        for e, v in enumerate(red):
-            if not v:
-                continue
-            if e == 0:
-                terms.append(str(v))
-            else:
-                mon = f"z{self.n}" if e == 1 else f"z{self.n}^{e}"
-                if v == 1:
-                    terms.append(mon)
-                elif v == -1:
-                    terms.append(f"-{mon}")
-                else:
-                    terms.append(f"{v}*{mon}")
-        out = terms[0]
-        for t in terms[1:]:
-            out += t if t.startswith("-") else "+" + t
-        return out
+        return _text(self.n, self.den, tuple(sorted(self.num.items())))
 
 
 def smallest_conductor(v):
@@ -370,3 +350,16 @@ def smallest_conductor(v):
                 break
             v = w
     return v.n, v.reduced()
+
+
+@lru_cache(maxsize=None)
+def _text(n, den, numerators):
+    """The text of the value with this stored form: numerators, a sorted
+    tuple of (exponent, numerator) pairs, over den at conductor n. A
+    rational prints as a plain number: its smallest conductor is 1."""
+    v = Cyclotomic(n, dict(numerators), den)
+    red = v.reduced()
+    if not any(red[1:]):
+        return str(red[0])
+    d, coeffs = smallest_conductor(v)
+    return f"cyc{d}[" + ",".join(str(c) for c in coeffs) + "]"

@@ -4,8 +4,8 @@ Every owner of derived structures (a root datum, a group, a torus, a twisted
 torus, a field) keeps them in its `derived` dict, and only `cached` reads or
 writes that dict. No library function memoises itself with `lru_cache`,
 except the registries that keep one object per input (`build_finite_group`,
-`_field_for`, `build_root_datum`) and the memos of the cyclotomic
-polynomials and of the CLI.
+`_field_for`, `build_root_datum`), the memos of the cyclotomic
+polynomials and of a cyclotomic value's text, and the CLI's parser.
 """
 
 import ast
@@ -26,8 +26,8 @@ MEMOISED = {
     ("finite_lie.py", "_field_for"),
     ("root_datum.py", "build_root_datum"),
     ("exact_math/cyclo.py", "_phi_terms"),
+    ("exact_math/cyclo.py", "_text"),
     ("cli.py", "_parser"),
-    ("cli.py", "_cyc_text"),
 }
 
 FUNCTOOLS_CACHES = {"lru_cache", "cache"}

@@ -17,8 +17,9 @@ from math import lcm
 import pytest
 
 import cli_sequence
+from test_cyclo import ONE_TEXT
 from liechar import cli
-from liechar.cli import _cyc_str, main
+from liechar.cli import main
 from liechar.dl_spectra import CharacterTable
 from liechar.exact_math import Cyclotomic
 
@@ -147,9 +148,8 @@ def test_chartable_csv_gl2_3():
 
 
 def test_chartable_json_matches_methods():
-    # exact value agreement between the two methods is covered by the
-    # tables_match tests; the documents can render one value at different
-    # conductors, so here the shared shape is compared
+    # the two documents share their shape here; that they are one document
+    # is test_chartable_methods_print_the_same_document
     outs = []
     for method in ("dixon", "classical"):
         code, out, _ = run_cli(
@@ -384,6 +384,9 @@ def test_malformed_json_argument_exits_1(argv):
     assert err == ""
 
 
+_UNDERSCORED = {"int": "1_0", "exponent": "1e1_0", "fraction": "1_0/2"}
+
+
 @pytest.mark.parametrize(
     "argv,flag",
     [
@@ -392,8 +395,18 @@ def test_malformed_json_argument_exits_1(argv):
         (["hilbert", "--a", "1/0", "--b", "3", "--place", "5"], "--a"),
         (["hilbert", "--a", "2", "--b", "3/", "--place", "5"], "--b"),
         (["endoscopy", "from-kappa", "--type", "C2", "--kappa", "[null, 0]"], "--kappa"),
+        # Fraction reads digit underscores from Python 3.11 on; every
+        # version refuses them
+        *((["hilbert", "--a", x, "--b", "3", "--place", "5"], "--a") for x in _UNDERSCORED.values()),
+        *(
+            (["endoscopy", "from-kappa", "--type", "A2", "--kappa", json.dumps([x, "0"])], "--kappa")
+            for x in _UNDERSCORED.values()
+        ),
     ],
-    ids=["matrix-not-json", "a-not-rational", "a-zero-denominator", "b-not-rational", "kappa-null"],
+    ids=[
+        "matrix-not-json", "a-not-rational", "a-zero-denominator", "b-not-rational", "kappa-null",
+        *(f"{flag}-underscore-{name}" for flag in ("a", "kappa") for name in _UNDERSCORED),
+    ],
 )
 def test_rejected_argument_is_named(argv, flag):
     code, out, err = run_cli(argv)
@@ -637,30 +650,21 @@ def test_type_rank_leading_zeros_do_not_count():
 
 
 # ---------------------------------------------------------------------------
-# the text of a cyclotomic value, memoised by its stored form
+# the text the documents print of a cyclotomic value, memoised by its stored
+# form
 
 
-@pytest.mark.parametrize(
-    "a,b,text",
-    [
-        (Cyclotomic(3, {0: 1, 1: 1, 2: 1}), Cyclotomic.zero(), "0"),
-        (Cyclotomic.zeta(4) * Cyclotomic.zeta(4), Cyclotomic.rational(-1), "-1"),
-        (Cyclotomic.zeta(12, 4), Cyclotomic.zeta(3), "cyc3[0,1]"),
-        (Cyclotomic(6, {2: 1}, 2), Cyclotomic(3, {1: 1}, 2), "cyc3[0,1/2]"),
-        (Cyclotomic(6, {1: 1, 5: 1}, 2), Cyclotomic.rational(Fraction(1, 2)), "1/2"),
-    ],
-    ids=["phi3-is-zero", "i-squared", "zeta12-power", "halved-zeta3", "halved-rational"],
-)
+@pytest.mark.parametrize("a,b,text", ONE_TEXT.values(), ids=ONE_TEXT)
 def test_equal_values_of_different_stored_forms_print_one_text(a, b, text):
     assert (a.n, a.den, a.num) != (b.n, b.den, b.num)
     assert a == b
-    assert (_cyc_str(a), _cyc_str(b), _cyc_str(a)) == (text, text, text)
+    assert (str(a), str(b), str(a)) == (text, text, text)
 
 
 def test_stored_forms_that_differ_only_in_the_denominator_print_apart():
     one, half = Cyclotomic.rational(1), Cyclotomic.rational(Fraction(1, 2))
     assert (one.n, one.num) == (half.n, half.num)
-    assert [_cyc_str(v) for v in (one, half, one, half)] == ["1", "1/2", "1", "1/2"]
+    assert [str(v) for v in (one, half, one, half)] == ["1", "1/2", "1", "1/2"]
 
 
 # ---------------------------------------------------------------------------

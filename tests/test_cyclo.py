@@ -18,6 +18,12 @@ def _cyc(n, coeffs, den=1):
     return Cyclotomic(n, {e: v.numerator * (m // v.denominator) for e, v in coeffs.items()}, den * m)
 
 
+def _at(v, m):
+    """v stored at conductor m, a multiple of v.n: zeta_n^e = zeta_m^(e m / n)."""
+    assert m % v.n == 0
+    return Cyclotomic(m, {e * (m // v.n): c for e, c in v.num.items()}, v.den)
+
+
 def test_phi_polynomials():
     assert _phi_terms(1)[0] == (-1, 1)
     assert _phi_terms(2)[0] == (1, 1)
@@ -160,10 +166,10 @@ def test_smallest_conductor_examples():
     z10 = Cyclotomic.zeta(10)
     assert smallest_conductor(z10) == (5, [0, 0, 0, -1])
     # i written in conductor 24
-    i24 = Cyclotomic.zeta(4).lift(24)
+    i24 = _at(Cyclotomic.zeta(4), 24)
     assert smallest_conductor(i24) == (4, [0, 1])
     # sqrt(-3) = 2 zeta_3 + 1, written in conductor 12
-    s = (Cyclotomic.zeta(3) * 2 + 1).lift(12)
+    s = _at(Cyclotomic.zeta(3) * 2 + 1, 12)
     assert smallest_conductor(s) == (3, [1, 2])
 
 
@@ -176,14 +182,15 @@ def test_smallest_conductor_examples():
 def test_smallest_conductor_roundtrip(d, m, coeffs):
     v = Cyclotomic(d, dict(enumerate(coeffs)))
     n = d * m
-    e, red = smallest_conductor(v.lift(n))
+    e, red = smallest_conductor(_at(v, n))
     assert d % e == 0 and e % 4 != 2
     assert _cyc(e, dict(enumerate(red))) == v
     assert red == _cyc(e, dict(enumerate(red))).reduced()
 
 
 def _conductor_text(d, coeffs):
-    """The CLI's text of a value at conductor d with these coefficients."""
+    """The text of a value, not rational, at its smallest conductor d with
+    these coefficients."""
     return f"cyc{d}[" + ",".join(str(c) for c in coeffs) + "]"
 
 
@@ -200,7 +207,7 @@ def sums_at_divisors(draw):
         d = draw(st.sampled_from(divisors))
         coeffs = draw(st.dictionaries(st.integers(0, d - 1), st.integers(-4, 4), max_size=4))
         v = v + Cyclotomic(d, coeffs, draw(st.integers(1, 6)))
-    v = v.lift(n)
+    v = _at(v, n)
     return _cyc(n, dict(enumerate(v.reduced()))) if draw(st.booleans()) else v
 
 
@@ -211,6 +218,24 @@ def test_descent_matches_the_search(v):
     the rational solve printed."""
     want = smallest_conductor_by_search(v.n, v.reduced())
     assert _conductor_text(*smallest_conductor(v)) == _conductor_text(*want)
+
+
+# equal values in different stored forms, and the one text each prints
+ONE_TEXT = {
+    "phi3-is-zero": (Cyclotomic(3, {0: 1, 1: 1, 2: 1}), Cyclotomic.zero(), "0"),
+    "i-squared": (Cyclotomic.zeta(4) * Cyclotomic.zeta(4), Cyclotomic.rational(-1), "-1"),
+    "zeta12-power": (Cyclotomic.zeta(12, 4), Cyclotomic.zeta(3), "cyc3[0,1]"),
+    "zeta6-power": (Cyclotomic.zeta(6, 2), Cyclotomic.zeta(3), "cyc3[0,1]"),
+    "halved-zeta3": (Cyclotomic(6, {2: 1}, 2), Cyclotomic(3, {1: 1}, 2), "cyc3[0,1/2]"),
+    "halved-rational": (Cyclotomic(6, {1: 1, 5: 1}, 2), Cyclotomic.rational(Fraction(1, 2)), "1/2"),
+}
+
+
+@pytest.mark.parametrize("a,b,text", ONE_TEXT.values(), ids=ONE_TEXT)
+def test_equal_values_of_different_stored_forms_have_one_repr(a, b, text):
+    assert (a.n, a.den, a.num) != (b.n, b.den, b.num)
+    assert a == b
+    assert (repr(a), repr(b), repr(a)) == (text, text, text)
 
 
 def test_inexact_coefficients_are_refused():
@@ -246,7 +271,7 @@ def test_denominator_is_reduced_and_kept_through_reduction():
     assert Cyclotomic(4, {0: 2, 1: 4}, 6).den == 3
     half = _cyc(4, {1: Fraction(1, 2)})
     assert half.reduced() == [0, Fraction(1, 2)]
-    assert repr(half) == "1/2*z4"
+    assert repr(half) == "cyc4[0,1/2]"
     assert Cyclotomic(1, {0: 3}, 6).rational_value() == Fraction(1, 2)
 
 
@@ -271,10 +296,18 @@ def cyclo_pairs(draw):
     return _cyc(n, coeffs), RefCyclotomic(n, coeffs)
 
 
+def _oracle_text(old):
+    """The one text of an oracle value: its rational, or its coefficients at
+    the smallest conductor that the search finds."""
+    if old.is_rational():
+        return str(old.rational_value())
+    return _conductor_text(*smallest_conductor_by_search(old.n, old.reduced()))
+
+
 def _same(new, old):
     assert new.n == old.n
     assert new.reduced() == old.reduced()
-    assert repr(new) == repr(old)
+    assert repr(new) == _oracle_text(old)
     assert (new == 0) == old.is_zero()
     if old.is_rational():
         assert new.rational_value() == old.rational_value()

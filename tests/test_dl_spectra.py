@@ -13,6 +13,8 @@ import pytest
 import liechar.cli as cli
 import liechar.dl_spectra as dl_spectra
 from liechar.dl_spectra import (
+    CharacterTable,
+    ClassData,
     ClassFunction,
     TorusCharacter,
     DIXON_MODULUS_BOUND,
@@ -35,7 +37,7 @@ from liechar.dl_spectra import (
     tables_match,
     torus_characters,
 )
-from liechar.exact_math import Cyclotomic, FiniteField, jordan_exponent, power, rref_mod
+from liechar.exact_math import Cyclotomic, FiniteField, cached, jordan_exponent, power, rref_mod
 from liechar.finite_lie import (
     FiniteLieGroup,
     build_finite_group,
@@ -54,6 +56,21 @@ def right_products_by_mul(group, xs, ys):
         yield [group.mul(x, y) for x in xs]
 
 
+def classes_by_conjugation(group):
+    """The classes of a small group, each element conjugated by every
+    element: quadratic, so only for the toy groups here, whose constructors
+    cache their classes with it."""
+    seen = set()
+    classes = []
+    for x in group.elements:
+        if x in seen:
+            continue
+        orb = {group.mul(g, group.mul(x, group.inv(g))) for g in group.elements}
+        seen |= orb
+        classes.append(sorted(orb))
+    return ClassData(group, classes)
+
+
 class CyclicAdapter:
     """Z/n with the generic group protocol."""
 
@@ -61,6 +78,8 @@ class CyclicAdapter:
         self.n = n
         self.elements = tuple(range(n))
         self.identity = 0
+        self.derived = {}
+        cached(self, "classes", classes_by_conjugation)
 
     def mul(self, a, b):
         return (a + b) % self.n
@@ -77,6 +96,8 @@ class PermAdapter:
     def __init__(self, perms):
         self.elements = tuple(sorted(perms))
         self.identity = tuple(range(len(self.elements[0])))
+        self.derived = {}
+        cached(self, "classes", classes_by_conjugation)
 
     def mul(self, a, b):
         return tuple(a[b[i]] for i in range(len(a)))
@@ -96,6 +117,8 @@ class ElementaryTwoGroup:
     def __init__(self, r):
         self.elements = tuple(range(2**r))
         self.identity = 0
+        self.derived = {}
+        cached(self, "classes", classes_by_conjugation)
 
     def mul(self, a, b):
         return a ^ b
@@ -426,6 +449,8 @@ class OneWrongProduct:
     def __init__(self, g, a, b, wrong):
         self.elements, self.identity, self.inv = g.elements, g.identity, g.inv
         self.group, self.fault = g, (a, b, wrong)
+        self.derived = {}
+        cached(self, "classes", classes_by_conjugation)
 
     def mul(self, x, y):
         a, b, wrong = self.fault
@@ -653,6 +678,21 @@ def test_dixon_matches_classical(monkeypatch, kind, q):
     assert tables_match(dix, classical_table_oracle(kind, q))
     # every group here splits within two rounds
     assert xs in ([2], [2, 3])
+
+
+def test_tables_match_compares_values_not_storage():
+    """The classical table with every value stored at twice its conductor
+    still matches the Dixon table; with one value times zeta_3, it does
+    not."""
+    dix = character_table_dixon(build_finite_group("GL2", 5))
+    cd = dix.classes
+    stored = [
+        [Cyclotomic(2 * v.n, {2 * e: c for e, c in v.num.items()}, v.den) for v in row.values]
+        for row in classical_table_oracle("GL2", 5).rows
+    ]
+    assert tables_match(dix, CharacterTable(cd, [ClassFunction(cd, vals) for vals in stored]))
+    stored[1][2] = stored[1][2] * Cyclotomic.zeta(3)
+    assert not tables_match(dix, CharacterTable(cd, [ClassFunction(cd, vals) for vals in stored]))
 
 
 def test_tables_match_rejects_foreign_classes():
