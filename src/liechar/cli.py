@@ -94,8 +94,11 @@ def _parse_type(s):
 
 
 def _parse_json(s, flag):
+    """The JSON value of s; a number with a fraction or an exponent stays
+    its text, which `_parse_rational` reads exactly (a float would round
+    0.10000000000000000001 to 0.1 and 1e-400 to 0)."""
     try:
-        return json.loads(s)
+        return json.loads(s, parse_float=str)
     except json.JSONDecodeError:
         raise Refusal(flag, f"not valid JSON: {s!r}") from None
     except RecursionError:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .exact_math import FinAbGroup, IntMatrix, Refusal, abelian_subgroup_type, cached, cokernel_group
 from .root_datum import (
@@ -352,7 +353,7 @@ def _kappa_pairings(d: RootDatum, n, v):
     and for the alcove vertices of `pseudo_levi`."""
     # <r, kappa> = <r, v> / n, so r is integral iff n | <r, v>, and the lcm
     # is n / gcd(n, all <r, v>)
-    pairings = [_dot(r, v) for r in d.roots]
+    pairings = [sum(map(mul, r, v)) for r in d.roots]
     pairs = [(r, rv) for r, rv, p in zip(d.roots, d.coroots, pairings) if p % n == 0]
     return pairs, n // gcd(n, *pairings)
 

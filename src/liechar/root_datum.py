@@ -20,10 +20,15 @@ simple-root search run on integers, not tuples. A vector v of n entries
 packs into one Python int, its code: field i holds v[i] + 2^31 in bits
 32 i .. 32 i + 31, so the code is v's image under the linear map
 P(v) = sum v[i] 2^(32 i) plus a fixed bias. A reflection b - k a is then
-the one operation code(b) - k P(a), and a root set is a set of ints. A
-root is packed together with its pairings with the reflecting coroots, so
-the multiplier k of the next reflection is read off a field instead of
-taken as a dot product. Codes decode field by field through `struct`.
+the one operation code(b) - k P(a), and a root set is a set of ints. In
+the closure a root is packed together with its pairings with the
+reflecting coroots, so the multiplier k of the next reflection is read off
+a field instead of taken as a dot product. Codes decode field by field
+through `struct`. A datum's roots are packed once per build, by
+`_root_codes`, which range-checks them first: `sub_datum_from_pairs`
+searches its simple roots on those codes and hands the same list to
+validation's closure test. Validation keeps the Cartan matrix whose
+independence it proved as the datum's `cartan()`.
 
 P is injective only while every field stays inside [-2^31, 2^31). So every
 root entry, coroot entry and pairing that is packed must lie in
@@ -102,6 +107,15 @@ def _check_range(vectors):
     entries = list(chain.from_iterable(vectors))
     if entries and (max(entries) >= ROOT_ENTRY_BOUND or min(entries) < -ROOT_ENTRY_BOUND):
         raise _range_error()
+
+
+def _root_codes(rank, roots):
+    """The code P(b) of each root b, the one packing of the roots that the
+    simple-root search and the closure test of validation read; every
+    entry is range-checked first."""
+    _check_range(roots)
+    bias, pack, _, _ = _packing(rank)
+    return [pack(b) - bias for b in roots]
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +200,21 @@ class RootDatum:
     read off the simple system, a basis of the span of the roots, which
     every datum is built with (the registry, the dual,
     `sub_datum_from_pairs` and `endoscopy.pseudo_levi`). Each of them lists
-    the roots in sorted order, so two data built from the same (root,
-    coroot) pairs and simple roots are equal field for field, and the
-    origin's pseudo-Levi can be the dual itself.
+    the roots in sorted order (`sub_datum_from_pairs` in the order of its
+    pairs, which the kappa route takes from the dual's sorted roots), so
+    two data built from the same (root, coroot) pairs and simple roots are
+    equal field for field, and the origin's pseudo-Levi can be the dual
+    itself.
 
-    Validation proves <beta, beta^vee> = 2 for every pair, the simple
-    roots independent and the roots closed under their reflections. The
-    library skips it for the empty datum and for the dual; the tests
-    validate the dual of every admitted datum.
+    Validation proves <beta, beta^vee> = 2 for every pair (`_check_pairs`),
+    then, on the codes of `_root_codes`, the simple roots independent and
+    the roots closed under their reflections (`_validate`, which keeps the
+    Cartan matrix it proved nonsingular as `cartan()`). The constructor
+    packs the roots after `_check_pairs`; `sub_datum_from_pairs` packs them
+    first, for its simple-root search, and passes the same codes, so every
+    check keeps its place on both routes. The library skips validation for
+    the empty datum and for the dual; the tests validate the dual of every
+    admitted datum.
 
     `build_root_datum` returns one object per (series, rank, isogeny), shared
     by every caller in the process, so a datum and what it derives must not
@@ -204,29 +225,38 @@ class RootDatum:
 
     def __init__(self, rank, roots, coroots, simple_indices, label=None, validate=True):
         self.rank = int(rank)
-        self.roots = tuple(tuple(v) for v in roots)
-        self.coroots = tuple(tuple(v) for v in coroots)
+        self.roots = tuple(map(tuple, roots))
+        self.coroots = tuple(map(tuple, coroots))
         self.simple_indices = tuple(simple_indices)
         self.label = label  # (series, rank, isogeny) for constructed data
         self.derived = {}
         if validate:
-            self._validate()
+            self._check_pairs()
+            self._validate(_root_codes(self.rank, self.roots))
 
-    def _validate(self):
+    def _check_pairs(self):
+        """The checks that read no code: the pairs aligned, <beta, beta^vee>
+        = 2 for each, the simple indices in range."""
         if len(self.roots) != len(self.coroots):
             raise ValueError("roots and coroots misaligned")
         for b, bv in zip(self.roots, self.coroots):
-            if _dot(b, bv) != 2:
+            if sum(map(mul, b, bv)) != 2:
                 raise ValueError(f"<beta, beta^vee> != 2 for {b}")
         for i in self.simple_indices:
             if not 0 <= i < len(self.roots):
                 raise ValueError("bad simple index")
+
+    def _validate(self, codes):
+        """The checks on the packed roots, codes = `_root_codes` of the
+        roots: the simple coroots in range, the simple roots independent,
+        the roots closed under the simple reflections. The Cartan matrix
+        that passed is kept as `cartan()`, once every check has passed."""
         # reflections through simple roots must permute the roots. The
         # pairings of all roots with one simple coroot come from one packed
         # sum over the columns of the roots; |pairing| <= rank 2^14 decodes
         # exactly below rank 2^17, and each sum is range-checked packed
-        n, simple_cov = self.rank, self.simple_coroots
-        _check_range(self.roots + simple_cov)
+        n, simple, simple_cov = self.rank, self.simple_indices, self.simple_coroots
+        _check_range(simple_cov)
         if n * ROOT_ENTRY_BOUND**2 >= _HALF:
             raise ValueError(f"rank {n} beyond the packed range, rank < 2^17")
         bias, pack, unpack, outside = _packing(len(self.roots))
@@ -237,17 +267,17 @@ class RootDatum:
         pairings = list(map(unpack, sums))
         # the simple roots are distinct and independent: the Cartan matrix,
         # entry (i, j) = <alpha_j, alpha_i^vee>, is nonsingular
+        cartan = tuple(tuple(map(ks.__getitem__, simple)) for ks in pairings)
         try:
-            _gauss_jordan([[ks[j] for j in self.simple_indices] for ks in pairings], len(pairings))
+            _gauss_jordan(list(cartan), len(cartan))
         except ValueError:
             raise ValueError("simple roots are linearly dependent: the Cartan matrix is singular") from None
-        bias, pack, _, _ = _packing(n)
-        codes = [pack(b) - bias for b in self.roots]  # P(b)
         codeset = set(codes)
-        for i, ks in zip(self.simple_indices, pairings):
+        for i, ks in zip(simple, pairings):
             step = codes[i]
             if not codeset.issuperset([code - k * step for code, k in zip(codes, ks)]):
                 raise ValueError("root set not reflection-closed")
+        cached(self, "cartan", lambda _: cartan)
 
     # -- basic accessors
 
@@ -269,8 +299,14 @@ class RootDatum:
         return self.coroots[self.roots.index(tuple(root))]
 
     def cartan(self):
-        s, sv = self.simple_roots, self.simple_coroots
-        return [[_dot(a, bv) for a in s] for bv in sv]
+        """C[i][j] = <alpha_j, alpha_i^vee> as rows of tuples, shared by
+        every caller: the matrix validation proved nonsingular, or for an
+        unvalidated datum (the dual, the empty datum) the dot products."""
+        return cached(self, "cartan", RootDatum._cartan_from_dots)
+
+    def _cartan_from_dots(self):
+        s = self.simple_roots
+        return tuple(tuple(_dot(a, bv) for a in s) for bv in self.simple_coroots)
 
     # -- expansion in the simple basis
 
@@ -487,33 +523,31 @@ def _build_dual(d: RootDatum) -> RootDatum:
 
 
 def sub_datum_from_pairs(rank, pairs) -> RootDatum:
-    """Datum on the same lattice spanned by a reflection-closed set of
-    (root, coroot) pairs. A simple system is extracted with a generic
-    linear functional, the packing map P."""
-    pairs = [(tuple(a), tuple(b)) for a, b in pairs]
+    """Validated datum on the same lattice spanned by a reflection-closed
+    list of (root, coroot) pairs, listing its roots in the order of the
+    pairs (the kappa route passes them in the dual's sorted order). A simple
+    system is extracted with a generic linear functional, the packing map
+    P, from the codes of `_root_codes`, and validation reads the same codes."""
     if not pairs:
         return RootDatum(rank, (), (), (), validate=False)
+    roots, coroots = zip(*pairs)
     # the functional is P, positive on v exactly when the last nonzero entry
     # of v is; every entry lies in the range of ROOT_ENTRY_BOUND, so P is
     # injective on the differences b - a and P(b) - P(a) is P(b - a)
-    _check_range([a for a, _ in pairs])
-    bias, pack, _, _ = _packing(rank)
-    codes = [pack(a) - bias for a, _ in pairs]  # P(a)
+    codes = _root_codes(rank, roots)
     posset = {c for c in codes if c > 0}
     # a positive root b is simple unless b - alpha is a positive root for a
     # simple alpha; such an alpha has smaller P than b, so in P order it is
     # found before b is reached
     found = []
     for c in sorted(posset):
-        if not any(c - f in posset for f in found):
+        if posset.isdisjoint(map(c.__sub__, found)):
             found.append(c)
     found = set(found)
-    simple = [a for (a, _), c in zip(pairs, codes) if c in found]
-    roots = sorted(a for a, _ in pairs)
-    co = dict(pairs)
-    coroots = [co[a] for a in roots]
-    idx = [roots.index(s) for s in simple]
-    return RootDatum(rank, roots, coroots, idx)
+    sub = RootDatum(rank, roots, coroots, [i for i, c in enumerate(codes) if c in found], validate=False)
+    sub._check_pairs()
+    sub._validate(codes)
+    return sub
 
 
 # ---------------------------------------------------------------------------

@@ -325,8 +325,9 @@ def test_twisted_torus_budgets_refuse_huge_inputs_at_once(argv, budget):
         (["hilbert", "--a", "1e30000000", "--b", "3", "--place", "2"], "--a"),
         (["hilbert", "--a", "1e-100000", "--b", "3", "--place", "2"], "--a"),
         (["hilbert", "--a", "2", "--b", "1" * 1001, "--place", "2"], "--b"),
+        (["endoscopy", "from-kappa", "--type", "A2", "--kappa", "[1e5000, 0]"], "--kappa"),
     ],
-    ids=["kappa-huge", "kappa-tiny", "a-huge", "a-tiny", "b-long"],
+    ids=["kappa-huge", "kappa-tiny", "a-huge", "a-tiny", "b-long", "kappa-number-huge"],
 )
 def test_rational_digit_budget_refuses_huge_exponents_at_once(argv, flag):
     # Fraction("1eN") forms 10**N: without the budget the first and third
@@ -347,6 +348,18 @@ def test_rational_digit_budget_refuses_huge_exponents_at_once(argv, flag):
     doc = json.loads(proc.stdout)
     assert list(doc) == ["error"]
     assert doc["error"].startswith(flag + ":") and "rational digit budget 1000" in doc["error"]
+
+
+@pytest.mark.parametrize("text", ["0.10000000000000000001", "1e-400", "1e400"])
+def test_kappa_number_is_read_exactly_like_its_string(text):
+    """A JSON number in --kappa is read from its text, as the same text in
+    a string is: through a float, 0.10000000000000000001 would be 0.1,
+    1e-400 would be 0 and 1e400 infinite."""
+    number = run_cli(["endoscopy", "from-kappa", "--type", "A2", "--kappa", f"[{text}, 0]"])
+    string = run_cli(["endoscopy", "from-kappa", "--type", "A2", "--kappa", json.dumps([text, "0"])])
+    assert number == string
+    code, out, _ = number
+    assert code == 0 and json.loads(out)["ord_s"] == Fraction(text).denominator
 
 
 def test_rational_digit_budget_admits_its_edge():

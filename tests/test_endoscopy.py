@@ -2,6 +2,7 @@
 pseudo-Levi extraction, kappa construction, estimate diagram facts."""
 
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -22,6 +23,7 @@ from liechar.endoscopy import (
 )
 from liechar.exact_math import FinAbGroup, IntMatrix, cokernel_group
 from liechar.root_datum import (
+    ROOT_ENTRY_BOUND,
     RootDatum,
     build_root_datum,
     dual_datum,
@@ -334,9 +336,9 @@ def test_no_datum_is_validated_twice(monkeypatch):
     seen = []
     validate = RootDatum._validate
 
-    def counted(d):
+    def counted(d, codes):
         seen.append((d.rank, d.roots, d.coroots, d.simple_indices))
-        validate(d)
+        validate(d, codes)
 
     monkeypatch.setattr(RootDatum, "_validate", counted)
     data = [build_root_datum.__wrapped__(s, r, isogeny) for s, r in ADMITTED for isogeny in ("sc", "ad")]
@@ -349,6 +351,74 @@ def test_no_datum_is_validated_twice(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # kappa route
+
+
+def _vertex_pairs(series, rank, node):
+    """The (root, coroot) pairs of the dual of the simply connected datum
+    whose roots pair integrally with the alcove vertex of the node: the
+    input that `endoscopic_from_kappa` gives `sub_datum_from_pairs`."""
+    d = dual_datum(_sc(series, rank))
+    pairs, _ = _kappa_pairings(d, *_clear_denominators(alcove_vertices(d)[node]))
+    return d.rank, pairs
+
+
+_RANGE_REFUSED = "root entry or pairing outside [-128, 128), ROOT_ENTRY_BOUND = 128"
+
+
+@pytest.mark.parametrize("series,rank,node", [("B", 3, 3), ("C", 4, 2), ("F", 4, 2), ("G", 2, 2), ("E", 6, 4)])
+def test_kappa_route_refuses_what_validation_refuses(series, rank, node):
+    """The kappa route, called directly, still runs every check of
+    validation, with its text. Without the pair of -alpha for a simple root
+    alpha the positive roots, so the simple roots, are unchanged, and the
+    set is not reflection-closed (s_alpha alpha = -alpha). With the
+    coroots of alpha and -alpha swapped, <alpha, -alpha^vee> = -2. A pair
+    with an entry at either end of the packed range, appended with a
+    coroot that fails <beta, beta^vee> = 2 as well, is refused by the
+    range budget, the first check of the route."""
+    n, pairs = _vertex_pairs(series, rank, node)
+    sub = sub_datum_from_pairs(n, pairs)
+    assert 0 < len(sub.simple_indices) <= n
+    for a, av in zip(sub.simple_roots, sub.simple_coroots):
+        neg = (tuple(-x for x in a), tuple(-x for x in av))
+        k, kneg = pairs.index((a, av)), pairs.index(neg)
+        with pytest.raises(ValueError, match="^root set not reflection-closed$"):
+            sub_datum_from_pairs(n, pairs[:kneg] + pairs[kneg + 1:])
+        swapped = list(pairs)
+        swapped[k], swapped[kneg] = (a, neg[1]), (neg[0], av)
+        first = pairs[min(k, kneg)][0]
+        with pytest.raises(ValueError, match=f"^{re.escape(f'<beta, beta^vee> != 2 for {first}')}$"):
+            sub_datum_from_pairs(n, swapped)
+    for entry in (ROOT_ENTRY_BOUND, -ROOT_ENTRY_BOUND - 1):
+        far = ((entry,) + (1,) * (n - 1), (0,) * n)
+        with pytest.raises(ValueError, match=f"^{re.escape(_RANGE_REFUSED)}$"):
+            sub_datum_from_pairs(n, pairs + [far])
+
+
+def test_warm_kappa_call_validates_its_subsystem_once(monkeypatch):
+    """A warm `endoscopic_from_kappa` call validates one datum, its kappa
+    subsystem, once: at an alcove vertex (elliptic), at the origin and at a
+    point whose integral roots do not span, counted as
+    `test_no_datum_is_validated_twice` counts."""
+    calls = []
+    for series, rank in [("A", 2), ("B", 3), ("C", 4), ("D", 4), ("F", 4), ("G", 2), ("E", 8)]:
+        g = _sc(series, rank)
+        vertex = alcove_vertices(dual_datum(g))[rank]
+        levi = (Fraction(1, 7),) + (Fraction(0),) * (rank - 1)
+        for kappa, elliptic in ((vertex, True), ((0,) * rank, True), (levi, False)):
+            assert endoscopic_from_kappa(g, kappa).elliptic == elliptic
+            calls.append((g, kappa))
+    seen = []
+    validate = RootDatum._validate
+
+    def counted(d, codes):
+        seen.append((d.rank, d.roots, d.coroots, d.simple_indices))
+        validate(d, codes)
+
+    monkeypatch.setattr(RootDatum, "_validate", counted)
+    for g, kappa in calls:
+        seen.clear()
+        endoscopic_from_kappa(g, kappa)
+        assert len(seen) == 1, (g, kappa, len(seen))
 
 
 def test_kappa_zero_is_trivial():

@@ -456,6 +456,32 @@ def test_cartan_type_matches_the_leg_walking_classifier():
     assert len(seen) == 32  # "0" and the 31 irreducible types of rank <= 8
 
 
+def _cartan_by_dots(d):
+    """[[<alpha_j, alpha_i^vee> for j] for i] from the dot products."""
+    return [[sum(x * y for x, y in zip(a, av)) for a in d.simple_roots] for av in d.simple_coroots]
+
+
+def test_kept_cartan_matrix_is_the_dot_product_matrix():
+    """Validation keeps the Cartan matrix it proved nonsingular as
+    `cartan()`; an unvalidated datum forms it from dot products. Every
+    admitted datum in both isogenies, its dual, every pseudo-Levi and the
+    integral roots of seeded kappa, E8 included: row i holds the pairings
+    with the simple coroot alpha_i^vee."""
+    rng = random.Random(47)
+    for series, rank in ADMITTED:
+        for isog in ("sc", "ad"):
+            g = build_root_datum(series, rank, isog)
+            d = dual_datum(g)
+            data = [g, d] + [pseudo_levi(g, node) for node in range(rank + 1)]
+            for _ in range(4):
+                den = rng.choice((2, 3, 4, 5, 6))
+                v = [rng.randint(-den, den) for _ in range(rank)]
+                pairs = [(r, rv) for r, rv in zip(d.roots, d.coroots) if sum(x * k for x, k in zip(r, v)) % den == 0]
+                data.append(sub_datum_from_pairs(rank, pairs))
+            for sub in data:
+                assert [list(row) for row in sub.cartan()] == _cartan_by_dots(sub), (series, rank, isog, sub)
+
+
 def _all_data():
     for series, rank in ADMITTED:
         for isog in ("sc", "ad"):
