@@ -12,7 +12,7 @@ quadratic Gauss sum at the regular unipotent classes, halved. On top of
 them sit Springer's identity between the unipotent values and additive
 character sums over an adjoint orbit, decided on a whole grid of torus
 characters and Lie points at once (`springer_grid`: each side computed once,
-each cell through exact equality classes), and the reduction of a mixed
+each cell by the texts of its two values), and the reduction of a mixed
 trace to the semisimple part's centralizer.
 
 Every equality here is decided in exact cyclotomic arithmetic.
@@ -815,15 +815,14 @@ def springer_grid(torus: TorusInG, thetas, points, all_unipotent=False):
     (nonsingular, else ValueError), and each side is computed once:
     lhs[i][k] = rho_i(u_k), rhs[j][k] the orbit sum of t_j at x_k, cached
     on the group keyed by ("orbit_sum", orbit[0], x), so the points of one
-    orbit (t and its Weyl conjugate) share it. For each u the values of
-    both sides are split into classes under exact equality, and a cell
-    holds when its two values share a class, so a torus costs (|thetas| +
-    |points|) |U| values and comparisons with class representatives, not
-    |thetas| |points| |U|. The two sides have coprime conductors, which
-    `Cyclotomic.__eq__` settles from each value's memoised reduction. U is
-    the class of [[1, 1], [0, 1]], or with all_unipotent every unipotent
-    class. Returns (classes, lhs, rhs, equal): the class index of each u,
-    the two sides, and equal[i][j][k], whether lhs[i][k] == rhs[j][k].
+    orbit (t and its Weyl conjugate) share it. A cell holds when its two
+    values have the same text, which is when they are equal
+    (`Cyclotomic.__repr__`, memoised per stored form), so a torus costs
+    (|thetas| + |points|) |U| texts and |thetas| |points| |U| string
+    comparisons. U is the class of [[1, 1], [0, 1]], or with all_unipotent
+    every unipotent class. Returns (classes, lhs, rhs, equal): the class
+    index of each u, the two sides, and equal[i][j][k], whether lhs[i][k]
+    == rhs[j][k].
     """
     g = torus.parent
     orbits = []
@@ -843,11 +842,9 @@ def springer_grid(torus: TorusInG, thetas, points, all_unipotent=False):
         [cached(g, ("orbit_sum", o[0], x), lambda g: _orbit_fourier_sum(g, o, x)) for x in logs]
         for o in orbits
     ]
-    # one split per u_k of the values lhs[0][k], ..., rhs[0][k], ...; vecs[i]
-    # lists the class of lhs[i][k] over k, vecs[n + j] that of rhs[j][k]
-    vecs = list(zip(*map(Cyclotomic.equality_classes, zip(*lhs, *rhs))))
-    n = len(thetas)
-    equal = [[tuple(map(int.__eq__, a, b)) for b in vecs[n:]] for a in vecs[:n]]
+    ltext = [list(map(repr, row)) for row in lhs]
+    rtext = [list(map(repr, row)) for row in rhs]
+    equal = [[tuple(map(str.__eq__, a, b)) for b in rtext] for a in ltext]
     cd = conjugacy_classes(g)
     return [cd.class_of(u) for u in reps], lhs, rhs, equal
 

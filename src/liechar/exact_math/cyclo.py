@@ -15,17 +15,19 @@ reduced coefficients are not all integers.
 Equality crosses conductors. Q(zeta_a) and Q(zeta_b) meet in Q(zeta_g), g =
 gcd(a, b), which is Q when g <= 2: two values whose conductors share at
 most 2 are equal only as equal rationals, decided from their memoised
-reductions. Other pairs are compared in Q(zeta_lcm(a, b)). So a value has
-no hash, and `equality_classes` splits a list of values into classes by
-comparing each with one representative per class.
+reductions. Other pairs are compared in Q(zeta_lcm(a, b)). A value has no
+hash: `Cyclotomic.rational(5) == 5`, so its hash would have to be hash(5),
+which the hash of its text "5" is not.
 
 A value has one text, its `repr`: a rational as a plain number, any other
 value as cycD[c_0,...], its coefficients at its smallest conductor D, so
-two texts are equal exactly when the values are. `smallest_conductor` finds
-D by descent, one prime of the conductor at a time: each step reads a
-relative trace off the numerators and makes one equality test. A table
-repeats few stored forms in many cells, so each stored form's text is made
-once (`_text`).
+two texts are equal exactly when the values are. Many values are compared
+through their texts: the CLI prints them, `dl_spectra.tables_match` keys
+each row by them and `dl_spectra.springer_grid` decides each cell by them.
+`smallest_conductor` finds D by descent, one prime of the conductor at a
+time: each step reads a relative trace off the numerators and makes one
+equality test. A table repeats few stored forms in many cells, so each
+stored form's text is made once (`_text`).
 """
 
 from __future__ import annotations
@@ -293,22 +295,6 @@ class Cyclotomic:
         return [x * other.den for x in a] == [y * self.den for y in b]
 
     __hash__ = None  # equality crosses conductors; not hashable
-
-    @staticmethod
-    def equality_classes(values):
-        """The class of each value under ==, numbered in order of first
-        appearance: with no hash to bucket by, each value is compared with
-        the first value of each class so far."""
-        firsts, classes = [], []
-        for v in values:
-            for c, w in enumerate(firsts):
-                if v == w:
-                    break
-            else:
-                c = len(firsts)
-                firsts.append(v)
-            classes.append(c)
-        return classes
 
     def rational_value(self):
         red = self._reduction()

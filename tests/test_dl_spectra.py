@@ -1085,6 +1085,65 @@ def test_springer_grid_verdicts_match_the_generic_fourier_route(kind, q):
                 assert equal[i][j] == want == (True,) * len(reps), (torus.tag, thetas[i], t)
 
 
+# the groups of the query-serve working set (perfbench/workloads.py)
+SERVED_GROUPS = [
+    ("GL2", 3), ("SL2", 5), ("SL2", 3), ("GL2", 5), ("SL2", 7),
+    ("SL2", 11), ("GL2", 7), ("SL2", 13), ("SL2", 9),
+]
+
+
+# the groups of the character sweep (perfbench/workloads.py)
+SWEPT_GROUPS = [("SL2", 3), ("SL2", 5), ("SL2", 7), ("SL2", 9), ("SL2", 11), ("GL2", 3), ("GL2", 5)]
+
+
+def _equal_by_eq(lhs, rhs):
+    """equal[i][j][k] of a grid from `Cyclotomic.__eq__`, which compares
+    two values in the field where their conductors meet."""
+    return [[tuple(a == b for a, b in zip(row, col)) for col in rhs] for row in lhs]
+
+
+@pytest.mark.parametrize("kind,q", sorted(set(SWEPT_GROUPS + SERVED_GROUPS)))
+def test_springer_grid_cells_are_the_exact_equalities_of_their_values(kind, q):
+    # the grid decides a cell by the texts of its two values; the reference
+    # is Cyclotomic.__eq__, on the whole grid of every torus and on the
+    # one-cell grid of `springer_check` at every (theta, t), which holds
+    # every springer_check request of the query-serve stream
+    g = build_finite_group(kind, q)
+    for torus in tori_and_regularity(g):
+        thetas, points = nonsingular_characters(torus), _strongly_regular(g, torus)
+        _, lhs, rhs, equal = springer_grid(torus, thetas, points, all_unipotent=True)
+        assert equal == _equal_by_eq(lhs, rhs), torus.tag
+        for i, theta in enumerate(thetas):
+            for j, t in enumerate(points):
+                _, (a,), (b,), ((cell,),) = springer_grid(torus, [theta], [t], all_unipotent=True)
+                assert list(map(repr, a + b)) == list(map(repr, lhs[i] + rhs[j]))
+                assert cell == equal[i][j] == _equal_by_eq([a], [b])[0][0], (torus.tag, theta.exps, t)
+
+
+@pytest.mark.parametrize("kind,p,f", [("GL2", 5, 1), ("SL2", 3, 2), ("SL2", 7, 1)])
+def test_springer_verdicts_do_not_move_when_a_side_is_stored_at_twice_its_conductor(monkeypatch, kind, p, f):
+    # every orbit sum of a fresh group, so that the shared cache keeps its
+    # own, is stored at twice its conductor: the same value in another
+    # stored form. Its text, so every verdict, stays; all cells hold
+    g = FiniteLieGroup(kind, FiniteField(p, f))
+    orbit_sum = dl_spectra._orbit_fourier_sum
+
+    def twice(g, orbit, x):
+        v = orbit_sum(g, orbit, x)
+        return Cyclotomic(2 * v.n, {2 * e: c for e, c in v.num.items()}, v.den)
+
+    monkeypatch.setattr(dl_spectra, "_orbit_fourier_sum", twice)
+    for torus, shared in zip(tori_and_regularity(g), tori_and_regularity(build_finite_group(kind, g.q))):
+        points = _strongly_regular(g, torus)
+        assert points == _strongly_regular(g, shared)
+        want = springer_grid(shared, nonsingular_characters(shared), points, all_unipotent=True)
+        got = springer_grid(torus, nonsingular_characters(torus), points, all_unipotent=True)
+        assert [[v.n for v in row] for row in got[2]] == [[2 * v.n for v in row] for row in want[2]]
+        assert [list(map(repr, row)) for row in got[2]] == [list(map(repr, row)) for row in want[2]]
+        assert got[3] == want[3] == _equal_by_eq(got[1], got[2])
+        assert all(all(cell) for row in got[3] for cell in row)
+
+
 def test_springer_grid_fails_exactly_the_cells_of_a_wrong_orbit_sum(monkeypatch):
     # a fresh group, so that the wrong cache entry stays out of the shared
     # one. The wrong value sits under the orbit of the last point of the
@@ -1183,13 +1242,6 @@ def _jordan_parts_by_power(g, gamma):
     if r == 1:
         return g.identity, gamma
     return power(g.mul, g.identity, gamma, e), power(g.mul, g.identity, gamma, (1 - e) % order)
-
-
-# the groups of the query-serve working set (perfbench/workloads.py)
-SERVED_GROUPS = [
-    ("GL2", 3), ("SL2", 5), ("SL2", 3), ("GL2", 5), ("SL2", 7),
-    ("SL2", 11), ("GL2", 7), ("SL2", 13), ("SL2", 9),
-]
 
 
 @pytest.mark.parametrize("kind,q", SERVED_GROUPS)

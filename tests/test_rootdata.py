@@ -262,6 +262,51 @@ def test_rank_cap_and_bad_input():
             build_root_datum("A", 2, isogeny)
 
 
+def test_rank_budget_is_refused_before_the_series_is_read():
+    # the rank is refused before `cartan_matrix` allocates its rank x rank
+    # matrix, so an unknown series past the budget names the budget
+    with pytest.raises(ValueError, match="^rank 9 exceeds the budget RANK_BUDGET = 8$"):
+        build_root_datum("H", 9, "sc")
+    with pytest.raises(ValueError, match="^unknown series 'H'$"):
+        build_root_datum("H", 8, "sc")
+    with pytest.raises(ValueError, match="^E_n needs rank 6, 7 or 8$"):
+        build_root_datum("E", 5, "unknown")
+
+
+def _neg(v):
+    return tuple(-x for x in v)
+
+
+@pytest.mark.parametrize(
+    "root,coroot",
+    [
+        ((1, 0, 0), (2, 0)),  # a root longer than the rank
+        ((1,), (2, 0)),  # shorter
+        ((1, 0), (2, 0, 5)),  # a coroot longer than the rank
+        ((1, 0), (2,)),  # shorter
+        ((1, 0, 0), (1, 0)),  # longer, and <beta, beta^vee> = 1 on the zip
+    ],
+)
+@pytest.mark.parametrize("route", ["constructor", "kappa"])
+def test_root_or_coroot_without_rank_entries_is_refused_before_packing(monkeypatch, root, coroot, route):
+    """Every root and coroot has rank entries. One of another length is
+    refused with a ValueError naming the check, on the constructor route
+    and on the kappa route, before any vector is packed: a zip or a
+    pairing sum would drop the extra entries, and the packing would die
+    in `struct`."""
+    pairs = [(root, coroot), (_neg(root), _neg(coroot))]
+
+    def no_packing(n):
+        raise AssertionError("a vector was packed before its shape was checked")
+
+    monkeypatch.setattr(root_datum, "_packing", no_packing)
+    with pytest.raises(ValueError, match=r"does not have rank = 2 entries$"):
+        if route == "constructor":
+            RootDatum(2, [a for a, _ in pairs], [av for _, av in pairs], [0])
+        else:
+            sub_datum_from_pairs(2, pairs)
+
+
 ADMITTED = [
     (series, rank)
     for series, ranks in [
