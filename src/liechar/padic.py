@@ -1,12 +1,18 @@
 """Truncated p-adic arithmetic and local quadratic-form invariants.
 
-Matrices over Z/p^k with one-pass inversion, invertibility read off the
-rank of the reduction over F_p (`rref_mod`, no determinant), and powers by
-`exact_math.power`; the topological Jordan decomposition of an invertible
-element into a finite-order part prime to p times a topologically unipotent
-part; an exhaustive finite-precision bijectivity check for the
-quasi-logarithm; and the Hilbert symbol with its diagonal-form product
-invariant.
+Matrices over Z/p^k with one product on bare row tuples (`_mul_rows`),
+one-pass inversion, invertibility read off the rank of the reduction over
+F_p (`rref_mod`, no determinant), and powers by `exact_math.power` on the
+bare rows, so that no matrix object is built per step of a power; the
+topological Jordan decomposition of an invertible element into a
+finite-order part prime to p times a topologically unipotent part; an
+exhaustive finite-precision bijectivity check for the quasi-logarithm; and
+the Hilbert symbol with its diagonal-form product invariant.
+
+The product writes the 2 x 2 case out, eight products and four reductions:
+every split the query service and selftest ask for is 2 x 2, and products
+are most of a split's time. The CLI's n x n inputs take the general sum of
+products per entry.
 
 The Jordan decomposition searches for no order. N = `order_multiple(n, p,
 k)` = lcm(p^d - 1, d <= n) * p^(c + k - 1), with p^c >= n, is a multiple of
@@ -51,6 +57,23 @@ __all__ = [
 ]
 
 PRECISION_BUDGET = 64  # largest precision k of a TruncatedMatrix
+
+
+def _mul_rows(a, b, mod):
+    """The product of two n x n matrices over Z/p^k, given as tuples of rows
+    reduced mod p^k, as the same. The 2 x 2 case, every matrix the service
+    and selftest split, is written out: eight products and four reductions,
+    no column transpose and no generator; any other n takes one sum of
+    products per entry."""
+    if len(a) == 2:
+        (a00, a01), (a10, a11) = a
+        (b00, b01), (b10, b11) = b
+        return (
+            ((a00 * b00 + a01 * b10) % mod, (a00 * b01 + a01 * b11) % mod),
+            ((a10 * b00 + a11 * b10) % mod, (a10 * b01 + a11 * b11) % mod),
+        )
+    cols = tuple(zip(*b))
+    return tuple([tuple([sum(map(_mul, row, col)) % mod for col in cols]) for row in a])
 
 
 class TruncatedMatrix:
@@ -100,20 +123,20 @@ class TruncatedMatrix:
         return self._like(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     def mul(self, other):
+        """self * other, after the ring check: the product itself is
+        `_mul_rows` on the bare rows, which checks nothing."""
         if (self.n, self.mod) != (other.n, other.mod):
             raise ValueError("matrices live in different rings")
-        mod = self.mod
-        cols = tuple(zip(*other.rows))
-        out = TruncatedMatrix.__new__(TruncatedMatrix)
-        out.n, out.p, out.k, out.mod = self.n, self.p, self.k, mod
-        out.rows = tuple([tuple([sum(map(_mul, row, col)) % mod for col in cols]) for row in self.rows])
-        return out
+        return self._like(_mul_rows(self.rows, other.rows, self.mod))
 
     def pow(self, e):
+        """self^e by `exact_math.power` on the bare rows with `_mul_rows`:
+        only the result is wrapped, no matrix object per step."""
         if e == 0:
             return self._identity_like()
+        mod = self.mod
         # power returns its identity argument only for e = 0
-        return power(TruncatedMatrix.mul, None, self, e)
+        return self._like(power(lambda a, b: _mul_rows(a, b, mod), None, self.rows, e))
 
     def is_invertible(self):
         """Whether the reduction mod p has full rank, by `rref_mod` over
@@ -179,8 +202,9 @@ def topological_jordan(gamma: TruncatedMatrix):
     mod r and e = 0 mod N / r, in one power, and delta^(r-1) is its inverse:
     the one product delta * delta^(r-1) = 1 checks both delta^r = 1 and the
     inverse. The checks delta * u = u * delta = gamma with u = delta^(r-1) *
-    gamma, and u^(p^m) = 1 within k + 8 steps guard the result (a miss is a
-    bug, not an input error). Returns (delta, u).
+    gamma, and u^(p^m) = 1 for the p-part p^m = N / r of N, checked one
+    p-th power at a time, guard the result (a miss is a bug, not an input
+    error). Returns (delta, u).
 
     A matrix whose order bound p^n - 1 passes ORDER_BUDGET is refused first,
     before the rank over F_p that decides invertibility. The budget keeps
@@ -192,7 +216,8 @@ def topological_jordan(gamma: TruncatedMatrix):
         raise over_budget("order", "order bound", p**n - 1, "ORDER_BUDGET", ORDER_BUDGET)
     if not gamma.is_invertible():
         raise Refusal("gamma", "gamma is not invertible modulo p")
-    r, e = jordan_exponent(order_multiple(n, p, k), p)
+    multiple = order_multiple(n, p, k)
+    r, e = jordan_exponent(multiple, p)
     delta = gamma.pow(e)
     delta_inv = delta.pow(r - 1)
     ident = gamma._identity_like()
@@ -201,13 +226,13 @@ def topological_jordan(gamma: TruncatedMatrix):
     u = delta_inv.mul(gamma)
     if delta.mul(u) != gamma or u.mul(delta) != gamma:
         raise AssertionError("parts do not commute back to gamma")
-    acc = u
-    for _ in range(k + 8):
-        if acc == ident:
-            break
-        acc = acc.pow(p)
-    else:
-        raise AssertionError("unipotent part does not converge to 1")
+    # the order of u divides the p-part N / r = p^(c + k - 1) of N: its
+    # p-th powers reach 1 by then
+    acc, pa = u, multiple // r
+    while acc != ident:
+        if pa == 1:
+            raise AssertionError("unipotent part does not converge to 1")
+        acc, pa = acc.pow(p), pa // p
     return delta, u
 
 

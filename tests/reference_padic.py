@@ -3,12 +3,36 @@ matrix's order and before it read Hilbert symbols off integers, kept as an
 oracle for tests/test_padic.py: the topological Jordan split from the order
 of the reduction mod p, found by a linear search, with delta inverted by row
 reduction; the CLI's order of delta, found by a second linear search; and
-the Hilbert symbol on Fractions, with the Legendre symbol of a unit."""
+the Hilbert symbol on Fractions, with the Legendre symbol of a unit. Beside
+them, the matrix product and power of the definition over Z, reduced once at
+the end: an oracle for `TruncatedMatrix.mul` and `pow` that shares no code
+with the product they and every route here run on."""
 
 from fractions import Fraction
 
 from liechar.exact_math import jordan_exponent, powers
 from liechar.padic import TruncatedMatrix
+
+
+def _product_over_z(a, b):
+    n = len(a)
+    return [[sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+
+
+def matrix_product(a, b, mod):
+    """a * b mod `mod` for square int matrices given as rows: the nested
+    sums over Z, each entry reduced once at the end."""
+    return tuple(tuple(x % mod for x in row) for row in _product_over_z(a, b))
+
+
+def matrix_power(a, e, mod):
+    """a^e mod `mod`: e products over Z from the identity, reduced once at
+    the end."""
+    n = len(a)
+    acc = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(e):
+        acc = _product_over_z(acc, a)
+    return tuple(tuple(x % mod for x in row) for row in acc)
 
 
 def reduction_order(gamma):

@@ -28,6 +28,7 @@ from liechar.exact_math.orders import ORDER_BUDGET
 from liechar.exact_math.primes import PRIME_BOUND, TRIAL_BOUND
 from liechar.padic import TruncatedMatrix
 from reference_lattice import coords_in_basis, solve_rational
+from reference_padic import matrix_power, matrix_product
 
 
 def inverse_by_columns(rows):
@@ -423,12 +424,23 @@ def test_power_takes_no_product_with_the_identity_and_no_extra_square():
 
 
 def test_truncated_pow_is_repeated_mul():
+    # mul and pow also against reference_padic's product over Z, which
+    # shares no code with theirs: n = 2 takes the written-out case, every
+    # other n the general one, and k = 64 gives entries of about 240 bits;
+    # the second factor of each mul is a matrix that need not commute with m
     rng = random.Random(27)
-    for n, p, k in [(1, 3, 2), (2, 5, 2), (2, 3, 4), (3, 7, 1)]:
-        m = TruncatedMatrix(n, p, k, [[rng.randrange(p**k) for _ in range(n)] for _ in range(n)])
+    cases = [(1, 3, 2), (2, 5, 2), (2, 3, 4), (3, 7, 1)]
+    cases += [(n, p, k) for n in (1, 2, 3, 4) for p in (2, 3, 13) for k in (1, 4, 64)]
+    for n, p, k in cases:
+        mod = p**k
+        rows = [[rng.randrange(mod) for _ in range(n)] for _ in range(n)]
+        other = [[rng.randrange(mod) for _ in range(n)] for _ in range(n)]
+        m = TruncatedMatrix(n, p, k, rows)
+        assert m.mul(TruncatedMatrix(n, p, k, other)).rows == matrix_product(rows, other, mod), (n, p, k)
         acc = TruncatedMatrix.identity(n, p, k)
         for e in range(21):
             assert m.pow(e) == acc, (n, p, k, e)
+            assert acc.rows == matrix_power(rows, e, mod), (n, p, k, e)
             acc = acc.mul(m)
 
 

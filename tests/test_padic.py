@@ -13,7 +13,7 @@ import pytest
 
 import reference_padic as ref
 from liechar.cli import main
-from liechar.exact_math import IntMatrix, is_prime
+from liechar.exact_math import IntMatrix, is_prime, jordan_exponent
 from liechar.padic import (
     DiagQuadForm,
     TruncatedMatrix,
@@ -83,10 +83,27 @@ def test_inverse_rejects_singular():
 
 
 def test_mixed_rings_rejected():
+    # a different modulus at the same n, where the written-out 2 x 2 product
+    # would multiply silently, and a different n either way round, before
+    # the product runs
     a = TruncatedMatrix.identity(2, 3, 2)
     b = TruncatedMatrix.identity(2, 3, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^matrices live in different rings$"):
         a.mul(b)
+    rng = random.Random(9)
+    for (n, p, k), (n2, p2, k2) in [
+        ((2, 3, 2), (2, 3, 3)),
+        ((2, 3, 3), (2, 3, 2)),
+        ((2, 2, 3), (2, 3, 2)),
+        ((3, 5, 2), (3, 5, 1)),
+        ((2, 5, 2), (3, 5, 2)),
+        ((3, 5, 2), (2, 5, 2)),
+        ((1, 7, 1), (4, 7, 1)),
+    ]:
+        x = rand_invertible(rng, n, p, k)
+        y = rand_invertible(rng, n2, p2, k2)
+        with pytest.raises(ValueError, match="^matrices live in different rings$"):
+            x.mul(y)
 
 
 @pytest.mark.parametrize(
@@ -149,6 +166,20 @@ def test_tjd_finite_order_prime_to_p():
     delta, u = topological_jordan(refl)
     assert delta == refl
     assert u == TruncatedMatrix.identity(2, 3, 4)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_tjd_unipotent_check_admits_the_largest_unipotent_order(p):
+    # gamma = [[1, 1], [0, 1]] is its own unipotent part, of order exactly
+    # p^k: the p-part N / r of N at n = 2 (c = 1), so the convergence check
+    # passes at its bound with no p-th power to spare
+    for k in (1, 2, 4, 64):
+        g = TruncatedMatrix(2, p, k, [[1, 1], [0, 1]])
+        ident = TruncatedMatrix.identity(2, p, k)
+        multiple = order_multiple(2, p, k)
+        assert multiple // jordan_exponent(multiple, p)[0] == p**k
+        assert g.pow(p ** (k - 1)) != ident and g.pow(p**k) == ident
+        assert topological_jordan(g) == (ident, g)
 
 
 def test_tjd_rejects_singular_and_deep_precision():
