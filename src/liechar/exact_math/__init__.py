@@ -1,5 +1,5 @@
 """Exact arithmetic substrate: integer matrices and Smith form, row
-reduction over Q and Z/l, finitely generated abelian groups, cyclotomic
+reduction over Q and F_l, finitely generated abelian groups, cyclotomic
 numbers, the finite fields F_q for odd q <= 16, primes, an element's
 cyclic group and its order, generators and the CRT split of an order,
 `cached`, the one caching rule, and the refusals of an input: `Refusal`, a

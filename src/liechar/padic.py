@@ -1,13 +1,13 @@
 """Truncated p-adic arithmetic and local quadratic-form invariants.
 
 Matrices over Z/p^k with one product on bare row tuples (`_mul_rows`),
-one-pass inversion, invertibility read off the rank of the reduction over
-F_p (`rref_mod`, no determinant), and powers by `exact_math.power` on the
-bare rows, so that no matrix object is built per step of a power; the
-topological Jordan decomposition of an invertible element into a
-finite-order part prime to p times a topologically unipotent part; an
-exhaustive finite-precision bijectivity check for the quasi-logarithm; and
-the Hilbert symbol with its diagonal-form product invariant.
+invertibility read off the rank of the reduction over F_p (`rref_mod`, no
+determinant), and powers by `exact_math.power` on the bare rows, so that no
+matrix object is built per step of a power; the topological Jordan
+decomposition of an invertible element into a finite-order part prime to p
+times a topologically unipotent part; an exhaustive finite-precision
+bijectivity check for the quasi-logarithm; and the Hilbert symbol with its
+diagonal-form product invariant.
 
 The product writes the 2 x 2 case out, eight products and four reductions:
 every split the query service and selftest ask for is 2 x 2, and products
@@ -142,21 +142,6 @@ class TruncatedMatrix:
         """Whether the reduction mod p has full rank, by `rref_mod` over
         F_p: no integer is formed past the entries mod p."""
         return len(rref_mod(self.rows, self.p, self.n)[1]) == self.n
-
-    def inverse(self):
-        """One Gauss-Jordan pass on [A | I] over Z/p^k, pivoting on units:
-        A is invertible exactly when every column finds one, that is when its
-        reduction mod p is. The result is checked: A * A^-1 = I."""
-        n = self.n
-        a, pivots = rref_mod(
-            [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.rows)], self.mod, n
-        )
-        if len(pivots) < n:
-            raise ZeroDivisionError("matrix is not invertible modulo p")
-        x = self._like(tuple(tuple(r[n:]) for r in a))
-        if self.mul(x) != self._identity_like():
-            raise AssertionError("inverse fails to verify")
-        return x
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedMatrix):

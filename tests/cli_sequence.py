@@ -7,7 +7,12 @@ from one call to the next: a `--format` default after an explicit value,
 one endoscopy subcommand after another, and a valid call after a usage
 error (exit 2: a missing flag, or `--format` on a subcommand without it)
 and after a rejected input (exit 1). Then comes a table
-over F_9, whose field is not prime. It ends with a chain of calls on E6,
+over F_9, whose field is not prime, and two topological Jordan splits: a
+2 x 2 one in a ring the query service asks for, on the written-out 2 x 2
+product, and a 3 x 3 one on the general product, whose invertibility test
+must pivot past a leading entry divisible by p. A precision past Python's
+4300-digit conversion limit, refused by its budget, is followed by a valid
+split. It ends with a chain of calls on E6,
 whose root datum is one object per process (`build_root_datum` is a
 registry): enumerate, estimate, a rejected and an elliptic from-kappa, the
 adjoint form, and enumerate again, so that no call may leave the shared
@@ -41,6 +46,10 @@ SEQUENCE = [
     ["tori", "h1", "--frobenius", "[[-1]]", "--format", "json"],
     ["tori", "h1", "--frobenius", "[[-1]]"],
     ["chartable", "--group", "SL2", "--q", "9", "--method", "classical"],
+    ["tjd", "--p", "3", "--k", "3", "--matrix", "[[2, 1], [1, 1]]"],
+    ["tjd", "--p", "5", "--k", "2", "--matrix", "[[5, 1, 0], [1, 1, 0], [0, 0, 3]]"],
+    ["tjd", "--p", "5", "--k", "1" * 5000, "--matrix", "[[1]]"],
+    ["tjd", "--p", "7", "--k", "1", "--matrix", "[[3]]"],
     ["endoscopy", "enumerate", "--type", "E6"],
     ["endoscopy", "estimate", "--type", "E6"],
     ["endoscopy", "from-kappa", "--type", "E6", "--kappa", '["1/2", "0"]'],
@@ -49,7 +58,7 @@ SEQUENCE = [
     ["endoscopy", "enumerate", "--type", "E6"],
 ]
 # the usage error and the rejected inputs are what the calls after them test
-EXIT_CODES = [0, 0, 0, 0, 2, 0, 1, 2, 0, 0, 0, 0, 1, 0, 0, 0]
+EXIT_CODES = [0, 0, 0, 0, 2, 0, 1, 2, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0]
 
 
 def in_process(argv):

@@ -1,16 +1,17 @@
 """The p-adic routes that liechar took before it knew a multiple of a
 matrix's order and before it read Hilbert symbols off integers, kept as an
 oracle for tests/test_padic.py: the topological Jordan split from the order
-of the reduction mod p, found by a linear search, with delta inverted by row
-reduction; the CLI's order of delta, found by a second linear search; and
-the Hilbert symbol on Fractions, with the Legendre symbol of a unit. Beside
-them, the matrix product and power of the definition over Z, reduced once at
-the end: an oracle for `TruncatedMatrix.mul` and `pow` that shares no code
-with the product they and every route here run on."""
+of the reduction mod p, found by a linear search, with delta inverted
+through its adjugate over Z (`inverse`); the CLI's order of delta, found by
+a second linear search; and the Hilbert symbol on Fractions, with the
+Legendre symbol of a unit. Beside them, the matrix product and power of the
+definition over Z, reduced once at the end: an oracle for
+`TruncatedMatrix.mul` and `pow` that shares no code with the product they
+and every route here run on."""
 
 from fractions import Fraction
 
-from liechar.exact_math import jordan_exponent, powers
+from liechar.exact_math import inverse_rational, jordan_exponent, powers
 from liechar.padic import TruncatedMatrix
 
 
@@ -35,6 +36,15 @@ def matrix_power(a, e, mod):
     return tuple(tuple(x % mod for x in row) for row in acc)
 
 
+def inverse(m):
+    """m^-1 over Z/p^k for m invertible mod p: `inverse_rational`, the
+    Bareiss pass over Z, gives m^-1 = inv / den, and den divides det m, a
+    unit mod p, so m^-1 is inv times the inverse of den mod p^k."""
+    den, inv = inverse_rational(m.rows)
+    unit = pow(den, -1, m.mod)
+    return TruncatedMatrix(m.n, m.p, m.k, [[x * unit for x in row] for row in inv])
+
+
 def reduction_order(gamma):
     """The multiplicative order of gamma mod p, stepped one product at a
     time; an element of GL_n(F_p) has order at most p^n - 1."""
@@ -45,14 +55,14 @@ def reduction_order(gamma):
 def topological_jordan(gamma):
     """(delta, u): N = ord(gamma mod p) * p^(k-1) is a multiple of the order
     of gamma, delta = gamma^e is the CRT split of it, and u = delta^-1 gamma
-    with delta^-1 from `TruncatedMatrix.inverse`, one row reduction."""
+    with delta^-1 from `inverse`, the adjugate over Z."""
     if not gamma.is_invertible():
         raise ValueError("gamma is not invertible modulo p")
     r, e = jordan_exponent(reduction_order(gamma) * gamma.p ** (gamma.k - 1), gamma.p)
     delta = gamma.pow(e)
     if delta.pow(r) != TruncatedMatrix.identity(gamma.n, gamma.p, gamma.k):
         raise AssertionError("finite-order part has the wrong order")
-    return delta, delta.inverse().mul(gamma)
+    return delta, inverse(delta).mul(gamma)
 
 
 def delta_order(delta):

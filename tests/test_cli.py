@@ -456,6 +456,46 @@ def test_json_integer_past_the_conversion_limit_is_named(argv, flag):
     assert err == ""
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["tori", "sln-group", "--n", _LONG, "--m", "2", "--degrees", "[1]"], "--n"),
+        (["tori", "sln-group", "--n", "4", "--m", _LONG, "--degrees", "[1]"], "--m"),
+        (["springer", "verify", "--group", "GL2", "--q", _LONG], "--q"),
+        (["chartable", "--group", "SL2", "--q", _LONG], "--q"),
+        (["tjd", "--p", _LONG, "--k", "1", "--matrix", "[[1]]"], "--p"),
+        (["tjd", "--p", "5", "--k", _LONG, "--matrix", "[[1]]"], "--k"),
+        (["selftest", "--seed", _LONG], "--seed"),
+    ],
+    ids=["n", "m", "springer-q", "chartable-q", "p", "k", "seed"],
+)
+def test_integer_flag_past_the_conversion_limit_is_refused_by_its_check(argv, flag):
+    """An integer flag past 4300 digits is read exactly and refused by the
+    check or budget it passes, on every Python: one JSON error led by the
+    flag (among the flags that set what is refused), not a usage error."""
+    start = time.monotonic()
+    code, out, err = run_cli(argv)
+    assert time.monotonic() - start < 1
+    assert code == 1
+    doc = json.loads(out)
+    assert list(doc) == ["error"]
+    assert flag in doc["error"].split(": ")[0].split(", ")
+    assert "4300-digit" not in doc["error"] and err == ""
+
+
+def test_integer_flag_reads_what_int_reads():
+    # a text int() reads is read as int() reads it; an ASCII decimal past
+    # the limit is read exactly; any other text stays a usage error
+    for text in ["7", "-3", "+5", " 12 ", "1_0", "\uff15"]:
+        assert cli._int_arg(text) == int(text)
+    assert cli._int_arg("0" * 5000 + "9") == 9
+    assert cli._int_arg("-" + "9" * 5000) == 1 - 10**5000
+    assert cli._int_arg("1" + "0" * 131_071) == 10**131_071
+    for text in ["x", "1.5", "", "1" * 5000 + "x"]:
+        code, _, err = run_cli(["tjd", "--p", "5", "--k", text, "--matrix", "[[1]]"])
+        assert code == 2 and "argument --k: invalid int value" in err
+
+
 _DEEP = "[" * 50_000 + "]" * 50_000  # past the JSON decoder's recursion limit
 
 

@@ -66,22 +66,6 @@ def test_det_and_invertibility():
     assert m2.is_invertible()
 
 
-def test_hensel_inverse():
-    rng = random.Random(3)
-    for p, k, n in [(3, 4, 2), (5, 3, 3), (7, 2, 4)]:
-        ident = TruncatedMatrix.identity(n, p, k)
-        for _ in range(5):
-            m = rand_invertible(rng, n, p, k)
-            inv = m.inverse()
-            assert m.mul(inv) == ident
-            assert inv.mul(m) == ident
-
-
-def test_inverse_rejects_singular():
-    with pytest.raises(ZeroDivisionError):
-        TruncatedMatrix(2, 3, 3, [[3, 0], [0, 1]]).inverse()
-
-
 def test_mixed_rings_rejected():
     # a different modulus at the same n, where the written-out 2 x 2 product
     # would multiply silently, and a different n either way round, before
@@ -135,7 +119,7 @@ def test_constructor_refuses_the_empty_matrix_and_admits_n_1():
 def test_arithmetic_results_stay_reduced():
     m = TruncatedMatrix(2, 3, 2, [[8, 4], [-1, 5]])
     assert m.rows == ((8, 4), (8, 5))
-    for r in (m.mul(m), m.pow(5), m.inverse()):
+    for r in (m.mul(m), m.pow(5)):
         assert all(type(x) is int and 0 <= x < 9 for row in r.rows for x in row)
         assert r == TruncatedMatrix(2, 3, 2, r.rows)
 
@@ -258,7 +242,7 @@ def test_tjd_random_posts(p, k):
         cand = ident
         hits = 0
         for _ in range(r):
-            u2 = cand.inverse().mul(g)
+            u2 = ref.inverse(cand).mul(g)
             red = _mod_p(u2)
             tr = sum(red.rows[i][i] for i in range(red.n)) % p
             det = IntMatrix(red.rows).det() % p
@@ -321,7 +305,7 @@ def _power_iteration_jordan(gamma):
         cur = nxt
     else:
         raise AssertionError("power iteration did not stabilize")
-    return cur, cur.inverse().mul(gamma)
+    return cur, ref.inverse(cur).mul(gamma)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -346,7 +330,7 @@ def _jordan_block_conjugate(rng, n, p, k):
     lam = rng.choice([x for x in range(1, mod) if x % p])
     block = TruncatedMatrix(n, p, k, [[lam if i == j else int(j == i + 1) for j in range(n)] for i in range(n)])
     h = rand_invertible(rng, n, p, k)
-    return h.mul(block).mul(h.inverse())
+    return h.mul(block).mul(ref.inverse(h))
 
 
 def test_order_multiple_is_a_multiple_of_every_order():
@@ -431,7 +415,7 @@ def test_tjd_conjugation_equivariance():
         for _ in range(20):
             g = rand_invertible(rng, 2, p, k)
             h = rand_invertible(rng, 2, p, k)
-            hinv = h.inverse()
+            hinv = ref.inverse(h)
             delta, u = topological_jordan(g)
             d2, u2 = topological_jordan(h.mul(g).mul(hinv))
             assert d2 == h.mul(delta).mul(hinv)
