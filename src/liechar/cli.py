@@ -3,20 +3,42 @@
 Every subcommand emits a deterministic JSON (or CSV) document: field order
 is fixed by construction, sets are sorted before emission, and nothing
 time- or host-dependent is written.  Exit codes: 0 on success, 1 when a
-verification fails or an input is rejected, 2 for usage errors.  `main` is
-the one place that catches a rejected input (a ValueError or
-ZeroDivisionError from any subcommand): it writes `{"error": ...}` as JSON,
-whatever `--format` is (only `chartable` has the flag), and returns 1. A
-rejected argument is named by its flag in the message. A refusal
-(`exact_math.Refusal`) carries its subject, the input it refuses: the CLI's
-own parsing gives the flag itself, and a library refusal is led by the flag
-that `_FLAGS` maps its subject to under the subcommand. A refusal without a
-subject, or with one the subcommand does not list, is led by the
-subcommand's default flag. No word of the message is read, so its text is
-free. Every budget's refusal is written by `exact_math.over_budget`: it
-names the budget as "{NAME} = {limit}", most often in "{what} {value}
-exceeds the budget {NAME} = {limit}", and writes a value of 10^64 or more
-by its digit count.
+verification fails or an input is rejected, 2 for usage errors, which are
+errors of structure only: an unknown subcommand or flag, a missing required
+flag, or a choice outside its list.
+
+Every flag reads one kind of value, and `FLAG_KINDS` gives the kind of
+every flag of every subcommand; `build_parser` builds the parser from it.
+Each kind has one reader, and every kind reads ASCII digits only, with no
+digit underscores and no whitespace around the value:
+
+- integer: decimal digits after an optional + or -, leading zeros allowed,
+  read exactly past Python's 4300-digit conversion limit;
+- Cartan type: a letter A-G and the rank's digits, e.g. C2;
+- rational: a number such as 1/2, -0.5 or 1e-3 in Fraction's grammar,
+  within RATIONAL_DIGITS digits, the exponent counted;
+- rational list: a JSON list whose items are rationals, as numbers or as
+  strings;
+- integer list, integer matrix: a JSON list of integers, a JSON list of
+  such lists;
+- place: "inf", or decimal digits with no sign;
+- choice: one of the values argparse lists; switch: a flag with no value.
+
+Every value is read in one step, inside the error boundary of `_run`: a
+text that its kind refuses is a refusal led by its flag, exit 1, like any
+other rejected input.  `main` is the one place that catches a rejected
+input (a ValueError or ZeroDivisionError from reading a value or from any
+subcommand): it writes `{"error": ...}` as JSON, whatever `--format` is
+(only `chartable` has the flag), and returns 1. A rejected argument is
+named by its flag in the message. A refusal (`exact_math.Refusal`) carries
+its subject, the input it refuses: the CLI's own reading gives the flag
+itself, and a library refusal is led by the flag that `_FLAGS` maps its
+subject to under the subcommand. A library refusal without a subject, or
+with one the subcommand does not list, is led by the subcommand's default
+flag. No word of the message is read, so its text is free. Every budget's
+refusal is written by `exact_math.over_budget`: it names the budget as
+"{NAME} = {limit}", most often in "{what} {value} exceeds the budget {NAME}
+= {limit}", and writes a value of 10^64 or more by its digit count.
 
 When the file that `--out` names cannot be written, the document, or the
 refusal, is replaced by one `{"error": "--out: ..."}` on stdout, and the
@@ -41,6 +63,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from .dl_spectra import (
     character_table_dixon,
@@ -78,13 +101,47 @@ from .padic import (
 )
 from .root_datum import RANK_BUDGET, build_root_datum
 
+# ---------------------------------------------------------------------------
+# argument grammar: one reader per kind of value, and the kind of every flag
+
+
+def _decimal(digits):
+    """The value of a string of ASCII digits, read exactly past Python's
+    4300-digit conversion limit too: int() of 600-digit slices (below 640,
+    the least limit Python can be set to), so that the library refuses a
+    huge value by its budget's name."""
+    value = 0
+    for i in range(0, len(digits), 600):
+        part = digits[i : i + 600]
+        value = value * 10 ** len(part) + int(part)
+    return value
+
+
+_INTEGER_RE = re.compile(r"([-+]?)([0-9]+)")
+
+
+def _read_integer(text):
+    m = _INTEGER_RE.fullmatch(text)
+    if not m:
+        raise ValueError(f"expected an integer, got {text!r}")
+    return (-1 if m.group(1) == "-" else 1) * _decimal(m.group(2))
+
+
+def _read_place(text):
+    """"inf", or the value of an ASCII decimal; `hilbert_symbol` decides
+    whether it is a prime."""
+    if text != "inf" and not (text.isascii() and text.isdigit()):
+        raise ValueError("place must be a prime or 'inf'")
+    return text if text == "inf" else _decimal(text)
+
+
 _TYPE_RE = re.compile(r"([A-G])([0-9]+)")
 
 
-def _parse_type(s):
-    m = _TYPE_RE.fullmatch(s)
+def _read_type(text):
+    m = _TYPE_RE.fullmatch(text)
     if not m:
-        raise ValueError(f"bad type {s!r}; expected e.g. A3, C2, E6")
+        raise ValueError(f"bad type {text!r}; expected e.g. A3, C2, E6")
     # measured before int(), which refuses past 4300 digits, leading zeros
     # included, in its own words
     rank = m.group(2).lstrip("0") or "0"
@@ -93,97 +150,146 @@ def _parse_type(s):
     return m.group(1), int(rank)
 
 
-_DECIMAL_RE = re.compile(r"([-+]?)([0-9]+)")
-
-
-def _int_arg(text):
-    """int(text), the value of an integer flag. An ASCII decimal past
-    Python's 4300-digit conversion limit is read exactly, from int() of
-    600-digit slices (below 640, the least limit Python can be set to), so
-    that the library refuses it by its budget's name."""
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    m = _DECIMAL_RE.fullmatch(text)
-    if not m:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    sign, digits = m.groups()
-    value = 0
-    for i in range(0, len(digits), 600):
-        part = digits[i : i + 600]
-        value = value * 10 ** len(part) + int(part)
-    return -value if sign == "-" else value
-
-
-def _parse_json(s, flag):
-    """The JSON value of s; a number with a fraction or an exponent stays
-    its text, which `_parse_rational` reads exactly (a float would round
-    0.10000000000000000001 to 0.1 and 1e-400 to 0)."""
-    try:
-        return json.loads(s, parse_float=str)
-    except json.JSONDecodeError:
-        raise Refusal(flag, f"not valid JSON: {s!r}") from None
-    except RecursionError:
-        raise Refusal(flag, "JSON nested too deeply") from None
-    except ValueError:
-        # an integer past Python's limit on int <-> str conversion
-        raise Refusal(flag, "an integer exceeds Python's 4300-digit conversion limit") from None
-
-
 # digits a rational argument may spell out, its exponent counted as that many
 # digits: Fraction("1eN") forms 10**N, so the text is measured first
 RATIONAL_DIGITS = 1000
 _EXPONENT_RE = re.compile(r"[eE]([-+]?\d+)")
+_RATIONAL_RE = re.compile(r"[-+0-9./eE]+")
 
 
-def _parse_rational(x, flag):
-    """A number, or a string such as "1/2", within RATIONAL_DIGITS. Digit
-    underscores are refused: Fraction reads them from Python 3.11 on, and
-    one argument has one answer on every Python."""
+def _read_rational(x):
+    """A number, or a string such as "1/2", in Fraction's grammar over the
+    ASCII characters -+0123456789./eE (no whitespace, and no digit
+    underscores, which Fraction reads from Python 3.11 on), then within
+    RATIONAL_DIGITS."""
     text = str(x)
-    digits = sum(c.isdigit() for c in text)
-    exp = _EXPONENT_RE.search(text)
-    if exp and digits <= RATIONAL_DIGITS:
-        digits += abs(int(exp.group(1)))
-    if digits > RATIONAL_DIGITS:
-        raise Refusal(
-            flag, f"{digits} digits, exponent included, exceed the rational digit budget {RATIONAL_DIGITS}"
-        )
-    if "_" not in text:
+    if _RATIONAL_RE.fullmatch(text):
+        digits = sum(c.isdigit() for c in text)
+        exp = _EXPONENT_RE.search(text)
+        if exp and digits <= RATIONAL_DIGITS:
+            digits += abs(int(exp.group(1)))
+        if digits > RATIONAL_DIGITS:
+            raise ValueError(f"{digits} digits, exponent included, exceed the rational digit budget {RATIONAL_DIGITS}")
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError):
             pass
-    raise Refusal(flag, f"expected a rational such as 1/2, got {x!r}")
+    raise ValueError(f"expected a rational such as 1/2, got {x!r}")
 
 
-def _parse_fraction_list(s, flag):
-    """JSON list of rationals, each a number or a string such as "1/2"."""
-    items = _parse_json(s, flag)
+_JSON = json.JSONDecoder(parse_float=str)
+
+
+def _read_json(text):
+    """The JSON value of text, with no whitespace around it; a number with
+    a fraction or an exponent stays its text, which `_read_rational` reads
+    exactly (a float would round 0.10000000000000000001 to 0.1 and 1e-400
+    to 0)."""
+    try:
+        value, end = _JSON.raw_decode(text)
+    except json.JSONDecodeError:
+        end = None
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+    except ValueError:  # an integer past Python's limit on int <-> str conversion
+        raise ValueError("an integer exceeds Python's 4300-digit conversion limit") from None
+    if end != len(text):
+        raise ValueError(f"not valid JSON: {text!r}")
+    return value
+
+
+def _read_rational_list(text):
+    items = _read_json(text)
     if not isinstance(items, list):
-        raise Refusal(flag, f"expected a JSON list of rationals, got {s!r}")
-    return tuple(_parse_rational(x, flag) for x in items)
+        raise ValueError(f"expected a JSON list of rationals, got {text!r}")
+    return tuple(_read_rational(x) for x in items)
 
 
 def _is_int_list(items):
     return isinstance(items, list) and all(type(x) is int for x in items)
 
 
-def _parse_int_list(s, flag):
-    """JSON list of integers."""
-    items = _parse_json(s, flag)
+def _read_integer_list(text):
+    items = _read_json(text)
     if not _is_int_list(items):
-        raise Refusal(flag, f"expected a JSON list of integers, got {s!r}")
+        raise ValueError(f"expected a JSON list of integers, got {text!r}")
     return tuple(items)
 
 
-def _parse_int_matrix(s, flag):
-    """JSON list of integer rows; the consumer checks that they are square."""
-    rows = _parse_json(s, flag)
+def _read_integer_matrix(text):
+    """Integer rows; the consumer checks that they are square."""
+    rows = _read_json(text)
     if not isinstance(rows, list) or not all(_is_int_list(r) for r in rows):
-        raise Refusal(flag, f"expected a JSON matrix of integers, got {s!r}")
+        raise ValueError(f"expected a JSON matrix of integers, got {text!r}")
     return rows
+
+
+class Kind(NamedTuple):
+    """A kind of flag value: the help of its flags; the reader that maps a
+    flag's text to its value or raises ValueError (None: the text is the
+    value); and the structure argparse keeps, its `add_argument` keywords."""
+
+    name: str
+    help: str
+    read: object = None
+    structure: dict = {"required": True}
+
+
+INTEGER = Kind("integer", "an integer: ASCII digits after an optional sign", _read_integer)
+CARTAN_TYPE = Kind("Cartan type", "a Cartan type, e.g. C2", _read_type)
+RATIONAL = Kind("rational", "a rational, e.g. 1/2, -0.5 or 1e-3", _read_rational)
+RATIONAL_LIST = Kind("rational list", "a JSON list of rationals, e.g. '[\"1/2\", 0]'", _read_rational_list)
+INTEGER_LIST = Kind("integer list", "a JSON list of integers", _read_integer_list)
+INTEGER_MATRIX = Kind("integer matrix", "a JSON list of integer rows", _read_integer_matrix)
+PLACE = Kind("place", "a prime in ASCII digits, or 'inf'", _read_place)
+SWITCH = Kind("switch", "on when given", structure={"action": "store_true"})
+
+
+def _choice(*choices, default=None):
+    """One of choices, required unless it has a default."""
+    structure = {"choices": choices, "default": default, "required": default is None}
+    return Kind("choice", "one of the values in braces", structure=structure)
+
+
+_ISOGENY = _choice("sc", "ad", default="sc")
+_GROUP = _choice("SL2", "GL2")
+
+# the kind of every flag of every subcommand; each subcommand also takes
+# --out, the path of a file to write the document to
+FLAG_KINDS = {
+    "endoscopy enumerate": {"--type": CARTAN_TYPE, "--isogeny": _ISOGENY},
+    "endoscopy from-kappa": {"--type": CARTAN_TYPE, "--isogeny": _ISOGENY, "--kappa": RATIONAL_LIST},
+    "endoscopy estimate": {"--type": CARTAN_TYPE, "--isogeny": _ISOGENY},
+    "tori h1": {"--frobenius": INTEGER_MATRIX},
+    "tori pair": {"--frobenius": INTEGER_MATRIX, "--inv": INTEGER_LIST, "--kappa": INTEGER_LIST},
+    "tori sln-group": {"--n": INTEGER, "--m": INTEGER, "--degrees": INTEGER_LIST},
+    "springer verify": {"--group": _GROUP, "--q": INTEGER, "--all": SWITCH},
+    "chartable": {
+        "--group": _GROUP,
+        "--q": INTEGER,
+        "--method": _choice("dixon", "classical", default="dixon"),
+        "--format": _choice("json", "csv", default="csv"),
+    },
+    "tjd": {"--p": INTEGER, "--k": INTEGER, "--matrix": INTEGER_MATRIX},
+    "hilbert": {"--a": RATIONAL, "--b": RATIONAL, "--place": PLACE},
+    "selftest": {"--seed": INTEGER._replace(structure={"default": "0"})},
+}
+
+
+def _read(args):
+    """Replace the text of every flag of args' subcommand by its value, read
+    by the flag's kind, and keep the texts in `args.texts`, which a document
+    may echo. A text that its kind refuses is a Refusal whose subject is
+    the flag."""
+    args.texts = {}
+    for flag, kind in FLAG_KINDS[args.command].items():
+        dest = flag[2:]
+        args.texts[dest] = text = getattr(args, dest)
+        if kind.read:
+            try:
+                setattr(args, dest, kind.read(text))
+            except ValueError as e:
+                raise Refusal(flag, str(e)) from None
 
 
 def _emit(doc, args, rows=None, header=None):
@@ -233,13 +339,11 @@ def _write(text, args):
 
 
 def _cmd_endoscopy(args):
-    series, rank = _parse_type(args.type)
-    datum = build_root_datum(series, rank, args.isogeny)
-    if args.endo_cmd == "enumerate":
+    datum = build_root_datum(*args.type, args.isogeny)
+    if args.sub == "enumerate":
         doc = [t.serialize() for t in enumerate_split_elliptic(datum)]
-    elif args.endo_cmd == "from-kappa":
-        kappa = _parse_fraction_list(args.kappa, "--kappa")
-        doc = endoscopic_from_kappa(datum, kappa).serialize()
+    elif args.sub == "from-kappa":
+        doc = endoscopic_from_kappa(datum, args.kappa).serialize()
     else:
         doc = estimate_diagram_check(datum)
     _emit(doc, args)
@@ -251,12 +355,11 @@ def _cmd_endoscopy(args):
 
 
 def _tn_data(args):
-    rows = _parse_int_matrix(args.frobenius, "--frobenius")
-    return component_group_pi0(TwistedTorus(len(rows), IntMatrix(rows)))
+    return component_group_pi0(TwistedTorus(len(args.frobenius), IntMatrix(args.frobenius)))
 
 
 def _cmd_tori(args):
-    if args.tori_cmd == "h1":
+    if args.sub == "h1":
         data = _tn_data(args)
         doc = {
             "rank": data.torus.rank,
@@ -264,24 +367,20 @@ def _cmd_tori(args):
             "h1": data.h1.serialize(),
             "invariant_factors": list(data.invariant_factors),
         }
-    elif args.tori_cmd == "pair":
-        data = _tn_data(args)
-        inv = _parse_int_list(args.inv, "--inv")
-        kappa = _parse_int_list(args.kappa, "--kappa")
-        val = tn_pairing(data, inv, kappa)
+    elif args.sub == "pair":
+        val = tn_pairing(_tn_data(args), args.inv, args.kappa)
         doc = {
-            "inv": list(inv),
-            "kappa": list(kappa),
+            "inv": list(args.inv),
+            "kappa": list(args.kappa),
             "value": str(val),
             "conductor": val.n,
         }
     else:
-        degrees = _parse_int_list(args.degrees, "--degrees")
-        group, witnesses = sln_kappa_group(args.n, args.m, degrees)
+        group, witnesses = sln_kappa_group(args.n, args.m, args.degrees)
         doc = {
             "n": args.n,
             "m": args.m,
-            "degrees": list(degrees),
+            "degrees": list(args.degrees),
             "group": group.serialize(),
             "witnesses": [
                 {"twist": list(t), "class": list(c)} for t, c in witnesses
@@ -370,8 +469,7 @@ def _cmd_chartable(args):
 
 
 def _cmd_tjd(args):
-    rows = _parse_int_matrix(args.matrix, "--matrix")
-    m = TruncatedMatrix(len(rows), args.p, args.k, rows)
+    m = TruncatedMatrix(len(args.matrix), args.p, args.k, args.matrix)
     delta, u = topological_jordan(m)
     # topological_jordan checked delta^r = 1 for r = lcm(p^d - 1, d <= n), the
     # prime-to-p part of the order multiple; each p^d - 1 is at most the
@@ -395,10 +493,8 @@ def _cmd_tjd(args):
 
 
 def _cmd_hilbert(args):
-    a = _parse_rational(args.a, "--a")
-    b = _parse_rational(args.b, "--b")
-    sym = hilbert_symbol(a, b, args.place)
-    doc = {"a": args.a, "b": args.b, "place": args.place, "symbol": sym}
+    # the document echoes the texts of --a, --b and --place
+    doc = {**args.texts, "symbol": hilbert_symbol(args.a, args.b, args.place)}
     _emit(doc, args)
     return 0
 
@@ -546,7 +642,7 @@ SEED_DIGITS = 4300
 
 def _cmd_selftest(args):
     if abs(args.seed) >= 10**SEED_DIGITS:
-        raise over_budget(None, "seed", args.seed, "SEED_DIGITS", SEED_DIGITS)
+        raise over_budget("--seed", "seed", args.seed, "SEED_DIGITS", SEED_DIGITS)
     rng = random.Random(args.seed)
     battery = [
         ("endoscopy_sp4", _check_endoscopy_sp4),
@@ -586,80 +682,35 @@ def _cmd_selftest(args):
 # parser
 
 
-def _add_common(p):
-    p.add_argument("--out", default=None, help="write the document to a file")
+# the help of each subcommand and the function that runs it
+_COMMANDS = {
+    "endoscopy": ("split endoscopic data", _cmd_endoscopy),
+    "tori": ("twisted tori and kappa groups", _cmd_tori),
+    "springer": ("verify the trace identity", _cmd_springer),
+    "chartable": ("exact character table", _cmd_chartable),
+    "tjd": ("topological Jordan decomposition", _cmd_tjd),
+    "hilbert": ("local Hilbert symbol", _cmd_hilbert),
+    "selftest": ("run the invariant battery", _cmd_selftest),
+}
 
 
 def build_parser():
+    """One parser per entry of FLAG_KINDS, a two-word subcommand under its
+    first word. argparse holds the structure only, the flags with their
+    choices and defaults, and reads no value: `_read` does."""
     ap = argparse.ArgumentParser(prog="liechar")
-    sub = ap.add_subparsers(dest="cmd", required=True)
-
-    endo = sub.add_parser("endoscopy", help="split endoscopic data")
-    esub = endo.add_subparsers(dest="endo_cmd", required=True)
-    for name in ("enumerate", "from-kappa", "estimate"):
-        p = esub.add_parser(name)
-        p.add_argument("--type", required=True, help="Cartan type, e.g. C2")
-        p.add_argument("--isogeny", default="sc", choices=["sc", "ad"])
-        if name == "from-kappa":
-            p.add_argument("--kappa", required=True, help='JSON list, e.g. \'["1/2", 0]\'')
-        _add_common(p)
-        p.set_defaults(fn=_cmd_endoscopy)
-
-    tori = sub.add_parser("tori", help="twisted tori and kappa groups")
-    tsub = tori.add_subparsers(dest="tori_cmd", required=True)
-    p = tsub.add_parser("h1")
-    p.add_argument("--frobenius", required=True, help="JSON integer matrix")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_tori)
-    p = tsub.add_parser("pair")
-    p.add_argument("--frobenius", required=True)
-    p.add_argument("--inv", required=True, help="JSON list of h1 coordinates")
-    p.add_argument("--kappa", required=True, help="JSON list of pi0 coordinates")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_tori)
-    p = tsub.add_parser("sln-group")
-    p.add_argument("--n", type=_int_arg, required=True)
-    p.add_argument("--m", type=_int_arg, required=True)
-    p.add_argument("--degrees", required=True, help="JSON list of block degrees")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_tori)
-
-    spr = sub.add_parser("springer", help="verify the trace identity")
-    ssub = spr.add_subparsers(dest="springer_cmd", required=True)
-    p = ssub.add_parser("verify")
-    p.add_argument("--group", required=True, choices=["SL2", "GL2"])
-    p.add_argument("--q", type=_int_arg, required=True)
-    p.add_argument("--all", action="store_true", help="every unipotent class")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_springer)
-
-    p = sub.add_parser("chartable", help="exact character table")
-    p.add_argument("--group", required=True, choices=["SL2", "GL2"])
-    p.add_argument("--q", type=_int_arg, required=True)
-    p.add_argument("--method", default="dixon", choices=["dixon", "classical"])
-    p.add_argument("--format", choices=["json", "csv"], default="csv")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_chartable)
-
-    p = sub.add_parser("tjd", help="topological Jordan decomposition")
-    p.add_argument("--p", type=_int_arg, required=True)
-    p.add_argument("--k", type=_int_arg, required=True)
-    p.add_argument("--matrix", required=True, help="JSON integer matrix")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_tjd)
-
-    p = sub.add_parser("hilbert", help="local Hilbert symbol")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--place", required=True, help="a prime or 'inf'")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_hilbert)
-
-    p = sub.add_parser("selftest", help="run the invariant battery")
-    p.add_argument("--seed", type=_int_arg, default=0)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_selftest)
-
+    top = ap.add_subparsers(dest="cmd", required=True)
+    nested = {}
+    for command, flags in FLAG_KINDS.items():
+        cmd, _, leaf = command.partition(" ")
+        help_, fn = _COMMANDS[cmd]
+        if leaf and cmd not in nested:
+            nested[cmd] = top.add_parser(cmd, help=help_).add_subparsers(dest="sub", required=True)
+        p = nested[cmd].add_parser(leaf) if leaf else top.add_parser(cmd, help=help_)
+        for flag, kind in flags.items():
+            p.add_argument(flag, help=kind.help, **kind.structure)
+        p.add_argument("--out", default=None, help="write the document to a file")
+        p.set_defaults(fn=fn, command=command)
     return ap
 
 
@@ -671,8 +722,9 @@ def _parser():
 
 
 # the flag that set each subject a library refusal names, by subcommand; None
-# keys the subcommand's default, for a refusal without a subject or with a
-# subject the subcommand does not list
+# keys the subcommand's default, for a library refusal without a subject or
+# with a subject the subcommand does not list. A refusal of the CLI's own
+# has its flag as its subject, so no flag is a key here
 _FLAGS = {
     "tori": {
         "h1": "--inv", "pi0": "--kappa", "degrees": "--degrees", "frobenius": "--frobenius",
@@ -686,14 +738,14 @@ _FLAGS = {
         "gamma": "--matrix", "order": "--p, --matrix",
     },
     "hilbert": {"arguments": "--a, --b", "place": "--place", "primality": "--place"},
-    "selftest": {None: "--seed"},
 }
 
 
 def _flagged(cmd, e):
     """The message of a rejected input e, led by the flag that set its
-    subject: a flag itself when the CLI's own parsing refused it, else the
-    one `_FLAGS` maps the subject to."""
+    subject: a flag itself when the CLI refused it (a value its kind
+    refuses, or the seed's budget), else the one `_FLAGS` maps the subject
+    to."""
     subject, flags = getattr(e, "subject", None), _FLAGS.get(cmd, {})
     flag = subject if str(subject).startswith("--") else flags.get(subject, flags.get(None))
     return str(e) if flag is None else f"{flag}: {e}"
@@ -706,6 +758,7 @@ def _error_text(message):
 def _run(args):
     try:
         try:
+            _read(args)
             return args.fn(args)
         except (ValueError, ZeroDivisionError) as e:
             _write(_error_text(_flagged(args.cmd, e)), args)

@@ -43,7 +43,6 @@ from operator import mul as _mul
 
 from .exact_math import Refusal, int_text, is_prime, jordan_exponent, over_budget, power, prime_factors, rref_mod
 from .exact_math.orders import ORDER_BUDGET
-from .exact_math.primes import PRIME_BOUND
 
 __all__ = [
     "TruncatedMatrix",
@@ -349,14 +348,13 @@ def _split_valuation(num, den, p):
 def hilbert_symbol(a, b, v):
     """The local Hilbert symbol (a, b)_v in {+1, -1}.
 
-    v is an odd prime, 2, or the string "inf"; a prime may also be given as
-    a string of decimal digits, and any other string is refused here. No
-    prime at or above PRIME_BOUND is admitted (`is_prime` refuses it), so a
-    string with more significant digits than PRIME_BOUND is refused before
-    it is converted. Computed from the standard valuation and residue
-    formulas on the numerators and denominators; bimultiplicative and
-    symmetric. A unit num / den is a square mod an odd v when num * den is,
-    which Euler's criterion decides; mod 8, an odd den is its own inverse.
+    v is an int or the string "inf": a prime, or "inf" for the real place;
+    any other v is refused as no place, and a v at or above PRIME_BOUND by
+    `is_prime`, which decides primality only below it. Computed from the
+    standard valuation and residue formulas on the numerators and
+    denominators; bimultiplicative and symmetric. A unit num / den is a
+    square mod an odd v when num * den is, which Euler's criterion decides;
+    mod 8, an odd den is its own inverse.
     """
     if not isinstance(a, Fraction):
         a = Fraction(a)
@@ -367,15 +365,7 @@ def hilbert_symbol(a, b, v):
         raise Refusal("arguments", "arguments must be nonzero")
     if v == "inf":
         return -1 if an < 0 and bn < 0 else 1
-    if isinstance(v, str):
-        # any script's decimal digits, written as ASCII without leading
-        # zeros; any other text reads as 0, which is no place
-        v = ("".join(str(int(c)) for c in v).lstrip("0") if v.isdecimal() else "") or "0"
-        if len(v) > len(str(PRIME_BOUND)):
-            undecided = "primality of a {value}-digit place is decided only below {budget}"
-            raise over_budget("primality", undecided, len(v), "PRIME_BOUND", PRIME_BOUND)
-    v = int(v)
-    if not is_prime(v):
+    if not isinstance(v, int) or not is_prime(v):
         raise Refusal("place", "place must be a prime or 'inf'")
     alpha, un, ud = _split_valuation(an, a.denominator, v)
     beta, wn, wd = _split_valuation(bn, b.denominator, v)

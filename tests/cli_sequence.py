@@ -12,16 +12,18 @@ over F_9, whose field is not prime, and two topological Jordan splits: a
 product, and a 3 x 3 one on the general product, whose invertibility test
 must pivot past a leading entry divisible by p. A precision past Python's
 4300-digit conversion limit, refused by its budget, is followed by a valid
-split. It ends with a chain of calls on E6,
+split, and a precision with a digit underscore, refused by the integer
+grammar, by a valid split. A place in fullwidth digits is refused by the
+place grammar. It ends with a chain of calls on E6,
 whose root datum is one object per process (`build_root_datum` is a
 registry): enumerate, estimate, a rejected and an elliptic from-kappa, the
 adjoint form, and enumerate again, so that no call may leave the shared
 datum, or what is derived from it, changed for the next. Each in-process
 call must print the same stdout and return the same exit code as the same
 arguments in a fresh `python -m liechar.cli` process, and its subcommand
-must see the namespace that a freshly built parser gives, with no flag left
-over from an earlier call. `tests/test_no_dead_code.py` traces the
-in-process calls.
+must see the namespace that a freshly built parser gives, its values read
+by `cli._read`, with no flag left over from an earlier call.
+`tests/test_no_dead_code.py` traces the in-process calls.
 
 Runs without pytest (`tests/test_cli.py` runs it too):
 
@@ -50,6 +52,9 @@ SEQUENCE = [
     ["tjd", "--p", "5", "--k", "2", "--matrix", "[[5, 1, 0], [1, 1, 0], [0, 0, 3]]"],
     ["tjd", "--p", "5", "--k", "1" * 5000, "--matrix", "[[1]]"],
     ["tjd", "--p", "7", "--k", "1", "--matrix", "[[3]]"],
+    ["tjd", "--p", "5", "--k", "1_0", "--matrix", "[[1]]"],
+    ["tjd", "--p", "5", "--k", "2", "--matrix", "[[2]]"],
+    ["hilbert", "--a", "2", "--b", "3", "--place", "\uff15"],
     ["endoscopy", "enumerate", "--type", "E6"],
     ["endoscopy", "estimate", "--type", "E6"],
     ["endoscopy", "from-kappa", "--type", "E6", "--kappa", '["1/2", "0"]'],
@@ -58,7 +63,7 @@ SEQUENCE = [
     ["endoscopy", "enumerate", "--type", "E6"],
 ]
 # the usage error and the rejected inputs are what the calls after them test
-EXIT_CODES = [0, 0, 0, 0, 2, 0, 1, 2, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0]
+EXIT_CODES = [0, 0, 0, 0, 2, 0, 1, 2, 0, 0, 0, 0, 1, 0, 1, 0, 1, 0, 0, 1, 0, 0, 0]
 
 
 def in_process(argv):
@@ -91,6 +96,13 @@ def fresh(argv):
     return proc.returncode, proc.stdout
 
 
+def _fresh_namespace(argv):
+    """The flags of argv as a freshly built parser gives them, read."""
+    args = cli.build_parser().parse_args(argv)
+    cli._read(args)
+    return vars(args)
+
+
 def mismatches():
     """(results, faults): the in-process results, which run first, back to
     back, in sequence order; then one line for each call whose stdout or
@@ -102,7 +114,7 @@ def mismatches():
         theirs = fresh(argv)
         if (code, out) != theirs:
             faults.append(f"liechar {' '.join(argv)}: in process {(code, out)!r}, fresh process {theirs!r}")
-        if namespace is not None and namespace != vars(cli.build_parser().parse_args(argv)):
+        if namespace is not None and namespace != _fresh_namespace(argv):
             faults.append(f"liechar {' '.join(argv)}: namespace {namespace!r} differs from a fresh parser's")
     return got, faults
 

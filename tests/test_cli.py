@@ -22,6 +22,7 @@ from liechar import cli
 from liechar.cli import main
 from liechar.dl_spectra import CharacterTable
 from liechar.exact_math import Cyclotomic
+from liechar.padic import hilbert_symbol
 
 
 def run_cli(argv):
@@ -483,17 +484,202 @@ def test_integer_flag_past_the_conversion_limit_is_refused_by_its_check(argv, fl
     assert "4300-digit" not in doc["error"] and err == ""
 
 
-def test_integer_flag_reads_what_int_reads():
-    # a text int() reads is read as int() reads it; an ASCII decimal past
-    # the limit is read exactly; any other text stays a usage error
-    for text in ["7", "-3", "+5", " 12 ", "1_0", "\uff15"]:
-        assert cli._int_arg(text) == int(text)
-    assert cli._int_arg("0" * 5000 + "9") == 9
-    assert cli._int_arg("-" + "9" * 5000) == 1 - 10**5000
-    assert cli._int_arg("1" + "0" * 131_071) == 10**131_071
-    for text in ["x", "1.5", "", "1" * 5000 + "x"]:
-        code, _, err = run_cli(["tjd", "--p", "5", "--k", text, "--matrix", "[[1]]"])
-        assert code == 2 and "argument --k: invalid int value" in err
+# ---------------------------------------------------------------------------
+# the argument grammar: every flag reads one kind of value, through one reader
+# per kind
+
+# the flags of each kind, as README lists them. The texts below are read
+# through each flag's entry in `cli.FLAG_KINDS`, so a flag moved to another
+# kind's reader gives that kind's verdicts, not these
+_KIND_FLAGS = {
+    "integer": [
+        "tori sln-group --n", "tori sln-group --m", "springer verify --q", "chartable --q", "tjd --p", "tjd --k",
+        "selftest --seed",
+    ],
+    "Cartan type": ["endoscopy enumerate --type", "endoscopy from-kappa --type", "endoscopy estimate --type"],
+    "rational": ["hilbert --a", "hilbert --b"],
+    "rational list": ["endoscopy from-kappa --kappa"],
+    "integer list": ["tori pair --inv", "tori pair --kappa", "tori sln-group --degrees"],
+    "integer matrix": ["tori h1 --frobenius", "tori pair --frobenius", "tjd --matrix"],
+    "place": ["hilbert --place"],
+    "choice": [
+        "endoscopy enumerate --isogeny", "endoscopy from-kappa --isogeny", "endoscopy estimate --isogeny",
+        "springer verify --group", "chartable --group", "chartable --method", "chartable --format",
+    ],
+    "switch": ["springer verify --all"],
+}
+
+# a valid text of each kind but choice, and its value; a switch is given
+# without a text
+_VALID = {
+    "integer": ("5", 5),
+    "Cartan type": ("A2", ("A", 2)),
+    "rational": ("1/2", Fraction(1, 2)),
+    "rational list": ('["1/2", 0]', (Fraction(1, 2), Fraction(0))),
+    "integer list": ("[0]", (0,)),
+    "integer matrix": ("[[1]]", [[1]]),
+    "place": ("inf", "inf"),
+    "switch": (None, True),
+}
+
+_NINES = "9" * 5000  # an ASCII decimal past Python's 4300-digit conversion limit
+_EDGE_TEXTS = ["\uff15", "1_0", " 7", "+5", "-3", "007", _NINES, "x", ""]
+
+
+def _json_past_the_limit(what):
+    # a JSON integer past 4300 digits is refused by Python's conversion
+    # limit, on the Pythons that have one
+    if hasattr(sys, "get_int_max_str_digits"):
+        return "an integer exceeds Python's 4300-digit conversion limit"
+    return f"expected a JSON {what}, got {_NINES!r}"
+
+
+# each kind's verdict on each edge text: a value, or the refusal's message
+# (written by the kind's function of the text, unless the kind lists the
+# text), or None for a usage error
+_GRAMMAR = {
+    "integer": (lambda t: f"expected an integer, got {t!r}", {"+5": 5, "-3": -3, "007": 7, _NINES: 10**5000 - 1}),
+    "Cartan type": (lambda t: f"bad type {t!r}; expected e.g. A3, C2, E6", {}),
+    "rational": (
+        lambda t: f"expected a rational such as 1/2, got {t!r}",
+        {
+            "+5": Fraction(5), "-3": Fraction(-3), "007": Fraction(7),
+            _NINES: "5000 digits, exponent included, exceed the rational digit budget 1000",
+        },
+    ),
+    "rational list": (
+        lambda t: f"not valid JSON: {t!r}",
+        {"-3": "expected a JSON list of rationals, got '-3'", _NINES: _json_past_the_limit("list of rationals")},
+    ),
+    "integer list": (
+        lambda t: f"not valid JSON: {t!r}",
+        {"-3": "expected a JSON list of integers, got '-3'", _NINES: _json_past_the_limit("list of integers")},
+    ),
+    "integer matrix": (
+        lambda t: f"not valid JSON: {t!r}",
+        {"-3": "expected a JSON matrix of integers, got '-3'", _NINES: _json_past_the_limit("matrix of integers")},
+    ),
+    "place": (lambda t: "place must be a prime or 'inf'", {"007": 7, _NINES: 10**5000 - 1}),
+    "choice": (lambda t: None, {}),
+    "switch": (lambda t: None, {}),
+}
+
+
+def _valid(command, flag):
+    """(text, value) of a valid value of flag, by the kind this test gives
+    it; a choice's is its first choice."""
+    kind = next(kind for kind, flags in _KIND_FLAGS.items() if f"{command} {flag}" in flags)
+    if kind == "choice":
+        choice = cli.FLAG_KINDS[command][flag].structure["choices"][0]
+        return choice, choice
+    return _VALID[kind]
+
+
+def _argv(command, flag, text):
+    """command with every flag at a valid text, and flag at text (None: at
+    its valid text)."""
+    argv = command.split()
+    for other in cli.FLAG_KINDS[command]:
+        given = text if other == flag and text is not None else _valid(command, other)[0]
+        argv += [other] if given is None else [other, given]
+    return argv
+
+
+def _verdict(command, flag, text=None):
+    """What reading text as command's flag gives: its value, with its type;
+    a refusal's message, its subject the flag; or None for a usage error."""
+    try:
+        with redirect_stderr(io.StringIO()):
+            args = cli.build_parser().parse_args(_argv(command, flag, text))
+    except SystemExit:
+        return None
+    try:
+        cli._read(args)
+    except ValueError as e:
+        assert e.subject == flag
+        return str(e)
+    value = getattr(args, flag[2:])
+    return type(value), value
+
+
+def test_every_flag_has_one_kind_in_the_table():
+    table = {f"{command} {flag}": kind.name for command, flags in cli.FLAG_KINDS.items() for flag, kind in flags.items()}
+    assert table == {flag: kind for kind, flags in _KIND_FLAGS.items() for flag in flags}
+
+
+@pytest.mark.parametrize("kind", list(_GRAMMAR))
+def test_every_flag_of_a_kind_reads_its_grammar(kind):
+    """Each edge text has one verdict per kind, the same through every flag
+    of the kind: ASCII digits only, no digit underscores, no whitespace
+    around the value; a sign and leading zeros where the kind reads them;
+    an ASCII decimal past 4300 digits read exactly by the integer and place
+    kinds. Through `main`, a refused text is one JSON error led by its flag,
+    exit 1, and a usage error is exit 2 with nothing on stdout."""
+    message, listed = _GRAMMAR[kind]
+    for entry in _KIND_FLAGS[kind]:
+        command, _, flag = entry.rpartition(" ")
+        valid = _valid(command, flag)[1]
+        assert _verdict(command, flag) == (type(valid), valid), (command, flag)
+        for text in _EDGE_TEXTS:
+            want = listed.get(text, message(text))
+            if want is not None and not isinstance(want, str):
+                want = (type(want), want)
+            assert _verdict(command, flag, text) == want, (command, flag, text[:20])
+            if not isinstance(want, tuple):
+                code, out, err = run_cli(_argv(command, flag, text))
+                if want is None:
+                    assert (code, out) == (2, ""), (command, flag, text[:20])
+                else:
+                    assert (code, json.loads(out), err) == (1, {"error": f"{flag}: {want}"}, "")
+
+
+def test_integer_kind_reads_long_decimals_exactly_and_refuses_the_rest():
+    for text, value in [
+        ("0" * 5000 + "9", 9),
+        ("-" + "9" * 5000, 1 - 10**5000),
+        ("1" + "0" * 131_071, 10**131_071),  # Linux's cap on one argument
+    ]:
+        assert _verdict("tjd", "--k", text) == (int, value)
+    for text in ["1.5", "1" * 5000 + "x", "+-5", "5-"]:
+        assert _verdict("tjd", "--k", text) == f"expected an integer, got {text!r}"
+
+
+_BOUND_TEXT = "is decided only below PRIME_BOUND = 3317044064679887385961981"
+_NOT_A_PLACE = "place must be a prime or 'inf'"
+
+
+@pytest.mark.parametrize(
+    "place,want",
+    [
+        *((str(v), v) for v in (2, 3, 5, 7)),
+        ("0" * 5000 + "7", 7),
+        ("0" * 10 + "3317044064679887385961981", f"primality of 3317044064679887385961981 {_BOUND_TEXT}"),
+        # Arabic-Indic zeros are no ASCII digits
+        ("\u0660" * 30 + "7", _NOT_A_PLACE),
+        # past PRIME_BOUND, a place is refused by is_prime: as no prime when
+        # a Miller-Rabin base divides it, else by its bound
+        ("2" + "0" * 25, _NOT_A_PLACE),
+        (str(10**30 + 57), f"primality of {10**30 + 57} {_BOUND_TEXT}"),
+        ("1" * 4300, _NOT_A_PLACE),
+        ("1" * 5000, _NOT_A_PLACE),
+        ("0" + "1" * 4300, _NOT_A_PLACE),
+    ],
+    ids=[
+        "decimal-2", "decimal-3", "decimal-5", "decimal-7", "leading-zeros", "prime-bound-after-zeros",
+        "arabic-indic-zeros", "even-26", "no-small-factor-31", "4300", "5000", "4300-after-a-zero",
+    ],
+)
+def test_place_kind_reads_ascii_decimals_exactly(place, want):
+    """The text of --place is read by the CLI, "inf" or ASCII digits, exactly
+    and past 4300 digits too, and echoed in the document as given;
+    `hilbert_symbol` takes the int and decides whether it is a prime."""
+    for a, b in ((2, 3), (-1, -1), (5, 7)):
+        code, out, err = run_cli(["hilbert", "--a", str(a), "--b", str(b), "--place", place])
+        if isinstance(want, int):
+            symbol = hilbert_symbol(a, b, want)
+            assert (code, json.loads(out)) == (0, {"a": str(a), "b": str(b), "place": place, "symbol": symbol})
+        else:
+            assert (code, json.loads(out), err) == (1, {"error": f"--place: {want}"}, "")
 
 
 _DEEP = "[" * 50_000 + "]" * 50_000  # past the JSON decoder's recursion limit
@@ -647,12 +833,10 @@ _PAST_PRIME_BOUND = str(10**30 + 57)  # no prime factor below 43
         (["hilbert", "--a", "2", "--b", "3", "--place", "x"], "--place: place must be a prime or 'inf'"),
         (
             ["hilbert", "--a", "2", "--b", "3", "--place", _PAST_PRIME_BOUND],
-            "--place: primality of a 31-digit place is decided only below PRIME_BOUND = 3317044064679887385961981",
+            f"--place: primality of {_PAST_PRIME_BOUND} is decided only below PRIME_BOUND = 3317044064679887385961981",
         ),
-        (
-            ["hilbert", "--a", "2", "--b", "3", "--place", "1" * 5000],
-            "--place: primality of a 5000-digit place is decided only below PRIME_BOUND = 3317044064679887385961981",
-        ),
+        # read exactly; 11 divides it
+        (["hilbert", "--a", "2", "--b", "3", "--place", "1" * 5000], "--place: place must be a prime or 'inf'"),
         (
             ["hilbert", "--a", "2", "--b", "3", "--place", "3317044064679887385961981"],
             "--place: primality of 3317044064679887385961981 is decided only below PRIME_BOUND = 3317044064679887385961981",

@@ -134,9 +134,28 @@ def _subject_literals(tree):
 
 def test_every_flag_key_is_the_subject_of_a_library_refusal():
     keys = {key for flags in cli._FLAGS.values() for key in flags if key is not None}
-    subjects = set().union(*(_subject_literals(tree) for _, tree in _trees()))
+    # a subject that is a flag is one the CLI raises itself, and it leads
+    # the message as it is
+    subjects = {s for s in set().union(*(_subject_literals(tree) for _, tree in _trees())) if not s.startswith("--")}
     assert keys - subjects == set(), "keys of cli._FLAGS that no refusal carries"
     assert subjects - keys == set(), "refusal subjects that cli._FLAGS does not list"
+
+
+def test_flags_map_subjects_to_flags_of_the_table():
+    """Every flag that `cli._FLAGS` leads a subcommand's refusal with is a
+    flag of that subcommand in `cli.FLAG_KINDS`, and no key of `_FLAGS` is a
+    subject the CLI raises itself: those are the flags, and `--seed`'s
+    budget."""
+    for cmd, flags in cli._FLAGS.items():
+        table = {
+            flag for command, kinds in cli.FLAG_KINDS.items() if command.split()[0] == cmd for flag in kinds
+        }
+        for key, named in flags.items():
+            assert set(named.split(", ")) <= table, (cmd, key, named)
+    cli_subjects = _subject_literals(ast.parse((LIBRARY / "cli.py").read_text(encoding="utf-8")))
+    raised = cli_subjects | {flag for kinds in cli.FLAG_KINDS.values() for flag in kinds}
+    keys = {key for flags in cli._FLAGS.values() for key in flags}
+    assert "--seed" in cli_subjects and keys & raised == set()
 
 
 def _writes_a_budget(node):
