@@ -24,12 +24,10 @@ generator g and the columns of g^-1 once, so a conjugate g x g^-1 costs
 two column lookups and eight dot lookups. A partition into orbits, the
 conjugacy classes or the adjoint orbits, is one `orbit_of` per orbit
 (`conjugacy_partition`). The field bounds q by its MAX_Q = 16, so a row or
-column code, below q^2 <= 256, fits one byte. `tables` keeps them on the
-field (see `exact_math.cached`), so the groups over one field share them.
+column code, below q^2 <= 256, fits one byte. Each group builds its own
+Tables once, over its own field.
 """
 from operator import add
-
-from .exact_math import cached
 
 BACKEND = "python"  # recorded with every benchmark run
 
@@ -61,11 +59,6 @@ class Tables:
         self.add = add
         self.neg = field.neg_table
         self.inv = bytes([0] + [field.inv(x) for x in range(1, q)])
-
-
-def tables(field):
-    """The field's Tables."""
-    return cached(field, "mat2", Tables)
 
 
 def mat_mul(a, b, t):

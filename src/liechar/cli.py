@@ -82,6 +82,7 @@ from .endoscopy import (
 )
 from .exact_math import (
     Cyclotomic, IntMatrix, Refusal, jordan_exponent, order_from_multiple, over_budget, power, prime_factors,
+    smallest_conductor,
 )
 from .finite_lie import (
     build_finite_group,
@@ -373,7 +374,8 @@ def _cmd_tori(args):
             "inv": list(args.inv),
             "kappa": list(args.kappa),
             "value": str(val),
-            "conductor": val.n,
+            # the d of the text's cycD[...], 1 for a rational
+            "conductor": smallest_conductor(val)[0],
         }
     else:
         group, witnesses = sln_kappa_group(args.n, args.m, args.degrees)

@@ -656,7 +656,10 @@ class TorusCharacter:
 
     def __init__(self, torus: TorusInG, exps):
         self.torus = torus
-        exps = tuple(int(e) % torus.char_order for e in exps)
+        exps = tuple(exps)
+        if any(type(e) is not int for e in exps):
+            raise ValueError("exponents must be integers")
+        exps = tuple(e % torus.char_order for e in exps)
         if len(exps) != len(torus.unit_points):
             raise ValueError("wrong number of exponents")
         self.exps = exps
@@ -819,8 +822,9 @@ def springer_grid(torus: TorusInG, thetas, points, all_unipotent=False):
     values have the same text, which is when they are equal
     (`Cyclotomic.__repr__`, memoised per stored form), so a torus costs
     (|thetas| + |points|) |U| texts and |thetas| |points| |U| string
-    comparisons. U is the class of [[1, 1], [0, 1]], or with all_unipotent
-    every unipotent class. Returns (classes, lhs, rhs, equal): the class
+    comparisons. U is the class of [[1, 1], [0, 1]], the first regular
+    unipotent class of `unipotent_class_reps`, or with all_unipotent every
+    unipotent class. Returns (classes, lhs, rhs, equal): the class
     index of each u, the two sides, and equal[i][j][k], whether lhs[i][k]
     == rhs[j][k].
     """
@@ -835,7 +839,7 @@ def springer_grid(torus: TorusInG, thetas, points, all_unipotent=False):
         if len(orbits[-1]) * torus.order != g.order:
             raise AssertionError("orbit size does not match the torus order")
     rhos = [dl_character(torus, theta).genuine() for theta in thetas]
-    reps = g.unipotent_class_reps() if all_unipotent else (g.pack([[1, 1], [0, 1]]),)
+    reps = g.unipotent_class_reps() if all_unipotent else g.unipotent_class_reps()[1:2]
     logs = [quasi_logarithm(g, u) for u in reps]
     lhs = [[rho.value_at(u) for u in reps] for rho in rhos]
     rhs = [

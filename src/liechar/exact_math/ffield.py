@@ -56,7 +56,6 @@ class FiniteField:
         if len(self.exp_table) != q - 1:
             raise AssertionError("generator does not have full order")
         self.log_table = {x: i for i, x in enumerate(self.exp_table)}
-        self.derived = {}  # its cache (see `cached`)
 
     def _mul_raw(self, a, b):
         """a b by the digits: (a0 + a1 x)(b0 + b1 x) = a0 b0 + r a1 b1 +
@@ -124,9 +123,3 @@ class FiniteField:
 
     def __repr__(self):
         return f"F_{self.q}" + (f" (p={self.p}, f={self.f})" if self.f > 1 else "")
-
-    def __eq__(self, other):
-        return isinstance(other, FiniteField) and (self.p, self.f) == (other.p, other.f)
-
-    def __hash__(self):
-        return hash((self.p, self.f))

@@ -30,7 +30,9 @@ class IntMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(map(int, r)) for r in rows)
+        rows = tuple(map(tuple, rows))
+        if any(type(x) is not int for r in rows for x in r):
+            raise ValueError("entries must be integers")
         if rows:
             w = len(rows[0])
             if any(len(r) != w for r in rows):

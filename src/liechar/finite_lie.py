@@ -14,22 +14,21 @@ Matrices are packed row-major into ints, digit (i, j) = field code of the
 entry, base q. All matrix arithmetic (products, inverses, determinants,
 traces, the trace pairing, the scalar shift of the quasi-logarithm,
 conjugation orbits and classes) goes through `_kernels`, whose lookup tables
-are built once per field; the same code serves prime q and F_9. The
-elements are read off the dot table, the determinants of all first rows
-beside one second row being one slice of it. The generators are the upper
-and lower shears by an F_p-basis of F_q (1, and gen for F_9), and
+each group builds once, over its own field; the same code serves prime q
+and F_9. The elements are read off the dot table, the determinants of all
+first rows beside one second row being one slice of it. The generators are
+the upper and lower shears by an F_p-basis of F_q (1, and gen for F_9), and
 diag(gen, 1) for GL2; a closure over them, each layer multiplied by every
 generator in one `_kernels.right_products` call, checks that they generate
 exactly the element set.
 
-What is derived from a group, a torus or a field is cached on it (see
+What is derived from a group or a torus is cached on it (see
 `exact_math.cached`). The adjoint orbits are one entry, a dict from every
 Lie point to its orbit, read off one partition of the Lie points into
 orbits (`_kernels.conjugacy_partition`), as `dl_spectra` reads the
 conjugacy classes off one partition of the elements. `build_finite_group`
-keeps one object per (kind, q) and `_field_for` one field per q = p^f, so
-GL2 and SL2 over one q share the field and what is cached on it; each
-group walks F_q^2^* once, for its own tori.
+keeps one object per (kind, q); each group builds its own field and its
+tables, and walks F_q^2^* once, for its own tori.
 """
 
 from __future__ import annotations
@@ -43,11 +42,6 @@ from .exact_math.ffield import MAX_Q
 
 _KIND_DATA = {"GL2": 2, "SL2": 1}  # kind: F_q-rank
 _CENTER_ORDER = 2  # |Z(G^sc)|, the center of SL2
-
-
-@lru_cache(maxsize=None)
-def _field_for(p, f):
-    return FiniteField(p, f)
 
 
 def _check_kind(kind, p):
@@ -73,7 +67,7 @@ class FiniteLieGroup:
         self.field = field
         self.q = q
         self.fq_rank = _KIND_DATA[kind]
-        self.tables = _kernels.tables(field)
+        self.tables = _kernels.Tables(field)
         self.identity = self.pack([[1, 0], [0, 1]])
         self.elements = self._enumerate()
         self.order = len(self.elements)
@@ -90,11 +84,16 @@ class FiniteLieGroup:
     # -- packing and matrix arithmetic over the field codes
 
     def pack(self, rows):
+        """The packed matrix of rows of field codes; an entry outside 0 ..
+        q - 1 is refused, as no reduction of it is the field's arithmetic
+        when q is not prime."""
         q = self.q
         out, w = 0, 1
         for row in rows:
             for x in row:
-                out += (x % q) * w
+                if not 0 <= x < q:
+                    raise ValueError(f"{x!r} is not a field code of F_{q}")
+                out += x * w
                 w *= q
         return out
 
@@ -252,7 +251,7 @@ def build_finite_group(kind, q) -> FiniteLieGroup:
     while p**f < q:
         f += 1
     _check_kind(kind, p)
-    return FiniteLieGroup(kind, _field_for(p, f))
+    return FiniteLieGroup(kind, FiniteField(p, f))
 
 
 def quasi_logarithm(g_group: FiniteLieGroup, g):
@@ -371,20 +370,14 @@ def _build_tori(g: FiniteLieGroup):
         if all(g.conj(witness, t) == t for t in lie_pts):
             raise AssertionError("Weyl action fixes Lie(T) pointwise")
         tori.append(TorusInG(g, tag, log, char_order, lie_pts, weyl, fq_rank))
-    if {t.order for t in tori} != torus_orders(g):
+    closed_forms = {(q - 1) ** 2, q * q - 1} if g.kind == "GL2" else {q - 1, q + 1}
+    if {t.order for t in tori} != closed_forms:
         raise AssertionError("torus orders do not match the closed forms")
     return tuple(tori)
 
 
-def torus_orders(g: FiniteLieGroup):
-    q = g.q
-    if g.kind == "GL2":
-        return {(q - 1) ** 2, q * q - 1}
-    return {q - 1, q + 1}
-
-
 def is_strongly_regular(g: FiniteLieGroup, t):
     """Centralizer of the Lie point is a maximal torus, detected through the
-    orbit-stabilizer count."""
+    orbit-stabilizer count against the orders of the group's tori."""
     orbit = g.adjoint_orbit_of(t)
-    return g.order // len(orbit) in torus_orders(g)
+    return g.order // len(orbit) in {torus.order for torus in tori_and_regularity(g)}

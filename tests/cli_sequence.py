@@ -6,8 +6,9 @@ puts calls next to each other that would differ if any state carried over
 from one call to the next: a `--format` default after an explicit value,
 one endoscopy subcommand after another, and a valid call after a usage
 error (exit 2: a missing flag, or `--format` on a subcommand without it)
-and after a rejected input (exit 1). Then comes a table
-over F_9, whose field is not prime, and two topological Jordan splits: a
+and after a rejected input (exit 1). Then come the tables of SL2 and of
+GL2 over F_9, whose field is not prime, two groups over one field in one
+process, each of which builds its own, and two topological Jordan splits: a
 2 x 2 one in a ring the query service asks for, on the written-out 2 x 2
 product, and a 3 x 3 one on the general product, whose invertibility test
 must pivot past a leading entry divisible by p. A precision past Python's
@@ -48,6 +49,7 @@ SEQUENCE = [
     ["tori", "h1", "--frobenius", "[[-1]]", "--format", "json"],
     ["tori", "h1", "--frobenius", "[[-1]]"],
     ["chartable", "--group", "SL2", "--q", "9", "--method", "classical"],
+    ["chartable", "--group", "GL2", "--q", "9", "--method", "classical"],
     ["tjd", "--p", "3", "--k", "3", "--matrix", "[[2, 1], [1, 1]]"],
     ["tjd", "--p", "5", "--k", "2", "--matrix", "[[5, 1, 0], [1, 1, 0], [0, 0, 3]]"],
     ["tjd", "--p", "5", "--k", "1" * 5000, "--matrix", "[[1]]"],
@@ -63,7 +65,7 @@ SEQUENCE = [
     ["endoscopy", "enumerate", "--type", "E6"],
 ]
 # the usage error and the rejected inputs are what the calls after them test
-EXIT_CODES = [0, 0, 0, 0, 2, 0, 1, 2, 0, 0, 0, 0, 1, 0, 1, 0, 1, 0, 0, 1, 0, 0, 0]
+EXIT_CODES = [0, 0, 0, 0, 2, 0, 1, 2, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 0, 0, 1, 0, 0, 0]
 
 
 def in_process(argv):

@@ -1,11 +1,11 @@
 """The one caching rule: `exact_math.cached`.
 
 Every owner of derived structures (a root datum, a group, a torus, a twisted
-torus, a field) keeps them in its `derived` dict, and only `cached` reads or
-writes that dict. No library function memoises itself with `lru_cache`,
-except the registries that keep one object per input (`build_finite_group`,
-`_field_for`, `build_root_datum`), the memos of the cyclotomic
-polynomials and of a cyclotomic value's text, and the CLI's parser.
+torus) keeps them in its `derived` dict, and only `cached` reads or writes
+that dict. No library function memoises itself with `lru_cache`, except the
+registries that keep one object per input (`build_finite_group`,
+`build_root_datum`), the memos of the cyclotomic polynomials and of a
+cyclotomic value's text, and the CLI's parser.
 """
 
 import ast
@@ -23,7 +23,6 @@ DERIVED_ACCESS = {("exact_math/cache.py", "cached")}
 # (file, function) that may be memoised by functools
 MEMOISED = {
     ("finite_lie.py", "build_finite_group"),
-    ("finite_lie.py", "_field_for"),
     ("root_datum.py", "build_root_datum"),
     ("exact_math/cyclo.py", "_phi_terms"),
     ("exact_math/cyclo.py", "_text"),

@@ -101,7 +101,26 @@ def test_tori_pair_value():
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["value"] == "-1" and doc["conductor"] == 2
+    assert doc["value"] == "-1" and doc["conductor"] == 1
+
+
+# a Frobenius of order 4 on a rank-4 lattice with H^1 = Z/2 + Z/4
+Z2_Z4_FROBENIUS = "[[-1,0,0,0],[0,0,0,-1],[0,1,0,-1],[0,0,1,-1]]"
+
+
+@pytest.mark.parametrize(
+    "inv,kappa,value,conductor",
+    [("[1,0]", "[1,1]", "-1", 1), ("[0,1]", "[1,0]", "1", 1), ("[0,1]", "[0,1]", "cyc4[0,1]", 4)],
+)
+def test_tori_pair_prints_the_conductor_of_its_text(inv, kappa, value, conductor):
+    # the conductor is the d of the value's text cycD[...], 1 for a
+    # rational, whatever the order of H^1's classes
+    code, out, _ = run_cli(["tori", "h1", "--frobenius", Z2_Z4_FROBENIUS])
+    assert code == 0 and json.loads(out)["invariant_factors"] == [2, 4]
+    code, out, _ = run_cli(["tori", "pair", "--frobenius", Z2_Z4_FROBENIUS, "--inv", inv, "--kappa", kappa])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["value"], doc["conductor"]) == (value, conductor)
 
 
 def test_tori_sln_group():

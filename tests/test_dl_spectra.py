@@ -776,6 +776,15 @@ def test_torus_character_rejects_foreign_point():
         theta.value_at(g.pack([[1, 1], [0, 1]]))
 
 
+@pytest.mark.parametrize("exps", [(2.7,), (True,), (Fraction(2),), ("2",)])
+def test_torus_character_refuses_exponents_that_are_not_ints(exps):
+    # no exponent is rounded or converted: 2.7 is not read as 2
+    torus = torus_by_tag(build_finite_group("SL2", 5), "split")
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        TorusCharacter(torus, exps)
+    assert TorusCharacter(torus, (-1,)).exps == (torus.char_order - 1,)
+
+
 # -- torus-series characters
 
 

@@ -2,6 +2,7 @@
 
 import random
 import re
+from itertools import product
 
 import pytest
 
@@ -14,7 +15,6 @@ from liechar.finite_lie import (
     is_strongly_regular,
     quasi_logarithm,
     tori_and_regularity,
-    torus_orders,
 )
 
 
@@ -151,12 +151,28 @@ def test_builds_are_cached():
     assert build_finite_group("SL2", 3) is build_finite_group("SL2", 3)
 
 
-def test_one_field_per_q():
-    # GL2 and SL2 over one q share the field, and with it the matrix tables
-    for q in (3, 9):
+def test_each_group_builds_its_own_field():
+    # GL2 and SL2 over one q build distinct fields, equal in (p, f, gen),
+    # whose matrix tables are the same bytes
+    for q in (3, 5, 7, 9, 11, 13):
         gl, sl = build_finite_group("GL2", q), build_finite_group("SL2", q)
-        assert gl.field is sl.field
-        assert gl.tables is sl.tables
+        assert gl.field is not sl.field
+        assert (gl.field.p, gl.field.f, gl.field.gen) == (sl.field.p, sl.field.f, sl.field.gen)
+        for name in ("dot", "col0", "col1"):
+            assert getattr(gl.tables, name) == getattr(sl.tables, name)
+
+
+def test_pack_refuses_what_is_not_a_field_code():
+    # over F_9 no reduction mod q is the field's arithmetic: -1 is the code
+    # neg(1) = 2, while -1 mod 9 = 8 is 2 + 2x
+    g = build_finite_group("SL2", 9)
+    assert g.field.neg(1) == 2
+    for bad in (-1, 9):
+        with pytest.raises(ValueError, match="not a field code of F_9"):
+            g.pack([[1, 0], [0, bad]])
+    for m in product(range(9), repeat=4):
+        rows = [list(m[:2]), list(m[2:])]
+        assert g.unpack(g.pack(rows)) == rows
 
 
 # --- quasi-logarithm ----------------------------------------------------------
@@ -490,10 +506,20 @@ def test_strong_regularity_matches_centralizer_count(kind, q):
     add = [[fld.add(i, j) for j in range(q)] for i in range(q)]
     mul = [[fld.mul(i, j) for j in range(q)] for i in range(q)]
     elements = [g.unpack(e) for e in g.elements]
-    orders = torus_orders(g)
+    orders = {(q - 1) ** 2, q * q - 1} if kind == "GL2" else {q - 1, q + 1}
     for t in g.lie_points():
         direct = _centralizer_order(elements, g.unpack(t), add, mul) in orders
         assert is_strongly_regular(g, t) == direct
+
+
+@pytest.mark.parametrize("kind,q", ADMITTED)
+def test_strong_regularity_is_an_orbit_of_its_torus_order(kind, q):
+    # a Lie point of a torus is strongly regular exactly when its orbit
+    # times the torus's order is |G|, its centralizer then being the torus
+    g = build_finite_group(kind, q)
+    for torus in tori_and_regularity(g):
+        for t in torus.lie_points():
+            assert is_strongly_regular(g, t) == (len(g.adjoint_orbit_of(t)) * torus.order == g.order)
 
 
 def test_non_lie_point_raises_on_every_call():

@@ -28,6 +28,15 @@ from reference_lattice import (
 from test_rootdata import ADMITTED
 
 
+@pytest.mark.parametrize("rows", [[[1.5, True]], [[1, True]], [[Fraction(1)]], [["1"]], [[1], [None]]])
+def test_intmatrix_refuses_entries_that_are_not_ints(rows):
+    # an entry is stored as given, never converted: [[1.5, True]] is not
+    # ((1, 1),)
+    with pytest.raises(ValueError, match="entries must be integers"):
+        IntMatrix(rows)
+    assert IntMatrix([[2**70, -3]]).rows == ((2**70, -3),)
+
+
 def test_snf_identity():
     m = IntMatrix.identity(3)
     u, d, v = smith_normal_form(m)

@@ -113,7 +113,7 @@ def test_gl2_and_sl2_share_one_extension():
     for q in QS:
         gl, gl_ell = elliptic_torus("GL2", q)
         sl, sl_ell = elliptic_torus("SL2", q)
-        assert gl.field is sl.field
+        assert (gl.field.p, gl.field.f, gl.field.gen) == (sl.field.p, sl.field.f, sl.field.gen)
         norm_one = {z: k for z, (k,) in gl_ell.log.items() if gl.det_code(z) == 1}
         assert all(k % (q - 1) == 0 for k in norm_one.values())
         assert sl_ell.log == {z: (k // (q - 1),) for z, k in norm_one.items()}
