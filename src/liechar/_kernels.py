@@ -3,7 +3,12 @@
 A matrix [[a, b], [c, d]] over F_q is packed into the int
 a + b q + c q^2 + d q^3 of its field codes (the encoding of FiniteField).
 Its first row is the two-digit code m % q^2, its second row m // q^2, and
-its columns the two-digit codes a + c q and b + d q. `Tables` holds, for
+its columns the two-digit codes a + c q and b + d q. This module is the one
+place that knows the layout: every code is built and read here, by `pack`
+and `unpack` (which refuse an entry that is not a field code and a code
+outside 0 .. q^4 - 1), `shear`, `is_scalar`, the element and Lie point
+lists (`matrices`, `lie_points`) and the kernels below, so `finite_lie` and
+`dl_spectra` handle codes without reading their digits. `Tables` holds, for
 one field:
 
 - dot[r q^2 + c], the field code of r0 c0 + r1 c1 for the two-digit codes
@@ -27,6 +32,7 @@ conjugacy classes or the adjoint orbits, is one `orbit_of` per orbit
 column code, below q^2 <= 256, fits one byte. Each group builds its own
 Tables once, over its own field.
 """
+from itertools import compress
 from operator import add
 
 BACKEND = "python"  # recorded with every benchmark run
@@ -59,6 +65,63 @@ class Tables:
         self.add = add
         self.neg = field.neg_table
         self.inv = bytes([0] + [field.inv(x) for x in range(1, q)])
+
+
+def pack(rows, t):
+    """The code of [[a, b], [c, d]], rows of field codes. An entry that is
+    not an int in 0 .. q - 1 (a bool included) is refused, as no reduction
+    of it is the field's arithmetic when q is not prime."""
+    q = t.q
+    (a, b), (c, d) = rows
+    for x in (a, b, c, d):
+        if type(x) is not int or not 0 <= x < q:
+            raise ValueError(f"{x!r} is not a field code of F_{q}")
+    return a + q * b + t.q2 * c + t.q3 * d
+
+
+def unpack(m, t):
+    """The rows [[a, b], [c, d]] of a code; anything but an int in 0 ..
+    q^4 - 1 is refused."""
+    q, q2 = t.q, t.q2
+    if type(m) is not int or not 0 <= m < q2 * q2:
+        raise ValueError(f"{m!r} is not a matrix code over F_{q}")
+    r1, r0 = divmod(m, q2)
+    (b, a), (d, c) = divmod(r0, q), divmod(r1, q)
+    return [[a, b], [c, d]]
+
+
+def shear(c, t):
+    """The code of [[1, c], [0, 1]], c a field code."""
+    return 1 + c * t.q + t.q3
+
+
+def is_scalar(m, t):
+    """Whether m is x I for a field code x, the code x (1 + q^3)."""
+    return m == m % t.q * (1 + t.q3)
+
+
+def matrices(t, det_one):
+    """Every invertible matrix, or with det_one every one of determinant 1,
+    in ascending code order. For the second row r1 = m10 + q m11, det is the
+    first row r0 dotted with (m11, -m10), so the determinants of all q^2
+    first rows are one slice of dot."""
+    q, q2 = t.q, t.q2
+    out = []
+    for r1 in range(q2):
+        m11, m10 = divmod(r1, q)
+        dets = t.dot[m11 + t.neg[m10] * q :: q2]
+        out.extend(compress(range(r1 * q2, r1 * q2 + q2), (d == 1 for d in dets) if det_one else dets))
+    return tuple(out)
+
+
+def lie_points(t, traceless):
+    """Every matrix in ascending code order, or with traceless the q^3
+    matrices [[a, b], [c, -a]]."""
+    q, q2, q3 = t.q, t.q2, t.q3
+    if not traceless:
+        return list(range(q2 * q2))
+    codes = range(q)
+    return sorted(a + b * q + c * q2 + t.neg[a] * q3 for a in codes for b in codes for c in codes)
 
 
 def mat_mul(a, b, t):
@@ -100,6 +163,13 @@ def sub_scalar(m, c, t):
     a = rest % q
     nc = t.neg[c]
     return rest - a + t.add[a * q + nc] + q3 * t.add[d * q + nc]
+
+
+def traceless_part(m, t):
+    """m - (Tr m / 2) I, the traceless projection (SL2's quasi-logarithm)."""
+    half = t.inv[t.add[t.q + 1]]  # 1/(1 + 1)
+    # dot[x q^2 + y] is the product x y
+    return sub_scalar(m, t.dot[half * t.q2 + trace_code(m, t)], t)
 
 
 def mat_inv(m, t):

@@ -46,24 +46,6 @@ from .finite_lie import (
     tori_and_regularity,
 )
 
-__all__ = [
-    "ClassData",
-    "conjugacy_classes",
-    "ClassFunction",
-    "CharacterTable",
-    "character_table_dixon",
-    "classical_table_oracle",
-    "tables_match",
-    "TorusCharacter",
-    "torus_characters",
-    "nonsingular_characters",
-    "DLCharacter",
-    "dl_character",
-    "springer_grid",
-    "springer_check",
-    "dl_jordan_reduction_check",
-]
-
 DIXON_ORDER_BUDGET = 10**4  # most group elements a Dixon table is built over
 DIXON_MODULUS_BOUND = 10**6  # Dixon's prime l lies below it (see _apply_packed)
 
@@ -274,13 +256,13 @@ def classical_table_oracle(kind, q) -> CharacterTable:
     tori = tori_and_regularity(g)
     split = tori[0]
     unipotents = g.unipotent_class_reps()[1:]
-    centre = [z for z in split.points if _is_central(g, z)]
+    centre = [z for z in split.points if _kernels.is_scalar(z, g.tables)]
     families = {
         "central": {cd.index[z] for z in centre},
         "jordan": {cd.index[g.mul(z, u)] for z in centre for u in unipotents},
     }
     for torus in tori:
-        families[torus.tag] = {cd.index[t] for t in torus.points if not _is_central(g, t)}
+        families[torus.tag] = {cd.index[t] for t in torus.points if not _kernels.is_scalar(t, g.tables)}
     counts = {fam: len(classes) for fam, classes in families.items()}
     if kind == "GL2":
         want = (q - 1, q - 1, (q - 1) * (q - 2) // 2, (q * q - q) // 2)
@@ -767,7 +749,7 @@ def _dl_values(torus: TorusInG, theta: TorusCharacter):
     counts = [{} for _ in range(cd.count)]
     for t in torus.points:
         e = theta.exponent_at(t)
-        if _is_central(g, t):
+        if _kernels.is_scalar(t, g.tables):
             counts[cd.index[t]] = {e: deg}
             for u in g.unipotent_class_reps()[1:]:
                 counts[cd.index[g.mul(t, u)]] = {e: torus.sign}
@@ -914,11 +896,6 @@ def _jordan_parts(g: FiniteLieGroup, gamma):
     return delta, u
 
 
-def _is_central(g: FiniteLieGroup, code):
-    """Whether the packed matrix is a scalar x, packed x (1 + q^3)."""
-    return code == code % g.q * g.identity
-
-
 def _conjugate_into(g: FiniteLieGroup, torus: TorusInG, delta):
     """Some torus point conjugate to delta, or None.  Group conjugacy is
     decided by the cached class index, so this is a scan over the torus."""
@@ -950,7 +927,7 @@ def dl_jordan_reduction_check(
     sigma_g = (-1) ** g.fq_rank
     sigma_t = (-1) ** torus.fq_rank
     lhs = rho.value_at(gamma) * sigma_g
-    if _is_central(g, delta):
+    if _kernels.is_scalar(delta, g.tables):
         delta_kind = "central"
         rhs = theta.value_at(delta) * rho.value_at(u) * sigma_g
     else:

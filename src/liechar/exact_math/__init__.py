@@ -31,28 +31,3 @@ from .primes import is_prime, prime_factors
 from .orders import jordan_exponent, order_from_multiple, power, powers, primitive_element
 from .cache import cached
 from .refusal import Refusal, int_text, over_budget
-
-__all__ = [
-    "IntMatrix",
-    "smith_normal_form",
-    "cokernel_group",
-    "CokernelPresentation",
-    "FinAbGroup",
-    "inverse_rational",
-    "rref_mod",
-    "abelian_subgroup_type",
-    "Cyclotomic",
-    "smallest_conductor",
-    "FiniteField",
-    "is_prime",
-    "prime_factors",
-    "jordan_exponent",
-    "order_from_multiple",
-    "power",
-    "powers",
-    "primitive_element",
-    "cached",
-    "Refusal",
-    "over_budget",
-    "int_text",
-]

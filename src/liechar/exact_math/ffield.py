@@ -25,7 +25,9 @@ MAX_Q = 16
 
 class FiniteField:
     def __init__(self, p, f=1):
-        p, f = int(p), int(f)
+        for name, x in (("p", p), ("f", f)):
+            if type(x) is not int:  # int() would read 3.9 as 3 and True as 1
+                raise ValueError(f"no field F_q: {name} = {x!r} is not an int")
         # every refusal writes p, f and q by int_text, so an int past 4300
         # digits is refused like any other
         if not 0 < f <= MAX_Q:  # so that p^f is cheap to compute

@@ -10,13 +10,13 @@ points against its unit points: the field's discrete logarithm on the
 diagonal entries of the split torus, the logarithm of F_q^2 or of its
 norm-one subgroup on the elliptic one.
 
-Matrices are packed row-major into ints, digit (i, j) = field code of the
-entry, base q. All matrix arithmetic (products, inverses, determinants,
-traces, the trace pairing, the scalar shift of the quasi-logarithm,
-conjugation orbits and classes) goes through `_kernels`, whose lookup tables
+Matrices are packed into int codes, and codes are built and read only in
+`_kernels`: packing and unpacking, the shears, the element and Lie point
+lists, and all matrix arithmetic (products, inverses, determinants, traces,
+the trace pairing, the scalar shift and the traceless part of the
+quasi-logarithm, conjugation orbits and classes), over lookup tables that
 each group builds once, over its own field; the same code serves prime q
-and F_9. The elements are read off the dot table, the determinants of all
-first rows beside one second row being one slice of it. The generators are
+and F_9. This module never reads a code's digits. The generators are
 the upper and lower shears by an F_p-basis of F_q (1, and gen for F_9), and
 diag(gen, 1) for GL2; a closure over them, each layer multiplied by every
 generator in one `_kernels.right_products` call, checks that they generate
@@ -34,7 +34,6 @@ tables, and walks F_q^2^* once, for its own tori.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress
 
 from . import _kernels
 from .exact_math import FiniteField, cached, powers, prime_factors, primitive_element
@@ -69,7 +68,7 @@ class FiniteLieGroup:
         self.fq_rank = _KIND_DATA[kind]
         self.tables = _kernels.Tables(field)
         self.identity = self.pack([[1, 0], [0, 1]])
-        self.elements = self._enumerate()
+        self.elements = _kernels.matrices(self.tables, kind == "SL2")
         self.order = len(self.elements)
         self._members = frozenset(self.elements)
         expected = (q * q - 1) * (q * q - q) if kind == "GL2" else q * (q * q - 1)
@@ -84,29 +83,10 @@ class FiniteLieGroup:
     # -- packing and matrix arithmetic over the field codes
 
     def pack(self, rows):
-        """The packed matrix of rows of field codes; an entry outside 0 ..
-        q - 1 is refused, as no reduction of it is the field's arithmetic
-        when q is not prime."""
-        q = self.q
-        out, w = 0, 1
-        for row in rows:
-            for x in row:
-                if not 0 <= x < q:
-                    raise ValueError(f"{x!r} is not a field code of F_{q}")
-                out += x * w
-                w *= q
-        return out
+        return _kernels.pack(rows, self.tables)
 
     def unpack(self, a):
-        q = self.q
-        rows = []
-        for _ in range(2):
-            row = []
-            for _ in range(2):
-                row.append(a % q)
-                a //= q
-            rows.append(row)
-        return rows
+        return _kernels.unpack(a, self.tables)
 
     def mul(self, a, b):
         return _kernels.mat_mul(a, b, self.tables)
@@ -129,20 +109,6 @@ class FiniteLieGroup:
         return _kernels.pairing_code(a, b, self.tables)
 
     # -- construction helpers
-
-    def _enumerate(self):
-        """Every element, in ascending code order. For the second row
-        r1 = m10 + q m11, det is the first row r0 dotted with (m11, -m10),
-        so the determinants of all q^2 first rows are one slice of dot."""
-        t = self.tables
-        q, q2 = t.q, t.q2
-        out = []
-        for r1 in range(q2):
-            m11, m10 = divmod(r1, q)
-            dets = t.dot[m11 + t.neg[m10] * q :: q2]
-            keep = dets if self.kind == "GL2" else (d == 1 for d in dets)
-            out.extend(compress(range(r1 * q2, r1 * q2 + q2), keep))
-        return tuple(out)
 
     def _generators(self):
         """The shears [[1, c], [0, 1]] and [[1, 0], [c, 1]] for c in an
@@ -194,12 +160,7 @@ class FiniteLieGroup:
     def lie_points(self):
         """All packed Lie algebra points in ascending code order: every
         matrix for GL2, the q^3 traceless ones [[a, b], [c, -a]] for SL2."""
-        q, neg = self.q, self.field.neg
-        if self.kind == "GL2":
-            return list(range(q**4))
-        return sorted(
-            a + b * q + c * q * q + neg(a) * q**3 for a in range(q) for b in range(q) for c in range(q)
-        )
+        return _kernels.lie_points(self.tables, self.kind == "SL2")
 
     # -- adjoint orbits
 
@@ -216,11 +177,10 @@ class FiniteLieGroup:
     def unipotent_class_reps(self):
         """One representative per unipotent conjugacy class: [1, J] for GL2,
         [1, J, J_eps] for SL2 (the two regular classes)."""
-        # [[1, c], [0, 1]] packs to the identity plus c at digit (0, 1), c q
-        one, q = self.identity, self.q
+        one, t = self.identity, self.tables
         if self.kind == "GL2":
-            return (one, one + q)
-        return (one, one + q, one + self.field.non_residue * q)
+            return (one, _kernels.shear(1, t))
+        return (one, _kernels.shear(1, t), _kernels.shear(self.field.non_residue, t))
 
     def __repr__(self):
         return f"{self.kind}(F_{self.q})"
@@ -235,13 +195,16 @@ def _adjoint_orbits(g: FiniteLieGroup):
     return {x: orbit for orbit in orbits for x in orbit}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build_finite_group(kind, q) -> FiniteLieGroup:
     """The group GL2 or SL2 over F_q, for an odd prime power q <= MAX_Q =
-    16; one object per (kind, q). Any other kind or q raises ValueError: a q
-    past MAX_Q gets the field's refusal before q is factored, so every such
-    q reads the same text; a kind or a characteristic is refused before a
-    field is built."""
+    16; one object per (kind, q), keyed by type too, so that a q that is not
+    an int (a float or a bool) reaches the refusal and not an int's entry.
+    Any other kind or q raises ValueError: a q past MAX_Q gets the field's
+    refusal before q is factored, so every such q reads the same text; a
+    kind or a characteristic is refused before a field is built."""
+    if type(q) is not int:
+        raise ValueError(f"q = {q!r} is not an int")
     if q > MAX_Q:
         FiniteField(q)  # raises the field's MAX_Q refusal
     primes = prime_factors(q)
@@ -259,12 +222,9 @@ def quasi_logarithm(g_group: FiniteLieGroup, g):
     projection (g - 1) - (Tr(g - 1)/2) Id = g - (Tr(g)/2) Id for SL2."""
     if g not in g_group._members:
         raise ValueError("not a group element")
-    t = g_group.tables
     if g_group.kind == "GL2":
-        return _kernels.sub_scalar(g, 1, t)
-    half = t.inv[t.add[t.q + 1]]  # 1/(1 + 1)
-    # dot[x q^2 + y] is the product x y
-    return _kernels.sub_scalar(g, t.dot[half * t.q2 + _kernels.trace_code(g, t)], t)
+        return _kernels.sub_scalar(g, 1, g_group.tables)
+    return _kernels.traceless_part(g, g_group.tables)
 
 
 class TorusInG:
@@ -331,9 +291,8 @@ def _build_tori(g: FiniteLieGroup):
     q, t = g.q, g.tables
     exp = g.field.exp_table
     eps = g.field.non_residue
-    split = [x + y * t.q3 for y in range(q) for x in range(q)]
-    # dot[eps q^2 + y] is eps y
-    elliptic = [x + t.dot[eps * t.q2 + y] * q + y * t.q2 + x * t.q3 for y in range(q) for x in range(q)]
+    split = [g.pack([[x, 0], [0, y]]) for y in range(q) for x in range(q)]
+    elliptic = [g.pack([[x, g.field.mul(eps, y)], [y, x]]) for y in range(q) for x in range(q)]
     gen = primitive_element(g.mul, g.identity, elliptic[2:], q * q - 1)
     walk = powers(g.mul, g.identity, gen, q * q - 1)
     if len(walk) != q * q - 1:

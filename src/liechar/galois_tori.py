@@ -41,8 +41,10 @@ class TwistedTorus:
     Smith form behind them) is cached in `derived` (see `exact_math.cached`)."""
 
     def __init__(self, rank, frobenius: IntMatrix):
-        self.rank = int(rank)
-        if self.rank > RANK_BUDGET:
+        if type(rank) is not int:
+            raise Refusal("frobenius", f"frobenius rank {rank!r} is not an int")
+        self.rank = rank
+        if rank > RANK_BUDGET:
             raise over_budget("frobenius", "frobenius rank", self.rank, "RANK_BUDGET", RANK_BUDGET)
         r, c = frobenius.shape
         if r != self.rank or c != self.rank:

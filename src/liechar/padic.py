@@ -44,17 +44,6 @@ from operator import mul as _mul
 from .exact_math import Refusal, int_text, is_prime, jordan_exponent, over_budget, power, prime_factors, rref_mod
 from .exact_math.orders import ORDER_BUDGET
 
-__all__ = [
-    "TruncatedMatrix",
-    "DiagQuadForm",
-    "order_multiple",
-    "topological_jordan",
-    "quasi_log_bijection_check",
-    "hilbert_symbol",
-    "hasse_invariant",
-    "relevant_places",
-]
-
 PRECISION_BUDGET = 64  # largest precision k of a TruncatedMatrix
 
 
@@ -345,21 +334,30 @@ def _split_valuation(num, den, p):
     return alpha, num, den
 
 
+def _rational(x):
+    """x as a Fraction. A float or a bool is refused: Fraction(0.1) is the
+    binary value 3602879701896397/36028797018963968, not 1/10."""
+    if isinstance(x, (float, bool)):
+        raise Refusal("arguments", f"{x!r} is not an exact rational")
+    return Fraction(x)
+
+
 def hilbert_symbol(a, b, v):
     """The local Hilbert symbol (a, b)_v in {+1, -1}.
 
-    v is an int or the string "inf": a prime, or "inf" for the real place;
-    any other v is refused as no place, and a v at or above PRIME_BOUND by
-    `is_prime`, which decides primality only below it. Computed from the
+    a and b are exact rationals; a float or a bool is refused. v is an int
+    or the string "inf": a prime, or "inf" for the real place; any other v
+    is refused as no place, and a v at or above PRIME_BOUND by `is_prime`,
+    which decides primality only below it. Computed from the
     standard valuation and residue formulas on the numerators and
     denominators; bimultiplicative and symmetric. A unit num / den is a
     square mod an odd v when num * den is, which Euler's criterion decides;
     mod 8, an odd den is its own inverse.
     """
     if not isinstance(a, Fraction):
-        a = Fraction(a)
+        a = _rational(a)
     if not isinstance(b, Fraction):
-        b = Fraction(b)
+        b = _rational(b)
     an, bn = a.numerator, b.numerator
     if an == 0 or bn == 0:
         raise Refusal("arguments", "arguments must be nonzero")
@@ -390,7 +388,7 @@ class DiagQuadForm:
     """A diagonal quadratic form, kept as its nonzero coefficients."""
 
     def __init__(self, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = tuple(map(_rational, coeffs))
         if any(c == 0 for c in coeffs):
             raise ValueError("coefficients must be nonzero")
         self.coeffs = coeffs
@@ -413,10 +411,10 @@ def hasse_invariant(form: DiagQuadForm, v):
 def relevant_places(*values):
     """The places where a Hilbert symbol of these rationals can be
     nontrivial: infinity, 2, and the odd primes dividing a numerator or
-    denominator."""
+    denominator. A float or a bool is refused."""
     places = {"inf", 2}
     for x in values:
         if not isinstance(x, Fraction):
-            x = Fraction(x)
+            x = _rational(x)
         places.update(prime_factors(abs(x.numerator)), prime_factors(x.denominator))
     return places

@@ -79,6 +79,14 @@ def test_bad_inputs():
             FiniteField(p, f)
 
 
+def test_p_and_f_that_are_not_ints_are_refused():
+    # int() would read FiniteField(3.9) and FiniteField(3, True) as F_3
+    cases = (((3.9,), "p", "3.9"), ((3, True), "f", "True"), ((True,), "p", "True"), ((3, 2.0), "f", "2.0"))
+    for args, name, value in cases:
+        with pytest.raises(ValueError, match=rf"^no field F_q: {name} = {re.escape(value)} is not an int$"):
+            FiniteField(*args)
+
+
 def test_no_primality_test_past_max_q(monkeypatch):
     # a q past MAX_Q is refused before p's primality is tested, so a huge p
     # costs nothing

@@ -151,6 +151,20 @@ def test_builds_are_cached():
     assert build_finite_group("SL2", 3) is build_finite_group("SL2", 3)
 
 
+def test_a_q_that_is_not_an_int_is_refused_and_not_cached():
+    # int(5.5) would build SL2(F_5) a second time, under the key 5.5; and a
+    # float equal to an int must not hit that int's entry
+    g = build_finite_group("SL2", 5)
+    for bad in (5.5, 5.0, True):
+        with pytest.raises(ValueError, match=rf"^q = {bad!r} is not an int$"):
+            build_finite_group("SL2", bad)
+    assert build_finite_group("SL2", 5) is g
+    # one entry per admitted (kind, q), none for a refused q
+    for kind, q in ADMITTED:
+        build_finite_group(kind, q)
+    assert build_finite_group.cache_info().currsize == len(ADMITTED)
+
+
 def test_each_group_builds_its_own_field():
     # GL2 and SL2 over one q build distinct fields, equal in (p, f, gen),
     # whose matrix tables are the same bytes
@@ -432,6 +446,19 @@ def _torus_lie_points_by_rule(g, tag):
             if tag == "elliptic" and not (g.kind == "SL2" and a != 0):
                 out.append(g.pack([[a, fld.mul(fld.non_residue, b)], [b, a]]))
     return tuple(sorted(out))
+
+
+@pytest.mark.parametrize("kind,q", ADMITTED)
+def test_the_tori_orbits_cover_every_semisimple_lie_point(kind, q):
+    # the orbits of the tori's Lie points are the semisimple points: all
+    # but the scalar plus nonzero nilpotent ones, q (q^2 - 1) of them in
+    # gl2 and q^2 - 1 in sl2
+    g = build_finite_group(kind, q)
+    covered = set()
+    for torus in tori_and_regularity(g):
+        for t in torus.lie_points():
+            covered.update(g.adjoint_orbit_of(t))
+    assert len(covered) == (q**4 - q**3 + q if kind == "GL2" else q**3 - q**2 + 1)
 
 
 @pytest.mark.parametrize("kind,q", ADMITTED)

@@ -10,6 +10,7 @@ from liechar.exact_math import (
     Cyclotomic,
     FinAbGroup,
     IntMatrix,
+    Refusal,
     cokernel_group,
 )
 from liechar import galois_tori
@@ -42,6 +43,14 @@ def test_torus_rejects_non_unimodular():
 def test_torus_rejects_wrong_shape():
     with pytest.raises(ValueError):
         TwistedTorus(3, IntMatrix([[1, 0], [0, 1]]))
+
+
+def test_torus_refuses_a_rank_that_is_not_an_int():
+    # int(1.7) would be the rank 1 of the matrix, and True == 1 too
+    for rank in (1.7, 1.0, True):
+        with pytest.raises(Refusal, match=rf"^frobenius rank {rank!r} is not an int$") as info:
+            TwistedTorus(rank, IntMatrix([[-1]]))
+        assert info.value.subject == "frobenius"
 
 
 def test_torus_rejects_infinite_order():

@@ -2,7 +2,9 @@
 against a digit-wise arithmetic of the test's own, which reads no table of
 the field or of the kernels."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -331,3 +333,40 @@ def test_tables_refuse_large_fields():
     # is built
     with pytest.raises(ValueError, match="MAX_Q = 16"):
         FiniteField(17)
+
+
+LIBRARY = Path(__file__).resolve().parents[1] / "src" / "liechar"
+
+
+def test_only_the_kernels_read_the_code_layout():
+    # the tables' layout attributes are read in _kernels alone, so a change
+    # of the code layout touches one module
+    layout = {"dot", "col0", "col1", "q2", "q3"}
+    reads = [
+        f"{path.relative_to(LIBRARY)}:{node.lineno}: .{node.attr}"
+        for path in sorted(LIBRARY.rglob("*.py"))
+        if path.name != "_kernels.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in layout
+    ]
+    assert not reads, "layout read outside _kernels:\n" + "\n".join(reads)
+
+
+@pytest.mark.parametrize("kind,q", [(kind, q) for kind in ("GL2", "SL2") for q in QS])
+def test_pack_inverts_unpack_on_every_code(kind, q):
+    g = build_finite_group(kind, q)
+    for c in range(q**4):
+        rows = g.unpack(c)
+        assert rows == _unpack(c, q)
+        assert g.pack(rows) == c
+
+
+@pytest.mark.parametrize("q", QS)
+def test_pack_and_unpack_refuse_what_is_not_a_code(q):
+    g = build_finite_group("SL2", q)
+    for bad in (q**4, -1, 126.0):
+        with pytest.raises(ValueError, match=f"is not a matrix code over F_{q}$"):
+            g.unpack(bad)
+    for bad in (1.5, True, q):
+        with pytest.raises(ValueError, match=f"is not a field code of F_{q}$"):
+            g.pack([[1, 0], [bad, 1]])

@@ -13,7 +13,7 @@ import pytest
 
 import reference_padic as ref
 from liechar.cli import main
-from liechar.exact_math import IntMatrix, is_prime, jordan_exponent
+from liechar.exact_math import IntMatrix, Refusal, is_prime, jordan_exponent
 from liechar.padic import (
     DiagQuadForm,
     TruncatedMatrix,
@@ -563,6 +563,20 @@ def test_hilbert_pinned_values():
 def test_hilbert_rejects_zero():
     with pytest.raises(ValueError):
         hilbert_symbol(0, 3, 5)
+
+
+def test_hilbert_refuses_floats_and_bools():
+    # Fraction(0.1) is 3602879701896397/2^55, not 1/10: (1/10, 3)_5 = -1,
+    # but the float gave 1, and its places stopped at a number with no
+    # prime factor below TRIAL_BOUND
+    assert hilbert_symbol(Fraction(1, 10), 3, 5) == -1
+    for a, b in ((0.1, 3), (3, 0.1), (True, 3), (2, False)):
+        for call in (lambda: hilbert_symbol(a, b, 5), lambda: relevant_places(a, b)):
+            with pytest.raises(Refusal, match=r"is not an exact rational$") as info:
+                call()
+            assert info.value.subject == "arguments"
+    with pytest.raises(Refusal, match=r"^0\.1 is not an exact rational$"):
+        DiagQuadForm([0.1, 3])
 
 
 @pytest.mark.parametrize("place", ["x", "4", "-5", " 5", "5.0", "", "1_3", 4, 1])
